@@ -27,6 +27,7 @@ import json
 import os
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial
 from pathlib import Path
 from typing import Callable
 
@@ -47,18 +48,10 @@ def bernoulli(n: int) -> Fraction:
     if n == 0:
         return Fraction(1)
     # recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0
-    from math import comb
-
     total = Fraction(0)
     for k in range(n):
         total += comb(n + 1, k) * bernoulli(k)
     return -total / (n + 1)
-
-
-def _factorial(n: int) -> int:
-    from math import factorial
-
-    return factorial(n)
 
 
 @lru_cache(maxsize=None)
@@ -67,7 +60,7 @@ def hyper_A(order: int) -> Series:
     ring = Ring([VarSpec("t", 0, order + 1)])
     terms = {}
     for i in range(order + 1):
-        c = Fraction(_factorial(6 * i), _factorial(3 * i) * _factorial(2 * i))
+        c = Fraction(factorial(6 * i), factorial(3 * i) * factorial(2 * i))
         terms[(i,)] = c * Fraction(1, 72) ** i
     return ring.series(terms)
 
@@ -78,7 +71,7 @@ def hyper_B(order: int) -> Series:
     ring = Ring([VarSpec("t", 0, order + 1)])
     terms = {}
     for i in range(order + 1):
-        c = Fraction(_factorial(6 * i), _factorial(3 * i) * _factorial(2 * i))
+        c = Fraction(factorial(6 * i), factorial(3 * i) * factorial(2 * i))
         c *= Fraction(6 * i + 1, 6 * i - 1)
         terms[(i,)] = c * Fraction(1, 72) ** i
     return ring.series(terms)
@@ -144,8 +137,8 @@ def phi_family(t_order: int, x_order: int) -> dict:
     psi_terms[(0, 0)] = Fraction(1)
     for d in range(1, x_order + 1):
         prod = _product_pole_factors(d, aux_order)
-        sign = Fraction((-1) ** d, _factorial(d))
-        inv_fact = Fraction(1, _factorial(d))
+        sign = Fraction((-1) ** d, factorial(d))
+        inv_fact = Fraction(1, factorial(d))
         for (k,), c in prod.coeffs.items():
             if -x_order <= k - d <= t_order + pad:
                 phi_terms[(k - d, d)] = phi_terms.get((k - d, d), Fraction(0)) + sign * c
@@ -181,11 +174,11 @@ def phi_family(t_order: int, x_order: int) -> dict:
     C: dict = {}
     for (r, d), c in log_phi_out.coeffs.items():
         if d >= 1:
-            C.setdefault(d, {})[r] = c * _factorial(d)
+            C.setdefault(d, {})[r] = c * factorial(d)
     S: dict = {}
     for (r, d), c in log_psi_out.coeffs.items():
         if d >= 1:
-            S.setdefault(d, {})[r] = c * _factorial(d)
+            S.setdefault(d, {})[r] = c * factorial(d)
 
     return {
         "ring": out_ring,
@@ -428,7 +421,7 @@ def canonical_coordinate(i: int, x_order: int) -> Series:
     cneg = c_neg1_coefficients(x_order)
     zi = ZETA[i]
     return ring.series(
-        {(d,): -zi * cneg[d] / _factorial(d) for d in range(1, x_order + 1)}
+        {(d,): -zi * cneg[d] / factorial(d) for d in range(1, x_order + 1)}
     )
 
 

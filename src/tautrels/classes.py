@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
+from math import factorial, gcd
 
 from .graphs import StableGraph, WeightData
 
@@ -1090,7 +1091,7 @@ def divisor_exp_check(
     while power:
         term = poly_mul(power, f_poly, cap)
         for key, v in term.items():
-            edge_factor[key] = edge_factor.get(key, Fraction(0)) + v / _factorial(
+            edge_factor[key] = edge_factor.get(key, Fraction(0)) + v / factorial(
                 k + 1
             )
         power = poly_mul(power, {k2: -v2 for k2, v2 in fs.items()}, cap)
@@ -1115,13 +1116,6 @@ def divisor_exp_check(
                         words[v].append(("hpsi", (e, s), p))
             rhs.add_word_term(graph, words, coeff)
     return lhs, rhs.restrict_codim(max_codim)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1160,7 +1154,7 @@ def matrix_rank(rows: list) -> int:
     for row in rows:
         denom = 1
         for x in row:
-            denom = denom * Fraction(x).denominator // _gcd(
+            denom = denom * Fraction(x).denominator // gcd(
                 denom, Fraction(x).denominator
             )
         mat.append([int(Fraction(x) * denom) for x in row])
@@ -1189,9 +1183,3 @@ def matrix_rank(rows: list) -> int:
         if row == m:
             break
     return rank
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -25,9 +25,13 @@ from .classes import (
     pushforward_forget_weight1,
     to_vector,
 )
-from .graphs import StableGraph, WeightData, enumerate_graphs
-from .relations import (
+from .graphs import (
     PreconditionError,
+    StableGraph,
+    WeightData,
+    enumerate_graphs,
+)
+from .relations import (
     boundary_sq_relation,
     extended_fz_relation,
     fz_relation,
@@ -125,7 +129,7 @@ def _primitive_scale(rel: TautClass) -> TautClass:
 
 
 def cmd_relations_gen(args, cfg: dict, log: Logger) -> int:
-    weights = WeightData(_parse_fractions(args.weights))
+    weights = WeightData.of(_parse_fractions(args.weights))
     subset = _parse_ints(args.subset)
     sigma = _parse_ints(args.sigma)
     threads = args.threads or int(cfg.get("threads", 1))
@@ -284,7 +288,7 @@ def cmd_series_dump(args, cfg: dict, log: Logger) -> int:
 
 
 def cmd_graphs_list(args, cfg: dict, log: Logger) -> int:
-    weights = WeightData(_parse_fractions(args.weights))
+    weights = WeightData.of(_parse_fractions(args.weights))
     graphs = enumerate_graphs(args.genus, weights, args.max_edges)
     payload = {"genus": args.genus,
                "weights": [str(w) for w in weights.weights],

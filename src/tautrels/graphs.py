@@ -6,18 +6,41 @@ Marked points carry rational weights in (0, 1]; a vertex is stable when
 
     2 g(v) - 2 + (number of half-edges at v) + sum of leg weights at v > 0.
 
-Graphs are compared up to isomorphism via a canonical form (minimum over
-vertex relabellings), and ``automorphism_order`` counts vertex permutations
-preserving genera/legs/edges, times the half-edge symmetries: a factor m!
-for every group of m parallel edges and a factor 2 for every loop.
+The canonical representative of an isomorphism class is the lexicographic
+minimum of (genera, legs, edges) over vertex relabellings.  That minimum
+has sorted genera, so only relabellings inside blocks of equal genus are
+tried; the same pass counts the vertex automorphisms, and
+``automorphism_order`` multiplies them by the half-edge symmetries: a
+factor m! for every group of m parallel edges and a factor 2 for every
+loop.
+
+``enumerate_graphs`` generates graphs by degeneration, one edge at a time,
+starting from the smooth graph: add a loop at a vertex of positive genus,
+or split a vertex into two stable vertices joined by a new edge.  Every
+stable graph with k + 1 edges arises this way from one with k edges,
+because contracting an edge keeps a graph stable.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
-from typing import Iterable, Mapping
+from itertools import chain, permutations, product
+from math import factorial
+from typing import Iterable
+
+
+class PreconditionError(ValueError):
+    """A named side condition of a request is violated."""
+
+    def __init__(self, condition: str, detail: str):
+        super().__init__(f"{condition} violated: {detail}")
+        self.condition = condition
+
+
+def _is_stable(genus: int, half_edges: int, leg_weight: Fraction) -> bool:
+    return 2 * genus - 2 + half_edges + leg_weight > 0
 
 
 @dataclass(frozen=True)
@@ -30,7 +53,9 @@ class WeightData:
     def of(cls, values: Iterable) -> "WeightData":
         ws = tuple(Fraction(v) for v in values)
         if any(not (0 < w <= 1) for w in ws):
-            raise ValueError("weights must lie in (0, 1]")
+            raise PreconditionError(
+                "weights in (0, 1]", f"weights={','.join(map(str, ws))}"
+            )
         return cls(ws)
 
     @property
@@ -153,7 +178,7 @@ class StableGraph:
         for v in range(self.n_vertices):
             nh = len(self.half_edges_at(v))
             wsum = weights.subset_weight(self.legs_at(v))
-            if 2 * self.genera[v] - 2 + nh + wsum <= 0:
+            if not _is_stable(self.genera[v], nh, wsum):
                 raise ValueError(f"vertex {v} unstable")
 
     def relabelled(self, perm: tuple) -> "StableGraph":
@@ -167,37 +192,55 @@ class StableGraph:
         )
         return StableGraph(tuple(genera), legs, edges)
 
+    def _genus_block_minimum(self) -> tuple:
+        """Lexicographic minimum of (genera, legs, edges) over vertex
+        relabellings, and the number of relabellings that reach it.
+
+        The minimum has sorted genera, so only relabellings that send the
+        vertices of each genus onto that genus' block of positions are
+        tried.  Vertex automorphisms preserve genera, so the count is the
+        number of vertex automorphisms.
+        """
+        classes: dict = {}
+        for v in sorted(range(self.n_vertices), key=self.genera.__getitem__):
+            classes.setdefault(self.genera[v], []).append(v)
+        order = [v for members in classes.values() for v in members]
+        blocks = []
+        start = 0
+        for members in classes.values():
+            blocks.append(permutations(range(start, start + len(members))))
+            start += len(members)
+        best, count = None, 0
+        perm = [0] * self.n_vertices
+        for images in product(*blocks):
+            for v, image in zip(order, chain.from_iterable(images)):
+                perm[v] = image
+            key = (
+                tuple(perm[v] for v in self.legs),
+                tuple(sorted(
+                    (perm[a], perm[b]) if perm[a] <= perm[b]
+                    else (perm[b], perm[a])
+                    for a, b in self.edges
+                )),
+            )
+            if best is None or key < best:
+                best, count = key, 1
+            elif key == best:
+                count += 1
+        genera = tuple(self.genera[v] for v in order)
+        return StableGraph(genera, *best), count
+
     def canonical(self) -> "StableGraph":
-        best = None
-        for perm in permutations(range(self.n_vertices)):
-            cand = self.relabelled(perm)
-            key = (cand.genera, cand.legs, cand.edges)
-            if best is None or key < best_key:
-                best, best_key = cand, key
-        return best
+        return self._genus_block_minimum()[0]
 
     def automorphism_order(self) -> int:
         """|Aut|: vertex symmetries times half-edge symmetries."""
-        from math import factorial
-
-        key = (self.genera, self.legs, self.edges)
-        vertex_syms = 0
-        for perm in permutations(range(self.n_vertices)):
-            if (
-                self.relabelled(perm).genera,
-                self.relabelled(perm).legs,
-                self.relabelled(perm).edges,
-            ) == key:
-                vertex_syms += 1
         half_edge = 1
-        from collections import Counter
-
-        mult = Counter(self.edges)
-        for (a, b), m in mult.items():
+        for (a, b), m in Counter(self.edges).items():
             half_edge *= factorial(m)
             if a == b:
                 half_edge *= 2 ** m
-        return vertex_syms * half_edge
+        return self._genus_block_minimum()[1] * half_edge
 
     def to_dict(self) -> dict:
         return {
@@ -219,58 +262,85 @@ def smooth_graph(genus: int, n_markings: int) -> StableGraph:
     return StableGraph((genus,), tuple(0 for _ in range(n_markings)), ())
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _degenerations(graph: StableGraph, weights: WeightData):
+    """Stable graphs with one more edge that contract back to ``graph``.
+
+    Either a loop is added at a vertex of positive genus, or a vertex v is
+    split into v and a new last vertex joined by a new edge; the split
+    distributes the genus, the legs and the half-edges at v, and both new
+    vertices must be stable.  Graphs may repeat up to isomorphism.
+    """
+    new = graph.n_vertices
+    for v, g_v in enumerate(graph.genera):
+        if g_v >= 1:
+            genera = graph.genera[:v] + (g_v - 1,) + graph.genera[v + 1:]
+            edges = tuple(sorted(graph.edges + ((v, v),)))
+            yield StableGraph(genera, graph.legs, edges)
+        legs = graph.legs_at(v)
+        halves = graph.half_edges_at(v)
+        for leg_sides in product((v, new), repeat=len(legs)):
+            leg_weight = {v: Fraction(0), new: Fraction(0)}
+            placed = list(graph.legs)
+            for k, side in zip(legs, leg_sides):
+                leg_weight[side] += weights.weight(k)
+                placed[k - 1] = side
+            new_legs = tuple(placed)
+            for half_sides in product((v, new), repeat=len(halves)):
+                at_new = sum(1 for side in half_sides if side == new)
+                # one half of the new edge lies at each of v and new
+                valence = {v: len(halves) - at_new + 1, new: at_new + 1}
+                ends = [list(e) for e in graph.edges]
+                for (idx, s), side in zip(halves, half_sides):
+                    ends[idx][s] = side
+                edges = tuple(sorted(
+                    [tuple(sorted(e)) for e in ends] + [(v, new)]
+                ))
+                for g_a in range(g_v + 1):
+                    genus = {v: g_a, new: g_v - g_a}
+                    if all(
+                        _is_stable(genus[u], valence[u], leg_weight[u])
+                        for u in (v, new)
+                    ):
+                        genera = (
+                            graph.genera[:v] + (g_a,) + graph.genera[v + 1:]
+                            + (g_v - g_a,)
+                        )
+                        yield StableGraph(genera, new_legs, edges)
 
 
 def enumerate_graphs(
     genus: int, weights: WeightData, max_edges: int
 ) -> list:
     """All isomorphism classes of stable graphs of the given total genus with
-    at most ``max_edges`` edges, legs weighted by ``weights``."""
-    n = weights.n
-    found = {}
-    for n_edges in range(max_edges + 1):
-        for n_vertices in range(1, n_edges + 2):
-            h1 = n_edges - n_vertices + 1
-            if h1 < 0 or genus - h1 < 0:
-                continue
-            pairs = [
-                (a, b)
-                for a in range(n_vertices)
-                for b in range(a, n_vertices)
-            ]
-            for edge_choice in combinations_with_replacement(pairs, n_edges):
-                edges = tuple(sorted(edge_choice))
-                for genera in _compositions(genus - h1, n_vertices):
-                    for legs in _leg_placements(n, n_vertices):
-                        g = StableGraph(tuple(genera), legs, edges)
-                        if not g.is_connected():
-                            continue
-                        try:
-                            g.validate(weights, genus)
-                        except ValueError:
-                            continue
-                        cg = g.canonical()
-                        found[(cg.genera, cg.legs, cg.edges)] = cg
+    at most ``max_edges`` edges, legs weighted by ``weights``.
+
+    Graphs with k + 1 edges are the degenerations of those with k edges:
+    contracting any edge of a stable graph leaves a stable graph, so every
+    class is reached.  Each class is kept as its canonical representative;
+    the list is sorted by (edge count, genera, legs, edges).
+    """
+    if genus < 0:
+        raise PreconditionError("genus >= 0", f"genus={genus}")
+    if max_edges < 0:
+        raise PreconditionError("max_edges >= 0", f"max_edges={max_edges}")
+    if not _is_stable(genus, 0, sum(weights.weights)):
+        return []
+    smooth = smooth_graph(genus, weights.n)
+    found = [smooth]
+    level = [smooth]
+    for _ in range(max_edges):
+        keyed = {}
+        for graph in level:
+            for candidate in _degenerations(graph, weights):
+                c = candidate.canonical()
+                keyed.setdefault((c.genera, c.legs, c.edges), c)
+        level = list(keyed.values())
+        found.extend(level)
     return sorted(
-        found.values(), key=lambda g: (g.n_edges, g.genera, g.legs, g.edges)
+        found, key=lambda g: (g.n_edges, g.genera, g.legs, g.edges)
     )
-
-
-def _leg_placements(n: int, n_vertices: int):
-    from itertools import product
-
-    return product(range(n_vertices), repeat=n)
 
 
 def enumerate_colorings(graph: StableGraph) -> list:
     """All maps from vertices to {1, -1}."""
-    from itertools import product
-
     return [tuple(c) for c in product((1, -1), repeat=graph.n_vertices)]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from math import comb, factorial
 
 from .catalog import (
     delta_edge,
@@ -39,6 +40,7 @@ from .classes import (
     weight_reduce,
 )
 from .graphs import (
+    PreconditionError,
     StableGraph,
     WeightData,
     enumerate_colorings,
@@ -60,19 +62,11 @@ __all__ = [
 ]
 
 
-class PreconditionError(ValueError):
-    """A named side condition of a relation request is violated."""
-
-    def __init__(self, condition: str, detail: str):
-        super().__init__(f"{condition} violated: {detail}")
-        self.condition = condition
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+def _check_subset(S: tuple, n: int) -> None:
+    if any(not 1 <= i <= n for i in S):
+        raise PreconditionError(
+            "S ⊆ {1..n}", f"S={','.join(map(str, S))}, n={n}"
+        )
 
 
 def zeta_twist(series: Series, var: str, zeta: int) -> Series:
@@ -220,7 +214,7 @@ class DecoratedSeries:
         power = self
         k = 1
         while power.terms:
-            result = result + power.scale(Fraction(1, _factorial(k)))
+            result = result + power.scale(Fraction(1, factorial(k)))
             power = power * self
             k += 1
         return result
@@ -371,11 +365,11 @@ def _sq_vertex_exponent(ds: DecoratedSeries, vertex: int, markings: list,
         if i_order == 0:
             bracket_Delta(f, ds, vertex, {}, coeff=1)
         else:
-            base = Fraction(pd_sign ** i_order, _factorial(i_order))
+            base = Fraction(pd_sign ** i_order, factorial(i_order))
             for alpha in _compositions(i_order, markings, a):
-                multi = _factorial(i_order)
+                multi = factorial(i_order)
                 for e in alpha.values():
-                    multi //= _factorial(e)
+                    multi //= factorial(e)
                 bracket_Delta(f, ds, vertex, alpha, coeff=base * multi)
         i_order += 1
         if i_order > total_a:
@@ -445,6 +439,7 @@ def open_fz_relation(g: int, n: int, r: int, S: tuple = (),
                      enforce: bool = True) -> TautClass:
     """FZ-form relation ``[exp(-{log A}_kappa) sum_P prod {C_|b|}_{D_b}]_{t^r}``."""
     S = tuple(sorted(S))
+    _check_subset(S, n)
     if enforce:
         if not 3 * r >= g + 1 + len(S):
             raise PreconditionError(
@@ -558,6 +553,7 @@ def fz_relation(g: int, weights: WeightData, r: int, S: tuple = (),
     ``r`` edges cannot contribute (the edge series has no poles in t).
     """
     S = tuple(sorted(S))
+    _check_subset(S, weights.n)
     if enforce:
         if not 3 * r >= g + 1 + len(S):
             raise PreconditionError(
@@ -674,6 +670,7 @@ def extended_fz_relation(g: int, weights: WeightData, r: int,
     if any(part % 3 == 2 for part in sigma):
         raise ValueError("sigma must have no part congruent to 2 mod 3")
     n = weights.n
+    _check_subset(S, n)
     ell = len(sigma)
     if ell == 0:
         return fz_relation(g, weights, r, S, threads=threads)
@@ -828,7 +825,7 @@ def pushforward_oracle(d_max: int = 3, t_order: int = 4,
             detail = ""
             for r in range(t_order + 1):
                 pushed = pushforward_forget_small(
-                    cs[r + d].scale(Fraction(zeta ** r, _factorial(d))), d
+                    cs[r + d].scale(Fraction(zeta ** r, factorial(d))), d
                 )
                 if pushed != closed.extract(t=r, x=d):
                     ok = False
@@ -856,7 +853,7 @@ def reduction_lemma_demo(seed: int = 0, trials: int = 20, deg: int = 6,
         total = Fraction(0)
         for k, fk in enumerate(coeffs):
             if k <= d:
-                total += _binom(d, k) * Fraction(4) ** (d - k) * fk
+                total += comb(d, k) * Fraction(4) ** (d - k) * fk
         return total
 
     top = c + deg
@@ -872,10 +869,3 @@ def reduction_lemma_demo(seed: int = 0, trials: int = 20, deg: int = 6,
         for d in range(c + 1, c + deg + 2)
     ]
     return all(v == 0 for v in zero_values)
-
-
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out

@@ -205,3 +205,30 @@ class TestGraphsAndClasses:
                             str(infile))
         assert code == 0
         assert payload(text)["terms"] == rel["terms"]
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("argv,condition", [
+        (("graphs", "list", "--genus", "1", "--weights", "2",
+          "--max-edges", "1"), "weights in (0, 1] violated"),
+        (("relations", "gen", "--genus", "2", "--codim", "1",
+          "--weights", "2"), "weights in (0, 1] violated"),
+        (("relations", "gen", "--genus", "-1", "--codim", "2"),
+         "genus >= 0 violated"),
+        (("graphs", "list", "--genus", "-1", "--max-edges", "1"),
+         "genus >= 0 violated"),
+        (("graphs", "list", "--genus", "1", "--max-edges", "-1"),
+         "max_edges >= 0 violated"),
+        (("relations", "gen", "--genus", "2", "--codim", "2",
+          "--subset", "7"), "S ⊆ {1..n} violated"),
+        (("relations", "gen", "--genus", "2", "--codim", "2",
+          "--subset", "1", "--sigma", "1"), "S ⊆ {1..n} violated"),
+        (("relations", "gen", "--genus", "2", "--codim", "2",
+          "--subset", "2", "--weights", "1/2", "--construction", "open-fz"),
+         "S ⊆ {1..n} violated"),
+    ])
+    def test_exit_2_names_condition(self, capsys, argv, condition):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert condition in err
+        assert out == ""

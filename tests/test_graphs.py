@@ -1,10 +1,16 @@
 """Tests for stable-graph enumeration, canonical forms and automorphisms."""
 
+from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations_with_replacement, permutations, product
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tautrels.graphs import (
+    PreconditionError,
     StableGraph,
     WeightData,
     enumerate_colorings,
@@ -17,13 +23,128 @@ def W(*vals):
     return WeightData.of(vals)
 
 
+# ---------------------------------------------------------------------------
+# Brute-force oracle: every edge multiset, genus composition and leg
+# placement, with the canonical form and |Aut| taken over all n! vertex
+# permutations.
+# ---------------------------------------------------------------------------
+
+
+def _key(graph):
+    return (graph.genera, graph.legs, graph.edges)
+
+
+def brute_canonical(graph):
+    perms = permutations(range(graph.n_vertices))
+    return min((graph.relabelled(perm) for perm in perms), key=_key)
+
+
+def brute_automorphism_order(graph):
+    vertex_syms = sum(
+        1
+        for perm in permutations(range(graph.n_vertices))
+        if _key(graph.relabelled(perm)) == _key(graph)
+    )
+    half_edge = 1
+    for (a, b), m in Counter(graph.edges).items():
+        half_edge *= factorial(m) * (2 ** m if a == b else 1)
+    return vertex_syms * half_edge
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def brute_enumerate_graphs(genus, weights, max_edges):
+    found = {}
+    for n_edges in range(max_edges + 1):
+        for n_vertices in range(1, n_edges + 2):
+            h1 = n_edges - n_vertices + 1
+            if genus - h1 < 0:
+                continue
+            pairs = [
+                (a, b) for a in range(n_vertices) for b in range(a, n_vertices)
+            ]
+            for edges in combinations_with_replacement(pairs, n_edges):
+                for genera in _compositions(genus - h1, n_vertices):
+                    for legs in product(range(n_vertices), repeat=weights.n):
+                        g = StableGraph(genera, legs, edges)
+                        try:
+                            g.validate(weights, genus)
+                        except ValueError:
+                            continue
+                        cg = brute_canonical(g)
+                        found[_key(cg)] = cg
+    return sorted(found.values(), key=lambda g: (g.n_edges,) + _key(g))
+
+
+ORACLE_WEIGHTS = {
+    "none": W(),
+    "unit": W(1),
+    "light": W(F(1, 3)),
+    "unit-pair": W(1, 1),
+    "light-pair": W(F(1, 3), F(1, 4)),
+    "mixed-pair": W(1, F(2, 3)),
+    "non-generic": W(F(1, 2), F(1, 2)),
+    "perturbed": W(F(1, 2), F(1, 2)).perturbed(),
+}
+
+ORACLE_CASES = [
+    (genus, name, 3) for genus in range(4) for name in ORACLE_WEIGHTS
+] + [(5, "none", 4)]
+
+
+@pytest.mark.parametrize("genus,name,max_edges", ORACLE_CASES)
+def test_enumeration_matches_brute_force(genus, name, max_edges):
+    weights = ORACLE_WEIGHTS[name]
+    graphs = enumerate_graphs(genus, weights, max_edges)
+    assert graphs == brute_enumerate_graphs(genus, weights, max_edges)
+    for g in graphs:
+        assert g.automorphism_order() == brute_automorphism_order(g)
+
+
+def test_enumeration_rejects_negative_genus_and_edge_cap():
+    with pytest.raises(PreconditionError, match=r"genus >= 0"):
+        enumerate_graphs(-1, W(), 2)
+    with pytest.raises(PreconditionError, match=r"max_edges >= 0"):
+        enumerate_graphs(1, W(), -1)
+
+
+@st.composite
+def relabelled_graphs(draw):
+    """A graph, not necessarily stable or connected, and a relabelling."""
+    n = draw(st.integers(1, 5))
+    vertex = st.integers(0, n - 1)
+    genera = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    legs = tuple(draw(st.lists(vertex, max_size=3)))
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=5))
+    edges = tuple(sorted(tuple(sorted(e)) for e in pairs))
+    perm = tuple(draw(st.permutations(range(n))))
+    return StableGraph(genera, legs, edges), perm
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabelled_graphs())
+def test_canonical_is_relabelling_invariant_property(case):
+    graph, perm = case
+    other = graph.relabelled(perm)
+    assert other.canonical() == graph.canonical() == brute_canonical(graph)
+    assert other.automorphism_order() == graph.automorphism_order()
+    assert graph.automorphism_order() == brute_automorphism_order(graph)
+
+
 def test_weight_data_basics():
     w = W(1, F(1, 2), F(1, 3))
     assert w.n == 3
     assert w.subset_weight([2, 3]) == F(5, 6)
     with pytest.raises(ValueError):
         W(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match=r"weights in \(0, 1\]"):
         W(F(3, 2))
 
 
