@@ -603,11 +603,6 @@ def bernoulli_kernel_coefficients(i_max: int) -> dict:
     }
 
 
-def point_series(t_order: int, x_order: int) -> Series:
-    """delta(t, x); the marked-point factor is 1 + p * delta."""
-    return phi_family(t_order, x_order)["delta"]
-
-
 # ---------------------------------------------------------------------------
 # Identity suite
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .graphs import StableGraph, WeightData
 __all__ = [
     "TautClass",
     "normal_form",
+    "words_normal_form",
     "canonical_term",
     "multiply_generator",
     "multiply_smooth",
@@ -140,6 +141,26 @@ def normal_form(
     return coeff, tuple(sorted(kappa)), tuple(sorted(cleaned))
 
 
+def words_normal_form(
+    graph: StableGraph, weights: WeightData, words, coeff
+) -> tuple | None:
+    """Reduce one raw word per vertex with :func:`normal_form`.
+
+    Returns ``(decoration, coeff)`` with the vertex scalars folded into
+    ``coeff``, or ``None`` if the product is zero.
+    """
+    coeff = Fraction(coeff)
+    decor = []
+    for v in range(graph.n_vertices):
+        nf = normal_form(graph, weights, v, words[v])
+        if nf is None:
+            return None
+        c, kappa, blocks = nf
+        coeff *= c
+        decor.append((kappa, blocks))
+    return tuple(decor), coeff
+
+
 def _decor_codim(graph: StableGraph, decor: tuple) -> int:
     total = graph.n_edges
     for kappa, blocks in decor:
@@ -168,79 +189,28 @@ def _map_points(points: tuple, hemap: dict) -> tuple:
 def canonical_term(graph: StableGraph, decor: tuple) -> tuple:
     """Minimal representative of (graph, decoration) under relabelling.
 
-    Vertex permutations, re-numberings of parallel edges and side flips of
-    loops are all taken into account so that equal terms always compare
-    equal.  Returns ``(genera, legs, edges, decor)``.
+    The minimum is taken over ``graph.vertex_maps()`` and, for each, over
+    ``graph.half_edge_maps(perm)``, so vertex permutations, re-numberings
+    of parallel edges and side flips of loops are all taken into account
+    and equal terms always compare equal.  The minimum over all vertex
+    permutations has sorted genera, so the genus-block maps reach it.
+    Returns ``(genera, legs, edges, decor)``.
     """
     key = (graph.genera, graph.legs, graph.edges, decor)
     hit = _CANON_CACHE.get(key)
     if hit is not None:
         return hit
-    nv = graph.n_vertices
+    genera = tuple(sorted(graph.genera))
     best = None
-    for perm in itertools.permutations(range(nv)):
-        genera = [0] * nv
-        for v, g in enumerate(graph.genera):
-            genera[perm[v]] = g
-        genera = tuple(genera)
+    for perm in graph.vertex_maps():
         legs = tuple(perm[v] for v in graph.legs)
-        mapped = []  # (sorted new pair, old index, side-of-end0, loop?)
-        for idx, (a, b) in enumerate(graph.edges):
-            pa, pb = perm[a], perm[b]
-            pair = (pa, pb) if pa <= pb else (pb, pa)
-            mapped.append((pair, idx, pa <= pb, a == b))
-        groups: dict = {}
-        for pair, idx, keep, loop in mapped:
-            groups.setdefault(pair, []).append((idx, keep, loop))
-        new_pairs = sorted(groups)
-        slot_base = {}
-        pos = 0
-        new_edges = []
-        for pair in new_pairs:
-            slot_base[pair] = pos
-            for _ in groups[pair]:
-                new_edges.append(pair)
-                pos += 1
-        new_edges = tuple(new_edges)
-        # all assignments of old edges to slots within their parallel group,
-        # all side flips for loops
-        per_group = []
-        for pair in new_pairs:
-            members = groups[pair]
-            opts = []
-            for order in itertools.permutations(members):
-                flip_axes = [m for m in order if m[2]]
-                for flips in itertools.product(
-                    (False, True), repeat=len(flip_axes)
-                ):
-                    assign = []
-                    fi = 0
-                    for slot_off, (idx, keep, loop) in enumerate(order):
-                        if loop:
-                            flip = flips[fi]
-                            fi += 1
-                            sides = (1, 0) if flip else (0, 1)
-                        else:
-                            sides = (0, 1) if keep else (1, 0)
-                        assign.append(
-                            (idx, slot_base[pair] + slot_off, sides)
-                        )
-                    opts.append(assign)
-            per_group.append(opts)
-        for combo in itertools.product(*per_group):
-            hemap = {}
-            for assign in combo:
-                for idx, slot, sides in assign:
-                    hemap[(idx, 0)] = (slot, sides[0])
-                    hemap[(idx, 1)] = (slot, sides[1])
-            new_decor = [None] * nv
-            for v in range(nv):
-                kappa, blocks = decor[v]
-                new_blocks = tuple(
+        for edges, hemap in graph.half_edge_maps(perm):
+            new_decor = [None] * graph.n_vertices
+            for v, (kappa, blocks) in enumerate(decor):
+                new_decor[perm[v]] = (kappa, tuple(
                     sorted((_map_points(pts, hemap), a) for pts, a in blocks)
-                )
-                new_decor[perm[v]] = (kappa, new_blocks)
-            cand = (genera, legs, new_edges, tuple(new_decor))
+                ))
+            cand = (genera, legs, edges, tuple(new_decor))
             if best is None or cand < best:
                 best = cand
     _CANON_CACHE[key] = best
@@ -294,16 +264,9 @@ class TautClass:
 
     def add_word_term(self, graph: StableGraph, words, coeff) -> None:
         """Add ``coeff * product of raw words`` (one word per vertex)."""
-        coeff = Fraction(coeff)
-        decor = []
-        for v in range(graph.n_vertices):
-            nf = normal_form(graph, self.weights, v, words[v])
-            if nf is None:
-                return
-            c, kappa, blocks = nf
-            coeff *= c
-            decor.append((kappa, blocks))
-        self.add_term(graph, tuple(decor), coeff)
+        reduced = words_normal_form(graph, self.weights, words, coeff)
+        if reduced is not None:
+            self.add_term(graph, *reduced)
 
     # -- ring-ish operations ------------------------------------------------
 
@@ -352,14 +315,6 @@ class TautClass:
             graph = StableGraph(genera, legs, edges)
             out.add(_decor_codim(graph, decor))
         return out
-
-    def graded_part(self, codim: int) -> "TautClass":
-        out = {}
-        for key, c in self.terms.items():
-            genera, legs, edges, decor = key
-            if _decor_codim(StableGraph(genera, legs, edges), decor) == codim:
-                out[key] = c
-        return TautClass(self.genus, self.weights, out)
 
     def restrict_codim(self, max_codim: int) -> "TautClass":
         out = {}
@@ -864,63 +819,13 @@ def _contract_edge(graph: StableGraph, e: int):
 
 def graph_isos(g1: StableGraph, g2: StableGraph) -> list:
     """All isomorphisms g1 -> g2 as (vertex map, half-edge map) pairs."""
-    if (
-        g1.n_vertices != g2.n_vertices
-        or g1.n_edges != g2.n_edges
-        or sorted(g1.genera) != sorted(g2.genera)
-    ):
-        return []
-    out = []
-    for perm in itertools.permutations(range(g1.n_vertices)):
-        if any(
-            g1.genera[v] != g2.genera[perm[v]] for v in range(g1.n_vertices)
-        ):
-            continue
-        if tuple(perm[v] for v in g1.legs) != g2.legs:
-            continue
-        mapped = []
-        for idx, (a, b) in enumerate(g1.edges):
-            pa, pb = perm[a], perm[b]
-            pair = (pa, pb) if pa <= pb else (pb, pa)
-            mapped.append((pair, idx, pa <= pb, a == b))
-        groups: dict = {}
-        for pair, idx, keep, loop in mapped:
-            groups.setdefault(pair, []).append((idx, keep, loop))
-        slots: dict = {}
-        for idx2, pair in enumerate(g2.edges):
-            slots.setdefault(pair, []).append(idx2)
-        if {p: len(v) for p, v in groups.items()} != {
-            p: len(v) for p, v in slots.items()
-        }:
-            continue
-        per_group = []
-        for pair, members in sorted(groups.items()):
-            opts = []
-            for order in itertools.permutations(members):
-                flip_axes = [m for m in order if m[2]]
-                for flips in itertools.product(
-                    (False, True), repeat=len(flip_axes)
-                ):
-                    assign = []
-                    fi = 0
-                    for off, (idx, keep, loop) in enumerate(order):
-                        if loop:
-                            flip = flips[fi]
-                            fi += 1
-                            sides = (1, 0) if flip else (0, 1)
-                        else:
-                            sides = (0, 1) if keep else (1, 0)
-                        assign.append((idx, slots[pair][off], sides))
-                    opts.append(assign)
-            per_group.append(opts)
-        for combo in itertools.product(*per_group):
-            hemap = {}
-            for assign in combo:
-                for idx, slot, sides in assign:
-                    hemap[(idx, 0)] = (slot, sides[0])
-                    hemap[(idx, 1)] = (slot, sides[1])
-            out.append((tuple(perm), hemap))
-    return out
+    return [
+        (perm, hemap)
+        for perm in g1.vertex_maps(g2.genera)
+        if tuple(perm[v] for v in g1.legs) == g2.legs
+        for edges, hemap in g1.half_edge_maps(perm)
+        if edges == g2.edges
+    ]
 
 
 def _edge_decor(term_key: tuple) -> dict:

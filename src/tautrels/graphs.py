@@ -6,13 +6,19 @@ Marked points carry rational weights in (0, 1]; a vertex is stable when
 
     2 g(v) - 2 + (number of half-edges at v) + sum of leg weights at v > 0.
 
-The canonical representative of an isomorphism class is the lexicographic
-minimum of (genera, legs, edges) over vertex relabellings.  That minimum
-has sorted genera, so only relabellings inside blocks of equal genus are
-tried; the same pass counts the vertex automorphisms, and
-``automorphism_order`` multiplies them by the half-edge symmetries: a
-factor m! for every group of m parallel edges and a factor 2 for every
-loop.
+Which relabellings of a graph exist is decided in one place.
+``StableGraph.vertex_maps`` yields the vertex maps that send each genus
+class onto the positions of equal genus in a target genus sequence, and
+``StableGraph.half_edge_maps`` yields, for one vertex map, the image edges
+with every half-edge map onto them: parallel edges are renumbered among
+themselves and loops may flip sides.  The canonical representative of an
+isomorphism class is the lexicographic minimum of (genera, legs, edges)
+over vertex relabellings; it has sorted genera, so the genus-block maps
+onto the sorted genera reach it, and the same pass counts the vertex
+automorphisms.  ``automorphism_order`` multiplies them by the half-edge
+symmetries: a factor m! for every group of m parallel edges and a factor
+2 for every loop.  ``classes.canonical_term`` and ``classes.graph_isos``
+use the same two generators for decorated terms and graph isomorphisms.
 
 ``enumerate_graphs`` generates graphs by degeneration, one edge at a time,
 starting from the smooth graph: add a loop at a vertex of positive genus,
@@ -192,29 +198,80 @@ class StableGraph:
         )
         return StableGraph(tuple(genera), legs, edges)
 
-    def _genus_block_minimum(self) -> tuple:
-        """Lexicographic minimum of (genera, legs, edges) over vertex
-        relabellings, and the number of relabellings that reach it.
+    def vertex_maps(self, genera: tuple | None = None):
+        """Vertex maps ``perm`` (vertex v goes to position perm[v]) that send
+        every vertex to a position of equal genus in ``genera``.
 
-        The minimum has sorted genera, so only relabellings that send the
-        vertices of each genus onto that genus' block of positions are
-        tried.  Vertex automorphisms preserve genera, so the count is the
-        number of vertex automorphisms.
+        The default target is the sorted genera, where every lexicographic
+        minimum over relabellings lies.  Nothing is yielded when the genus
+        multisets differ.
         """
-        classes: dict = {}
-        for v in sorted(range(self.n_vertices), key=self.genera.__getitem__):
-            classes.setdefault(self.genera[v], []).append(v)
-        order = [v for members in classes.values() for v in members]
-        blocks = []
-        start = 0
-        for members in classes.values():
-            blocks.append(permutations(range(start, start + len(members))))
-            start += len(members)
-        best, count = None, 0
+        if genera is None:
+            genera = tuple(sorted(self.genera))
+        if sorted(genera) != sorted(self.genera):
+            return
+        sources: dict = {}
+        targets: dict = {}
+        for v, g in enumerate(self.genera):
+            sources.setdefault(g, []).append(v)
+        for pos, g in enumerate(genera):
+            targets.setdefault(g, []).append(pos)
+        order = [v for members in sources.values() for v in members]
+        blocks = [permutations(targets[g]) for g in sources]
         perm = [0] * self.n_vertices
         for images in product(*blocks):
             for v, image in zip(order, chain.from_iterable(images)):
                 perm[v] = image
+            yield tuple(perm)
+
+    def half_edge_maps(self, perm: tuple):
+        """The edges relabelled by the vertex map ``perm``, with every
+        half-edge map onto them.
+
+        Yields ``(edges, hemap)``: ``edges`` is the sorted image edge tuple
+        and ``hemap`` sends half-edge ``(e, s)`` to ``(e2, s2)`` with
+        ``edges[e2][s2] == perm[self.edges[e][s]]``.  Parallel edges are
+        renumbered among themselves in every order and loops may flip
+        sides.
+        """
+        groups: dict = {}
+        for idx, (a, b) in enumerate(self.edges):
+            pa, pb = perm[a], perm[b]
+            if a == b:
+                options = ((0, 1), (1, 0))
+            else:
+                options = ((0, 1),) if pa < pb else ((1, 0),)
+            pair = (pa, pb) if pa <= pb else (pb, pa)
+            groups.setdefault(pair, []).append((idx, options))
+        edges = []
+        per_group = []
+        for pair in sorted(groups):
+            members = groups[pair]
+            slots = range(len(edges), len(edges) + len(members))
+            edges.extend([pair] * len(members))
+            per_group.append([
+                tuple(
+                    ((idx, s), (slot, sides[s]))
+                    for slot, (idx, _), sides in zip(slots, order, flips)
+                    for s in (0, 1)
+                )
+                for order in permutations(members)
+                for flips in product(*(options for _, options in order))
+            ])
+        edges = tuple(edges)
+        for combo in product(*per_group):
+            yield edges, dict(chain.from_iterable(combo))
+
+    def _genus_block_minimum(self) -> tuple:
+        """Lexicographic minimum of (genera, legs, edges) over vertex
+        relabellings, and the number of relabellings that reach it.
+
+        The minimum has sorted genera, so only ``vertex_maps`` onto the
+        sorted genera are tried.  Vertex automorphisms preserve genera, so
+        the count is the number of vertex automorphisms.
+        """
+        best, count = None, 0
+        for perm in self.vertex_maps():
             key = (
                 tuple(perm[v] for v in self.legs),
                 tuple(sorted(
@@ -227,8 +284,7 @@ class StableGraph:
                 best, count = key, 1
             elif key == best:
                 count += 1
-        genera = tuple(self.genera[v] for v in order)
-        return StableGraph(genera, *best), count
+        return StableGraph(tuple(sorted(self.genera)), *best), count
 
     def canonical(self) -> "StableGraph":
         return self._genus_block_minimum()[0]

@@ -32,12 +32,14 @@ from .catalog import (
 )
 from .classes import (
     TautClass,
+    _decor_words,
     chern_neg_Bd,
     multiply_generator,
     normal_form,
     pushforward_forget_small,
     pushforward_forget_weight1,
     weight_reduce,
+    words_normal_form,
 )
 from .graphs import (
     PreconditionError,
@@ -50,6 +52,7 @@ from .series import Ring, Series, VarSpec
 
 __all__ = [
     "PreconditionError",
+    "normal_form",
     "DecoratedSeries",
     "open_sq_relation",
     "open_fz_relation",
@@ -145,16 +148,9 @@ class DecoratedSeries:
             self.terms[key] = new
 
     def add_word_term(self, exps: tuple, words, coeff) -> None:
-        coeff = Fraction(coeff)
-        decor = []
-        for v in range(self.graph.n_vertices):
-            nf = normal_form(self.graph, self.weights, v, words[v])
-            if nf is None:
-                return
-            c, kappa, blocks = nf
-            coeff *= c
-            decor.append((kappa, blocks))
-        self.add_term(exps, tuple(decor), coeff)
+        reduced = words_normal_form(self.graph, self.weights, words, coeff)
+        if reduced is not None:
+            self.add_term(exps, *reduced)
 
     def __add__(self, other: "DecoratedSeries") -> "DecoratedSeries":
         out = DecoratedSeries(
@@ -182,7 +178,7 @@ class DecoratedSeries:
         def words_of(decor):
             hit = words_cache.get(decor)
             if hit is None:
-                hit = _decor_words_local(decor)
+                hit = _decor_words(decor)
                 words_cache[decor] = hit
             return hit
 
@@ -229,19 +225,6 @@ class DecoratedSeries:
             if exps == target:
                 out.add_term(self.graph, decor, c)
         return out
-
-
-def _decor_words_local(decor: tuple) -> list:
-    words = []
-    for kappa, blocks in decor:
-        word = [("kappa", j) for j in kappa]
-        for pts, a in blocks:
-            if len(pts) == 1 and pts[0][0] == "h":
-                word.append(("hpsi", (pts[0][1], pts[0][2]), a))
-            else:
-                word.append(("Dsa", tuple(p[1] for p in pts), a))
-        words.append(word)
-    return words
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +386,8 @@ def open_sq_relation(g: int, weights: WeightData, r: int, d: int,
     the global sign ambiguity is reported by the smooth-graph comparison
     in the boundary construction.
     """
+    if g < 0:
+        raise PreconditionError("genus >= 0", f"genus={g}")
     n = weights.n
     if len(a) != n:
         raise ValueError("exponent vector must match the number of markings")
@@ -438,6 +423,8 @@ def open_fz_relation(g: int, n: int, r: int, S: tuple = (),
                      weights: WeightData | None = None,
                      enforce: bool = True) -> TautClass:
     """FZ-form relation ``[exp(-{log A}_kappa) sum_P prod {C_|b|}_{D_b}]_{t^r}``."""
+    if g < 0:
+        raise PreconditionError("genus >= 0", f"genus={g}")
     S = tuple(sorted(S))
     _check_subset(S, n)
     if enforce:
@@ -609,6 +596,8 @@ def boundary_sq_relation(g: int, weights: WeightData, r: int, d: int,
     {exp(pd_sign p_(v) D) gamma(zeta t, x)}_Delta)``; edge factor the
     two-variable edge series; extraction ``[t^(r-#edges) x^d p^a]``.
     """
+    if g < 0:
+        raise PreconditionError("genus >= 0", f"genus={g}")
     n = weights.n
     if len(a) != n:
         raise ValueError("exponent vector must match the number of markings")

@@ -1,9 +1,12 @@
 """Tests for decorated stable-graph classes and their push-forwards."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tautrels.classes import (
     TautClass,
@@ -11,6 +14,7 @@ from tautrels.classes import (
     chern_neg_Bd,
     divisor_exp_check,
     divisor_product,
+    graph_isos,
     matrix_rank,
     multiply_generator,
     multiply_smooth,
@@ -19,9 +23,10 @@ from tautrels.classes import (
     pushforward_forget_weight1,
     to_vector,
     weight_reduce,
+    words_normal_form,
 )
 from tautrels.catalog import bernoulli
-from tautrels.graphs import StableGraph, WeightData
+from tautrels.graphs import StableGraph, WeightData, enumerate_graphs
 
 
 def smooth(genus, n):
@@ -137,6 +142,296 @@ class TestCanonical:
         same_edge = (((), (((("h", 0, 0),), 1),)), ((), (((("h", 0, 1),), 2),)))
         cross_edge = (((), (((("h", 0, 0),), 1),)), ((), (((("h", 1, 1),), 2),)))
         assert canonical_term(g, same_edge) != canonical_term(g, cross_edge)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: canonical terms and graph isomorphisms over all n! vertex
+# permutations, each with its own parallel-edge renumbering and loop flips.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_map_points(points, hemap):
+    return tuple(sorted(
+        ("h",) + hemap[p[1:]] if p[0] == "h" else p for p in points
+    ))
+
+
+def oracle_canonical_term(graph, decor):
+    nv = graph.n_vertices
+    best = None
+    for perm in itertools.permutations(range(nv)):
+        genera = [0] * nv
+        for v, g in enumerate(graph.genera):
+            genera[perm[v]] = g
+        genera = tuple(genera)
+        legs = tuple(perm[v] for v in graph.legs)
+        groups = {}
+        for idx, (a, b) in enumerate(graph.edges):
+            pa, pb = perm[a], perm[b]
+            pair = (pa, pb) if pa <= pb else (pb, pa)
+            groups.setdefault(pair, []).append((idx, pa <= pb, a == b))
+        new_pairs = sorted(groups)
+        slot_base = {}
+        new_edges = []
+        for pair in new_pairs:
+            slot_base[pair] = len(new_edges)
+            new_edges.extend([pair] * len(groups[pair]))
+        new_edges = tuple(new_edges)
+        per_group = []
+        for pair in new_pairs:
+            opts = []
+            for order in itertools.permutations(groups[pair]):
+                n_loops = sum(1 for m in order if m[2])
+                for flips in itertools.product((False, True), repeat=n_loops):
+                    assign = []
+                    fi = 0
+                    for off, (idx, keep, loop) in enumerate(order):
+                        if loop:
+                            sides = (1, 0) if flips[fi] else (0, 1)
+                            fi += 1
+                        else:
+                            sides = (0, 1) if keep else (1, 0)
+                        assign.append((idx, slot_base[pair] + off, sides))
+                    opts.append(assign)
+            per_group.append(opts)
+        for combo in itertools.product(*per_group):
+            hemap = {}
+            for assign in combo:
+                for idx, slot, sides in assign:
+                    hemap[(idx, 0)] = (slot, sides[0])
+                    hemap[(idx, 1)] = (slot, sides[1])
+            new_decor = [None] * nv
+            for v in range(nv):
+                kappa, blocks = decor[v]
+                new_decor[perm[v]] = (kappa, tuple(sorted(
+                    (_oracle_map_points(pts, hemap), a) for pts, a in blocks
+                )))
+            cand = (genera, legs, new_edges, tuple(new_decor))
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def oracle_graph_isos(g1, g2):
+    if (
+        g1.n_vertices != g2.n_vertices
+        or g1.n_edges != g2.n_edges
+        or sorted(g1.genera) != sorted(g2.genera)
+    ):
+        return []
+    slots = {}
+    for idx2, pair in enumerate(g2.edges):
+        slots.setdefault(pair, []).append(idx2)
+    out = []
+    for perm in itertools.permutations(range(g1.n_vertices)):
+        if any(g1.genera[v] != g2.genera[perm[v]] for v in range(g1.n_vertices)):
+            continue
+        if tuple(perm[v] for v in g1.legs) != g2.legs:
+            continue
+        groups = {}
+        for idx, (a, b) in enumerate(g1.edges):
+            pa, pb = perm[a], perm[b]
+            pair = (pa, pb) if pa <= pb else (pb, pa)
+            groups.setdefault(pair, []).append((idx, pa <= pb, a == b))
+        if {p: len(m) for p, m in groups.items()} != {
+            p: len(m) for p, m in slots.items()
+        }:
+            continue
+        per_group = []
+        for pair, members in sorted(groups.items()):
+            opts = []
+            for order in itertools.permutations(members):
+                n_loops = sum(1 for m in order if m[2])
+                for flips in itertools.product((False, True), repeat=n_loops):
+                    assign = []
+                    fi = 0
+                    for off, (idx, keep, loop) in enumerate(order):
+                        if loop:
+                            sides = (1, 0) if flips[fi] else (0, 1)
+                            fi += 1
+                        else:
+                            sides = (0, 1) if keep else (1, 0)
+                        assign.append((idx, slots[pair][off], sides))
+                    opts.append(assign)
+            per_group.append(opts)
+        for combo in itertools.product(*per_group):
+            hemap = {}
+            for assign in combo:
+                for idx, slot, sides in assign:
+                    hemap[(idx, 0)] = (slot, sides[0])
+                    hemap[(idx, 1)] = (slot, sides[1])
+            out.append((tuple(perm), hemap))
+    return out
+
+
+def _iso_set(isos):
+    return sorted((perm, sorted(hemap.items())) for perm, hemap in isos)
+
+
+def _test_decorations(graph, weights):
+    """Decorations that tell half-edges, edges and vertices apart: psi
+    powers at half-edges (loops and parallel edges included), kappa
+    monomials, marking psi powers and diagonal blocks."""
+    nv = graph.n_vertices
+    halves = [(e, s) for e in range(graph.n_edges) for s in (0, 1)]
+
+    def empty():
+        return [[] for _ in range(nv)]
+
+    def hpsi(words, he, k):
+        words[graph.edges[he[0]][he[1]]].append(("hpsi", he, k))
+
+    all_words = [empty()]
+    for he in halves:
+        words = empty()
+        hpsi(words, he, 1)
+        all_words.append(words)
+    words = empty()
+    for k, he in enumerate(halves):
+        hpsi(words, he, k % 3 + 1)
+    all_words.append(words)
+    words = [[("kappa", v % 2 + 1)] * (v % 3 + 1) for v in range(nv)]
+    if halves:
+        hpsi(words, halves[-1], 2)
+    all_words.append(words)
+    if weights.n:
+        words = empty()
+        words[graph.legs[0]].append(("psi", 1, 2))
+        if halves:
+            hpsi(words, halves[0], 1)
+        all_words.append(words)
+    if weights.n == 2 and graph.legs[0] == graph.legs[1]:
+        words = empty()
+        words[graph.legs[0]].append(("diag", (1, 2)))
+        words[0].append(("kappa", 1))
+        if halves:
+            hpsi(words, halves[len(halves) // 2], 1)
+        all_words.append(words)
+    out = []
+    for words in all_words:
+        reduced = words_normal_form(graph, weights, words, 1)
+        if reduced is not None:
+            out.append(reduced[0])
+    return out
+
+
+DECORATION_WEIGHTS = [
+    WeightData(()),
+    WeightData((Fraction(1),)),
+    WeightData((Fraction(1, 3), Fraction(1, 4))),
+    WeightData((Fraction(1), Fraction(1))),
+]
+
+
+def _oracle_graphs():
+    for genus in range(4):
+        for weights in DECORATION_WEIGHTS:
+            for graph in enumerate_graphs(genus, weights, 3):
+                yield genus, weights, graph
+
+
+@pytest.mark.parametrize("genus", range(4))
+def test_canonical_term_matches_oracle(genus):
+    for g, weights, graph in _oracle_graphs():
+        if g != genus:
+            continue
+        # a non-canonical labelling of the same graph as a second input
+        flipped = graph.relabelled(tuple(reversed(range(graph.n_vertices))))
+        for decor in _test_decorations(graph, weights):
+            assert canonical_term(graph, decor) == oracle_canonical_term(
+                graph, decor
+            )
+        for decor in _test_decorations(flipped, weights):
+            assert canonical_term(flipped, decor) == oracle_canonical_term(
+                flipped, decor
+            )
+
+
+def test_graph_isos_match_oracle_and_automorphism_order():
+    for _, _, graph in _oracle_graphs():
+        flipped = graph.relabelled(tuple(reversed(range(graph.n_vertices))))
+        autos = graph_isos(graph, graph)
+        assert len(autos) == graph.automorphism_order()
+        assert _iso_set(autos) == _iso_set(oracle_graph_isos(graph, graph))
+        assert _iso_set(graph_isos(graph, flipped)) == _iso_set(
+            oracle_graph_isos(graph, flipped)
+        )
+
+
+def test_graph_isos_reject_other_graphs():
+    loop = StableGraph((0, 1), (), ((0, 0), (0, 1)))
+    double = StableGraph((0, 1), (), ((0, 1), (0, 1)))
+    other_genera = StableGraph((1, 1), (), ((0, 1), (0, 1)))
+    for g1, g2 in ((loop, double), (double, other_genera)):
+        assert graph_isos(g1, g2) == []
+        assert oracle_graph_isos(g1, g2) == []
+
+
+def _relabel_term(graph, decor, perm, keys, flips):
+    """Relabel vertices by ``perm``, renumber edges by ``keys`` (parallel
+    edges among themselves) and flip the loops marked in ``flips``."""
+    images = []
+    for idx, (a, b) in enumerate(graph.edges):
+        swap = perm[a] > perm[b] or (a == b and flips[idx])
+        ends = (perm[b], perm[a]) if swap else (perm[a], perm[b])
+        images.append((ends, keys[idx], idx, (1, 0) if swap else (0, 1)))
+    images.sort()
+    hemap = {}
+    for new, (_, _, idx, sides) in enumerate(images):
+        hemap[(idx, 0)] = (new, sides[0])
+        hemap[(idx, 1)] = (new, sides[1])
+    genera = [0] * graph.n_vertices
+    new_decor = [None] * graph.n_vertices
+    for v, (kappa, blocks) in enumerate(decor):
+        genera[perm[v]] = graph.genera[v]
+        new_decor[perm[v]] = (kappa, tuple(sorted(
+            (_oracle_map_points(pts, hemap), a) for pts, a in blocks
+        )))
+    relabelled = StableGraph(
+        tuple(genera),
+        tuple(perm[v] for v in graph.legs),
+        tuple(ends for ends, *_ in images),
+    )
+    return relabelled, tuple(new_decor)
+
+
+@st.composite
+def relabelled_terms(draw):
+    """A decorated term (graph not necessarily stable or connected) and a
+    relabelling of it."""
+    n = draw(st.integers(1, 4))
+    vertex = st.integers(0, n - 1)
+    genera = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    legs = tuple(draw(st.lists(vertex, max_size=2)))
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=4))
+    edges = tuple(sorted(tuple(sorted(e)) for e in pairs))
+    graph = StableGraph(genera, legs, edges)
+    weights = WeightData(tuple(Fraction(1, 8) for _ in legs))
+    words = [
+        [("kappa", j) for j in draw(st.lists(st.integers(1, 3), max_size=2))]
+        for _ in range(n)
+    ]
+    for e, (a, b) in enumerate(edges):
+        for s, v in ((0, a), (1, b)):
+            words[v].append(("hpsi", (e, s), draw(st.integers(0, 2))))
+    for i, v in enumerate(legs, start=1):
+        words[v].append(("psi", i, draw(st.integers(0, 2))))
+    if len(legs) == 2 and legs[0] == legs[1] and draw(st.booleans()):
+        words[legs[0]].append(("diag", (1, 2)))
+    decor = words_normal_form(graph, weights, words, 1)[0]
+    perm = tuple(draw(st.permutations(range(n))))
+    keys = draw(st.permutations(range(len(edges))))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges),
+                          max_size=len(edges)))
+    return graph, decor, _relabel_term(graph, decor, perm, keys, flips)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabelled_terms())
+def test_canonical_term_is_relabelling_invariant_property(case):
+    graph, decor, (other, other_decor) = case
+    assert canonical_term(other, other_decor) == canonical_term(graph, decor)
+    assert canonical_term(graph, decor) == oracle_canonical_term(graph, decor)
 
 
 # ---------------------------------------------------------------------------

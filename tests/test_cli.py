@@ -226,6 +226,10 @@ class TestInvalidInput:
         (("relations", "gen", "--genus", "2", "--codim", "2",
           "--subset", "2", "--weights", "1/2", "--construction", "open-fz"),
          "S ⊆ {1..n} violated"),
+        (("relations", "gen", "--genus", "-1", "--codim", "2",
+          "--construction", "open-fz"), "genus >= 0 violated"),
+        (("relations", "gen", "--genus", "-1", "--codim", "2",
+          "--construction", "open-sq"), "genus >= 0 violated"),
     ])
     def test_exit_2_names_condition(self, capsys, argv, condition):
         code, out, err = run(capsys, *argv)
