@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -32,7 +33,7 @@ from pathlib import Path
 from typing import Callable
 
 from .serialize import series_from_dict, series_to_dict
-from .series import Ring, Series, VarSpec, embed
+from .series import Ring, Series, SeriesError, VarSpec, embed
 
 ZETA = (1, -1)  # square roots of one indexing the two branch points
 
@@ -75,6 +76,12 @@ def hyper_B(order: int) -> Series:
         c *= Fraction(6 * i + 1, 6 * i - 1)
         terms[(i,)] = c * Fraction(1, 72) ** i
     return ring.series(terms)
+
+
+@lru_cache(maxsize=None)
+def log_hyper_A(order: int) -> Series:
+    """log A(t), truncated after t^order."""
+    return hyper_A(order).log()
 
 
 @lru_cache(maxsize=None)
@@ -209,13 +216,18 @@ def uy_ring(u_order: int, y_order: int, u_floor: int = 0) -> Ring:
     return Ring([VarSpec("u", u_floor, u_order + 1), VarSpec("y", 0, y_order + 1)])
 
 
-def substitute_uy(f: Series, target: Ring) -> Series:
-    """Apply t = u (1+4y)^{-1/2}, x = -y (1+4y)^{-1} to a series in (t, x)."""
+@lru_cache(maxsize=None)
+def _uy_images(target: Ring) -> tuple:
+    """The images u (1+4y)^{-1/2} of t and -y (1+4y)^{-1} of x in ``target``."""
     y = target.var("y")
     u = target.var("u")
     one4y = 1 + 4 * y
-    t_img = u * one4y.pow_fraction(Fraction(-1, 2))
-    x_img = -y * one4y.inverse()
+    return u * one4y.pow_fraction(Fraction(-1, 2)), -y * one4y.inverse()
+
+
+def substitute_uy(f: Series, target: Ring) -> Series:
+    """Apply t = u (1+4y)^{-1/2}, x = -y (1+4y)^{-1} to a series in (t, x)."""
+    t_img, x_img = _uy_images(target)
     return f.substitute({"t": t_img, "x": x_img})
 
 
@@ -647,7 +659,7 @@ def identity_suite(quick: bool = False, seed: int = 20260826) -> list:
     u_ord = 6 if quick else 12
     i_max = 3 if quick else 5
     exp_data = uy_expansion(i_max, u_ord, u_ord)
-    la = hyper_A(u_ord).log()
+    la = log_hyper_A(u_ord)
     diag_ok = all(
         exp_data["c"].get(k, {}).get(k, Fraction(0)) == la.coefficient(t=k)
         for k in range(1, u_ord + 1)
@@ -719,22 +731,74 @@ def identity_suite(quick: bool = False, seed: int = 20260826) -> list:
 # Disk-backed catalog
 # ---------------------------------------------------------------------------
 
+def _phi_part(key: str) -> Callable:
+    return lambda orders: phi_family(orders["t"], orders["x"])[key]
+
+
+# name -> (the orders it needs, builder)
 _BUILDERS: dict = {
-    "A": lambda orders: hyper_A(orders["t"]),
-    "B": lambda orders: hyper_B(orders["t"]),
-    "C1": lambda orders: series_C(1, orders["t"]),
-    "C2": lambda orders: series_C(2, orders["t"]),
-    "C3": lambda orders: series_C(3, orders["t"]),
-    "C4": lambda orders: series_C(4, orders["t"]),
-    "C5": lambda orders: series_C(5, orders["t"]),
-    "Phi": lambda orders: phi_family(orders["t"], orders["x"])["Phi"],
-    "logPhi": lambda orders: phi_family(orders["t"], orders["x"])["logPhi"],
-    "gamma": lambda orders: phi_family(orders["t"], orders["x"])["gamma"],
-    "delta": lambda orders: phi_family(orders["t"], orders["x"])["delta"],
-    "PhiPrime": lambda orders: phi_family(orders["t"], orders["x"])["PhiPrime"],
-    "gammaPrime": lambda orders: phi_family(orders["t"], orders["x"])["gammaPrime"],
-    "logA": lambda orders: hyper_A(orders["t"]).log(),
+    "A": (("t",), lambda orders: hyper_A(orders["t"])),
+    "B": (("t",), lambda orders: hyper_B(orders["t"])),
+    "C1": (("t",), lambda orders: series_C(1, orders["t"])),
+    "C2": (("t",), lambda orders: series_C(2, orders["t"])),
+    "C3": (("t",), lambda orders: series_C(3, orders["t"])),
+    "C4": (("t",), lambda orders: series_C(4, orders["t"])),
+    "C5": (("t",), lambda orders: series_C(5, orders["t"])),
+    "logA": (("t",), lambda orders: log_hyper_A(orders["t"])),
+    **{
+        key: (("t", "x"), _phi_part(key))
+        for key in ("Phi", "logPhi", "gamma", "delta", "PhiPrime", "gammaPrime")
+    },
 }
+
+_ARTICLE = {"t": "a", "x": "an"}
+
+
+def check_orders(name: str, orders: dict) -> None:
+    """Raise ``KeyError`` for an unknown series name and ``ValueError`` when
+    an order the series needs is missing."""
+    if name not in _BUILDERS:
+        raise KeyError(f"unknown series {name!r}; known: {sorted(_BUILDERS)}")
+    for var in _BUILDERS[name][0]:
+        if var not in orders:
+            raise ValueError(f"series {name} needs {_ARTICLE[var]} {var} order")
+
+
+def catalog_ring(name: str, orders: dict) -> Ring:
+    """The ring the builder of ``name`` returns: t in [0, t] for the
+    one-variable series, t in [-x, t] and x in [0, x] for the Phi family."""
+    if _BUILDERS[name][0] == ("t",):
+        return Ring([VarSpec("t", 0, orders["t"] + 1)])
+    return Ring(
+        [
+            VarSpec("t", -orders["x"], orders["t"] + 1),
+            VarSpec("x", 0, orders["x"] + 1),
+        ]
+    )
+
+
+def _read_entry(path: Path, ring: Ring) -> Series | None:
+    """A stored series, or None when the file is missing, unreadable or holds
+    a series in another ring."""
+    try:
+        stored = series_from_dict(json.loads(path.read_text()))
+    except (OSError, ValueError, KeyError, TypeError, SeriesError):
+        return None
+    return stored if stored.ring == ring else None
+
+
+def _write_entry(path: Path, value: Series) -> None:
+    """Write through a temporary file and rename, so a reader never sees a
+    partial entry."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(series_to_dict(value)))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 class SeriesCatalog:
@@ -755,8 +819,9 @@ class SeriesCatalog:
         return sorted(_BUILDERS)
 
     def get(self, name: str, **orders: int) -> Series:
-        if name not in _BUILDERS:
-            raise KeyError(f"unknown series {name!r}; known: {self.names()}")
+        """The named series; a cache entry that cannot be read or holds
+        another ring counts as a miss and is recomputed and rewritten."""
+        check_orders(name, orders)
         key = (name, tuple(sorted(orders.items())))
         if key in self._mem and not self.audit:
             return self._mem[key]
@@ -766,15 +831,13 @@ class SeriesCatalog:
         if self.cache_dir is not None:
             tag = "_".join(f"{k}{v}" for k, v in sorted(orders.items()))
             path = self.cache_dir / f"{name}_{tag}.json"
-            if path.exists():
-                stored = series_from_dict(json.loads(path.read_text()))
+            stored = _read_entry(path, catalog_ring(name, orders))
         if stored is None or self.audit:
-            fresh = _BUILDERS[name](orders)
+            fresh = _BUILDERS[name][1](orders)
         if stored is not None and fresh is not None and stored != fresh:
             raise RuntimeError(f"cache audit failure for {name} {orders}")
         value = stored if stored is not None else fresh
         if path is not None and stored is None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(series_to_dict(value)))
+            _write_entry(path, value)
         self._mem[key] = value
         return value

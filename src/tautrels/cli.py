@@ -17,7 +17,13 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .catalog import SeriesCatalog, delta_edge, edge_series_xy, identity_suite
+from .catalog import (
+    SeriesCatalog,
+    check_orders,
+    delta_edge,
+    edge_series_xy,
+    identity_suite,
+)
 from .classes import (
     TautClass,
     matrix_rank,
@@ -84,7 +90,10 @@ def _parse_orders(text: str) -> dict:
         name, _, value = part.partition("=")
         if not value:
             raise UsageError(f"order {part!r} is not of the form var=N")
-        out[name.strip()] = int(value)
+        order = int(value)
+        if order < 0:
+            raise UsageError(f"order >= 0 violated: {part}")
+        out[name.strip()] = order
     return out
 
 
@@ -276,11 +285,11 @@ def cmd_series_dump(args, cfg: dict, log: Logger) -> int:
         payload["table"] = table
     else:
         cache_dir = args.cache_dir or cfg.get("cache_dir")
-        catalog = SeriesCatalog(cache_dir=cache_dir)
         try:
-            series = catalog.get(name, **orders)
-        except KeyError as exc:
+            check_orders(name, orders)
+        except (KeyError, ValueError) as exc:
             raise UsageError(str(exc)) from exc
+        series = SeriesCatalog(cache_dir=cache_dir).get(name, **orders)
         payload.update(series_to_dict(series))
     _write_payload(payload, args.out)
     log.event(command="series dump", name=args.name)

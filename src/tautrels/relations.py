@@ -25,7 +25,7 @@ from math import comb, factorial
 from .catalog import (
     delta_edge,
     edge_series_xy,
-    hyper_A,
+    log_hyper_A,
     phi_family,
     series_C,
     uy_expansion,
@@ -440,7 +440,7 @@ def open_fz_relation(g: int, n: int, r: int, S: tuple = (),
         weights = WeightData(tuple(Fraction(1, 2 * n + 2) for _ in range(n)))
     ring = Ring([VarSpec("t", 0, r + 1)])
     graph = StableGraph((g,), tuple(0 for _ in range(n)), ())
-    log_a = hyper_A(r).log()
+    log_a = log_hyper_A(r)
     ds = DecoratedSeries(ring, graph, weights, g)
     bracket_kappa(log_a, ds, 0, sign=-1)
     expanded = ds.exp()
@@ -498,7 +498,7 @@ def _fz_graph_term(graph: StableGraph, coloring: tuple, g: int,
         zeta = coloring[v]
         sign *= zeta ** (graph.genera[v] - 1) if graph.genera[v] >= 1 else zeta
         kds = DecoratedSeries(ring, graph, weights, g)
-        bracket_kappa(zeta_twist(hyper_A(order).log(), "t", zeta), kds, v,
+        bracket_kappa(zeta_twist(log_hyper_A(order), "t", zeta), kds, v,
                       sign=-1)
         ds = ds * kds.exp()
         s_v = tuple(sorted(set(graph.legs_at(v)) & set(S)))
@@ -750,7 +750,7 @@ def verify_chain(g: int, r: int, d_max: int | None = None) -> list:
     extremal = rhs.extract(u=r, y=r)
     ring_t = Ring([VarSpec("t", 0, r + 1)])
     ds_a = DecoratedSeries(ring_t, smooth, w0, g)
-    bracket_kappa(hyper_A(r).log(), ds_a, 0, sign=-1)
+    bracket_kappa(log_hyper_A(r), ds_a, 0, sign=-1)
     via_log_a = ds_a.exp().extract(t=r)
     fz = open_fz_relation(g, 0, r, (), weights=w0, enforce=False)
     ok3 = extremal == via_log_a == fz

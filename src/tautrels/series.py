@@ -12,6 +12,15 @@ because exponents only ever increase under multiplication by ordinary terms),
 while any operation that would push an exponent *below* a variable's floor
 raises :class:`FloorUnderflow` rather than silently losing information.
 
+Products run on integers.  Each operand is scaled once to integer numerators
+over the least common multiple of its denominators, and each exponent tuple
+is packed into one int of biased bit fields laid out per ring (see
+:meth:`Ring._product_layout`), so that adding two packed keys adds the
+exponents and sets a field's top bit exactly when that exponent reaches its
+truncation order.  The pair loop is then one int addition, one mask test and
+one int multiply-add; only the output keys are unpacked, and each output
+coefficient becomes a :class:`fractions.Fraction` once.
+
 >>> R = Ring([VarSpec("t", 0, 6)])
 >>> t = R.var("t")
 >>> ((1 + t).log().exp() - (1 + t)).is_zero()
@@ -22,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import lshift
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -66,7 +77,7 @@ class VarSpec:
 class Ring:
     """An ordered collection of :class:`VarSpec` defining a truncated series ring."""
 
-    __slots__ = ("specs", "index")
+    __slots__ = ("specs", "index", "_layout")
 
     def __init__(self, specs: Iterable[VarSpec]):
         specs = tuple(specs)
@@ -77,6 +88,7 @@ class Ring:
             raise ValueError("at most one Laurent variable is allowed")
         self.specs = specs
         self.index = {s.name: i for i, s in enumerate(specs)}
+        self._layout = None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Ring) and self.specs == other.specs
@@ -126,6 +138,39 @@ class Ring:
         self._check_window(exps)
         c = Fraction(coeff)
         return Series(self, {exps: c}) if c else self.zero()
+
+    def _product_layout(self) -> tuple:
+        """Bit fields of the packed exponent keys used by products.
+
+        Variable i with window ``[lo, hi)`` gets a field of ``w`` bits whose
+        top bit ``T = 2**(w-1)`` exceeds ``hi - 2*lo`` and ``hi - 2``.  The
+        left operand stores ``e + X//2`` and the right one ``e + X - X//2``,
+        with ``X = T - hi``, so a summed field holds ``e1 + e2 + X``: it lies
+        in ``[0, 2T)`` (no borrow or carry between fields) and its top bit is
+        set exactly when ``e1 + e2 >= hi``.  This needs operand exponents
+        inside the window.  Returns ``(shifts, biases X, masks, left bias,
+        right bias, top-bit mask, has a negative floor)``; built on first use
+        and kept on the ring.
+        """
+        if self._layout is None:
+            shifts, biases, masks = [], [], []
+            left = right = high = width = 0
+            for s in self.specs:
+                hi, lo = s.trunc_order, s.min_exponent
+                w = max(hi - 2 * lo, hi).bit_length() + 1
+                x = (1 << (w - 1)) - hi
+                shifts.append(width)
+                biases.append(x)
+                masks.append((1 << w) - 1)
+                left += (x // 2) << width
+                right += (x - x // 2) << width
+                high += 1 << (width + w - 1)
+                width += w
+            self._layout = (
+                tuple(shifts), tuple(biases), tuple(masks), left, right, high,
+                any(s.min_exponent < 0 for s in self.specs),
+            )
+        return self._layout
 
     def _check_window(self, exps: tuple) -> None:
         for e, s in zip(exps, self.specs):
@@ -267,29 +312,47 @@ class Series:
                 return self.ring.zero()
             return Series(self.ring, {e: v * c for e, v in self.coeffs.items()})
         other = self._coerce(other)
+        if not self.coeffs or not other.coeffs:
+            return self.ring.zero()
         specs = self.ring.specs
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                drop = False
-                for e, s in zip(exps, specs):
-                    if e >= s.trunc_order:
-                        drop = True
-                        break
-                if drop:
+        shifts, biases, masks, left, right, high, laurent = (
+            self.ring._product_layout()
+        )
+        da = lcm(*(c.denominator for c in self.coeffs.values()))
+        db = lcm(*(c.denominator for c in other.coeffs.values()))
+        pa = [
+            (left + sum(map(lshift, e, shifts)), c.numerator * (da // c.denominator))
+            for e, c in self.coeffs.items()
+        ]
+        pb = [
+            (right + sum(map(lshift, e, shifts)), c.numerator * (db // c.denominator))
+            for e, c in other.coeffs.items()
+        ]
+        acc: dict = {}
+        get = acc.get
+        for k1, c1 in pa:
+            for k2, c2 in pb:
+                k = k1 + k2
+                if k & high:
                     continue
+                acc[k] = get(k, 0) + c1 * c2
+        # keys keep the order in which their first pair arrived, so the first
+        # key below a floor is the one the first offending pair produced
+        den = da * db
+        out: dict = {}
+        for k, v in acc.items():
+            exps = tuple(
+                ((k >> sh) & m) - x for sh, m, x in zip(shifts, masks, biases)
+            )
+            if laurent:
                 for e, s in zip(exps, specs):
                     if e < s.min_exponent:
                         raise FloorUnderflow(
                             f"exponent {e} of {s.name!r} below floor "
                             f"{s.min_exponent} in product"
                         )
-                v = out.get(exps, Fraction(0)) + c1 * c2
-                if v:
-                    out[exps] = v
-                else:
-                    del out[exps]
+            if v:
+                out[exps] = Fraction(v, den)
         return Series(self.ring, out)
 
     __rmul__ = __mul__
@@ -372,7 +435,16 @@ class Series:
                 for s in ring.specs
             ]
         )
-        n = Series(big, {e: c / c0 for e, c in shifted.items() if any(e)})
+        # terms at or above big's truncation can only produce dropped
+        # products, and products require exponents inside the window
+        n = Series(
+            big,
+            {
+                e: c / c0
+                for e, c in shifted.items()
+                if any(e) and all(x < s.trunc_order for x, s in zip(e, big.specs))
+            },
+        )
         inv = big.one()
         term = big.one()
         for k in range(1, self._iteration_bound() + 1):

@@ -11,6 +11,7 @@ from tautrels.catalog import (
     bernoulli,
     bernoulli_kernel_coefficients,
     c_neg1_coefficients,
+    catalog_ring,
     canonical_coordinate,
     delta_edge,
     delta_i_by_uy_recursion,
@@ -21,6 +22,7 @@ from tautrels.catalog import (
     identity_suite,
     ionel_coefficient_pair,
     locality_series,
+    log_hyper_A,
     phi_family,
     s_matrix,
     s_matrix_ode_residuals,
@@ -328,3 +330,36 @@ def test_catalog_cache_and_audit(tmp_path):
     files[0].write_text(json.dumps(blob))
     with pytest.raises(RuntimeError):
         SeriesCatalog(cache_dir=str(tmp_path), audit=True).get("A", t=8)
+
+
+def test_log_hyper_A_is_memoised_log_of_A():
+    assert log_hyper_A(8) is log_hyper_A(8)
+    assert log_hyper_A(8) == hyper_A(8).log()
+
+
+def test_catalog_ring_is_the_builders_ring():
+    cat = SeriesCatalog(cache_dir=None)
+    for name in cat.names():
+        for orders in ({"t": 0, "x": 0}, {"t": 3, "x": 2}, {"t": 1, "x": 3}):
+            assert catalog_ring(name, orders) == cat.get(name, **orders).ring
+
+
+@pytest.mark.parametrize("damage", ["truncated", "other ring", "not a series"])
+@pytest.mark.parametrize("audit", [False, True])
+def test_catalog_recomputes_a_bad_entry(tmp_path, damage, audit):
+    import json
+
+    fresh = SeriesCatalog(cache_dir=str(tmp_path)).get("A", t=4)
+    path = tmp_path / "A_t4.json"
+    good = path.read_text()
+    if damage == "truncated":
+        path.write_text(good[: len(good) // 2])
+    elif damage == "other ring":
+        SeriesCatalog(cache_dir=str(tmp_path)).get("A", t=3)
+        path.write_text((tmp_path / "A_t3.json").read_text())
+    else:
+        path.write_text(json.dumps({"ring": 7}))
+    got = SeriesCatalog(cache_dir=str(tmp_path), audit=audit).get("A", t=4)
+    assert got == fresh and got.ring == fresh.ring
+    assert path.read_text() == good
+    assert not list(tmp_path.glob("*.tmp"))

@@ -114,6 +114,19 @@ class TestSeriesDump:
         names = [s["var"] for s in table[0]["ring"]]
         assert names == ["t", "psi1", "psi2"]
 
+    def test_truncated_cache_entry_is_recomputed(self, capsys, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setenv("TAUTRELS_CACHE", str(tmp_path))
+        argv = ("series", "dump", "--name", "A", "--orders", "t=4")
+        code, first, _ = run(capsys, *argv)
+        assert code == 0
+        entry = tmp_path / "A_t4.json"
+        entry.write_text(entry.read_text()[:40])
+        code, second, err = run(capsys, *argv)
+        assert code == 0, err
+        assert payload(second) == payload(first)
+        assert json.loads(entry.read_text())["terms"]
+
     def test_unknown_name_exit_2(self, capsys):
         code, _, err = run(capsys, "series", "dump", "--name", "nope",
                            "--orders", "t=4")
@@ -230,6 +243,12 @@ class TestInvalidInput:
           "--construction", "open-fz"), "genus >= 0 violated"),
         (("relations", "gen", "--genus", "-1", "--codim", "2",
           "--construction", "open-sq"), "genus >= 0 violated"),
+        (("series", "dump", "--name", "Phi", "--orders", "t=3"),
+         "series Phi needs an x order"),
+        (("series", "dump", "--name", "A", "--orders", "t=-1"),
+         "order >= 0 violated"),
+        (("series", "dump", "--name", "DeltaE", "--orders", "t=-1"),
+         "order >= 0 violated"),
     ])
     def test_exit_2_names_condition(self, capsys, argv, condition):
         code, out, err = run(capsys, *argv)

@@ -1,9 +1,12 @@
 """Unit tests for the truncated exact Laurent-series core."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tautrels.series import (
     FloorUnderflow,
@@ -210,3 +213,148 @@ def test_serialization_roundtrip():
 def test_at_most_one_laurent_variable():
     with pytest.raises(ValueError):
         Ring([VarSpec("t", -1, 3), VarSpec("u", -1, 3)])
+
+
+# ---------------------------------------------------------------------------
+# The integer product kernel against the pair-loop product it replaced
+# ---------------------------------------------------------------------------
+
+
+def oracle_mul(a, b):
+    """Series product by one Fraction multiply-add per pair of terms."""
+    specs = a.ring.specs
+    out = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            if any(e >= s.trunc_order for e, s in zip(exps, specs)):
+                continue
+            for e, s in zip(exps, specs):
+                if e < s.min_exponent:
+                    raise FloorUnderflow(
+                        f"exponent {e} of {s.name!r} below floor "
+                        f"{s.min_exponent} in product"
+                    )
+            v = out.get(exps, F(0)) + c1 * c2
+            if v:
+                out[exps] = v
+            else:
+                del out[exps]
+    return Series(a.ring, out)
+
+
+@st.composite
+def rings(draw, laurent=True, min_vars=0, max_vars=4, max_width=5):
+    """min_vars..max_vars variables; with ``laurent``, at most one negative
+    floor."""
+    n = draw(st.integers(min_vars, max_vars))
+    pole = draw(st.integers(-1, n - 1)) if laurent and n else -1
+    specs = []
+    for i in range(n):
+        lo = -draw(st.integers(1, 3)) if i == pole else 0
+        specs.append(VarSpec(f"v{i}", lo, lo + draw(st.integers(1, max_width))))
+    return Ring(specs)
+
+
+fractions = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def series_in(draw, ring, max_terms=8):
+    exps = st.tuples(
+        *(st.integers(s.min_exponent, s.trunc_order - 1) for s in ring.specs)
+    )
+    terms = draw(st.dictionaries(exps, fractions, max_size=max_terms))
+    return ring.series(terms)
+
+
+@st.composite
+def ring_and_series(draw, count, **ring_kw):
+    ring = draw(rings(**ring_kw))
+    return (ring,) + tuple(draw(series_in(ring)) for _ in range(count))
+
+
+def product_or_error(a, b, mul):
+    try:
+        return mul(a, b)
+    except FloorUnderflow as exc:
+        return ("FloorUnderflow", str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ring_and_series(2))
+def test_product_matches_pair_loop_oracle(data):
+    _, a, b = data
+    got = product_or_error(a, b, lambda x, y: x * y)
+    assert got == product_or_error(a, b, oracle_mul)
+    if isinstance(got, Series):
+        assert all(isinstance(c, F) and c for c in got.coeffs.values())
+
+
+def test_product_raises_when_below_floor_pairs_cancel():
+    # t^-2 x * t^-1 and t^-1 * (-t^-2 x) both land on t^-3 x and cancel;
+    # every other pair is kept at the floor or truncated in x
+    R = Ring([VarSpec("t", -2, 3), VarSpec("x", 0, 2)])
+    a = R.monomial(1, t=-2, x=1) + R.var("t", -1)
+    b = R.var("t", -1) - R.monomial(1, t=-2, x=1)
+    with pytest.raises(FloorUnderflow, match="exponent -3 of 't' below floor -2"):
+        oracle_mul(a, b)
+    with pytest.raises(FloorUnderflow, match="exponent -3 of 't' below floor -2"):
+        a * b
+
+
+def test_product_truncates_at_each_window_edge():
+    # a summed exponent at trunc_order - 1 survives, at trunc_order it drops,
+    # below the floor it raises unless another variable drops the pair
+    R = Ring([VarSpec("t", -3, 4), VarSpec("x", 0, 1), VarSpec("y", 0, 4)])
+    for i, j, k, m in itertools.product(range(-3, 4), range(-3, 4), range(4), range(4)):
+        a, b = R.monomial(2, t=i, y=k), R.monomial(F(1, 3), t=j, y=m)
+        if i + j >= 4 or k + m >= 4:
+            assert (a * b).is_zero()
+        elif i + j < -3:
+            with pytest.raises(FloorUnderflow):
+                a * b
+        else:
+            assert (a * b).coeffs == {(i + j, 0, k + m): F(2, 3)}
+
+
+def test_product_with_zero_operand_is_zero():
+    R = Ring([VarSpec("t", -2, 3)])
+    assert (R.zero() * R.var("t", -2)).is_zero()
+    assert (R.var("t", -2) * R.zero()).is_zero()
+    with pytest.raises(RingMismatch):
+        R.zero() * ring_t(3).var("t")
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_and_series(3, laurent=False))
+def test_ring_axioms_on_power_series(data):
+    R, a, b, c = data
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * R.one() == a
+    assert (a * 0).is_zero() and (a * F(3, 2)) == a + a + a * F(-1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_and_series(1, laurent=False, min_vars=1, max_vars=3, max_width=4))
+def test_exp_log_round_trips(data):
+    R, a = data
+    g = a - a.constant_term()  # zero constant term
+    assume(not g.is_zero())
+    assert g.exp().log() == g
+    assert (1 + g).log().exp() == 1 + g
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_and_series(1, laurent=False, min_vars=1, max_vars=3, max_width=4),
+       fractions)
+def test_inverse_round_trip(data, c0):
+    R, a = data
+    assume(a != a.constant_term())
+    if not c0:
+        c0 = F(1)
+    f = a - a.constant_term() + c0
+    assert f * f.inverse() == R.one()
+    assert f.inverse() * f == R.one()
