@@ -396,20 +396,22 @@ class TautClass:
 # ---------------------------------------------------------------------------
 
 
+def _vertex_word(kappa: tuple, blocks) -> list:
+    """Raw word of one vertex decoration: its kappa factors, then a
+    half-edge psi power for a half-edge singleton and ``D_{S, a}`` for
+    every other block."""
+    word = [("kappa", j) for j in kappa]
+    for pts, a in blocks:
+        if len(pts) == 1 and pts[0][0] == "h":
+            word.append(("hpsi", (pts[0][1], pts[0][2]), a))
+        else:
+            word.append(("Dsa", tuple(p[1] for p in pts), a))
+    return word
+
+
 def _decor_words(decor: tuple) -> list:
     """Rebuild raw words from a stored decoration."""
-    words = []
-    for kappa, blocks in decor:
-        word = [("kappa", j) for j in kappa]
-        for pts, a in blocks:
-            if len(pts) == 1 and pts[0][0] == "h":
-                word.append(("hpsi", (pts[0][1], pts[0][2]), a))
-            else:
-                word.append(
-                    ("Dsa", tuple(p[1] for p in pts), a)
-                )
-        words.append(word)
-    return words
+    return [_vertex_word(kappa, blocks) for kappa, blocks in decor]
 
 
 def multiply_generator(c: TautClass, gen: tuple) -> TautClass:
@@ -459,18 +461,15 @@ def multiply_generator(c: TautClass, gen: tuple) -> TautClass:
 def multiply_smooth(c1: TautClass, c2: TautClass) -> TautClass:
     """Product of two classes supported on the smooth (edge-free) graph."""
     c1._check_compatible(c2)
+    if any(key[2] for c in (c1, c2) for key in c.terms):
+        raise ValueError("multiply_smooth needs edge-free terms")
     out = TautClass(c1.genus, c1.weights)
+    right = [(_decor_words(key2[3]), b) for key2, b in c2.terms.items()]
     for key1, a in c1.terms.items():
-        if key1[2]:
-            raise ValueError("multiply_smooth needs edge-free terms")
-        for key2, b in c2.terms.items():
-            if key2[2]:
-                raise ValueError("multiply_smooth needs edge-free terms")
-            graph = StableGraph(key1[0], key1[1], key1[2])
-            words = [
-                w1 + w2
-                for w1, w2 in zip(_decor_words(key1[3]), _decor_words(key2[3]))
-            ]
+        graph = StableGraph(key1[0], key1[1], key1[2])
+        left = _decor_words(key1[3])
+        for words2, b in right:
+            words = [w1 + w2 for w1, w2 in zip(left, words2)]
             out.add_word_term(graph, words, a * b)
     return out
 
@@ -494,33 +493,28 @@ def pushforward_forget_small(c: TautClass, count: int = 1) -> TautClass:
         weights = WeightData(current.weights.weights[:-1])
         target = TautClass(current.genus, weights)
         point = ("m", n)
+        valid = set()
         for key, coeff in current.terms.items():
             genera, legs, edges, decor = key
             v_home = legs[n - 1]
             graph = StableGraph(genera, legs[:-1], edges)
-            graph.validate(weights, current.genus)
+            if graph not in valid:
+                graph.validate(weights, current.genus)
+                valid.add(graph)
+            kappa, blocks = decor[v_home]
+            rest = [b for b in blocks if point not in b[0]]
+            if len(rest) == len(blocks):
+                continue  # the forgotten marking is in no block
+            (pts, a), = (b for b in blocks if point in b[0])
+            new_word = _vertex_word(kappa, rest)
+            if len(pts) == 1:
+                new_word.append(("kappa", a - 1))
+            else:
+                coeff = -coeff
+                new_word.append(
+                    ("Dsa", tuple(p[1] for p in pts if p != point), a - 1)
+                )
             words = _decor_words(decor)
-            new_word = []
-            found = False
-            for kappa, blocks in [decor[v_home]]:
-                new_word = [("kappa", j) for j in kappa]
-                for pts, a in blocks:
-                    if point in pts:
-                        found = True
-                        if len(pts) == 1:
-                            new_word.append(("kappa", a - 1))
-                        else:
-                            rest = tuple(p[1] for p in pts if p != point)
-                            coeff = -coeff
-                            new_word.append(("Dsa", rest, a - 1))
-                    elif len(pts) == 1 and pts[0][0] == "h":
-                        new_word.append(("hpsi", (pts[0][1], pts[0][2]), a))
-                    else:
-                        new_word.append(
-                            ("Dsa", tuple(p[1] for p in pts), a)
-                        )
-            if not found:
-                continue
             words[v_home] = new_word
             target.add_word_term(graph, words, coeff)
         current = target
@@ -597,21 +591,18 @@ def _forget_contract(out: TautClass, genera: tuple, legs: tuple,
             new_edges.append((b2, a2))
     else:
         point_map[moved_leg[2]] = ("m", moved_leg[0])
+    # image point of every half-edge at a kept vertex
+    for he, (e2, s2) in hemap.items():
+        point_map[he] = ("h", e2, s2)
     new_graph = StableGraph(new_genera, new_legs, tuple(new_edges))
     words = [[] for _ in range(new_graph.n_vertices)]
     for w in sorted(vmap):
         kappa, blocks = decor[w]
-        word = [("kappa", j) for j in kappa]
-        for pts, a in blocks:
-            if len(pts) == 1 and pts[0][0] == "h":
-                he = (pts[0][1], pts[0][2])
-                if he in point_map:
-                    word.append(("psi", point_map[he][1], a))
-                else:
-                    word.append(("hpsi", hemap[he], a))
-            else:
-                word.append(("Dsa", tuple(p[1] for p in pts), a))
-        words[vmap[w]] = word
+        moved = [
+            (tuple(point_map[p[1:]] if p[0] == "h" else p for p in pts), a)
+            for pts, a in blocks
+        ]
+        words[vmap[w]] = _vertex_word(kappa, moved)
     out.add_word_term(new_graph, words, coeff)
     return True
 
@@ -634,13 +625,19 @@ def pushforward_forget_weight1(c: TautClass, marking: int) -> TautClass:
     weights = WeightData(c.weights.weights[:-1])
     out = TautClass(c.genus, weights)
     point = ("m", marking)
+    defects = {}
     for key, coeff in c.terms.items():
         genera, legs, edges, decor = key
         v_home = legs[marking - 1]
         graph = StableGraph(genera, legs[:-1], edges)
-        try:
-            graph.validate(weights, c.genus)
-        except ValueError as exc:
+        if graph not in defects:
+            try:
+                graph.validate(weights, c.genus)
+                defects[graph] = None
+            except ValueError as exc:
+                defects[graph] = exc
+        exc = defects[graph]
+        if exc is not None:
             if _forget_contract(out, genera, legs, edges, decor, v_home,
                                 marking, coeff):
                 continue
@@ -662,12 +659,7 @@ def pushforward_forget_weight1(c: TautClass, marking: int) -> TautClass:
         if b_exp is None:
             continue  # no class to integrate along the forgotten point
         words = _decor_words(decor)
-        base = [("kappa", j) for j in kappa]
-        for pts, a in rest_blocks:
-            if len(pts) == 1 and pts[0][0] == "h":
-                base.append(("hpsi", (pts[0][1], pts[0][2]), a))
-            else:
-                base.append(("Dsa", tuple(p[1] for p in pts), a))
+        base = _vertex_word(kappa, rest_blocks)
         j = b_exp - 1
         variants = []
         if j == 0:
@@ -741,10 +733,15 @@ def chern_neg_Bd(
     the untwisted vertex series.  The last ``d`` markings of ``weights``
     are the small-weight points the bundle lives on.  Returns
     ``{j: TautClass}`` for ``j <= t_order``.
+
+    Each factor ``1/(1 - base)`` is applied by the recurrence
+    ``c_j += base * c_{j-1}`` for ``j = 1..t_order`` in increasing ``j``,
+    so ``c_{j-1}`` already includes the factor when ``c_j`` is updated;
+    no powers of ``base`` are formed.
     """
     n = weights.n - d
-    one = TautClass.one(genus, weights)
-    total = {0: one}
+    total = [TautClass.one(genus, weights)]
+    total += [TautClass.zero(genus, weights) for _ in range(t_order)]
     graph = StableGraph((genus,), tuple(0 for _ in range(weights.n)), ())
     for i in range(1, d + 1):
         base = TautClass(genus, weights)
@@ -753,24 +750,10 @@ def chern_neg_Bd(
             base.add_word_term(
                 graph, [[("Dsa", (n + j, n + i), 1)]], Fraction(1)
             )
-        # geometric series for this factor
-        powers = {0: one}
-        for k in range(1, t_order + 1):
-            powers[k] = multiply_smooth(powers[k - 1], base)
-            if powers[k].is_zero:
-                break
-        new_total = {}
-        for j1, c1 in total.items():
-            for j2, c2 in powers.items():
-                if j1 + j2 > t_order:
-                    continue
-                prod = multiply_smooth(c1, c2)
-                if j1 + j2 in new_total:
-                    new_total[j1 + j2] = new_total[j1 + j2] + prod
-                else:
-                    new_total[j1 + j2] = prod
-        total = new_total
-    return {j: total.get(j, TautClass.zero(genus, weights)) for j in range(t_order + 1)}
+        for j in range(1, t_order + 1):
+            if not total[j - 1].is_zero:
+                total[j] = total[j] + multiply_smooth(base, total[j - 1])
+    return dict(enumerate(total))
 
 
 # ---------------------------------------------------------------------------

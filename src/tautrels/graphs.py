@@ -32,8 +32,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, permutations, product
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable
 
 
@@ -71,8 +72,16 @@ class WeightData:
     def weight(self, marking: int) -> Fraction:
         return self.weights[marking - 1]
 
+    @cached_property
+    def _scaled(self) -> tuple:
+        """``(den, nums)``: weight i is ``nums[i - 1] / den``, den the lcm."""
+        den = lcm(*(w.denominator for w in self.weights))
+        nums = tuple(w.numerator * (den // w.denominator) for w in self.weights)
+        return den, nums
+
     def subset_weight(self, markings: Iterable[int]) -> Fraction:
-        return sum((self.weight(i) for i in markings), Fraction(0))
+        den, nums = self._scaled
+        return Fraction(sum(nums[i - 1] for i in markings), den)
 
     def is_generic(self) -> bool:
         """No subset of two or more markings has weight exactly one."""

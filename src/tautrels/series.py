@@ -428,11 +428,13 @@ class Series:
         c0 = shifted.get(tuple(0 for _ in ring.specs), Fraction(0))
         if not c0:
             raise SeriesError("series is not invertible (no unit monomial factor)")
-        # geometric series for (1 + n)^-1 where n = shifted/c0 - 1
+        # geometric series for (1 + n)^-1 where n = shifted/c0 - 1; the
+        # result needs shifted exponents e with e - m < trunc_order
         big = Ring(
             [
-                VarSpec(s.name, min(s.min_exponent, 0), max(s.trunc_order, 1))
-                for s in ring.specs
+                VarSpec(s.name, min(s.min_exponent, 0),
+                        max(s.trunc_order + m, 1))
+                for s, m in zip(ring.specs, mins)
             ]
         )
         # terms at or above big's truncation can only produce dropped
@@ -447,7 +449,7 @@ class Series:
         )
         inv = big.one()
         term = big.one()
-        for k in range(1, self._iteration_bound() + 1):
+        for k in range(1, n._iteration_bound() + 1):
             term = term * n
             if term.is_zero():
                 break

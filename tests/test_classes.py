@@ -626,6 +626,78 @@ class TestChernBundle:
             assert down[j] == acc[j], f"degree {j} mismatch for d={d}"
 
 
+def oracle_chern_neg_Bd(d, t_order, genus, weights):
+    """Reference expansion: powers of each factor's base, then a convolution."""
+    n = weights.n - d
+    one = TautClass.one(genus, weights)
+    total = {0: one}
+    graph = StableGraph((genus,), tuple(0 for _ in range(weights.n)), ())
+    for i in range(1, d + 1):
+        base = TautClass(genus, weights)
+        base.add_word_term(graph, [[("psi", n + i, 1)]], Fraction(1))
+        for j in range(1, i):
+            base.add_word_term(
+                graph, [[("Dsa", (n + j, n + i), 1)]], Fraction(1)
+            )
+        powers = {0: one}
+        for k in range(1, t_order + 1):
+            powers[k] = multiply_smooth(powers[k - 1], base)
+            if powers[k].is_zero:
+                break
+        new_total = {}
+        for j1, c1 in total.items():
+            for j2, c2 in powers.items():
+                if j1 + j2 > t_order:
+                    continue
+                prod = multiply_smooth(c1, c2)
+                if j1 + j2 in new_total:
+                    new_total[j1 + j2] = new_total[j1 + j2] + prod
+                else:
+                    new_total[j1 + j2] = prod
+        total = new_total
+    return {
+        j: total.get(j, TautClass.zero(genus, weights))
+        for j in range(t_order + 1)
+    }
+
+
+def _bundle_weights(kind, d):
+    """Weights whose last d markings carry the point bundle."""
+    if kind == "eps":
+        return eps_weights(d)
+    if kind == "dead-pairs":  # every D block of two or more points is zero
+        return WeightData(tuple(Fraction(2, 3) for _ in range(d)))
+    # a leading marking outside the bundle; some blocks live, some die
+    bundle = (Fraction(1, 3), Fraction(2, 3), Fraction(1, 1000), Fraction(1, 2))
+    return WeightData((Fraction(1, 2),) + bundle[:d])
+
+
+@pytest.mark.parametrize("kind", ["eps", "dead-pairs", "mixed"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_chern_neg_Bd_matches_convolution_oracle(kind, d):
+    w = _bundle_weights(kind, d)
+    for t_order in range(7):
+        got = chern_neg_Bd(d, t_order, 2, w)
+        want = oracle_chern_neg_Bd(d, t_order, 2, w)
+        assert sorted(got) == list(range(t_order + 1))
+        for j in range(t_order + 1):
+            assert got[j].dumps() == want[j].dumps(), (t_order, j)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pushforward_forget_small_is_linear(d):
+    cs = chern_neg_Bd(d, 4 + d, 2, eps_weights(d))
+    assert any(not pushforward_forget_small(c, d).is_zero for c in cs.values())
+    for c in cs.values():
+        assert pushforward_forget_small(c.scale(-1), d) == (
+            pushforward_forget_small(c, d).scale(-1)
+        )
+        third = Fraction(1, 3)
+        assert pushforward_forget_small(c.scale(third), d) == (
+            pushforward_forget_small(c, d).scale(third)
+        )
+
+
 def _fact(n):
     out = 1
     for k in range(2, n + 1):

@@ -138,6 +138,31 @@ def test_canonical_is_relabelling_invariant_property(case):
     assert graph.automorphism_order() == brute_automorphism_order(graph)
 
 
+weight_values = st.builds(
+    F, st.integers(1, 12), st.sampled_from([1, 2, 3, 4, 6, 7, 8, 1000])
+).filter(lambda w: w <= 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(weight_values, max_size=6), st.data())
+def test_subset_weight_is_exact_sum_property(values, data):
+    # markings may repeat; an empty weight list only has the empty subset
+    markings = data.draw(
+        st.lists(st.integers(1, len(values)), max_size=len(values))
+        if values else st.just([])
+    )
+    w = WeightData.of(values)
+    for _ in range(2):
+        total = w.subset_weight(markings)
+        assert type(total) is F
+        assert total == sum((values[i - 1] for i in markings), F(0))
+    assert w.subset_weight([]) == 0 and type(w.subset_weight([])) is F
+    fresh = WeightData.of(values)
+    assert w == fresh and hash(w) == hash(fresh)
+    if values:
+        assert w != WeightData.of(values[:-1])
+
+
 def test_weight_data_basics():
     w = W(1, F(1, 2), F(1, 3))
     assert w.n == 3

@@ -2,21 +2,33 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from tautrels.catalog import hyper_A, phi_family, series_C
-from tautrels.classes import TautClass, matrix_rank, to_vector, weight_reduce
+from tautrels.classes import (
+    TautClass,
+    chern_neg_Bd,
+    matrix_rank,
+    pushforward_forget_small,
+    to_vector,
+    weight_reduce,
+)
 from tautrels.graphs import StableGraph, WeightData
 from tautrels.relations import (
+    DecoratedSeries,
     PreconditionError,
     boundary_sq_relation,
+    bracket_kappa,
     extended_fz_relation,
     fz_relation,
     open_fz_relation,
     open_sq_relation,
+    pushforward_oracle,
     reduction_lemma_demo,
     verify_chain,
+    zeta_twist,
 )
 from tautrels.series import Ring, VarSpec
 
@@ -290,3 +302,43 @@ class TestChain:
 
     def test_reduction_lemma(self):
         assert reduction_lemma_demo(seed=11, trials=25, deg=5, c=4)
+
+
+# ---------------------------------------------------------------------------
+# Push-forward oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_pushforward_rows(d_max, t_order, g):
+    """Reference loop: the Chern classes and their push-forward per zeta."""
+    w0 = WeightData(())
+    fam = phi_family(t_order, d_max)
+    rows = []
+    for zeta in (1, -1):
+        ring = Ring([VarSpec("t", 0, t_order + 1),
+                     VarSpec("x", 0, d_max + 1)])
+        ds = DecoratedSeries(ring, StableGraph((g,), (), ()), w0, g)
+        bracket_kappa(zeta_twist(fam["logPhi"], "t", zeta), ds, 0, sign=-1)
+        closed = ds.exp()
+        for d in range(1, d_max + 1):
+            w = WeightData(tuple(Fraction(1, 1000) for _ in range(d)))
+            cs = chern_neg_Bd(d, t_order + d, g, w)
+            ok = True
+            detail = ""
+            for r in range(t_order + 1):
+                pushed = pushforward_forget_small(
+                    cs[r + d].scale(Fraction(zeta ** r, factorial(d))), d
+                )
+                if pushed != closed.extract(t=r, x=d):
+                    ok = False
+                    detail = f"mismatch at t^{r} x^{d}"
+                    break
+            rows.append((f"push-forward closed form d={d} zeta={zeta:+d}",
+                         ok, detail or f"r <= {t_order}"))
+    return rows
+
+
+@pytest.mark.parametrize("d_max, t_order, g", [(3, 4, 2), (2, 5, 3)])
+def test_pushforward_oracle_matches_per_zeta_loop(d_max, t_order, g):
+    rows = pushforward_oracle(d_max=d_max, t_order=t_order, g=g)
+    assert rows == oracle_pushforward_rows(d_max, t_order, g)

@@ -1,6 +1,7 @@
 """Unit tests for the truncated exact Laurent-series core."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -104,6 +105,27 @@ def test_inverse_of_unit_and_monomial_times_unit():
     assert (s * inv - R.one()).is_zero()
     with pytest.raises(SeriesError):
         (t + y).inverse()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_inverse_keeps_every_window_term_after_a_positive_shift(m):
+    # (t^m (1 + t))^-1 = sum_k (-1)^k t^(k - m): every exponent from -m up to
+    # the truncation must be present, however far the shift m reaches
+    R = Ring([VarSpec("t", -4, 5)])
+    t = R.var("t")
+    inv = (t ** m + t ** (m + 1)).inverse()
+    assert inv.coeffs == {(k,): F((-1) ** (k + m)) for k in range(-m, 5)}
+
+
+def test_inverse_positive_shift_with_a_second_variable():
+    # (t^2 (1 + t + y))^-1 has coefficient (-1)^(a+b) C(a+b, a) at t^(a-2) y^b
+    R = Ring([VarSpec("t", -3, 5), VarSpec("y", 0, 3)])
+    t, y = R.var("t"), R.var("y")
+    inv = (t ** 2 * (1 + t + y)).inverse()
+    assert inv.coeffs == {
+        (a - 2, b): F((-1) ** (a + b) * math.comb(a + b, a))
+        for a in range(7) for b in range(3)
+    }
 
 
 def test_geometric_series_inverse():
