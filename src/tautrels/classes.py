@@ -625,19 +625,13 @@ def pushforward_forget_weight1(c: TautClass, marking: int) -> TautClass:
     weights = WeightData(c.weights.weights[:-1])
     out = TautClass(c.genus, weights)
     point = ("m", marking)
-    defects = {}
     for key, coeff in c.terms.items():
         genera, legs, edges, decor = key
         v_home = legs[marking - 1]
         graph = StableGraph(genera, legs[:-1], edges)
-        if graph not in defects:
-            try:
-                graph.validate(weights, c.genus)
-                defects[graph] = None
-            except ValueError as exc:
-                defects[graph] = exc
-        exc = defects[graph]
-        if exc is not None:
+        try:
+            graph.validate(weights, c.genus)
+        except ValueError as exc:
             if _forget_contract(out, genera, legs, edges, decor, v_home,
                                 marking, coeff):
                 continue

@@ -417,6 +417,13 @@ class Series:
 
         Factors out the componentwise-minimal exponent vector; the remaining
         series must have a nonzero constant term.
+
+        The result is the inverse of ``self`` read as an exact polynomial.
+        When a variable's minimal exponent ``m`` is positive, the truncated
+        input fixes the unit factor only below ``trunc_order - m``, so the
+        terms of the result at exponents ``>= trunc_order - 2m`` in that
+        variable also depend on input terms the window dropped: they are the
+        true inverse only when no such terms exist.
         """
         if self.is_zero():
             raise SeriesError("inverse of zero")

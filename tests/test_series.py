@@ -110,7 +110,9 @@ def test_inverse_of_unit_and_monomial_times_unit():
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_inverse_keeps_every_window_term_after_a_positive_shift(m):
     # (t^m (1 + t))^-1 = sum_k (-1)^k t^(k - m): every exponent from -m up to
-    # the truncation must be present, however far the shift m reaches
+    # the truncation must be present, however far the shift m reaches.  The
+    # terms at t^(5 - 2m) and above hold only because t^m + t^(m+1) is an
+    # exact polynomial; the window alone does not fix them.
     R = Ring([VarSpec("t", -4, 5)])
     t = R.var("t")
     inv = (t ** m + t ** (m + 1)).inverse()
@@ -118,7 +120,8 @@ def test_inverse_keeps_every_window_term_after_a_positive_shift(m):
 
 
 def test_inverse_positive_shift_with_a_second_variable():
-    # (t^2 (1 + t + y))^-1 has coefficient (-1)^(a+b) C(a+b, a) at t^(a-2) y^b
+    # (t^2 (1 + t + y))^-1 has coefficient (-1)^(a+b) C(a+b, a) at t^(a-2) y^b;
+    # from t^1 up this holds only because the input is an exact polynomial
     R = Ring([VarSpec("t", -3, 5), VarSpec("y", 0, 3)])
     t, y = R.var("t"), R.var("y")
     inv = (t ** 2 * (1 + t + y)).inverse()
