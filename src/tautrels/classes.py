@@ -361,8 +361,8 @@ class TautClass:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TautClass":
-        weights = WeightData(
-            tuple(Fraction(int(a), int(b)) for a, b in data["weights"])
+        weights = WeightData.of(
+            Fraction(int(a), int(b)) for a, b in data["weights"]
         )
         out = cls(data["genus"], weights)
         for row in data["terms"]:

@@ -52,7 +52,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PRECONDITION = 2
 
-CONFIG_KEYS = {"cache_dir", "threads", "seed", "log", "output"}
+CONFIG_KEYS = {"cache_dir", "seed", "log"}
 
 CONSTRUCTIONS = ("fz", "open-fz", "open-sq", "boundary-sq", "extended")
 
@@ -141,17 +141,15 @@ def cmd_relations_gen(args, cfg: dict, log: Logger) -> int:
     weights = WeightData.of(_parse_fractions(args.weights))
     subset = _parse_ints(args.subset)
     sigma = _parse_ints(args.sigma)
-    threads = args.threads or int(cfg.get("threads", 1))
     construction = args.construction
     if sigma and construction == "fz":
         construction = "extended"
     started = time.perf_counter()
     if construction == "fz":
-        rel = fz_relation(args.genus, weights, args.codim, subset,
-                          threads=threads)
+        rel = fz_relation(args.genus, weights, args.codim, subset)
     elif construction == "extended":
         rel = extended_fz_relation(args.genus, weights, args.codim, sigma,
-                                   subset, threads=threads)
+                                   subset)
     elif construction == "open-fz":
         rel = open_fz_relation(args.genus, weights.n, args.codim, subset,
                                weights=weights if weights.n else None)
@@ -198,11 +196,6 @@ def _report(rows, log: Logger) -> int:
     return EXIT_OK if ok_all else EXIT_FAIL
 
 
-def cmd_relations_verify_chain(args, cfg: dict, log: Logger) -> int:
-    codim = args.codim if args.codim is not None else args.genus - 1
-    return _report(verify_chain(args.genus, codim), log)
-
-
 def _load_batch(path: str) -> list:
     try:
         data = json.loads(Path(path).read_text())
@@ -237,8 +230,7 @@ def cmd_rank(args, cfg: dict, log: Logger) -> int:
 def cmd_verify(args, cfg: dict, log: Logger) -> int:
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 20260826))
     if args.suite == "series":
-        quick = bool(args.quick or (args.order is not None and args.order <= 10))
-        rows = identity_suite(quick=quick, seed=seed)
+        rows = identity_suite(quick=args.quick, seed=seed)
     elif args.suite == "chain":
         genus = args.genus if args.genus is not None else 3
         codim = args.codim if args.codim is not None else genus - 1
@@ -310,7 +302,8 @@ def cmd_graphs_list(args, cfg: dict, log: Logger) -> int:
 def _read_class(path: str) -> TautClass:
     try:
         return TautClass.from_dict(json.loads(Path(path).read_text()))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError,
+            ValueError) as exc:
         raise UsageError(f"cannot read class file {path}: {exc}") from exc
 
 
@@ -339,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "weighted moduli of curves.",
     )
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--threads", type=int, help="worker threads")
     parser.add_argument("--seed", type=int, help="seed for randomized checks")
     parser.add_argument("--log", choices=("text", "json"), default=None)
     parser.add_argument("--cache-dir", help="series cache directory "
@@ -365,18 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="rescale to a primitive integer form")
     gen.add_argument("--out", help="output file (default stdout)")
     gen.set_defaults(func=cmd_relations_gen)
-    vchain = rel_sub.add_parser("verify-chain", help="chain-closure report")
-    vchain.add_argument("--genus", type=int, required=True)
-    vchain.add_argument("--codim", type=int, default=None)
-    vchain.set_defaults(func=cmd_relations_verify_chain)
-    rrank = rel_sub.add_parser("rank", help="rank of a relation batch")
-    rrank.add_argument("--batch", required=True)
-    rrank.set_defaults(func=cmd_rank)
 
     verify = sub.add_parser("verify", help="verification suites")
     verify.add_argument("--suite", choices=("series", "chain", "pushforward"),
                         required=True)
-    verify.add_argument("--order", type=int, default=None)
     verify.add_argument("--genus", type=int, default=None)
     verify.add_argument("--codim", type=int, default=None)
     verify.add_argument("--d", type=int, default=None)
@@ -419,9 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="forget this weight-one marking instead")
     push.add_argument("--out")
     push.set_defaults(func=cmd_classes_pushforward)
-    crank = cl_sub.add_parser("rank")
-    crank.add_argument("--batch", required=True)
-    crank.set_defaults(func=cmd_rank)
 
     return parser
 

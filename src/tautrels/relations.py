@@ -17,8 +17,6 @@ Relations are extracted as ``TautClass`` values at a fixed multi-degree.
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb, factorial
 
@@ -69,6 +67,18 @@ def _check_subset(S: tuple, n: int) -> None:
     if any(not 1 <= i <= n for i in S):
         raise PreconditionError(
             "S ⊆ {1..n}", f"S={','.join(map(str, S))}, n={n}"
+        )
+
+
+def _check_fz_range(g: int, r: int, S: tuple) -> None:
+    """The size and parity conditions of the FZ-form relations."""
+    if not 3 * r >= g + 1 + len(S):
+        raise PreconditionError(
+            "3r >= g+1+|S|", f"r={r}, g={g}, |S|={len(S)}"
+        )
+    if (g - 1 + r + len(S)) % 2 != 0:
+        raise PreconditionError(
+            "g-1+r+|S| even", f"g={g}, r={r}, |S|={len(S)}"
         )
 
 
@@ -238,6 +248,19 @@ def _series_named_terms(series: Series):
         yield dict(zip(names, exps)), c
 
 
+def _bracket_terms(series: Series, ring: Ring, var: str):
+    """Yield ``(k, exps, c)`` for each term of ``series``: ``k`` is the
+    exponent of ``var`` (0 if ``series`` lacks it) and ``exps`` the list of
+    exponents in ``ring``, whose variables are matched by name."""
+    slots = [ring.index[s.name] for s in series.ring.specs]
+    at = series.ring.index.get(var)
+    for src, c in series.terms():
+        exps = [0] * ring.nvars
+        for i, e in zip(slots, src):
+            exps[i] = e
+        yield (0 if at is None else src[at]), exps, c
+
+
 def bracket_kappa(series: Series, ds: DecoratedSeries, vertex: int,
                   sign: int = 1, var: str = "t") -> None:
     """Add ``sign * {series}_kappa`` at ``vertex`` into ``ds``.
@@ -246,16 +269,11 @@ def bracket_kappa(series: Series, ds: DecoratedSeries, vertex: int,
     name; ``var``'s exponent becomes the kappa index and stays in the
     scalar grading.
     """
-    for named, c in _series_named_terms(series):
-        k = named.get(var, 0)
+    for k, exps, c in _bracket_terms(series, ds.ring, var):
         if k < 0:
             continue  # kappa with negative index vanishes
-        exps = [0] * ds.ring.nvars
-        for name, e in named.items():
-            exps[ds.ring.index[name]] = e
-        word = [("kappa", k)] if k >= 0 else []
         words = [[] for _ in range(ds.graph.n_vertices)]
-        words[vertex] = word
+        words[vertex] = [("kappa", k)]
         ds.add_word_term(tuple(exps), words, sign * c)
 
 
@@ -263,17 +281,13 @@ def bracket_D(series: Series, ds: DecoratedSeries, vertex: int,
               block: tuple, var: str = "t") -> None:
     """Add ``{series}_{D_block}`` at ``vertex`` into ``ds``."""
     size = len(block)
-    for named, c in _series_named_terms(series):
-        k = named.get(var, 0)
+    for k, exps, c in _bracket_terms(series, ds.ring, var):
         if k < size - 1:
             if c:
                 raise ValueError(
                     f"D bracket needs t-order >= {size - 1}, got t^{k}"
                 )
             continue
-        exps = [0] * ds.ring.nvars
-        for name, e in named.items():
-            exps[ds.ring.index[name]] = e
         words = [[] for _ in range(ds.graph.n_vertices)]
         words[vertex] = [("Dsa", tuple(block), k)]
         ds.add_word_term(tuple(exps), words, c)
@@ -295,15 +309,11 @@ def bracket_Delta(series: Series, ds: DecoratedSeries, vertex: int,
         return
     support = tuple(sorted(alpha))
     size = len(support)
-    for named, c in _series_named_terms(series):
-        k = named.get(var, 0)
+    for k, exps, c in _bracket_terms(series, ds.ring, var):
         if k < size - 1:
             raise ValueError(
                 f"Delta bracket needs t-order >= {size - 1}, got t^{k}"
             )
-        exps = [0] * ds.ring.nvars
-        for name, e in named.items():
-            exps[ds.ring.index[name]] = e
         for i, e in alpha.items():
             exps[ds.ring.index[f"p{i}"]] += e
         if any(
@@ -327,22 +337,25 @@ def _sq_ring(r: int, d: int, a: tuple) -> Ring:
     return Ring(specs)
 
 
-def _sq_vertex_exponent(ds: DecoratedSeries, vertex: int, markings: list,
-                        a: dict, gamma_z: Series, zeta: int,
-                        half_sign: int, pd_sign: int) -> None:
-    """Accumulate the stable-quotient vertex exponent at one vertex.
+def _boundary_vertex_factor(ring: Ring, graph: StableGraph,
+                            weights: WeightData, g: int, vertex: int,
+                            zeta: int, gamma: Series, a: dict,
+                            half_sign: int, pd_sign: int) -> DecoratedSeries:
+    """The stable-quotient vertex factor ``zeta^(g(v)-1) exp(E_v)``.
 
-    Adds ``half_sign * (zeta/2) p_(v) + sum_i (pd_sign)^i / i! *
-    {p_(v)^i D^i gamma(zeta t, x)}_Delta`` into ``ds``, where ``p_(v)``
-    runs over the vertex's markings and ``D = t x d/dx``.
+    The exponent is ``E_v = half_sign * (zeta/2) p_(v) + sum_i
+    (pd_sign)^i / i! * {p_(v)^i D^i gamma(zeta t, x)}_Delta``, where
+    ``p_(v)`` runs over the vertex's markings and ``D = t x d/dx``.
     """
+    ds = DecoratedSeries(ring, graph, weights, g)
+    markings = sorted(graph.legs_at(vertex))
     for i in markings:
-        exps = [0] * ds.ring.nvars
-        exps[ds.ring.index[f"p{i}"]] = 1
+        exps = [0] * ring.nvars
+        exps[ring.index[f"p{i}"]] = 1
         ds.add_term(tuple(exps), ds._trivial_decor(),
                     Fraction(half_sign * zeta, 2))
     total_a = sum(a[i] for i in markings)
-    f = gamma_z
+    f = zeta_twist(gamma, "t", zeta)
     i_order = 0
     while True:
         if i_order == 0:
@@ -358,6 +371,7 @@ def _sq_vertex_exponent(ds: DecoratedSeries, vertex: int, markings: list,
         if i_order > total_a:
             break
         f = f.x_d_dx("x").mul_var("t")
+    return ds.exp().scale(Fraction(zeta ** (graph.genera[vertex] - 1)))
 
 
 def _compositions(total: int, markings: list, cap: dict):
@@ -398,25 +412,32 @@ def open_sq_relation(g: int, weights: WeightData, r: int, d: int,
         )
     ring = _sq_ring(r, d, a)
     graph = StableGraph((g,), tuple(0 for _ in range(n)), ())
-    fam = phi_family(r, d)
-    gamma = fam["gamma"]
+    gamma = phi_family(r, d)["gamma"]
     a_map = {i: a[i - 1] for i in range(1, n + 1)}
-    markings = list(range(1, n + 1))
+    powers = {"t": r, "x": d, **{f"p{i}": e for i, e in a_map.items()}}
     total = TautClass(g, weights)
     for zeta in (1, -1):
-        ds = DecoratedSeries(ring, graph, weights, g)
-        _sq_vertex_exponent(
-            ds, 0, markings, a_map, zeta_twist(gamma, "t", zeta),
-            zeta, half_sign, pd_sign,
-        )
-        expanded = ds.exp()
-        powers = {"t": r, "x": d}
-        for i in markings:
-            powers[f"p{i}"] = a_map[i]
-        total = total + expanded.extract(**powers).scale(
-            Fraction(zeta ** (g - 1))
-        )
+        factor = _boundary_vertex_factor(ring, graph, weights, g, 0, zeta,
+                                         gamma, a_map, half_sign, pd_sign)
+        total = total + factor.extract(**powers)
     return total
+
+
+def _partition_sum(ring: Ring, graph: StableGraph, weights: WeightData,
+                   g: int, vertex: int, S: tuple, order: int,
+                   zeta: int) -> DecoratedSeries:
+    """``sum_P prod_(b in P) {C_|b|(zeta t)}_(D_b)`` at ``vertex``, over
+    the set partitions ``P`` of ``S``."""
+    part_sum = DecoratedSeries(ring, graph, weights, g)
+    for partition in set_partitions(S):
+        factor = DecoratedSeries.one(ring, graph, weights, g)
+        for block in partition:
+            bds = DecoratedSeries(ring, graph, weights, g)
+            bracket_D(zeta_twist(series_C(len(block), order), "t", zeta),
+                      bds, vertex, tuple(sorted(block)))
+            factor = factor * bds
+        part_sum = part_sum + factor
+    return part_sum
 
 
 def open_fz_relation(g: int, n: int, r: int, S: tuple = (),
@@ -428,14 +449,7 @@ def open_fz_relation(g: int, n: int, r: int, S: tuple = (),
     S = tuple(sorted(S))
     _check_subset(S, n)
     if enforce:
-        if not 3 * r >= g + 1 + len(S):
-            raise PreconditionError(
-                "3r >= g+1+|S|", f"r={r}, g={g}, |S|={len(S)}"
-            )
-        if (g - 1 + r + len(S)) % 2 != 0:
-            raise PreconditionError(
-                "g-1+r+|S| even", f"g={g}, r={r}, |S|={len(S)}"
-            )
+        _check_fz_range(g, r, S)
     if weights is None:
         weights = WeightData(tuple(Fraction(1, 2 * n + 2) for _ in range(n)))
     ring = Ring([VarSpec("t", 0, r + 1)])
@@ -444,14 +458,7 @@ def open_fz_relation(g: int, n: int, r: int, S: tuple = (),
     ds = DecoratedSeries(ring, graph, weights, g)
     bracket_kappa(log_a, ds, 0, sign=-1)
     expanded = ds.exp()
-    part_sum = DecoratedSeries(ring, graph, weights, g)
-    for partition in set_partitions(S):
-        factor = DecoratedSeries.one(ring, graph, weights, g)
-        for block in partition:
-            bds = DecoratedSeries(ring, graph, weights, g)
-            bracket_D(series_C(len(block), r), bds, 0, tuple(sorted(block)))
-            factor = factor * bds
-        part_sum = part_sum + factor
+    part_sum = _partition_sum(ring, graph, weights, g, 0, S, r, 1)
     return (expanded * part_sum).extract(t=r)
 
 
@@ -506,18 +513,8 @@ def _fz_graph_term(graph: StableGraph, coloring: tuple, g: int,
             # each p-degree-i diagonal term carries zeta^i, so a block of
             # size b contributes an extra zeta^b beyond its t-degree
             sign *= zeta ** len(s_v)
-            part_sum = DecoratedSeries(ring, graph, weights, g)
-            for partition in set_partitions(s_v):
-                factor = DecoratedSeries.one(ring, graph, weights, g)
-                for block in partition:
-                    bds = DecoratedSeries(ring, graph, weights, g)
-                    bracket_D(
-                        zeta_twist(series_C(len(block), order), "t", zeta),
-                        bds, v, tuple(sorted(block)),
-                    )
-                    factor = factor * bds
-                part_sum = part_sum + factor
-            ds = ds * part_sum
+            ds = ds * _partition_sum(ring, graph, weights, g, v, s_v, order,
+                                     zeta)
     for e, (va, vb) in enumerate(graph.edges):
         eds = DecoratedSeries(ring, graph, weights, g)
         _edge_to_ds(
@@ -530,7 +527,7 @@ def _fz_graph_term(graph: StableGraph, coloring: tuple, g: int,
 
 
 def fz_relation(g: int, weights: WeightData, r: int, S: tuple = (),
-                max_edges: int | None = None, threads: int = 1,
+                max_edges: int | None = None,
                 enforce: bool = True) -> TautClass:
     """FZ-type relation on the weighted space: graph-and-coloring sum.
 
@@ -542,48 +539,14 @@ def fz_relation(g: int, weights: WeightData, r: int, S: tuple = (),
     S = tuple(sorted(S))
     _check_subset(S, weights.n)
     if enforce:
-        if not 3 * r >= g + 1 + len(S):
-            raise PreconditionError(
-                "3r >= g+1+|S|", f"r={r}, g={g}, |S|={len(S)}"
-            )
-        if (g - 1 + r + len(S)) % 2 != 0:
-            raise PreconditionError(
-                "g-1+r+|S| even", f"g={g}, r={r}, |S|={len(S)}"
-            )
+        _check_fz_range(g, r, S)
     weights = _ensure_generic(weights)
     cap = r if max_edges is None else min(max_edges, r)
-    graphs = enumerate_graphs(g, weights, cap)
-    jobs = []
-    for graph in graphs:
-        for coloring in enumerate_colorings(graph):
-            jobs.append((graph, coloring))
-
-    def run(job):
-        graph, coloring = job
-        return _fz_graph_term(graph, coloring, g, weights, r, S)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, jobs))
-    else:
-        parts = [run(job) for job in jobs]
     total = TautClass(g, weights)
-    for part in parts:
-        total = total + part
+    for graph in enumerate_graphs(g, weights, cap):
+        for coloring in enumerate_colorings(graph):
+            total = total + _fz_graph_term(graph, coloring, g, weights, r, S)
     return total
-
-
-def _boundary_vertex_factor(ds_ring: Ring, graph: StableGraph,
-                            weights: WeightData, g: int, vertex: int,
-                            zeta: int, gamma: Series, a_map: dict,
-                            half_sign: int, pd_sign: int) -> DecoratedSeries:
-    ds = DecoratedSeries(ds_ring, graph, weights, g)
-    markings = sorted(graph.legs_at(vertex))
-    _sq_vertex_exponent(
-        ds, vertex, markings, a_map, zeta_twist(gamma, "t", zeta),
-        zeta, half_sign, pd_sign,
-    )
-    return ds.exp().scale(Fraction(zeta ** (graph.genera[vertex] - 1)))
 
 
 def boundary_sq_relation(g: int, weights: WeightData, r: int, d: int,
@@ -612,14 +575,12 @@ def boundary_sq_relation(g: int, weights: WeightData, r: int, d: int,
         cap = min(cap, max_edges)
     a_map = {i: a[i - 1] for i in range(1, n + 1)}
     total = TautClass(g, weights)
-    fam = phi_family(r, d)
-    gamma = fam["gamma"]
+    gamma = phi_family(r, d)["gamma"]
     for graph in enumerate_graphs(g, weights, cap):
         order = r - graph.n_edges
-        specs = [VarSpec("t", 0, order + 1), VarSpec("x", 0, d + 1)]
-        for i in range(1, n + 1):
-            specs.append(VarSpec(f"p{i}", 0, a_map[i] + 1))
-        ring = Ring(specs)
+        ring = _sq_ring(order, d, a)
+        powers = {"t": order, "x": d,
+                  **{f"p{i}": e for i, e in a_map.items()}}
         for coloring in enumerate_colorings(graph):
             ds = DecoratedSeries.one(ring, graph, weights, g)
             for v in range(graph.n_vertices):
@@ -635,9 +596,6 @@ def boundary_sq_relation(g: int, weights: WeightData, r: int, d: int,
                     eds, e,
                 )
                 ds = ds * eds
-            powers = {"t": order, "x": d}
-            for i in range(1, n + 1):
-                powers[f"p{i}"] = a_map[i]
             total = total + ds.extract(**powers).scale(
                 Fraction(1, graph.automorphism_order())
             )
@@ -645,8 +603,7 @@ def boundary_sq_relation(g: int, weights: WeightData, r: int, d: int,
 
 
 def extended_fz_relation(g: int, weights: WeightData, r: int,
-                         sigma: tuple = (), S: tuple = (),
-                         threads: int = 1) -> TautClass:
+                         sigma: tuple = (), S: tuple = ()) -> TautClass:
     """Relations from adding weight-one points, multiplying by psi powers
     and pushing forward.
 
@@ -662,14 +619,14 @@ def extended_fz_relation(g: int, weights: WeightData, r: int,
     _check_subset(S, n)
     ell = len(sigma)
     if ell == 0:
-        return fz_relation(g, weights, r, S, threads=threads)
+        return fz_relation(g, weights, r, S)
     inner_w = WeightData(weights.weights + tuple([Fraction(1)] * ell))
     inner_r = r - sum(part // 3 for part in sigma)
     inner_s = tuple(sorted(
         set(S) | {n + i for i, part in enumerate(sigma, start=1)
                   if part % 3 == 1}
     ))
-    rel = fz_relation(g, inner_w, inner_r, inner_s, threads=threads)
+    rel = fz_relation(g, inner_w, inner_r, inner_s)
     for i, part in enumerate(sigma, start=1):
         rel = multiply_generator(rel, ("psi", n + i, part // 3 + 1))
     for i in range(ell, 0, -1):

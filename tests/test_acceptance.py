@@ -9,12 +9,18 @@ byte-level determinism.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import tautrels
+from tautrels import catalog
 from tautrels.catalog import (
     bernoulli_kernel_coefficients,
     hyper_A,
@@ -267,21 +273,42 @@ def test_10_frame_matrix():
 
 
 def test_11_determinism(tmp_path, monkeypatch):
-    # thread count must not change the serialized chain-closure relations
-    for g, r in [(3, 2), (4, 3), (5, 4)]:
-        blobs = {fz_relation(g, W0, r, threads=k).dumps() for k in (1, 4, 8)}
-        assert len(blobs) == 1, (g, r)
+    # dict and set iteration order must not change the serialized relation
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(tautrels.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    argv = [sys.executable, "-m", "tautrels.cli", "relations", "gen",
+            "--genus", "4", "--codim", "3", "--primitive"]
+    payloads = set()
+    for seed in ("0", "1", "2"):
+        env["PYTHONHASHSEED"] = seed
+        done = subprocess.run(argv, env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        payloads.add(done.stdout.splitlines()[0])
+    assert len(payloads) == 1
 
-    # cold and warm cache must emit byte-identical files
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("TAUTRELS_CACHE", str(cache))
-    files = []
-    for tag in ("cold", "warm"):
+    # the cold run writes the catalog entry, the warm run reads it instead
+    # of building the series, and both emit byte-identical files
+    monkeypatch.setenv("TAUTRELS_CACHE", str(tmp_path / "cache"))
+    entry = tmp_path / "cache" / "Phi_t6_x3.json"
+
+    def dump(tag):
         out = tmp_path / f"{tag}.json"
-        code = cli_main([
-            "relations", "gen", "--genus", "3", "--codim", "2",
-            "--out", str(out),
-        ])
-        assert code == 0
-        files.append(out.read_bytes())
-    assert files[0] == files[1]
+        assert cli_main(["series", "dump", "--name", "Phi",
+                         "--orders", "t=6,x=3", "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    assert not entry.exists()
+    cold = dump("cold")
+    assert entry.exists()
+
+    def no_build(orders):
+        raise AssertionError("Phi was built instead of read from the cache")
+
+    monkeypatch.setitem(catalog._BUILDERS, "Phi", (("t", "x"), no_build))
+    assert dump("warm") == cold
+    entry.unlink()
+    with pytest.raises(AssertionError, match="instead of read"):
+        dump("rebuilt")

@@ -2,11 +2,16 @@
 
 import json
 import math
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from tautrels.cli import main
+from tautrels.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -172,32 +177,46 @@ class TestConfig:
         assert code == 2
         assert "unknown config keys" in err
 
-    def test_threads_key_accepted(self, capsys, tmp_path):
+    @pytest.mark.parametrize("key", ["threads", "output"])
+    def test_removed_keys_rejected(self, capsys, tmp_path, key):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"threads": 2, "log": "json"}))
-        code, out, _ = run(capsys, "--config", str(cfg), "relations", "gen",
-                           "--genus", "3", "--codim", "2")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert json.loads(lines[-1])["rank"] == 1
+        cfg.write_text(json.dumps({key: 2, "log": "json"}))
+        code, out, err = run(capsys, "--config", str(cfg), "relations", "gen",
+                             "--genus", "3", "--codim", "2")
+        assert code == 2
+        assert f"unknown config keys: {key}" in err
+        assert out == ""
 
 
-class TestDeterminism:
-    def test_thread_count_and_cache_do_not_change_bytes(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("TAUTRELS_CACHE", str(cache))
-        outputs = []
-        for threads, tag in [(1, "a"), (4, "b"), (1, "c")]:
-            out = tmp_path / f"{tag}.json"
-            code, _, _ = run(capsys, "--threads", str(threads), "relations",
-                             "gen", "--genus", "3", "--codim", "2",
-                             "--out", str(out))
-            assert code == 0
-            outputs.append(out.read_bytes())
-        # run b was parallel; run c reused the now-warm cache
-        assert outputs[0] == outputs[1] == outputs[2]
+class TestRemovedOptions:
+    @pytest.mark.parametrize("argv", [
+        ("--threads", "2", "relations", "gen", "--genus", "3", "--codim", "2"),
+        ("verify", "--suite", "series", "--order", "12"),
+        ("relations", "rank", "--batch", "batch.json"),
+        ("classes", "rank", "--batch", "batch.json"),
+        ("relations", "verify-chain", "--genus", "3"),
+    ])
+    def test_usage_error_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+
+class TestReadme:
+    def test_command_lines_parse(self):
+        parser = build_parser()
+        blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+        lines = [line for block in blocks for line in block.splitlines()
+                 if line.startswith("tautrels ")]
+        assert len(lines) > 10
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
 
 
 class TestGraphsAndClasses:
@@ -218,6 +237,17 @@ class TestGraphsAndClasses:
                             str(infile))
         assert code == 0
         assert payload(text)["terms"] == rel["terms"]
+
+
+CLASS_FILES = {
+    "weight2.json": {"genus": 1, "weights": [["2", "1"]], "terms": []},
+    "bad_legs.json": {
+        "genus": 1, "weights": [["1", "2"]],
+        "terms": [{"graph": {"vertices": [1], "legs": [0], "edges": []},
+                   "decor": [{"kappa": [], "blocks": []}],
+                   "num": "1", "den": "1"}],
+    },
+}
 
 
 class TestInvalidInput:
@@ -249,8 +279,16 @@ class TestInvalidInput:
          "order >= 0 violated"),
         (("series", "dump", "--name", "DeltaE", "--orders", "t=-1"),
          "order >= 0 violated"),
+        (("classes", "normal-form", "--in", "weight2.json"),
+         "weights in (0, 1] violated"),
+        (("classes", "normal-form", "--in", "bad_legs.json"),
+         "cannot read class file"),
     ])
-    def test_exit_2_names_condition(self, capsys, argv, condition):
+    def test_exit_2_names_condition(self, capsys, tmp_path, monkeypatch,
+                                    argv, condition):
+        monkeypatch.chdir(tmp_path)
+        for name, data in CLASS_FILES.items():
+            (tmp_path / name).write_text(json.dumps(data))
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert condition in err

@@ -146,11 +146,6 @@ class TestFZ:
         with pytest.raises(PreconditionError, match="even"):
             fz_relation(2, W0, 2)
 
-    def test_thread_count_does_not_change_result(self):
-        a = fz_relation(3, W0, 2, threads=1)
-        b = fz_relation(3, W0, 2, threads=3)
-        assert a == b
-
     def test_relation_spans_known_rank_drop(self):
         # the codimension-2 relation on the genus-3 space restricts the
         # span of the generators it involves
