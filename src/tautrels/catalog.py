@@ -69,13 +69,10 @@ def hyper_A(order: int) -> Series:
 @lru_cache(maxsize=None)
 def hyper_B(order: int) -> Series:
     """B(t): as A(t) but with the extra factor (6i+1)/(6i-1)."""
-    ring = Ring([VarSpec("t", 0, order + 1)])
-    terms = {}
-    for i in range(order + 1):
-        c = Fraction(factorial(6 * i), factorial(3 * i) * factorial(2 * i))
-        c *= Fraction(6 * i + 1, 6 * i - 1)
-        terms[(i,)] = c * Fraction(1, 72) ** i
-    return ring.series(terms)
+    a = hyper_A(order)
+    return a.ring.series(
+        {(i,): c * Fraction(6 * i + 1, 6 * i - 1) for (i,), c in a.coeffs.items()}
+    )
 
 
 @lru_cache(maxsize=None)
@@ -179,13 +176,11 @@ def phi_family(t_order: int, x_order: int) -> dict:
     log_phi_out = restrict(log_phi)
     log_psi_out = restrict(log_psi)
     C: dict = {}
-    for (r, d), c in log_phi_out.coeffs.items():
-        if d >= 1:
-            C.setdefault(d, {})[r] = c * factorial(d)
     S: dict = {}
-    for (r, d), c in log_psi_out.coeffs.items():
-        if d >= 1:
-            S.setdefault(d, {})[r] = c * factorial(d)
+    for table, f in ((C, log_phi_out), (S, log_psi_out)):
+        for (r, d), c in f.coeffs.items():
+            if d >= 1:
+                table.setdefault(d, {})[r] = c * factorial(d)
 
     return {
         "ring": out_ring,
@@ -492,40 +487,53 @@ def locality_series(t_order: int, x_order: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _edge_quotient(z1: int, z2: int, var: str, order: int, extra: tuple,
+                   build: Callable) -> Series:
+    """The edge kernel ``E`` with ``v (p1+p2) E = head + z1 f(z1 v p1)
+    + z2 f(z2 v p2)``, ``head = (z1+z2)/2 pair(g(z1 v p1), g(z2 v p2))``.
+
+    ``v`` is the variable ``var``, p1 and p2 are the two branch cotangent
+    classes and ``extra`` holds the specs of the variables carried along
+    unchanged.  ``build(work)`` returns ``(g, pair, f)`` with g and f
+    truncated after ``v^work``.  The numerator is formed with one layer of
+    v/p padding, because dividing by v (p1 + p2) costs the top layer.
+    """
+    work = order + 1
+
+    def ring_to(top: int) -> Ring:
+        return Ring([VarSpec(var, 0, top + 1), *extra,
+                     VarSpec("p1", 0, top + 1), VarSpec("p2", 0, top + 1)])
+
+    ring = ring_to(work)
+    g, pair, f = build(work)
+
+    def at(h: Series, z: int, p: str) -> Series:
+        return h.substitute({var: z * ring.var(var) * ring.var(p)})
+
+    num = (
+        Fraction(z1 + z2, 2) * pair(at(g, z1, "p1"), at(g, z2, "p2"))
+        + z1 * at(f, z1, "p1")
+        + z2 * at(f, z2, "p2")
+    )
+    den = ring.var(var) * (ring.var("p1") + ring.var("p2"))
+    return embed(num.divide_exact(den), ring_to(order))
+
+
+def _exp_of_minus_sum(a: Series, b: Series) -> Series:
+    return (-a - b).exp()
+
+
 @lru_cache(maxsize=None)
 def delta_edge(z1: int, z2: int, order: int) -> Series:
     """Delta_e with 2 t (p1+p2) Delta_e = (z1+z2) A^{-1}(z1 t p1) A^{-1}(z2 t p2)
     + z1 C_1(z1 t p1) + z2 C_1(z2 t p2); variables p1, p2 are the two branch
     cotangent classes."""
-    # one layer of t/p padding: dividing by t (p1 + p2) costs the top layer
-    work = order + 1
-    ring = Ring(
-        [
-            VarSpec("t", 0, work + 1),
-            VarSpec("p1", 0, work + 1),
-            VarSpec("p2", 0, work + 1),
-        ]
-    )
-    out_ring = Ring(
-        [
-            VarSpec("t", 0, order + 1),
-            VarSpec("p1", 0, order + 1),
-            VarSpec("p2", 0, order + 1),
-        ]
-    )
-    a_inv = hyper_A(work).inverse()
-    c1 = series_C(1, work)
 
-    def at(f: Series, z: int, p: str) -> Series:
-        return f.substitute({"t": z * ring.var("t") * ring.var(p)})
+    def build(work: int) -> tuple:
+        return (hyper_A(work).inverse(), lambda a, b: a * b,
+                Fraction(1, 2) * series_C(1, work))
 
-    num = (
-        Fraction(z1 + z2) * at(a_inv, z1, "p1") * at(a_inv, z2, "p2")
-        + z1 * at(c1, z1, "p1")
-        + z2 * at(c1, z2, "p2")
-    )
-    den = 2 * ring.var("t") * (ring.var("p1") + ring.var("p2"))
-    return embed(num.divide_exact(den), out_ring)
+    return _edge_quotient(z1, z2, "t", order, (), build)
 
 
 @lru_cache(maxsize=None)
@@ -537,75 +545,30 @@ def edge_series_xy(z1: int, z2: int, t_order: int, x_order: int, kind: int) -> S
     kind 3: same with ``exp(-gamma' - gamma')`` replaced by the reciprocal of
     ``Phi'(z1 t p1) Phi'(z2 t p2)`` (no Bernoulli tail).
     """
-    work = t_order + 1
-    ring = Ring(
-        [
-            VarSpec("t", 0, work + 1),
-            VarSpec("x", 0, x_order + 1),
-            VarSpec("p1", 0, work + 1),
-            VarSpec("p2", 0, work + 1),
-        ]
-    )
-    out_ring = Ring(
-        [
-            VarSpec("t", 0, t_order + 1),
-            VarSpec("x", 0, x_order + 1),
-            VarSpec("p1", 0, t_order + 1),
-            VarSpec("p2", 0, t_order + 1),
-        ]
-    )
-    fam = phi_family(work, x_order)
-
-    def at(f: Series, z: int, p: str) -> Series:
-        return f.substitute({"t": z * ring.var("t") * ring.var(p)})
-
-    if kind == 4:
-        head = Fraction(z1 + z2, 2) * (
-            -at(fam["gammaPrime"], z1, "p1") - at(fam["gammaPrime"], z2, "p2")
-        ).exp()
-    elif kind == 3:
-        head = Fraction(z1 + z2, 2) * (
-            at(fam["PhiPrime"], z1, "p1") * at(fam["PhiPrime"], z2, "p2")
-        ).inverse()
-    else:
+    if kind not in (3, 4):
         raise ValueError("kind must be 3 or 4")
-    num = head + z1 * at(fam["delta"], z1, "p1") + z2 * at(fam["delta"], z2, "p2")
-    den = ring.var("t") * (ring.var("p1") + ring.var("p2"))
-    return embed(num.divide_exact(den), out_ring)
+
+    def build(work: int) -> tuple:
+        fam = phi_family(work, x_order)
+        if kind == 4:
+            return fam["gammaPrime"], _exp_of_minus_sum, fam["delta"]
+        return fam["PhiPrime"], lambda a, b: (a * b).inverse(), fam["delta"]
+
+    return _edge_quotient(z1, z2, "t", t_order,
+                          (VarSpec("x", 0, x_order + 1),), build)
 
 
 @lru_cache(maxsize=None)
 def edge_series_uy(z1: int, z2: int, u_order: int, y_order: int) -> Series:
     """The (u, y)-chart edge series (kind 5), from the triangular c-table
     and delta_1."""
-    work = u_order + 1
-    exp_data = uy_expansion(1, work, y_order)
-    ring = Ring(
-        [
-            VarSpec("u", 0, work + 1),
-            VarSpec("y", 0, y_order + 1),
-            VarSpec("p1", 0, work + 1),
-            VarSpec("p2", 0, work + 1),
-        ]
-    )
-    out_ring = Ring(
-        [
-            VarSpec("u", 0, u_order + 1),
-            VarSpec("y", 0, y_order + 1),
-            VarSpec("p1", 0, u_order + 1),
-            VarSpec("p2", 0, u_order + 1),
-        ]
-    )
 
-    def at(f: Series, z: int, p: str) -> Series:
-        return f.substitute({"u": z * ring.var("u") * ring.var(p)})
+    def build(work: int) -> tuple:
+        exp_data = uy_expansion(1, work, y_order)
+        return exp_data["c_series"], _exp_of_minus_sum, exp_data["delta"][1]
 
-    c_ser = exp_data["c_series"]
-    d1 = exp_data["delta"][1]
-    head = Fraction(z1 + z2, 2) * (-at(c_ser, z1, "p1") - at(c_ser, z2, "p2")).exp()
-    num = head + z1 * at(d1, z1, "p1") + z2 * at(d1, z2, "p2")
-    den = ring.var("u") * (ring.var("p1") + ring.var("p2"))
-    return embed(num.divide_exact(den), out_ring)
+    return _edge_quotient(z1, z2, "u", u_order,
+                          (VarSpec("y", 0, y_order + 1),), build)
 
 
 def bernoulli_kernel_coefficients(i_max: int) -> dict:
@@ -739,11 +702,10 @@ def _phi_part(key: str) -> Callable:
 _BUILDERS: dict = {
     "A": (("t",), lambda orders: hyper_A(orders["t"])),
     "B": (("t",), lambda orders: hyper_B(orders["t"])),
-    "C1": (("t",), lambda orders: series_C(1, orders["t"])),
-    "C2": (("t",), lambda orders: series_C(2, orders["t"])),
-    "C3": (("t",), lambda orders: series_C(3, orders["t"])),
-    "C4": (("t",), lambda orders: series_C(4, orders["t"])),
-    "C5": (("t",), lambda orders: series_C(5, orders["t"])),
+    **{
+        f"C{i}": (("t",), lambda orders, i=i: series_C(i, orders["t"]))
+        for i in range(1, 6)
+    },
     "logA": (("t",), lambda orders: log_hyper_A(orders["t"])),
     **{
         key: (("t", "x"), _phi_part(key))

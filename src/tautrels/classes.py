@@ -543,66 +543,27 @@ def _forget_contract(out: TautClass, genera: tuple, legs: tuple,
     kappa_v, blocks_v = decor[v]
     if kappa_v or blocks_v:
         return True  # positive-degree classes vanish on the point factor
-    other_legs = [m for m in legs_v if m != marking]
-    hemap = {}
+    if not hes_v:
+        return False  # a lone three-pointed component has no neighbour
+    if len(hes_v) == 2 and hes_v[0][0] == hes_v[1][0]:
+        return False  # a loop component only occurs at genus one
+    e, s = hes_v[0]
+    graph, vmap, hemap = _contract_edge(g0, e)
+    point_map = {he: ("h",) + img for he, img in hemap.items()}
+    # the neighbour's branch point goes to the other edge, whose side at v
+    # now sits at the neighbour, or to the leg that moves over
     if len(hes_v) == 2:
-        (e1, s1), (e2, s2) = hes_v
-        if e1 == e2:
-            return False  # a loop component only occurs at genus one
-        removed = {e1, e2}
-        joined = ((edges[e1][1 - s1], (e1, 1 - s1)),
-                  (edges[e2][1 - s2], (e2, 1 - s2)))
-        moved_leg = None
+        point_map[(e, 1 - s)] = ("h",) + hemap[hes_v[1]]
     else:
-        (e1, s1) = hes_v[0]
-        removed = {e1}
-        joined = None
-        moved_leg = (other_legs[0], edges[e1][1 - s1], (e1, 1 - s1))
-    vmap = {w: w - (w > v) for w in range(len(genera)) if w != v}
-    new_genera = tuple(genera[w] for w in sorted(vmap))
-    new_legs = list(legs[:marking - 1])
-    if moved_leg is not None:
-        new_legs[moved_leg[0] - 1] = moved_leg[1]
-    new_legs = tuple(vmap[w] for w in new_legs)
-    new_edges = []
-    for idx, (a, b) in enumerate(edges):
-        if idx in removed:
-            continue
-        a2, b2 = vmap[a], vmap[b]
-        if a2 <= b2:
-            hemap[(idx, 0)] = (len(new_edges), 0)
-            hemap[(idx, 1)] = (len(new_edges), 1)
-            new_edges.append((a2, b2))
-        else:
-            hemap[(idx, 0)] = (len(new_edges), 1)
-            hemap[(idx, 1)] = (len(new_edges), 0)
-            new_edges.append((b2, a2))
-    point_map = {}
-    if joined is not None:
-        (ua, ha), (ub, hb) = joined
-        a2, b2 = vmap[ua], vmap[ub]
-        if a2 <= b2:
-            hemap[ha] = (len(new_edges), 0)
-            hemap[hb] = (len(new_edges), 1)
-            new_edges.append((a2, b2))
-        else:
-            hemap[ha] = (len(new_edges), 1)
-            hemap[hb] = (len(new_edges), 0)
-            new_edges.append((b2, a2))
-    else:
-        point_map[moved_leg[2]] = ("m", moved_leg[0])
-    # image point of every half-edge at a kept vertex
-    for he, (e2, s2) in hemap.items():
-        point_map[he] = ("h", e2, s2)
-    new_graph = StableGraph(new_genera, new_legs, tuple(new_edges))
+        point_map[(e, 1 - s)] = ("m", next(m for m in legs_v if m != marking))
+    new_graph = StableGraph(graph.genera, graph.legs[:marking - 1], graph.edges)
     words = [[] for _ in range(new_graph.n_vertices)]
-    for w in sorted(vmap):
-        kappa, blocks = decor[w]
+    for w, (kappa, blocks) in enumerate(decor):
         moved = [
             (tuple(point_map[p[1:]] if p[0] == "h" else p for p in pts), a)
             for pts, a in blocks
         ]
-        words[vmap[w]] = _vertex_word(kappa, moved)
+        words[vmap[w]] += _vertex_word(kappa, moved)
     out.add_word_term(new_graph, words, coeff)
     return True
 

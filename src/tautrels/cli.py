@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -144,6 +143,10 @@ def cmd_relations_gen(args, cfg: dict, log: Logger) -> int:
     construction = args.construction
     if sigma and construction == "fz":
         construction = "extended"
+    # signs the user did not give keep the construction's own defaults
+    signs = {name: value for name, value in
+             (("half_sign", args.half_sign), ("pd_sign", args.pd_sign))
+             if value is not None}
     started = time.perf_counter()
     if construction == "fz":
         rel = fz_relation(args.genus, weights, args.codim, subset)
@@ -156,13 +159,11 @@ def cmd_relations_gen(args, cfg: dict, log: Logger) -> int:
     elif construction == "open-sq":
         rel = open_sq_relation(args.genus, weights, args.codim, args.d,
                                _parse_ints(args.a) or (0,) * weights.n,
-                               half_sign=args.half_sign,
-                               pd_sign=args.pd_sign)
+                               **signs)
     elif construction == "boundary-sq":
         rel = boundary_sq_relation(args.genus, weights, args.codim, args.d,
                                    _parse_ints(args.a) or (0,) * weights.n,
-                                   half_sign=args.half_sign,
-                                   pd_sign=args.pd_sign)
+                                   **signs)
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown construction {construction!r}")
     if args.primitive:
@@ -196,18 +197,27 @@ def _report(rows, log: Logger) -> int:
     return EXIT_OK if ok_all else EXIT_FAIL
 
 
-def _load_batch(path: str) -> list:
+def _read_json(path: str, what: str, parse):
+    """``parse`` applied to the JSON in ``path``; a file that cannot be read
+    or does not hold what ``parse`` expects exits 2 naming the file."""
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read batch {path}: {exc}") from exc
+        return parse(json.loads(Path(path).read_text()))
+    except (OSError, json.JSONDecodeError, KeyError, TypeError,
+            ValueError) as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _batch_classes(data) -> list:
     if isinstance(data, dict):
         data = data.get("relations", [data])
-    classes = []
-    for item in data:
-        if "relation" in item:
-            item = item["relation"]
-        classes.append(TautClass.from_dict(item))
+    return [
+        TautClass.from_dict(item["relation"] if "relation" in item else item)
+        for item in data
+    ]
+
+
+def _load_batch(path: str) -> list:
+    classes = _read_json(path, "batch", _batch_classes)
     if not classes:
         raise UsageError("batch holds no relations")
     codims = set()
@@ -300,11 +310,7 @@ def cmd_graphs_list(args, cfg: dict, log: Logger) -> int:
 
 
 def _read_class(path: str) -> TautClass:
-    try:
-        return TautClass.from_dict(json.loads(Path(path).read_text()))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError,
-            ValueError) as exc:
-        raise UsageError(f"cannot read class file {path}: {exc}") from exc
+    return _read_json(path, "class file", TautClass.from_dict)
 
 
 def cmd_classes_normal_form(args, cfg: dict, log: Logger) -> int:
@@ -335,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="seed for randomized checks")
     parser.add_argument("--log", choices=("text", "json"), default=None)
     parser.add_argument("--cache-dir", help="series cache directory "
-                        "(default: TAUTRELS_CACHE)")
+                        "(default: the config's cache_dir, then "
+                        "TAUTRELS_CACHE)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     relations = sub.add_parser("relations", help="relation generation")
@@ -413,14 +420,6 @@ def main(argv: list | None = None) -> int:
     try:
         cfg = _load_config(args.config)
         log = Logger(args.log or cfg.get("log", "text"))
-        if args.cache_dir:
-            os.environ["TAUTRELS_CACHE"] = args.cache_dir
-        elif cfg.get("cache_dir"):
-            os.environ.setdefault("TAUTRELS_CACHE", cfg["cache_dir"])
-        if getattr(args, "half_sign", None) is None and hasattr(args, "half_sign"):
-            args.half_sign = -1 if args.construction == "open-sq" else 1
-        if getattr(args, "pd_sign", None) is None and hasattr(args, "pd_sign"):
-            args.pd_sign = -1 if args.construction == "open-sq" else 1
         return args.func(args, cfg, log)
     except PreconditionError as exc:
         print(str(exc), file=sys.stderr)

@@ -151,9 +151,6 @@ class StableGraph:
                 out.append((idx, 1))
         return out
 
-    def valence(self, v: int) -> int:
-        return len(self.half_edges_at(v)) + len(self.legs_at(v))
-
     def is_connected(self) -> bool:
         if self.n_vertices == 0:
             return False

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 from operator import lshift
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -375,35 +375,33 @@ class Series:
 
     # -- transcendental operations ----------------------------------------
 
-    def _iteration_bound(self) -> int:
-        return 2 * sum(s.trunc_order - s.min_exponent for s in self.ring.specs) + 4
+    def _power_sum(self, a: Callable[[int], Fraction], what: str) -> "Series":
+        """``sum_k a(k) self^k`` for a nilpotent ``self``, ending at the
+        first power that truncates to zero."""
+        ring = self.ring
+        total = ring.const(a(0))
+        power = ring.one()
+        bound = 2 * sum(s.trunc_order - s.min_exponent for s in ring.specs) + 4
+        for k in range(1, bound + 1):
+            power = power * self
+            if power.is_zero():
+                return total
+            total = total + power * a(k)
+        raise SeriesError(f"{what} did not terminate within the truncation window")
 
     def exp(self) -> "Series":
         """exp of a series with zero constant term."""
         if self.constant_term():
             raise SeriesError("exp requires zero constant term")
-        result = self.ring.one()
-        term = self.ring.one()
-        for k in range(1, self._iteration_bound() + 1):
-            term = term * self * Fraction(1, k)
-            if term.is_zero():
-                return result
-            result = result + term
-        raise SeriesError("exp did not terminate within the truncation window")
+        return self._power_sum(lambda k: Fraction(1, factorial(k)), "exp")
 
     def log(self) -> "Series":
         """log of a series with constant term one."""
         if self.constant_term() != 1:
             raise SeriesError("log requires constant term 1")
-        u = self - 1
-        result = self.ring.zero()
-        term = self.ring.one()
-        for k in range(1, self._iteration_bound() + 1):
-            term = term * u
-            if term.is_zero():
-                return result
-            result = result + term * Fraction((-1) ** (k + 1), k)
-        raise SeriesError("log did not terminate within the truncation window")
+        return (self - 1)._power_sum(
+            lambda k: Fraction((-1) ** (k + 1), k) if k else Fraction(0), "log"
+        )
 
     def pow_fraction(self, e: Scalar) -> "Series":
         """Raise to an exact rational power via exp(e * log)."""
@@ -454,15 +452,7 @@ class Series:
                 if any(e) and all(x < s.trunc_order for x, s in zip(e, big.specs))
             },
         )
-        inv = big.one()
-        term = big.one()
-        for k in range(1, n._iteration_bound() + 1):
-            term = term * n
-            if term.is_zero():
-                break
-            inv = inv + term * Fraction((-1) ** k)
-        else:
-            raise SeriesError("inverse did not terminate (non-nilpotent tail)")
+        inv = n._power_sum(lambda k: Fraction((-1) ** k), "inverse")
         out: dict = {}
         for e, c in inv.coeffs.items():
             exps = tuple(a - m for a, m in zip(e, mins))

@@ -4,10 +4,14 @@ Each test pins one of the package-level guarantees: the formal-series
 identities at full order, the extremal-coefficient theorems, the
 coefficient-comparison lemma, the push-forward oracle, parity vanishing,
 edge-series well-definedness, chain closure, boundary consistency, the
-truncated divisor-exponential identity, the frame-matrix ODE, and
-byte-level determinism.
+truncated divisor-exponential identity, the frame-matrix ODE,
+byte-level determinism, and the exact values of the edge kernels and of
+a relation whose push-forward contracts components.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import random
@@ -23,6 +27,7 @@ import tautrels
 from tautrels import catalog
 from tautrels.catalog import (
     bernoulli_kernel_coefficients,
+    edge_series_uy,
     hyper_A,
     hyper_B,
     ionel_coefficient_pair,
@@ -47,6 +52,7 @@ from tautrels.relations import (
     pushforward_oracle,
     verify_chain,
 )
+from tautrels.serialize import dumps, series_to_dict
 from tautrels.series import Ring, VarSpec
 
 W0 = WeightData(())
@@ -312,3 +318,49 @@ def test_11_determinism(tmp_path, monkeypatch):
     entry.unlink()
     with pytest.raises(AssertionError, match="instead of read"):
         dump("rebuilt")
+
+
+# sha256 of each payload: the other edge-kernel tests check properties, these
+# pin the values.  The sigma relation forgets points whose vertices then
+# destabilize, so it passes through the contraction in _forget_contract.
+GOLDEN_DIGESTS = {
+    "DeltaE t=8":
+        "c128a1dbc83b0376585658c624ebe553fc15009cf674e317338edcb60b5ca421",
+    "Edge3 t=6,x=3":
+        "dad1c59b01a70cd60f495f317fc1d62c9d28ece82a2f86ed1590d0970864c800",
+    "Edge4 t=6,x=3":
+        "c58023bd11994950f2606de2936e36add6f9907846679f4bde1b03ecb9946dbc",
+    "edge_series_uy 5,5":
+        "803c07521ffa462fbad4bd4e0c4922b962eee94602a0c15acdf5405ea57e9880",
+    "sigma 1,3 on weights 1/3":
+        "a0646517fb0863920e02bff349b1dc3b4159005f2ac8c5a8cc477a79b56b4eca",
+}
+
+
+def test_12_golden_digests():
+    def cli_payload(*argv):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli_main(list(argv)) == 0
+        return buf.getvalue().splitlines()[0]
+
+    def dump(name, orders):
+        return cli_payload("series", "dump", "--name", name, "--orders", orders)
+
+    payloads = {
+        "DeltaE t=8": dump("DeltaE", "t=8"),
+        "Edge3 t=6,x=3": dump("Edge3", "t=6,x=3"),
+        "Edge4 t=6,x=3": dump("Edge4", "t=6,x=3"),
+        "edge_series_uy 5,5": dumps([
+            series_to_dict(edge_series_uy(z1, z2, 5, 5))
+            for z1 in (1, -1) for z2 in (1, -1)
+        ]),
+        "sigma 1,3 on weights 1/3": cli_payload(
+            "relations", "gen", "--genus", "2", "--codim", "3",
+            "--weights", "1/3", "--sigma", "1,3", "--primitive"),
+    }
+    digests = {
+        name: hashlib.sha256(text.encode()).hexdigest()
+        for name, text in payloads.items()
+    }
+    assert digests == GOLDEN_DIGESTS

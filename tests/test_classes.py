@@ -792,6 +792,30 @@ class TestForgetWeightOne:
         )
         assert pushed == expected
 
+    def test_contraction_joins_two_neighbours(self):
+        # the two edges at the contracted vertex become one edge between
+        # its neighbours, which keep their branch psi powers
+        w = WeightData((Fraction(1),))
+        graph = StableGraph((1, 0, 1), (1,), ((0, 1), (1, 2)))
+        c = TautClass(3, w)
+        c.add_word_term(
+            graph, [[("hpsi", (0, 0), 1)], [], [("hpsi", (1, 1), 2)]], 3
+        )
+        pushed = pushforward_forget_weight1(c, 1)
+        expected = TautClass(3, WeightData(()))
+        expected.add_word_term(
+            StableGraph((1, 1), (), ((0, 1),)),
+            [[("hpsi", (0, 0), 1)], [("hpsi", (0, 1), 2)]], 3,
+        )
+        assert pushed == expected
+
+    def test_lone_three_pointed_component_flagged(self):
+        # forgetting a point of M_{0,3} leaves no component to contract
+        # into; this is out of scope, not an internal error
+        c = TautClass.one(0, self.wts(3))
+        with pytest.raises(NotImplementedError):
+            pushforward_forget_weight1(c, 3)
+
     def test_destabilization_flagged(self):
         # a contracted component with moduli (two light legs) is out of
         # scope for the forgetful push-forward

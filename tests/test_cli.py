@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 import shlex
 from fractions import Fraction
@@ -65,6 +66,26 @@ class TestRelationsGen:
         data = payload(out)
         assert data["construction"] == "extended"
         assert data["generators"] > 0
+
+    @pytest.mark.parametrize("construction,default,other", [
+        ("open-sq", "-1", "1"),
+        ("boundary-sq", "1", "-1"),
+    ])
+    def test_omitted_signs_keep_construction_defaults(self, capsys,
+                                                      construction, default,
+                                                      other):
+        argv = ("relations", "gen", "--genus", "2", "--codim", "2",
+                "--construction", construction, "--d", "1", "--weights", "1",
+                "--a", "1")
+
+        def gen(*signs):
+            code, out, err = run(capsys, *argv, *signs)
+            assert code == 0, err
+            return out.splitlines()[0]
+
+        bare = gen()
+        assert bare == gen("--half-sign", default, "--pd-sign", default)
+        assert bare != gen("--half-sign", other, "--pd-sign", other)
 
     def test_open_sq_construction(self, capsys):
         code, out, _ = run(capsys, "relations", "gen", "--genus", "3",
@@ -131,6 +152,27 @@ class TestSeriesDump:
         assert code == 0, err
         assert payload(second) == payload(first)
         assert json.loads(entry.read_text())["terms"]
+
+    def test_cache_dir_precedence_holds_per_call(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # --cache-dir, then the config's cache_dir, then TAUTRELS_CACHE;
+        # a flag or config value must not carry over to the next call
+        monkeypatch.setenv("TAUTRELS_CACHE", str(tmp_path / "env"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cache_dir": str(tmp_path / "config")}))
+        dump = ("series", "dump", "--name", "A", "--orders", "t=4")
+        for name, argv in [
+            ("flag", ("--config", str(cfg), "--cache-dir",
+                      str(tmp_path / "flag")) + dump),
+            ("config", ("--config", str(cfg)) + dump),
+            ("env", dump),
+        ]:
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+            written = [p.parent.name for p in tmp_path.glob("*/A_t4.json")]
+            assert written == [name]
+            (tmp_path / name / "A_t4.json").unlink()
+        assert os.environ["TAUTRELS_CACHE"] == str(tmp_path / "env")
 
     def test_unknown_name_exit_2(self, capsys):
         code, _, err = run(capsys, "series", "dump", "--name", "nope",
@@ -248,6 +290,9 @@ CLASS_FILES = {
                    "num": "1", "den": "1"}],
     },
 }
+CLASS_FILES["batch_bad_legs.json"] = [CLASS_FILES["bad_legs.json"]]
+CLASS_FILES["batch_no_weights.json"] = [{"genus": 1, "terms": []}]
+CLASS_FILES["batch_ints.json"] = [1, 2]
 
 
 class TestInvalidInput:
@@ -283,6 +328,12 @@ class TestInvalidInput:
          "weights in (0, 1] violated"),
         (("classes", "normal-form", "--in", "bad_legs.json"),
          "cannot read class file"),
+        (("rank", "--batch", "batch_bad_legs.json"),
+         "cannot read batch batch_bad_legs.json"),
+        (("rank", "--batch", "batch_no_weights.json"),
+         "cannot read batch batch_no_weights.json"),
+        (("rank", "--batch", "batch_ints.json"),
+         "cannot read batch batch_ints.json"),
     ])
     def test_exit_2_names_condition(self, capsys, tmp_path, monkeypatch,
                                     argv, condition):
