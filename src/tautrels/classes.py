@@ -30,7 +30,8 @@ import json
 from fractions import Fraction
 from math import factorial, gcd
 
-from .graphs import StableGraph, WeightData
+from .graphs import StableGraph, WeightData, smooth_graph
+from .series import Ring, VarSpec
 
 __all__ = [
     "TautClass",
@@ -241,10 +242,7 @@ class TautClass:
     @classmethod
     def one(cls, genus: int, weights: WeightData) -> "TautClass":
         c = cls(genus, weights)
-        graph = StableGraph(
-            (genus,), tuple(0 for _ in range(weights.n)), ()
-        )
-        c.add_term(graph, ((tuple(), tuple()),), Fraction(1))
+        c.add_term(smooth_graph(genus, weights.n), (((), ()),), Fraction(1))
         return c
 
     def _check_compatible(self, other: "TautClass") -> None:
@@ -367,6 +365,9 @@ class TautClass:
         out = cls(data["genus"], weights)
         for row in data["terms"]:
             graph = StableGraph.from_dict(row["graph"])
+            graph.validate(weights, out.genus)
+            if len(row["decor"]) != graph.n_vertices:
+                raise ValueError("decor needs one entry per vertex")
             decor = tuple(
                 (
                     tuple(d["kappa"]),
@@ -412,6 +413,16 @@ def _vertex_word(kappa: tuple, blocks) -> list:
 def _decor_words(decor: tuple) -> list:
     """Rebuild raw words from a stored decoration."""
     return [_vertex_word(kappa, blocks) for kappa, blocks in decor]
+
+
+def _hpsi_words(graph: StableGraph, powers: dict) -> list:
+    """One raw word per vertex holding the half-edge psi powers
+    ``{(e, s): p}``, each at the vertex that half-edge ``(e, s)`` lies on."""
+    words = [[] for _ in range(graph.n_vertices)]
+    for (e, s), p in powers.items():
+        if p:
+            words[graph.edges[e][s]].append(("hpsi", (e, s), p))
+    return words
 
 
 def multiply_generator(c: TautClass, gen: tuple) -> TautClass:
@@ -697,7 +708,7 @@ def chern_neg_Bd(
     n = weights.n - d
     total = [TautClass.one(genus, weights)]
     total += [TautClass.zero(genus, weights) for _ in range(t_order)]
-    graph = StableGraph((genus,), tuple(0 for _ in range(weights.n)), ())
+    graph = smooth_graph(genus, weights.n)
     for i in range(1, d + 1):
         base = TautClass(genus, weights)
         base.add_word_term(graph, [[("psi", n + i, 1)]], Fraction(1))
@@ -832,17 +843,13 @@ def divisor_product(ca: TautClass, cb: TautClass, graph_pool=None) -> TautClass:
                     for _, hm_b in isos_b:
                         word = {}
                         for (e, s), a_pow in pow_a.items():
-                            ge, gs = inv_a[hm_a[(e, s)]]
-                            word[(ge, gs)] = word.get((ge, gs), 0) + a_pow
+                            he = inv_a[hm_a[(e, s)]]
+                            word[he] = word.get(he, 0) + a_pow
                         for (e, s), b_pow in pow_b.items():
-                            ge, gs = inv_b[hm_b[(e, s)]]
-                            word[(ge, gs)] = word.get((ge, gs), 0) + b_pow
-                        words = [[] for _ in range(graph.n_vertices)]
-                        for (ge, gs), p in word.items():
-                            v = graph.edges[ge][gs]
-                            words[v].append(("hpsi", (ge, gs), p))
+                            he = inv_b[hm_b[(e, s)]]
+                            word[he] = word.get(he, 0) + b_pow
                         out.add_word_term(
-                            graph, words, coeff / aut
+                            graph, _hpsi_words(graph, word), coeff / aut
                         )
             # excess structures
             isos = graph_isos(graph_a, graph_b)
@@ -861,12 +868,9 @@ def divisor_product(ca: TautClass, cb: TautClass, graph_pool=None) -> TautClass:
                         for excess_side in (0, 1):
                             ep = dict(powers)
                             ep[(0, excess_side)] = ep.get((0, excess_side), 0) + 1
-                            words = [[] for _ in range(graph_b.n_vertices)]
-                            for (ge, gs), p in ep.items():
-                                v = graph_b.edges[ge][gs]
-                                words[v].append(("hpsi", (ge, gs), p))
                             out.add_word_term(
-                                graph_b, words, -coeff / aut_b
+                                graph_b, _hpsi_words(graph_b, ep),
+                                -coeff / aut_b
                             )
     return out
 
@@ -892,72 +896,45 @@ def divisor_exp_check(
 
     if max_codim > 2:
         raise ValueError("truncation beyond codimension 2 is not supported")
+    # a term of psi-degree above max_codim has codimension above it
+    f_poly = {k: c for k, c in f_poly.items() if sum(k) <= max_codim}
     pool = enumerate_graphs(genus, weights, 2)
-    divisors = [g for g in pool if g.n_edges == 1]
-
-    def xi_f(graph: StableGraph, poly: dict, weight: Fraction) -> TautClass:
-        c = TautClass(genus, weights)
-        for (i, j), coeff in poly.items():
-            words = [[] for _ in range(graph.n_vertices)]
-            for he, p in (((0, 0), i), ((0, 1), j)):
-                if p:
-                    v = graph.edges[he[0]][he[1]]
-                    words[v].append(("hpsi", he, p))
-            c.add_word_term(graph, words, coeff * weight)
-        return c
 
     big = TautClass(genus, weights)
-    for graph in divisors:
-        big = big + xi_f(graph, f_poly, Fraction(1, graph.automorphism_order()))
+    for graph in pool:
+        if graph.n_edges == 1:
+            weight = Fraction(1, graph.automorphism_order())
+            for (i, j), coeff in f_poly.items():
+                big.add_word_term(graph, _hpsi_words(
+                    graph, {(0, 0): i, (0, 1): j}), coeff * weight)
     big = big.restrict_codim(max_codim)
     lhs = TautClass.one(genus, weights) + big
     square = divisor_product(big, big, graph_pool=pool)
     lhs = lhs + square.restrict_codim(max_codim).scale(Fraction(1, 2))
 
-    # right-hand side: per-edge factor from f
-    def poly_mul(p1: dict, p2: dict, cap: int) -> dict:
-        out: dict = {}
-        for (i1, j1), c1 in p1.items():
-            for (i2, j2), c2 in p2.items():
-                if i1 + i2 + j1 + j2 > cap:
-                    continue
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return {k: v for k, v in out.items() if v}
-
-    cap = max_codim  # psi-degree cap inside one edge factor
-    fs = poly_mul(f_poly, {(1, 0): Fraction(1), (0, 1): Fraction(1)}, cap + 1)
+    # right-hand side: the per-edge factor from f, where p1 and p2 stand for
+    # the psi classes at the two sides of the edge and fs = f (p1 + p2):
     # g = (exp(-fs) - 1) / (-fs) * f = sum_{k>=0} (-fs)^k / (k+1)! * f
-    edge_factor: dict = {}
-    power = {(0, 0): Fraction(1)}
-    k = 0
-    while power:
-        term = poly_mul(power, f_poly, cap)
-        for key, v in term.items():
-            edge_factor[key] = edge_factor.get(key, Fraction(0)) + v / factorial(
-                k + 1
-            )
-        power = poly_mul(power, {k2: -v2 for k2, v2 in fs.items()}, cap)
-        k += 1
+    ring = Ring([VarSpec("p1", 0, max_codim + 1),
+                 VarSpec("p2", 0, max_codim + 1)])
+    f = ring.series(f_poly)
+    minus_fs = -(f * (ring.var("p1") + ring.var("p2")))
+    edge_factor = list((minus_fs._power_sum(
+        lambda k: Fraction(1, factorial(k + 1)), "edge factor") * f).terms())
     rhs = TautClass.one(genus, weights)
     for graph in pool:
         if graph.n_edges == 0:
             continue
         weight = Fraction(1, graph.automorphism_order())
-        assignments = [edge_factor] * graph.n_edges
-        for combo in itertools.product(*[list(p.items()) for p in assignments]):
-            total_deg = graph.n_edges + sum(i + j for (i, j), _ in combo)
-            if total_deg > max_codim:
+        for combo in itertools.product(edge_factor, repeat=graph.n_edges):
+            if graph.n_edges + sum(i + j for (i, j), _ in combo) > max_codim:
                 continue
             coeff = weight
-            words = [[] for _ in range(graph.n_vertices)]
+            powers = {}
             for e, ((i, j), c) in enumerate(combo):
                 coeff *= c
-                for s, p in ((0, i), (1, j)):
-                    if p:
-                        v = graph.edges[e][s]
-                        words[v].append(("hpsi", (e, s), p))
-            rhs.add_word_term(graph, words, coeff)
+                powers[e, 0], powers[e, 1] = i, j
+            rhs.add_word_term(graph, _hpsi_words(graph, powers), coeff)
     return lhs, rhs.restrict_codim(max_codim)
 
 

@@ -32,7 +32,6 @@ from .classes import (
 )
 from .graphs import (
     PreconditionError,
-    StableGraph,
     WeightData,
     enumerate_graphs,
 )
@@ -54,6 +53,17 @@ EXIT_PRECONDITION = 2
 CONFIG_KEYS = {"cache_dir", "seed", "log"}
 
 CONSTRUCTIONS = ("fz", "open-fz", "open-sq", "boundary-sq", "extended")
+
+# the constructions that read each construction-specific `relations gen` flag
+_SQ_ONLY = ("open-sq", "boundary-sq")
+_FLAG_READERS = {
+    "--subset": ("fz", "open-fz", "extended"),
+    "--sigma": ("fz", "extended"),
+    "--d": _SQ_ONLY,
+    "--a": _SQ_ONLY,
+    "--half-sign": _SQ_ONLY,
+    "--pd-sign": _SQ_ONLY,
+}
 
 
 class UsageError(ValueError):
@@ -137,10 +147,17 @@ def _primitive_scale(rel: TautClass) -> TautClass:
 
 
 def cmd_relations_gen(args, cfg: dict, log: Logger) -> int:
+    construction = args.construction
+    given = {"--subset": args.subset, "--sigma": args.sigma, "--d": args.d,
+             "--a": args.a, "--half-sign": args.half_sign is not None,
+             "--pd-sign": args.pd_sign is not None}
+    for flag, value in given.items():
+        if value and construction not in _FLAG_READERS[flag]:
+            raise UsageError(
+                f"{flag} is not read by the {construction} construction")
     weights = WeightData.of(_parse_fractions(args.weights))
     subset = _parse_ints(args.subset)
     sigma = _parse_ints(args.sigma)
-    construction = args.construction
     if sigma and construction == "fz":
         construction = "extended"
     # signs the user did not give keep the construction's own defaults
@@ -246,7 +263,7 @@ def cmd_verify(args, cfg: dict, log: Logger) -> int:
         codim = args.codim if args.codim is not None else genus - 1
         rows = verify_chain(genus, codim)
     elif args.suite == "pushforward":
-        rows = pushforward_oracle(d_max=args.d or 3)
+        rows = pushforward_oracle(d_max=3 if args.d is None else args.d)
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown suite {args.suite!r}")
     return _report(rows, log)

@@ -18,7 +18,7 @@ Relations are extracted as ``TautClass`` values at a fixed multi-degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .catalog import (
     delta_edge,
@@ -31,12 +31,12 @@ from .catalog import (
 from .classes import (
     TautClass,
     _decor_words,
+    _hpsi_words,
     chern_neg_Bd,
     multiply_generator,
     normal_form,
     pushforward_forget_small,
     pushforward_forget_weight1,
-    weight_reduce,
     words_normal_form,
 )
 from .graphs import (
@@ -45,6 +45,7 @@ from .graphs import (
     WeightData,
     enumerate_colorings,
     enumerate_graphs,
+    smooth_graph,
 )
 from .series import Ring, Series, VarSpec
 
@@ -183,26 +184,17 @@ class DecoratedSeries:
 
     def __mul__(self, other: "DecoratedSeries") -> "DecoratedSeries":
         out = DecoratedSeries(self.ring, self.graph, self.weights, self.genus)
-        words_cache: dict = {}
-
-        def words_of(decor):
-            hit = words_cache.get(decor)
-            if hit is None:
-                hit = _decor_words(decor)
-                words_cache[decor] = hit
-            return hit
-
         specs = self.ring.specs
+        right = [(e2, _decor_words(d2), c2)
+                 for (e2, d2), c2 in other.terms.items()]
         for (e1, d1), c1 in self.terms.items():
-            for (e2, d2), c2 in other.terms.items():
+            left = _decor_words(d1)
+            for e2, words2, c2 in right:
                 exps = tuple(a + b for a, b in zip(e1, e2))
                 if any(e >= s.trunc_order for e, s in zip(exps, specs)):
                     continue
-                words = [
-                    w1 + w2 for w1, w2 in zip(words_of(d1), words_of(d2))
-                ]
-                self_mut = out  # merge via normal form per vertex
-                self_mut.add_word_term(exps, words, c1 * c2)
+                words = [w1 + w2 for w1, w2 in zip(left, words2)]
+                out.add_word_term(exps, words, c1 * c2)
         return out
 
     def exp(self) -> "DecoratedSeries":
@@ -240,12 +232,6 @@ class DecoratedSeries:
 # ---------------------------------------------------------------------------
 # Brackets
 # ---------------------------------------------------------------------------
-
-
-def _series_named_terms(series: Series):
-    names = [s.name for s in series.ring.specs]
-    for exps, c in series.terms():
-        yield dict(zip(names, exps)), c
 
 
 def _bracket_terms(series: Series, ring: Ring, var: str):
@@ -325,6 +311,15 @@ def bracket_Delta(series: Series, ds: DecoratedSeries, vertex: int,
         ds.add_word_term(tuple(exps), words, coeff * c)
 
 
+def _kappa_exp(series: Series, ring: Ring, graph: StableGraph,
+               weights: WeightData, g: int, vertex: int = 0,
+               var: str = "t") -> DecoratedSeries:
+    """``exp(-{series}_kappa)`` at ``vertex``."""
+    ds = DecoratedSeries(ring, graph, weights, g)
+    bracket_kappa(series, ds, vertex, sign=-1, var=var)
+    return ds.exp()
+
+
 # ---------------------------------------------------------------------------
 # Open (smooth-space) relations
 # ---------------------------------------------------------------------------
@@ -341,7 +336,7 @@ def _boundary_vertex_factor(ring: Ring, graph: StableGraph,
                             weights: WeightData, g: int, vertex: int,
                             zeta: int, gamma: Series, a: dict,
                             half_sign: int, pd_sign: int) -> DecoratedSeries:
-    """The stable-quotient vertex factor ``zeta^(g(v)-1) exp(E_v)``.
+    """The stable-quotient vertex factor ``zeta^(g(v)+1) exp(E_v)``.
 
     The exponent is ``E_v = half_sign * (zeta/2) p_(v) + sum_i
     (pd_sign)^i / i! * {p_(v)^i D^i gamma(zeta t, x)}_Delta``, where
@@ -354,24 +349,16 @@ def _boundary_vertex_factor(ring: Ring, graph: StableGraph,
         exps[ring.index[f"p{i}"]] = 1
         ds.add_term(tuple(exps), ds._trivial_decor(),
                     Fraction(half_sign * zeta, 2))
-    total_a = sum(a[i] for i in markings)
     f = zeta_twist(gamma, "t", zeta)
-    i_order = 0
-    while True:
-        if i_order == 0:
-            bracket_Delta(f, ds, vertex, {}, coeff=1)
-        else:
-            base = Fraction(pd_sign ** i_order, factorial(i_order))
-            for alpha in _compositions(i_order, markings, a):
-                multi = factorial(i_order)
-                for e in alpha.values():
-                    multi //= factorial(e)
-                bracket_Delta(f, ds, vertex, alpha, coeff=base * multi)
-        i_order += 1
-        if i_order > total_a:
-            break
+    bracket_Delta(f, ds, vertex, {})
+    for i_order in range(1, sum(a[i] for i in markings) + 1):
         f = f.x_d_dx("x").mul_var("t")
-    return ds.exp().scale(Fraction(zeta ** (graph.genera[vertex] - 1)))
+        for alpha in _compositions(i_order, markings, a):
+            # (pd_sign p D)^i / i! expanded by the multinomial theorem
+            coeff = Fraction(pd_sign ** i_order,
+                             prod(factorial(e) for e in alpha.values()))
+            bracket_Delta(f, ds, vertex, alpha, coeff=coeff)
+    return ds.exp().scale(zeta ** (graph.genera[vertex] + 1))
 
 
 def _compositions(total: int, markings: list, cap: dict):
@@ -389,6 +376,13 @@ def _compositions(total: int, markings: list, cap: dict):
             yield out
 
 
+def _check_sq_input(g: int, weights: WeightData, a: tuple) -> None:
+    if g < 0:
+        raise PreconditionError("genus >= 0", f"genus={g}")
+    if len(a) != weights.n:
+        raise ValueError("exponent vector must match the number of markings")
+
+
 def open_sq_relation(g: int, weights: WeightData, r: int, d: int,
                      a: tuple = (), half_sign: int = -1, pd_sign: int = -1,
                      enforce: bool = True) -> TautClass:
@@ -396,31 +390,18 @@ def open_sq_relation(g: int, weights: WeightData, r: int, d: int,
 
     Expands ``sum_zeta zeta^(g-1) exp(half_sign * zeta p / 2 +
     {exp(pd_sign * p D) gamma(zeta t, x)}_Delta)`` and extracts
-    ``[t^r x^d p^a]``.  The default signs follow the proposition display;
-    the global sign ambiguity is reported by the smooth-graph comparison
-    in the boundary construction.
+    ``[t^r x^d p^a]``: the smooth-graph term of the boundary construction,
+    on the weights as given.  The default signs follow the proposition
+    display; the global sign ambiguity is reported by the smooth-graph
+    comparison in the boundary construction.
     """
-    if g < 0:
-        raise PreconditionError("genus >= 0", f"genus={g}")
-    n = weights.n
-    if len(a) != n:
-        raise ValueError("exponent vector must match the number of markings")
-    a_total = sum(a)
-    if enforce and not r > g - 1 - 2 * d + a_total:
+    _check_sq_input(g, weights, a)
+    if enforce and not r > g - 1 - 2 * d + sum(a):
         raise PreconditionError(
-            "r > g-1-2d+|a|", f"r={r}, g={g}, d={d}, |a|={a_total}"
+            "r > g-1-2d+|a|", f"r={r}, g={g}, d={d}, |a|={sum(a)}"
         )
-    ring = _sq_ring(r, d, a)
-    graph = StableGraph((g,), tuple(0 for _ in range(n)), ())
-    gamma = phi_family(r, d)["gamma"]
-    a_map = {i: a[i - 1] for i in range(1, n + 1)}
-    powers = {"t": r, "x": d, **{f"p{i}": e for i, e in a_map.items()}}
-    total = TautClass(g, weights)
-    for zeta in (1, -1):
-        factor = _boundary_vertex_factor(ring, graph, weights, g, 0, zeta,
-                                         gamma, a_map, half_sign, pd_sign)
-        total = total + factor.extract(**powers)
-    return total
+    return _sq_graph_sum(g, weights, [smooth_graph(g, weights.n)], r, d, a,
+                         half_sign, pd_sign)
 
 
 def _partition_sum(ring: Ring, graph: StableGraph, weights: WeightData,
@@ -440,10 +421,30 @@ def _partition_sum(ring: Ring, graph: StableGraph, weights: WeightData,
     return part_sum
 
 
+def _fz_vertex_factor(ring: Ring, graph: StableGraph, weights: WeightData,
+                      g: int, vertex: int, zeta: int, S: tuple,
+                      order: int) -> DecoratedSeries:
+    """The FZ-form vertex factor ``zeta^(g(v)+1+|S_v|) exp(-{log A(zeta
+    t)}_kappa) sum_P prod {C_|b|(zeta t)}_(D_b)``, with ``P`` running over
+    the set partitions of the markings ``S_v`` of ``S`` at ``vertex``.
+
+    Each p-degree-i diagonal term carries ``zeta^i``, so a block of size b
+    contributes ``zeta^b`` beyond its t-degree: hence ``zeta^|S_v|``.
+    """
+    s_v = tuple(sorted(set(graph.legs_at(vertex)) & set(S)))
+    ds = _kappa_exp(zeta_twist(log_hyper_A(order), "t", zeta), ring, graph,
+                    weights, g, vertex)
+    if s_v:
+        ds = ds * _partition_sum(ring, graph, weights, g, vertex, s_v, order,
+                                 zeta)
+    return ds.scale(zeta ** (graph.genera[vertex] + 1 + len(s_v)))
+
+
 def open_fz_relation(g: int, n: int, r: int, S: tuple = (),
                      weights: WeightData | None = None,
                      enforce: bool = True) -> TautClass:
-    """FZ-form relation ``[exp(-{log A}_kappa) sum_P prod {C_|b|}_{D_b}]_{t^r}``."""
+    """FZ-form relation ``[exp(-{log A}_kappa) sum_P prod {C_|b|}_{D_b}]_{t^r}``:
+    the smooth-graph term of :func:`fz_relation` at colour ``zeta = 1``."""
     if g < 0:
         raise PreconditionError("genus >= 0", f"genus={g}")
     S = tuple(sorted(S))
@@ -453,13 +454,8 @@ def open_fz_relation(g: int, n: int, r: int, S: tuple = (),
     if weights is None:
         weights = WeightData(tuple(Fraction(1, 2 * n + 2) for _ in range(n)))
     ring = Ring([VarSpec("t", 0, r + 1)])
-    graph = StableGraph((g,), tuple(0 for _ in range(n)), ())
-    log_a = log_hyper_A(r)
-    ds = DecoratedSeries(ring, graph, weights, g)
-    bracket_kappa(log_a, ds, 0, sign=-1)
-    expanded = ds.exp()
-    part_sum = _partition_sum(ring, graph, weights, g, 0, S, r, 1)
-    return (expanded * part_sum).extract(t=r)
+    return _fz_vertex_factor(ring, smooth_graph(g, n), weights, g, 0, 1, S,
+                             r).extract(t=r)
 
 
 # ---------------------------------------------------------------------------
@@ -467,26 +463,51 @@ def open_fz_relation(g: int, n: int, r: int, S: tuple = (),
 # ---------------------------------------------------------------------------
 
 
-def _edge_to_ds(series: Series, ds: DecoratedSeries, edge_idx: int) -> None:
-    """Convert an edge series in (t[, x], p1, p2) into graph decorations."""
-    graph = ds.graph
-    for named, c in _series_named_terms(series):
+def _edge_to_ds(series: Series, ds: DecoratedSeries, edge: int) -> None:
+    """Add an edge series in (t[, x], p1, p2) at ``edge`` into ``ds``: the
+    powers of p1 and p2 become psi powers at the edge's sides 0 and 1."""
+    names = [s.name for s in series.ring.specs]
+    sides = {"p1": 0, "p2": 1}
+    for src, c in series.terms():
         exps = [0] * ds.ring.nvars
-        words = [[] for _ in range(graph.n_vertices)]
-        for name, e in named.items():
-            if name == "p1":
-                if e:
-                    v = graph.edges[edge_idx][0]
-                    words[v].append(("hpsi", (edge_idx, 0), e))
-            elif name == "p2":
-                if e:
-                    v = graph.edges[edge_idx][1]
-                    words[v].append(("hpsi", (edge_idx, 1), e))
+        powers = {}
+        for name, e in zip(names, src):
+            if name in sides:
+                powers[edge, sides[name]] = e
             else:
                 exps[ds.ring.index[name]] = e
-        if any(e >= s.trunc_order for e, s in zip(exps, ds.ring.specs)):
-            continue
-        ds.add_word_term(tuple(exps), words, c)
+        if all(e < s.trunc_order for e, s in zip(exps, ds.ring.specs)):
+            ds.add_word_term(tuple(exps), _hpsi_words(ds.graph, powers), c)
+
+
+def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
+               vertex_factor, edge_series, powers_of) -> TautClass:
+    """``sum_G sum_zeta prod_v (vertex factor) prod_e (edge kernel) / |Aut G|``.
+
+    ``G`` runs over ``graphs`` and ``zeta`` over the ±1 colourings of its
+    vertices.  With ``order = r - #edges`` the product is expanded in
+    ``ring_of(order)`` and read off at ``powers_of(order)``.
+    ``vertex_factor(ring, graph, v, zeta, order)`` is the decorated factor
+    at vertex ``v``, and ``edge_series(z1, z2, order)`` the kernel of an
+    edge whose ends have colours ``z1`` and ``z2``, in (t[, x], p1, p2).
+    """
+    total = TautClass(g, weights)
+    for graph in graphs:
+        order = r - graph.n_edges
+        ring = ring_of(order)
+        powers = powers_of(order)
+        scale = Fraction(1, graph.automorphism_order())
+        for coloring in enumerate_colorings(graph):
+            ds = DecoratedSeries.one(ring, graph, weights, g)
+            for v, zeta in enumerate(coloring):
+                ds = ds * vertex_factor(ring, graph, v, zeta, order)
+            for e, (va, vb) in enumerate(graph.edges):
+                eds = DecoratedSeries(ring, graph, weights, g)
+                _edge_to_ds(edge_series(coloring[va], coloring[vb], order),
+                            eds, e)
+                ds = ds * eds
+            total = total + ds.extract(**powers).scale(scale)
+    return total
 
 
 def _ensure_generic(weights: WeightData) -> WeightData:
@@ -495,46 +516,15 @@ def _ensure_generic(weights: WeightData) -> WeightData:
     return weights.perturbed()
 
 
-def _fz_graph_term(graph: StableGraph, coloring: tuple, g: int,
-                   weights: WeightData, r: int, S: tuple) -> TautClass:
-    order = r - graph.n_edges
-    ring = Ring([VarSpec("t", 0, order + 1)])
-    ds = DecoratedSeries.one(ring, graph, weights, g)
-    sign = 1
-    for v in range(graph.n_vertices):
-        zeta = coloring[v]
-        sign *= zeta ** (graph.genera[v] - 1) if graph.genera[v] >= 1 else zeta
-        kds = DecoratedSeries(ring, graph, weights, g)
-        bracket_kappa(zeta_twist(log_hyper_A(order), "t", zeta), kds, v,
-                      sign=-1)
-        ds = ds * kds.exp()
-        s_v = tuple(sorted(set(graph.legs_at(v)) & set(S)))
-        if s_v:
-            # each p-degree-i diagonal term carries zeta^i, so a block of
-            # size b contributes an extra zeta^b beyond its t-degree
-            sign *= zeta ** len(s_v)
-            ds = ds * _partition_sum(ring, graph, weights, g, v, s_v, order,
-                                     zeta)
-    for e, (va, vb) in enumerate(graph.edges):
-        eds = DecoratedSeries(ring, graph, weights, g)
-        _edge_to_ds(
-            delta_edge(coloring[va], coloring[vb], order), eds, e
-        )
-        ds = ds * eds
-    return ds.extract(t=order).scale(
-        Fraction(sign, graph.automorphism_order())
-    )
-
-
 def fz_relation(g: int, weights: WeightData, r: int, S: tuple = (),
                 max_edges: int | None = None,
                 enforce: bool = True) -> TautClass:
     """FZ-type relation on the weighted space: graph-and-coloring sum.
 
-    Per-vertex factor ``exp(-{log A}^zeta_kappa) sum_P prod {C}^zeta_D``,
-    per-edge factor the edge series for the endpoint colors, coefficient
-    ``1/|Aut|``, extracted at ``t^(r - #edges)``.  Graphs with more than
-    ``r`` edges cannot contribute (the edge series has no poles in t).
+    Vertex factor :func:`_fz_vertex_factor`, per-edge factor the edge
+    series for the endpoint colors, coefficient ``1/|Aut|``, extracted at
+    ``t^(r - #edges)``.  Graphs with more than ``r`` edges cannot
+    contribute (the edge series has no poles in t).
     """
     S = tuple(sorted(S))
     _check_subset(S, weights.n)
@@ -542,11 +532,33 @@ def fz_relation(g: int, weights: WeightData, r: int, S: tuple = (),
         _check_fz_range(g, r, S)
     weights = _ensure_generic(weights)
     cap = r if max_edges is None else min(max_edges, r)
-    total = TautClass(g, weights)
-    for graph in enumerate_graphs(g, weights, cap):
-        for coloring in enumerate_colorings(graph):
-            total = total + _fz_graph_term(graph, coloring, g, weights, r, S)
-    return total
+    return _graph_sum(
+        g, weights, enumerate_graphs(g, weights, cap), r,
+        lambda order: Ring([VarSpec("t", 0, order + 1)]),
+        lambda ring, graph, v, zeta, order: _fz_vertex_factor(
+            ring, graph, weights, g, v, zeta, S, order),
+        delta_edge,
+        lambda order: {"t": order},
+    )
+
+
+def _sq_graph_sum(g: int, weights: WeightData, graphs, r: int, d: int,
+                  a: tuple, half_sign: int, pd_sign: int) -> TautClass:
+    """The stable-quotient graph sum: vertex factor
+    :func:`_boundary_vertex_factor`, edge factor the two-variable edge
+    series, extraction ``[t^(r-#edges) x^d p^a]``."""
+    gamma = phi_family(r, d)["gamma"]
+    a_map = {i: a[i - 1] for i in range(1, weights.n + 1)}
+    return _graph_sum(
+        g, weights, graphs, r,
+        lambda order: _sq_ring(order, d, a),
+        lambda ring, graph, v, zeta, order: _boundary_vertex_factor(
+            ring, graph, weights, g, v, zeta, gamma, a_map, half_sign,
+            pd_sign),
+        lambda z1, z2, order: edge_series_xy(z1, z2, order, d, kind=4),
+        lambda order: {"t": order, "x": d,
+                       **{f"p{i}": e for i, e in a_map.items()}},
+    )
 
 
 def boundary_sq_relation(g: int, weights: WeightData, r: int, d: int,
@@ -559,11 +571,7 @@ def boundary_sq_relation(g: int, weights: WeightData, r: int, d: int,
     {exp(pd_sign p_(v) D) gamma(zeta t, x)}_Delta)``; edge factor the
     two-variable edge series; extraction ``[t^(r-#edges) x^d p^a]``.
     """
-    if g < 0:
-        raise PreconditionError("genus >= 0", f"genus={g}")
-    n = weights.n
-    if len(a) != n:
-        raise ValueError("exponent vector must match the number of markings")
+    _check_sq_input(g, weights, a)
     a_total = sum(a)
     if enforce and not r > g - 2 * d - 1 + a_total:
         raise PreconditionError(
@@ -573,33 +581,8 @@ def boundary_sq_relation(g: int, weights: WeightData, r: int, d: int,
     cap = min(r, r - (g - 2 * d - 1 + a_total) - 1)
     if max_edges is not None:
         cap = min(cap, max_edges)
-    a_map = {i: a[i - 1] for i in range(1, n + 1)}
-    total = TautClass(g, weights)
-    gamma = phi_family(r, d)["gamma"]
-    for graph in enumerate_graphs(g, weights, cap):
-        order = r - graph.n_edges
-        ring = _sq_ring(order, d, a)
-        powers = {"t": order, "x": d,
-                  **{f"p{i}": e for i, e in a_map.items()}}
-        for coloring in enumerate_colorings(graph):
-            ds = DecoratedSeries.one(ring, graph, weights, g)
-            for v in range(graph.n_vertices):
-                ds = ds * _boundary_vertex_factor(
-                    ring, graph, weights, g, v, coloring[v], gamma,
-                    a_map, half_sign, pd_sign,
-                )
-            for e, (va, vb) in enumerate(graph.edges):
-                eds = DecoratedSeries(ring, graph, weights, g)
-                _edge_to_ds(
-                    edge_series_xy(coloring[va], coloring[vb], order, d,
-                                   kind=4),
-                    eds, e,
-                )
-                ds = ds * eds
-            total = total + ds.extract(**powers).scale(
-                Fraction(1, graph.automorphism_order())
-            )
-    return total
+    return _sq_graph_sum(g, weights, enumerate_graphs(g, weights, cap), r, d,
+                         a, half_sign, pd_sign)
 
 
 def extended_fz_relation(g: int, weights: WeightData, r: int,
@@ -648,26 +631,25 @@ def verify_chain(g: int, r: int, d_max: int | None = None) -> list:
     transformed exponent is triangular (y-degree <= u-degree); (iii) the
     extremal (diagonal) part is the FZ-form relation.
     """
+    if g < 0:
+        raise PreconditionError("genus >= 0", f"genus={g}")
+    if r < 1:
+        raise PreconditionError("codim >= 1", f"codim={r}")
     if d_max is None:
         d_max = r
     report = []
-    smooth = StableGraph((g,), (), ())
+    smooth = smooth_graph(g, 0)
     w0 = WeightData(())
 
     # side 1: exp(-{gamma}_kappa) in the (t, x) chart
     fam = phi_family(r, d_max)
     ring_tx = Ring([VarSpec("t", 0, r + 1), VarSpec("x", 0, d_max + 1)])
-    ds_tx = DecoratedSeries(ring_tx, smooth, w0, g)
-    bracket_kappa(fam["gamma"], ds_tx, 0, sign=-1)
-    lhs = ds_tx.exp()
+    lhs = _kappa_exp(fam["gamma"], ring_tx, smooth, w0, g)
 
     # side 2: exp(-{c}_kappa) in the (u, y) chart with the (1+4y)^e factor
     uy = uy_expansion(1, r, max(d_max, r))
-    c_series = uy["c_series"]
     ring_uy = Ring([VarSpec("u", 0, r + 1), VarSpec("y", 0, max(d_max, r) + 1)])
-    ds_uy = DecoratedSeries(ring_uy, smooth, w0, g)
-    bracket_kappa(c_series, ds_uy, 0, sign=-1, var="u")
-    rhs = ds_uy.exp()
+    rhs = _kappa_exp(uy["c_series"], ring_uy, smooth, w0, g, var="u")
 
     y_ring = Ring([VarSpec("y", 0, max(d_max, r) + 1)])
 
@@ -706,9 +688,7 @@ def verify_chain(g: int, r: int, d_max: int | None = None) -> list:
 
     extremal = rhs.extract(u=r, y=r)
     ring_t = Ring([VarSpec("t", 0, r + 1)])
-    ds_a = DecoratedSeries(ring_t, smooth, w0, g)
-    bracket_kappa(log_hyper_A(r), ds_a, 0, sign=-1)
-    via_log_a = ds_a.exp().extract(t=r)
+    via_log_a = _kappa_exp(log_hyper_A(r), ring_t, smooth, w0, g).extract(t=r)
     fz = open_fz_relation(g, 0, r, (), weights=w0, enforce=False)
     ok3 = extremal == via_log_a == fz
     report.append((
@@ -758,6 +738,8 @@ def pushforward_oracle(d_max: int = 3, t_order: int = 4,
     the closed form is built for each ``zeta``.  Returns
     ``[(name, ok, detail), ...]``, all rows for ``zeta = +1`` first.
     """
+    if d_max < 1:
+        raise PreconditionError("d >= 1", f"d={d_max}")
     w0 = WeightData(())
     fam = phi_family(t_order, d_max)
     pushed = {}
@@ -769,13 +751,10 @@ def pushforward_oracle(d_max: int = 3, t_order: int = 4,
                 cs[r + d].scale(Fraction(1, factorial(d))), d
             )
     rows = []
+    ring = Ring([VarSpec("t", 0, t_order + 1), VarSpec("x", 0, d_max + 1)])
     for zeta in (1, -1):
-        ring = Ring([VarSpec("t", 0, t_order + 1),
-                     VarSpec("x", 0, d_max + 1)])
-        smooth = StableGraph((g,), (), ())
-        ds = DecoratedSeries(ring, smooth, w0, g)
-        bracket_kappa(zeta_twist(fam["logPhi"], "t", zeta), ds, 0, sign=-1)
-        closed = ds.exp()
+        closed = _kappa_exp(zeta_twist(fam["logPhi"], "t", zeta), ring,
+                            smooth_graph(g, 0), w0, g)
         for d in range(1, d_max + 1):
             ok = True
             detail = ""

@@ -322,7 +322,9 @@ def test_11_determinism(tmp_path, monkeypatch):
 
 # sha256 of each payload: the other edge-kernel tests check properties, these
 # pin the values.  The sigma relation forgets points whose vertices then
-# destabilize, so it passes through the contraction in _forget_contract.
+# destabilize, so it passes through the contraction in _forget_contract.  The
+# fz, open-fz, open-sq and boundary-sq payloads pin each relation
+# construction by value, on marked points with and without a diagonal.
 GOLDEN_DIGESTS = {
     "DeltaE t=8":
         "c128a1dbc83b0376585658c624ebe553fc15009cf674e317338edcb60b5ca421",
@@ -334,6 +336,16 @@ GOLDEN_DIGESTS = {
         "803c07521ffa462fbad4bd4e0c4922b962eee94602a0c15acdf5405ea57e9880",
     "sigma 1,3 on weights 1/3":
         "a0646517fb0863920e02bff349b1dc3b4159005f2ac8c5a8cc477a79b56b4eca",
+    "open-fz g4 r3 1/5,1/5 S=1,2":
+        "6df3f351438d7bfce4a973a1d30affd36a9df0eca05f94f01542aa63f3186dc7",
+    "open-sq g2 r3 d1 1/10,1/10 a=1,1 signs +1,+1":
+        "c09ccd1e64357f24c960d1021d0d4a5895282918f2ff1c2a03e8460ab58d48fb",
+    "boundary-sq g2 r3 d1 1/10 a=1 half-sign -1":
+        "34b527e28b51f1a475a8b28750e993eea9f69c74ff681ce447fda456893abfc1",
+    "boundary-sq g1 r2 1/2,1/2 a=1,0":
+        "e8961a51b7862949a3acccf3cf0cea7e78daa377cdbbf925e2bbfa8cdbcce15d",
+    "fz g2 r3 1,1 S=1,2":
+        "1965dee51e5034181e404e07c42c198c5ca284246375d367ec0f0cbba2371b8a",
 }
 
 
@@ -347,6 +359,9 @@ def test_12_golden_digests():
     def dump(name, orders):
         return cli_payload("series", "dump", "--name", name, "--orders", orders)
 
+    def gen(*argv):
+        return cli_payload("relations", "gen", *argv, "--primitive")
+
     payloads = {
         "DeltaE t=8": dump("DeltaE", "t=8"),
         "Edge3 t=6,x=3": dump("Edge3", "t=6,x=3"),
@@ -355,9 +370,25 @@ def test_12_golden_digests():
             series_to_dict(edge_series_uy(z1, z2, 5, 5))
             for z1 in (1, -1) for z2 in (1, -1)
         ]),
-        "sigma 1,3 on weights 1/3": cli_payload(
-            "relations", "gen", "--genus", "2", "--codim", "3",
-            "--weights", "1/3", "--sigma", "1,3", "--primitive"),
+        "sigma 1,3 on weights 1/3": gen(
+            "--genus", "2", "--codim", "3", "--weights", "1/3",
+            "--sigma", "1,3"),
+        "open-fz g4 r3 1/5,1/5 S=1,2": gen(
+            "--genus", "4", "--codim", "3", "--construction", "open-fz",
+            "--weights", "1/5,1/5", "--subset", "1,2"),
+        "open-sq g2 r3 d1 1/10,1/10 a=1,1 signs +1,+1": gen(
+            "--genus", "2", "--codim", "3", "--construction", "open-sq",
+            "--d", "1", "--weights", "1/10,1/10", "--a", "1,1",
+            "--half-sign", "1", "--pd-sign", "1"),
+        "boundary-sq g2 r3 d1 1/10 a=1 half-sign -1": gen(
+            "--genus", "2", "--codim", "3", "--construction", "boundary-sq",
+            "--d", "1", "--weights", "1/10", "--a", "1", "--half-sign", "-1"),
+        "boundary-sq g1 r2 1/2,1/2 a=1,0": gen(
+            "--genus", "1", "--codim", "2", "--construction", "boundary-sq",
+            "--weights", "1/2,1/2", "--a", "1,0"),
+        "fz g2 r3 1,1 S=1,2": gen(
+            "--genus", "2", "--codim", "3", "--weights", "1,1",
+            "--subset", "1,2"),
     }
     digests = {
         name: hashlib.sha256(text.encode()).hexdigest()

@@ -87,6 +87,25 @@ class TestRelationsGen:
         assert bare == gen("--half-sign", default, "--pd-sign", default)
         assert bare != gen("--half-sign", other, "--pd-sign", other)
 
+    @pytest.mark.parametrize("construction,flags,flag", [
+        ("open-fz", ("--sigma", "4"), "--sigma"),
+        ("open-sq", ("--sigma", "1"), "--sigma"),
+        ("boundary-sq", ("--sigma", "1"), "--sigma"),
+        ("boundary-sq", ("--subset", "1", "--weights", "1"), "--subset"),
+        ("open-sq", ("--subset", "1", "--weights", "1"), "--subset"),
+        ("fz", ("--d", "2", "--a", "5"), "--d"),
+        ("fz", ("--a", "5"), "--a"),
+        ("open-fz", ("--half-sign", "1"), "--half-sign"),
+        ("extended", ("--sigma", "1", "--pd-sign", "-1"), "--pd-sign"),
+    ])
+    def test_unread_flag_exits_2(self, capsys, construction, flags, flag):
+        code, out, err = run(capsys, "relations", "gen", "--genus", "3",
+                             "--codim", "2", "--construction", construction,
+                             *flags)
+        assert code == 2
+        assert f"{flag} is not read by the {construction} construction" in err
+        assert out == ""
+
     def test_open_sq_construction(self, capsys):
         code, out, _ = run(capsys, "relations", "gen", "--genus", "3",
                            "--codim", "2", "--construction", "open-sq",
@@ -295,6 +314,24 @@ CLASS_FILES["batch_no_weights.json"] = [{"genus": 1, "terms": []}]
 CLASS_FILES["batch_ints.json"] = [1, 2]
 
 
+def _batch_with(graph=None, **row):
+    """A one-relation batch: the one-vertex genus-one class with one leg,
+    with its graph or row fields replaced."""
+    term = {"graph": {"vertices": [1], "legs": [[1, 0]], "edges": [],
+                      **(graph or {})},
+            "decor": [{"kappa": [], "blocks": []}], "num": "1", "den": "1"}
+    relation = {"genus": 1, "weights": [["1", "2"]], "terms": [term]}
+    for key, value in row.items():
+        (relation if key == "genus" else term)[key] = value
+    return [relation]
+
+
+CLASS_FILES["batch_leg_vertex.json"] = _batch_with({"legs": [[1, 5]]})
+CLASS_FILES["batch_edge_vertex.json"] = _batch_with({"edges": [[0, 3]]})
+CLASS_FILES["batch_no_decor.json"] = _batch_with(decor=[])
+CLASS_FILES["batch_str_genus.json"] = _batch_with(genus="x")
+
+
 class TestInvalidInput:
     @pytest.mark.parametrize("argv,condition", [
         (("graphs", "list", "--genus", "1", "--weights", "2",
@@ -334,6 +371,21 @@ class TestInvalidInput:
          "cannot read batch batch_no_weights.json"),
         (("rank", "--batch", "batch_ints.json"),
          "cannot read batch batch_ints.json"),
+        (("rank", "--batch", "batch_leg_vertex.json"),
+         "cannot read batch batch_leg_vertex.json"),
+        (("rank", "--batch", "batch_edge_vertex.json"),
+         "cannot read batch batch_edge_vertex.json"),
+        (("rank", "--batch", "batch_no_decor.json"),
+         "cannot read batch batch_no_decor.json"),
+        (("rank", "--batch", "batch_str_genus.json"),
+         "cannot read batch batch_str_genus.json"),
+        (("verify", "--suite", "pushforward", "--d", "0"), "d >= 1 violated"),
+        (("verify", "--suite", "pushforward", "--d", "-1"),
+         "d >= 1 violated"),
+        (("verify", "--suite", "chain", "--genus", "-1"),
+         "genus >= 0 violated"),
+        (("verify", "--suite", "chain", "--genus", "1"),
+         "codim >= 1 violated"),
     ])
     def test_exit_2_names_condition(self, capsys, tmp_path, monkeypatch,
                                     argv, condition):
