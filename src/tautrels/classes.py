@@ -162,6 +162,42 @@ def words_normal_form(
     return tuple(decor), coeff
 
 
+_PRODUCT_CACHE: dict = {}
+_MISS = object()
+
+
+def _product_table(weights: WeightData) -> dict:
+    """The memo of :func:`_decor_product` for ``weights``, found by their
+    integer form, which hashes without ``Fraction`` arithmetic."""
+    return _PRODUCT_CACHE.setdefault(weights._scaled, {})
+
+
+def _decor_product(table: dict, graph: StableGraph, weights: WeightData,
+                   d1: tuple, d2: tuple) -> tuple | None:
+    """The product of two stored decorations of ``graph``, or ``None`` if
+    it vanishes; ``table`` is ``_product_table(weights)``.
+
+    Stored decorations carry no kappa_0 and no raw diagonal, and two stored
+    blocks that merge satisfy ``a + b >= |S u T| - 1``, so each vertex
+    product has coefficient 1 and depends on neither the vertex nor its
+    genus: the memo is keyed by the two vertex decorations alone.
+    """
+    out = []
+    for v, key in enumerate(zip(d1, d2)):
+        vd = table.get(key, _MISS)
+        if vd is _MISS:
+            nf = normal_form(graph, weights, v,
+                             _vertex_word(*key[0]) + _vertex_word(*key[1]))
+            if nf is not None:
+                assert nf[0] == 1, "stored decorations multiply with 1"
+                nf = nf[1:]
+            vd = table[key] = nf
+        if vd is None:
+            return None
+        out.append(vd)
+    return tuple(out)
+
+
 def _decor_codim(graph: StableGraph, decor: tuple) -> int:
     total = graph.n_edges
     for kappa, blocks in decor:

@@ -65,6 +65,14 @@ _FLAG_READERS = {
     "--pd-sign": _SQ_ONLY,
 }
 
+# the suites that read each suite-specific `verify` flag
+_VERIFY_FLAG_READERS = {
+    "--quick": ("series",),
+    "--genus": ("chain",),
+    "--codim": ("chain",),
+    "--d": ("pushforward",),
+}
+
 
 class UsageError(ValueError):
     """Argument or configuration problem; maps to exit code 2."""
@@ -146,15 +154,20 @@ def _primitive_scale(rel: TautClass) -> TautClass:
     return rel.scale(scale)
 
 
+def _reject_unread(given: dict, readers: dict, reader: str,
+                   kind: str) -> None:
+    """Exit 2 on a flag of ``given`` that ``reader`` does not read."""
+    for flag, value in given.items():
+        if value and reader not in readers[flag]:
+            raise UsageError(f"{flag} is not read by the {reader} {kind}")
+
+
 def cmd_relations_gen(args, cfg: dict, log: Logger) -> int:
     construction = args.construction
     given = {"--subset": args.subset, "--sigma": args.sigma, "--d": args.d,
              "--a": args.a, "--half-sign": args.half_sign is not None,
              "--pd-sign": args.pd_sign is not None}
-    for flag, value in given.items():
-        if value and construction not in _FLAG_READERS[flag]:
-            raise UsageError(
-                f"{flag} is not read by the {construction} construction")
+    _reject_unread(given, _FLAG_READERS, construction, "construction")
     weights = WeightData.of(_parse_fractions(args.weights))
     subset = _parse_ints(args.subset)
     sigma = _parse_ints(args.sigma)
@@ -255,6 +268,9 @@ def cmd_rank(args, cfg: dict, log: Logger) -> int:
 
 
 def cmd_verify(args, cfg: dict, log: Logger) -> int:
+    given = {"--quick": args.quick, "--genus": args.genus is not None,
+             "--codim": args.codim is not None, "--d": args.d is not None}
+    _reject_unread(given, _VERIFY_FLAG_READERS, args.suite, "suite")
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 20260826))
     if args.suite == "series":
         rows = identity_suite(quick=args.quick, seed=seed)

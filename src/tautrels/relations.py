@@ -18,7 +18,9 @@ Relations are extracted as ``TautClass`` values at a fixed multi-degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from functools import reduce
+from math import comb, factorial, lcm, prod
+from operator import lshift, mul
 
 from .catalog import (
     delta_edge,
@@ -30,8 +32,9 @@ from .catalog import (
 )
 from .classes import (
     TautClass,
-    _decor_words,
+    _decor_product,
     _hpsi_words,
+    _product_table,
     chern_neg_Bd,
     multiply_generator,
     normal_form,
@@ -114,6 +117,19 @@ def set_partitions(items: tuple):
 # ---------------------------------------------------------------------------
 
 
+def _packed(terms: dict, shifts: tuple, bias: int) -> tuple:
+    """``(d, {decoration: [(packed exponents, numerator), ...]})`` for
+    the terms of a decorated series, ``d`` the lcm of their denominators."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    rows: dict = {}
+    for (exps, decor), c in terms.items():
+        rows.setdefault(decor, []).append(
+            (bias + sum(map(lshift, exps, shifts)),
+             c.numerator * (d // c.denominator))
+        )
+    return d, rows
+
+
 class DecoratedSeries:
     """Scalar power series whose coefficients are vertex decorations.
 
@@ -183,18 +199,41 @@ class DecoratedSeries:
         return out
 
     def __mul__(self, other: "DecoratedSeries") -> "DecoratedSeries":
+        """Product on integer numerators over one denominator per operand,
+        with the exponents packed as in ``Series.__mul__`` and each pair of
+        decorations multiplied once through the vertex product memo."""
         out = DecoratedSeries(self.ring, self.graph, self.weights, self.genus)
-        specs = self.ring.specs
-        right = [(e2, _decor_words(d2), c2)
-                 for (e2, d2), c2 in other.terms.items()]
-        for (e1, d1), c1 in self.terms.items():
-            left = _decor_words(d1)
-            for e2, words2, c2 in right:
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                if any(e >= s.trunc_order for e, s in zip(exps, specs)):
+        shifts, biases, masks, left, right, high, laurent = (
+            self.ring._product_layout()
+        )
+        da, pa = _packed(self.terms, shifts, left)
+        db, pb = _packed(other.terms, shifts, right)
+        table = _product_table(self.weights)
+        acc: dict = {}
+        get = acc.get
+        for d1, row1 in pa.items():
+            for d2, row2 in pb.items():
+                decor = _decor_product(table, self.graph, self.weights, d1, d2)
+                if decor is None:
                     continue
-                words = [w1 + w2 for w1, w2 in zip(left, words2)]
-                out.add_word_term(exps, words, c1 * c2)
+                for k1, c1 in row1:
+                    for k2, c2 in row2:
+                        k = k1 + k2
+                        if k & high:
+                            continue
+                        key = (k, decor)
+                        acc[key] = get(key, 0) + c1 * c2
+        den = da * db
+        specs = self.ring.specs
+        for (k, decor), v in acc.items():
+            if not v:
+                continue
+            exps = tuple(
+                ((k >> sh) & m) - x for sh, m, x in zip(shifts, masks, biases)
+            )
+            if laurent and any(e < s.min_exponent for e, s in zip(exps, specs)):
+                raise ValueError("exponent below ring floor")
+            out.terms[exps, decor] = Fraction(v, den)
         return out
 
     def exp(self) -> "DecoratedSeries":
@@ -376,11 +415,19 @@ def _compositions(total: int, markings: list, cap: dict):
             yield out
 
 
-def _check_sq_input(g: int, weights: WeightData, a: tuple) -> None:
+def _check_sq_input(g: int, weights: WeightData, r: int, d: int,
+                    a: tuple) -> None:
     if g < 0:
         raise PreconditionError("genus >= 0", f"genus={g}")
+    if r < 0:
+        raise PreconditionError("r >= 0", f"r={r}")
+    if d < 0:
+        raise PreconditionError("d >= 0", f"d={d}")
     if len(a) != weights.n:
-        raise ValueError("exponent vector must match the number of markings")
+        raise PreconditionError("len(a) == n",
+                                f"len(a)={len(a)}, n={weights.n}")
+    if any(ai < 0 for ai in a):
+        raise PreconditionError("a_i >= 0", f"a={','.join(map(str, a))}")
 
 
 def open_sq_relation(g: int, weights: WeightData, r: int, d: int,
@@ -388,14 +435,14 @@ def open_sq_relation(g: int, weights: WeightData, r: int, d: int,
                      enforce: bool = True) -> TautClass:
     """Stable-quotient relation on the smooth space.
 
-    Expands ``sum_zeta zeta^(g-1) exp(half_sign * zeta p / 2 +
+    Expands ``sum_zeta zeta^(g+1) exp(half_sign * zeta p / 2 +
     {exp(pd_sign * p D) gamma(zeta t, x)}_Delta)`` and extracts
     ``[t^r x^d p^a]``: the smooth-graph term of the boundary construction,
     on the weights as given.  The default signs follow the proposition
     display; the global sign ambiguity is reported by the smooth-graph
     comparison in the boundary construction.
     """
-    _check_sq_input(g, weights, a)
+    _check_sq_input(g, weights, r, d, a)
     if enforce and not r > g - 1 - 2 * d + sum(a):
         raise PreconditionError(
             "r > g-1-2d+|a|", f"r={r}, g={g}, d={d}, |a|={sum(a)}"
@@ -490,6 +537,8 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
     ``vertex_factor(ring, graph, v, zeta, order)`` is the decorated factor
     at vertex ``v``, and ``edge_series(z1, z2, order)`` the kernel of an
     edge whose ends have colours ``z1`` and ``z2``, in (t[, x], p1, p2).
+    Each factor is built once per graph: a vertex factor per ``(v, zeta)``
+    and an edge kernel per ``(e, z1, z2)``.
     """
     total = TautClass(g, weights)
     for graph in graphs:
@@ -497,15 +546,23 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
         ring = ring_of(order)
         powers = powers_of(order)
         scale = Fraction(1, graph.automorphism_order())
+        vertex_factors: dict = {}
+        edge_kernels: dict = {}
         for coloring in enumerate_colorings(graph):
-            ds = DecoratedSeries.one(ring, graph, weights, g)
+            factors = []
             for v, zeta in enumerate(coloring):
-                ds = ds * vertex_factor(ring, graph, v, zeta, order)
+                if (v, zeta) not in vertex_factors:
+                    vertex_factors[v, zeta] = vertex_factor(ring, graph, v,
+                                                            zeta, order)
+                factors.append(vertex_factors[v, zeta])
             for e, (va, vb) in enumerate(graph.edges):
-                eds = DecoratedSeries(ring, graph, weights, g)
-                _edge_to_ds(edge_series(coloring[va], coloring[vb], order),
-                            eds, e)
-                ds = ds * eds
+                key = (e, coloring[va], coloring[vb])
+                if key not in edge_kernels:
+                    eds = edge_kernels[key] = DecoratedSeries(
+                        ring, graph, weights, g)
+                    _edge_to_ds(edge_series(key[1], key[2], order), eds, e)
+                factors.append(edge_kernels[key])
+            ds = reduce(mul, factors)
             total = total + ds.extract(**powers).scale(scale)
     return total
 
@@ -567,11 +624,11 @@ def boundary_sq_relation(g: int, weights: WeightData, r: int, d: int,
                          enforce: bool = True) -> TautClass:
     """Stable-quotient relation as a sum over stable graphs and colorings.
 
-    Vertex factor ``zeta^(g(v)-1) exp(half_sign zeta p_(v)/2 +
+    Vertex factor ``zeta^(g(v)+1) exp(half_sign zeta p_(v)/2 +
     {exp(pd_sign p_(v) D) gamma(zeta t, x)}_Delta)``; edge factor the
     two-variable edge series; extraction ``[t^(r-#edges) x^d p^a]``.
     """
-    _check_sq_input(g, weights, a)
+    _check_sq_input(g, weights, r, d, a)
     a_total = sum(a)
     if enforce and not r > g - 2 * d - 1 + a_total:
         raise PreconditionError(

@@ -386,6 +386,27 @@ class TestInvalidInput:
          "genus >= 0 violated"),
         (("verify", "--suite", "chain", "--genus", "1"),
          "codim >= 1 violated"),
+        (("verify", "--suite", "pushforward", "--d", "1", "--genus", "7"),
+         "--genus is not read by the pushforward suite"),
+        (("verify", "--suite", "chain", "--genus", "3", "--codim", "2",
+          "--d", "5"), "--d is not read by the chain suite"),
+        (("verify", "--suite", "series", "--quick", "--genus", "9",
+          "--d", "4"), "--genus is not read by the series suite"),
+        (("verify", "--suite", "pushforward", "--quick"),
+         "--quick is not read by the pushforward suite"),
+        (("relations", "gen", "--genus", "2", "--codim", "2",
+          "--construction", "boundary-sq", "--d", "1", "--a", "1"),
+         "len(a) == n violated"),
+        (("relations", "gen", "--genus", "2", "--codim", "2",
+          "--construction", "open-sq", "--weights", "1/10", "--a", "1,1"),
+         "len(a) == n violated"),
+        (("relations", "gen", "--genus", "0", "--codim", "-1",
+          "--construction", "open-sq", "--d", "2"), "r >= 0 violated"),
+        (("relations", "gen", "--genus", "2", "--codim", "9",
+          "--construction", "open-sq", "--d", "-2"), "d >= 0 violated"),
+        (("relations", "gen", "--genus", "2", "--codim", "2",
+          "--construction", "boundary-sq", "--d", "1", "--weights", "1/10",
+          "--a", "-1"), "a_i >= 0 violated"),
     ])
     def test_exit_2_names_condition(self, capsys, tmp_path, monkeypatch,
                                     argv, condition):

@@ -5,17 +5,26 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tautrels import relations
 from tautrels.catalog import hyper_A, phi_family, series_C
 from tautrels.classes import (
     TautClass,
+    _decor_words,
     chern_neg_Bd,
     matrix_rank,
     pushforward_forget_small,
     to_vector,
     weight_reduce,
 )
-from tautrels.graphs import StableGraph, WeightData
+from tautrels.graphs import (
+    StableGraph,
+    WeightData,
+    enumerate_colorings,
+    enumerate_graphs,
+)
 from tautrels.relations import (
     DecoratedSeries,
     PreconditionError,
@@ -44,6 +53,150 @@ def kappa_class(genus, weights, *indices):
 
 
 W0 = WeightData(())
+
+
+# ---------------------------------------------------------------------------
+# Decorated series products
+# ---------------------------------------------------------------------------
+
+
+def oracle_mul(a, b):
+    """Reference product: every pair of terms rebuilt as raw words and
+    reduced with ``normal_form``."""
+    out = DecoratedSeries(a.ring, a.graph, a.weights, a.genus)
+    specs = a.ring.specs
+    right = [(e2, _decor_words(d2), c2) for (e2, d2), c2 in b.terms.items()]
+    for (e1, d1), c1 in a.terms.items():
+        left = _decor_words(d1)
+        for e2, words2, c2 in right:
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            if any(e >= s.trunc_order for e, s in zip(exps, specs)):
+                continue
+            words = [w1 + w2 for w1, w2 in zip(left, words2)]
+            out.add_word_term(exps, words, c1 * c2)
+    return out
+
+
+# (1/2, 2/3) kills the block {1, 2} and (1/8, 1/8) keeps it; with a third
+# point of weight 1/4 the blocks {1, 3} and {2, 3} live but merge to zero
+PRODUCT_WEIGHTS = [
+    WeightData((Fraction(1, 2), Fraction(2, 3))),
+    WeightData((Fraction(1, 8), Fraction(1, 8))),
+    WeightData((Fraction(1, 2), Fraction(2, 3), Fraction(1, 4))),
+    WeightData((Fraction(1, 8),) * 3),
+]
+PRODUCT_GRAPHS = [
+    (g, w, graph)
+    for w in PRODUCT_WEIGHTS
+    for g in (1, 2)
+    for graph in enumerate_graphs(g, w, 2)
+]
+
+
+@st.composite
+def vertex_words(draw, graph, v):
+    """A raw word at ``v``: kappa factors, psi powers at its markings and
+    half-edges, and at most one diagonal block of its markings."""
+    word = [("kappa", j) for j in draw(st.lists(st.integers(1, 2),
+                                                max_size=2))]
+    markings = graph.legs_at(v)
+    for i in markings:
+        word.append(("psi", i, draw(st.integers(0, 2))))
+    for he in graph.half_edges_at(v):
+        word.append(("hpsi", he, draw(st.integers(0, 2))))
+    if len(markings) >= 2 and draw(st.booleans()):
+        block = draw(st.lists(st.sampled_from(markings), min_size=2,
+                              max_size=len(markings), unique=True))
+        word.append(("Dsa", tuple(sorted(block)),
+                     len(block) - 1 + draw(st.integers(0, 1))))
+    return word
+
+
+@st.composite
+def product_operands(draw):
+    g, weights, graph = draw(st.sampled_from(PRODUCT_GRAPHS))
+    ring = Ring([VarSpec("t", 0, draw(st.integers(1, 4))),
+                 VarSpec("x", 0, draw(st.integers(1, 3)))])
+    coefficients = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                             st.sampled_from([1, 2, 3, 4, 9]))
+
+    def series():
+        ds = DecoratedSeries(ring, graph, weights, g)
+        for _ in range(draw(st.integers(0, 5))):
+            exps = tuple(draw(st.integers(0, s.trunc_order - 1))
+                         for s in ring.specs)
+            words = [draw(vertex_words(graph, v))
+                     for v in range(graph.n_vertices)]
+            ds.add_word_term(exps, words, draw(coefficients))
+        return ds
+
+    a, b = series(), series()
+    if draw(st.booleans()):
+        # (a + b)(a - b): the cross terms a*b and -b*a cancel pairwise
+        a, b = a + b, a + b.scale(-1)
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_operands())
+def test_product_matches_word_oracle(operands):
+    a, b = operands
+    assert (a * b).terms == oracle_mul(a, b).terms
+    assert (b * a).terms == oracle_mul(b, a).terms
+
+
+def test_product_memo_tells_weights_apart():
+    # D_{13,1} D_{23,1} = D_{123,2}, which the weights (1/2, 2/3, 1/4) kill
+    graph = smooth(1, 3)
+    ring = Ring([VarSpec("t", 0, 2)])
+    for weights in (PRODUCT_WEIGHTS[3], PRODUCT_WEIGHTS[2],
+                    PRODUCT_WEIGHTS[3]):
+        a = DecoratedSeries(ring, graph, weights, 1)
+        b = DecoratedSeries(ring, graph, weights, 1)
+        a.add_word_term((0,), [[("Dsa", (1, 3), 1)]], Fraction(1, 3))
+        b.add_word_term((1,), [[("Dsa", (2, 3), 1)]], Fraction(3, 2))
+        product = a * b
+        assert product.terms == oracle_mul(a, b).terms
+        assert bool(product.terms) == (weights == PRODUCT_WEIGHTS[3])
+
+
+def test_graph_sum_builds_each_factor_once(monkeypatch):
+    """On fz g=3 r=2 each vertex factor is built once per (graph, v, zeta)
+    and each edge kernel once per (graph, e, zeta_a, zeta_b)."""
+    expected = fz_relation(3, W0, 2)
+    vertex_calls, kernel_calls, colours = [], [], []
+    build_vertex = relations._fz_vertex_factor
+    build_kernel = relations._edge_to_ds
+    edge_series = relations.delta_edge
+
+    def vertex_factor(ring, graph, weights, g, v, zeta, S, order):
+        vertex_calls.append((graph, v, zeta))
+        return build_vertex(ring, graph, weights, g, v, zeta, S, order)
+
+    def kernel_series(z1, z2, order):
+        colours.append((z1, z2))
+        return edge_series(z1, z2, order)
+
+    def edge_to_ds(series, ds, e):
+        kernel_calls.append((ds.graph, e) + colours[-1])
+        build_kernel(series, ds, e)
+
+    monkeypatch.setattr(relations, "_fz_vertex_factor", vertex_factor)
+    monkeypatch.setattr(relations, "delta_edge", kernel_series)
+    monkeypatch.setattr(relations, "_edge_to_ds", edge_to_ds)
+    assert fz_relation(3, W0, 2) == expected
+
+    vertices, kernels = set(), set()
+    for graph in enumerate_graphs(3, W0, 2):
+        for coloring in enumerate_colorings(graph):
+            vertices |= {(graph, v, z) for v, z in enumerate(coloring)}
+            kernels |= {(graph, e, coloring[va], coloring[vb])
+                        for e, (va, vb) in enumerate(graph.edges)}
+    assert kernels
+    assert len(vertex_calls) == len(vertices)
+    assert set(vertex_calls) == vertices
+    assert len(kernel_calls) == len(kernels)
+    assert set(kernel_calls) == kernels
 
 
 # ---------------------------------------------------------------------------
