@@ -207,8 +207,8 @@ def c_neg1_coefficients(x_order: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def uy_ring(u_order: int, y_order: int, u_floor: int = 0) -> Ring:
-    return Ring([VarSpec("u", u_floor, u_order + 1), VarSpec("y", 0, y_order + 1)])
+def uy_ring(u_order: int, y_order: int) -> Ring:
+    return Ring([VarSpec("u", 0, u_order + 1), VarSpec("y", 0, y_order + 1)])
 
 
 @lru_cache(maxsize=None)

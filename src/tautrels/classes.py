@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, lcm
 
 from .graphs import StableGraph, WeightData, smooth_graph
 from .series import Ring, VarSpec
@@ -1008,12 +1008,9 @@ def matrix_rank(rows: list) -> int:
         return 0
     mat = []
     for row in rows:
-        denom = 1
-        for x in row:
-            denom = denom * Fraction(x).denominator // gcd(
-                denom, Fraction(x).denominator
-            )
-        mat.append([int(Fraction(x) * denom) for x in row])
+        row = [Fraction(x) for x in row]
+        denom = lcm(*(x.denominator for x in row))
+        mat.append([x.numerator * (denom // x.denominator) for x in row])
     m, n = len(mat), len(mat[0]) if mat else 0
     rank = 0
     prev = 1

@@ -89,25 +89,35 @@ class Logger:
             print(" ".join(f"{k}={v}" for k, v in sorted(fields.items())))
 
 
-def _parse_fractions(text: str) -> tuple:
-    if not text:
-        return ()
-    return tuple(Fraction(part) for part in text.split(","))
+def _parse_list(text: str, flag: str, parse, kind: str) -> tuple:
+    """The comma-separated values of ``flag``, each read by ``parse``."""
+    out = []
+    for part in text.split(",") if text else ():
+        try:
+            out.append(parse(part))
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(
+                f"{flag} part {part!r} is not {kind}") from None
+    return tuple(out)
 
 
-def _parse_ints(text: str) -> tuple:
-    if not text:
-        return ()
-    return tuple(int(part) for part in text.split(","))
+def _parse_fractions(text: str, flag: str) -> tuple:
+    return _parse_list(text, flag, Fraction, "a rational number")
+
+
+def _parse_ints(text: str, flag: str) -> tuple:
+    return _parse_list(text, flag, int, "an integer")
 
 
 def _parse_orders(text: str) -> dict:
     out = {}
     for part in text.split(","):
         name, _, value = part.partition("=")
-        if not value:
-            raise UsageError(f"order {part!r} is not of the form var=N")
-        order = int(value)
+        try:
+            order = int(value)
+        except ValueError:
+            raise UsageError(
+                f"order {part!r} is not of the form var=N") from None
         if order < 0:
             raise UsageError(f"order >= 0 violated: {part}")
         out[name.strip()] = order
@@ -164,13 +174,16 @@ def _reject_unread(given: dict, readers: dict, reader: str,
 
 def cmd_relations_gen(args, cfg: dict, log: Logger) -> int:
     construction = args.construction
-    given = {"--subset": args.subset, "--sigma": args.sigma, "--d": args.d,
-             "--a": args.a, "--half-sign": args.half_sign is not None,
+    given = {"--subset": args.subset, "--sigma": args.sigma,
+             "--d": args.d is not None, "--a": args.a,
+             "--half-sign": args.half_sign is not None,
              "--pd-sign": args.pd_sign is not None}
     _reject_unread(given, _FLAG_READERS, construction, "construction")
-    weights = WeightData.of(_parse_fractions(args.weights))
-    subset = _parse_ints(args.subset)
-    sigma = _parse_ints(args.sigma)
+    weights = WeightData.of(_parse_fractions(args.weights, "--weights"))
+    subset = _parse_ints(args.subset, "--subset")
+    sigma = _parse_ints(args.sigma, "--sigma")
+    d = args.d or 0
+    a = _parse_ints(args.a, "--a") or (0,) * weights.n
     if sigma and construction == "fz":
         construction = "extended"
     # signs the user did not give keep the construction's own defaults
@@ -185,14 +198,11 @@ def cmd_relations_gen(args, cfg: dict, log: Logger) -> int:
                                    subset)
     elif construction == "open-fz":
         rel = open_fz_relation(args.genus, weights.n, args.codim, subset,
-                               weights=weights if weights.n else None)
+                               weights=weights)
     elif construction == "open-sq":
-        rel = open_sq_relation(args.genus, weights, args.codim, args.d,
-                               _parse_ints(args.a) or (0,) * weights.n,
-                               **signs)
+        rel = open_sq_relation(args.genus, weights, args.codim, d, a, **signs)
     elif construction == "boundary-sq":
-        rel = boundary_sq_relation(args.genus, weights, args.codim, args.d,
-                                   _parse_ints(args.a) or (0,) * weights.n,
+        rel = boundary_sq_relation(args.genus, weights, args.codim, d, a,
                                    **signs)
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown construction {construction!r}")
@@ -332,7 +342,7 @@ def cmd_series_dump(args, cfg: dict, log: Logger) -> int:
 
 
 def cmd_graphs_list(args, cfg: dict, log: Logger) -> int:
-    weights = WeightData.of(_parse_fractions(args.weights))
+    weights = WeightData.of(_parse_fractions(args.weights, "--weights"))
     graphs = enumerate_graphs(args.genus, weights, args.max_edges)
     payload = {"genus": args.genus,
                "weights": [str(w) for w in weights.weights],
@@ -387,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--subset", default="", help="markings, e.g. 1,3")
     gen.add_argument("--sigma", default="", help="partition, e.g. 1,1,4")
     gen.add_argument("--construction", choices=CONSTRUCTIONS, default="fz")
-    gen.add_argument("--d", type=int, default=0, help="x-degree for the "
-                     "stable-quotient constructions")
+    gen.add_argument("--d", type=int, default=None, help="x-degree for the "
+                     "stable-quotient constructions (default 0)")
     gen.add_argument("--a", default="", help="marking exponents for the "
                      "stable-quotient constructions")
     gen.add_argument("--half-sign", type=int, choices=(1, -1), default=None)

@@ -168,7 +168,7 @@ class StableGraph:
                     frontier.append(w)
         return len(seen) == self.n_vertices
 
-    def validate(self, weights: WeightData, genus: int | None = None) -> None:
+    def validate(self, weights: WeightData, genus: int) -> None:
         """Raise ValueError on any structural or stability defect."""
         if len(self.legs) != weights.n:
             raise ValueError("leg count does not match weight data")
@@ -185,7 +185,7 @@ class StableGraph:
             raise ValueError("negative genus")
         if not self.is_connected():
             raise ValueError("graph is not connected")
-        if genus is not None and self.genus != genus:
+        if self.genus != genus:
             raise ValueError(f"total genus {self.genus} != {genus}")
         for v in range(self.n_vertices):
             nh = len(self.half_edges_at(v))

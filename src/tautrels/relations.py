@@ -29,6 +29,7 @@ from .catalog import (
     phi_family,
     series_C,
     uy_expansion,
+    uy_ring,
 )
 from .classes import (
     TautClass,
@@ -86,17 +87,6 @@ def _check_fz_range(g: int, r: int, S: tuple) -> None:
         )
 
 
-def zeta_twist(series: Series, var: str, zeta: int) -> Series:
-    """Substitute ``var -> zeta * var`` for ``zeta`` in {1, -1}."""
-    if zeta == 1:
-        return series
-    idx = series.ring.index[var]
-    out = {}
-    for exps, c in series.terms():
-        out[exps] = -c if exps[idx] % 2 else c
-    return Series(series.ring, out)
-
-
 def set_partitions(items: tuple):
     """All partitions of ``items`` into nonempty blocks."""
     items = list(items)
@@ -138,22 +128,21 @@ class DecoratedSeries:
     per-vertex normal form used by :class:`TautClass`.
     """
 
-    __slots__ = ("ring", "graph", "weights", "genus", "terms")
+    __slots__ = ("ring", "graph", "weights", "terms")
 
     def __init__(self, ring: Ring, graph: StableGraph, weights: WeightData,
-                 genus: int, terms: dict | None = None):
+                 terms: dict | None = None):
         self.ring = ring
         self.graph = graph
         self.weights = weights
-        self.genus = genus
         self.terms = terms if terms is not None else {}
 
     def _trivial_decor(self) -> tuple:
         return tuple(((), ()) for _ in range(self.graph.n_vertices))
 
     @classmethod
-    def one(cls, ring, graph, weights, genus) -> "DecoratedSeries":
-        ds = cls(ring, graph, weights, genus)
+    def one(cls, ring, graph, weights) -> "DecoratedSeries":
+        ds = cls(ring, graph, weights)
         exps = tuple(0 for _ in ring.specs)
         ds.terms[(exps, ds._trivial_decor())] = Fraction(1)
         return ds
@@ -180,9 +169,8 @@ class DecoratedSeries:
             self.add_term(exps, *reduced)
 
     def __add__(self, other: "DecoratedSeries") -> "DecoratedSeries":
-        out = DecoratedSeries(
-            self.ring, self.graph, self.weights, self.genus, dict(self.terms)
-        )
+        out = DecoratedSeries(self.ring, self.graph, self.weights,
+                              dict(self.terms))
         for key, c in other.terms.items():
             new = out.terms.get(key, Fraction(0)) + c
             if new == 0:
@@ -193,7 +181,7 @@ class DecoratedSeries:
 
     def scale(self, factor) -> "DecoratedSeries":
         factor = Fraction(factor)
-        out = DecoratedSeries(self.ring, self.graph, self.weights, self.genus)
+        out = DecoratedSeries(self.ring, self.graph, self.weights)
         if factor:
             out.terms = {k: c * factor for k, c in self.terms.items()}
         return out
@@ -202,7 +190,7 @@ class DecoratedSeries:
         """Product on integer numerators over one denominator per operand,
         with the exponents packed as in ``Series.__mul__`` and each pair of
         decorations multiplied once through the vertex product memo."""
-        out = DecoratedSeries(self.ring, self.graph, self.weights, self.genus)
+        out = DecoratedSeries(self.ring, self.graph, self.weights)
         shifts, biases, masks, left, right, high, laurent = (
             self.ring._product_layout()
         )
@@ -245,9 +233,7 @@ class DecoratedSeries:
             )
             if grade <= 0:
                 raise ValueError("exponential of a term of degree zero")
-        result = DecoratedSeries.one(
-            self.ring, self.graph, self.weights, self.genus
-        )
+        result = DecoratedSeries.one(self.ring, self.graph, self.weights)
         power = self
         k = 1
         while power.terms:
@@ -261,7 +247,7 @@ class DecoratedSeries:
         for name, p in powers.items():
             target[self.ring.index[name]] = p
         target = tuple(target)
-        out = TautClass(self.genus, self.weights)
+        out = TautClass(self.graph.genus, self.weights)
         for (exps, decor), c in self.terms.items():
             if exps == target:
                 out.add_term(self.graph, decor, c)
@@ -287,8 +273,8 @@ def _bracket_terms(series: Series, ring: Ring, var: str):
 
 
 def bracket_kappa(series: Series, ds: DecoratedSeries, vertex: int,
-                  sign: int = 1, var: str = "t") -> None:
-    """Add ``sign * {series}_kappa`` at ``vertex`` into ``ds``.
+                  var: str = "t") -> None:
+    """Add ``{series}_kappa`` at ``vertex`` into ``ds``.
 
     Scalar variables of ``series`` other than ``var`` are carried over by
     name; ``var``'s exponent becomes the kappa index and stays in the
@@ -299,14 +285,14 @@ def bracket_kappa(series: Series, ds: DecoratedSeries, vertex: int,
             continue  # kappa with negative index vanishes
         words = [[] for _ in range(ds.graph.n_vertices)]
         words[vertex] = [("kappa", k)]
-        ds.add_word_term(tuple(exps), words, sign * c)
+        ds.add_word_term(tuple(exps), words, c)
 
 
 def bracket_D(series: Series, ds: DecoratedSeries, vertex: int,
-              block: tuple, var: str = "t") -> None:
+              block: tuple) -> None:
     """Add ``{series}_{D_block}`` at ``vertex`` into ``ds``."""
     size = len(block)
-    for k, exps, c in _bracket_terms(series, ds.ring, var):
+    for k, exps, c in _bracket_terms(series, ds.ring, "t"):
         if k < size - 1:
             if c:
                 raise ValueError(
@@ -319,7 +305,7 @@ def bracket_D(series: Series, ds: DecoratedSeries, vertex: int,
 
 
 def bracket_Delta(series: Series, ds: DecoratedSeries, vertex: int,
-                  p_exponents: dict, coeff=1, var: str = "t") -> None:
+                  p_exponents: dict, coeff=1) -> None:
     """Add ``coeff * {series * p^alpha}_Delta`` at ``vertex`` into ``ds``.
 
     ``p_exponents`` maps marking numbers to their exponent ``alpha_i``.
@@ -330,11 +316,11 @@ def bracket_Delta(series: Series, ds: DecoratedSeries, vertex: int,
     coeff = Fraction(coeff)
     alpha = {i: e for i, e in p_exponents.items() if e}
     if not alpha:
-        bracket_kappa(series * coeff, ds, vertex, sign=-1, var=var)
+        bracket_kappa(series * -coeff, ds, vertex)
         return
     support = tuple(sorted(alpha))
     size = len(support)
-    for k, exps, c in _bracket_terms(series, ds.ring, var):
+    for k, exps, c in _bracket_terms(series, ds.ring, "t"):
         if k < size - 1:
             raise ValueError(
                 f"Delta bracket needs t-order >= {size - 1}, got t^{k}"
@@ -351,11 +337,11 @@ def bracket_Delta(series: Series, ds: DecoratedSeries, vertex: int,
 
 
 def _kappa_exp(series: Series, ring: Ring, graph: StableGraph,
-               weights: WeightData, g: int, vertex: int = 0,
+               weights: WeightData, vertex: int = 0,
                var: str = "t") -> DecoratedSeries:
     """``exp(-{series}_kappa)`` at ``vertex``."""
-    ds = DecoratedSeries(ring, graph, weights, g)
-    bracket_kappa(series, ds, vertex, sign=-1, var=var)
+    ds = DecoratedSeries(ring, graph, weights)
+    bracket_kappa(-series, ds, vertex, var)
     return ds.exp()
 
 
@@ -372,23 +358,23 @@ def _sq_ring(r: int, d: int, a: tuple) -> Ring:
 
 
 def _boundary_vertex_factor(ring: Ring, graph: StableGraph,
-                            weights: WeightData, g: int, vertex: int,
-                            zeta: int, gamma: Series, a: dict,
-                            half_sign: int, pd_sign: int) -> DecoratedSeries:
+                            weights: WeightData, vertex: int, zeta: int,
+                            gamma: Series, a: dict, half_sign: int,
+                            pd_sign: int) -> DecoratedSeries:
     """The stable-quotient vertex factor ``zeta^(g(v)+1) exp(E_v)``.
 
     The exponent is ``E_v = half_sign * (zeta/2) p_(v) + sum_i
     (pd_sign)^i / i! * {p_(v)^i D^i gamma(zeta t, x)}_Delta``, where
     ``p_(v)`` runs over the vertex's markings and ``D = t x d/dx``.
     """
-    ds = DecoratedSeries(ring, graph, weights, g)
+    ds = DecoratedSeries(ring, graph, weights)
     markings = sorted(graph.legs_at(vertex))
     for i in markings:
         exps = [0] * ring.nvars
         exps[ring.index[f"p{i}"]] = 1
         ds.add_term(tuple(exps), ds._trivial_decor(),
                     Fraction(half_sign * zeta, 2))
-    f = zeta_twist(gamma, "t", zeta)
+    f = gamma.substitute({"t": zeta})
     bracket_Delta(f, ds, vertex, {})
     for i_order in range(1, sum(a[i] for i in markings) + 1):
         f = f.x_d_dx("x").mul_var("t")
@@ -452,16 +438,16 @@ def open_sq_relation(g: int, weights: WeightData, r: int, d: int,
 
 
 def _partition_sum(ring: Ring, graph: StableGraph, weights: WeightData,
-                   g: int, vertex: int, S: tuple, order: int,
+                   vertex: int, S: tuple, order: int,
                    zeta: int) -> DecoratedSeries:
     """``sum_P prod_(b in P) {C_|b|(zeta t)}_(D_b)`` at ``vertex``, over
     the set partitions ``P`` of ``S``."""
-    part_sum = DecoratedSeries(ring, graph, weights, g)
+    part_sum = DecoratedSeries(ring, graph, weights)
     for partition in set_partitions(S):
-        factor = DecoratedSeries.one(ring, graph, weights, g)
+        factor = DecoratedSeries.one(ring, graph, weights)
         for block in partition:
-            bds = DecoratedSeries(ring, graph, weights, g)
-            bracket_D(zeta_twist(series_C(len(block), order), "t", zeta),
+            bds = DecoratedSeries(ring, graph, weights)
+            bracket_D(series_C(len(block), order).substitute({"t": zeta}),
                       bds, vertex, tuple(sorted(block)))
             factor = factor * bds
         part_sum = part_sum + factor
@@ -469,20 +455,21 @@ def _partition_sum(ring: Ring, graph: StableGraph, weights: WeightData,
 
 
 def _fz_vertex_factor(ring: Ring, graph: StableGraph, weights: WeightData,
-                      g: int, vertex: int, zeta: int, S: tuple,
-                      order: int) -> DecoratedSeries:
+                      vertex: int, zeta: int, S: tuple) -> DecoratedSeries:
     """The FZ-form vertex factor ``zeta^(g(v)+1+|S_v|) exp(-{log A(zeta
     t)}_kappa) sum_P prod {C_|b|(zeta t)}_(D_b)``, with ``P`` running over
-    the set partitions of the markings ``S_v`` of ``S`` at ``vertex``.
+    the set partitions of the markings ``S_v`` of ``S`` at ``vertex``,
+    expanded up to the top t-degree of ``ring``.
 
     Each p-degree-i diagonal term carries ``zeta^i``, so a block of size b
     contributes ``zeta^b`` beyond its t-degree: hence ``zeta^|S_v|``.
     """
+    order = ring.spec("t").trunc_order - 1
     s_v = tuple(sorted(set(graph.legs_at(vertex)) & set(S)))
-    ds = _kappa_exp(zeta_twist(log_hyper_A(order), "t", zeta), ring, graph,
-                    weights, g, vertex)
+    ds = _kappa_exp(log_hyper_A(order).substitute({"t": zeta}), ring, graph,
+                    weights, vertex)
     if s_v:
-        ds = ds * _partition_sum(ring, graph, weights, g, vertex, s_v, order,
+        ds = ds * _partition_sum(ring, graph, weights, vertex, s_v, order,
                                  zeta)
     return ds.scale(zeta ** (graph.genera[vertex] + 1 + len(s_v)))
 
@@ -501,8 +488,8 @@ def open_fz_relation(g: int, n: int, r: int, S: tuple = (),
     if weights is None:
         weights = WeightData(tuple(Fraction(1, 2 * n + 2) for _ in range(n)))
     ring = Ring([VarSpec("t", 0, r + 1)])
-    return _fz_vertex_factor(ring, smooth_graph(g, n), weights, g, 0, 1, S,
-                             r).extract(t=r)
+    return _fz_vertex_factor(ring, smooth_graph(g, n), weights, 0, 1,
+                             S).extract(t=r)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +521,7 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
     ``G`` runs over ``graphs`` and ``zeta`` over the ±1 colourings of its
     vertices.  With ``order = r - #edges`` the product is expanded in
     ``ring_of(order)`` and read off at ``powers_of(order)``.
-    ``vertex_factor(ring, graph, v, zeta, order)`` is the decorated factor
+    ``vertex_factor(ring, graph, v, zeta)`` is the decorated factor
     at vertex ``v``, and ``edge_series(z1, z2, order)`` the kernel of an
     edge whose ends have colours ``z1`` and ``z2``, in (t[, x], p1, p2).
     Each factor is built once per graph: a vertex factor per ``(v, zeta)``
@@ -553,13 +540,13 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
             for v, zeta in enumerate(coloring):
                 if (v, zeta) not in vertex_factors:
                     vertex_factors[v, zeta] = vertex_factor(ring, graph, v,
-                                                            zeta, order)
+                                                            zeta)
                 factors.append(vertex_factors[v, zeta])
             for e, (va, vb) in enumerate(graph.edges):
                 key = (e, coloring[va], coloring[vb])
                 if key not in edge_kernels:
                     eds = edge_kernels[key] = DecoratedSeries(
-                        ring, graph, weights, g)
+                        ring, graph, weights)
                     _edge_to_ds(edge_series(key[1], key[2], order), eds, e)
                 factors.append(edge_kernels[key])
             ds = reduce(mul, factors)
@@ -574,8 +561,7 @@ def _ensure_generic(weights: WeightData) -> WeightData:
 
 
 def fz_relation(g: int, weights: WeightData, r: int, S: tuple = (),
-                max_edges: int | None = None,
-                enforce: bool = True) -> TautClass:
+                max_edges: int | None = None) -> TautClass:
     """FZ-type relation on the weighted space: graph-and-coloring sum.
 
     Vertex factor :func:`_fz_vertex_factor`, per-edge factor the edge
@@ -585,15 +571,14 @@ def fz_relation(g: int, weights: WeightData, r: int, S: tuple = (),
     """
     S = tuple(sorted(S))
     _check_subset(S, weights.n)
-    if enforce:
-        _check_fz_range(g, r, S)
+    _check_fz_range(g, r, S)
     weights = _ensure_generic(weights)
     cap = r if max_edges is None else min(max_edges, r)
     return _graph_sum(
         g, weights, enumerate_graphs(g, weights, cap), r,
         lambda order: Ring([VarSpec("t", 0, order + 1)]),
-        lambda ring, graph, v, zeta, order: _fz_vertex_factor(
-            ring, graph, weights, g, v, zeta, S, order),
+        lambda ring, graph, v, zeta: _fz_vertex_factor(
+            ring, graph, weights, v, zeta, S),
         delta_edge,
         lambda order: {"t": order},
     )
@@ -609,9 +594,8 @@ def _sq_graph_sum(g: int, weights: WeightData, graphs, r: int, d: int,
     return _graph_sum(
         g, weights, graphs, r,
         lambda order: _sq_ring(order, d, a),
-        lambda ring, graph, v, zeta, order: _boundary_vertex_factor(
-            ring, graph, weights, g, v, zeta, gamma, a_map, half_sign,
-            pd_sign),
+        lambda ring, graph, v, zeta: _boundary_vertex_factor(
+            ring, graph, weights, v, zeta, gamma, a_map, half_sign, pd_sign),
         lambda z1, z2, order: edge_series_xy(z1, z2, order, d, kind=4),
         lambda order: {"t": order, "x": d,
                        **{f"p{i}": e for i, e in a_map.items()}},
@@ -620,8 +604,7 @@ def _sq_graph_sum(g: int, weights: WeightData, graphs, r: int, d: int,
 
 def boundary_sq_relation(g: int, weights: WeightData, r: int, d: int,
                          a: tuple = (), half_sign: int = 1, pd_sign: int = 1,
-                         max_edges: int | None = None,
-                         enforce: bool = True) -> TautClass:
+                         max_edges: int | None = None) -> TautClass:
     """Stable-quotient relation as a sum over stable graphs and colorings.
 
     Vertex factor ``zeta^(g(v)+1) exp(half_sign zeta p_(v)/2 +
@@ -630,7 +613,7 @@ def boundary_sq_relation(g: int, weights: WeightData, r: int, d: int,
     """
     _check_sq_input(g, weights, r, d, a)
     a_total = sum(a)
-    if enforce and not r > g - 2 * d - 1 + a_total:
+    if not r > g - 2 * d - 1 + a_total:
         raise PreconditionError(
             "r-|E| > g-2d-1+|a|", f"r={r}, g={g}, d={d}, |a|={a_total}"
         )
@@ -653,8 +636,12 @@ def extended_fz_relation(g: int, weights: WeightData, r: int,
     ``prod psi_{n+i}^(floor(sigma_i/3)+1)`` and forgets the new points.
     The result is homogeneous of codimension ``r``.
     """
+    parts = ",".join(map(str, sigma))
+    if any(part < 1 for part in sigma):
+        raise PreconditionError("sigma parts >= 1", f"sigma={parts}")
     if any(part % 3 == 2 for part in sigma):
-        raise ValueError("sigma must have no part congruent to 2 mod 3")
+        raise PreconditionError("no sigma part congruent to 2 mod 3",
+                                f"sigma={parts}")
     n = weights.n
     _check_subset(S, n)
     ell = len(sigma)
@@ -679,7 +666,7 @@ def extended_fz_relation(g: int, weights: WeightData, r: int,
 # ---------------------------------------------------------------------------
 
 
-def verify_chain(g: int, r: int, d_max: int | None = None) -> list:
+def verify_chain(g: int, r: int) -> list:
     """Checks tying the stable-quotient form to the FZ form.
 
     Returns ``[(name, ok, detail), ...]`` covering: (i) the coordinate
@@ -692,27 +679,24 @@ def verify_chain(g: int, r: int, d_max: int | None = None) -> list:
         raise PreconditionError("genus >= 0", f"genus={g}")
     if r < 1:
         raise PreconditionError("codim >= 1", f"codim={r}")
-    if d_max is None:
-        d_max = r
     report = []
     smooth = smooth_graph(g, 0)
     w0 = WeightData(())
 
     # side 1: exp(-{gamma}_kappa) in the (t, x) chart
-    fam = phi_family(r, d_max)
-    ring_tx = Ring([VarSpec("t", 0, r + 1), VarSpec("x", 0, d_max + 1)])
-    lhs = _kappa_exp(fam["gamma"], ring_tx, smooth, w0, g)
+    fam = phi_family(r, r)
+    ring_tx = Ring([VarSpec("t", 0, r + 1), VarSpec("x", 0, r + 1)])
+    lhs = _kappa_exp(fam["gamma"], ring_tx, smooth, w0)
 
     # side 2: exp(-{c}_kappa) in the (u, y) chart with the (1+4y)^e factor
-    uy = uy_expansion(1, r, max(d_max, r))
-    ring_uy = Ring([VarSpec("u", 0, r + 1), VarSpec("y", 0, max(d_max, r) + 1)])
-    rhs = _kappa_exp(uy["c_series"], ring_uy, smooth, w0, g, var="u")
+    uy = uy_expansion(1, r, r)
+    rhs = _kappa_exp(uy["c_series"], uy_ring(r, r), smooth, w0, var="u")
 
-    y_ring = Ring([VarSpec("y", 0, max(d_max, r) + 1)])
+    y_ring = Ring([VarSpec("y", 0, r + 1)])
 
     all_i = True
     detail_i = []
-    for d in range(d_max + 1):
+    for d in range(r + 1):
         left = lhs.extract(t=r, x=d)
         e = Fraction(r + 2 * d - 1 - g, 2)
         pref = (y_ring.one() + y_ring.var("y") * 4).pow_fraction(e)
@@ -732,7 +716,7 @@ def verify_chain(g: int, r: int, d_max: int | None = None) -> list:
     report.append((
         "coordinate-change identity",
         all_i,
-        "; ".join(detail_i) if detail_i else f"d=0..{d_max} at t^{r}",
+        "; ".join(detail_i) if detail_i else f"d=0..{r} at t^{r}",
     ))
 
     tri = all(
@@ -745,7 +729,7 @@ def verify_chain(g: int, r: int, d_max: int | None = None) -> list:
 
     extremal = rhs.extract(u=r, y=r)
     ring_t = Ring([VarSpec("t", 0, r + 1)])
-    via_log_a = _kappa_exp(log_hyper_A(r), ring_t, smooth, w0, g).extract(t=r)
+    via_log_a = _kappa_exp(log_hyper_A(r), ring_t, smooth, w0).extract(t=r)
     fz = open_fz_relation(g, 0, r, (), weights=w0, enforce=False)
     ok3 = extremal == via_log_a == fz
     report.append((
@@ -810,8 +794,8 @@ def pushforward_oracle(d_max: int = 3, t_order: int = 4,
     rows = []
     ring = Ring([VarSpec("t", 0, t_order + 1), VarSpec("x", 0, d_max + 1)])
     for zeta in (1, -1):
-        closed = _kappa_exp(zeta_twist(fam["logPhi"], "t", zeta), ring,
-                            smooth_graph(g, 0), w0, g)
+        closed = _kappa_exp(fam["logPhi"].substitute({"t": zeta}), ring,
+                            smooth_graph(g, 0), w0)
         for d in range(1, d_max + 1):
             ok = True
             detail = ""

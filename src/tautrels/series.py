@@ -492,18 +492,15 @@ class Series:
         out = {e: c * e[i] for e, c in self.coeffs.items() if e[i]}
         return Series(self.ring, out)
 
-    def mul_var(self, name: str, power: int = 1) -> "Series":
-        """Multiply by a pure variable power, with window enforcement."""
+    def mul_var(self, name: str) -> "Series":
+        """Multiply by the named variable, dropping what leaves the window."""
         i = self.ring.index[name]
-        s = self.ring.specs[i]
+        top = self.ring.specs[i].trunc_order
         out: dict = {}
         for e, c in self.coeffs.items():
-            x = e[i] + power
-            if x >= s.trunc_order:
-                continue
-            if x < s.min_exponent:
-                raise FloorUnderflow(f"shift pushed {name!r} below floor")
-            out[e[:i] + (x,) + e[i + 1 :]] = c
+            x = e[i] + 1
+            if x < top:
+                out[e[:i] + (x,) + e[i + 1 :]] = c
         return Series(self.ring, out)
 
     # -- substitution -------------------------------------------------------
@@ -511,26 +508,29 @@ class Series:
     def substitute(self, assignment: Mapping[str, Union["Series", int]]) -> "Series":
         """Substitute series (or a sign +/-1) for some of the variables.
 
-        All :class:`Series` values must share one target ring; variables that
+        A sign ``z`` for ``t`` substitutes ``t -> z t``; when no sign is -1
+        and no series is assigned, ``self`` is returned as it is.  All
+        :class:`Series` values must share one target ring; variables that
         are not assigned must exist (same name) in the target ring.  Negative
         exponents of an assigned variable require the assigned series to be
         invertible.
         """
         ring = self.ring
-        signs = {n: v for n, v in assignment.items() if isinstance(v, int)}
-        subs = {n: v for n, v in assignment.items() if isinstance(v, Series)}
-        if any(v not in (1, -1) for v in signs.values()):
-            raise SeriesError("integer assignments must be +1 or -1")
+        flips, subs = [], {}
+        for n, v in assignment.items():
+            if isinstance(v, Series):
+                subs[n] = v
+            elif isinstance(v, int) and v in (1, -1):
+                i = ring.index[n]
+                if v == -1:
+                    flips.append(i)
+            else:
+                raise SeriesError("integer assignments must be +1 or -1")
         cur = self
-        if signs:
+        if flips:
             out: dict = {}
-            idxs = [(ring.index[n], v) for n, v in signs.items()]
             for e, c in cur.coeffs.items():
-                s = 1
-                for i, v in idxs:
-                    if v == -1 and e[i] % 2:
-                        s = -s
-                out[e] = c * s
+                out[e] = -c if sum(map(e.__getitem__, flips)) % 2 else c
             cur = Series(ring, out)
         if not subs:
             return cur
@@ -550,8 +550,7 @@ class Series:
         def powered(i: int, k: int) -> Series:
             key = (i, k)
             if key not in pow_cache:
-                base = sub_idx[i]
-                pow_cache[key] = base.inverse() ** (-k) if k < 0 else base ** k
+                pow_cache[key] = sub_idx[i] ** k
             return pow_cache[key]
 
         total = target.zero()
@@ -604,18 +603,13 @@ class Series:
         return Series(ring, {e: c for e, c in quot.items() if c})
 
 
-def embed(series: Series, target: Ring, rename: Mapping[str, str] | None = None) -> Series:
+def embed(series: Series, target: Ring) -> Series:
     """Copy a series into a larger ring, matching variables by name.
 
     Exponents at or above the target truncation are dropped (exact
     truncation); exponents below the target floor raise.
     """
-    rename = rename or {}
-    src = series.ring
-    cols = []
-    for s in src.specs:
-        name = rename.get(s.name, s.name)
-        cols.append(target.index[name])
+    cols = [target.index[s.name] for s in series.ring.specs]
     out: dict = {}
     for e, c in series.coeffs.items():
         exps = [0] * target.nvars

@@ -97,6 +97,7 @@ class TestRelationsGen:
         ("fz", ("--a", "5"), "--a"),
         ("open-fz", ("--half-sign", "1"), "--half-sign"),
         ("extended", ("--sigma", "1", "--pd-sign", "-1"), "--pd-sign"),
+        ("fz", ("--d", "0"), "--d"),
     ])
     def test_unread_flag_exits_2(self, capsys, construction, flags, flag):
         code, out, err = run(capsys, "relations", "gen", "--genus", "3",
@@ -407,6 +408,30 @@ class TestInvalidInput:
         (("relations", "gen", "--genus", "2", "--codim", "2",
           "--construction", "boundary-sq", "--d", "1", "--weights", "1/10",
           "--a", "-1"), "a_i >= 0 violated"),
+        (("relations", "gen", "--genus", "2", "--codim", "2",
+          "--subset", "x"), "--subset part 'x' is not an integer"),
+        (("relations", "gen", "--genus", "2", "--codim", "2",
+          "--sigma", "1,a"), "--sigma part 'a' is not an integer"),
+        (("relations", "gen", "--genus", "2", "--codim", "2",
+          "--weights", "x"), "--weights part 'x' is not a rational number"),
+        (("relations", "gen", "--genus", "2", "--codim", "2",
+          "--weights", "1/0"),
+         "--weights part '1/0' is not a rational number"),
+        (("relations", "gen", "--genus", "2", "--codim", "2",
+          "--construction", "open-sq", "--a", "x"),
+         "--a part 'x' is not an integer"),
+        (("graphs", "list", "--genus", "1", "--weights", "1/0",
+          "--max-edges", "1"),
+         "--weights part '1/0' is not a rational number"),
+        (("relations", "gen", "--genus", "2", "--codim", "3",
+          "--weights", "1/3", "--sigma", "0"), "sigma parts >= 1 violated"),
+        (("relations", "gen", "--genus", "2", "--codim", "3",
+          "--weights", "1/3", "--sigma", "-1"), "sigma parts >= 1 violated"),
+        (("relations", "gen", "--genus", "2", "--codim", "3",
+          "--weights", "1/3", "--sigma", "2"),
+         "no sigma part congruent to 2 mod 3 violated"),
+        (("series", "dump", "--name", "A", "--orders", "t=x"),
+         "order 't=x' is not of the form var=N"),
     ])
     def test_exit_2_names_condition(self, capsys, tmp_path, monkeypatch,
                                     argv, condition):

@@ -1,4 +1,5 @@
-"""Source hygiene: every module of the package uses what it imports."""
+"""Source hygiene: every module of the package uses what it imports, and
+every optional parameter of the package is passed by some call."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tautrels"
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(path: Path) -> list:
@@ -38,3 +40,84 @@ def test_check_sees_an_unused_import(tmp_path):
                       "import os, json\nfrom math import comb as c\n"
                       "__all__ = ['json']\nprint(os.sep)\n")
     assert unused_imports(module) == ["c"]
+
+
+def _is_method(fn: ast.FunctionDef, cls: ast.ClassDef | None) -> bool:
+    return cls is not None and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod"
+        for d in fn.decorator_list
+    )
+
+
+def unpassed_optionals(defining: list, calling: list) -> list:
+    """``"module:function(parameter)"`` for each optional parameter of a
+    function in the ``defining`` modules that no call in the ``calling``
+    modules passes, by position or by keyword.
+
+    Calls are matched by the called name (``f(...)`` and ``obj.f(...)``
+    alike), and a call of a class defined in ``defining`` is a call of its
+    ``__init__``.  ``*args`` in a call passes every position; ``**kwargs``
+    passes nothing that can be read off the call.
+    """
+    functions, classes = [], set()
+    for path in defining:
+        tree = ast.parse(path.read_text())
+        scopes = [(tree, None)]
+        while scopes:
+            node, cls = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    classes.add(child.name)
+                    scopes.append((child, child))
+                elif isinstance(child, ast.FunctionDef):
+                    functions.append((path, child, _is_method(child, cls)))
+                    scopes.append((child, None))
+                else:
+                    scopes.append((child, cls))
+    calls: dict = {}
+    for path in calling:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in classes:
+                name = "__init__"
+            positions = (float("inf")
+                         if any(isinstance(a, ast.Starred) for a in node.args)
+                         else len(node.args))
+            calls.setdefault(name, []).append(
+                (positions, {k.arg for k in node.keywords}))
+    found = []
+    for path, fn, method in functions:
+        args = fn.args
+        positional = (args.posonlyargs + args.args)[int(method):]
+        optional = [(i, a.arg) for i, a in enumerate(positional)
+                    if i >= len(positional) - len(args.defaults)]
+        optional += [(None, a.arg) for a, default
+                     in zip(args.kwonlyargs, args.kw_defaults) if default]
+        for i, arg in optional:
+            if not any(arg in keywords or (i is not None and positions > i)
+                       for positions, keywords in calls.get(fn.name, ())):
+                found.append(f"{path.stem}:{fn.name}({arg})")
+    return found
+
+
+def test_every_optional_parameter_is_passed():
+    sources = sorted(SRC.glob("*.py"))
+    assert unpassed_optionals(sources,
+                              sources + sorted(TESTS.glob("*.py"))) == []
+
+
+def test_check_sees_an_unpassed_optional(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def f(a, b=1, *, c=2, d=3):\n    return a\n"
+        "class K:\n"
+        "    def __init__(self, x=0, y=0):\n        pass\n"
+        "    def m(self, z=0):\n        return z\n"
+        "    @staticmethod\n"
+        "    def s(w=0):\n        return w\n"
+        "f(0, c=1, **{'d': 4})\nK(1)\nK.s(1)\nK().m()\n"
+    )
+    assert sorted(unpassed_optionals([module], [module])) == [
+        "m:__init__(y)", "m:f(b)", "m:f(d)", "m:m(z)"]

@@ -37,7 +37,6 @@ from tautrels.relations import (
     pushforward_oracle,
     reduction_lemma_demo,
     verify_chain,
-    zeta_twist,
 )
 from tautrels.series import Ring, VarSpec
 
@@ -63,7 +62,7 @@ W0 = WeightData(())
 def oracle_mul(a, b):
     """Reference product: every pair of terms rebuilt as raw words and
     reduced with ``normal_form``."""
-    out = DecoratedSeries(a.ring, a.graph, a.weights, a.genus)
+    out = DecoratedSeries(a.ring, a.graph, a.weights)
     specs = a.ring.specs
     right = [(e2, _decor_words(d2), c2) for (e2, d2), c2 in b.terms.items()]
     for (e1, d1), c1 in a.terms.items():
@@ -121,7 +120,7 @@ def product_operands(draw):
                              st.sampled_from([1, 2, 3, 4, 9]))
 
     def series():
-        ds = DecoratedSeries(ring, graph, weights, g)
+        ds = DecoratedSeries(ring, graph, weights)
         for _ in range(draw(st.integers(0, 5))):
             exps = tuple(draw(st.integers(0, s.trunc_order - 1))
                          for s in ring.specs)
@@ -151,8 +150,8 @@ def test_product_memo_tells_weights_apart():
     ring = Ring([VarSpec("t", 0, 2)])
     for weights in (PRODUCT_WEIGHTS[3], PRODUCT_WEIGHTS[2],
                     PRODUCT_WEIGHTS[3]):
-        a = DecoratedSeries(ring, graph, weights, 1)
-        b = DecoratedSeries(ring, graph, weights, 1)
+        a = DecoratedSeries(ring, graph, weights)
+        b = DecoratedSeries(ring, graph, weights)
         a.add_word_term((0,), [[("Dsa", (1, 3), 1)]], Fraction(1, 3))
         b.add_word_term((1,), [[("Dsa", (2, 3), 1)]], Fraction(3, 2))
         product = a * b
@@ -169,9 +168,9 @@ def test_graph_sum_builds_each_factor_once(monkeypatch):
     build_kernel = relations._edge_to_ds
     edge_series = relations.delta_edge
 
-    def vertex_factor(ring, graph, weights, g, v, zeta, S, order):
+    def vertex_factor(ring, graph, weights, v, zeta, S):
         vertex_calls.append((graph, v, zeta))
-        return build_vertex(ring, graph, weights, g, v, zeta, S, order)
+        return build_vertex(ring, graph, weights, v, zeta, S)
 
     def kernel_series(z1, z2, order):
         colours.append((z1, z2))
@@ -465,8 +464,8 @@ def oracle_pushforward_rows(d_max, t_order, g):
     for zeta in (1, -1):
         ring = Ring([VarSpec("t", 0, t_order + 1),
                      VarSpec("x", 0, d_max + 1)])
-        ds = DecoratedSeries(ring, StableGraph((g,), (), ()), w0, g)
-        bracket_kappa(zeta_twist(fam["logPhi"], "t", zeta), ds, 0, sign=-1)
+        ds = DecoratedSeries(ring, StableGraph((g,), (), ()), w0)
+        bracket_kappa(-fam["logPhi"].substitute({"t": zeta}), ds, 0)
         closed = ds.exp()
         for d in range(1, d_max + 1):
             w = WeightData(tuple(Fraction(1, 1000) for _ in range(d)))
