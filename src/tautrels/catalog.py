@@ -716,12 +716,18 @@ _BUILDERS: dict = {
 _ARTICLE = {"t": "a", "x": "an"}
 
 
+def series_orders(name: str) -> tuple:
+    """The order variables the series ``name`` reads; ``KeyError`` for an
+    unknown name."""
+    if name not in _BUILDERS:
+        raise KeyError(f"unknown series {name!r}; known: {sorted(_BUILDERS)}")
+    return _BUILDERS[name][0]
+
+
 def check_orders(name: str, orders: dict) -> None:
     """Raise ``KeyError`` for an unknown series name and ``ValueError`` when
     an order the series needs is missing."""
-    if name not in _BUILDERS:
-        raise KeyError(f"unknown series {name!r}; known: {sorted(_BUILDERS)}")
-    for var in _BUILDERS[name][0]:
+    for var in series_orders(name):
         if var not in orders:
             raise ValueError(f"series {name} needs {_ARTICLE[var]} {var} order")
 
@@ -764,7 +770,8 @@ def _write_entry(path: Path, value: Series) -> None:
 
 
 class SeriesCatalog:
-    """Cached access to the named series, optionally persisted to disk.
+    """The named series, persisted to disk when a cache directory is set;
+    the builders memoise in memory.
 
     The cache directory defaults to the ``TAUTRELS_CACHE`` environment
     variable.  With ``audit=True`` every cache hit is recomputed from scratch
@@ -775,7 +782,6 @@ class SeriesCatalog:
         cache_dir = cache_dir or os.environ.get("TAUTRELS_CACHE")
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.audit = audit
-        self._mem: dict = {}
 
     def names(self) -> list:
         return sorted(_BUILDERS)
@@ -784,9 +790,6 @@ class SeriesCatalog:
         """The named series; a cache entry that cannot be read or holds
         another ring counts as a miss and is recomputed and rewritten."""
         check_orders(name, orders)
-        key = (name, tuple(sorted(orders.items())))
-        if key in self._mem and not self.audit:
-            return self._mem[key]
         fresh = None
         stored = None
         path = None
@@ -801,5 +804,4 @@ class SeriesCatalog:
         value = stored if stored is not None else fresh
         if path is not None and stored is None:
             _write_entry(path, value)
-        self._mem[key] = value
         return value

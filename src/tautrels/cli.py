@@ -22,6 +22,7 @@ from .catalog import (
     delta_edge,
     edge_series_xy,
     identity_suite,
+    series_orders,
 )
 from .classes import (
     TautClass,
@@ -50,32 +51,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PRECONDITION = 2
 
-CONFIG_KEYS = {"cache_dir", "seed", "log"}
-
-CONSTRUCTIONS = ("fz", "open-fz", "open-sq", "boundary-sq", "extended")
-
-# the constructions that read each construction-specific `relations gen` flag
-_SQ_ONLY = ("open-sq", "boundary-sq")
-_FLAG_READERS = {
-    "--subset": ("fz", "open-fz", "extended"),
-    "--sigma": ("fz", "extended"),
-    "--d": _SQ_ONLY,
-    "--a": _SQ_ONLY,
-    "--half-sign": _SQ_ONLY,
-    "--pd-sign": _SQ_ONLY,
-}
-
-# the suites that read each suite-specific `verify` flag
-_VERIFY_FLAG_READERS = {
-    "--quick": ("series",),
-    "--genus": ("chain",),
-    "--codim": ("chain",),
-    "--d": ("pushforward",),
-}
-
-
 class UsageError(ValueError):
-    """Argument or configuration problem; maps to exit code 2."""
+    """Argument problem; maps to exit code 2."""
 
 
 class Logger:
@@ -109,10 +86,13 @@ def _parse_ints(text: str, flag: str) -> tuple:
     return _parse_list(text, flag, int, "an integer")
 
 
-def _parse_orders(text: str) -> dict:
+def _parse_orders(text: str, name: str, reads: tuple) -> dict:
+    """The ``--orders`` of series ``name``; a variable given twice or not in
+    ``reads`` exits 2 naming it."""
     out = {}
     for part in text.split(","):
-        name, _, value = part.partition("=")
+        var, _, value = part.partition("=")
+        var = var.strip()
         try:
             order = int(value)
         except ValueError:
@@ -120,26 +100,12 @@ def _parse_orders(text: str) -> dict:
                 f"order {part!r} is not of the form var=N") from None
         if order < 0:
             raise UsageError(f"order >= 0 violated: {part}")
-        out[name.strip()] = order
+        if var in out:
+            raise UsageError(f"order {var} is given twice")
+        if var not in reads:
+            raise UsageError(f"order {var} is not read by series {name}")
+        out[var] = order
     return out
-
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise UsageError("config file must hold a JSON object")
-    unknown = sorted(set(data) - CONFIG_KEYS)
-    if unknown:
-        raise UsageError(
-            f"unknown config keys: {', '.join(unknown)}; "
-            f"known keys: {', '.join(sorted(CONFIG_KEYS))}"
-        )
-    return data
 
 
 def _write_payload(payload: dict, out: str | None) -> None:
@@ -164,48 +130,56 @@ def _primitive_scale(rel: TautClass) -> TautClass:
     return rel.scale(scale)
 
 
-def _reject_unread(given: dict, readers: dict, reader: str,
-                   kind: str) -> None:
-    """Exit 2 on a flag of ``given`` that ``reader`` does not read."""
-    for flag, value in given.items():
-        if value and reader not in readers[flag]:
+def _given(**values) -> dict:
+    """The keyword arguments the user gave; the others keep the callee's
+    defaults."""
+    return {name: value for name, value in values.items() if value is not None}
+
+
+def _reject_unread(args, table: dict, reader: str, kind: str) -> None:
+    """Exit 2 on a flag of ``table`` that ``args`` gives and ``reader`` does
+    not read."""
+    reads = table[reader][0]
+    for flag in dict.fromkeys(f for flags, _ in table.values() for f in flags):
+        given = getattr(args, flag[2:].replace("-", "_")) is not None
+        if given and flag not in reads:
             raise UsageError(f"{flag} is not read by the {reader} {kind}")
 
 
-def cmd_relations_gen(args, cfg: dict, log: Logger) -> int:
+def _sq(build, args) -> TautClass:
+    """A stable-quotient construction; signs the user did not give keep the
+    construction's own defaults."""
+    return build(args.genus, args.weights, args.codim, args.d or 0,
+                 _parse_ints(args.a, "--a") or (0,) * args.weights.n,
+                 **_given(half_sign=args.half_sign, pd_sign=args.pd_sign))
+
+
+_SQ_FLAGS = ("--d", "--a", "--half-sign", "--pd-sign")
+
+# construction -> (the flags of its own it reads, builder)
+_CONSTRUCTIONS = {
+    "fz": (("--subset", "--sigma"), lambda args: fz_relation(
+        args.genus, args.weights, args.codim, args.subset)),
+    "open-fz": (("--subset",), lambda args: open_fz_relation(
+        args.genus, args.weights.n, args.codim, args.subset,
+        weights=args.weights)),
+    "open-sq": (_SQ_FLAGS, lambda args: _sq(open_sq_relation, args)),
+    "boundary-sq": (_SQ_FLAGS, lambda args: _sq(boundary_sq_relation, args)),
+    "extended": (("--subset", "--sigma"), lambda args: extended_fz_relation(
+        args.genus, args.weights, args.codim, args.sigma, args.subset)),
+}
+
+
+def cmd_relations_gen(args, log: Logger) -> int:
     construction = args.construction
-    given = {"--subset": args.subset, "--sigma": args.sigma,
-             "--d": args.d is not None, "--a": args.a,
-             "--half-sign": args.half_sign is not None,
-             "--pd-sign": args.pd_sign is not None}
-    _reject_unread(given, _FLAG_READERS, construction, "construction")
-    weights = WeightData.of(_parse_fractions(args.weights, "--weights"))
-    subset = _parse_ints(args.subset, "--subset")
-    sigma = _parse_ints(args.sigma, "--sigma")
-    d = args.d or 0
-    a = _parse_ints(args.a, "--a") or (0,) * weights.n
-    if sigma and construction == "fz":
+    _reject_unread(args, _CONSTRUCTIONS, construction, "construction")
+    args.weights = WeightData.of(_parse_fractions(args.weights, "--weights"))
+    args.subset = _parse_ints(args.subset, "--subset")
+    args.sigma = _parse_ints(args.sigma, "--sigma")
+    if args.sigma and construction == "fz":
         construction = "extended"
-    # signs the user did not give keep the construction's own defaults
-    signs = {name: value for name, value in
-             (("half_sign", args.half_sign), ("pd_sign", args.pd_sign))
-             if value is not None}
     started = time.perf_counter()
-    if construction == "fz":
-        rel = fz_relation(args.genus, weights, args.codim, subset)
-    elif construction == "extended":
-        rel = extended_fz_relation(args.genus, weights, args.codim, sigma,
-                                   subset)
-    elif construction == "open-fz":
-        rel = open_fz_relation(args.genus, weights.n, args.codim, subset,
-                               weights=weights)
-    elif construction == "open-sq":
-        rel = open_sq_relation(args.genus, weights, args.codim, d, a, **signs)
-    elif construction == "boundary-sq":
-        rel = boundary_sq_relation(args.genus, weights, args.codim, d, a,
-                                   **signs)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown construction {construction!r}")
+    rel = _CONSTRUCTIONS[construction][1](args)
     if args.primitive:
         rel = _primitive_scale(rel)
     elapsed = time.perf_counter() - started
@@ -215,9 +189,9 @@ def cmd_relations_gen(args, cfg: dict, log: Logger) -> int:
         "construction": construction,
         "genus": args.genus,
         "codim": args.codim,
-        "weights": [str(w) for w in weights.weights],
-        "subset": list(subset),
-        "sigma": list(sigma),
+        "weights": [str(w) for w in args.weights.weights],
+        "subset": list(args.subset),
+        "sigma": list(args.sigma),
         "relations": [rel.to_dict()],
         "generators": len(rel.terms),
         "rank": rank,
@@ -268,7 +242,7 @@ def _load_batch(path: str) -> list:
     return classes
 
 
-def cmd_rank(args, cfg: dict, log: Logger) -> int:
+def cmd_rank(args, log: Logger) -> int:
     classes = _load_batch(args.batch)
     _, rows = to_vector(classes)
     rank = matrix_rank(rows)
@@ -277,22 +251,24 @@ def cmd_rank(args, cfg: dict, log: Logger) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, cfg: dict, log: Logger) -> int:
-    given = {"--quick": args.quick, "--genus": args.genus is not None,
-             "--codim": args.codim is not None, "--d": args.d is not None}
-    _reject_unread(given, _VERIFY_FLAG_READERS, args.suite, "suite")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 20260826))
-    if args.suite == "series":
-        rows = identity_suite(quick=args.quick, seed=seed)
-    elif args.suite == "chain":
-        genus = args.genus if args.genus is not None else 3
-        codim = args.codim if args.codim is not None else genus - 1
-        rows = verify_chain(genus, codim)
-    elif args.suite == "pushforward":
-        rows = pushforward_oracle(d_max=3 if args.d is None else args.d)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown suite {args.suite!r}")
-    return _report(rows, log)
+def _chain(args) -> list:
+    genus = 3 if args.genus is None else args.genus
+    return verify_chain(genus, genus - 1 if args.codim is None else args.codim)
+
+
+# suite -> (the flags of its own it reads, runner)
+_SUITES = {
+    "series": (("--quick", "--seed"), lambda args: identity_suite(
+        **_given(quick=args.quick, seed=args.seed))),
+    "chain": (("--genus", "--codim"), _chain),
+    "pushforward": (("--d",), lambda args: pushforward_oracle(
+        **_given(d_max=args.d))),
+}
+
+
+def cmd_verify(args, log: Logger) -> int:
+    _reject_unread(args, _SUITES, args.suite, "suite")
+    return _report(_SUITES[args.suite][1](args), log)
 
 
 def _rename_ring(data: dict, mapping: dict) -> dict:
@@ -301,47 +277,56 @@ def _rename_ring(data: dict, mapping: dict) -> dict:
     return data
 
 
-def cmd_series_dump(args, cfg: dict, log: Logger) -> int:
-    orders = _parse_orders(args.orders)
+# the edge kernels series dump tabulates over sign pairs:
+# name -> (the orders it reads, kernel of the signs and orders)
+_EDGE_KERNELS = {
+    "DeltaE": (("t",), lambda z1, z2, orders: delta_edge(z1, z2, orders["t"])),
+    "Edge3": (("t", "x"), lambda z1, z2, orders: edge_series_xy(
+        z1, z2, orders["t"], orders.get("x", 0), kind=3)),
+    "Edge4": (("t", "x"), lambda z1, z2, orders: edge_series_xy(
+        z1, z2, orders["t"], orders.get("x", 0), kind=4)),
+}
+
+
+def cmd_series_dump(args, log: Logger) -> int:
     name = args.name
     if name == "C":
         if args.i is None:
             raise UsageError("series C needs --i")
         name = f"C{args.i}"
+    elif args.i is not None:
+        raise UsageError(f"--i is not read by series {name}")
+    try:
+        reads = (_EDGE_KERNELS[name][0] if name in _EDGE_KERNELS
+                 else series_orders(name))
+    except KeyError as exc:
+        raise UsageError(str(exc)) from exc
+    orders = _parse_orders(args.orders, name, reads)
     payload = {"name": args.name, "orders": orders}
-    if name in ("DeltaE", "Edge3", "Edge4"):
-        t_order = orders.get("t")
-        if t_order is None:
+    if name in _EDGE_KERNELS:
+        if "t" not in orders:
             raise UsageError(f"series {name} needs a t order")
         table = []
         for z1 in (1, -1):
             for z2 in (1, -1):
-                if name == "DeltaE":
-                    series = delta_edge(z1, z2, t_order)
-                else:
-                    series = edge_series_xy(
-                        z1, z2, t_order, orders.get("x", 0),
-                        kind=3 if name == "Edge3" else 4,
-                    )
+                series = _EDGE_KERNELS[name][1](z1, z2, orders)
                 entry = _rename_ring(series_to_dict(series),
                                      {"p1": "psi1", "p2": "psi2"})
                 entry["zeta"] = [z1, z2]
                 table.append(entry)
         payload["table"] = table
     else:
-        cache_dir = args.cache_dir or cfg.get("cache_dir")
         try:
             check_orders(name, orders)
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        series = SeriesCatalog(cache_dir=cache_dir).get(name, **orders)
-        payload.update(series_to_dict(series))
+        payload.update(series_to_dict(SeriesCatalog().get(name, **orders)))
     _write_payload(payload, args.out)
     log.event(command="series dump", name=args.name)
     return EXIT_OK
 
 
-def cmd_graphs_list(args, cfg: dict, log: Logger) -> int:
+def cmd_graphs_list(args, log: Logger) -> int:
     weights = WeightData.of(_parse_fractions(args.weights, "--weights"))
     graphs = enumerate_graphs(args.genus, weights, args.max_edges)
     payload = {"genus": args.genus,
@@ -356,14 +341,14 @@ def _read_class(path: str) -> TautClass:
     return _read_json(path, "class file", TautClass.from_dict)
 
 
-def cmd_classes_normal_form(args, cfg: dict, log: Logger) -> int:
+def cmd_classes_normal_form(args, log: Logger) -> int:
     c = _read_class(args.infile)
     _write_payload(c.to_dict(), args.out)
     log.event(command="classes normal-form", terms=len(c.terms))
     return EXIT_OK
 
 
-def cmd_classes_pushforward(args, cfg: dict, log: Logger) -> int:
+def cmd_classes_pushforward(args, log: Logger) -> int:
     c = _read_class(args.infile)
     if args.forget_weight1 is not None:
         c = pushforward_forget_weight1(c, args.forget_weight1)
@@ -380,12 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct and verify tautological relations on "
                     "weighted moduli of curves.",
     )
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--seed", type=int, help="seed for randomized checks")
-    parser.add_argument("--log", choices=("text", "json"), default=None)
-    parser.add_argument("--cache-dir", help="series cache directory "
-                        "(default: the config's cache_dir, then "
-                        "TAUTRELS_CACHE)")
+    parser.add_argument("--seed", type=int, help="seed for the randomized "
+                        "checks of verify --suite series")
+    parser.add_argument("--log", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
     relations = sub.add_parser("relations", help="relation generation")
@@ -394,12 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--genus", type=int, required=True)
     gen.add_argument("--weights", default="", help="comma-separated rationals")
     gen.add_argument("--codim", type=int, required=True)
-    gen.add_argument("--subset", default="", help="markings, e.g. 1,3")
-    gen.add_argument("--sigma", default="", help="partition, e.g. 1,1,4")
-    gen.add_argument("--construction", choices=CONSTRUCTIONS, default="fz")
+    gen.add_argument("--subset", help="markings, e.g. 1,3")
+    gen.add_argument("--sigma", help="partition, e.g. 1,1,4")
+    gen.add_argument("--construction", choices=tuple(_CONSTRUCTIONS),
+                     default="fz")
     gen.add_argument("--d", type=int, default=None, help="x-degree for the "
                      "stable-quotient constructions (default 0)")
-    gen.add_argument("--a", default="", help="marking exponents for the "
+    gen.add_argument("--a", help="marking exponents for the "
                      "stable-quotient constructions")
     gen.add_argument("--half-sign", type=int, choices=(1, -1), default=None)
     gen.add_argument("--pd-sign", type=int, choices=(1, -1), default=None)
@@ -409,12 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_relations_gen)
 
     verify = sub.add_parser("verify", help="verification suites")
-    verify.add_argument("--suite", choices=("series", "chain", "pushforward"),
-                        required=True)
+    verify.add_argument("--suite", choices=tuple(_SUITES), required=True)
     verify.add_argument("--genus", type=int, default=None)
     verify.add_argument("--codim", type=int, default=None)
     verify.add_argument("--d", type=int, default=None)
-    verify.add_argument("--quick", action="store_true")
+    verify.add_argument("--quick", action="store_true", default=None)
     verify.set_defaults(func=cmd_verify)
 
     series = sub.add_parser("series", help="series dumps")
@@ -461,9 +443,9 @@ def main(argv: list | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        log = Logger(args.log or cfg.get("log", "text"))
-        return args.func(args, cfg, log)
+        if args.seed is not None and args.func is not cmd_verify:
+            raise UsageError("--seed is read only by verify --suite series")
+        return args.func(args, Logger(args.log))
     except PreconditionError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PRECONDITION

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import comb, factorial, lcm, prod
+from math import factorial, lcm, prod
 from operator import lshift, mul
 
 from .catalog import (
@@ -63,7 +63,6 @@ __all__ = [
     "boundary_sq_relation",
     "extended_fz_relation",
     "verify_chain",
-    "reduction_lemma_demo",
     "set_partitions",
 ]
 
@@ -673,7 +672,9 @@ def verify_chain(g: int, r: int) -> list:
     change ``u = t/sqrt(1+4x), y = -x/(1+4x)`` turns the relation series
     into ``(1+4y)^e exp(-{c}_kappa)`` with ``e = (r+2d-1-g)/2``; (ii) the
     transformed exponent is triangular (y-degree <= u-degree); (iii) the
-    extremal (diagonal) part is the FZ-form relation.
+    extremal (diagonal) part is the FZ-form relation; (iv) the sign
+    pairings for which the boundary stable-quotient form without edges is
+    the open form.
     """
     if g < 0:
         raise PreconditionError("genus >= 0", f"genus={g}")
@@ -727,14 +728,10 @@ def verify_chain(g: int, r: int) -> list:
     )
     report.append(("triangularity of the transformed exponent", tri, ""))
 
-    extremal = rhs.extract(u=r, y=r)
-    ring_t = Ring([VarSpec("t", 0, r + 1)])
-    via_log_a = _kappa_exp(log_hyper_A(r), ring_t, smooth, w0).extract(t=r)
     fz = open_fz_relation(g, 0, r, (), weights=w0, enforce=False)
-    ok3 = extremal == via_log_a == fz
     report.append((
         "extremal part equals the FZ form",
-        ok3,
+        rhs.extract(u=r, y=r) == fz,
         f"{len(fz.terms)} generators",
     ))
 
@@ -743,15 +740,15 @@ def verify_chain(g: int, r: int) -> list:
     # the open form on a marked nonzero case
     probe_w = WeightData((Fraction(1, 10),))
     probe = dict(g=2, r=2, d=1, a=(1,))
+    o = open_sq_relation(
+        probe["g"], probe_w, probe["r"], probe["d"], probe["a"],
+    )
     closing = []
     for hs in (1, -1):
         for ps in (1, -1):
             b = boundary_sq_relation(
                 probe["g"], probe_w, probe["r"], probe["d"], probe["a"],
                 half_sign=hs, pd_sign=ps, max_edges=0,
-            )
-            o = open_sq_relation(
-                probe["g"], probe_w, probe["r"], probe["d"], probe["a"],
             )
             if b == o:
                 closing.append(f"({hs:+d},{ps:+d})")
@@ -807,38 +804,3 @@ def pushforward_oracle(d_max: int = 3, t_order: int = 4,
             rows.append((f"push-forward closed form d={d} zeta={zeta:+d}",
                          ok, detail or f"r <= {t_order}"))
     return rows
-
-
-def reduction_lemma_demo(seed: int = 0, trials: int = 20, deg: int = 6,
-                         c: int = 3) -> bool:
-    """Demonstrate injectivity behind the reduction step.
-
-    If ``[(1/y + 4)^d F]_{y^0} = 0`` for ``d = c+1, ..., c+deg+1`` and F
-    is a polynomial supported in degrees 0..c+deg, then F = 0; checked on
-    random nonzero polynomials (some value is nonzero) and on F = 0.
-    """
-    import random
-
-    rng = random.Random(seed)
-
-    def moment(coeffs: list, d: int) -> Fraction:
-        # [(1/y + 4)^d F]_{y^0} = sum_k binom(d, k) 4^(d-k) [y^k] F
-        total = Fraction(0)
-        for k, fk in enumerate(coeffs):
-            if k <= d:
-                total += comb(d, k) * Fraction(4) ** (d - k) * fk
-        return total
-
-    top = c + deg
-    for _ in range(trials):
-        coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(top + 1)]
-        if all(v == 0 for v in coeffs):
-            coeffs[0] = Fraction(1)
-        values = [moment(coeffs, d) for d in range(c + 1, c + deg + 2)]
-        if all(v == 0 for v in values):
-            return False
-    zero_values = [
-        moment([Fraction(0)] * (top + 1), d)
-        for d in range(c + 1, c + deg + 2)
-    ]
-    return all(v == 0 for v in zero_values)

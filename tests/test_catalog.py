@@ -314,6 +314,11 @@ def test_identity_suite_quick_all_pass():
     assert all(ok for _, ok, _ in rows), rows
 
 
+def test_identity_suite_passes_on_another_seed():
+    rows = identity_suite(quick=True, seed=7)
+    assert all(ok for _, ok, _ in rows), rows
+
+
 def test_catalog_cache_and_audit(tmp_path):
     cat = SeriesCatalog(cache_dir=str(tmp_path))
     a1 = cat.get("A", t=8)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from tautrels import cli
 from tautrels.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -130,6 +131,17 @@ class TestVerify:
                          "--d", "2")
         assert code == 0
 
+    def test_seed_and_quick_reach_the_series_suite(self, capsys,
+                                                   monkeypatch):
+        # flags not given keep identity_suite's own defaults
+        seen = []
+        monkeypatch.setattr(cli, "identity_suite",
+                            lambda **kwargs: seen.append(kwargs) or [])
+        for argv in [("--seed", "7", "verify", "--suite", "series"),
+                     ("verify", "--suite", "series", "--quick")]:
+            assert run(capsys, *argv)[0] == 0
+        assert seen == [{"seed": 7}, {"quick": True}]
+
     def test_json_log_is_one_object_per_line(self, capsys):
         code, out, _ = run(capsys, "--log", "json", "verify", "--suite",
                            "chain", "--genus", "3")
@@ -175,24 +187,48 @@ class TestSeriesDump:
 
     def test_cache_dir_precedence_holds_per_call(self, capsys, tmp_path,
                                                  monkeypatch):
-        # --cache-dir, then the config's cache_dir, then TAUTRELS_CACHE;
-        # a flag or config value must not carry over to the next call
+        # TAUTRELS_CACHE is the one cache source: --cache-dir and --config
+        # exit 2 and write nothing, and no call changes the environment
         monkeypatch.setenv("TAUTRELS_CACHE", str(tmp_path / "env"))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"cache_dir": str(tmp_path / "config")}))
         dump = ("series", "dump", "--name", "A", "--orders", "t=4")
-        for name, argv in [
-            ("flag", ("--config", str(cfg), "--cache-dir",
-                      str(tmp_path / "flag")) + dump),
-            ("config", ("--config", str(cfg)) + dump),
-            ("env", dump),
-        ]:
-            code, _, err = run(capsys, *argv)
-            assert code == 0, err
-            written = [p.parent.name for p in tmp_path.glob("*/A_t4.json")]
-            assert written == [name]
-            (tmp_path / name / "A_t4.json").unlink()
+        for argv in [("--cache-dir", str(tmp_path / "flag")) + dump,
+                     ("--config", str(cfg)) + dump]:
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
+            assert not list(tmp_path.glob("*/A_t4.json"))
+        code, _, err = run(capsys, *dump)
+        assert code == 0, err
+        written = [p.parent.name for p in tmp_path.glob("*/A_t4.json")]
+        assert written == ["env"]
         assert os.environ["TAUTRELS_CACHE"] == str(tmp_path / "env")
+
+    @pytest.mark.parametrize("argv,condition", [
+        (("--name", "A", "--orders", "t=1,t=2"), "order t is given twice"),
+        (("--name", "A", "--orders", "t=4,z=2"),
+         "order z is not read by series A"),
+        (("--name", "DeltaE", "--orders", "t=2,x=5"),
+         "order x is not read by series DeltaE"),
+        (("--name", "Phi", "--orders", "t=3,x=1,t=3"),
+         "order t is given twice"),
+        (("--name", "C", "--i", "2", "--orders", "t=4,x=1"),
+         "order x is not read by series C2"),
+        (("--name", "A", "--i", "3", "--orders", "t=4"),
+         "--i is not read by series A"),
+        (("--name", "Edge3", "--i", "1", "--orders", "t=4"),
+         "--i is not read by series Edge3"),
+    ])
+    def test_unread_order_or_flag_exits_2(self, capsys, tmp_path,
+                                          monkeypatch, argv, condition):
+        monkeypatch.setenv("TAUTRELS_CACHE", str(tmp_path))
+        code, out, err = run(capsys, "series", "dump", *argv)
+        assert code == 2
+        assert condition in err
+        assert out == ""
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_name_exit_2(self, capsys):
         code, _, err = run(capsys, "series", "dump", "--name", "nope",
@@ -231,23 +267,25 @@ class TestRank:
 
 
 class TestConfig:
-    def test_unknown_key_rejected(self, capsys, tmp_path):
+    """The JSON config file is gone: ``--config`` exits 2 through argparse
+    whatever the file holds, and prints nothing."""
+
+    def config_exits_2(self, capsys, tmp_path, data, *argv):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"cache_dirr": "x"}))
-        code, _, err = run(capsys, "--config", str(cfg), "verify",
-                           "--suite", "chain")
-        assert code == 2
-        assert "unknown config keys" in err
+        cfg.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_unknown_key_rejected(self, capsys, tmp_path):
+        self.config_exits_2(capsys, tmp_path, {"cache_dirr": "x"},
+                            "verify", "--suite", "chain")
 
     @pytest.mark.parametrize("key", ["threads", "output"])
     def test_removed_keys_rejected(self, capsys, tmp_path, key):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: 2, "log": "json"}))
-        code, out, err = run(capsys, "--config", str(cfg), "relations", "gen",
-                             "--genus", "3", "--codim", "2")
-        assert code == 2
-        assert f"unknown config keys: {key}" in err
-        assert out == ""
+        self.config_exits_2(capsys, tmp_path, {key: 2, "log": "json"},
+                            "relations", "gen", "--genus", "3", "--codim", "2")
 
 
 class TestRemovedOptions:
@@ -432,6 +470,16 @@ class TestInvalidInput:
          "no sigma part congruent to 2 mod 3 violated"),
         (("series", "dump", "--name", "A", "--orders", "t=x"),
          "order 't=x' is not of the form var=N"),
+        (("--seed", "7", "relations", "gen", "--genus", "3", "--codim", "2"),
+         "--seed is read only by verify --suite series"),
+        (("--seed", "7", "series", "dump", "--name", "A", "--orders", "t=4"),
+         "--seed is read only by verify --suite series"),
+        (("--seed", "7", "graphs", "list", "--genus", "2",
+          "--max-edges", "1"), "--seed is read only by verify --suite series"),
+        (("--seed", "7", "verify", "--suite", "chain", "--genus", "3"),
+         "--seed is not read by the chain suite"),
+        (("--seed", "7", "verify", "--suite", "pushforward", "--d", "1"),
+         "--seed is not read by the pushforward suite"),
     ])
     def test_exit_2_names_condition(self, capsys, tmp_path, monkeypatch,
                                     argv, condition):

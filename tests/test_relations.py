@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +35,6 @@ from tautrels.relations import (
     open_fz_relation,
     open_sq_relation,
     pushforward_oracle,
-    reduction_lemma_demo,
     verify_chain,
 )
 from tautrels.series import Ring, VarSpec
@@ -448,7 +447,24 @@ class TestChain:
             assert ok, (name, detail)
 
     def test_reduction_lemma(self):
-        assert reduction_lemma_demo(seed=11, trials=25, deg=5, c=4)
+        # If [(1/y + 4)^d F]_{y^0} = 0 for d = c+1, ..., c+deg+1 and F is a
+        # polynomial of degree <= c+deg, then F = 0: no random nonzero F
+        # has all these moments zero, and F = 0 has.
+        c, deg = 4, 5
+        rng = random.Random(11)
+
+        def moments(coeffs):
+            # [(1/y + 4)^d F]_{y^0} = sum_k binom(d, k) 4^(d-k) [y^k] F
+            return [sum(comb(d, k) * 4 ** (d - k) * fk
+                        for k, fk in enumerate(coeffs) if k <= d)
+                    for d in range(c + 1, c + deg + 2)]
+
+        for _ in range(25):
+            coeffs = [rng.randint(-9, 9) for _ in range(c + deg + 1)]
+            if not any(coeffs):
+                coeffs[0] = 1
+            assert any(moments(coeffs))
+        assert not any(moments([0] * (c + deg + 1)))
 
 
 # ---------------------------------------------------------------------------
