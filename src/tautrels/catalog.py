@@ -724,10 +724,20 @@ def series_orders(name: str) -> tuple:
     return _BUILDERS[name][0]
 
 
-def check_orders(name: str, orders: dict) -> None:
-    """Raise ``KeyError`` for an unknown series name and ``ValueError`` when
-    an order the series needs is missing."""
-    for var in series_orders(name):
+def check_orders(name: str, orders: dict, reads: tuple | None = None) -> None:
+    """Raise ``ValueError`` when ``orders`` gives a variable the series
+    ``name`` does not read or lacks one it needs, and ``KeyError`` for an
+    unknown catalog name.
+
+    A catalog series reads and needs ``series_orders(name)``.  A series
+    outside the catalog, such as an edge kernel, passes the variables it
+    ``reads`` and needs only its t order.
+    """
+    needs = series_orders(name) if reads is None else ("t",)
+    for var in orders:
+        if var not in (reads or needs):
+            raise ValueError(f"order {var} is not read by series {name}")
+    for var in needs:
         if var not in orders:
             raise ValueError(f"series {name} needs {_ARTICLE[var]} {var} order")
 

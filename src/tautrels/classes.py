@@ -21,6 +21,16 @@ terms; a term with graph ``G`` and decoration monomial ``M`` stands for the
 push-forward of ``M`` along the gluing map of ``G`` (no automorphism
 factors are folded in; formulas that need ``1/|Aut|`` carry it in the
 coefficient).
+
+Two paths reach a stored decoration.  :func:`normal_form` reduces a raw
+word (kappa classes including ``kappa_0``, psi powers, raw diagonals,
+generators); it serves generators, vertex factors, ``divisor_product``,
+``pushforward_forget_weight1`` and the check of class files.  Products of
+decorations that are already stored go through :func:`_vertex_product`
+instead, with coefficient 1: ``multiply_smooth``, ``multiply_generator``
+and the decoration memo of ``DecoratedSeries``.
+``pushforward_forget_small`` rewrites the block that holds the forgotten
+point in place.
 """
 
 from __future__ import annotations
@@ -162,6 +172,44 @@ def words_normal_form(
     return tuple(decor), coeff
 
 
+def _vertex_product(vd1: tuple, vd2: tuple, weights: WeightData) -> tuple | None:
+    """The product of two stored vertex decorations, or ``None`` if it
+    vanishes.
+
+    Intersecting blocks merge and add their exponents, and the kappa
+    indices are concatenated.  Stored blocks satisfy ``a >= |S| - 1``, so
+    two that merge satisfy ``a + b >= |S u T| - 1`` and the coefficient is
+    always 1; a merged block of two or more markings vanishes when its
+    weight exceeds one.  Stored blocks hold no half-edge next to another
+    point, so every merged block of two or more points is a marking block.
+    """
+    kappa1, blocks1 = vd1
+    kappa2, blocks2 = vd2
+    kappa = kappa1 + kappa2
+    if kappa1 and kappa2:
+        kappa = tuple(sorted(kappa))
+    if not (blocks1 and blocks2):
+        return kappa, blocks1 or blocks2
+    den, nums = weights._scaled
+    blocks = list(blocks1)
+    for pts, a in blocks2:
+        union = set(pts)
+        keep = []
+        for other in blocks:
+            if union.isdisjoint(other[0]):
+                keep.append(other)
+            else:
+                union.update(other[0])
+                a += other[1]
+        if len(keep) < len(blocks):
+            pts = tuple(sorted(union))
+            if len(pts) > 1 and sum(nums[p[1] - 1] for p in pts) > den:
+                return None
+        keep.append((pts, a))
+        blocks = keep
+    return kappa, tuple(sorted(blocks))
+
+
 _PRODUCT_CACHE: dict = {}
 _MISS = object()
 
@@ -172,30 +220,52 @@ def _product_table(weights: WeightData) -> dict:
     return _PRODUCT_CACHE.setdefault(weights._scaled, {})
 
 
-def _decor_product(table: dict, graph: StableGraph, weights: WeightData,
+def _decor_product(table: dict, weights: WeightData,
                    d1: tuple, d2: tuple) -> tuple | None:
-    """The product of two stored decorations of ``graph``, or ``None`` if
-    it vanishes; ``table`` is ``_product_table(weights)``.
+    """The product of two stored decorations, or ``None`` if it vanishes;
+    ``table`` is ``_product_table(weights)``.
 
-    Stored decorations carry no kappa_0 and no raw diagonal, and two stored
-    blocks that merge satisfy ``a + b >= |S u T| - 1``, so each vertex
-    product has coefficient 1 and depends on neither the vertex nor its
-    genus: the memo is keyed by the two vertex decorations alone.
+    Each vertex product is :func:`_vertex_product`, which depends on
+    neither the vertex nor its genus: the memo is keyed by the two vertex
+    decorations alone.
     """
     out = []
-    for v, key in enumerate(zip(d1, d2)):
+    for key in zip(d1, d2):
         vd = table.get(key, _MISS)
         if vd is _MISS:
-            nf = normal_form(graph, weights, v,
-                             _vertex_word(*key[0]) + _vertex_word(*key[1]))
-            if nf is not None:
-                assert nf[0] == 1, "stored decorations multiply with 1"
-                nf = nf[1:]
-            vd = table[key] = nf
+            vd = table[key] = _vertex_product(*key, weights)
         if vd is None:
             return None
         out.append(vd)
     return tuple(out)
+
+
+def _numerators(terms: dict) -> tuple:
+    """``(den, [(key, numerator), ...])``: every coefficient of ``terms`` as
+    an integer over ``den``, the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, [(key, c.numerator * (den // c.denominator))
+                 for key, c in terms.items()]
+
+
+def _from_numerators(genus: int, weights: WeightData, acc: dict,
+                     den: int) -> TautClass:
+    """The class with coefficient ``acc[key] / den`` at each key."""
+    return TautClass(genus, weights,
+                     {key: Fraction(v, den) for key, v in acc.items() if v})
+
+
+def _check_stored(graph: StableGraph, weights: WeightData, decor: tuple) -> None:
+    """Raise ``ValueError`` unless ``decor`` is a stored decoration of
+    ``graph``: every point sits at its own vertex, and the decoration is its
+    own normal form, as :func:`_vertex_product` assumes."""
+    for v, (_, blocks) in enumerate(decor):
+        here = {("m", i) for i in graph.legs_at(v)}
+        here.update(("h",) + he for he in graph.half_edges_at(v))
+        if any(p not in here for pts, _ in blocks for p in pts):
+            raise ValueError(f"a block at vertex {v} names a point elsewhere")
+    if words_normal_form(graph, weights, _decor_words(decor), 1) != (decor, 1):
+        raise ValueError("decor is not in normal form")
 
 
 def _decor_codim(graph: StableGraph, decor: tuple) -> int:
@@ -419,6 +489,7 @@ class TautClass:
                 )
                 for d in row["decor"]
             )
+            _check_stored(graph, weights, decor)
             out.add_term(
                 graph, decor, Fraction(int(row["num"]), int(row["den"]))
             )
@@ -461,64 +532,83 @@ def _hpsi_words(graph: StableGraph, powers: dict) -> list:
     return words
 
 
+def _generator_sites(graph: StableGraph, gen: tuple) -> list:
+    """``(vertex, raw word)`` for each vertex-local summand of ``gen``.
+
+    A kappa class distributes over the vertices and the half-edges by the
+    boundary pull-back rule ``kappa_j -> kappa_j^{(v)} + sum_h psi_h^j``.
+    """
+    kind = gen[0]
+    if kind == "kappa":
+        j = gen[1]
+        return [
+            site
+            for v in range(graph.n_vertices)
+            for site in [(v, [gen])] + [
+                (v, [("hpsi", he, j)]) for he in graph.half_edges_at(v)]
+        ]
+    if kind == "psi":
+        return [(graph.legs[gen[1] - 1], [gen])]
+    if kind == "Dsa":
+        homes = {graph.legs[i - 1] for i in gen[1]}
+        if len(homes) != 1:
+            raise ValueError(
+                "diagonal generator with markings on several vertices"
+            )
+        return [(homes.pop(), [gen])]
+    raise ValueError(f"unknown generator {gen!r}")
+
+
 def multiply_generator(c: TautClass, gen: tuple) -> TautClass:
     """Multiply by a kappa class, a psi power, or a ``D_{S, a}`` generator.
 
     ``gen`` is ``("kappa", j)``, ``("psi", i, k)`` or ``("Dsa", S, a)``.
-    A kappa class distributes over the vertices and the half-edges by the
-    boundary pull-back rule ``kappa_j -> kappa_j^{(v)} + sum_h psi_h^j``.
+    Each summand of ``gen`` on a graph is brought to normal form once, which
+    rejects a malformed generator, and is then multiplied into every
+    stored decoration by :func:`_vertex_product`.
     """
     out = TautClass(c.genus, c.weights)
+    factors: dict = {}
     for key, coeff in c.terms.items():
         genera, legs, edges, decor = key
         graph = StableGraph(genera, legs, edges)
-        base_words = _decor_words(decor)
-        if gen[0] == "kappa":
-            j = gen[1]
-            for v in range(graph.n_vertices):
-                words = [list(w) for w in base_words]
-                words[v].append(("kappa", j))
-                out.add_word_term(graph, words, coeff)
-                for he in graph.half_edges_at(v):
-                    words = [list(w) for w in base_words]
-                    words[v].append(("hpsi", he, j))
-                    out.add_word_term(graph, words, coeff)
-        elif gen[0] == "psi":
-            _, i, k = gen
-            v = graph.legs[i - 1]
-            words = [list(w) for w in base_words]
-            words[v].append(("psi", i, k))
-            out.add_word_term(graph, words, coeff)
-        elif gen[0] == "Dsa":
-            _, s, a = gen
-            homes = {graph.legs[i - 1] for i in s}
-            if len(homes) != 1:
-                raise ValueError(
-                    "diagonal generator with markings on several vertices"
-                )
-            v = homes.pop()
-            words = [list(w) for w in base_words]
-            words[v].append(("Dsa", tuple(s), a))
-            out.add_word_term(graph, words, coeff)
-        else:
-            raise ValueError(f"unknown generator {gen!r}")
+        if graph not in factors:
+            factors[graph] = [
+                (v, nf)
+                for v, word in _generator_sites(graph, gen)
+                if (nf := normal_form(graph, c.weights, v, word)) is not None
+            ]
+        for v, (scalar, kappa, blocks) in factors[graph]:
+            vd = _vertex_product(decor[v], (kappa, blocks), c.weights)
+            if vd is not None:
+                out.add_term(graph, decor[:v] + (vd,) + decor[v + 1:],
+                             coeff * scalar)
     return out
 
 
 def multiply_smooth(c1: TautClass, c2: TautClass) -> TautClass:
-    """Product of two classes supported on the smooth (edge-free) graph."""
+    """Product of two classes supported on the smooth (edge-free) graph.
+
+    Coefficients are integer numerators over one denominator per factor.
+    A one-vertex, edge-free term is its own canonical form, so products
+    are keyed directly.
+    """
     c1._check_compatible(c2)
     if any(key[2] for c in (c1, c2) for key in c.terms):
         raise ValueError("multiply_smooth needs edge-free terms")
-    out = TautClass(c1.genus, c1.weights)
-    right = [(_decor_words(key2[3]), b) for key2, b in c2.terms.items()]
-    for key1, a in c1.terms.items():
-        graph = StableGraph(key1[0], key1[1], key1[2])
-        left = _decor_words(key1[3])
-        for words2, b in right:
-            words = [w1 + w2 for w1, w2 in zip(left, words2)]
-            out.add_word_term(graph, words, a * b)
-    return out
+    weights = c1.weights
+    den1, left = _numerators(c1.terms)
+    den2, right = _numerators(c2.terms)
+    right = [(decor2[0], b) for (_, _, _, decor2), b in right]
+    acc: dict = {}
+    get = acc.get
+    for (genera, legs, edges, (vd1,)), a in left:
+        for vd2, b in right:
+            vd = _vertex_product(vd1, vd2, weights)
+            if vd is not None:
+                key = (genera, legs, edges, (vd,))
+                acc[key] = get(key, 0) + a * b
+    return _from_numerators(c1.genus, weights, acc, den1 * den2)
 
 
 # ---------------------------------------------------------------------------
@@ -530,41 +620,49 @@ def pushforward_forget_small(c: TautClass, count: int = 1) -> TautClass:
     """Forget the last ``count`` markings, all of small weight.
 
     Uses the table: a term dies if the forgotten marking is in no block;
-    a pure psi power at the marking becomes ``kappa_{a-1}`` at its vertex;
-    a larger block loses the marking, drops its exponent by one and changes
-    sign.
+    a pure psi power at the marking becomes ``kappa_{a-1}`` at its vertex
+    (``kappa_0`` is the scalar ``2 g(v) - 2``); a larger block loses the
+    marking, drops its exponent by one and changes sign.  The block is
+    rewritten in place on integer numerators, and only terms on graphs
+    with edges need a canonical relabelling.
     """
     current = c
     for _ in range(count):
         n = current.weights.n
         weights = WeightData(current.weights.weights[:-1])
-        target = TautClass(current.genus, weights)
         point = ("m", n)
+        den, nums = _numerators(current.terms)
+        acc: dict = {}
         valid = set()
-        for key, coeff in current.terms.items():
-            genera, legs, edges, decor = key
-            v_home = legs[n - 1]
+        for (genera, legs, edges, decor), num in nums:
+            v = legs[n - 1]
             graph = StableGraph(genera, legs[:-1], edges)
             if graph not in valid:
                 graph.validate(weights, current.genus)
                 valid.add(graph)
-            kappa, blocks = decor[v_home]
-            rest = [b for b in blocks if point not in b[0]]
-            if len(rest) == len(blocks):
+            kappa, blocks = decor[v]
+            i = next((i for i, (pts, _) in enumerate(blocks) if point in pts),
+                     None)
+            if i is None:
                 continue  # the forgotten marking is in no block
-            (pts, a), = (b for b in blocks if point in b[0])
-            new_word = _vertex_word(kappa, rest)
-            if len(pts) == 1:
-                new_word.append(("kappa", a - 1))
+            pts, a = blocks[i]
+            rest = blocks[:i] + blocks[i + 1:]
+            if len(pts) > 1:
+                num = -num
+                pts = tuple(p for p in pts if p != point)
+                if len(pts) > 1 or a > 1:
+                    rest = tuple(sorted(rest + ((pts, a - 1),)))
+            elif a > 1:
+                kappa = tuple(sorted(kappa + (a - 1,)))
             else:
-                coeff = -coeff
-                new_word.append(
-                    ("Dsa", tuple(p[1] for p in pts if p != point), a - 1)
-                )
-            words = _decor_words(decor)
-            words[v_home] = new_word
-            target.add_word_term(graph, words, coeff)
-        current = target
+                num *= 2 * genera[v] - 2
+                if not num:
+                    continue
+            decor = decor[:v] + ((kappa, rest),) + decor[v + 1:]
+            key = (canonical_term(graph, decor) if edges
+                   else (genera, graph.legs, edges, decor))
+            acc[key] = acc.get(key, 0) + num
+        current = _from_numerators(current.genus, weights, acc, den)
     return current
 
 

@@ -22,7 +22,6 @@ from .catalog import (
     delta_edge,
     edge_series_xy,
     identity_suite,
-    series_orders,
 )
 from .classes import (
     TautClass,
@@ -86,9 +85,9 @@ def _parse_ints(text: str, flag: str) -> tuple:
     return _parse_list(text, flag, int, "an integer")
 
 
-def _parse_orders(text: str, name: str, reads: tuple) -> dict:
-    """The ``--orders`` of series ``name``; a variable given twice or not in
-    ``reads`` exits 2 naming it."""
+def _parse_orders(text: str) -> dict:
+    """The ``--orders`` of a series dump; a variable given twice exits 2
+    naming it."""
     out = {}
     for part in text.split(","):
         var, _, value = part.partition("=")
@@ -102,8 +101,6 @@ def _parse_orders(text: str, name: str, reads: tuple) -> dict:
             raise UsageError(f"order >= 0 violated: {part}")
         if var in out:
             raise UsageError(f"order {var} is given twice")
-        if var not in reads:
-            raise UsageError(f"order {var} is not read by series {name}")
         out[var] = order
     return out
 
@@ -296,16 +293,14 @@ def cmd_series_dump(args, log: Logger) -> int:
         name = f"C{args.i}"
     elif args.i is not None:
         raise UsageError(f"--i is not read by series {name}")
+    orders = _parse_orders(args.orders)
     try:
-        reads = (_EDGE_KERNELS[name][0] if name in _EDGE_KERNELS
-                 else series_orders(name))
-    except KeyError as exc:
+        check_orders(name, orders,
+                     _EDGE_KERNELS[name][0] if name in _EDGE_KERNELS else None)
+    except (KeyError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-    orders = _parse_orders(args.orders, name, reads)
     payload = {"name": args.name, "orders": orders}
     if name in _EDGE_KERNELS:
-        if "t" not in orders:
-            raise UsageError(f"series {name} needs a t order")
         table = []
         for z1 in (1, -1):
             for z2 in (1, -1):
@@ -316,10 +311,6 @@ def cmd_series_dump(args, log: Logger) -> int:
                 table.append(entry)
         payload["table"] = table
     else:
-        try:
-            check_orders(name, orders)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
         payload.update(series_to_dict(SeriesCatalog().get(name, **orders)))
     _write_payload(payload, args.out)
     log.event(command="series dump", name=args.name)
@@ -439,8 +430,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# global flags that are gone -> what replaces them
+_REMOVED_FLAGS = {
+    "--cache-dir": "set the cache directory with TAUTRELS_CACHE",
+    "--config": "give each setting as a command-line flag",
+    "--threads": "every command runs on one thread",
+}
+
+
 def main(argv: list | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for arg in argv:
+        flag = arg.partition("=")[0]
+        if flag in _REMOVED_FLAGS:
+            parser.error(f"{flag} was removed: {_REMOVED_FLAGS[flag]}")
     args = parser.parse_args(argv)
     try:
         if args.seed is not None and args.func is not cmd_verify:

@@ -200,7 +200,7 @@ class DecoratedSeries:
         get = acc.get
         for d1, row1 in pa.items():
             for d2, row2 in pb.items():
-                decor = _decor_product(table, self.graph, self.weights, d1, d2)
+                decor = _decor_product(table, self.weights, d1, d2)
                 if decor is None:
                     continue
                 for k1, c1 in row1:

@@ -28,6 +28,7 @@ from tautrels.catalog import (
     s_matrix_ode_residuals,
     s_matrix_row_by_ode,
     series_C,
+    series_orders,
     substitute_uy,
     uy_expansion,
     uy_ring,
@@ -345,8 +346,15 @@ def test_log_hyper_A_is_memoised_log_of_A():
 def test_catalog_ring_is_the_builders_ring():
     cat = SeriesCatalog(cache_dir=None)
     for name in cat.names():
-        for orders in ({"t": 0, "x": 0}, {"t": 3, "x": 2}, {"t": 1, "x": 3}):
+        for given in ({"t": 0, "x": 0}, {"t": 3, "x": 2}, {"t": 1, "x": 3}):
+            orders = {var: given[var] for var in series_orders(name)}
             assert catalog_ring(name, orders) == cat.get(name, **orders).ring
+
+
+def test_catalog_rejects_an_unread_order_and_writes_nothing(tmp_path):
+    with pytest.raises(ValueError, match="order x is not read by series A"):
+        SeriesCatalog(cache_dir=str(tmp_path)).get("A", t=4, x=0)
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("damage", ["truncated", "other ring", "not a series"])

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from tautrels.classes import (
     TautClass,
+    _decor_words,
+    _vertex_word,
     canonical_term,
     chern_neg_Bd,
     divisor_exp_check,
@@ -26,7 +28,12 @@ from tautrels.classes import (
     words_normal_form,
 )
 from tautrels.catalog import bernoulli
-from tautrels.graphs import StableGraph, WeightData, enumerate_graphs
+from tautrels.graphs import (
+    StableGraph,
+    WeightData,
+    enumerate_graphs,
+    smooth_graph,
+)
 
 
 def smooth(genus, n):
@@ -525,6 +532,280 @@ class TestForgetSmall:
         down = pushforward_forget_small(c, count=d)
         expected = kappa_class(g, WeightData(()), r - d).scale((-1) ** (d - 1))
         assert down == expected
+
+
+# ---------------------------------------------------------------------------
+# Stored-decoration kernels against the word-based oracles
+# ---------------------------------------------------------------------------
+#
+# The oracles rebuild raw words from stored decorations and reduce every
+# product with ``normal_form``, as the library did before its kernels
+# multiplied stored decorations directly.
+
+
+def oracle_multiply_generator(c, gen):
+    out = TautClass(c.genus, c.weights)
+    for key, coeff in c.terms.items():
+        genera, legs, edges, decor = key
+        graph = StableGraph(genera, legs, edges)
+        base_words = _decor_words(decor)
+        if gen[0] == "kappa":
+            j = gen[1]
+            for v in range(graph.n_vertices):
+                words = [list(w) for w in base_words]
+                words[v].append(("kappa", j))
+                out.add_word_term(graph, words, coeff)
+                for he in graph.half_edges_at(v):
+                    words = [list(w) for w in base_words]
+                    words[v].append(("hpsi", he, j))
+                    out.add_word_term(graph, words, coeff)
+        elif gen[0] == "psi":
+            _, i, k = gen
+            v = graph.legs[i - 1]
+            words = [list(w) for w in base_words]
+            words[v].append(("psi", i, k))
+            out.add_word_term(graph, words, coeff)
+        elif gen[0] == "Dsa":
+            _, s, a = gen
+            homes = {graph.legs[i - 1] for i in s}
+            if len(homes) != 1:
+                raise ValueError(
+                    "diagonal generator with markings on several vertices"
+                )
+            v = homes.pop()
+            words = [list(w) for w in base_words]
+            words[v].append(("Dsa", tuple(s), a))
+            out.add_word_term(graph, words, coeff)
+        else:
+            raise ValueError(f"unknown generator {gen!r}")
+    return out
+
+
+def oracle_multiply_smooth(c1, c2):
+    c1._check_compatible(c2)
+    if any(key[2] for c in (c1, c2) for key in c.terms):
+        raise ValueError("multiply_smooth needs edge-free terms")
+    out = TautClass(c1.genus, c1.weights)
+    right = [(_decor_words(key2[3]), b) for key2, b in c2.terms.items()]
+    for key1, a in c1.terms.items():
+        graph = StableGraph(key1[0], key1[1], key1[2])
+        left = _decor_words(key1[3])
+        for words2, b in right:
+            words = [w1 + w2 for w1, w2 in zip(left, words2)]
+            out.add_word_term(graph, words, a * b)
+    return out
+
+
+def oracle_pushforward_forget_small(c, count=1):
+    current = c
+    for _ in range(count):
+        n = current.weights.n
+        weights = WeightData(current.weights.weights[:-1])
+        target = TautClass(current.genus, weights)
+        point = ("m", n)
+        valid = set()
+        for key, coeff in current.terms.items():
+            genera, legs, edges, decor = key
+            v_home = legs[n - 1]
+            graph = StableGraph(genera, legs[:-1], edges)
+            if graph not in valid:
+                graph.validate(weights, current.genus)
+                valid.add(graph)
+            kappa, blocks = decor[v_home]
+            rest = [b for b in blocks if point not in b[0]]
+            if len(rest) == len(blocks):
+                continue
+            (pts, a), = (b for b in blocks if point in b[0])
+            new_word = _vertex_word(kappa, rest)
+            if len(pts) == 1:
+                new_word.append(("kappa", a - 1))
+            else:
+                coeff = -coeff
+                new_word.append(
+                    ("Dsa", tuple(p[1] for p in pts if p != point), a - 1)
+                )
+            words = _decor_words(decor)
+            words[v_home] = new_word
+            target.add_word_term(graph, words, coeff)
+        current = target
+    return current
+
+
+# weights whose sums make some merged diagonals heavy (forbidden)
+KERNEL_WEIGHTS = (Fraction(1, 1000), Fraction(1, 2), Fraction(2, 5), Fraction(1))
+# mixed denominators, both signs
+KERNEL_COEFFICIENTS = st.sampled_from(
+    [1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(-3, 10)]
+)
+_KERNEL_GRAPHS: dict = {}
+
+
+def _kernel_graphs(genus, weights):
+    """The smooth graph and the graphs with at most two edges."""
+    key = (genus, weights)
+    if key not in _KERNEL_GRAPHS:
+        _KERNEL_GRAPHS[key] = list(dict.fromkeys(
+            [smooth_graph(genus, weights.n)]
+            + enumerate_graphs(genus, weights, 2)
+        ))
+    return _KERNEL_GRAPHS[key]
+
+
+@st.composite
+def kernel_spaces(draw, min_points=1):
+    genus = draw(st.integers(0, 2))
+    n = draw(st.integers(min_points, 3))
+    weights = draw(st.lists(st.sampled_from(KERNEL_WEIGHTS),
+                            min_size=n, max_size=n))
+    return genus, WeightData(tuple(weights))
+
+
+@st.composite
+def stored_classes(draw, genus, weights, smooth_only=False):
+    """One to four terms, each a random word per vertex (kappa classes, psi
+    powers at legs and half-edges, allowed diagonal generators) in normal
+    form; a term whose diagonals merge into a heavy block is dropped."""
+    graphs = _kernel_graphs(genus, weights)
+    if smooth_only:
+        graphs = graphs[:1]
+    c = TautClass(genus, weights)
+    for _ in range(draw(st.integers(1, 4))):
+        graph = draw(st.sampled_from(graphs))
+        words = []
+        for v in range(graph.n_vertices):
+            word = [("kappa", j)
+                    for j in draw(st.lists(st.integers(1, 3), max_size=2))]
+            marks = graph.legs_at(v)
+            word += [("psi", i, draw(st.integers(0, 3))) for i in marks]
+            word += [("hpsi", he, draw(st.integers(0, 2)))
+                     for he in graph.half_edges_at(v)]
+            if len(marks) >= 2:
+                for _ in range(draw(st.integers(0, 2))):
+                    s = draw(st.lists(st.sampled_from(marks), min_size=2,
+                                      max_size=len(marks), unique=True))
+                    if weights.subset_weight(s) <= 1:
+                        word.append(("Dsa", tuple(s),
+                                     len(s) - 1 + draw(st.integers(0, 1))))
+            words.append(word)
+        reduced = words_normal_form(graph, weights, words, 1)
+        if reduced is not None:
+            c.add_term(graph, reduced[0],
+                       reduced[1] * draw(KERNEL_COEFFICIENTS))
+    return c
+
+
+def kernel_generators(n):
+    marks = st.integers(1, n)
+    diagonals = st.lists(marks, min_size=1, max_size=n, unique=True).flatmap(
+        lambda s: st.tuples(st.just("Dsa"), st.just(tuple(s)),
+                            st.integers(len(s) - 1, len(s) + 1)))
+    return st.one_of(
+        st.tuples(st.just("kappa"), st.integers(0, 3)),
+        st.tuples(st.just("psi"), marks, st.integers(0, 3)),
+        diagonals,
+    )
+
+
+def _outcome(f, *args, message=True):
+    """The bytes of ``f(*args)``, or the ValueError it raises."""
+    try:
+        return f(*args).dumps()
+    except ValueError as exc:
+        return "ValueError", str(exc) if message else None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_multiply_smooth_matches_word_oracle(data):
+    genus, weights = data.draw(kernel_spaces(min_points=3))
+    c1 = data.draw(stored_classes(genus, weights, smooth_only=True))
+    c2 = data.draw(stored_classes(genus, weights, smooth_only=True))
+    assert (multiply_smooth(c1, c2).dumps()
+            == oracle_multiply_smooth(c1, c2).dumps())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_multiply_generator_matches_word_oracle(data):
+    genus, weights = data.draw(kernel_spaces(min_points=2))
+    c = data.draw(stored_classes(genus, weights))
+    gen = data.draw(kernel_generators(weights.n))
+    assert (_outcome(multiply_generator, c, gen)
+            == _outcome(oracle_multiply_generator, c, gen))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_pushforward_forget_small_matches_word_oracle(data):
+    genus, weights = data.draw(kernel_spaces(min_points=2))
+    c = data.draw(stored_classes(genus, weights))
+    count = data.draw(st.integers(1, weights.n))
+    # after a cancellation the two term orders may differ, and with them
+    # the first graph found unstable in a later pass
+    message = count == 1
+    assert (_outcome(pushforward_forget_small, c, count, message=message)
+            == _outcome(oracle_pushforward_forget_small, c, count,
+                        message=message))
+
+
+def _smooth_class(genus, weights, *terms):
+    """``sum coeff * word`` on the smooth graph."""
+    c = TautClass(genus, weights)
+    for coeff, word in terms:
+        c.add_word_term(smooth_graph(genus, weights.n), [word], coeff)
+    return c
+
+
+def test_kernels_cancel_to_zero():
+    w = eps_weights(2)
+    psi1, psi2 = ("psi", 1, 1), ("psi", 2, 1)
+    minus = _smooth_class(2, w, (1, [psi1]), (-1, [psi2]))
+    plus = _smooth_class(2, w, (1, [psi1]), (1, [psi2]))
+    prod = multiply_smooth(minus, plus)
+    assert prod == _smooth_class(2, w, (1, [("psi", 1, 2)]),
+                                 (-1, [("psi", 2, 2)]))
+    assert prod.dumps() == oracle_multiply_smooth(minus, plus).dumps()
+    # psi_2^2 -> kappa_1 and kappa_1 psi_2 -> (2g - 2) kappa_1
+    c = _smooth_class(2, w, (2, [("psi", 2, 2)]),
+                      (-1, [("kappa", 1), ("psi", 2, 1)]))
+    assert pushforward_forget_small(c).is_zero
+    assert oracle_pushforward_forget_small(c).is_zero
+
+
+def test_heavy_merged_diagonal_vanishes():
+    # D_{12} and D_{23} are allowed, D_{123} weighs 1 + 1/1000
+    w = WeightData((Fraction(1, 2), Fraction(1, 2), Fraction(1, 1000)))
+    d12 = _smooth_class(2, w, (1, [("Dsa", (1, 2), 1)]))
+    d23 = _smooth_class(2, w, (1, [("Dsa", (2, 3), 1)]))
+    assert not d12.is_zero and not d23.is_zero
+    assert multiply_smooth(d12, d23).is_zero
+    assert oracle_multiply_smooth(d12, d23).is_zero
+    assert multiply_generator(d12, ("Dsa", (2, 3), 1)).is_zero
+    # a pair block losing the forgotten point leaves psi^0 = 1
+    down = pushforward_forget_small(d23)
+    assert down == TautClass.one(2, WeightData(w.weights[:2])).scale(-1)
+    assert down == oracle_pushforward_forget_small(d23)
+
+
+def test_pushforward_forget_small_rejects_unstable_even_if_zero():
+    # forgetting the light point leaves a genus-0 vertex of weight 2
+    w = WeightData((Fraction(1), Fraction(1), Fraction(1, 1000)))
+    one = TautClass.one(0, w)  # no block holds the point: every term dies
+    with pytest.raises(ValueError, match="unstable"):
+        pushforward_forget_small(one)
+
+
+@pytest.mark.parametrize("gen,condition", [
+    (("diag", (1, 2)), "unknown generator"),
+    (("Dsa", (1, 2), 0), "block exponent below"),
+    (("Dsa", (1, 2, 3), 1), "block exponent below"),
+    (("psi", 1, -1), "block exponent below"),
+])
+def test_multiply_generator_rejects_bad_generator(gen, condition):
+    w = eps_weights(3)
+    c = _smooth_class(2, w, (1, [("Dsa", (1, 2), 1)]))
+    with pytest.raises(ValueError, match=condition):
+        multiply_generator(c, gen)
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,23 @@ class TestRemovedOptions:
         assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("argv,hint", [
+    (("--cache-dir", "x"), "TAUTRELS_CACHE"),
+    (("--cache-dir=x",), "TAUTRELS_CACHE"),
+    (("--config", "cfg.json"), "command-line flag"),
+    (("--threads", "2"), "one thread"),
+])
+def test_removed_global_flag_is_named(capsys, argv, hint):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "verify", "--suite", "series", "--quick"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    flag = argv[0].partition("=")[0]
+    assert f"{flag} was removed" in captured.err
+    assert hint in captured.err
+
+
 class TestReadme:
     def test_command_lines_parse(self):
         parser = build_parser()
@@ -348,6 +365,26 @@ CLASS_FILES = {
                    "num": "1", "den": "1"}],
     },
 }
+
+
+def _smooth_file(weights, decor):
+    """A one-term class on the smooth genus-two graph."""
+    return {"genus": 2, "weights": weights,
+            "terms": [{"graph": {"vertices": [2], "edges": [],
+                                 "legs": [[i + 1, 0] for i in
+                                          range(len(weights))]},
+                       "decor": [decor], "num": "1", "den": "1"}]}
+
+
+# decorations the stored-decoration kernels could not take as they are
+CLASS_FILES["unsorted_kappa.json"] = _smooth_file(
+    [["1", "1000"]],
+    {"kappa": [2, 1], "blocks": [{"points": [["m", 1]], "a": 2}]})
+CLASS_FILES["heavy_block.json"] = _smooth_file(
+    [["1", "1"], ["1", "1"]],
+    {"kappa": [], "blocks": [{"points": [["m", 1], ["m", 2]], "a": 1}]})
+CLASS_FILES["far_point.json"] = _smooth_file(
+    [["1", "2"]], {"kappa": [], "blocks": [{"points": [["h", 0, 0]], "a": 1}]})
 CLASS_FILES["batch_bad_legs.json"] = [CLASS_FILES["bad_legs.json"]]
 CLASS_FILES["batch_no_weights.json"] = [{"genus": 1, "terms": []}]
 CLASS_FILES["batch_ints.json"] = [1, 2]
@@ -480,6 +517,12 @@ class TestInvalidInput:
          "--seed is not read by the chain suite"),
         (("--seed", "7", "verify", "--suite", "pushforward", "--d", "1"),
          "--seed is not read by the pushforward suite"),
+        (("classes", "pushforward", "--in", "unsorted_kappa.json"),
+         "decor is not in normal form"),
+        (("classes", "pushforward", "--in", "heavy_block.json"),
+         "decor is not in normal form"),
+        (("classes", "normal-form", "--in", "far_point.json"),
+         "a block at vertex 0 names a point elsewhere"),
     ])
     def test_exit_2_names_condition(self, capsys, tmp_path, monkeypatch,
                                     argv, condition):
