@@ -28,7 +28,7 @@ generators); it serves generators, vertex factors, ``divisor_product``,
 ``pushforward_forget_weight1`` and the check of class files.  Products of
 decorations that are already stored go through :func:`_vertex_product`
 instead, with coefficient 1: ``multiply_smooth``, ``multiply_generator``
-and the decoration memo of ``DecoratedSeries``.
+and ``DecoratedSeries`` products; no product is kept between calls.
 ``pushforward_forget_small`` rewrites the block that holds the forgotten
 point in place.
 """
@@ -40,7 +40,7 @@ import json
 from fractions import Fraction
 from math import factorial, lcm
 
-from .graphs import StableGraph, WeightData, smooth_graph
+from .graphs import PreconditionError, StableGraph, WeightData, smooth_graph
 from .series import Ring, VarSpec
 
 __all__ = [
@@ -210,31 +210,12 @@ def _vertex_product(vd1: tuple, vd2: tuple, weights: WeightData) -> tuple | None
     return kappa, tuple(sorted(blocks))
 
 
-_PRODUCT_CACHE: dict = {}
-_MISS = object()
-
-
-def _product_table(weights: WeightData) -> dict:
-    """The memo of :func:`_decor_product` for ``weights``, found by their
-    integer form, which hashes without ``Fraction`` arithmetic."""
-    return _PRODUCT_CACHE.setdefault(weights._scaled, {})
-
-
-def _decor_product(table: dict, weights: WeightData,
-                   d1: tuple, d2: tuple) -> tuple | None:
-    """The product of two stored decorations, or ``None`` if it vanishes;
-    ``table`` is ``_product_table(weights)``.
-
-    Each vertex product is :func:`_vertex_product`, which depends on
-    neither the vertex nor its genus: the memo is keyed by the two vertex
-    decorations alone.
-    """
+def _decor_product(weights: WeightData, d1: tuple, d2: tuple) -> tuple | None:
+    """The product of two stored decorations, or ``None`` if it vanishes:
+    :func:`_vertex_product` vertex by vertex."""
     out = []
-    for key in zip(d1, d2):
-        vd = table.get(key, _MISS)
-        if vd is _MISS:
-            vd = table[key] = _vertex_product(*key, weights)
-        if vd is None:
+    for vd1, vd2 in zip(d1, d2):
+        if (vd := _vertex_product(vd1, vd2, weights)) is None:
             return None
         out.append(vd)
     return tuple(out)
@@ -279,9 +260,6 @@ def _decor_codim(graph: StableGraph, decor: tuple) -> int:
 # Canonical form of a decorated term
 # ---------------------------------------------------------------------------
 
-_CANON_CACHE: dict = {}
-
-
 def _map_points(points: tuple, hemap: dict) -> tuple:
     out = []
     for p in points:
@@ -301,12 +279,11 @@ def canonical_term(graph: StableGraph, decor: tuple) -> tuple:
     of parallel edges and side flips of loops are all taken into account
     and equal terms always compare equal.  The minimum over all vertex
     permutations has sorted genera, so the genus-block maps reach it.
-    Returns ``(genera, legs, edges, decor)``.
+    A one-vertex, edge-free term has no relabelling and is returned as it
+    is.  Returns ``(genera, legs, edges, decor)``.
     """
-    key = (graph.genera, graph.legs, graph.edges, decor)
-    hit = _CANON_CACHE.get(key)
-    if hit is not None:
-        return hit
+    if not graph.edges and graph.n_vertices == 1:
+        return graph.genera, graph.legs, graph.edges, decor
     genera = tuple(sorted(graph.genera))
     best = None
     for perm in graph.vertex_maps():
@@ -320,7 +297,6 @@ def canonical_term(graph: StableGraph, decor: tuple) -> tuple:
             cand = (genera, legs, edges, tuple(new_decor))
             if best is None or cand < best:
                 best = cand
-    _CANON_CACHE[key] = best
     return best
 
 
@@ -590,8 +566,8 @@ def multiply_smooth(c1: TautClass, c2: TautClass) -> TautClass:
     """Product of two classes supported on the smooth (edge-free) graph.
 
     Coefficients are integer numerators over one denominator per factor.
-    A one-vertex, edge-free term is its own canonical form, so products
-    are keyed directly.
+    Products are keyed directly, as :func:`canonical_term` returns a
+    one-vertex, edge-free term unchanged.
     """
     c1._check_compatible(c2)
     if any(key[2] for c in (c1, c2) for key in c.terms):
@@ -616,6 +592,20 @@ def multiply_smooth(c1: TautClass, c2: TautClass) -> TautClass:
 # ---------------------------------------------------------------------------
 
 
+def _check_light(weights: WeightData, count: int) -> None:
+    """Raise unless each of the last ``count`` markings, forgotten last one
+    first, is light: no set ``S`` of the markings before ``n`` has
+    ``w(S) <= 1 < w(S) + w_n``, so ``n`` can join every collision of
+    the markings before it."""
+    den, nums = weights._scaled
+    for n in range(weights.n, weights.n - count, -1):
+        for S in itertools.chain.from_iterable(
+                itertools.combinations(range(1, n), k) for k in range(1, n)):
+            if den - nums[n - 1] < sum(nums[i - 1] for i in S) <= den:
+                raise PreconditionError("w(S) + w_n <= 1 whenever w(S) <= 1",
+                                        f"n={n}, S={set(S)}")
+
+
 def pushforward_forget_small(c: TautClass, count: int = 1) -> TautClass:
     """Forget the last ``count`` markings, all of small weight.
 
@@ -623,9 +613,10 @@ def pushforward_forget_small(c: TautClass, count: int = 1) -> TautClass:
     a pure psi power at the marking becomes ``kappa_{a-1}`` at its vertex
     (``kappa_0`` is the scalar ``2 g(v) - 2``); a larger block loses the
     marking, drops its exponent by one and changes sign.  The block is
-    rewritten in place on integer numerators, and only terms on graphs
-    with edges need a canonical relabelling.
+    rewritten in place on integer numerators.  The table holds only for
+    light markings (:func:`_check_light`); heavy ones raise.
     """
+    _check_light(c.weights, count)
     current = c
     for _ in range(count):
         n = current.weights.n
@@ -659,8 +650,7 @@ def pushforward_forget_small(c: TautClass, count: int = 1) -> TautClass:
                 if not num:
                     continue
             decor = decor[:v] + ((kappa, rest),) + decor[v + 1:]
-            key = (canonical_term(graph, decor) if edges
-                   else (genera, graph.legs, edges, decor))
+            key = canonical_term(graph, decor)
             acc[key] = acc.get(key, 0) + num
         current = _from_numerators(current.genus, weights, acc, den)
     return current

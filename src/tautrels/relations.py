@@ -35,7 +35,6 @@ from .classes import (
     TautClass,
     _decor_product,
     _hpsi_words,
-    _product_table,
     chern_neg_Bd,
     multiply_generator,
     normal_form,
@@ -188,19 +187,18 @@ class DecoratedSeries:
     def __mul__(self, other: "DecoratedSeries") -> "DecoratedSeries":
         """Product on integer numerators over one denominator per operand,
         with the exponents packed as in ``Series.__mul__`` and each pair of
-        decorations multiplied once through the vertex product memo."""
+        decorations multiplied once."""
         out = DecoratedSeries(self.ring, self.graph, self.weights)
         shifts, biases, masks, left, right, high, laurent = (
             self.ring._product_layout()
         )
         da, pa = _packed(self.terms, shifts, left)
         db, pb = _packed(other.terms, shifts, right)
-        table = _product_table(self.weights)
         acc: dict = {}
         get = acc.get
         for d1, row1 in pa.items():
             for d2, row2 in pb.items():
-                decor = _decor_product(table, self.weights, d1, d2)
+                decor = _decor_product(self.weights, d1, d2)
                 if decor is None:
                     continue
                 for k1, c1 in row1:
@@ -242,10 +240,7 @@ class DecoratedSeries:
         return result
 
     def extract(self, **powers: int) -> TautClass:
-        target = [0] * self.ring.nvars
-        for name, p in powers.items():
-            target[self.ring.index[name]] = p
-        target = tuple(target)
+        target = self.ring.exponents(**powers)
         out = TautClass(self.graph.genus, self.weights)
         for (exps, decor), c in self.terms.items():
             if exps == target:
@@ -369,9 +364,7 @@ def _boundary_vertex_factor(ring: Ring, graph: StableGraph,
     ds = DecoratedSeries(ring, graph, weights)
     markings = sorted(graph.legs_at(vertex))
     for i in markings:
-        exps = [0] * ring.nvars
-        exps[ring.index[f"p{i}"]] = 1
-        ds.add_term(tuple(exps), ds._trivial_decor(),
+        ds.add_term(ring.exponents(**{f"p{i}": 1}), ds._trivial_decor(),
                     Fraction(half_sign * zeta, 2))
     f = gamma.substitute({"t": zeta})
     bracket_Delta(f, ds, vertex, {})
@@ -524,16 +517,18 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
     at vertex ``v``, and ``edge_series(z1, z2, order)`` the kernel of an
     edge whose ends have colours ``z1`` and ``z2``, in (t[, x], p1, p2).
     Each factor is built once per graph: a vertex factor per ``(v, zeta)``
-    and an edge kernel per ``(e, z1, z2)``.
+    and an edge kernel per ``(e, z1, z2)``.  The coefficients at the target
+    degree are summed over all colourings of a graph first, so each
+    distinct decoration is relabelled to its canonical form once.
     """
     total = TautClass(g, weights)
     for graph in graphs:
         order = r - graph.n_edges
         ring = ring_of(order)
-        powers = powers_of(order)
-        scale = Fraction(1, graph.automorphism_order())
+        target = ring.exponents(**powers_of(order))
         vertex_factors: dict = {}
         edge_kernels: dict = {}
+        sums: dict = {}
         for coloring in enumerate_colorings(graph):
             factors = []
             for v, zeta in enumerate(coloring):
@@ -548,8 +543,12 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
                         ring, graph, weights)
                     _edge_to_ds(edge_series(key[1], key[2], order), eds, e)
                 factors.append(edge_kernels[key])
-            ds = reduce(mul, factors)
-            total = total + ds.extract(**powers).scale(scale)
+            for (exps, decor), c in reduce(mul, factors).terms.items():
+                if exps == target:
+                    sums[decor] = sums.get(decor, 0) + c
+        scale = Fraction(1, graph.automorphism_order())
+        for decor, c in sums.items():
+            total.add_term(graph, decor, c * scale)
     return total
 
 

@@ -123,18 +123,21 @@ class Ring:
     def one(self) -> "Series":
         return self.const(1)
 
-    def var(self, name: str, power: int = 1) -> "Series":
+    def exponents(self, **powers: int) -> tuple:
+        """The exponent tuple with ``powers[name]`` at each named variable
+        and 0 elsewhere."""
         exps = [0] * self.nvars
-        exps[self.index[name]] = power
-        exps = tuple(exps)
+        for name, p in powers.items():
+            exps[self.index[name]] = p
+        return tuple(exps)
+
+    def var(self, name: str, power: int = 1) -> "Series":
+        exps = self.exponents(**{name: power})
         self._check_window(exps)
         return Series(self, {exps: Fraction(1)})
 
     def monomial(self, coeff: Scalar, **powers: int) -> "Series":
-        exps = [0] * self.nvars
-        for name, p in powers.items():
-            exps[self.index[name]] = p
-        exps = tuple(exps)
+        exps = self.exponents(**powers)
         self._check_window(exps)
         c = Fraction(coeff)
         return Series(self, {exps: c}) if c else self.zero()
@@ -211,10 +214,7 @@ class Series:
 
     def coefficient(self, **powers: int) -> Fraction:
         """Coefficient of a single fully specified monomial."""
-        exps = [0] * self.ring.nvars
-        for name, p in powers.items():
-            exps[self.ring.index[name]] = p
-        exps = tuple(exps)
+        exps = self.ring.exponents(**powers)
         self.ring._check_window(exps)
         return self.coeffs.get(exps, Fraction(0))
 

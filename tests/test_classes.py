@@ -29,6 +29,7 @@ from tautrels.classes import (
 )
 from tautrels.catalog import bernoulli
 from tautrels.graphs import (
+    PreconditionError,
     StableGraph,
     WeightData,
     enumerate_graphs,
@@ -734,12 +735,29 @@ def test_multiply_generator_matches_word_oracle(data):
             == _outcome(oracle_multiply_generator, c, gen))
 
 
+def _forgets_a_heavy_point(weights, count):
+    """Whether forgetting the last ``count`` markings, last one first,
+    forgets some ``n`` with a set ``S`` of earlier markings such that
+    ``w(S) <= 1 < w(S) + w_n``."""
+    return any(
+        weights.subset_weight(s) <= 1
+        < weights.subset_weight(s) + weights.weight(n)
+        for n in range(weights.n - count + 1, weights.n + 1)
+        for k in range(1, n)
+        for s in itertools.combinations(range(1, n), k)
+    )
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_pushforward_forget_small_matches_word_oracle(data):
     genus, weights = data.draw(kernel_spaces(min_points=2))
     c = data.draw(stored_classes(genus, weights))
     count = data.draw(st.integers(1, weights.n))
+    if _forgets_a_heavy_point(weights, count):
+        with pytest.raises(PreconditionError, match="w_n <= 1"):
+            pushforward_forget_small(c, count)
+        return
     # after a cancellation the two term orders may differ, and with them
     # the first graph found unstable in a later pass
     message = count == 1
@@ -781,7 +799,12 @@ def test_heavy_merged_diagonal_vanishes():
     assert multiply_smooth(d12, d23).is_zero
     assert oracle_multiply_smooth(d12, d23).is_zero
     assert multiply_generator(d12, ("Dsa", (2, 3), 1)).is_zero
+    # marking 3 cannot join the collision of 1 and 2 (weight 1): not light
+    with pytest.raises(PreconditionError, match="S={1, 2}"):
+        pushforward_forget_small(d23)
     # a pair block losing the forgotten point leaves psi^0 = 1
+    w = WeightData((Fraction(2, 5), Fraction(1, 2), Fraction(1, 1000)))
+    d23 = _smooth_class(2, w, (1, [("Dsa", (2, 3), 1)]))
     down = pushforward_forget_small(d23)
     assert down == TautClass.one(2, WeightData(w.weights[:2])).scale(-1)
     assert down == oracle_pushforward_forget_small(d23)
@@ -789,10 +812,27 @@ def test_heavy_merged_diagonal_vanishes():
 
 def test_pushforward_forget_small_rejects_unstable_even_if_zero():
     # forgetting the light point leaves a genus-0 vertex of weight 2
-    w = WeightData((Fraction(1), Fraction(1), Fraction(1, 1000)))
+    w = WeightData((Fraction(2, 3),) * 3 + (Fraction(1, 1000),))
     one = TautClass.one(0, w)  # no block holds the point: every term dies
     with pytest.raises(ValueError, match="unstable"):
         pushforward_forget_small(one)
+
+
+def test_pushforward_forget_small_rejects_a_heavy_point():
+    # on weights (1, 1) psi_2^2 pushes forward to kappa_1 + psi_1
+    # (pushforward_forget_weight1), not to the light-point kappa_1
+    w = WeightData((Fraction(1), Fraction(1)))
+    c = _smooth_class(2, w, (1, [("psi", 2, 2)]))
+    assert pushforward_forget_weight1(c, 2) == _smooth_class(
+        2, WeightData(w.weights[:1]), (1, [("kappa", 1)]), (1, [("psi", 1, 1)]))
+    with pytest.raises(PreconditionError,
+                       match=r"w\(S\) \+ w_n <= 1 whenever w\(S\) <= 1 "
+                             r"violated: n=2, S=\{1\}"):
+        pushforward_forget_small(c)
+    # a heavy point of a later pass raises before any pass runs
+    w = WeightData((Fraction(3, 4), Fraction(1, 2), Fraction(1, 4)))
+    with pytest.raises(PreconditionError, match="n=2, S={1}"):
+        pushforward_forget_small(TautClass.one(2, w), count=2)
 
 
 @pytest.mark.parametrize("gen,condition", [

@@ -383,6 +383,9 @@ CLASS_FILES["unsorted_kappa.json"] = _smooth_file(
 CLASS_FILES["heavy_block.json"] = _smooth_file(
     [["1", "1"], ["1", "1"]],
     {"kappa": [], "blocks": [{"points": [["m", 1], ["m", 2]], "a": 1}]})
+CLASS_FILES["heavy_point.json"] = _smooth_file(
+    [["1", "1"], ["1", "1"]],
+    {"kappa": [], "blocks": [{"points": [["m", 2]], "a": 2}]})
 CLASS_FILES["far_point.json"] = _smooth_file(
     [["1", "2"]], {"kappa": [], "blocks": [{"points": [["h", 0, 0]], "a": 1}]})
 CLASS_FILES["batch_bad_legs.json"] = [CLASS_FILES["bad_legs.json"]]
@@ -523,6 +526,8 @@ class TestInvalidInput:
          "decor is not in normal form"),
         (("classes", "normal-form", "--in", "far_point.json"),
          "a block at vertex 0 names a point elsewhere"),
+        (("classes", "pushforward", "--in", "heavy_point.json"),
+         "w(S) + w_n <= 1 whenever w(S) <= 1 violated: n=2, S={1}"),
     ])
     def test_exit_2_names_condition(self, capsys, tmp_path, monkeypatch,
                                     argv, condition):

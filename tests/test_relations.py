@@ -1,6 +1,9 @@
 """Tests for the relation constructions and the evaluation chain."""
 
+import importlib
+import pkgutil
 import random
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -8,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tautrels import relations
+import tautrels
+from tautrels import classes, relations
 from tautrels.catalog import hyper_A, phi_family, series_C
 from tautrels.classes import (
     TautClass,
@@ -505,3 +509,52 @@ def oracle_pushforward_rows(d_max, t_order, g):
 def test_pushforward_oracle_matches_per_zeta_loop(d_max, t_order, g):
     rows = pushforward_oracle(d_max=d_max, t_order=t_order, g=g)
     assert rows == oracle_pushforward_rows(d_max, t_order, g)
+
+
+# ---------------------------------------------------------------------------
+# Graph sums keep no state and canonicalise each term once
+# ---------------------------------------------------------------------------
+
+
+def _module_container_sizes():
+    """``{(module, name): len}`` for every module-level dict, list and set
+    of the ``tautrels`` package."""
+    for info in pkgutil.iter_modules(tautrels.__path__, "tautrels."):
+        importlib.import_module(info.name)
+    return {
+        (module_name, name): len(value)
+        for module_name, module in list(sys.modules.items())
+        if module_name.split(".")[0] == "tautrels"
+        for name, value in vars(module).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    }
+
+
+def test_constructions_leave_module_containers_unchanged():
+    # weights no other test uses, so nothing can already be stored for them
+    w = WeightData((Fraction(1, 7), Fraction(1, 9)))
+    before = _module_container_sizes()
+    assert not fz_relation(2, w, 2, (1,)).is_zero
+    rel = open_fz_relation(3, 2, 2, (1, 2), weights=w)
+    assert not rel.is_zero
+    pushforward_forget_small(rel, 2)
+    assert _module_container_sizes() == before
+
+
+@pytest.mark.parametrize("g, weights, r, S", [
+    (3, W0, 2, ()),
+    (2, WeightData((Fraction(1, 8),) * 2), 3, (1, 2)),
+], ids=["fz-g3-r2", "fz-subset"])
+def test_graph_sum_canonicalises_each_term_once(monkeypatch, g, weights, r,
+                                                S):
+    calls = []
+    canonical_term = classes.canonical_term
+
+    def counted(graph, decor):
+        calls.append((graph, decor))
+        return canonical_term(graph, decor)
+
+    monkeypatch.setattr(classes, "canonical_term", counted)
+    rel = fz_relation(g, weights, r, S)
+    assert len(calls) == len(set(calls)) > 0
+    assert set(rel.terms) <= {canonical_term(*call) for call in calls}
