@@ -38,10 +38,10 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 
 from .graphs import PreconditionError, StableGraph, WeightData, smooth_graph
-from .series import Ring, VarSpec
+from .series import Ring, Series, VarSpec, embed
 
 __all__ = [
     "TautClass",
@@ -616,6 +616,9 @@ def pushforward_forget_small(c: TautClass, count: int = 1) -> TautClass:
     rewritten in place on integer numerators.  The table holds only for
     light markings (:func:`_check_light`); heavy ones raise.
     """
+    if not 0 <= count <= c.weights.n:
+        raise PreconditionError("0 <= count <= n",
+                                f"count={count}, n={c.weights.n}")
     _check_light(c.weights, count)
     current = c
     for _ in range(count):
@@ -714,10 +717,12 @@ def pushforward_forget_weight1(c: TautClass, marking: int) -> TautClass:
     ``j = 0`` case the scalar ``2 g(v) - 2 + (number of other legs and
     half-edges at the vertex)``.
     """
-    if marking != c.weights.n:
-        raise ValueError("only the last marking can be forgotten")
+    if marking != c.weights.n or marking < 1:
+        raise PreconditionError("marking = n",
+                                f"marking={marking}, n={c.weights.n}")
     if c.weights.weight(marking) != 1:
-        raise ValueError("marking does not have weight one")
+        raise PreconditionError(
+            "w_n = 1", f"w_{marking}={c.weights.weight(marking)}")
     weights = WeightData(c.weights.weights[:-1])
     out = TautClass(c.genus, weights)
     point = ("m", marking)
@@ -999,6 +1004,26 @@ def divisor_product(ca: TautClass, cb: TautClass, graph_pool=None) -> TautClass:
     return out
 
 
+def _edge_factor(f_poly: dict, max_codim: int) -> Series:
+    """The per-edge factor ``(exp(-f s) - 1) / (-s)`` of
+    :func:`divisor_exp_check`, with ``s = p1 + p2``, in ``p1`` and ``p2`` up
+    to ``max_codim``; ``p1`` and ``p2`` stand for the psi classes at the two
+    sides of an edge.
+
+    Dividing the truncated exponential by ``-s`` is exact below total degree
+    ``T - 1`` for the truncation order ``T``, so the division runs in a ring
+    padded by ``max_codim + 1`` layers in each variable and the quotient is
+    cut back to exponents up to ``max_codim``.
+    """
+    padded = Ring([VarSpec("p1", 0, 2 * max_codim + 2),
+                   VarSpec("p2", 0, 2 * max_codim + 2)])
+    ring = Ring([VarSpec("p1", 0, max_codim + 1),
+                 VarSpec("p2", 0, max_codim + 1)])
+    f = padded.series(f_poly)
+    minus_s = -(padded.var("p1") + padded.var("p2"))
+    return embed(((f * minus_s).exp() - 1).divide_exact(minus_s), ring)
+
+
 def divisor_exp_check(
     genus: int,
     weights: WeightData,
@@ -1036,15 +1061,7 @@ def divisor_exp_check(
     square = divisor_product(big, big, graph_pool=pool)
     lhs = lhs + square.restrict_codim(max_codim).scale(Fraction(1, 2))
 
-    # right-hand side: the per-edge factor from f, where p1 and p2 stand for
-    # the psi classes at the two sides of the edge and fs = f (p1 + p2):
-    # g = (exp(-fs) - 1) / (-fs) * f = sum_{k>=0} (-fs)^k / (k+1)! * f
-    ring = Ring([VarSpec("p1", 0, max_codim + 1),
-                 VarSpec("p2", 0, max_codim + 1)])
-    f = ring.series(f_poly)
-    minus_fs = -(f * (ring.var("p1") + ring.var("p2")))
-    edge_factor = list((minus_fs._power_sum(
-        lambda k: Fraction(1, factorial(k + 1)), "edge factor") * f).terms())
+    edge_factor = list(_edge_factor(f_poly, max_codim).terms())
     rhs = TautClass.one(genus, weights)
     for graph in pool:
         if graph.n_edges == 0:

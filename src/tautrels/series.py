@@ -21,6 +21,25 @@ truncation order.  The pair loop is then one int addition, one mask test and
 one int multiply-add; only the output keys are unpacked, and each output
 coefficient becomes a :class:`fractions.Fraction` once.
 
+``exp``, ``log`` and the geometric series inside ``inverse`` share one graded
+online recurrence on the same packed keys (Brent and Kung, "Fast algorithms
+for manipulating formal power series", J. ACM 1978): ``theta(log f) f =
+theta f`` for the degree operator ``theta``, which multiplies the monomial of
+exponents ``e`` by ``deg(e) = sum_i w_i e_i``.  The Laurent variable has
+weight 1 and every other variable weight ``1 - floor``, so every term has
+positive degree except the constant and the pure poles (negative powers of
+the Laurent variable alone), whose powers fall below the floor and raise
+:class:`FloorUnderflow`.  Each degree of the output is then a sum of products
+of lower-degree output terms with input terms, accumulated on integer
+numerators over one denominator per degree, instead of one full product per
+power of the input.  On a ring with a negative floor, truncated products are
+not associative: near the top of the Laurent window the recurrence and a sum
+of truncated powers can both differ from the exact series.  With the
+Laurent top raised by ``|floor|`` times the sum of the other tops minus one,
+both are exact in the original window, since no run of non-pure-pole terms
+lowers the Laurent exponent by more than that; the catalog builds its
+Laurent series in padded rings.
+
 >>> R = Ring([VarSpec("t", 0, 6)])
 >>> t = R.var("t")
 >>> ((1 + t).log().exp() - (1 + t)).is_zero()
@@ -31,9 +50,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
-from operator import lshift
-from typing import Callable, Iterable, Mapping, Union
+from math import lcm
+from operator import lshift, mul
+from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -143,7 +162,8 @@ class Ring:
         return Series(self, {exps: c}) if c else self.zero()
 
     def _product_layout(self) -> tuple:
-        """Bit fields of the packed exponent keys used by products.
+        """Bit fields of the packed exponent keys of products and of the
+        graded recurrence.
 
         Variable i with window ``[lo, hi)`` gets a field of ``w`` bits whose
         top bit ``T = 2**(w-1)`` exceeds ``hi - 2*lo`` and ``hi - 2``.  The
@@ -375,33 +395,113 @@ class Series:
 
     # -- transcendental operations ----------------------------------------
 
-    def _power_sum(self, a: Callable[[int], Fraction], what: str) -> "Series":
-        """``sum_k a(k) self^k`` for a nilpotent ``self``, ending at the
-        first power that truncates to zero."""
+    def _graded(self, kind: str) -> "Series":
+        """``exp(f)``, ``log(1 + f)`` or ``1/(1 + f)`` for ``f = self``, a
+        series without constant term, by the graded online recurrence.
+
+        With ``deg`` the grading of the module docstring and ``d = deg n``:
+
+        * ``exp``: ``d g_n = sum_k deg(k) f_k g_(n-k)``, ``g_0 = 1``;
+        * ``log``: ``d g_n = d f_n - sum_m deg(m) g_m f_(n-m)``, ``g_0 = 0``;
+        * ``inverse``: ``g_n = -sum_k f_k g_(n-k)``, ``g_0 = 1``.
+
+        The output is built one degree at a time: each degree's pairs of
+        earlier output terms and terms of ``f`` are summed on packed keys
+        as integer numerators over one common denominator, and each output
+        term becomes a :class:`fractions.Fraction` once.  A pure pole in
+        ``f`` (a term of degree <= 0) raises :class:`FloorUnderflow`, as its
+        powers fall below the floor; so does any output key below a floor.
+        """
         ring = self.ring
-        total = ring.const(a(0))
-        power = ring.one()
-        bound = 2 * sum(s.trunc_order - s.min_exponent for s in ring.specs) + 4
-        for k in range(1, bound + 1):
-            power = power * self
-            if power.is_zero():
-                return total
-            total = total + power * a(k)
-        raise SeriesError(f"{what} did not terminate within the truncation window")
+        specs = ring.specs
+        shifts, biases, masks, left, right, high, laurent = ring._product_layout()
+        lowest = min([0] + [s.min_exponent for s in specs])
+        weights = [1 if s.min_exponent < 0 else 1 - lowest for s in specs]
+        den_f = lcm(*(c.denominator for c in self.coeffs.values()))
+        # terms of f by degree, as (right-biased key, numerator over den_f)
+        f_parts: dict = {}
+        for e, c in self.coeffs.items():
+            d = sum(map(mul, weights, e))
+            if d <= 0:
+                raise FloorUnderflow(
+                    f"{kind} of the pure pole term {e} falls below the floor"
+                )
+            f_parts.setdefault(d, []).append((
+                right + sum(map(lshift, e, shifts)),
+                c.numerator * (den_f // c.denominator),
+            ))
+        # output terms by degree, as (common denominator, [(left-biased key,
+        # numerator)])
+        out: dict = {}
+        g_parts: dict = {}
+        if kind != "log":
+            out = dict(ring.one().coeffs)
+            g_parts[0] = (1, [(left, 1)])
+        # the factor of a pair of an output term of degree j and a term of f,
+        # for an output term of degree d
+        weight = {
+            "exp": lambda j, d: d - j,
+            "log": lambda j, d: -j,
+            "inverse": lambda j, d: -1,
+        }[kind]
+        top = sum(w * (s.trunc_order - 1) for w, s in zip(weights, specs))
+        for d in range(1, top + 1):
+            pairs = [
+                (d - e, f_terms) for e, f_terms in f_parts.items() if d - e in g_parts
+            ]
+            own = f_parts.get(d, ()) if kind == "log" else ()
+            if not pairs and not own:
+                continue
+            m = lcm(*(g_parts[j][0] for j, _ in pairs))
+            acc: dict = {}
+            get = acc.get
+            for j, f_terms in pairs:
+                den_g, g_terms = g_parts[j]
+                scale = (m // den_g) * weight(j, d)
+                for k1, c1 in g_terms:
+                    c1 *= scale
+                    for k2, c2 in f_terms:
+                        k = k1 + k2
+                        if k & high:
+                            continue
+                        acc[k] = get(k, 0) + c1 * c2
+            for k2, c2 in own:
+                k = left + k2
+                acc[k] = get(k, 0) + c2 * m * d
+            den = den_f * m * (1 if kind == "inverse" else d)
+            terms = []
+            for k, v in acc.items():
+                exps = tuple(
+                    ((k >> sh) & mk) - x for sh, mk, x in zip(shifts, masks, biases)
+                )
+                if laurent:
+                    for x, s in zip(exps, specs):
+                        if x < s.min_exponent:
+                            raise FloorUnderflow(
+                                f"exponent {x} of {s.name!r} below floor "
+                                f"{s.min_exponent} in {kind}"
+                            )
+                if v:
+                    c = out[exps] = Fraction(v, den)
+                    terms.append((k - right, c))
+            if terms:
+                den_g = lcm(*(c.denominator for _, c in terms))
+                g_parts[d] = (den_g, [
+                    (k, c.numerator * (den_g // c.denominator)) for k, c in terms
+                ])
+        return Series(ring, out)
 
     def exp(self) -> "Series":
         """exp of a series with zero constant term."""
         if self.constant_term():
             raise SeriesError("exp requires zero constant term")
-        return self._power_sum(lambda k: Fraction(1, factorial(k)), "exp")
+        return self._graded("exp")
 
     def log(self) -> "Series":
         """log of a series with constant term one."""
         if self.constant_term() != 1:
             raise SeriesError("log requires constant term 1")
-        return (self - 1)._power_sum(
-            lambda k: Fraction((-1) ** (k + 1), k) if k else Fraction(0), "log"
-        )
+        return (self - 1)._graded("log")
 
     def pow_fraction(self, e: Scalar) -> "Series":
         """Raise to an exact rational power via exp(e * log)."""
@@ -452,7 +552,7 @@ class Series:
                 if any(e) and all(x < s.trunc_order for x, s in zip(e, big.specs))
             },
         )
-        inv = n._power_sum(lambda k: Fraction((-1) ** k), "inverse")
+        inv = n._graded("inverse")
         out: dict = {}
         for e, c in inv.coeffs.items():
             exps = tuple(a - m for a, m in zip(e, mins))

@@ -5,8 +5,9 @@ identities at full order, the extremal-coefficient theorems, the
 coefficient-comparison lemma, the push-forward oracle, parity vanishing,
 edge-series well-definedness, chain closure, boundary consistency, the
 truncated divisor-exponential identity, the frame-matrix ODE,
-byte-level determinism, and the exact values of the edge kernels and of
-a relation whose push-forward contracts components.
+byte-level determinism, the exact values of the edge kernels and of
+a relation whose push-forward contracts components, and the exact values
+of the series that exp and log build on padded Laurent rings.
 """
 
 import contextlib
@@ -395,3 +396,65 @@ def test_12_golden_digests():
         for name, text in payloads.items()
     }
     assert digests == GOLDEN_DIGESTS
+
+
+# sha256 of the outputs of exp and log on padded Laurent rings (the Phi
+# family, log A, C_1 and the (u, y) chart), recorded from the power-sum
+# kernel that the graded recurrence replaced.
+LAURENT_DIGESTS = {
+    "logPhi t=8,x=4":
+        "d358fc6571ad4d0a3e0ad90b4e15852dd940127671c5e7da0e2256f58ad08715",
+    "gamma t=8,x=4":
+        "fd363972def4a5f2e4913c654543262596824e36cf09155244a87df1f5e7e98b",
+    "delta t=8,x=4":
+        "f71702fc56265da5f80d35c2d96b56f8efb790c6fb494c0d9b34048774c7ac8a",
+    "PhiPrime t=8,x=4":
+        "9a054ba18a1b9f91d371a4c9d345b6a6c3dc847c34283bf0239f5d1a05fd52ac",
+    "gammaPrime t=8,x=4":
+        "bde7243a589a2fbb500d5b0e05c1998c221812c456766ec0317f8c7feeda05fd",
+    "logA t=12":
+        "998a9751053139bbf92980f9d3288100610b884920e1ad48ba7b77acf1d18bf9",
+    "C1 t=10":
+        "eaa5539a3b2780a891ec73fef3204d779fba0acab3b687f9108ea62dde4a07f6",
+    "uy_expansion 5,12,12 c_series":
+        "311fe82130d2137bd9e5f06284349cd79d911bbb2626e9c31ac115dc3e9b0fb1",
+    "uy_expansion 5,12,12 delta[1]":
+        "beae27c10f01df0c03ecd0ff0e6b0f8fd6da365f0b6735fff58549327b5e47e6",
+    "uy_expansion 5,12,12 delta[2]":
+        "2299358d8fc71ea736da4f6dbcb2e4a24b29d0a23624874ed11f92b4b97ee643",
+    "uy_expansion 5,12,12 delta[3]":
+        "c2ebcf061a23c1445b758c4b14b6837c1bf739b2c619663ee23cb17067a29f02",
+    "uy_expansion 5,12,12 delta[4]":
+        "34514c4980a9dcea9bfa076911818dfd91407a5c15505a3285ab951a82474aef",
+    "uy_expansion 5,12,12 delta[5]":
+        "be4017be375d12cac65e548c80bdcbe5e90a970f5b977b8aa1fab7c646ae9d6a",
+}
+
+
+def test_13_laurent_series_digests(monkeypatch):
+    monkeypatch.delenv("TAUTRELS_CACHE", raising=False)  # build, never read
+
+    def dump(name, orders, *extra):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli_main(["series", "dump", "--name", name,
+                             "--orders", orders, *extra]) == 0
+        return buf.getvalue().splitlines()[0]
+
+    payloads = {
+        f"{name} t=8,x=4": dump(name, "t=8,x=4")
+        for name in ("logPhi", "gamma", "delta", "PhiPrime", "gammaPrime")
+    }
+    payloads["logA t=12"] = dump("logA", "t=12")
+    payloads["C1 t=10"] = dump("C", "t=10", "--i", "1")
+    uy = uy_expansion(5, 12, 12)
+    payloads["uy_expansion 5,12,12 c_series"] = dumps(
+        series_to_dict(uy["c_series"]))
+    for i in range(1, 6):
+        payloads[f"uy_expansion 5,12,12 delta[{i}]"] = dumps(
+            series_to_dict(uy["delta"][i]))
+    digests = {
+        name: hashlib.sha256(text.encode()).hexdigest()
+        for name, text in payloads.items()
+    }
+    assert digests == LAURENT_DIGESTS

@@ -388,6 +388,10 @@ CLASS_FILES["heavy_point.json"] = _smooth_file(
     {"kappa": [], "blocks": [{"points": [["m", 2]], "a": 2}]})
 CLASS_FILES["far_point.json"] = _smooth_file(
     [["1", "2"]], {"kappa": [], "blocks": [{"points": [["h", 0, 0]], "a": 1}]})
+CLASS_FILES["one_point.json"] = _smooth_file(
+    [["1", "10"]], {"kappa": [], "blocks": [{"points": [["m", 1]], "a": 1}]})
+CLASS_FILES["light_last.json"] = _smooth_file(
+    [["1", "1"], ["1", "10"]], {"kappa": [], "blocks": []})
 CLASS_FILES["batch_bad_legs.json"] = [CLASS_FILES["bad_legs.json"]]
 CLASS_FILES["batch_no_weights.json"] = [{"genus": 1, "terms": []}]
 CLASS_FILES["batch_ints.json"] = [1, 2]
@@ -528,6 +532,16 @@ class TestInvalidInput:
          "a block at vertex 0 names a point elsewhere"),
         (("classes", "pushforward", "--in", "heavy_point.json"),
          "w(S) + w_n <= 1 whenever w(S) <= 1 violated: n=2, S={1}"),
+        (("classes", "pushforward", "--in", "one_point.json", "--forget", "3"),
+         "0 <= count <= n violated: count=3, n=1"),
+        (("classes", "pushforward", "--in", "one_point.json",
+          "--forget", "-1"), "0 <= count <= n violated: count=-1, n=1"),
+        (("classes", "pushforward", "--in", "light_last.json",
+          "--forget-weight1", "1"), "marking = n violated: marking=1, n=2"),
+        (("classes", "pushforward", "--in", "one_point.json",
+          "--forget-weight1", "0"), "marking = n violated: marking=0, n=1"),
+        (("classes", "pushforward", "--in", "light_last.json",
+          "--forget-weight1", "2"), "w_n = 1 violated: w_2=1/10"),
     ])
     def test_exit_2_names_condition(self, capsys, tmp_path, monkeypatch,
                                     argv, condition):

@@ -20,6 +20,7 @@ from tautrels.series import (
     WindowError,
     embed,
 )
+from tautrels.classes import _edge_factor
 from tautrels.serialize import series_from_dict, series_to_dict
 
 
@@ -268,6 +269,35 @@ def oracle_mul(a, b):
     return Series(a.ring, out)
 
 
+def oracle_power_sum(f, a, what):
+    """``sum_k a(k) f^k`` for a nilpotent ``f``, one full product per power,
+    ending at the first power that truncates to zero."""
+    ring = f.ring
+    total = ring.const(a(0))
+    power = ring.one()
+    bound = 2 * sum(s.trunc_order - s.min_exponent for s in ring.specs) + 4
+    for k in range(1, bound + 1):
+        power = power * f
+        if power.is_zero():
+            return total
+        total = total + power * a(k)
+    raise SeriesError(f"{what} did not terminate within the truncation window")
+
+
+def oracle_exp(f):
+    return oracle_power_sum(f, lambda k: F(1, math.factorial(k)), "exp")
+
+
+def oracle_log(f):
+    return oracle_power_sum(
+        f - 1, lambda k: F((-1) ** (k + 1), k) if k else F(0), "log")
+
+
+def oracle_geometric(g):
+    """``1 / (1 + g)`` for ``g`` without constant term."""
+    return oracle_power_sum(g, lambda k: F((-1) ** k), "inverse")
+
+
 @st.composite
 def rings(draw, laurent=True, min_vars=0, max_vars=4, max_width=5):
     """min_vars..max_vars variables; with ``laurent``, at most one negative
@@ -383,3 +413,105 @@ def test_inverse_round_trip(data, c0):
     f = a - a.constant_term() + c0
     assert f * f.inverse() == R.one()
     assert f.inverse() * f == R.one()
+
+
+# ---------------------------------------------------------------------------
+# The graded exp, log and inverse against the power sums they replaced
+# ---------------------------------------------------------------------------
+
+
+def outcome(f, x):
+    try:
+        return f(x)
+    except FloorUnderflow:
+        return "FloorUnderflow"
+
+
+def without_constant(a):
+    return a - a.constant_term()
+
+
+def has_constants(ring):
+    return all(s.trunc_order > 0 for s in ring.specs)
+
+
+def padded(ring):
+    """``ring`` with the Laurent top raised by |floor| (sum of the other
+    tops - 1), where truncated products of the series below agree with the
+    exact ones."""
+    lo = min([0] + [s.min_exponent for s in ring.specs])
+    extra = -lo * sum(s.trunc_order - 1 for s in ring.specs if s.min_exponent >= 0)
+    return Ring([
+        VarSpec(s.name, s.min_exponent, s.trunc_order + extra)
+        if s.min_exponent < 0 else s for s in ring.specs
+    ])
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_and_series(1, laurent=False))
+def test_exp_log_equal_the_power_sums_on_power_series(data):
+    _, a = data
+    g = without_constant(a)
+    assert g.exp() == oracle_exp(g)
+    assert (1 + g).log() == oracle_log(1 + g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_and_series(1, max_vars=3), fractions)
+def test_inverse_equals_the_geometric_power_sum(data, c0):
+    # the geometric series inside inverse, on every kind of ring: g has no
+    # negative exponent, so no monomial is factored out
+    R, a = data
+    assume(has_constants(R))
+    g = R.series({e: c for e, c in a.coeffs.items() if min(e, default=0) >= 0})
+    g = without_constant(g)
+    c0 = c0 or F(1)
+    assert (c0 + g).inverse() == oracle_geometric(g * (1 / c0)) * (1 / c0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_and_series(1, max_vars=3, max_width=4))
+def test_exp_log_equal_the_power_sums_in_a_padded_laurent_window(data):
+    R, a = data
+    assume(has_constants(R))
+    big = padded(R)
+    g = embed(without_constant(a), big)
+    for kernel, oracle, x in ((Series.exp, oracle_exp, g),
+                              (Series.log, oracle_log, 1 + g)):
+        got, want = outcome(kernel, x), outcome(oracle, x)
+        if got == "FloorUnderflow" or want == "FloorUnderflow":
+            assert got == want
+        else:
+            assert embed(got, R) == embed(want, R)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_and_series(1, min_vars=1, max_vars=3, max_width=4), st.data())
+def test_a_pure_pole_raises_in_both_kernels(data, draw):
+    R, a = data
+    pole = next((s for s in R.specs if s.min_exponent < 0), None)
+    assume(pole is not None and has_constants(R))
+    power = draw.draw(st.integers(pole.min_exponent, -1))
+    g = without_constant(a) + R.monomial(1, **{pole.name: power})
+    assume(g.coefficient(**{pole.name: power}))
+    for kernel, oracle, x in ((Series.exp, oracle_exp, g),
+                              (Series.log, oracle_log, 1 + g)):
+        with pytest.raises(FloorUnderflow):
+            kernel(x)
+        with pytest.raises(FloorUnderflow):
+            oracle(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_divisor_edge_factor_equals_the_power_sum_form(max_codim, draw):
+    # (exp(-f s) - 1) / (-s) = sum_k (-f s)^k / (k+1)! * f with s = p1 + p2
+    keys = [(i, j) for i in range(max_codim + 1) for j in range(max_codim + 1)
+            if i + j <= max_codim]
+    f_poly = draw.draw(st.dictionaries(st.sampled_from(keys), fractions))
+    R = Ring([VarSpec("p1", 0, max_codim + 1), VarSpec("p2", 0, max_codim + 1)])
+    f = R.series(f_poly)
+    minus_fs = -(f * (R.var("p1") + R.var("p2")))
+    want = oracle_power_sum(
+        minus_fs, lambda k: F(1, math.factorial(k + 1)), "edge factor") * f
+    assert _edge_factor(f_poly, max_codim) == want
