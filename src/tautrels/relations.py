@@ -18,9 +18,8 @@ Relations are extracted as ``TautClass`` values at a fixed multi-degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import factorial, lcm, prod
-from operator import lshift, mul
+from operator import lshift
 
 from .catalog import (
     delta_edge,
@@ -71,6 +70,21 @@ def _check_subset(S: tuple, n: int) -> None:
         raise PreconditionError(
             "S ⊆ {1..n}", f"S={','.join(map(str, S))}, n={n}"
         )
+    if len(set(S)) != len(S):
+        raise PreconditionError(
+            "S has distinct markings", f"S={','.join(map(str, S))}"
+        )
+
+
+def _check_stable(g: int, weights: WeightData) -> None:
+    """The space of genus ``g`` curves with ``weights`` exists."""
+    if g < 0:
+        raise PreconditionError("genus >= 0", f"genus={g}")
+    if not 2 * g - 2 + sum(weights.weights) > 0:
+        raise PreconditionError(
+            "2g-2+sum(w) > 0",
+            f"g={g}, weights={','.join(map(str, weights.weights)) or '()'}"
+        )
 
 
 def _check_fz_range(g: int, r: int, S: tuple) -> None:
@@ -106,16 +120,95 @@ def set_partitions(items: tuple):
 
 
 def _packed(terms: dict, shifts: tuple, bias: int) -> tuple:
-    """``(d, {decoration: [(packed exponents, numerator), ...]})`` for
-    the terms of a decorated series, ``d`` the lcm of their denominators."""
+    """``(d, {decoration: {packed exponents: numerator}})`` for the terms of
+    a decorated series, ``d`` the lcm of their denominators; ``bias`` is
+    the left or the right bias of ``Ring._product_layout``."""
     d = lcm(*(c.denominator for c in terms.values()))
     rows: dict = {}
     for (exps, decor), c in terms.items():
-        rows.setdefault(decor, []).append(
-            (bias + sum(map(lshift, exps, shifts)),
-             c.numerator * (d // c.denominator))
-        )
+        rows.setdefault(decor, {})[bias + sum(map(lshift, exps, shifts))] = (
+            c.numerator * (d // c.denominator))
     return d, rows
+
+
+def _packed_product(weights: WeightData, a: tuple, b: tuple,
+                    high: int) -> tuple:
+    """The product of packed operands ``a`` (left bias) and ``b`` (right
+    bias), each pair of decorations multiplied once.  Its keys carry both
+    biases; a key with a top bit set reached a truncation order and is
+    dropped.  Rows may hold zero numerators."""
+    da, ra = a
+    db, rb = b
+    out: dict = {}
+    for d1, row1 in ra.items():
+        for d2, row2 in rb.items():
+            decor = _decor_product(weights, d1, d2)
+            if decor is None:
+                continue
+            acc = out.get(decor)
+            if acc is None:
+                acc = out[decor] = {}
+            get = acc.get
+            for k1, c1 in row1.items():
+                for k2, c2 in row2.items():
+                    k = k1 + k2
+                    if not k & high:
+                        acc[k] = get(k, 0) + c1 * c2
+    return da * db, out
+
+
+def _rebiased(product: tuple, right: int) -> tuple:
+    """A product of :func:`_packed_product` as a left operand: the right
+    bias taken off every key, zero numerators and empty rows dropped."""
+    den, rows = product
+    out = {}
+    for decor, row in rows.items():
+        row = {k - right: c for k, c in row.items() if c}
+        if row:
+            out[decor] = row
+    return den, out
+
+
+def _target_product(weights: WeightData, a: tuple, b: tuple,
+                    target: int) -> tuple:
+    """``(d, {decoration: numerator})``: the coefficients at the single
+    packed key ``target`` (both biases) of the product of ``a`` (left
+    bias) and ``b`` (right bias).  Each term of ``a`` looks up its
+    partner in ``b``: a key of ``a`` beyond ``target`` in some variable
+    leaves a field below the right bias or wrapped above it, which no
+    key of ``b`` holds."""
+    da, ra = a
+    db, rb = b
+    out: dict = {}
+    for d2, row2 in rb.items():
+        get = row2.get
+        for d1, row1 in ra.items():
+            decor = _decor_product(weights, d1, d2)
+            if decor is None:
+                continue
+            s = 0
+            for k1, c1 in row1.items():
+                c2 = get(target - k1)
+                if c2:
+                    s += c1 * c2
+            if s:
+                out[decor] = out.get(decor, 0) + s
+    return da * db, out
+
+
+def _accumulate(total: dict, den: int, part: dict, part_den: int) -> int:
+    """Add ``part / part_den`` into ``total / den`` in place, both maps of
+    integer numerators; returns the new denominator, the lcm of the two."""
+    new = lcm(den, part_den)
+    if new != den:
+        up = new // den
+        for key in total:
+            total[key] *= up
+    up = new // part_den
+    get = total.get
+    for key, c in part.items():
+        total[key] = get(key, 0) + c * up
+    return new
 
 
 class DecoratedSeries:
@@ -123,7 +216,12 @@ class DecoratedSeries:
 
     Terms are keyed by ``(exponents, decoration)`` where ``exponents``
     follows the scalar ring's variable order and ``decoration`` is the
-    per-vertex normal form used by :class:`TautClass`.
+    per-vertex normal form used by :class:`TautClass`.  Products and
+    exponentials run on the packed form of :func:`_packed`: integer
+    numerators over one denominator, exponents packed as in
+    ``Series.__mul__``, multiplied by :func:`_packed_product`, the kernel
+    that :func:`_graph_sum` also runs on.  Only the result is unpacked, one
+    ``Fraction`` per term.
     """
 
     __slots__ = ("ring", "graph", "weights", "terms")
@@ -184,45 +282,38 @@ class DecoratedSeries:
             out.terms = {k: c * factor for k, c in self.terms.items()}
         return out
 
-    def __mul__(self, other: "DecoratedSeries") -> "DecoratedSeries":
-        """Product on integer numerators over one denominator per operand,
-        with the exponents packed as in ``Series.__mul__`` and each pair of
-        decorations multiplied once."""
+    def _unpacked(self, den: int, rows: dict) -> "DecoratedSeries":
+        """The series of packed rows whose keys carry both biases, one
+        ``Fraction`` per nonzero numerator; an exponent below the ring's
+        floor raises ``ValueError``."""
         out = DecoratedSeries(self.ring, self.graph, self.weights)
-        shifts, biases, masks, left, right, high, laurent = (
-            self.ring._product_layout()
-        )
-        da, pa = _packed(self.terms, shifts, left)
-        db, pb = _packed(other.terms, shifts, right)
-        acc: dict = {}
-        get = acc.get
-        for d1, row1 in pa.items():
-            for d2, row2 in pb.items():
-                decor = _decor_product(self.weights, d1, d2)
-                if decor is None:
-                    continue
-                for k1, c1 in row1:
-                    for k2, c2 in row2:
-                        k = k1 + k2
-                        if k & high:
-                            continue
-                        key = (k, decor)
-                        acc[key] = get(key, 0) + c1 * c2
-        den = da * db
+        shifts, biases, masks, _, _, _, laurent = self.ring._product_layout()
         specs = self.ring.specs
-        for (k, decor), v in acc.items():
-            if not v:
-                continue
-            exps = tuple(
-                ((k >> sh) & m) - x for sh, m, x in zip(shifts, masks, biases)
-            )
-            if laurent and any(e < s.min_exponent for e, s in zip(exps, specs)):
-                raise ValueError("exponent below ring floor")
-            out.terms[exps, decor] = Fraction(v, den)
+        for decor, row in rows.items():
+            for k, v in row.items():
+                if not v:
+                    continue
+                exps = tuple(((k >> sh) & m) - x
+                             for sh, m, x in zip(shifts, masks, biases))
+                if laurent and any(e < s.min_exponent
+                                   for e, s in zip(exps, specs)):
+                    raise ValueError("exponent below ring floor")
+                out.terms[exps, decor] = Fraction(v, den)
         return out
 
+    def __mul__(self, other: "DecoratedSeries") -> "DecoratedSeries":
+        """Pack both operands, multiply with :func:`_packed_product`,
+        unpack."""
+        shifts, _, _, left, right, high, _ = self.ring._product_layout()
+        return self._unpacked(*_packed_product(
+            self.weights, _packed(self.terms, shifts, left),
+            _packed(other.terms, shifts, right), high))
+
     def exp(self) -> "DecoratedSeries":
-        """Exponential; every term must have positive total degree."""
+        """Exponential; every term must have positive total degree.
+
+        The base is packed once; each power stays packed, and the sum of
+        ``power / k!`` is kept on integer numerators until the end."""
         for (exps, decor), _ in self.terms.items():
             grade = sum(exps) + sum(
                 sum(kappa) + sum(a for _, a in blocks)
@@ -230,14 +321,30 @@ class DecoratedSeries:
             )
             if grade <= 0:
                 raise ValueError("exponential of a term of degree zero")
-        result = DecoratedSeries.one(self.ring, self.graph, self.weights)
-        power = self
+        shifts, _, _, left, right, high, laurent = (
+            self.ring._product_layout()
+        )
+        base = _packed(self.terms, shifts, right)
+        power = _packed(self.terms, shifts, left)
+        # the sum, keyed (decoration, key with both biases)
+        total = {(self._trivial_decor(), left + right): 1}
+        den = 1
         k = 1
-        while power.terms:
-            result = result + power.scale(Fraction(1, factorial(k)))
-            power = power * self
+        while power[1]:
+            den = _accumulate(
+                total, den,
+                {(decor, key + right): c
+                 for decor, row in power[1].items() for key, c in row.items()},
+                power[0] * factorial(k))
+            product = _packed_product(self.weights, power, base, high)
+            if laurent:
+                self._unpacked(*product)  # the floor check
+            power = _rebiased(product, right)
             k += 1
-        return result
+        rows: dict = {}
+        for (decor, key), c in total.items():
+            rows.setdefault(decor, {})[key] = c
+        return self._unpacked(den, rows)
 
     def extract(self, **powers: int) -> TautClass:
         target = self.ring.exponents(**powers)
@@ -421,10 +528,12 @@ def open_sq_relation(g: int, weights: WeightData, r: int, d: int,
     comparison in the boundary construction.
     """
     _check_sq_input(g, weights, r, d, a)
-    if enforce and not r > g - 1 - 2 * d + sum(a):
-        raise PreconditionError(
-            "r > g-1-2d+|a|", f"r={r}, g={g}, d={d}, |a|={sum(a)}"
-        )
+    if enforce:
+        if not r > g - 1 - 2 * d + sum(a):
+            raise PreconditionError(
+                "r > g-1-2d+|a|", f"r={r}, g={g}, d={d}, |a|={sum(a)}"
+            )
+        _check_stable(g, weights)
     return _sq_graph_sum(g, weights, [smooth_graph(g, weights.n)], r, d, a,
                          half_sign, pd_sign)
 
@@ -475,10 +584,11 @@ def open_fz_relation(g: int, n: int, r: int, S: tuple = (),
         raise PreconditionError("genus >= 0", f"genus={g}")
     S = tuple(sorted(S))
     _check_subset(S, n)
-    if enforce:
-        _check_fz_range(g, r, S)
     if weights is None:
         weights = WeightData(tuple(Fraction(1, 2 * n + 2) for _ in range(n)))
+    if enforce:
+        _check_fz_range(g, r, S)
+        _check_stable(g, weights)
     ring = Ring([VarSpec("t", 0, r + 1)])
     return _fz_vertex_factor(ring, smooth_graph(g, n), weights, 0, 1,
                              S).extract(t=r)
@@ -516,39 +626,76 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
     ``vertex_factor(ring, graph, v, zeta)`` is the decorated factor
     at vertex ``v``, and ``edge_series(z1, z2, order)`` the kernel of an
     edge whose ends have colours ``z1`` and ``z2``, in (t[, x], p1, p2).
-    Each factor is built once per graph: a vertex factor per ``(v, zeta)``
-    and an edge kernel per ``(e, z1, z2)``.  The coefficients at the target
-    degree are summed over all colourings of a graph first, so each
-    distinct decoration is relabelled to its canonical form once.
+
+    Each factor is built and packed (:func:`_packed`, right bias) once per
+    graph: a vertex factor per ``(v, zeta)`` and an edge kernel per ``(e,
+    z1, z2)``.  The factors are taken level by level: level ``v`` holds
+    vertex ``v``'s factor and the edges whose later endpoint is ``v``, so
+    it depends only on the colours of vertices ``0..v``.  A stack keeps the
+    packed prefix products; walking the colourings in the order of
+    ``enumerate_colorings``, a colouring recomputes the stack only from the
+    level of the first vertex whose colour changed.  The last factor is
+    multiplied into the target degree only (:func:`_target_product`).  Every
+    ring here has floor 0, so truncated products are associative and
+    commutative, and a vanishing decoration product stays vanishing; the
+    order of the factors does not change the result.  The target
+    coefficients of all colourings are summed on integer numerators, so each
+    distinct decoration gets one ``Fraction`` and is relabelled to its
+    canonical form once.
     """
     total = TautClass(g, weights)
     for graph in graphs:
         order = r - graph.n_edges
         ring = ring_of(order)
-        target = ring.exponents(**powers_of(order))
-        vertex_factors: dict = {}
-        edge_kernels: dict = {}
+        shifts, _, _, left, right, high, _ = ring._product_layout()
+        target = left + right + sum(
+            map(lshift, ring.exponents(**powers_of(order)), shifts))
+        slots = []  # (vertex, edge or None) in level order
+        starts = []  # starts[v]: the first slot of level v
+        for v in range(graph.n_vertices):
+            starts.append(len(slots))
+            slots.append((v, None))
+            slots.extend((v, e) for e, ends in enumerate(graph.edges)
+                         if max(ends) == v)
+        packed: dict = {}
+
+        def factor(slot, coloring):
+            v, e = slot
+            if e is None:
+                key = (v, coloring[v])
+            else:
+                va, vb = graph.edges[e]
+                key = (v, e, coloring[va], coloring[vb])
+            if key not in packed:
+                if e is None:
+                    ds = vertex_factor(ring, graph, v, key[1])
+                else:
+                    ds = DecoratedSeries(ring, graph, weights)
+                    _edge_to_ds(edge_series(key[2], key[3], order), ds, e)
+                packed[key] = _packed(ds.terms, shifts, right)
+            return packed[key]
+
+        stack = [_packed(DecoratedSeries.one(ring, graph, weights).terms,
+                         shifts, left)]
+        last = len(slots) - 1
         sums: dict = {}
+        den = 1
+        previous = None
         for coloring in enumerate_colorings(graph):
-            factors = []
-            for v, zeta in enumerate(coloring):
-                if (v, zeta) not in vertex_factors:
-                    vertex_factors[v, zeta] = vertex_factor(ring, graph, v,
-                                                            zeta)
-                factors.append(vertex_factors[v, zeta])
-            for e, (va, vb) in enumerate(graph.edges):
-                key = (e, coloring[va], coloring[vb])
-                if key not in edge_kernels:
-                    eds = edge_kernels[key] = DecoratedSeries(
-                        ring, graph, weights)
-                    _edge_to_ds(edge_series(key[1], key[2], order), eds, e)
-                factors.append(edge_kernels[key])
-            for (exps, decor), c in reduce(mul, factors).terms.items():
-                if exps == target:
-                    sums[decor] = sums.get(decor, 0) + c
-        scale = Fraction(1, graph.automorphism_order())
+            changed = 0 if previous is None else next(
+                v for v, (a, b) in enumerate(zip(previous, coloring))
+                if a != b)
+            previous = coloring
+            del stack[starts[changed] + 1:]
+            for slot in slots[starts[changed]:last]:
+                stack.append(_rebiased(_packed_product(
+                    weights, stack[-1], factor(slot, coloring), high), right))
+            part_den, part = _target_product(
+                weights, stack[-1], factor(slots[last], coloring), target)
+            den = _accumulate(sums, den, part, part_den)
+        den *= graph.automorphism_order()
         for decor, c in sums.items():
-            total.add_term(graph, decor, c * scale)
+            total.add_term(graph, decor, Fraction(c, den))
     return total
 
 
@@ -570,6 +717,7 @@ def fz_relation(g: int, weights: WeightData, r: int, S: tuple = (),
     S = tuple(sorted(S))
     _check_subset(S, weights.n)
     _check_fz_range(g, r, S)
+    _check_stable(g, weights)
     weights = _ensure_generic(weights)
     cap = r if max_edges is None else min(max_edges, r)
     return _graph_sum(
@@ -615,6 +763,7 @@ def boundary_sq_relation(g: int, weights: WeightData, r: int, d: int,
         raise PreconditionError(
             "r-|E| > g-2d-1+|a|", f"r={r}, g={g}, d={d}, |a|={a_total}"
         )
+    _check_stable(g, weights)
     weights = _ensure_generic(weights)
     cap = min(r, r - (g - 2 * d - 1 + a_total) - 1)
     if max_edges is not None:
@@ -645,6 +794,7 @@ def extended_fz_relation(g: int, weights: WeightData, r: int,
     ell = len(sigma)
     if ell == 0:
         return fz_relation(g, weights, r, S)
+    _check_stable(g, weights)
     inner_w = WeightData(weights.weights + tuple([Fraction(1)] * ell))
     inner_r = r - sum(part // 3 for part in sigma)
     inner_s = tuple(sorted(

@@ -542,6 +542,28 @@ class TestInvalidInput:
           "--forget-weight1", "0"), "marking = n violated: marking=0, n=1"),
         (("classes", "pushforward", "--in", "light_last.json",
           "--forget-weight1", "2"), "w_n = 1 violated: w_2=1/10"),
+        (("relations", "gen", "--genus", "3", "--codim", "2",
+          "--subset", "1,1", "--weights", "1/8"),
+         "S has distinct markings violated: S=1,1"),
+        (("relations", "gen", "--genus", "3", "--codim", "2",
+          "--subset", "1,1", "--weights", "1/8", "--construction", "open-fz"),
+         "S has distinct markings violated: S=1,1"),
+        (("relations", "gen", "--genus", "3", "--codim", "2",
+          "--subset", "1,1", "--weights", "1/8", "--sigma", "1"),
+         "S has distinct markings violated: S=1,1"),
+        (("relations", "gen", "--genus", "1", "--codim", "2"),
+         "2g-2+sum(w) > 0 violated: g=1"),
+        (("relations", "gen", "--genus", "0", "--codim", "1",
+          "--weights", "1,1"), "2g-2+sum(w) > 0 violated: g=0, weights=1,1"),
+        (("relations", "gen", "--genus", "0", "--codim", "1",
+          "--weights", "1,1", "--construction", "open-fz"),
+         "2g-2+sum(w) > 0 violated: g=0, weights=1,1"),
+        (("relations", "gen", "--genus", "1", "--codim", "2",
+          "--construction", "open-sq"), "2g-2+sum(w) > 0 violated: g=1"),
+        (("relations", "gen", "--genus", "1", "--codim", "2",
+          "--construction", "boundary-sq"), "2g-2+sum(w) > 0 violated: g=1"),
+        (("relations", "gen", "--genus", "1", "--codim", "2",
+          "--sigma", "1"), "2g-2+sum(w) > 0 violated: g=1"),
     ])
     def test_exit_2_names_condition(self, capsys, tmp_path, monkeypatch,
                                     argv, condition):

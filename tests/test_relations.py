@@ -5,10 +5,13 @@ import pkgutil
 import random
 import sys
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial
+from operator import mul
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tautrels
@@ -199,6 +202,93 @@ def test_graph_sum_builds_each_factor_once(monkeypatch):
     assert set(vertex_calls) == vertices
     assert len(kernel_calls) == len(kernels)
     assert set(kernel_calls) == kernels
+
+
+def oracle_graph_sum(g, weights, graphs, r, ring_of, vertex_factor,
+                     edge_series, powers_of):
+    """Reference graph sum: every colouring's product of all vertex factors
+    and edge kernels rebuilt from scratch with ``reduce(mul, ...)`` and read
+    off at the target degree."""
+    total = TautClass(g, weights)
+    for graph in graphs:
+        order = r - graph.n_edges
+        ring = ring_of(order)
+        target = ring.exponents(**powers_of(order))
+        sums = {}
+        for coloring in enumerate_colorings(graph):
+            factors = [vertex_factor(ring, graph, v, zeta)
+                       for v, zeta in enumerate(coloring)]
+            for e, (va, vb) in enumerate(graph.edges):
+                eds = DecoratedSeries(ring, graph, weights)
+                relations._edge_to_ds(
+                    edge_series(coloring[va], coloring[vb], order), eds, e)
+                factors.append(eds)
+            for (exps, decor), c in reduce(mul, factors).terms.items():
+                if exps == target:
+                    sums[decor] = sums.get(decor, 0) + c
+        scale = Fraction(1, graph.automorphism_order())
+        for decor, c in sums.items():
+            total.add_term(graph, decor, c * scale)
+    return total
+
+
+F = Fraction
+# unmarked, unit, 1/8 and non-generic weights (which fz_relation perturbs)
+FZ_WEIGHTS = [(), (1, 1), (F(1, 8),) * 2, (F(1, 8),) * 3, (F(1, 2),) * 2,
+              (1, F(1, 2), F(1, 2)), (F(1, 3),) * 3]
+SQ_WEIGHTS = [(), (F(1, 10),), (F(1, 10),) * 2, (F(1, 2), F(1, 3)),
+              (F(1, 2),) * 2]
+
+
+def stable_genera(weights):
+    return [g for g in (0, 1, 2) if 2 * g - 2 + sum(weights) > 0]
+
+
+@st.composite
+def fz_cases(draw):
+    weights = draw(st.sampled_from(FZ_WEIGHTS))
+    g = draw(st.sampled_from(stable_genera(weights)))
+    S = tuple(sorted(draw(st.sets(st.integers(1, len(weights)))
+                          if weights else st.just(set()))))
+    r = max(1, -(-(g + 1 + len(S)) // 3))
+    r += (g - 1 + r + len(S)) % 2 + 2 * draw(st.integers(0, 1))
+    return fz_relation, (g, WeightData(weights), r, S,
+                         draw(st.integers(0, 3)))
+
+
+@st.composite
+def sq_cases(draw):
+    weights = draw(st.sampled_from(SQ_WEIGHTS))
+    g = draw(st.sampled_from(stable_genera(weights)))
+    d = draw(st.integers(0, 1))
+    a = tuple(draw(st.integers(0, 1)) for _ in weights)
+    r = max(0, g - 2 * d + sum(a)) + draw(st.integers(0, 1))
+    return boundary_sq_relation, (
+        g, WeightData(weights), r, d, a, draw(st.sampled_from((1, -1))),
+        draw(st.sampled_from((1, -1))), draw(st.integers(0, 3)))
+
+
+def test_graph_sum_cases_have_loops_and_multi_edges():
+    # the pinned fz example below runs over these graphs
+    edges = [graph.edges for graph in enumerate_graphs(2, W0, 3)]
+    assert any(va == vb for es in edges for va, vb in es)
+    assert any(len(set(es)) < len(es) for es in edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(fz_cases(), sq_cases()))
+@example((fz_relation, (2, W0, 3, (), 3)))
+@example((fz_relation, (2, WeightData((F(1, 8),) * 2), 3, (1, 2), 2)))
+@example((boundary_sq_relation,
+          (2, WeightData((F(1, 10),) * 2), 3, 1, (1, 1), 1, 1, 2)))
+def test_graph_sum_matches_per_colouring_oracle(case):
+    """The prefix-product graph sum equals the sum that multiplies every
+    colouring's factors from scratch: fz with and without S on unit, 1/8
+    and non-generic weights, and boundary-sq, whose ring has t, x and p."""
+    build, args = case
+    with mock.patch.object(relations, "_graph_sum", oracle_graph_sum):
+        expected = build(*args)
+    assert build(*args).terms == expected.terms
 
 
 # ---------------------------------------------------------------------------
