@@ -13,8 +13,8 @@ series ring:
 * the change of variables ``u = t (1+4y)^{-1/2}``, ``y = -x (1+4x)^{-1}``
   and the resulting triangular coefficient tables;
 * a two-point frame matrix built from ``Phi`` that solves a first-order
-  system in the flat coordinates, with an order-by-order ODE solver kept as
-  an independent oracle;
+  system in the flat coordinates (its order-by-order ODE solution is an
+  oracle in the tests);
 * the edge and vertex building blocks used by the relation generators.
 
 All functions take the highest retained exponent per variable ("order", so
@@ -196,12 +196,6 @@ def phi_family(t_order: int, x_order: int) -> dict:
     }
 
 
-def c_neg1_coefficients(x_order: int) -> dict:
-    """The t^{-1} layer C_d^{-1} of log Phi, for d = 1..x_order."""
-    fam = phi_family(1, x_order)
-    return {d: fam["C"][d].get(-1, Fraction(0)) for d in range(1, x_order + 1)}
-
-
 # ---------------------------------------------------------------------------
 # The (u, y) change of variables
 # ---------------------------------------------------------------------------
@@ -274,29 +268,6 @@ def uy_expansion(i_max: int, u_order: int, y_order: int) -> dict:
         "b": b,
         "cc": cc,
     }
-
-
-def delta_i_by_uy_recursion(i_max: int, u_order: int, y_order: int) -> dict:
-    """Independent recomputation of delta_i directly in the (u, y) chart.
-
-    Uses the transformed Euler operator
-    ``D = u (1+4y)^{-1/2} (2y u d/du + (1+4y) y d/dy)``
-    and ``delta_{i+1} = (1+4y)^{(i+1)/2} D [(1+4y)^{-i/2} delta_i]``.
-    """
-    exp = uy_expansion(1, u_order, y_order)
-    target = exp["ring"]
-    y = target.var("y")
-    u = target.var("u")
-    one4y = 1 + 4 * y
-    half_inv = one4y.pow_fraction(Fraction(-1, 2))
-    out = {1: exp["delta"][1]}
-    for i in range(1, i_max):
-        inner = out[i] * one4y.pow_fraction(Fraction(-i, 2))
-        d_inner = u * half_inv * (
-            2 * y * inner.x_d_dx("u") + one4y * inner.x_d_dx("y")
-        )
-        out[i + 1] = d_inner * one4y.pow_fraction(Fraction(i + 1, 2))
-    return out
 
 
 def ionel_coefficient_pair(f: Series, r: int, d: int) -> tuple:
@@ -396,42 +367,6 @@ def s_matrix_ode_residuals(sm: dict) -> list:
     return res
 
 
-def s_matrix_row_by_ode(i: int, t_order: int, x_order: int) -> dict:
-    """Order-by-order ODE solution for row i of the frame matrix at y = 0.
-
-    Writing ``S_i^j = exp(y_i/t) H_i^j(T)`` with ``T = x exp(w)``, the system
-    reduces to ``h_m (2 t m + z_i - z_j) = 2 (h^0_{m-1} - h^1_{m-1})`` with
-    ``H_i^j(0) = [i == j]``.  This reconstructs the matrix independently of
-    the closed form and is used as an oracle.
-    """
-    # Laurent ring: H picks up a pole of depth m at the x^m layer, and each
-    # exact division by t costs one layer of top padding.
-    ring = Ring([VarSpec("t", -x_order, t_order + x_order + 1)])
-    h = {0: [ring.one() if i == 0 else ring.zero()],
-         1: [ring.one() if i == 1 else ring.zero()]}
-    zi = ZETA[i]
-    for m in range(1, x_order + 1):
-        rhs = 2 * (h[0][m - 1] - h[1][m - 1])
-        for j, zj in enumerate(ZETA):
-            den_const = zi - zj
-            if den_const:
-                den = ring.const(den_const) + 2 * m * ring.var("t")
-                h[j].append(rhs * den.inverse())
-            else:
-                h[j].append(rhs.divide_exact(2 * m * ring.var("t")))
-    return {"ring": ring, "h": h}
-
-
-def canonical_coordinate(i: int, x_order: int) -> Series:
-    """u^i(0, x) = -z_i sum_{d>=1} C_d^{-1} x^d / d!."""
-    ring = Ring([VarSpec("x", 0, x_order + 1)])
-    cneg = c_neg1_coefficients(x_order)
-    zi = ZETA[i]
-    return ring.series(
-        {(d,): -zi * cneg[d] / factorial(d) for d in range(1, x_order + 1)}
-    )
-
-
 def locality_series(t_order: int, x_order: int) -> dict:
     """The series P^{ij} and E^{ij} controlling the local frame expansion.
 
@@ -460,9 +395,12 @@ def locality_series(t_order: int, x_order: int) -> dict:
     )
     t1, t2 = ring2.var("t1"), ring2.var("t2")
 
-    def twist(f: Series, z: int, tname: str) -> Series:
-        return f.substitute({"t": z * ring2.var(tname)})
-
+    # Phi' and delta at t = z t1 and at t = z t2, for each sign z
+    twisted = {
+        (z, name): tuple(f.substitute({"t": z * ring2.var(name)})
+                         for f in (phi_p, delta))
+        for z in ZETA for name in ("t1", "t2")
+    }
     out_p = Ring([VarSpec("t", 0, t_order + 1), VarSpec("x", 0, x_order + 1)])
     P = {}
     E = {}
@@ -471,12 +409,9 @@ def locality_series(t_order: int, x_order: int) -> dict:
         for j, zj in enumerate(ZETA):
             p_ij = ((Fraction(1, 2) - zi * zj * delta) * phi_p).substitute({"t": zi})
             P[(i, j)] = embed(p_ij, out_p)
-            num = (
-                ring2.const(Fraction(zi + zj, 2))
-                + twist(phi_p, zi, "t1")
-                * twist(phi_p, zj, "t2")
-                * (zi * twist(delta, zi, "t1") + zj * twist(delta, zj, "t2"))
-            )
+            (phi1, delta1), (phi2, delta2) = twisted[zi, "t1"], twisted[zj, "t2"]
+            num = (ring2.const(Fraction(zi + zj, 2))
+                   + phi1 * phi2 * (zi * delta1 + zj * delta2))
             EN[(i, j)] = embed(num, out2)
             E[(i, j)] = embed(num.divide_exact(t1 + t2), out2)
     return {"P": P, "E": E, "E_numerator": EN, "ring2": out2}
@@ -676,14 +611,23 @@ def identity_suite(quick: bool = False, seed: int = 20260826) -> list:
     res = s_matrix_ode_residuals(sm)
     check("frame-matrix-ode", origin_ok and all(r.is_zero() for r in res), "")
 
-    # 6. divisibility of the edge numerators
+    # 6. divisibility of the edge numerators: each edge quotient is graded
+    # (t-degree equals the cotangent degree), each locality quotient times
+    # t1 + t2 gives back its numerator, and P^{ij} starts at (1 + z_i z_j)/2
     try:
-        for z1 in ZETA:
-            for z2 in ZETA:
-                delta_edge(z1, z2, 8 if quick else 15)
+        graded = all(
+            a == b + c
+            for z1 in ZETA for z2 in ZETA
+            for a, b, c in delta_edge(z1, z2, 8 if quick else 15).coeffs
+        )
         loc = locality_series(6 if quick else 12, 3 if quick else 5)
-        check("edge-divisibility", True, "all sign pairs")
-        _ = loc
+        t12 = loc["ring2"].var("t1") + loc["ring2"].var("t2")
+        local = all(
+            loc["P"][i, j].coefficient() == Fraction(1 + zi * zj, 2)
+            and loc["E"][i, j] * t12 == loc["E_numerator"][i, j]
+            for i, zi in enumerate(ZETA) for j, zj in enumerate(ZETA)
+        )
+        check("edge-divisibility", graded and local, "all sign pairs")
     except Exception as exc:  # pragma: no cover - failure path
         check("edge-divisibility", False, str(exc))
 

@@ -22,15 +22,15 @@ push-forward of ``M`` along the gluing map of ``G`` (no automorphism
 factors are folded in; formulas that need ``1/|Aut|`` carry it in the
 coefficient).
 
-Two paths reach a stored decoration.  :func:`normal_form` reduces a raw
-word (kappa classes including ``kappa_0``, psi powers, raw diagonals,
-generators); it serves generators, vertex factors, ``divisor_product``,
-``pushforward_forget_weight1`` and the check of class files.  Products of
-decorations that are already stored go through :func:`_vertex_product`
-instead, with coefficient 1: ``multiply_smooth``, ``multiply_generator``
-and ``DecoratedSeries`` products; no product is kept between calls.
-``pushforward_forget_small`` rewrites the block that holds the forgotten
-point in place.
+One rule merges blocks: :func:`_vertex_product` multiplies two stored
+vertex decorations, with coefficient 1 and no product kept between calls.
+:func:`_factor_decor` maps one raw factor to a stored decoration and a
+scalar, and :func:`normal_form` multiplies a raw word's factors.  The
+brackets and ``multiply_generator`` place single factors, edge kernels and
+divisor products write half-edge psi powers (:func:`_hpsi_decor`), and no
+builder reduces a raw word; words serve the public word API and the check
+of class files.  ``pushforward_forget_small`` rewrites the block that
+holds the forgotten point in place.
 """
 
 from __future__ import annotations
@@ -71,18 +71,42 @@ __all__ = [
 # vertex decorations indexed by vertex.
 
 
-def _merge_block(blocks: list, points: tuple, a: int) -> None:
-    """Merge the generator D_{points, a} into the running block list."""
-    points = set(points)
-    keep = []
-    for other_points, b in blocks:
-        if points & set(other_points):
-            points |= set(other_points)
-            a += b
-        else:
-            keep.append((other_points, b))
-    keep.append((tuple(sorted(points)), a))
-    blocks[:] = keep
+def _factor_decor(factor, genus: int, weights: WeightData) -> tuple | None:
+    """``(scalar, vertex decoration)`` of one raw factor of
+    :func:`normal_form` at a vertex of genus ``genus``, or ``None`` if the
+    factor is zero.
+
+    A block exponent below ``|S| - 1``, a negative psi power among them,
+    raises ``ValueError``; so does an unknown factor kind.  A block of two
+    or more markings that weighs more than one is zero.
+    """
+    kind = factor[0]
+    if kind == "kappa":
+        j = factor[1]
+        if j > 0:
+            return 1, ((j,), ())
+        scalar = 2 * genus - 2 if j == 0 else 0
+        return (scalar, ((), ())) if scalar else None
+    scalar = 1
+    if kind in ("psi", "hpsi"):
+        _, at, a = factor
+        pts = (("m", at),) if kind == "psi" else (("h", at[0], at[1]),)
+    elif kind == "diag":
+        a = len(factor[1]) - 1
+        scalar = (-1) ** a
+        pts = tuple(sorted({("m", i) for i in factor[1]}))
+    elif kind == "Dsa":
+        _, markings, a = factor
+        pts = tuple(sorted({("m", i) for i in markings}))
+    else:
+        raise ValueError(f"unknown factor kind {kind!r}")
+    if a < len(pts) - 1:
+        raise ValueError("block exponent below |S| - 1")
+    if a == 0:
+        return scalar, ((), ())
+    if len(pts) > 1 and weights.subset_weight(p[1] for p in pts) > 1:
+        return None
+    return scalar, ((), ((pts, a),))
 
 
 def normal_form(
@@ -99,57 +123,26 @@ def normal_form(
     * ``("hpsi", (e, s), k)`` -- the same at a half-edge;
     * ``("diag", S)`` -- the class of the locus where the markings of S
       collide (converted to ``(-1)^{|S|-1} D_{S, |S|-1}``);
-    * ``("Dsa", S, a)`` -- a stored generator.
+    * ``("Dsa", S, a)`` -- a stored generator, with ``a >= |S| - 1``.
 
-    Returns ``(coefficient, kappa, blocks)`` or ``None`` if the product is
-    zero.  The result does not depend on the order of the factors.
+    Each factor becomes a stored decoration by :func:`_factor_decor`, and
+    the decorations multiply by :func:`_vertex_product`, the one rule that
+    merges blocks.  Returns ``(coefficient, kappa, blocks)`` or ``None``
+    if the product is zero.  The result does not depend on the order of
+    the factors.
     """
-    coeff = Fraction(1)
-    kappa: list = []
-    blocks: list = []
+    genus = graph.genera[vertex]
+    coeff = 1
+    vd = ((), ())
     for factor in word:
-        kind = factor[0]
-        if kind == "kappa":
-            j = factor[1]
-            if j < 0:
-                return None
-            if j == 0:
-                coeff *= 2 * graph.genera[vertex] - 2
-                if coeff == 0:
-                    return None
-                continue
-            kappa.append(j)
-        elif kind == "psi":
-            _, i, k = factor
-            if k:
-                _merge_block(blocks, (("m", i),), k)
-        elif kind == "hpsi":
-            _, he, k = factor
-            if k:
-                _merge_block(blocks, (("h", he[0], he[1]),), k)
-        elif kind == "diag":
-            s = tuple(sorted(factor[1]))
-            coeff *= (-1) ** (len(s) - 1)
-            _merge_block(blocks, tuple(("m", i) for i in s), len(s) - 1)
-        elif kind == "Dsa":
-            _, s, a = factor
-            _merge_block(blocks, tuple(("m", i) for i in sorted(s)), a)
-        else:
-            raise ValueError(f"unknown factor kind {kind!r}")
-    cleaned = []
-    for points, a in blocks:
-        if a == 0 and len(points) == 1:
-            continue
-        n_half = sum(1 for p in points if p[0] == "h")
-        if n_half and len(points) > 1:
-            raise ValueError("half-edge psi classes cannot join a diagonal block")
-        if a < len(points) - 1:
-            raise ValueError("block exponent below |S| - 1")
-        markings = [p[1] for p in points if p[0] == "m"]
-        if len(markings) >= 2 and weights.subset_weight(markings) > 1:
+        single = _factor_decor(factor, genus, weights)
+        if single is None:
             return None
-        cleaned.append((points, a))
-    return coeff, tuple(sorted(kappa)), tuple(sorted(cleaned))
+        coeff *= single[0]
+        vd = _vertex_product(vd, single[1], weights)
+        if vd is None:
+            return None
+    return (coeff,) + vd
 
 
 def words_normal_form(
@@ -480,36 +473,32 @@ class TautClass:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_word(kappa: tuple, blocks) -> list:
-    """Raw word of one vertex decoration: its kappa factors, then a
-    half-edge psi power for a half-edge singleton and ``D_{S, a}`` for
-    every other block."""
-    word = [("kappa", j) for j in kappa]
-    for pts, a in blocks:
-        if len(pts) == 1 and pts[0][0] == "h":
-            word.append(("hpsi", (pts[0][1], pts[0][2]), a))
-        else:
-            word.append(("Dsa", tuple(p[1] for p in pts), a))
-    return word
-
-
 def _decor_words(decor: tuple) -> list:
-    """Rebuild raw words from a stored decoration."""
-    return [_vertex_word(kappa, blocks) for kappa, blocks in decor]
+    """Rebuild raw words from a stored decoration: per vertex its kappa
+    factors, then a half-edge psi power for a half-edge singleton and
+    ``D_{S, a}`` for every other block."""
+    return [
+        [("kappa", j) for j in kappa] + [
+            ("hpsi", pts[0][1:], a) if len(pts) == 1 and pts[0][0] == "h"
+            else ("Dsa", tuple(p[1] for p in pts), a)
+            for pts, a in blocks
+        ]
+        for kappa, blocks in decor
+    ]
 
 
-def _hpsi_words(graph: StableGraph, powers: dict) -> list:
-    """One raw word per vertex holding the half-edge psi powers
-    ``{(e, s): p}``, each at the vertex that half-edge ``(e, s)`` lies on."""
-    words = [[] for _ in range(graph.n_vertices)]
-    for (e, s), p in powers.items():
+def _hpsi_decor(graph: StableGraph, powers: dict) -> tuple:
+    """The stored decoration of the half-edge psi powers ``{(e, s): p}``,
+    each at the vertex that half-edge ``(e, s)`` lies on."""
+    blocks = [[] for _ in range(graph.n_vertices)]
+    for (e, s), p in sorted(powers.items()):
         if p:
-            words[graph.edges[e][s]].append(("hpsi", (e, s), p))
-    return words
+            blocks[graph.edges[e][s]].append(((("h", e, s),), p))
+    return tuple(((), tuple(b)) for b in blocks)
 
 
 def _generator_sites(graph: StableGraph, gen: tuple) -> list:
-    """``(vertex, raw word)`` for each vertex-local summand of ``gen``.
+    """``(vertex, raw factor)`` for each vertex-local summand of ``gen``.
 
     A kappa class distributes over the vertices and the half-edges by the
     boundary pull-back rule ``kappa_j -> kappa_j^{(v)} + sum_h psi_h^j``.
@@ -520,18 +509,18 @@ def _generator_sites(graph: StableGraph, gen: tuple) -> list:
         return [
             site
             for v in range(graph.n_vertices)
-            for site in [(v, [gen])] + [
-                (v, [("hpsi", he, j)]) for he in graph.half_edges_at(v)]
+            for site in [(v, gen)] + [
+                (v, ("hpsi", he, j)) for he in graph.half_edges_at(v)]
         ]
     if kind == "psi":
-        return [(graph.legs[gen[1] - 1], [gen])]
+        return [(graph.legs[gen[1] - 1], gen)]
     if kind == "Dsa":
         homes = {graph.legs[i - 1] for i in gen[1]}
         if len(homes) != 1:
             raise ValueError(
                 "diagonal generator with markings on several vertices"
             )
-        return [(homes.pop(), [gen])]
+        return [(homes.pop(), gen)]
     raise ValueError(f"unknown generator {gen!r}")
 
 
@@ -539,9 +528,9 @@ def multiply_generator(c: TautClass, gen: tuple) -> TautClass:
     """Multiply by a kappa class, a psi power, or a ``D_{S, a}`` generator.
 
     ``gen`` is ``("kappa", j)``, ``("psi", i, k)`` or ``("Dsa", S, a)``.
-    Each summand of ``gen`` on a graph is brought to normal form once, which
-    rejects a malformed generator, and is then multiplied into every
-    stored decoration by :func:`_vertex_product`.
+    Each summand of ``gen`` on a graph becomes a stored decoration once, by
+    :func:`_factor_decor`, which rejects a malformed generator, and is then
+    multiplied into every stored decoration by :func:`_vertex_product`.
     """
     out = TautClass(c.genus, c.weights)
     factors: dict = {}
@@ -550,12 +539,13 @@ def multiply_generator(c: TautClass, gen: tuple) -> TautClass:
         graph = StableGraph(genera, legs, edges)
         if graph not in factors:
             factors[graph] = [
-                (v, nf)
-                for v, word in _generator_sites(graph, gen)
-                if (nf := normal_form(graph, c.weights, v, word)) is not None
+                (v, single)
+                for v, factor in _generator_sites(graph, gen)
+                if (single := _factor_decor(factor, genera[v], c.weights))
+                is not None
             ]
-        for v, (scalar, kappa, blocks) in factors[graph]:
-            vd = _vertex_product(decor[v], (kappa, blocks), c.weights)
+        for v, (scalar, factor_vd) in factors[graph]:
+            vd = _vertex_product(decor[v], factor_vd, c.weights)
             if vd is not None:
                 out.add_term(graph, decor[:v] + (vd,) + decor[v + 1:],
                              coeff * scalar)
@@ -695,14 +685,16 @@ def _forget_contract(out: TautClass, genera: tuple, legs: tuple,
     else:
         point_map[(e, 1 - s)] = ("m", next(m for m in legs_v if m != marking))
     new_graph = StableGraph(graph.genera, graph.legs[:marking - 1], graph.edges)
-    words = [[] for _ in range(new_graph.n_vertices)]
+    # v carries no class, so every other vertex keeps its decoration with
+    # its points renamed; a renamed point is a singleton block and meets
+    # no other block
+    new_decor = [((), ())] * new_graph.n_vertices
     for w, (kappa, blocks) in enumerate(decor):
-        moved = [
-            (tuple(point_map[p[1:]] if p[0] == "h" else p for p in pts), a)
-            for pts, a in blocks
-        ]
-        words[vmap[w]] += _vertex_word(kappa, moved)
-    out.add_word_term(new_graph, words, coeff)
+        if w != v:
+            new_decor[vmap[w]] = (kappa, tuple(sorted(
+                (tuple(point_map[p[1:]] if p[0] == "h" else p for p in pts), a)
+                for pts, a in blocks)))
+    out.add_term(new_graph, tuple(new_decor), coeff)
     return True
 
 
@@ -753,28 +745,20 @@ def pushforward_forget_weight1(c: TautClass, marking: int) -> TautClass:
                 rest_blocks.append((pts, a))
         if b_exp is None:
             continue  # no class to integrate along the forgotten point
-        words = _decor_words(decor)
-        base = _vertex_word(kappa, rest_blocks)
+        # kappa~_j at v_home, factor by factor; at j = 0 the factors are
+        # the scalars 2 g(v) - 2 and 1.  psi_m^j joins a block that
+        # already holds m, so no product vanishes.
+        base = (kappa, tuple(rest_blocks))
         j = b_exp - 1
-        variants = []
-        if j == 0:
-            count = (
-                2 * genera[v_home]
-                - 2
-                + len(graph.legs_at(v_home))
-                + len(graph.half_edges_at(v_home))
-            )
-            variants.append((Fraction(count), []))
-        else:
-            variants.append((Fraction(1), [("kappa", j)]))
-            for m in graph.legs_at(v_home):
-                variants.append((Fraction(1), [("psi", m, j)]))
-            for he in graph.half_edges_at(v_home):
-                variants.append((Fraction(1), [("hpsi", he, j)]))
-        for factor, extra in variants:
-            new_words = [list(w) for w in words]
-            new_words[v_home] = base + extra
-            out.add_word_term(graph, new_words, coeff * factor)
+        factors = [("kappa", j)]
+        factors += [("psi", m, j) for m in graph.legs_at(v_home)]
+        factors += [("hpsi", he, j) for he in graph.half_edges_at(v_home)]
+        for factor in factors:
+            if (single := _factor_decor(factor, genera[v_home],
+                                        weights)) is not None:
+                vd = _vertex_product(base, single[1], weights)
+                out.add_term(graph, decor[:v_home] + (vd,)
+                             + decor[v_home + 1:], coeff * single[0])
     return out
 
 
@@ -977,8 +961,8 @@ def divisor_product(ca: TautClass, cb: TautClass, graph_pool=None) -> TautClass:
                         for (e, s), b_pow in pow_b.items():
                             he = inv_b[hm_b[(e, s)]]
                             word[he] = word.get(he, 0) + b_pow
-                        out.add_word_term(
-                            graph, _hpsi_words(graph, word), coeff / aut
+                        out.add_term(
+                            graph, _hpsi_decor(graph, word), coeff / aut
                         )
             # excess structures
             isos = graph_isos(graph_a, graph_b)
@@ -997,8 +981,8 @@ def divisor_product(ca: TautClass, cb: TautClass, graph_pool=None) -> TautClass:
                         for excess_side in (0, 1):
                             ep = dict(powers)
                             ep[(0, excess_side)] = ep.get((0, excess_side), 0) + 1
-                            out.add_word_term(
-                                graph_b, _hpsi_words(graph_b, ep),
+                            out.add_term(
+                                graph_b, _hpsi_decor(graph_b, ep),
                                 -coeff / aut_b
                             )
     return out
@@ -1054,7 +1038,7 @@ def divisor_exp_check(
         if graph.n_edges == 1:
             weight = Fraction(1, graph.automorphism_order())
             for (i, j), coeff in f_poly.items():
-                big.add_word_term(graph, _hpsi_words(
+                big.add_term(graph, _hpsi_decor(
                     graph, {(0, 0): i, (0, 1): j}), coeff * weight)
     big = big.restrict_codim(max_codim)
     lhs = TautClass.one(genus, weights) + big
@@ -1075,7 +1059,7 @@ def divisor_exp_check(
             for e, ((i, j), c) in enumerate(combo):
                 coeff *= c
                 powers[e, 0], powers[e, 1] = i, j
-            rhs.add_word_term(graph, _hpsi_words(graph, powers), coeff)
+            rhs.add_term(graph, _hpsi_decor(graph, powers), coeff)
     return lhs, rhs.restrict_codim(max_codim)
 
 

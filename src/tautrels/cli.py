@@ -236,6 +236,9 @@ def _load_batch(path: str) -> list:
         codims |= c.codims()
     if len(codims) > 1:
         raise UsageError(f"mixed-codimension batch: {sorted(codims)}")
+    spaces = {(c.genus, ",".join(map(str, c.weights.weights))) for c in classes}
+    if len(spaces) > 1:
+        raise UsageError(f"mixed-space batch: {sorted(spaces)}")
     return classes
 
 

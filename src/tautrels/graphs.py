@@ -193,17 +193,6 @@ class StableGraph:
             if not _is_stable(self.genera[v], nh, wsum):
                 raise ValueError(f"vertex {v} unstable")
 
-    def relabelled(self, perm: tuple) -> "StableGraph":
-        """Apply vertex relabelling v -> perm[v]."""
-        genera = [0] * self.n_vertices
-        for v, g in enumerate(self.genera):
-            genera[perm[v]] = g
-        legs = tuple(perm[v] for v in self.legs)
-        edges = tuple(
-            sorted(tuple(sorted((perm[a], perm[b]))) for a, b in self.edges)
-        )
-        return StableGraph(tuple(genera), legs, edges)
-
     def vertex_maps(self, genera: tuple | None = None):
         """Vertex maps ``perm`` (vertex v goes to position perm[v]) that send
         every vertex to a position of equal genus in ``genera``.

@@ -33,13 +33,13 @@ from .catalog import (
 from .classes import (
     TautClass,
     _decor_product,
-    _hpsi_words,
+    _factor_decor,
+    _hpsi_decor,
     chern_neg_Bd,
     multiply_generator,
     normal_form,
     pushforward_forget_small,
     pushforward_forget_weight1,
-    words_normal_form,
 )
 from .graphs import (
     PreconditionError,
@@ -259,10 +259,13 @@ class DecoratedSeries:
         else:
             self.terms[key] = new
 
-    def add_word_term(self, exps: tuple, words, coeff) -> None:
-        reduced = words_normal_form(self.graph, self.weights, words, coeff)
-        if reduced is not None:
-            self.add_term(exps, *reduced)
+    def add_factor_term(self, exps: tuple, vertex: int, factor, coeff) -> None:
+        """Add ``coeff`` times one raw factor ``factor`` at ``vertex``."""
+        single = _factor_decor(factor, self.graph.genera[vertex], self.weights)
+        if single is not None:
+            decor = self._trivial_decor()
+            self.add_term(exps, decor[:vertex] + (single[1],)
+                          + decor[vertex + 1:], coeff * single[0])
 
     def __add__(self, other: "DecoratedSeries") -> "DecoratedSeries":
         out = DecoratedSeries(self.ring, self.graph, self.weights,
@@ -384,9 +387,7 @@ def bracket_kappa(series: Series, ds: DecoratedSeries, vertex: int,
     for k, exps, c in _bracket_terms(series, ds.ring, var):
         if k < 0:
             continue  # kappa with negative index vanishes
-        words = [[] for _ in range(ds.graph.n_vertices)]
-        words[vertex] = [("kappa", k)]
-        ds.add_word_term(tuple(exps), words, c)
+        ds.add_factor_term(tuple(exps), vertex, ("kappa", k), c)
 
 
 def bracket_D(series: Series, ds: DecoratedSeries, vertex: int,
@@ -400,9 +401,7 @@ def bracket_D(series: Series, ds: DecoratedSeries, vertex: int,
                     f"D bracket needs t-order >= {size - 1}, got t^{k}"
                 )
             continue
-        words = [[] for _ in range(ds.graph.n_vertices)]
-        words[vertex] = [("Dsa", tuple(block), k)]
-        ds.add_word_term(tuple(exps), words, c)
+        ds.add_factor_term(tuple(exps), vertex, ("Dsa", tuple(block), k), c)
 
 
 def bracket_Delta(series: Series, ds: DecoratedSeries, vertex: int,
@@ -432,9 +431,8 @@ def bracket_Delta(series: Series, ds: DecoratedSeries, vertex: int,
             e >= s.trunc_order for e, s in zip(exps, ds.ring.specs)
         ):
             continue
-        words = [[] for _ in range(ds.graph.n_vertices)]
-        words[vertex] = [("Dsa", support, k)]
-        ds.add_word_term(tuple(exps), words, coeff * c)
+        ds.add_factor_term(tuple(exps), vertex, ("Dsa", support, k),
+                           coeff * c)
 
 
 def _kappa_exp(series: Series, ring: Ring, graph: StableGraph,
@@ -613,7 +611,7 @@ def _edge_to_ds(series: Series, ds: DecoratedSeries, edge: int) -> None:
             else:
                 exps[ds.ring.index[name]] = e
         if all(e < s.trunc_order for e, s in zip(exps, ds.ring.specs)):
-            ds.add_word_term(tuple(exps), _hpsi_words(ds.graph, powers), c)
+            ds.add_term(tuple(exps), _hpsi_decor(ds.graph, powers), c)
 
 
 def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
@@ -829,9 +827,10 @@ def verify_chain(g: int, r: int) -> list:
         raise PreconditionError("genus >= 0", f"genus={g}")
     if r < 1:
         raise PreconditionError("codim >= 1", f"codim={r}")
+    w0 = WeightData(())
+    _check_stable(g, w0)
     report = []
     smooth = smooth_graph(g, 0)
-    w0 = WeightData(())
 
     # side 1: exp(-{gamma}_kappa) in the (t, x) chart
     fam = phi_family(r, r)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -10,11 +11,8 @@ from tautrels.catalog import (
     SeriesCatalog,
     bernoulli,
     bernoulli_kernel_coefficients,
-    c_neg1_coefficients,
     catalog_ring,
-    canonical_coordinate,
     delta_edge,
-    delta_i_by_uy_recursion,
     edge_series_uy,
     edge_series_xy,
     hyper_A,
@@ -26,7 +24,6 @@ from tautrels.catalog import (
     phi_family,
     s_matrix,
     s_matrix_ode_residuals,
-    s_matrix_row_by_ode,
     series_C,
     series_orders,
     substitute_uy,
@@ -34,6 +31,76 @@ from tautrels.catalog import (
     uy_ring,
 )
 from tautrels.series import Ring, Series, VarSpec
+
+
+# ---------------------------------------------------------------------------
+# Independent routes to catalog quantities, used only as oracles here
+# ---------------------------------------------------------------------------
+
+
+def c_neg1_coefficients(x_order: int) -> dict:
+    """The t^{-1} layer C_d^{-1} of log Phi, for d = 1..x_order."""
+    fam = phi_family(1, x_order)
+    return {d: fam["C"][d].get(-1, F(0)) for d in range(1, x_order + 1)}
+
+
+def delta_i_by_uy_recursion(i_max: int, u_order: int, y_order: int) -> dict:
+    """Independent recomputation of delta_i directly in the (u, y) chart.
+
+    Uses the transformed Euler operator
+    ``D = u (1+4y)^{-1/2} (2y u d/du + (1+4y) y d/dy)``
+    and ``delta_{i+1} = (1+4y)^{(i+1)/2} D [(1+4y)^{-i/2} delta_i]``.
+    """
+    exp = uy_expansion(1, u_order, y_order)
+    target = exp["ring"]
+    y = target.var("y")
+    u = target.var("u")
+    one4y = 1 + 4 * y
+    half_inv = one4y.pow_fraction(F(-1, 2))
+    out = {1: exp["delta"][1]}
+    for i in range(1, i_max):
+        inner = out[i] * one4y.pow_fraction(F(-i, 2))
+        d_inner = u * half_inv * (
+            2 * y * inner.x_d_dx("u") + one4y * inner.x_d_dx("y")
+        )
+        out[i + 1] = d_inner * one4y.pow_fraction(F(i + 1, 2))
+    return out
+
+
+def s_matrix_row_by_ode(i: int, t_order: int, x_order: int) -> dict:
+    """Order-by-order ODE solution for row i of the frame matrix at y = 0.
+
+    Writing ``S_i^j = exp(y_i/t) H_i^j(T)`` with ``T = x exp(w)``, the system
+    reduces to ``h_m (2 t m + z_i - z_j) = 2 (h^0_{m-1} - h^1_{m-1})`` with
+    ``H_i^j(0) = [i == j]``.  This reconstructs the matrix independently of
+    the closed form and is used as an oracle.
+    """
+    # Laurent ring: H picks up a pole of depth m at the x^m layer, and each
+    # exact division by t costs one layer of top padding.
+    ring = Ring([VarSpec("t", -x_order, t_order + x_order + 1)])
+    h = {0: [ring.one() if i == 0 else ring.zero()],
+         1: [ring.one() if i == 1 else ring.zero()]}
+    zi = ZETA[i]
+    for m in range(1, x_order + 1):
+        rhs = 2 * (h[0][m - 1] - h[1][m - 1])
+        for j, zj in enumerate(ZETA):
+            den_const = zi - zj
+            if den_const:
+                den = ring.const(den_const) + 2 * m * ring.var("t")
+                h[j].append(rhs * den.inverse())
+            else:
+                h[j].append(rhs.divide_exact(2 * m * ring.var("t")))
+    return {"ring": ring, "h": h}
+
+
+def canonical_coordinate(i: int, x_order: int) -> Series:
+    """u^i(0, x) = -z_i sum_{d>=1} C_d^{-1} x^d / d!."""
+    ring = Ring([VarSpec("x", 0, x_order + 1)])
+    cneg = c_neg1_coefficients(x_order)
+    zi = ZETA[i]
+    return ring.series(
+        {(d,): -zi * cneg[d] / factorial(d) for d in range(1, x_order + 1)}
+    )
 
 
 def test_bernoulli_values():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from tautrels.classes import (
     TautClass,
     _decor_words,
-    _vertex_word,
     canonical_term,
     chern_neg_Bd,
     divisor_exp_check,
@@ -34,6 +33,12 @@ from tautrels.graphs import (
     WeightData,
     enumerate_graphs,
     smooth_graph,
+)
+
+from oracles import (
+    oracle_add_words,
+    oracle_normal_form,
+    relabelled,
 )
 
 
@@ -118,6 +123,93 @@ class TestNormalForm:
             shuffled = factors[:]
             rng.shuffle(shuffled)
             assert normal_form(graph, w, 0, shuffled) == expected
+
+
+# every diagonal lives under the first weights; under the second {1, 2}
+# is heavy, and {1, 3} and {2, 3} live but merge to a heavy block
+NF_WEIGHTS = [
+    WeightData((Fraction(1, 8),) * 3),
+    WeightData((Fraction(1, 2), Fraction(2, 3), Fraction(1, 4))),
+]
+# genus one and two, with loops and multi-edges; kappa_0 is zero at a
+# genus-one vertex
+NF_GRAPHS = [
+    (weights, graph)
+    for weights in NF_WEIGHTS
+    for g in (1, 2)
+    for graph in enumerate_graphs(g, weights, 2)
+]
+
+
+@st.composite
+def raw_words(draw):
+    """A word of valid factors at one vertex of a graph in ``NF_GRAPHS``:
+    kappa classes (including kappa_0 and kappa_-1), psi powers at its
+    markings and half-edges, raw diagonals and generators ``D_{S, a}``
+    with ``a >= |S| - 1``, where a set ``S`` may repeat a marking."""
+    weights, graph = draw(st.sampled_from(NF_GRAPHS))
+    v = draw(st.integers(0, graph.n_vertices - 1))
+    marks = graph.legs_at(v)
+    halves = graph.half_edges_at(v)
+    factors = [st.tuples(st.just("kappa"), st.integers(-1, 3))]
+    if marks:
+        # a marking may repeat; it names the same point
+        sets = st.lists(st.sampled_from(marks), min_size=1,
+                        max_size=len(marks) + 1).map(tuple)
+        factors += [
+            st.tuples(st.just("psi"), st.sampled_from(marks),
+                      st.integers(0, 3)),
+            st.tuples(st.just("diag"), sets),
+            sets.flatmap(lambda s: st.tuples(
+                st.just("Dsa"), st.just(s),
+                st.integers(len(set(s)) - 1, len(s) + 1))),
+        ]
+    if halves:
+        factors.append(st.tuples(st.just("hpsi"), st.sampled_from(halves),
+                                 st.integers(0, 2)))
+    word = draw(st.lists(st.one_of(factors), max_size=6))
+    return graph, weights, v, word
+
+
+def test_normal_form_graphs_have_loops_and_multi_edges():
+    edges = [graph.edges for _, graph in NF_GRAPHS]
+    assert any(a == b for es in edges for a, b in es)
+    assert any(len(set(es)) < len(es) for es in edges)
+    assert any(0 in graph.genera and 1 in graph.genera
+               for _, graph in NF_GRAPHS)
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw_words())
+def test_normal_form_matches_word_oracle(case):
+    graph, weights, v, word = case
+    assert (normal_form(graph, weights, v, word)
+            == oracle_normal_form(graph, weights, v, word))
+
+
+LOOP = StableGraph((1,), (0, 0), ((0, 0),))
+
+
+@pytest.mark.parametrize("word,condition", [
+    ([("psi", 1, -1)], "block exponent below"),
+    ([("hpsi", (0, 1), -1)], "block exponent below"),
+    ([("Dsa", (1, 2), 0)], "block exponent below"),
+    # merging would lift the exponent to |S| - 1, but a factor is checked
+    # on its own
+    ([("Dsa", (1, 2), 0), ("psi", 1, 1)], "block exponent below"),
+    ([("psi", 2, 2), ("Dsa", (1, 2), 0)], "block exponent below"),
+    ([("kappa", 1), ("lambda", 1)], "unknown factor kind 'lambda'"),
+])
+def test_normal_form_rejects_malformed_factors(word, condition):
+    with pytest.raises(ValueError, match=condition):
+        normal_form(LOOP, eps_weights(2), 0, word)
+
+
+def test_normal_form_single_factor_zeros():
+    w = WeightData((Fraction(3, 4), Fraction(3, 4)))
+    assert normal_form(LOOP, w, 0, [("Dsa", (1, 2), 1)]) is None
+    assert normal_form(LOOP, w, 0, [("kappa", 0)]) is None
+    assert normal_form(smooth(0, 3), w, 0, [("kappa", 0)]) == (-2, (), ())
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +436,7 @@ def test_canonical_term_matches_oracle(genus):
         if g != genus:
             continue
         # a non-canonical labelling of the same graph as a second input
-        flipped = graph.relabelled(tuple(reversed(range(graph.n_vertices))))
+        flipped = relabelled(graph, tuple(reversed(range(graph.n_vertices))))
         for decor in _test_decorations(graph, weights):
             assert canonical_term(graph, decor) == oracle_canonical_term(
                 graph, decor
@@ -357,7 +449,7 @@ def test_canonical_term_matches_oracle(genus):
 
 def test_graph_isos_match_oracle_and_automorphism_order():
     for _, _, graph in _oracle_graphs():
-        flipped = graph.relabelled(tuple(reversed(range(graph.n_vertices))))
+        flipped = relabelled(graph, tuple(reversed(range(graph.n_vertices))))
         autos = graph_isos(graph, graph)
         assert len(autos) == graph.automorphism_order()
         assert _iso_set(autos) == _iso_set(oracle_graph_isos(graph, graph))
@@ -540,7 +632,7 @@ class TestForgetSmall:
 # ---------------------------------------------------------------------------
 #
 # The oracles rebuild raw words from stored decorations and reduce every
-# product with ``normal_form``, as the library did before its kernels
+# product with ``oracle_normal_form``, as the library did before its kernels
 # multiplied stored decorations directly.
 
 
@@ -555,17 +647,17 @@ def oracle_multiply_generator(c, gen):
             for v in range(graph.n_vertices):
                 words = [list(w) for w in base_words]
                 words[v].append(("kappa", j))
-                out.add_word_term(graph, words, coeff)
+                oracle_add_words(out, graph, words, coeff)
                 for he in graph.half_edges_at(v):
                     words = [list(w) for w in base_words]
                     words[v].append(("hpsi", he, j))
-                    out.add_word_term(graph, words, coeff)
+                    oracle_add_words(out, graph, words, coeff)
         elif gen[0] == "psi":
             _, i, k = gen
             v = graph.legs[i - 1]
             words = [list(w) for w in base_words]
             words[v].append(("psi", i, k))
-            out.add_word_term(graph, words, coeff)
+            oracle_add_words(out, graph, words, coeff)
         elif gen[0] == "Dsa":
             _, s, a = gen
             homes = {graph.legs[i - 1] for i in s}
@@ -576,7 +668,7 @@ def oracle_multiply_generator(c, gen):
             v = homes.pop()
             words = [list(w) for w in base_words]
             words[v].append(("Dsa", tuple(s), a))
-            out.add_word_term(graph, words, coeff)
+            oracle_add_words(out, graph, words, coeff)
         else:
             raise ValueError(f"unknown generator {gen!r}")
     return out
@@ -593,7 +685,7 @@ def oracle_multiply_smooth(c1, c2):
         left = _decor_words(key1[3])
         for words2, b in right:
             words = [w1 + w2 for w1, w2 in zip(left, words2)]
-            out.add_word_term(graph, words, a * b)
+            oracle_add_words(out, graph, words, a * b)
     return out
 
 
@@ -617,7 +709,7 @@ def oracle_pushforward_forget_small(c, count=1):
             if len(rest) == len(blocks):
                 continue
             (pts, a), = (b for b in blocks if point in b[0])
-            new_word = _vertex_word(kappa, rest)
+            new_word = _decor_words(((kappa, rest),))[0]
             if len(pts) == 1:
                 new_word.append(("kappa", a - 1))
             else:
@@ -627,7 +719,7 @@ def oracle_pushforward_forget_small(c, count=1):
                 )
             words = _decor_words(decor)
             words[v_home] = new_word
-            target.add_word_term(graph, words, coeff)
+            oracle_add_words(target, graph, words, coeff)
         current = target
     return current
 

@@ -390,6 +390,9 @@ CLASS_FILES["far_point.json"] = _smooth_file(
     [["1", "2"]], {"kappa": [], "blocks": [{"points": [["h", 0, 0]], "a": 1}]})
 CLASS_FILES["one_point.json"] = _smooth_file(
     [["1", "10"]], {"kappa": [], "blocks": [{"points": [["m", 1]], "a": 1}]})
+CLASS_FILES["repeated_point.json"] = _smooth_file(
+    [["1", "8"], ["1", "8"]],
+    {"kappa": [], "blocks": [{"points": [["m", 1], ["m", 1]], "a": 1}]})
 CLASS_FILES["light_last.json"] = _smooth_file(
     [["1", "1"], ["1", "10"]], {"kappa": [], "blocks": []})
 CLASS_FILES["batch_bad_legs.json"] = [CLASS_FILES["bad_legs.json"]]
@@ -413,6 +416,9 @@ CLASS_FILES["batch_leg_vertex.json"] = _batch_with({"legs": [[1, 5]]})
 CLASS_FILES["batch_edge_vertex.json"] = _batch_with({"edges": [[0, 3]]})
 CLASS_FILES["batch_no_decor.json"] = _batch_with(decor=[])
 CLASS_FILES["batch_str_genus.json"] = _batch_with(genus="x")
+# two codimension-0 classes, of genus one and of genus three
+CLASS_FILES["batch_mixed_genus.json"] = (
+    _batch_with() + _batch_with({"vertices": [3]}, genus=3))
 
 
 class TestInvalidInput:
@@ -564,6 +570,14 @@ class TestInvalidInput:
           "--construction", "boundary-sq"), "2g-2+sum(w) > 0 violated: g=1"),
         (("relations", "gen", "--genus", "1", "--codim", "2",
           "--sigma", "1"), "2g-2+sum(w) > 0 violated: g=1"),
+        (("verify", "--suite", "chain", "--genus", "0", "--codim", "1"),
+         "2g-2+sum(w) > 0 violated: g=0"),
+        (("verify", "--suite", "chain", "--genus", "1", "--codim", "2"),
+         "2g-2+sum(w) > 0 violated: g=1"),
+        (("rank", "--batch", "batch_mixed_genus.json"),
+         "mixed-space batch: [(1, '1/2'), (3, '1/2')]"),
+        (("classes", "normal-form", "--in", "repeated_point.json"),
+         "decor is not in normal form"),
     ])
     def test_exit_2_names_condition(self, capsys, tmp_path, monkeypatch,
                                     argv, condition):

@@ -25,6 +25,7 @@ from tautrels.classes import (
     pushforward_forget_small,
     to_vector,
     weight_reduce,
+    words_normal_form,
 )
 from tautrels.graphs import (
     StableGraph,
@@ -46,6 +47,8 @@ from tautrels.relations import (
 )
 from tautrels.series import Ring, VarSpec
 
+from oracles import oracle_words_normal_form
+
 
 def smooth(genus, n):
     return StableGraph((genus,), tuple(0 for _ in range(n)), ())
@@ -65,9 +68,17 @@ W0 = WeightData(())
 # ---------------------------------------------------------------------------
 
 
+def add_words(ds, exps, words, coeff, reduce=words_normal_form):
+    """Add ``coeff`` times one raw word per vertex at ``exps`` into ``ds``,
+    reduced with ``reduce``."""
+    reduced = reduce(ds.graph, ds.weights, words, coeff)
+    if reduced is not None:
+        ds.add_term(exps, *reduced)
+
+
 def oracle_mul(a, b):
     """Reference product: every pair of terms rebuilt as raw words and
-    reduced with ``normal_form``."""
+    reduced with ``oracle_normal_form``."""
     out = DecoratedSeries(a.ring, a.graph, a.weights)
     specs = a.ring.specs
     right = [(e2, _decor_words(d2), c2) for (e2, d2), c2 in b.terms.items()]
@@ -78,7 +89,7 @@ def oracle_mul(a, b):
             if any(e >= s.trunc_order for e, s in zip(exps, specs)):
                 continue
             words = [w1 + w2 for w1, w2 in zip(left, words2)]
-            out.add_word_term(exps, words, c1 * c2)
+            add_words(out, exps, words, c1 * c2, oracle_words_normal_form)
     return out
 
 
@@ -132,7 +143,7 @@ def product_operands(draw):
                          for s in ring.specs)
             words = [draw(vertex_words(graph, v))
                      for v in range(graph.n_vertices)]
-            ds.add_word_term(exps, words, draw(coefficients))
+            add_words(ds, exps, words, draw(coefficients))
         return ds
 
     a, b = series(), series()
@@ -158,8 +169,8 @@ def test_product_memo_tells_weights_apart():
                     PRODUCT_WEIGHTS[3]):
         a = DecoratedSeries(ring, graph, weights)
         b = DecoratedSeries(ring, graph, weights)
-        a.add_word_term((0,), [[("Dsa", (1, 3), 1)]], Fraction(1, 3))
-        b.add_word_term((1,), [[("Dsa", (2, 3), 1)]], Fraction(3, 2))
+        add_words(a, (0,), [[("Dsa", (1, 3), 1)]], Fraction(1, 3))
+        add_words(b, (1,), [[("Dsa", (2, 3), 1)]], Fraction(3, 2))
         product = a * b
         assert product.terms == oracle_mul(a, b).terms
         assert bool(product.terms) == (weights == PRODUCT_WEIGHTS[3])
