@@ -33,6 +33,7 @@ from .classes import (
 from .graphs import (
     PreconditionError,
     WeightData,
+    check_stable,
     enumerate_graphs,
 )
 from .relations import (
@@ -55,14 +56,23 @@ class UsageError(ValueError):
 
 
 class Logger:
+    """Lines of fields, as ``key=value`` text or, with ``--log json``, one
+    JSON object each: ``row`` writes payload rows to stdout and ``event``
+    writes status events to stderr."""
+
     def __init__(self, mode: str):
         self.mode = mode
 
-    def event(self, **fields) -> None:
+    def _line(self, fields: dict) -> str:
         if self.mode == "json":
-            print(dumps(fields))
-        else:
-            print(" ".join(f"{k}={v}" for k, v in sorted(fields.items())))
+            return dumps(fields)
+        return " ".join(f"{k}={v}" for k, v in sorted(fields.items()))
+
+    def row(self, **fields) -> None:
+        print(self._line(fields))
+
+    def event(self, **fields) -> None:
+        print(self._line(fields), file=sys.stderr)
 
 
 def _parse_list(text: str, flag: str, parse, kind: str) -> tuple:
@@ -203,8 +213,8 @@ def _report(rows, log: Logger) -> int:
     ok_all = True
     for name, ok, detail in rows:
         ok_all = ok_all and ok
-        log.event(check=name, ok=bool(ok), detail=str(detail))
-    log.event(passed=sum(1 for _, ok, _ in rows if ok), total=len(rows))
+        log.row(check=name, ok=bool(ok), detail=str(detail))
+    log.row(passed=sum(1 for _, ok, _ in rows if ok), total=len(rows))
     return EXIT_OK if ok_all else EXIT_FAIL
 
 
@@ -323,6 +333,7 @@ def cmd_series_dump(args, log: Logger) -> int:
 def cmd_graphs_list(args, log: Logger) -> int:
     weights = WeightData.of(_parse_fractions(args.weights, "--weights"))
     graphs = enumerate_graphs(args.genus, weights, args.max_edges)
+    check_stable(args.genus, weights)  # after the checks of the arguments
     payload = {"genus": args.genus,
                "weights": [str(w) for w in weights.weights],
                "graphs": [g.to_dict() for g in graphs]}

@@ -50,6 +50,17 @@ def _is_stable(genus: int, half_edges: int, leg_weight: Fraction) -> bool:
     return 2 * genus - 2 + half_edges + leg_weight > 0
 
 
+def check_stable(g: int, weights: WeightData) -> None:
+    """The space of genus ``g`` curves with ``weights`` exists."""
+    if g < 0:
+        raise PreconditionError("genus >= 0", f"genus={g}")
+    if not _is_stable(g, 0, sum(weights.weights)):
+        raise PreconditionError(
+            "2g-2+sum(w) > 0",
+            f"g={g}, weights={','.join(map(str, weights.weights)) or '()'}"
+        )
+
+
 @dataclass(frozen=True)
 class WeightData:
     """Marked-point weights: marking i (1-based) has weight weights[i]."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm, prod
-from operator import lshift
+from operator import itemgetter
 
 from .catalog import (
     delta_edge,
@@ -45,6 +45,7 @@ from .graphs import (
     PreconditionError,
     StableGraph,
     WeightData,
+    check_stable,
     enumerate_colorings,
     enumerate_graphs,
     smooth_graph,
@@ -73,17 +74,6 @@ def _check_subset(S: tuple, n: int) -> None:
     if len(set(S)) != len(S):
         raise PreconditionError(
             "S has distinct markings", f"S={','.join(map(str, S))}"
-        )
-
-
-def _check_stable(g: int, weights: WeightData) -> None:
-    """The space of genus ``g`` curves with ``weights`` exists."""
-    if g < 0:
-        raise PreconditionError("genus >= 0", f"genus={g}")
-    if not 2 * g - 2 + sum(weights.weights) > 0:
-        raise PreconditionError(
-            "2g-2+sum(w) > 0",
-            f"g={g}, weights={','.join(map(str, weights.weights)) or '()'}"
         )
 
 
@@ -119,24 +109,24 @@ def set_partitions(items: tuple):
 # ---------------------------------------------------------------------------
 
 
-def _packed(terms: dict, shifts: tuple, bias: int) -> tuple:
+def _packed(ring: Ring, terms: dict, bias: int) -> tuple:
     """``(d, {decoration: {packed exponents: numerator}})`` for the terms of
-    a decorated series, ``d`` the lcm of their denominators; ``bias`` is
-    the left or the right bias of ``Ring._product_layout``."""
-    d = lcm(*(c.denominator for c in terms.values()))
+    a decorated series, packed by ``Ring._packed`` with ``bias``; ``d`` is
+    the lcm of their denominators."""
+    d, keyed = ring._packed(
+        list(zip(map(itemgetter(0), terms), terms.values())), bias)
     rows: dict = {}
-    for (exps, decor), c in terms.items():
-        rows.setdefault(decor, {})[bias + sum(map(lshift, exps, shifts))] = (
-            c.numerator * (d // c.denominator))
+    for (_, decor), (key, c) in zip(terms, keyed):
+        rows.setdefault(decor, {})[key] = c
     return d, rows
 
 
 def _packed_product(weights: WeightData, a: tuple, b: tuple,
                     high: int) -> tuple:
     """The product of packed operands ``a`` (left bias) and ``b`` (right
-    bias), each pair of decorations multiplied once.  Its keys carry both
-    biases; a key with a top bit set reached a truncation order and is
-    dropped.  Rows may hold zero numerators."""
+    bias), each pair of decorations multiplied once.  Its keys carry the
+    left and the right bias; a key with a top bit set reached a truncation
+    order and is dropped.  Rows may hold zero numerators."""
     da, ra = a
     db, rb = b
     out: dict = {}
@@ -172,8 +162,8 @@ def _rebiased(product: tuple, right: int) -> tuple:
 def _target_product(weights: WeightData, a: tuple, b: tuple,
                     target: int) -> tuple:
     """``(d, {decoration: numerator})``: the coefficients at the single
-    packed key ``target`` (both biases) of the product of ``a`` (left
-    bias) and ``b`` (right bias).  Each term of ``a`` looks up its
+    packed key ``target`` (left plus right bias) of the product of ``a``
+    (left bias) and ``b`` (right bias).  Each term of ``a`` looks up its
     partner in ``b``: a key of ``a`` beyond ``target`` in some variable
     leaves a field below the right bias or wrapped above it, which no
     key of ``b`` holds."""
@@ -218,16 +208,22 @@ class DecoratedSeries:
     follows the scalar ring's variable order and ``decoration`` is the
     per-vertex normal form used by :class:`TautClass`.  Products and
     exponentials run on the packed form of :func:`_packed`: integer
-    numerators over one denominator, exponents packed as in
-    ``Series.__mul__``, multiplied by :func:`_packed_product`, the kernel
-    that :func:`_graph_sum` also runs on.  Only the result is unpacked, one
-    ``Fraction`` per term.
+    numerators over one denominator, exponents packed by ``Ring._packed``,
+    multiplied by :func:`_packed_product`, the kernel that
+    :func:`_graph_sum` also runs on.  Only the result is unpacked, by
+    ``Ring._unpacked``, one ``Fraction`` per term.
+
+    The ring must have floor 0 in every variable (``ValueError``
+    otherwise): truncated products are then associative, and no product
+    falls below a floor, so products and exponentials check no floors.
     """
 
     __slots__ = ("ring", "graph", "weights", "terms")
 
     def __init__(self, ring: Ring, graph: StableGraph, weights: WeightData,
                  terms: dict | None = None):
+        if ring.laurent:
+            raise ValueError(f"decorated series need floor 0: {ring}")
         self.ring = ring
         self.graph = graph
         self.weights = weights
@@ -286,37 +282,32 @@ class DecoratedSeries:
         return out
 
     def _unpacked(self, den: int, rows: dict) -> "DecoratedSeries":
-        """The series of packed rows whose keys carry both biases, one
-        ``Fraction`` per nonzero numerator; an exponent below the ring's
-        floor raises ``ValueError``."""
+        """The series of packed rows whose keys carry the left and the right
+        bias, one ``Fraction`` per nonzero numerator."""
         out = DecoratedSeries(self.ring, self.graph, self.weights)
-        shifts, biases, masks, _, _, _, laurent = self.ring._product_layout()
-        specs = self.ring.specs
+        terms = out.terms
+        unpacked = self.ring._unpacked
         for decor, row in rows.items():
-            for k, v in row.items():
-                if not v:
-                    continue
-                exps = tuple(((k >> sh) & m) - x
-                             for sh, m, x in zip(shifts, masks, biases))
-                if laurent and any(e < s.min_exponent
-                                   for e, s in zip(exps, specs)):
-                    raise ValueError("exponent below ring floor")
-                out.terms[exps, decor] = Fraction(v, den)
+            for exps, c in unpacked(row, den, "product").items():
+                terms[exps, decor] = c
         return out
 
     def __mul__(self, other: "DecoratedSeries") -> "DecoratedSeries":
         """Pack both operands, multiply with :func:`_packed_product`,
         unpack."""
-        shifts, _, _, left, right, high, _ = self.ring._product_layout()
+        ring = self.ring
+        left, right, high = ring._product_layout()
         return self._unpacked(*_packed_product(
-            self.weights, _packed(self.terms, shifts, left),
-            _packed(other.terms, shifts, right), high))
+            self.weights, _packed(ring, self.terms, left),
+            _packed(ring, other.terms, right), high))
 
     def exp(self) -> "DecoratedSeries":
         """Exponential; every term must have positive total degree.
 
         The base is packed once; each power stays packed, and the sum of
         ``power / k!`` is kept on integer numerators until the end."""
+        if not self.terms:
+            return DecoratedSeries.one(self.ring, self.graph, self.weights)
         for (exps, decor), _ in self.terms.items():
             grade = sum(exps) + sum(
                 sum(kappa) + sum(a for _, a in blocks)
@@ -324,12 +315,11 @@ class DecoratedSeries:
             )
             if grade <= 0:
                 raise ValueError("exponential of a term of degree zero")
-        shifts, _, _, left, right, high, laurent = (
-            self.ring._product_layout()
-        )
-        base = _packed(self.terms, shifts, right)
-        power = _packed(self.terms, shifts, left)
-        # the sum, keyed (decoration, key with both biases)
+        ring = self.ring
+        left, right, high = ring._product_layout()
+        base = _packed(ring, self.terms, right)
+        power = _packed(ring, self.terms, left)
+        # the sum, keyed (decoration, key with the left and the right bias)
         total = {(self._trivial_decor(), left + right): 1}
         den = 1
         k = 1
@@ -339,10 +329,8 @@ class DecoratedSeries:
                 {(decor, key + right): c
                  for decor, row in power[1].items() for key, c in row.items()},
                 power[0] * factorial(k))
-            product = _packed_product(self.weights, power, base, high)
-            if laurent:
-                self._unpacked(*product)  # the floor check
-            power = _rebiased(product, right)
+            power = _rebiased(
+                _packed_product(self.weights, power, base, high), right)
             k += 1
         rows: dict = {}
         for (decor, key), c in total.items():
@@ -531,7 +519,7 @@ def open_sq_relation(g: int, weights: WeightData, r: int, d: int,
             raise PreconditionError(
                 "r > g-1-2d+|a|", f"r={r}, g={g}, d={d}, |a|={sum(a)}"
             )
-        _check_stable(g, weights)
+        check_stable(g, weights)
     return _sq_graph_sum(g, weights, [smooth_graph(g, weights.n)], r, d, a,
                          half_sign, pd_sign)
 
@@ -586,7 +574,7 @@ def open_fz_relation(g: int, n: int, r: int, S: tuple = (),
         weights = WeightData(tuple(Fraction(1, 2 * n + 2) for _ in range(n)))
     if enforce:
         _check_fz_range(g, r, S)
-        _check_stable(g, weights)
+        check_stable(g, weights)
     ring = Ring([VarSpec("t", 0, r + 1)])
     return _fz_vertex_factor(ring, smooth_graph(g, n), weights, 0, 1,
                              S).extract(t=r)
@@ -634,20 +622,20 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
     ``enumerate_colorings``, a colouring recomputes the stack only from the
     level of the first vertex whose colour changed.  The last factor is
     multiplied into the target degree only (:func:`_target_product`).  Every
-    ring here has floor 0, so truncated products are associative and
-    commutative, and a vanishing decoration product stays vanishing; the
-    order of the factors does not change the result.  The target
-    coefficients of all colourings are summed on integer numerators, so each
-    distinct decoration gets one ``Fraction`` and is relabelled to its
-    canonical form once.
+    ring here has floor 0, as :class:`DecoratedSeries` enforces, so
+    truncated products are associative and commutative, and a vanishing
+    decoration product stays vanishing; the order of the factors does not
+    change the result.  The target coefficients of all colourings are
+    summed on integer numerators, so each distinct decoration gets one
+    ``Fraction`` and is relabelled to its canonical form once.
     """
     total = TautClass(g, weights)
     for graph in graphs:
         order = r - graph.n_edges
         ring = ring_of(order)
-        shifts, _, _, left, right, high, _ = ring._product_layout()
-        target = left + right + sum(
-            map(lshift, ring.exponents(**powers_of(order)), shifts))
+        left, right, high = ring._product_layout()
+        _, [(target, _)] = ring._packed(
+            [(ring.exponents(**powers_of(order)), 1)], left + right)
         slots = []  # (vertex, edge or None) in level order
         starts = []  # starts[v]: the first slot of level v
         for v in range(graph.n_vertices):
@@ -670,11 +658,11 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
                 else:
                     ds = DecoratedSeries(ring, graph, weights)
                     _edge_to_ds(edge_series(key[2], key[3], order), ds, e)
-                packed[key] = _packed(ds.terms, shifts, right)
+                packed[key] = _packed(ring, ds.terms, right)
             return packed[key]
 
-        stack = [_packed(DecoratedSeries.one(ring, graph, weights).terms,
-                         shifts, left)]
+        one = DecoratedSeries.one(ring, graph, weights)
+        stack = [_packed(ring, one.terms, left)]
         last = len(slots) - 1
         sums: dict = {}
         den = 1
@@ -715,7 +703,7 @@ def fz_relation(g: int, weights: WeightData, r: int, S: tuple = (),
     S = tuple(sorted(S))
     _check_subset(S, weights.n)
     _check_fz_range(g, r, S)
-    _check_stable(g, weights)
+    check_stable(g, weights)
     weights = _ensure_generic(weights)
     cap = r if max_edges is None else min(max_edges, r)
     return _graph_sum(
@@ -761,7 +749,7 @@ def boundary_sq_relation(g: int, weights: WeightData, r: int, d: int,
         raise PreconditionError(
             "r-|E| > g-2d-1+|a|", f"r={r}, g={g}, d={d}, |a|={a_total}"
         )
-    _check_stable(g, weights)
+    check_stable(g, weights)
     weights = _ensure_generic(weights)
     cap = min(r, r - (g - 2 * d - 1 + a_total) - 1)
     if max_edges is not None:
@@ -792,7 +780,7 @@ def extended_fz_relation(g: int, weights: WeightData, r: int,
     ell = len(sigma)
     if ell == 0:
         return fz_relation(g, weights, r, S)
-    _check_stable(g, weights)
+    check_stable(g, weights)
     inner_w = WeightData(weights.weights + tuple([Fraction(1)] * ell))
     inner_r = r - sum(part // 3 for part in sigma)
     inner_s = tuple(sorted(
@@ -828,7 +816,7 @@ def verify_chain(g: int, r: int) -> list:
     if r < 1:
         raise PreconditionError("codim >= 1", f"codim={r}")
     w0 = WeightData(())
-    _check_stable(g, w0)
+    check_stable(g, w0)
     report = []
     smooth = smooth_graph(g, 0)
 

@@ -19,7 +19,10 @@ is packed into one int of biased bit fields laid out per ring (see
 exponents and sets a field's top bit exactly when that exponent reaches its
 truncation order.  The pair loop is then one int addition, one mask test and
 one int multiply-add; only the output keys are unpacked, and each output
-coefficient becomes a :class:`fractions.Fraction` once.
+coefficient becomes a :class:`fractions.Fraction` once.  The ring alone
+packs (:meth:`Ring._packed`) and unpacks (:meth:`Ring._unpacked`, with the
+floor check); the decorated products of :mod:`tautrels.relations` run their
+pair loops on the same keys and read only the two biases and the top bits.
 
 ``exp``, ``log`` and the geometric series inside ``inverse`` share one graded
 online recurrence on the same packed keys (Brent and Kung, "Fast algorithms
@@ -96,18 +99,34 @@ class VarSpec:
 class Ring:
     """An ordered collection of :class:`VarSpec` defining a truncated series ring."""
 
-    __slots__ = ("specs", "index", "_layout")
+    __slots__ = ("specs", "index", "laurent", "_layout", "_shifts", "_fields")
 
     def __init__(self, specs: Iterable[VarSpec]):
         specs = tuple(specs)
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
-        if sum(1 for s in specs if s.min_exponent < 0) > 1:
+        poles = sum(1 for s in specs if s.min_exponent < 0)
+        if poles > 1:
             raise ValueError("at most one Laurent variable is allowed")
         self.specs = specs
         self.index = {s.name: i for i, s in enumerate(specs)}
-        self._layout = None
+        self.laurent = poles == 1  # a variable has a negative floor
+        # the packed-key fields: see _product_layout
+        shifts, fields = [], []
+        left = right = high = width = 0
+        for s in specs:
+            hi, lo = s.trunc_order, s.min_exponent
+            w = max(hi - 2 * lo, hi).bit_length() + 1
+            x = (1 << (w - 1)) - hi
+            shifts.append(width)
+            fields.append((width, (1 << w) - 1, x))
+            left += (x // 2) << width
+            right += (x - x // 2) << width
+            high += 1 << (width + w - 1)
+            width += w
+        self._layout = (left, right, high)
+        self._shifts, self._fields = tuple(shifts), tuple(fields)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Ring) and self.specs == other.specs
@@ -171,29 +190,44 @@ class Ring:
         with ``X = T - hi``, so a summed field holds ``e1 + e2 + X``: it lies
         in ``[0, 2T)`` (no borrow or carry between fields) and its top bit is
         set exactly when ``e1 + e2 >= hi``.  This needs operand exponents
-        inside the window.  Returns ``(shifts, biases X, masks, left bias,
-        right bias, top-bit mask, has a negative floor)``; built on first use
-        and kept on the ring.
+        inside the window.  Returns ``(left bias, right bias, top-bit
+        mask)``, built with the ring.  The fields themselves (``_shifts``
+        and ``(shift, mask, X)`` per variable in ``_fields``) are read only
+        by :meth:`_packed` and :meth:`_unpacked`.
         """
-        if self._layout is None:
-            shifts, biases, masks = [], [], []
-            left = right = high = width = 0
-            for s in self.specs:
-                hi, lo = s.trunc_order, s.min_exponent
-                w = max(hi - 2 * lo, hi).bit_length() + 1
-                x = (1 << (w - 1)) - hi
-                shifts.append(width)
-                biases.append(x)
-                masks.append((1 << w) - 1)
-                left += (x // 2) << width
-                right += (x - x // 2) << width
-                high += 1 << (width + w - 1)
-                width += w
-            self._layout = (
-                tuple(shifts), tuple(biases), tuple(masks), left, right, high,
-                any(s.min_exponent < 0 for s in self.specs),
-            )
         return self._layout
+
+    def _packed(self, terms, bias: int) -> tuple:
+        """``(den, [(key, numerator), ...])`` for the ``(exponents,
+        Fraction)`` pairs of ``terms``, which is read twice: ``den`` is the
+        lcm of the denominators, and each key packs the exponents with
+        ``bias`` (a bias of :meth:`_product_layout`, or the sum of both)."""
+        shifts = self._shifts
+        den = lcm(*(c.denominator for _, c in terms))
+        return den, [
+            (bias + sum(map(lshift, e, shifts)), c.numerator * (den // c.denominator))
+            for e, c in terms
+        ]
+
+    def _unpacked(self, acc: dict, den: int, where: str) -> dict:
+        """``{exponents: Fraction}`` for packed keys that carry both biases,
+        mapped to numerators over ``den``; zero numerators are dropped.  The
+        first key, in the order of ``acc``, with an exponent below its floor
+        raises :class:`FloorUnderflow` naming ``where``."""
+        fields, laurent, specs = self._fields, self.laurent, self.specs
+        out = {}
+        for k, v in acc.items():
+            exps = tuple(((k >> sh) & m) - x for sh, m, x in fields)
+            if laurent:
+                for e, s in zip(exps, specs):
+                    if e < s.min_exponent:
+                        raise FloorUnderflow(
+                            f"exponent {e} of {s.name!r} below floor "
+                            f"{s.min_exponent} in {where}"
+                        )
+            if v:
+                out[exps] = Fraction(v, den)
+        return out
 
     def _check_window(self, exps: tuple) -> None:
         for e, s in zip(exps, self.specs):
@@ -334,20 +368,10 @@ class Series:
         other = self._coerce(other)
         if not self.coeffs or not other.coeffs:
             return self.ring.zero()
-        specs = self.ring.specs
-        shifts, biases, masks, left, right, high, laurent = (
-            self.ring._product_layout()
-        )
-        da = lcm(*(c.denominator for c in self.coeffs.values()))
-        db = lcm(*(c.denominator for c in other.coeffs.values()))
-        pa = [
-            (left + sum(map(lshift, e, shifts)), c.numerator * (da // c.denominator))
-            for e, c in self.coeffs.items()
-        ]
-        pb = [
-            (right + sum(map(lshift, e, shifts)), c.numerator * (db // c.denominator))
-            for e, c in other.coeffs.items()
-        ]
+        ring = self.ring
+        left, right, high = ring._product_layout()
+        da, pa = ring._packed(self.coeffs.items(), left)
+        db, pb = ring._packed(other.coeffs.items(), right)
         acc: dict = {}
         get = acc.get
         for k1, c1 in pa:
@@ -358,22 +382,7 @@ class Series:
                 acc[k] = get(k, 0) + c1 * c2
         # keys keep the order in which their first pair arrived, so the first
         # key below a floor is the one the first offending pair produced
-        den = da * db
-        out: dict = {}
-        for k, v in acc.items():
-            exps = tuple(
-                ((k >> sh) & m) - x for sh, m, x in zip(shifts, masks, biases)
-            )
-            if laurent:
-                for e, s in zip(exps, specs):
-                    if e < s.min_exponent:
-                        raise FloorUnderflow(
-                            f"exponent {e} of {s.name!r} below floor "
-                            f"{s.min_exponent} in product"
-                        )
-            if v:
-                out[exps] = Fraction(v, den)
-        return Series(self.ring, out)
+        return Series(ring, ring._unpacked(acc, da * db, "product"))
 
     __rmul__ = __mul__
 
@@ -414,22 +423,19 @@ class Series:
         """
         ring = self.ring
         specs = ring.specs
-        shifts, biases, masks, left, right, high, laurent = ring._product_layout()
+        left, right, high = ring._product_layout()
         lowest = min([0] + [s.min_exponent for s in specs])
         weights = [1 if s.min_exponent < 0 else 1 - lowest for s in specs]
-        den_f = lcm(*(c.denominator for c in self.coeffs.values()))
+        den_f, packed_f = ring._packed(self.coeffs.items(), right)
         # terms of f by degree, as (right-biased key, numerator over den_f)
         f_parts: dict = {}
-        for e, c in self.coeffs.items():
+        for e, term in zip(self.coeffs, packed_f):
             d = sum(map(mul, weights, e))
             if d <= 0:
                 raise FloorUnderflow(
                     f"{kind} of the pure pole term {e} falls below the floor"
                 )
-            f_parts.setdefault(d, []).append((
-                right + sum(map(lshift, e, shifts)),
-                c.numerator * (den_f // c.denominator),
-            ))
+            f_parts.setdefault(d, []).append(term)
         # output terms by degree, as (common denominator, [(left-biased key,
         # numerator)])
         out: dict = {}
@@ -469,26 +475,10 @@ class Series:
                 k = left + k2
                 acc[k] = get(k, 0) + c2 * m * d
             den = den_f * m * (1 if kind == "inverse" else d)
-            terms = []
-            for k, v in acc.items():
-                exps = tuple(
-                    ((k >> sh) & mk) - x for sh, mk, x in zip(shifts, masks, biases)
-                )
-                if laurent:
-                    for x, s in zip(exps, specs):
-                        if x < s.min_exponent:
-                            raise FloorUnderflow(
-                                f"exponent {x} of {s.name!r} below floor "
-                                f"{s.min_exponent} in {kind}"
-                            )
-                if v:
-                    c = out[exps] = Fraction(v, den)
-                    terms.append((k - right, c))
-            if terms:
-                den_g = lcm(*(c.denominator for _, c in terms))
-                g_parts[d] = (den_g, [
-                    (k, c.numerator * (den_g // c.denominator)) for k, c in terms
-                ])
+            new = ring._unpacked(acc, den, kind)
+            if new:
+                out.update(new)
+                g_parts[d] = ring._packed(new.items(), left)
         return Series(ring, out)
 
     def exp(self) -> "Series":
@@ -556,12 +546,7 @@ class Series:
         out: dict = {}
         for e, c in inv.coeffs.items():
             exps = tuple(a - m for a, m in zip(e, mins))
-            drop = False
-            for x, s in zip(exps, ring.specs):
-                if x >= s.trunc_order:
-                    drop = True
-                    break
-            if drop:
+            if any(x >= s.trunc_order for x, s in zip(exps, ring.specs)):
                 continue
             for x, s in zip(exps, ring.specs):
                 if x < s.min_exponent:

@@ -1296,7 +1296,7 @@ class TestDivisorProduct:
         expected.add_word_term(loop, [[("hpsi", (0, 0), 1)]], -2)
         expected.add_word_term(loop, [[("hpsi", (0, 1), 1)]], -2)
         assert excess == expected
-        assert not prod.max_edges_part(2).max_edges_part(1).is_zero or True
+        assert prod.max_edges_part(2) == prod  # two divisors meet in <= 2 edges
         two_edge = {
             k: v for k, v in prod.terms.items() if len(k[2]) == 2
         }

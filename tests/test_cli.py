@@ -38,6 +38,19 @@ class TestRelationsGen:
         assert data["rank"] == 1
         assert data["generators"] > 0
 
+    @pytest.mark.parametrize("mode", ["text", "json"])
+    def test_stdout_holds_only_the_payload(self, capsys, mode):
+        code, out, err = run(capsys, "--log", mode, "relations", "gen",
+                             "--genus", "3", "--codim", "2")
+        assert code == 0
+        assert len(out.splitlines()) == 1
+        assert payload(out)["rank"] == 1
+        [event] = err.splitlines()
+        if mode == "json":
+            assert json.loads(event)["command"] == "relations gen"
+        else:
+            assert event.startswith("command=relations gen ")
+
     def test_violated_inequality_named_exit_2(self, capsys):
         code, _, err = run(capsys, "relations", "gen", "--genus", "3",
                            "--codim", "1")
@@ -121,6 +134,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "series", "--quick")
         assert code == 0
         assert "ok=True" in out
+
+    def test_rows_stay_on_stdout(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "chain",
+                             "--genus", "3")
+        assert code == 0
+        assert err == ""
+        lines = out.splitlines()
+        assert all(line.startswith("check=") for line in lines[:-1])
+        assert re.fullmatch(r"passed=(\d+) total=\1", lines[-1])
 
     def test_chain_suite_passes(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "chain", "--genus", "3")
@@ -578,6 +600,8 @@ class TestInvalidInput:
          "mixed-space batch: [(1, '1/2'), (3, '1/2')]"),
         (("classes", "normal-form", "--in", "repeated_point.json"),
          "decor is not in normal form"),
+        (("graphs", "list", "--genus", "0", "--max-edges", "1"),
+         "2g-2+sum(w) > 0 violated: g=0, weights=()"),
     ])
     def test_exit_2_names_condition(self, capsys, tmp_path, monkeypatch,
                                     argv, condition):

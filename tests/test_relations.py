@@ -176,6 +176,12 @@ def test_product_memo_tells_weights_apart():
         assert bool(product.terms) == (weights == PRODUCT_WEIGHTS[3])
 
 
+def test_decorated_series_rejects_a_negative_floor():
+    ring = Ring([VarSpec("t", 0, 3), VarSpec("x", -1, 2)])
+    with pytest.raises(ValueError, match="decorated series need floor 0"):
+        DecoratedSeries(ring, smooth(2, 0), W0)
+
+
 def test_graph_sum_builds_each_factor_once(monkeypatch):
     """On fz g=3 r=2 each vertex factor is built once per (graph, v, zeta)
     and each edge kernel once per (graph, e, zeta_a, zeta_b)."""

@@ -381,6 +381,115 @@ def test_product_with_zero_operand_is_zero():
         R.zero() * ring_t(3).var("t")
 
 
+# ---------------------------------------------------------------------------
+# The packed-key codec against the unpack loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def oracle_unpacked(ring, acc, den, where):
+    """The unpack-and-floor-check loop that ``Series.__mul__`` and
+    ``Series._graded`` each ran inline: fields read by shift, mask and
+    bias, every key checked against the floors before a zero numerator is
+    dropped."""
+    shifts, fields = ring._shifts, ring._fields
+    laurent = any(s.min_exponent < 0 for s in ring.specs)
+    masks = [m for _, m, _ in fields]
+    biases = [x for _, _, x in fields]
+    out = {}
+    for k, v in acc.items():
+        exps = tuple(
+            ((k >> sh) & m) - x for sh, m, x in zip(shifts, masks, biases)
+        )
+        if laurent:
+            for e, s in zip(exps, ring.specs):
+                if e < s.min_exponent:
+                    raise FloorUnderflow(
+                        f"exponent {e} of {s.name!r} below floor "
+                        f"{s.min_exponent} in {where}"
+                    )
+        if v:
+            out[exps] = F(v, den)
+    return out
+
+
+@st.composite
+def packed_sums(draw):
+    """A ring, the sums of pairs of exponent tuples inside its window that
+    no variable truncates, in order of arrival, and the packed keys of
+    those sums mapped to integer numerators (zeros and repeats included)."""
+    ring = draw(rings(laurent=draw(st.booleans())))
+    left, right, high = ring._product_layout()
+    inside = st.tuples(
+        *(st.integers(s.min_exponent, s.trunc_order - 1) for s in ring.specs))
+    pairs = draw(st.lists(st.tuples(inside, inside, st.integers(-5, 5)),
+                          max_size=8))
+    _, ka = ring._packed([(a, 1) for a, _, _ in pairs], left)
+    _, kb = ring._packed([(b, 1) for _, b, _ in pairs], right)
+    sums, acc = [], {}
+    for (a, b, v), (k1, _), (k2, _) in zip(pairs, ka, kb):
+        k = k1 + k2
+        exps = tuple(x + y for x, y in zip(a, b))
+        assert bool(k & high) == any(
+            e >= s.trunc_order for e, s in zip(exps, ring.specs))
+        if not k & high:
+            sums.append((exps, v))
+            acc[k] = acc.get(k, 0) + v
+    return ring, sums, acc
+
+
+@settings(max_examples=400, deadline=None)
+@given(packed_sums(), st.integers(1, 30),
+       st.sampled_from(["product", "exp", "log", "inverse"]))
+def test_unpacked_matches_the_inline_loop(data, den, where):
+    ring, sums, acc = data
+
+    def outcome(unpack):
+        try:
+            return unpack(ring, acc, den, where)
+        except FloorUnderflow as exc:
+            return ("FloorUnderflow", str(exc))
+
+    got = outcome(Ring._unpacked)
+    assert got == outcome(oracle_unpacked)
+    # and against the sums themselves: the first sum below a floor raises
+    want = {}
+    for exps, v in sums:
+        low = next(((e, s) for e, s in zip(exps, ring.specs)
+                    if e < s.min_exponent), None)
+        if low is not None:
+            e, s = low
+            assert got == ("FloorUnderflow", f"exponent {e} of {s.name!r} "
+                           f"below floor {s.min_exponent} in {where}")
+            return
+        want[exps] = want.get(exps, 0) + v
+    assert got == {e: F(v, den) for e, v in want.items() if v}
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_and_series(1))
+def test_packed_round_trip(data):
+    ring, a = data
+    left, right, _ = ring._product_layout()
+    den, keyed = ring._packed(a.coeffs.items(), left + right)
+    assert den == math.lcm(*(c.denominator for c in a.coeffs.values()))
+    assert [c for _, c in keyed] == [c * den for c in a.coeffs.values()]
+    assert ring._unpacked(dict(keyed), den, "product") == a.coeffs
+
+
+def test_floor_underflow_names_the_operation():
+    # t^-2 x has degree 1 under the grading (weights 1 and 3); its square
+    # t^-4 x^2 is the first output key below the floor
+    R = Ring([VarSpec("t", -2, 3), VarSpec("x", 0, 3)])
+    g = R.monomial(1, t=-2, x=1)
+    for where, run in (("product", lambda: g * g),
+                       ("exp", g.exp),
+                       ("log", (1 + g).log),
+                       ("inverse", lambda: g._graded("inverse"))):
+        with pytest.raises(FloorUnderflow) as exc:
+            run()
+        assert str(exc.value) == f"exponent -4 of 't' below floor -2 in {where}"
+
+
 @settings(max_examples=150, deadline=None)
 @given(ring_and_series(3, laurent=False))
 def test_ring_axioms_on_power_series(data):
