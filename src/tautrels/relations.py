@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm, prod
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, mul
 
 from .catalog import (
     delta_edge,
@@ -528,16 +529,17 @@ def _partition_sum(ring: Ring, graph: StableGraph, weights: WeightData,
                    vertex: int, S: tuple, order: int,
                    zeta: int) -> DecoratedSeries:
     """``sum_P prod_(b in P) {C_|b|(zeta t)}_(D_b)`` at ``vertex``, over
-    the set partitions ``P`` of ``S``."""
+    the set partitions ``P`` of a nonempty ``S``; each product starts
+    from its first block."""
     part_sum = DecoratedSeries(ring, graph, weights)
     for partition in set_partitions(S):
-        factor = DecoratedSeries.one(ring, graph, weights)
+        blocks = []
         for block in partition:
             bds = DecoratedSeries(ring, graph, weights)
             bracket_D(series_C(len(block), order).substitute({"t": zeta}),
                       bds, vertex, tuple(sorted(block)))
-            factor = factor * bds
-        part_sum = part_sum + factor
+            blocks.append(bds)
+        part_sum = part_sum + reduce(mul, blocks)
     return part_sum
 
 
