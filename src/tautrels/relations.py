@@ -18,9 +18,9 @@ Relations are extracted as ``TautClass`` values at a fixed multi-degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm, prod
 from functools import reduce
-from operator import itemgetter, mul
+from math import factorial, lcm, prod
+from operator import mul
 
 from .catalog import (
     delta_edge,
@@ -114,8 +114,8 @@ def _packed(ring: Ring, terms: dict, bias: int) -> tuple:
     """``(d, {decoration: {packed exponents: numerator}})`` for the terms of
     a decorated series, packed by ``Ring._packed`` with ``bias``; ``d`` is
     the lcm of their denominators."""
-    d, keyed = ring._packed(
-        list(zip(map(itemgetter(0), terms), terms.values())), bias)
+    d, keyed = ring._packed([(exps, c) for (exps, _), c in terms.items()],
+                            bias)
     rows: dict = {}
     for (_, decor), (key, c) in zip(terms, keyed):
         rows.setdefault(decor, {})[key] = c
