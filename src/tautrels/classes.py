@@ -25,12 +25,13 @@ coefficient).
 One rule merges blocks: :func:`_vertex_product` multiplies two stored
 vertex decorations, with coefficient 1 and no product kept between calls.
 :func:`_factor_decor` maps one raw factor to a stored decoration and a
-scalar, and :func:`normal_form` multiplies a raw word's factors.  The
-brackets and ``multiply_generator`` place single factors, edge kernels and
-divisor products write half-edge psi powers (:func:`_hpsi_decor`), and no
-builder reduces a raw word; words serve the public word API and the check
-of class files.  ``pushforward_forget_small`` rewrites the block that
-holds the forgotten point in place.
+scalar.  The brackets, ``multiply_generator``, ``chern_neg_Bd`` and
+``pushforward_forget_weight1`` place single factors, edge kernels and
+divisor products write half-edge psi powers (:func:`_hpsi_decor`), and
+``pushforward_forget_small`` rewrites the block that holds the forgotten
+point in place.  :func:`normal_form`, the public word API, is the only code
+that reads a raw word; class files are checked against the stored rules
+themselves (:func:`_check_stored`).
 """
 
 from __future__ import annotations
@@ -40,13 +41,13 @@ import json
 from fractions import Fraction
 from math import lcm
 
-from .graphs import PreconditionError, StableGraph, WeightData, smooth_graph
+from .graphs import (PreconditionError, StableGraph, WeightData, json_int,
+                     smooth_graph)
 from .series import Ring, Series, VarSpec, embed
 
 __all__ = [
     "TautClass",
     "normal_form",
-    "words_normal_form",
     "canonical_term",
     "multiply_generator",
     "multiply_smooth",
@@ -145,26 +146,6 @@ def normal_form(
     return (coeff,) + vd
 
 
-def words_normal_form(
-    graph: StableGraph, weights: WeightData, words, coeff
-) -> tuple | None:
-    """Reduce one raw word per vertex with :func:`normal_form`.
-
-    Returns ``(decoration, coeff)`` with the vertex scalars folded into
-    ``coeff``, or ``None`` if the product is zero.
-    """
-    coeff = Fraction(coeff)
-    decor = []
-    for v in range(graph.n_vertices):
-        nf = normal_form(graph, weights, v, words[v])
-        if nf is None:
-            return None
-        c, kappa, blocks = nf
-        coeff *= c
-        decor.append((kappa, blocks))
-    return tuple(decor), coeff
-
-
 def _vertex_product(vd1: tuple, vd2: tuple, weights: WeightData) -> tuple | None:
     """The product of two stored vertex decorations, or ``None`` if it
     vanishes.
@@ -230,16 +211,41 @@ def _from_numerators(genus: int, weights: WeightData, acc: dict,
 
 
 def _check_stored(graph: StableGraph, weights: WeightData, decor: tuple) -> None:
-    """Raise ``ValueError`` unless ``decor`` is a stored decoration of
-    ``graph``: every point sits at its own vertex, and the decoration is its
-    own normal form, as :func:`_vertex_product` assumes."""
-    for v, (_, blocks) in enumerate(decor):
+    """Raise ``ValueError`` naming the first broken rule unless ``decor`` is
+    a stored decoration of ``graph``, the normal form that
+    :func:`_vertex_product` assumes: at every vertex each point sits there,
+    the kappa indices are sorted and >= 1, the blocks are nonempty, sorted
+    and disjoint with sorted distinct points and ``a >= max(|S| - 1, 1)``,
+    and a block of two or more points holds markings of weight <= 1."""
+    den, nums = weights._scaled
+    for v, (kappa, blocks) in enumerate(decor):
         here = {("m", i) for i in graph.legs_at(v)}
         here.update(("h",) + he for he in graph.half_edges_at(v))
-        if any(p not in here for pts, _ in blocks for p in pts):
+        points = [p for pts, _ in blocks for p in pts]
+        if any(p not in here for p in points):
             raise ValueError(f"a block at vertex {v} names a point elsewhere")
-    if words_normal_form(graph, weights, _decor_words(decor), 1) != (decor, 1):
-        raise ValueError("decor is not in normal form")
+        if list(kappa) != sorted(kappa) or any(j < 1 for j in kappa):
+            rule = "kappa indices sorted and >= 1"
+        elif any(not pts or list(pts) != sorted(set(pts)) for pts, _ in blocks):
+            rule = "blocks nonempty with sorted distinct points"
+        elif list(blocks) != sorted(blocks) or len(set(points)) < len(points):
+            rule = "blocks sorted and disjoint"
+        elif any(a < max(len(pts) - 1, 1) for pts, a in blocks):
+            rule = "a >= max(|S| - 1, 1)"
+        elif any(len(pts) > 1 and (any(p[0] != "m" for p in pts)
+                                   or sum(nums[p[1] - 1] for p in pts) > den)
+                 for pts, _ in blocks):
+            rule = "blocks of two or more points hold markings of weight <= 1"
+        else:
+            continue
+        raise ValueError(
+            f"decor is not in normal form: {rule} violated at vertex {v}")
+
+
+def _int_text(value, field: str) -> int:
+    """An integer written as a string, as :meth:`TautClass.to_dict` writes
+    weights and coefficients, or as a JSON integer."""
+    return int(value) if type(value) is str else json_int(value, field)
 
 
 def _decor_codim(graph: StableGraph, decor: tuple) -> int:
@@ -335,12 +341,6 @@ class TautClass:
         else:
             self.terms[key] = new
 
-    def add_word_term(self, graph: StableGraph, words, coeff) -> None:
-        """Add ``coeff * product of raw words`` (one word per vertex)."""
-        reduced = words_normal_form(graph, self.weights, words, coeff)
-        if reduced is not None:
-            self.add_term(graph, *reduced)
-
     # -- ring-ish operations ------------------------------------------------
 
     def __add__(self, other: "TautClass") -> "TautClass":
@@ -434,34 +434,29 @@ class TautClass:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TautClass":
+        """The class of a :meth:`to_dict` payload.  Integer fields hold
+        integers, weights and coefficients integers or strings of integers,
+        and every decoration is stored (:func:`_check_stored`)."""
         weights = WeightData.of(
-            Fraction(int(a), int(b)) for a, b in data["weights"]
+            Fraction(_int_text(a, "weights"), _int_text(b, "weights"))
+            for a, b in data["weights"]
         )
-        out = cls(data["genus"], weights)
+        out = cls(json_int(data["genus"], "genus"), weights)
         for row in data["terms"]:
             graph = StableGraph.from_dict(row["graph"])
             graph.validate(weights, out.genus)
             if len(row["decor"]) != graph.n_vertices:
                 raise ValueError("decor needs one entry per vertex")
             decor = tuple(
-                (
-                    tuple(d["kappa"]),
-                    tuple(
-                        sorted(
-                            (
-                                tuple(tuple(p) for p in b["points"]),
-                                b["a"],
-                            )
-                            for b in d["blocks"]
-                        )
-                    ),
-                )
-                for d in row["decor"]
-            )
+                (tuple(json_int(j, "kappa") for j in d["kappa"]),
+                 tuple(sorted(
+                     (tuple((*p[:1], *(json_int(x, "points") for x in p[1:]))
+                            for p in b["points"]), json_int(b["a"], "a"))
+                     for b in d["blocks"])))
+                for d in row["decor"])
             _check_stored(graph, weights, decor)
-            out.add_term(
-                graph, decor, Fraction(int(row["num"]), int(row["den"]))
-            )
+            out.add_term(graph, decor, Fraction(_int_text(row["num"], "num"),
+                                                _int_text(row["den"], "den")))
         return out
 
     def dumps(self) -> str:
@@ -471,20 +466,6 @@ class TautClass:
 # ---------------------------------------------------------------------------
 # Generator multiplication
 # ---------------------------------------------------------------------------
-
-
-def _decor_words(decor: tuple) -> list:
-    """Rebuild raw words from a stored decoration: per vertex its kappa
-    factors, then a half-edge psi power for a half-edge singleton and
-    ``D_{S, a}`` for every other block."""
-    return [
-        [("kappa", j) for j in kappa] + [
-            ("hpsi", pts[0][1:], a) if len(pts) == 1 and pts[0][0] == "h"
-            else ("Dsa", tuple(p[1] for p in pts), a)
-            for pts, a in blocks
-        ]
-        for kappa, blocks in decor
-    ]
 
 
 def _hpsi_decor(graph: StableGraph, powers: dict) -> tuple:
@@ -824,11 +805,11 @@ def chern_neg_Bd(
     graph = smooth_graph(genus, weights.n)
     for i in range(1, d + 1):
         base = TautClass(genus, weights)
-        base.add_word_term(graph, [[("psi", n + i, 1)]], Fraction(1))
-        for j in range(1, i):
-            base.add_word_term(
-                graph, [[("Dsa", (n + j, n + i), 1)]], Fraction(1)
-            )
+        factors = [("psi", n + i, 1)]
+        factors += [("Dsa", (n + j, n + i), 1) for j in range(1, i)]
+        for factor in factors:
+            if (single := _factor_decor(factor, genus, weights)) is not None:
+                base.add_term(graph, (single[1],), single[0])
         for j in range(1, t_order + 1):
             if not total[j - 1].is_zero:
                 total[j] = total[j] + multiply_smooth(base, total[j - 1])

@@ -224,7 +224,7 @@ def _read_json(path: str, what: str, parse):
     try:
         return parse(json.loads(Path(path).read_text()))
     except (OSError, json.JSONDecodeError, KeyError, TypeError,
-            ValueError) as exc:
+            ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot read {what} {path}: {exc}") from exc
 
 

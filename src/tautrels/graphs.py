@@ -46,6 +46,14 @@ class PreconditionError(ValueError):
         self.condition = condition
 
 
+def json_int(value, field: str) -> int:
+    """``value``, an integer read from a file; a float or a boolean raises
+    ``ValueError`` naming ``field``."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, not {value!r}")
+    return value
+
+
 def _is_stable(genus: int, half_edges: int, leg_weight: Fraction) -> bool:
     return 2 * genus - 2 + half_edges + leg_weight > 0
 
@@ -313,10 +321,14 @@ class StableGraph:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StableGraph":
-        genera = tuple(d["vertices"])
-        legs_map = {m: v for m, v in d["legs"]}
+        genera = tuple(json_int(g, "vertices") for g in d["vertices"])
+        legs_map = {json_int(m, "legs"): json_int(v, "legs")
+                    for m, v in d["legs"]}
+        if sorted(legs_map) != list(range(1, len(d["legs"]) + 1)):
+            raise ValueError("legs must name the markings 1..n once each")
         legs = tuple(legs_map[k] for k in sorted(legs_map))
-        edges = tuple(sorted(tuple(sorted(e)) for e in d["edges"]))
+        edges = tuple(sorted(tuple(sorted(json_int(v, "edges") for v in e))
+                             for e in d["edges"]))
         return cls(genera, legs, edges)
 
 

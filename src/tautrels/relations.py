@@ -558,8 +558,9 @@ def _fz_vertex_factor(ring: Ring, graph: StableGraph, weights: WeightData,
     ds = _kappa_exp(log_hyper_A(order).substitute({"t": zeta}), ring, graph,
                     weights, vertex)
     if s_v:
-        ds = ds * _partition_sum(ring, graph, weights, vertex, s_v, order,
-                                 zeta)
+        parts = _partition_sum(ring, graph, weights, vertex, s_v, order, zeta)
+        # at t-order 0 the kappa exponential is one
+        ds = ds * parts if order else parts
     return ds.scale(zeta ** (graph.genera[vertex] + 1 + len(s_v)))
 
 

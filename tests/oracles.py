@@ -5,6 +5,11 @@
   reduces a word by multiplying stored decorations
   (``classes._vertex_product``); this older route is kept here so that the
   word oracles stay independent of it.
+* ``decor_words`` rebuilds raw words from a stored decoration, so that
+  the word oracles can multiply stored decorations too.
+* ``oracle_check_stored`` checks a stored decoration by the round trip the
+  library used before ``classes._check_stored`` stated the rules itself:
+  rebuild its words and reduce them again.
 * ``relabelled`` applies a vertex relabelling to a stable graph.
 """
 
@@ -100,6 +105,38 @@ def oracle_add_words(c, graph, words, coeff) -> None:
     reduced = oracle_words_normal_form(graph, c.weights, words, coeff)
     if reduced is not None:
         c.add_term(graph, *reduced)
+
+
+def decor_words(decor: tuple) -> list:
+    """Rebuild raw words from a stored decoration: per vertex its kappa
+    factors, then a half-edge psi power for a half-edge singleton and
+    ``D_{S, a}`` for every other block."""
+    return [
+        [("kappa", j) for j in kappa] + [
+            ("hpsi", pts[0][1:], a) if len(pts) == 1 and pts[0][0] == "h"
+            else ("Dsa", tuple(p[1] for p in pts), a)
+            for pts, a in blocks
+        ]
+        for kappa, blocks in decor
+    ]
+
+
+def oracle_check_stored(graph, weights, decor) -> bool:
+    """Whether ``decor`` is a stored decoration of ``graph``: every point
+    sits at its own vertex, and reducing the decoration's words with
+    ``oracle_words_normal_form`` gives the decoration back with
+    coefficient 1."""
+    for v, (_, blocks) in enumerate(decor):
+        here = {("m", i) for i in graph.legs_at(v)}
+        here.update(("h",) + he for he in graph.half_edges_at(v))
+        if any(p not in here for pts, _ in blocks for p in pts):
+            return False
+    try:
+        reduced = oracle_words_normal_form(graph, weights, decor_words(decor),
+                                           1)
+    except ValueError:  # a block exponent below |S| - 1
+        return False
+    return reduced == (decor, 1)
 
 
 def relabelled(graph, perm: tuple):

@@ -56,6 +56,8 @@ from tautrels.relations import (
 from tautrels.serialize import dumps, series_to_dict
 from tautrels.series import Ring, VarSpec
 
+from oracles import oracle_add_words
+
 W0 = WeightData(())
 
 
@@ -216,9 +218,9 @@ def test_07_chain_closure():
     rel = open_fz_relation(3, 0, 2)
     smooth = StableGraph((3,), (), ())
     expected = TautClass(3, W0)
-    expected.add_word_term(smooth, [[("kappa", 1), ("kappa", 1)]],
-                           Fraction(25, 72))
-    expected.add_word_term(smooth, [[("kappa", 2)]], -5)
+    oracle_add_words(expected, smooth, [[("kappa", 1), ("kappa", 1)]],
+                     Fraction(25, 72))
+    oracle_add_words(expected, smooth, [[("kappa", 2)]], -5)
     key = min(rel.terms)
     scale = expected.terms[key] / rel.terms[key]
     assert rel.scale(scale) == expected

@@ -443,6 +443,47 @@ CLASS_FILES["batch_mixed_genus.json"] = (
     _batch_with() + _batch_with({"vertices": [3]}, genus=3))
 
 
+def _with(data, path, value):
+    """A copy of the class file ``data`` with the entry at ``path`` (keys
+    and indices) set to ``value``."""
+    data = json.loads(json.dumps(data))
+    *inner, last = path
+    target = data
+    for key in inner:
+        target = target[key]
+    target[last] = value
+    return data
+
+
+# zero denominators, and numbers that are not integers
+ONE_POINT = CLASS_FILES["one_point.json"]
+TERM = ("terms", 0)
+CLASS_FILES.update({
+    "zero_den.json": _with(ONE_POINT, TERM + ("den",), "0"),
+    "zero_weight_den.json": _with(ONE_POINT, ("weights", 0), ["1", "0"]),
+    "float_a.json": _with(ONE_POINT, TERM + ("decor", 0, "blocks", 0, "a"),
+                          1.5),
+    "bool_a.json": _with(ONE_POINT, TERM + ("decor", 0, "blocks", 0, "a"),
+                         True),
+    "float_kappa.json": _with(ONE_POINT, TERM + ("decor", 0, "kappa"), [1.0]),
+    "float_genus.json": _with(ONE_POINT, ("genus",), 2.0),
+    "float_vertices.json": _with(ONE_POINT, TERM + ("graph", "vertices"),
+                                 [2.0]),
+    "float_legs.json": _with(ONE_POINT, TERM + ("graph", "legs"), [[1, 0.0]]),
+    "float_point.json": _with(
+        ONE_POINT, TERM + ("decor", 0, "blocks", 0, "points"), [["m", 1.0]]),
+    "float_num.json": _with(ONE_POINT, TERM + ("num",), 1.5),
+    "far_leg.json": _with(ONE_POINT, TERM + ("graph", "legs"), [[5, 0]]),
+    "empty_block.json": _with(
+        ONE_POINT, TERM + ("decor", 0, "blocks", 0, "points"), []),
+    "empty_point.json": _with(
+        ONE_POINT, TERM + ("decor", 0, "blocks", 0, "points"), [[]]),
+})
+CLASS_FILES["batch_zero_den.json"] = [CLASS_FILES["zero_den.json"]]
+CLASS_FILES["batch_zero_weight_den.json"] = [
+    CLASS_FILES["zero_weight_den.json"]]
+
+
 class TestInvalidInput:
     @pytest.mark.parametrize("argv,condition", [
         (("graphs", "list", "--genus", "1", "--weights", "2",
@@ -602,6 +643,38 @@ class TestInvalidInput:
          "decor is not in normal form"),
         (("graphs", "list", "--genus", "0", "--max-edges", "1"),
          "2g-2+sum(w) > 0 violated: g=0, weights=()"),
+        (("classes", "normal-form", "--in", "zero_den.json"),
+         "cannot read class file zero_den.json"),
+        (("classes", "pushforward", "--in", "zero_den.json"),
+         "cannot read class file zero_den.json"),
+        (("classes", "normal-form", "--in", "zero_weight_den.json"),
+         "cannot read class file zero_weight_den.json"),
+        (("rank", "--batch", "batch_zero_den.json"),
+         "cannot read batch batch_zero_den.json"),
+        (("rank", "--batch", "batch_zero_weight_den.json"),
+         "cannot read batch batch_zero_weight_den.json"),
+        (("classes", "normal-form", "--in", "float_a.json"),
+         "a must be an integer, not 1.5"),
+        (("classes", "normal-form", "--in", "bool_a.json"),
+         "a must be an integer, not True"),
+        (("classes", "normal-form", "--in", "float_kappa.json"),
+         "kappa must be an integer, not 1.0"),
+        (("classes", "normal-form", "--in", "float_genus.json"),
+         "genus must be an integer, not 2.0"),
+        (("classes", "normal-form", "--in", "float_vertices.json"),
+         "vertices must be an integer, not 2.0"),
+        (("classes", "normal-form", "--in", "float_legs.json"),
+         "legs must be an integer, not 0.0"),
+        (("classes", "normal-form", "--in", "float_point.json"),
+         "points must be an integer, not 1.0"),
+        (("classes", "normal-form", "--in", "float_num.json"),
+         "num must be an integer, not 1.5"),
+        (("classes", "normal-form", "--in", "far_leg.json"),
+         "legs must name the markings 1..n once each"),
+        (("classes", "normal-form", "--in", "empty_block.json"),
+         "blocks nonempty with sorted distinct points violated at vertex 0"),
+        (("classes", "normal-form", "--in", "empty_point.json"),
+         "a block at vertex 0 names a point elsewhere"),
     ])
     def test_exit_2_names_condition(self, capsys, tmp_path, monkeypatch,
                                     argv, condition):

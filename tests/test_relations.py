@@ -19,13 +19,11 @@ from tautrels import classes, relations
 from tautrels.catalog import hyper_A, phi_family, series_C
 from tautrels.classes import (
     TautClass,
-    _decor_words,
     chern_neg_Bd,
     matrix_rank,
     pushforward_forget_small,
     to_vector,
     weight_reduce,
-    words_normal_form,
 )
 from tautrels.graphs import (
     StableGraph,
@@ -47,7 +45,7 @@ from tautrels.relations import (
 )
 from tautrels.series import Ring, VarSpec
 
-from oracles import oracle_words_normal_form
+from oracles import decor_words, oracle_add_words, oracle_words_normal_form
 
 
 def smooth(genus, n):
@@ -56,7 +54,8 @@ def smooth(genus, n):
 
 def kappa_class(genus, weights, *indices):
     c = TautClass(genus, weights)
-    c.add_word_term(smooth(genus, weights.n), [[("kappa", j) for j in indices]], 1)
+    oracle_add_words(c, smooth(genus, weights.n),
+                     [[("kappa", j) for j in indices]], 1)
     return c
 
 
@@ -68,10 +67,10 @@ W0 = WeightData(())
 # ---------------------------------------------------------------------------
 
 
-def add_words(ds, exps, words, coeff, reduce=words_normal_form):
+def add_words(ds, exps, words, coeff):
     """Add ``coeff`` times one raw word per vertex at ``exps`` into ``ds``,
-    reduced with ``reduce``."""
-    reduced = reduce(ds.graph, ds.weights, words, coeff)
+    reduced with ``oracle_words_normal_form``."""
+    reduced = oracle_words_normal_form(ds.graph, ds.weights, words, coeff)
     if reduced is not None:
         ds.add_term(exps, *reduced)
 
@@ -81,15 +80,15 @@ def oracle_mul(a, b):
     reduced with ``oracle_normal_form``."""
     out = DecoratedSeries(a.ring, a.graph, a.weights)
     specs = a.ring.specs
-    right = [(e2, _decor_words(d2), c2) for (e2, d2), c2 in b.terms.items()]
+    right = [(e2, decor_words(d2), c2) for (e2, d2), c2 in b.terms.items()]
     for (e1, d1), c1 in a.terms.items():
-        left = _decor_words(d1)
+        left = decor_words(d1)
         for e2, words2, c2 in right:
             exps = tuple(x + y for x, y in zip(e1, e2))
             if any(e >= s.trunc_order for e, s in zip(exps, specs)):
                 continue
             words = [w1 + w2 for w1, w2 in zip(left, words2)]
-            add_words(out, exps, words, c1 * c2, oracle_words_normal_form)
+            add_words(out, exps, words, c1 * c2)
     return out
 
 
@@ -407,6 +406,23 @@ class TestFZ:
     def test_parity_enforced(self):
         with pytest.raises(PreconditionError, match="even"):
             fz_relation(2, W0, 2)
+
+    def test_vertex_factor_multiplies_no_one(self, monkeypatch):
+        """At t-order 0 the kappa exponential is one, and the partition sum
+        is taken as it is: no decorated product has one as an operand."""
+        products = []
+        multiply = DecoratedSeries.__mul__
+
+        def spy(a, b):
+            products.append((a, b))
+            return multiply(a, b)
+
+        monkeypatch.setattr(DecoratedSeries, "__mul__", spy)
+        fz_relation(4, WeightData((Fraction(1, 8),) * 2), 3, (1, 2))
+        assert products
+        for a, b in products:
+            one = DecoratedSeries.one(a.ring, a.graph, a.weights).terms
+            assert a.terms != one and b.terms != one
 
     def test_relation_spans_known_rank_drop(self):
         # the codimension-2 relation on the genus-3 space restricts the
