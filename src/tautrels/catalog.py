@@ -105,15 +105,6 @@ def series_C(i: int, order: int) -> Series:
 # ---------------------------------------------------------------------------
 
 
-def _product_pole_factors(d: int, order: int) -> Series:
-    """prod_{i=1}^{d} (1 - i t)^{-1} as a plain power series in t."""
-    ring = Ring([VarSpec("t", 0, order + 1)])
-    out = ring.one()
-    for i in range(1, d + 1):
-        out = out * (ring.one() - i * ring.var("t")).inverse()
-    return out
-
-
 @lru_cache(maxsize=None)
 def phi_family(t_order: int, x_order: int) -> dict:
     """Phi(t,x) and derived series, over t in [-x_order, t_order], x in [0, x_order].
@@ -139,11 +130,14 @@ def phi_family(t_order: int, x_order: int) -> dict:
     psi_terms: dict = {}
     phi_terms[(0, 0)] = Fraction(1)
     psi_terms[(0, 0)] = Fraction(1)
+    # h[k] = [t^k] prod_{i<=d} (1 - i t)^{-1} = S(k+d, d), updated per d
+    h = [1] + [0] * aux_order
     for d in range(1, x_order + 1):
-        prod = _product_pole_factors(d, aux_order)
+        for k in range(1, aux_order + 1):
+            h[k] += d * h[k - 1]
         sign = Fraction((-1) ** d, factorial(d))
         inv_fact = Fraction(1, factorial(d))
-        for (k,), c in prod.coeffs.items():
+        for k, c in enumerate(h):
             if -x_order <= k - d <= t_order + pad:
                 phi_terms[(k - d, d)] = phi_terms.get((k - d, d), Fraction(0)) + sign * c
             if k <= t_order + pad:

@@ -529,17 +529,26 @@ def _partition_sum(ring: Ring, graph: StableGraph, weights: WeightData,
                    vertex: int, S: tuple, order: int,
                    zeta: int) -> DecoratedSeries:
     """``sum_P prod_(b in P) {C_|b|(zeta t)}_(D_b)`` at ``vertex``, over
-    the set partitions ``P`` of a nonempty ``S``; each product starts
-    from its first block."""
+    the set partitions ``P`` of a nonempty ``S``.  In a partition of
+    several blocks, a block whose bracket is a scalar (at t-order 0, a
+    singleton's is -1) scales the product instead of entering it."""
     part_sum = DecoratedSeries(ring, graph, weights)
+    unit = (tuple(0 for _ in ring.specs), part_sum._trivial_decor())
     for partition in set_partitions(S):
-        blocks = []
+        scalar, blocks = 1, []
         for block in partition:
             bds = DecoratedSeries(ring, graph, weights)
             bracket_D(series_C(len(block), order).substitute({"t": zeta}),
                       bds, vertex, tuple(sorted(block)))
-            blocks.append(bds)
-        part_sum = part_sum + reduce(mul, blocks)
+            if len(partition) > 1 and bds.terms.keys() == {unit}:
+                scalar *= bds.terms[unit]
+            else:
+                blocks.append(bds)
+        if not blocks:
+            part_sum.add_term(*unit, scalar)
+            continue
+        prod = reduce(mul, blocks)
+        part_sum = part_sum + (prod if scalar == 1 else prod.scale(scalar))
     return part_sum
 
 

@@ -43,16 +43,27 @@ both are exact in the original window, since no run of non-pure-pole terms
 lowers the Laurent exponent by more than that; the catalog builds its
 Laurent series in padded rings.
 
+``substitute`` sums each group of terms that differ only in the last
+assigned variable on packed integers, then multiplies the sum once by the
+group's prefix; the truncated product is bilinear on every ring, so the
+grouping is exact.  Image powers come from the ladder ``P^k = P^(k-1) P``,
+equal to binary powering whenever each image has one Laurent exponent: each
+term of ``P^j`` then has ``j`` times it, so no route drops a term ``P^k`` keeps.
+
 >>> R = Ring([VarSpec("t", 0, 6)])
 >>> t = R.var("t")
 >>> ((1 + t).log().exp() - (1 + t)).is_zero()
 True
+>>> x = Ring([VarSpec("x", 0, 4)]).var("x")
+>>> (t + t ** 2).substitute({"t": x + x ** 2})
+1*x + 2*x^2 + 2*x^3
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 from operator import lshift, mul
 from typing import Iterable, Mapping, Union
@@ -594,60 +605,84 @@ class Series:
         """Substitute series (or a sign +/-1) for some of the variables.
 
         A sign ``z`` for ``t`` substitutes ``t -> z t``; when no sign is -1
-        and no series is assigned, ``self`` is returned as it is.  All
+        and no series is assigned, ``self`` is returned as it is; any other
+        value, a ``bool`` too, raises :class:`SeriesError`.  All
         :class:`Series` values must share one target ring; variables that
         are not assigned must exist (same name) in the target ring.  Negative
         exponents of an assigned variable require the assigned series to be
-        invertible.
+        invertible.  The module docstring describes the grouped sum.
         """
         ring = self.ring
         flips, subs = [], {}
         for n, v in assignment.items():
             if isinstance(v, Series):
-                subs[n] = v
-            elif isinstance(v, int) and v in (1, -1):
+                subs[ring.index[n]] = v
+            elif isinstance(v, int) and not isinstance(v, bool) and v in (1, -1):
                 i = ring.index[n]
                 if v == -1:
                     flips.append(i)
             else:
-                raise SeriesError("integer assignments must be +1 or -1")
-        cur = self
+                raise SeriesError("assignments must be a Series or the int +1 or -1")
+        cur = self.coeffs
         if flips:
-            out: dict = {}
-            for e, c in cur.coeffs.items():
-                out[e] = -c if sum(map(e.__getitem__, flips)) % 2 else c
-            cur = Series(ring, out)
+            cur = {e: -c if sum(map(e.__getitem__, flips)) % 2 else c
+                   for e, c in cur.items()}
         if not subs:
-            return cur
+            return Series(ring, cur) if flips else self
         target = next(iter(subs.values())).ring
-        for n, v in subs.items():
-            if v.ring != target:
-                raise RingMismatch("assigned series live in different rings")
-        sub_idx = {ring.index[n]: v for n, v in subs.items()}
-        keep_idx = [i for i in range(ring.nvars) if i not in sub_idx]
-        for i in keep_idx:
-            if ring.specs[i].name not in target.index:
-                raise SeriesError(
-                    f"variable {ring.specs[i].name!r} missing from target ring"
-                )
-        pow_cache: dict = {}
+        if any(v.ring != target for v in subs.values()):
+            raise RingMismatch("assigned series live in different rings")
+        keep = [i for i in range(ring.nvars) if i not in subs]
+        names = [ring.specs[i].name for i in keep]
+        missing = [name for name in names if name not in target.index]
+        if missing:
+            raise SeriesError(f"variable {missing[0]!r} missing from target ring")
+        *head, last = subs
 
-        def powered(i: int, k: int) -> Series:
-            key = (i, k)
-            if key not in pow_cache:
-                pow_cache[key] = sub_idx[i] ** k
-            return pow_cache[key]
+        def ladder(p: Series, exps: list) -> dict:
+            """``{k: p**k}`` for each nonzero k from min to max of ``exps``:
+            ``p**k = p**(k-1) * p`` and ``p**-k = p**(1-k) * p.inverse()``."""
+            out: dict = {}
+            for k in range(1, max(exps, default=0) + 1):
+                out[k] = out[k - 1] * p if k > 1 else p
+            for k in range(-1, min(exps, default=0) - 1, -1):
+                out[k] = out[k + 1] * out[-1] if k < -1 else p.inverse()
+            return out
 
-        total = target.zero()
-        for e, c in cur.coeffs.items():
-            piece = target.monomial(
-                c, **{ring.specs[i].name: e[i] for i in keep_idx}
-            )
-            for i in sub_idx:
-                if e[i]:
-                    piece = piece * powered(i, e[i])
-            total = total + piece
-        return total
+        groups: dict = {}
+        for e, c in cur.items():
+            groups.setdefault(tuple(e[i] for i in keep + head), []).append((e[last], c))
+        powers = {i: ladder(p, [e[i] for e in cur]) for i, p in subs.items()}
+        left, right, high = target._product_layout()
+        packed = {b: target._packed(p.coeffs.items(), right)
+                  for b, p in powers[last].items()}
+        packed[0] = (1, [(right, 1)])
+        sums = []
+        for key, terms in groups.items():
+            prefix = target.monomial(1, **dict(zip(names, key)))
+            for i, a in zip(head, key[len(keep):]):
+                if a:
+                    prefix = prefix * powers[i][a]
+            den = lcm(*(c.denominator * packed[b][0] for b, c in terms))
+            acc: dict = {}
+            for b, c in terms:
+                scale = c.numerator * (den // (c.denominator * packed[b][0]))
+                for k, v in packed[b][1]:
+                    acc[k] = acc.get(k, 0) + scale * v
+            dp, pp = target._packed(prefix.coeffs.items(), left)
+            sums.append((dp * den, pp, [kv for kv in acc.items() if kv[1]]))
+        # one common denominator for the products of all groups
+        den = lcm(*(d for d, _, _ in sums))
+        acc = {}
+        get = acc.get
+        for d, pp, terms in sums:
+            for k1, c1 in pp:
+                c1 *= den // d
+                for k2, c2 in terms:
+                    k = k1 + k2
+                    if not k & high:
+                        acc[k] = get(k, 0) + c1 * c2
+        return Series(target, target._unpacked(acc, den, "substitution"))
 
     # -- exact division -----------------------------------------------------
 
@@ -665,9 +700,12 @@ class Series:
         d0 = min(den.coeffs)
         dc = den.coeffs[d0]
         rem = dict(self.coeffs)
+        heap = sorted(rem)  # rem's keys as a heap; keys that left rem are stale
         quot: dict = {}
         while rem:
-            r0 = min(rem)
+            r0 = heappop(heap)
+            if r0 not in rem:
+                continue
             q = tuple(a - b for a, b in zip(r0, d0))
             for x, s in zip(q, ring.specs):
                 if x < s.min_exponent or x >= s.trunc_order:
@@ -680,6 +718,8 @@ class Series:
                 exps = tuple(a + b for a, b in zip(q, e))
                 if any(x >= s.trunc_order for x, s in zip(exps, ring.specs)):
                     continue
+                if exps not in rem:
+                    heappush(heap, exps)
                 v = rem.get(exps, Fraction(0)) - qc * c
                 if v:
                     rem[exps] = v

@@ -11,11 +11,16 @@
   library used before ``classes._check_stored`` stated the rules itself:
   rebuild its words and reduce them again.
 * ``relabelled`` applies a vertex relabelling to a stable graph.
+* ``oracle_substitute`` substitutes series term by term: one product per
+  source term and image power, each power by binary powering.  The library
+  groups the terms and sums the powers of the last image on packed integers
+  (``Series.substitute``); this older route is its reference.
 """
 
 from fractions import Fraction
 
 from tautrels.graphs import StableGraph
+from tautrels.series import Series
 
 
 def _merge_block(blocks: list, points: tuple, a: int) -> None:
@@ -149,3 +154,29 @@ def relabelled(graph, perm: tuple):
         sorted(tuple(sorted((perm[a], perm[b]))) for a, b in graph.edges)
     )
     return StableGraph(tuple(genera), legs, edges)
+
+
+def oracle_substitute(f, assignment: dict):
+    """``f.substitute(assignment)`` for an assignment of series and the
+    signs +1 and -1, summed term by term in the target ring."""
+    ring = f.ring
+    coeffs = dict(f.coeffs)
+    subs = {}
+    for name, v in assignment.items():
+        if isinstance(v, Series):
+            subs[ring.index[name]] = v
+        elif v == -1:
+            i = ring.index[name]
+            coeffs = {e: -c if e[i] % 2 else c for e, c in coeffs.items()}
+    if not subs:
+        return Series(ring, coeffs)
+    target = next(iter(subs.values())).ring
+    keep = [i for i in range(ring.nvars) if i not in subs]
+    total = target.zero()
+    for e, c in coeffs.items():
+        piece = target.monomial(c, **{ring.specs[i].name: e[i] for i in keep})
+        for i, image in subs.items():
+            if e[i]:
+                piece = piece * image ** e[i]
+        total = total + piece
+    return total

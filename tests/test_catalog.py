@@ -44,6 +44,16 @@ def c_neg1_coefficients(x_order: int) -> dict:
     return {d: fam["C"][d].get(-1, F(0)) for d in range(1, x_order + 1)}
 
 
+def product_pole_factors(d: int, order: int) -> Series:
+    """prod_{i=1}^{d} (1 - i t)^{-1} as a plain power series in t, one
+    inverse and one product per factor."""
+    ring = Ring([VarSpec("t", 0, order + 1)])
+    out = ring.one()
+    for i in range(1, d + 1):
+        out = out * (ring.one() - i * ring.var("t")).inverse()
+    return out
+
+
 def delta_i_by_uy_recursion(i_max: int, u_order: int, y_order: int) -> dict:
     """Independent recomputation of delta_i directly in the (u, y) chart.
 
@@ -155,6 +165,17 @@ def test_phi_pole_layer():
     assert fam["C"][1][-1] == -1
     assert fam["C"][1][3] == -1
     assert c_neg1_coefficients(3)[1] == -1
+
+
+@pytest.mark.parametrize("order", [1, 5, 30])
+def test_phi_pole_factors_closed_form(order):
+    # [t^(k-d) x^d] Phi = (-1)^d/d! [t^k] prod_{i<=d} (1 - i t)^{-1}
+    phi = phi_family(order, 13)["Phi"]
+    for d in range(1, 14):
+        prod = product_pole_factors(d, order)
+        for k in range(order + 1):
+            assert phi.coefficient(t=k - d, x=d) == F(
+                (-1) ** d, factorial(d)) * prod.coefficient(t=k)
 
 
 def test_delta_riccati():

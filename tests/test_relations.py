@@ -409,7 +409,8 @@ class TestFZ:
 
     def test_vertex_factor_multiplies_no_one(self, monkeypatch):
         """At t-order 0 the kappa exponential is one, and the partition sum
-        is taken as it is: no decorated product has one as an operand."""
+        scales by each singleton's bracket -1 instead of multiplying by it:
+        no decorated product has a multiple of one as an operand."""
         products = []
         multiply = DecoratedSeries.__mul__
 
@@ -418,11 +419,13 @@ class TestFZ:
             return multiply(a, b)
 
         monkeypatch.setattr(DecoratedSeries, "__mul__", spy)
-        fz_relation(4, WeightData((Fraction(1, 8),) * 2), 3, (1, 2))
-        assert products
-        for a, b in products:
-            one = DecoratedSeries.one(a.ring, a.graph, a.weights).terms
-            assert a.terms != one and b.terms != one
+        for g, S in [(4, (1, 2)), (3, (1, 2, 3))]:
+            products.clear()
+            fz_relation(g, WeightData((Fraction(1, 8),) * len(S)), 3, S)
+            assert products
+            for a, b in products:
+                (unit,) = DecoratedSeries.one(a.ring, a.graph, a.weights).terms
+                assert a.terms.keys() != {unit} and b.terms.keys() != {unit}
 
     def test_relation_spans_known_rank_drop(self):
         # the codimension-2 relation on the genus-3 space restricts the

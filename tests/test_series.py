@@ -23,6 +23,8 @@ from tautrels.series import (
 from tautrels.classes import _edge_factor
 from tautrels.serialize import series_from_dict, series_to_dict
 
+from oracles import oracle_substitute
+
 
 def ring_t(order=10, floor=0):
     return Ring([VarSpec("t", floor, order)])
@@ -624,3 +626,89 @@ def test_divisor_edge_factor_equals_the_power_sum_form(max_codim, draw):
     want = oracle_power_sum(
         minus_fs, lambda k: F(1, math.factorial(k + 1)), "edge factor") * f
     assert _edge_factor(f_poly, max_codim) == want
+
+
+# ---------------------------------------------------------------------------
+# The grouped substitution kernel against the term-by-term loop
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def substitutions(draw):
+    """``(f, assignment)``: a series in one to three variables, one or two
+    of them assigned image series (in a drawn order), each other one a
+    sign or left out.  The target ring keeps the unassigned variables with
+    their windows and adds ``u`` and ``y``; at most one of its variables is
+    Laurent, and then every image has one exponent of it.  Each image is a
+    scalar times a monomial times ``1 + g``, so it is invertible."""
+    n = draw(st.integers(1, 3))
+    pole = draw(st.integers(-1, n - 1))
+    src = Ring([VarSpec(f"v{i}", -draw(st.integers(1, 2)) if i == pole else 0,
+                        draw(st.integers(1, 4))) for i in range(n)])
+    f = draw(series_in(src, max_terms=6))
+    names = draw(st.permutations([s.name for s in src.specs]))
+    n_images = draw(st.integers(1, min(2, len(names))))
+    imaged, rest = names[:n_images], names[n_images:]
+    kept = [s for s in src.specs if s.name in rest]
+    laurent = any(s.min_exponent < 0 for s in kept)
+    u_floor = 0 if laurent else -draw(st.integers(0, 2))
+    target = Ring(kept + [VarSpec("u", u_floor, draw(st.integers(1, 4))),
+                          VarSpec("y", 0, draw(st.integers(1, 4)))])
+    pole = next((s.name for s in target.specs if s.min_exponent < 0), None)
+    free = Ring([s for s in target.specs if s.name != pole])
+    assignment = {}
+    for name in imaged:
+        mono = {s.name: draw(st.integers(s.min_exponent, s.trunc_order - 1))
+                for s in target.specs}
+        g = embed(draw(series_in(free, max_terms=3)), target)
+        g = g - g.constant_term()
+        scalar = draw(fractions.filter(bool))
+        assignment[name] = target.monomial(scalar, **mono) * (1 + g)
+    for name in rest:
+        sign = draw(st.sampled_from([1, -1, None]))
+        if sign is not None:
+            assignment[name] = sign
+    return f, assignment
+
+
+def substitute_or_error(f, assignment, substitute):
+    try:
+        return substitute(f, assignment)
+    except SeriesError as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=300, deadline=None)
+@given(substitutions())
+def test_substitute_matches_the_term_by_term_oracle(data):
+    f, assignment = data
+    got = substitute_or_error(f, assignment, Series.substitute)
+    assert got == substitute_or_error(f, assignment, oracle_substitute)
+    if isinstance(got, Series):
+        assert all(isinstance(c, F) and c for c in got.coeffs.values())
+
+
+def test_substitute_checks_rings_windows_and_floors():
+    src = Ring([VarSpec("t", -2, 3), VarSpec("x", 0, 3)])
+    f = src.monomial(1, t=-2, x=2)
+    tgt = Ring([VarSpec("u", -1, 3), VarSpec("x", 0, 3)])
+    u = tgt.var("u")
+    with pytest.raises(RingMismatch):
+        f.substitute({"t": u, "x": Ring([VarSpec("x", 0, 3)]).var("x")})
+    with pytest.raises(SeriesError, match="'x' missing from target ring"):
+        f.substitute({"t": Ring([VarSpec("u", -1, 3)]).var("u")})
+    narrow = Ring([VarSpec("u", -2, 3), VarSpec("x", 0, 2)])
+    with pytest.raises(WindowError):
+        f.substitute({"t": narrow.var("u")})
+    # u^-2 in the ladder, and t^-1 x -> t^-2 in the grouped product
+    with pytest.raises(FloorUnderflow):
+        f.substitute({"t": u})
+    with pytest.raises(FloorUnderflow):
+        f.substitute({"t": 1, "x": Ring([VarSpec("t", -2, 3)]).var("t", -1)})
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_substitute_rejects_boolean_signs(flag):
+    t = ring_t(4).var("t")
+    with pytest.raises(SeriesError, match="Series or the int"):
+        (1 + t).substitute({"t": flag})
