@@ -6,12 +6,13 @@ series ring:
 * Bernoulli numbers (convention ``t/(exp(t)-1)``, so ``B_1 = -1/2``);
 * the hypergeometric-type series ``A`` and ``B`` and the ladder ``C_i``
   obtained by repeatedly applying ``12 t^2 d/dt - 4 i t``;
-* the two-variable series ``Phi(t, x)`` together with ``log Phi``, ``gamma``,
-  ``delta = D gamma - 1/2`` (``D = t x d/dx``), the modified series
-  ``Phi'``/``gamma'`` with the ``t^-1`` layer removed, and the coefficient
-  tables ``C_d^r`` and ``S_d^r``;
-* the change of variables ``u = t (1+4y)^{-1/2}``, ``y = -x (1+4x)^{-1}``
-  and the resulting triangular coefficient tables;
+* the two-variable series ``Phi(t, x)`` together with ``log Phi``, ``gamma``
+  (``log Phi`` plus the Bernoulli tail), ``delta = D gamma - 1/2``
+  (``D = t x d/dx``) and the modified series ``Phi'``/``gamma'`` with the
+  ``t^-1`` layer of ``log Phi`` removed;
+* the change of variables ``u = t (1+4y)^{-1/2}``, ``y = -x (1+4x)^{-1}``,
+  the resulting triangular coefficient tables, and both sides of the
+  coefficient-comparison lemma that checks it;
 * a two-point frame matrix built from ``Phi`` that solves a first-order
   system in the flat coordinates (its order-by-order ODE solution is an
   oracle in the tests);
@@ -53,6 +54,13 @@ def bernoulli(n: int) -> Fraction:
     for k in range(n):
         total += comb(n + 1, k) * bernoulli(k)
     return -total / (n + 1)
+
+
+def bernoulli_kernel_coefficients(i_max: int) -> dict:
+    """The weights B_{2i} / (2i (2i-1)) of the point/edge Bernoulli tail."""
+    return {
+        i: bernoulli(2 * i) / (2 * i * (2 * i - 1)) for i in range(1, i_max + 1)
+    }
 
 
 @lru_cache(maxsize=None)
@@ -110,50 +118,33 @@ def phi_family(t_order: int, x_order: int) -> dict:
     """Phi(t,x) and derived series, over t in [-x_order, t_order], x in [0, x_order].
 
     Returns a dict with keys ``ring``, ``Phi``, ``logPhi``, ``gamma``,
-    ``delta``, ``PhiPrime``, ``logPhiPrime``, ``gammaPrime``, ``C``, ``S``.
-    ``C[d][r]`` (d >= 1, r >= -1) and ``S[d][r]`` (r >= 0) are the expansion
-    coefficients of ``log Phi`` and of the log of the pole-factor sum,
-    normalised by ``d!``.
+    ``delta``, ``PhiPrime`` and ``gammaPrime``.
     """
     # Work in a t-padded ring: multiplying k factors with poles down to
     # t^{-x_order} can route through exponents up to t_order + x_order before
     # landing back inside the advertised window.
     pad = x_order
-    ring = Ring(
-        [VarSpec("t", -x_order, t_order + pad + 1), VarSpec("x", 0, x_order + 1)]
-    )
+    top = t_order + pad
+    ring = Ring([VarSpec("t", -x_order, top + 1), VarSpec("x", 0, x_order + 1)])
     out_ring = Ring(
         [VarSpec("t", -x_order, t_order + 1), VarSpec("x", 0, x_order + 1)]
     )
-    aux_order = t_order + pad + x_order
-    phi_terms: dict = {}
-    psi_terms: dict = {}
-    phi_terms[(0, 0)] = Fraction(1)
-    psi_terms[(0, 0)] = Fraction(1)
+    phi_terms = {(0, 0): Fraction(1)}
     # h[k] = [t^k] prod_{i<=d} (1 - i t)^{-1} = S(k+d, d), updated per d
-    h = [1] + [0] * aux_order
+    h = [1] + [0] * (top + x_order)
     for d in range(1, x_order + 1):
-        for k in range(1, aux_order + 1):
+        for k in range(1, len(h)):
             h[k] += d * h[k - 1]
         sign = Fraction((-1) ** d, factorial(d))
-        inv_fact = Fraction(1, factorial(d))
-        for k, c in enumerate(h):
-            if -x_order <= k - d <= t_order + pad:
-                phi_terms[(k - d, d)] = phi_terms.get((k - d, d), Fraction(0)) + sign * c
-            if k <= t_order + pad:
-                psi_terms[(k, d)] = psi_terms.get((k, d), Fraction(0)) + inv_fact * c
+        for k in range(top + d + 1):
+            phi_terms[(k - d, d)] = sign * h[k]
     phi = ring.series(phi_terms)
-    psi = ring.series(psi_terms)
     log_phi = phi.log()
-    log_psi = psi.log()
 
-    tail = ring.zero()
-    i = 1
-    while 2 * i - 1 <= t_order:
-        tail = tail + ring.monomial(
-            bernoulli(2 * i) / (2 * i * (2 * i - 1)), t=2 * i - 1
-        )
-        i += 1
+    tail = ring.series({
+        (2 * i - 1, 0): w
+        for i, w in bernoulli_kernel_coefficients((t_order + 1) // 2).items()
+    })
     gamma = tail + log_phi
     delta = gamma.x_d_dx("x").mul_var("t") - Fraction(1, 2)
 
@@ -161,32 +152,18 @@ def phi_family(t_order: int, x_order: int) -> dict:
     log_phi_prime = Series(
         ring, {e: c for e, c in log_phi.coeffs.items() if e[0] >= 0}
     )
-    phi_prime = log_phi_prime.exp()
-    gamma_prime = tail + log_phi_prime
 
     def restrict(f: Series) -> Series:
         return embed(f, out_ring)
 
-    log_phi_out = restrict(log_phi)
-    log_psi_out = restrict(log_psi)
-    C: dict = {}
-    S: dict = {}
-    for table, f in ((C, log_phi_out), (S, log_psi_out)):
-        for (r, d), c in f.coeffs.items():
-            if d >= 1:
-                table.setdefault(d, {})[r] = c * factorial(d)
-
     return {
         "ring": out_ring,
         "Phi": restrict(phi),
-        "logPhi": log_phi_out,
+        "logPhi": restrict(log_phi),
         "gamma": restrict(gamma),
         "delta": restrict(delta),
-        "PhiPrime": restrict(phi_prime),
-        "logPhiPrime": restrict(log_phi_prime),
-        "gammaPrime": restrict(gamma_prime),
-        "C": C,
-        "S": S,
+        "PhiPrime": restrict(log_phi_prime.exp()),
+        "gammaPrime": restrict(tail + log_phi_prime),
     }
 
 
@@ -269,6 +246,8 @@ def ionel_coefficient_pair(f: Series, r: int, d: int) -> tuple:
 
     For a Laurent polynomial ``f(t, x)`` returns
     ``([f]_{t^r x^d}, (-1)^d [(1+4y)^{(r+2d-2)/2} f(u,y)]_{u^r y^d})``.
+    The weight has no u, so the right side is
+    ``(-1)^d sum_j binom((r+2d-2)/2, j) 4^j [f(u,y)]_{u^r y^(d-j)}``.
     """
     src = f.ring
     t_floor = src.spec("t").min_exponent
@@ -277,9 +256,12 @@ def ionel_coefficient_pair(f: Series, r: int, d: int) -> tuple:
         [VarSpec("u", min(t_floor, 0), max(r, 1) + 1), VarSpec("y", 0, d + x_top + 1)]
     )
     g = substitute_uy(f, target)
-    y = target.var("y")
-    weight = (1 + 4 * y).pow_fraction(Fraction(r + 2 * d - 2, 2))
-    rhs = Fraction((-1) ** d) * (weight * g).coefficient(u=r, y=d)
+    e = Fraction(r + 2 * d - 2, 2)
+    rhs = Fraction(0)
+    weight = Fraction((-1) ** d)  # (-1)^d binom(e, j) 4^j
+    for j in range(d + 1):
+        rhs += weight * g.coefficient(u=r, y=d - j)
+        weight *= 4 * (e - j) / (j + 1)
     lhs = f.coefficient(t=r, x=d)
     return lhs, rhs
 
@@ -498,13 +480,6 @@ def edge_series_uy(z1: int, z2: int, u_order: int, y_order: int) -> Series:
 
     return _edge_quotient(z1, z2, "u", u_order,
                           (VarSpec("y", 0, y_order + 1),), build)
-
-
-def bernoulli_kernel_coefficients(i_max: int) -> dict:
-    """The weights B_{2i} / (2i (2i-1)) of the point/edge Bernoulli tail."""
-    return {
-        i: bernoulli(2 * i) / (2 * i * (2 * i - 1)) for i in range(1, i_max + 1)
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import lcm
 
 from .graphs import (PreconditionError, StableGraph, WeightData, json_int,
-                     smooth_graph)
+                     json_int_text, smooth_graph)
 from .series import Ring, Series, VarSpec, embed
 
 __all__ = [
@@ -242,14 +242,8 @@ def _check_stored(graph: StableGraph, weights: WeightData, decor: tuple) -> None
             f"decor is not in normal form: {rule} violated at vertex {v}")
 
 
-def _int_text(value, field: str) -> int:
-    """An integer written as a string, as :meth:`TautClass.to_dict` writes
-    weights and coefficients, or as a JSON integer."""
-    return int(value) if type(value) is str else json_int(value, field)
-
-
-def _decor_codim(graph: StableGraph, decor: tuple) -> int:
-    total = graph.n_edges
+def _decor_codim(edges: tuple, decor: tuple) -> int:
+    total = len(edges)
     for kappa, blocks in decor:
         total += sum(kappa) + sum(a for _, a in blocks)
     return total
@@ -383,17 +377,13 @@ class TautClass:
         return not self.terms
 
     def codims(self) -> set:
-        out = set()
-        for (genera, legs, edges, decor) in self.terms:
-            graph = StableGraph(genera, legs, edges)
-            out.add(_decor_codim(graph, decor))
-        return out
+        return {_decor_codim(edges, decor) for _, _, edges, decor in self.terms}
 
     def restrict_codim(self, max_codim: int) -> "TautClass":
         out = {}
         for key, c in self.terms.items():
-            genera, legs, edges, decor = key
-            if _decor_codim(StableGraph(genera, legs, edges), decor) <= max_codim:
+            _, _, edges, decor = key
+            if _decor_codim(edges, decor) <= max_codim:
                 out[key] = c
         return TautClass(self.genus, self.weights, out)
 
@@ -438,7 +428,7 @@ class TautClass:
         integers, weights and coefficients integers or strings of integers,
         and every decoration is stored (:func:`_check_stored`)."""
         weights = WeightData.of(
-            Fraction(_int_text(a, "weights"), _int_text(b, "weights"))
+            Fraction(json_int_text(a, "weights"), json_int_text(b, "weights"))
             for a, b in data["weights"]
         )
         out = cls(json_int(data["genus"], "genus"), weights)
@@ -455,8 +445,9 @@ class TautClass:
                      for b in d["blocks"])))
                 for d in row["decor"])
             _check_stored(graph, weights, decor)
-            out.add_term(graph, decor, Fraction(_int_text(row["num"], "num"),
-                                                _int_text(row["den"], "den")))
+            out.add_term(graph, decor,
+                         Fraction(json_int_text(row["num"], "num"),
+                                  json_int_text(row["den"], "den")))
         return out
 
     def dumps(self) -> str:
@@ -746,11 +737,9 @@ def pushforward_forget_weight1(c: TautClass, marking: int) -> TautClass:
 def weight_reduce(c: TautClass, w_new: WeightData) -> TautClass:
     """Restrict a class to reduced weights.
 
-    Kills terms whose diagonal blocks become forbidden under the new
-    weights and terms whose graphs lose vertex stability.  (For a genuine
-    reduction ``w_new <= w_old`` the diagonal filter never fires, because
-    reducing weights only enlarges the set of allowed diagonals; it is kept
-    for safety.)
+    Kills the terms whose graphs lose vertex stability.  Every stored block
+    of two or more markings weighs at most 1, and lowering weights keeps it
+    so, hence no decoration becomes forbidden.
     """
     if w_new.n != c.weights.n:
         raise ValueError("weight data has wrong length")
@@ -760,20 +749,12 @@ def weight_reduce(c: TautClass, w_new: WeightData) -> TautClass:
         raise ValueError("weights may only decrease")
     out = TautClass(c.genus, w_new)
     for key, coeff in c.terms.items():
-        genera, legs, edges, decor = key
-        graph = StableGraph(genera, legs, edges)
+        genera, legs, edges, _ = key
         try:
-            graph.validate(w_new, c.genus)
+            StableGraph(genera, legs, edges).validate(w_new, c.genus)
         except ValueError:
             continue
-        ok = True
-        for kappa, blocks in decor:
-            for pts, _ in blocks:
-                markings = [p[1] for p in pts if p[0] == "m"]
-                if len(markings) >= 2 and w_new.subset_weight(markings) > 1:
-                    ok = False
-        if ok:
-            out.terms[key] = coeff
+        out.terms[key] = coeff
     return out
 
 

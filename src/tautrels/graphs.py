@@ -54,6 +54,12 @@ def json_int(value, field: str) -> int:
     return value
 
 
+def json_int_text(value, field: str) -> int:
+    """An integer written as a string, as rationals are written to files,
+    or as a JSON integer."""
+    return int(value) if type(value) is str else json_int(value, field)
+
+
 def _is_stable(genus: int, half_edges: int, leg_weight: Fraction) -> bool:
     return 2 * genus - 2 + half_edges + leg_weight > 0
 

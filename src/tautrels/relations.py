@@ -615,12 +615,13 @@ def _edge_to_ds(series: Series, ds: DecoratedSeries, edge: int) -> None:
 
 
 def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
-               vertex_factor, edge_series, powers_of) -> TautClass:
+               vertex_factor, edge_series) -> TautClass:
     """``sum_G sum_zeta prod_v (vertex factor) prod_e (edge kernel) / |Aut G|``.
 
     ``G`` runs over ``graphs`` and ``zeta`` over the ±1 colourings of its
     vertices.  With ``order = r - #edges`` the product is expanded in
-    ``ring_of(order)`` and read off at ``powers_of(order)``.
+    ``ring_of(order)`` and read off at the ring's top corner, the highest
+    retained exponent of every variable.
     ``vertex_factor(ring, graph, v, zeta)`` is the decorated factor
     at vertex ``v``, and ``edge_series(z1, z2, order)`` the kernel of an
     edge whose ends have colours ``z1`` and ``z2``, in (t[, x], p1, p2).
@@ -646,8 +647,8 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
         order = r - graph.n_edges
         ring = ring_of(order)
         left, right, high = ring._product_layout()
-        _, [(target, _)] = ring._packed(
-            [(ring.exponents(**powers_of(order)), 1)], left + right)
+        top = tuple(spec.trunc_order - 1 for spec in ring.specs)
+        _, [(target, _)] = ring._packed([(top, 1)], left + right)
         slots = []  # (vertex, edge or None) in level order
         starts = []  # starts[v]: the first slot of level v
         for v in range(graph.n_vertices):
@@ -724,7 +725,6 @@ def fz_relation(g: int, weights: WeightData, r: int, S: tuple = (),
         lambda ring, graph, v, zeta: _fz_vertex_factor(
             ring, graph, weights, v, zeta, S),
         delta_edge,
-        lambda order: {"t": order},
     )
 
 
@@ -741,8 +741,6 @@ def _sq_graph_sum(g: int, weights: WeightData, graphs, r: int, d: int,
         lambda ring, graph, v, zeta: _boundary_vertex_factor(
             ring, graph, weights, v, zeta, gamma, a_map, half_sign, pd_sign),
         lambda z1, z2, order: edge_series_xy(z1, z2, order, d, kind=4),
-        lambda order: {"t": order, "x": d,
-                       **{f"p{i}": e for i, e in a_map.items()}},
     )
 
 

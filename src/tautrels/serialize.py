@@ -10,6 +10,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
+from .graphs import json_int, json_int_text
 from .series import Ring, Series, VarSpec
 
 
@@ -31,9 +32,15 @@ def series_to_dict(s: Series) -> dict:
 
 
 def series_from_dict(d: dict) -> Series:
-    ring = Ring([VarSpec(v["var"], v["min"], v["max"]) for v in d["ring"]])
+    """The series of :func:`series_to_dict`; a float or a boolean where an
+    integer belongs raises ``ValueError``."""
+    ring = Ring([VarSpec(v["var"], json_int(v["min"], "min"),
+                         json_int(v["max"], "max")) for v in d["ring"]])
     terms = {
-        tuple(t["exp"]): Fraction(int(t["num"]), int(t["den"])) for t in d["terms"]
+        tuple(json_int(e, "exp") for e in t["exp"]):
+            Fraction(json_int_text(t["num"], "num"),
+                     json_int_text(t["den"], "den"))
+        for t in d["terms"]
     }
     return ring.series(terms)
 

@@ -39,9 +39,27 @@ from tautrels.series import Ring, Series, VarSpec
 
 
 def c_neg1_coefficients(x_order: int) -> dict:
-    """The t^{-1} layer C_d^{-1} of log Phi, for d = 1..x_order."""
-    fam = phi_family(1, x_order)
-    return {d: fam["C"][d].get(-1, F(0)) for d in range(1, x_order + 1)}
+    """The t^{-1} layer C_d^{-1} = d! [t^-1 x^d] log Phi, for d = 1..x_order."""
+    log_phi = phi_family(1, x_order)["logPhi"]
+    return {d: log_phi.coefficient(t=-1, x=d) * factorial(d)
+            for d in range(1, x_order + 1)}
+
+
+def full_product_ionel_pair(f: Series, r: int, d: int) -> tuple:
+    """Both sides of the coefficient-comparison lemma, the right one read
+    off the full product of f(u, y) with (1+4y)^{(r+2d-2)/2}."""
+    src = f.ring
+    t_floor = src.spec("t").min_exponent
+    x_top = src.spec("x").trunc_order - 1
+    target = Ring(
+        [VarSpec("u", min(t_floor, 0), max(r, 1) + 1), VarSpec("y", 0, d + x_top + 1)]
+    )
+    g = substitute_uy(f, target)
+    y = target.var("y")
+    weight = (1 + 4 * y).pow_fraction(F(r + 2 * d - 2, 2))
+    rhs = F((-1) ** d) * (weight * g).coefficient(u=r, y=d)
+    lhs = f.coefficient(t=r, x=d)
+    return lhs, rhs
 
 
 def product_pole_factors(d: int, order: int) -> Series:
@@ -161,9 +179,9 @@ def test_C_i_vanishing_order():
 def test_phi_pole_layer():
     # the t^{-1} layer of log Phi at x^1 is -1 for every d (hand computation:
     # log Phi|_{x^1} = -t^{-1} (1-t)^{-1})
-    fam = phi_family(6, 3)
-    assert fam["C"][1][-1] == -1
-    assert fam["C"][1][3] == -1
+    log_phi = phi_family(6, 3)["logPhi"]
+    assert log_phi.coefficient(t=-1, x=1) * factorial(1) == -1
+    assert log_phi.coefficient(t=3, x=1) * factorial(1) == -1
     assert c_neg1_coefficients(3)[1] == -1
 
 
@@ -198,7 +216,7 @@ def test_phi_ode():
 
 def test_phi_prime_strips_only_pole_layer():
     fam = phi_family(8, 4)
-    diff = fam["logPhi"] - fam["logPhiPrime"]
+    diff = fam["gamma"] - fam["gammaPrime"]
     assert all(e[0] == -1 for e in diff.coeffs)
     assert not diff.is_zero()
 
@@ -261,6 +279,24 @@ def test_uy_coefficient_lemma_random():
             )
         lhs, rhs = ionel_coefficient_pair(f, rng.randint(0, 6), rng.randint(0, 4))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("t_floor, x_top", [(-3, 4), (-1, 2), (0, 5)])
+def test_ionel_pair_matches_full_product(t_floor, x_top):
+    rng = random.Random(17 + t_floor)
+    src = Ring([VarSpec("t", t_floor, 8), VarSpec("x", 0, x_top + 1)])
+    for _ in range(25):
+        f = src.zero()
+        for _ in range(rng.randint(0, 6)):
+            f = f + src.monomial(
+                F(rng.randint(-9, 9), rng.randint(1, 5)),
+                t=rng.randint(t_floor, 7),
+                x=rng.randint(0, x_top),
+            )
+        r, d = rng.randint(t_floor, 7), rng.randint(0, x_top)
+        pair = ionel_coefficient_pair(f, r, d)
+        assert pair == full_product_ionel_pair(f, r, d)
+        assert pair[0] == pair[1]
 
 
 def test_frame_matrix_identity_at_origin():
@@ -445,7 +481,8 @@ def test_catalog_rejects_an_unread_order_and_writes_nothing(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("damage", ["truncated", "other ring", "not a series"])
+@pytest.mark.parametrize("damage", ["truncated", "other ring", "not a series",
+                                    "float numerator", "boolean exponent"])
 @pytest.mark.parametrize("audit", [False, True])
 def test_catalog_recomputes_a_bad_entry(tmp_path, damage, audit):
     import json
@@ -458,8 +495,16 @@ def test_catalog_recomputes_a_bad_entry(tmp_path, damage, audit):
     elif damage == "other ring":
         SeriesCatalog(cache_dir=str(tmp_path)).get("A", t=3)
         path.write_text((tmp_path / "A_t3.json").read_text())
-    else:
+    elif damage == "not a series":
         path.write_text(json.dumps({"ring": 7}))
+    else:
+        blob = json.loads(good)
+        # A_t4 = 1 + 5/6 t + ...: a numerator 7.9 read as 7 gives 7/6
+        if damage == "float numerator":
+            blob["terms"][1]["num"] = 7.9
+        else:
+            blob["terms"][1]["exp"] = [True]
+        path.write_text(json.dumps(blob))
     got = SeriesCatalog(cache_dir=str(tmp_path), audit=audit).get("A", t=4)
     assert got == fresh and got.ring == fresh.ring
     assert path.read_text() == good

@@ -221,15 +221,15 @@ def test_graph_sum_builds_each_factor_once(monkeypatch):
 
 
 def oracle_graph_sum(g, weights, graphs, r, ring_of, vertex_factor,
-                     edge_series, powers_of):
+                     edge_series):
     """Reference graph sum: every colouring's product of all vertex factors
     and edge kernels rebuilt from scratch with ``reduce(mul, ...)`` and read
-    off at the target degree."""
+    off at the ring's top corner."""
     total = TautClass(g, weights)
     for graph in graphs:
         order = r - graph.n_edges
         ring = ring_of(order)
-        target = ring.exponents(**powers_of(order))
+        target = tuple(spec.trunc_order - 1 for spec in ring.specs)
         sums = {}
         for coloring in enumerate_colorings(graph):
             factors = [vertex_factor(ring, graph, v, zeta)
