@@ -247,13 +247,12 @@ def ionel_coefficient_pair(f: Series, r: int, d: int) -> tuple:
     For a Laurent polynomial ``f(t, x)`` returns
     ``([f]_{t^r x^d}, (-1)^d [(1+4y)^{(r+2d-2)/2} f(u,y)]_{u^r y^d})``.
     The weight has no u, so the right side is
-    ``(-1)^d sum_j binom((r+2d-2)/2, j) 4^j [f(u,y)]_{u^r y^(d-j)}``.
+    ``(-1)^d sum_j binom((r+2d-2)/2, j) 4^j [f(u,y)]_{u^r y^(d-j)}``, which
+    reads f(u, y) only up to y^d.
     """
-    src = f.ring
-    t_floor = src.spec("t").min_exponent
-    x_top = src.spec("x").trunc_order - 1
+    t_floor = f.ring.spec("t").min_exponent
     target = Ring(
-        [VarSpec("u", min(t_floor, 0), max(r, 1) + 1), VarSpec("y", 0, d + x_top + 1)]
+        [VarSpec("u", min(t_floor, 0), max(r, 1) + 1), VarSpec("y", 0, max(d, 1) + 1)]
     )
     g = substitute_uy(f, target)
     e = Fraction(r + 2 * d - 2, 2)
@@ -673,7 +672,8 @@ def _read_entry(path: Path, ring: Ring) -> Series | None:
     a series in another ring."""
     try:
         stored = series_from_dict(json.loads(path.read_text()))
-    except (OSError, ValueError, KeyError, TypeError, SeriesError):
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError,
+            SeriesError):
         return None
     return stored if stored.ring == ring else None
 

@@ -482,7 +482,8 @@ def test_catalog_rejects_an_unread_order_and_writes_nothing(tmp_path):
 
 
 @pytest.mark.parametrize("damage", ["truncated", "other ring", "not a series",
-                                    "float numerator", "boolean exponent"])
+                                    "float numerator", "boolean exponent",
+                                    "zero denominator"])
 @pytest.mark.parametrize("audit", [False, True])
 def test_catalog_recomputes_a_bad_entry(tmp_path, damage, audit):
     import json
@@ -502,8 +503,10 @@ def test_catalog_recomputes_a_bad_entry(tmp_path, damage, audit):
         # A_t4 = 1 + 5/6 t + ...: a numerator 7.9 read as 7 gives 7/6
         if damage == "float numerator":
             blob["terms"][1]["num"] = 7.9
-        else:
+        elif damage == "boolean exponent":
             blob["terms"][1]["exp"] = [True]
+        else:
+            blob["terms"][1]["den"] = "0"
         path.write_text(json.dumps(blob))
     got = SeriesCatalog(cache_dir=str(tmp_path), audit=audit).get("A", t=4)
     assert got == fresh and got.ring == fresh.ring
