@@ -474,6 +474,8 @@ def _generator_sites(graph: StableGraph, gen: tuple) -> list:
 
     A kappa class distributes over the vertices and the half-edges by the
     boundary pull-back rule ``kappa_j -> kappa_j^{(v)} + sum_h psi_h^j``.
+    A ``D_{S, a}`` whose markings lie on several vertices has no summand:
+    points on different components never collide.
     """
     kind = gen[0]
     if kind == "kappa":
@@ -488,11 +490,7 @@ def _generator_sites(graph: StableGraph, gen: tuple) -> list:
         return [(graph.legs[gen[1] - 1], gen)]
     if kind == "Dsa":
         homes = {graph.legs[i - 1] for i in gen[1]}
-        if len(homes) != 1:
-            raise ValueError(
-                "diagonal generator with markings on several vertices"
-            )
-        return [(homes.pop(), gen)]
+        return [(homes.pop(), gen)] if len(homes) == 1 else []
     raise ValueError(f"unknown generator {gen!r}")
 
 

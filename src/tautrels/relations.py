@@ -20,7 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import factorial, lcm, prod
-from operator import mul
 
 from .catalog import (
     delta_edge,
@@ -110,83 +109,6 @@ def set_partitions(items: tuple):
 # ---------------------------------------------------------------------------
 
 
-def _packed(ring: Ring, terms: dict, bias: int) -> tuple:
-    """``(d, {decoration: {packed exponents: numerator}})`` for the terms of
-    a decorated series, packed by ``Ring._packed`` with ``bias``; ``d`` is
-    the lcm of their denominators."""
-    d, keyed = ring._packed([(exps, c) for (exps, _), c in terms.items()],
-                            bias)
-    rows: dict = {}
-    for (_, decor), (key, c) in zip(terms, keyed):
-        rows.setdefault(decor, {})[key] = c
-    return d, rows
-
-
-def _packed_product(weights: WeightData, a: tuple, b: tuple,
-                    high: int) -> tuple:
-    """The product of packed operands ``a`` (left bias) and ``b`` (right
-    bias), each pair of decorations multiplied once.  Its keys carry the
-    left and the right bias; a key with a top bit set reached a truncation
-    order and is dropped.  Rows may hold zero numerators."""
-    da, ra = a
-    db, rb = b
-    out: dict = {}
-    for d1, row1 in ra.items():
-        for d2, row2 in rb.items():
-            decor = _decor_product(weights, d1, d2)
-            if decor is None:
-                continue
-            acc = out.get(decor)
-            if acc is None:
-                acc = out[decor] = {}
-            get = acc.get
-            for k1, c1 in row1.items():
-                for k2, c2 in row2.items():
-                    k = k1 + k2
-                    if not k & high:
-                        acc[k] = get(k, 0) + c1 * c2
-    return da * db, out
-
-
-def _rebiased(product: tuple, right: int) -> tuple:
-    """A product of :func:`_packed_product` as a left operand: the right
-    bias taken off every key, zero numerators and empty rows dropped."""
-    den, rows = product
-    out = {}
-    for decor, row in rows.items():
-        row = {k - right: c for k, c in row.items() if c}
-        if row:
-            out[decor] = row
-    return den, out
-
-
-def _target_product(weights: WeightData, a: tuple, b: tuple,
-                    target: int) -> tuple:
-    """``(d, {decoration: numerator})``: the coefficients at the single
-    packed key ``target`` (left plus right bias) of the product of ``a``
-    (left bias) and ``b`` (right bias).  Each term of ``a`` looks up its
-    partner in ``b``: a key of ``a`` beyond ``target`` in some variable
-    leaves a field below the right bias or wrapped above it, which no
-    key of ``b`` holds."""
-    da, ra = a
-    db, rb = b
-    out: dict = {}
-    for d2, row2 in rb.items():
-        get = row2.get
-        for d1, row1 in ra.items():
-            decor = _decor_product(weights, d1, d2)
-            if decor is None:
-                continue
-            s = 0
-            for k1, c1 in row1.items():
-                c2 = get(target - k1)
-                if c2:
-                    s += c1 * c2
-            if s:
-                out[decor] = out.get(decor, 0) + s
-    return da * db, out
-
-
 def _accumulate(total: dict, den: int, part: dict, part_den: int) -> int:
     """Add ``part / part_den`` into ``total / den`` in place, both maps of
     integer numerators; returns the new denominator, the lcm of the two."""
@@ -202,148 +124,207 @@ def _accumulate(total: dict, den: int, part: dict, part_den: int) -> int:
     return new
 
 
+def _nonzero(rows: dict) -> dict:
+    """``rows`` without zero numerators and empty rows."""
+    return {decor: row for decor, acc in rows.items()
+            if (row := {key: c for key, c in acc.items() if c})}
+
+
+def _product(a: "DecoratedSeries", b: "DecoratedSeries") -> "DecoratedSeries":
+    """``a * b``, where a factor that is a multiple of one scales the other
+    instead of entering a product."""
+    left, right, _ = a.ring._product_layout()
+    for x, y in ((a, b), (b, a)):
+        if len(y.rows) == 1:
+            row = y.rows.get(y._trivial_decor())
+            if row and row.keys() == {left + right}:
+                return x.scale(Fraction(row[left + right], y.den))
+    return a * b
+
+
+def _target_product(a: "DecoratedSeries", b: "DecoratedSeries",
+                    target: int) -> tuple:
+    """``(d, {decoration: numerator})``: the coefficients of ``a * b`` at
+    ``target``, the key of the ring's top corner, over ``d``.  Each term of
+    ``a`` looks up its one partner in ``b``: the key ``target`` plus both
+    biases minus its own.  This is exact because on a floor-0 ring every
+    exponent lies at or below the top corner, so no field of the partner
+    key borrows from the next."""
+    left, right, _ = a.ring._product_layout()
+    corner = target + left + right
+    out: dict = {}
+    for d2, row2 in b.rows.items():
+        get = row2.get
+        for d1, row1 in a.rows.items():
+            decor = _decor_product(a.weights, d1, d2)
+            if decor is None:
+                continue
+            s = 0
+            for k1, c1 in row1.items():
+                c2 = get(corner - k1)
+                if c2:
+                    s += c1 * c2
+            if s:
+                out[decor] = out.get(decor, 0) + s
+    return a.den * b.den, out
+
+
 class DecoratedSeries:
     """Scalar power series whose coefficients are vertex decorations.
 
-    Terms are keyed by ``(exponents, decoration)`` where ``exponents``
-    follows the scalar ring's variable order and ``decoration`` is the
-    per-vertex normal form used by :class:`TautClass`.  Products and
-    exponentials run on the packed form of :func:`_packed`: integer
-    numerators over one denominator, exponents packed by ``Ring._packed``,
-    multiplied by :func:`_packed_product`, the kernel that
-    :func:`_graph_sum` also runs on.  Only the result is unpacked, by
-    ``Ring._unpacked``, one ``Fraction`` per term.
+    A decoration is the per-vertex normal form used by :class:`TautClass`.
+    The series is ``rows / den``: ``rows`` maps each decoration to
+    ``{key: numerator}``, an integer numerator per packed key, over the one
+    integer ``den``.  A key packs the exponents, in the scalar ring's
+    variable order, with both biases of ``Ring._product_layout``, the form
+    ``Ring._packed`` writes and ``Ring._unpacked`` reads.  Rows hold no zero
+    numerator and no empty row.  Terms enter packed, through
+    :meth:`add_terms`; sums, scalings, products and exponentials stay
+    packed, and only :meth:`extract` and the test view :attr:`terms` turn
+    numerators into ``Fraction`` values.
 
     The ring must have floor 0 in every variable (``ValueError``
     otherwise): truncated products are then associative, and no product
     falls below a floor, so products and exponentials check no floors.
     """
 
-    __slots__ = ("ring", "graph", "weights", "terms")
+    __slots__ = ("ring", "graph", "weights", "den", "rows")
 
     def __init__(self, ring: Ring, graph: StableGraph, weights: WeightData,
-                 terms: dict | None = None):
+                 den: int = 1, rows: dict | None = None):
         if ring.laurent:
             raise ValueError(f"decorated series need floor 0: {ring}")
         self.ring = ring
         self.graph = graph
         self.weights = weights
-        self.terms = terms if terms is not None else {}
+        self.den = den
+        self.rows = rows if rows is not None else {}
 
     def _trivial_decor(self) -> tuple:
         return tuple(((), ()) for _ in range(self.graph.n_vertices))
 
     @classmethod
     def one(cls, ring, graph, weights) -> "DecoratedSeries":
+        """One: numerator 1 at the key of exponents 0, both biases."""
+        left, right, _ = ring._product_layout()
         ds = cls(ring, graph, weights)
-        exps = tuple(0 for _ in ring.specs)
-        ds.terms[(exps, ds._trivial_decor())] = Fraction(1)
+        ds.rows[ds._trivial_decor()] = {left + right: 1}
         return ds
 
-    def add_term(self, exps: tuple, decor: tuple, coeff) -> None:
-        coeff = Fraction(coeff)
-        if coeff == 0:
-            return
-        for e, spec in zip(exps, self.ring.specs):
-            if e < spec.min_exponent:
-                raise ValueError("exponent below ring floor")
-            if e >= spec.trunc_order:
-                return
-        key = (exps, decor)
-        new = self.terms.get(key, Fraction(0)) + coeff
-        if new == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
+    @property
+    def terms(self) -> dict:
+        """``{(exponents, decoration): Fraction}``, unpacked on each read."""
+        unpacked = self.ring._unpacked
+        return {(exps, decor): c for decor, row in self.rows.items()
+                for exps, c in unpacked(row, self.den, "terms").items()}
 
-    def add_factor_term(self, exps: tuple, vertex: int, factor, coeff) -> None:
-        """Add ``coeff`` times one raw factor ``factor`` at ``vertex``."""
-        single = _factor_decor(factor, self.graph.genera[vertex], self.weights)
-        if single is not None:
-            decor = self._trivial_decor()
-            self.add_term(exps, decor[:vertex] + (single[1],)
-                          + decor[vertex + 1:], coeff * single[0])
+    def add_terms(self, terms) -> None:
+        """Add ``coeff`` (an int or a ``Fraction``) at ``(exps, decor)`` for
+        each triple of ``terms``.
+
+        An exponent below the floor 0 raises ``ValueError``; one at or
+        above its truncation order drops the term.  The kept terms are
+        packed in one call of ``Ring._packed``."""
+        specs = self.ring.specs
+        kept = []
+        for exps, decor, coeff in terms:
+            if any(e < 0 for e in exps):
+                raise ValueError("exponent below ring floor")
+            if coeff and all(e < s.trunc_order for e, s in zip(exps, specs)):
+                kept.append((exps, decor, coeff))
+        left, right, _ = self.ring._product_layout()
+        den, keyed = self.ring._packed([(e, c) for e, _, c in kept],
+                                       left + right)
+        rows: dict = {}
+        for (_, decor, _), (key, c) in zip(kept, keyed):
+            row = rows.setdefault(decor, {})
+            row[key] = row.get(key, 0) + c
+        total = self + DecoratedSeries(self.ring, self.graph, self.weights,
+                                       den, rows)
+        self.den, self.rows = total.den, total.rows
+
+    def add_term(self, exps: tuple, decor: tuple, coeff) -> None:
+        self.add_terms([(exps, decor, coeff)])
 
     def __add__(self, other: "DecoratedSeries") -> "DecoratedSeries":
-        out = DecoratedSeries(self.ring, self.graph, self.weights,
-                              dict(self.terms))
-        for key, c in other.terms.items():
-            new = out.terms.get(key, Fraction(0)) + c
-            if new == 0:
-                out.terms.pop(key, None)
-            else:
-                out.terms[key] = new
-        return out
+        den = lcm(self.den, other.den)
+        rows: dict = {}
+        for ds in (self, other):
+            up = den // ds.den
+            for decor, row in ds.rows.items():
+                acc = rows.setdefault(decor, {})
+                for key, c in row.items():
+                    acc[key] = acc.get(key, 0) + c * up
+        return DecoratedSeries(self.ring, self.graph, self.weights, den,
+                               _nonzero(rows))
 
     def scale(self, factor) -> "DecoratedSeries":
         factor = Fraction(factor)
-        out = DecoratedSeries(self.ring, self.graph, self.weights)
-        if factor:
-            out.terms = {k: c * factor for k, c in self.terms.items()}
-        return out
-
-    def _unpacked(self, den: int, rows: dict) -> "DecoratedSeries":
-        """The series of packed rows whose keys carry the left and the right
-        bias, one ``Fraction`` per nonzero numerator."""
-        out = DecoratedSeries(self.ring, self.graph, self.weights)
-        terms = out.terms
-        unpacked = self.ring._unpacked
-        for decor, row in rows.items():
-            for exps, c in unpacked(row, den, "product").items():
-                terms[exps, decor] = c
-        return out
+        up = factor.numerator
+        return DecoratedSeries(
+            self.ring, self.graph, self.weights, self.den * factor.denominator,
+            {decor: {key: c * up for key, c in row.items()}
+             for decor, row in self.rows.items()} if up else {})
 
     def __mul__(self, other: "DecoratedSeries") -> "DecoratedSeries":
-        """Pack both operands, multiply with :func:`_packed_product`,
-        unpack."""
-        ring = self.ring
-        left, right, high = ring._product_layout()
-        return self._unpacked(*_packed_product(
-            self.weights, _packed(ring, self.terms, left),
-            _packed(ring, other.terms, right), high))
+        """The truncated product, each pair of decorations multiplied once.
+
+        A key of ``self`` minus both biases plus a key of ``other`` holds
+        both biases again, and a top bit set there marks an exponent that
+        reached its truncation order (``Ring._product_layout``)."""
+        left, right, high = self.ring._product_layout()
+        both = left + right
+        rows: dict = {}
+        for d1, row1 in self.rows.items():
+            for d2, row2 in other.rows.items():
+                decor = _decor_product(self.weights, d1, d2)
+                if decor is None:
+                    continue
+                acc = rows.get(decor)
+                if acc is None:
+                    acc = rows[decor] = {}
+                get = acc.get
+                for k1, c1 in row1.items():
+                    k1 -= both
+                    for k2, c2 in row2.items():
+                        k = k1 + k2
+                        if not k & high:
+                            acc[k] = get(k, 0) + c1 * c2
+        return DecoratedSeries(self.ring, self.graph, self.weights,
+                               self.den * other.den, _nonzero(rows))
 
     def exp(self) -> "DecoratedSeries":
-        """Exponential; every term must have positive total degree.
-
-        The base is packed once; each power stays packed, and the sum of
-        ``power / k!`` is kept on integer numerators until the end."""
-        if not self.terms:
-            return DecoratedSeries.one(self.ring, self.graph, self.weights)
-        for (exps, decor), _ in self.terms.items():
-            grade = sum(exps) + sum(
-                sum(kappa) + sum(a for _, a in blocks)
-                for kappa, blocks in decor
-            )
-            if grade <= 0:
-                raise ValueError("exponential of a term of degree zero")
-        ring = self.ring
-        left, right, high = ring._product_layout()
-        base = _packed(ring, self.terms, right)
-        power = _packed(ring, self.terms, left)
-        # the sum, keyed (decoration, key with the left and the right bias)
-        total = {(self._trivial_decor(), left + right): 1}
-        den = 1
-        k = 1
-        while power[1]:
-            den = _accumulate(
-                total, den,
-                {(decor, key + right): c
-                 for decor, row in power[1].items() for key, c in row.items()},
-                power[0] * factorial(k))
-            power = _rebiased(
-                _packed_product(self.weights, power, base, high), right)
+        """Exponential, the sum of ``self^k / k!``.  Every term needs a
+        positive scalar exponent (``ValueError`` otherwise, at the key of
+        exponents 0): each factor then raises the scalar degree, so the
+        powers reach the truncation orders and the sum is finite."""
+        left, right, _ = self.ring._product_layout()
+        if any(left + right in row for row in self.rows.values()):
+            raise ValueError("exponential of a term of scalar degree zero")
+        ring, graph, weights = self.ring, self.graph, self.weights
+        total = DecoratedSeries.one(ring, graph, weights)
+        power, k = self, 1
+        while power.rows:
+            total = total + DecoratedSeries(
+                ring, graph, weights, power.den * factorial(k), power.rows)
+            power = power * self
             k += 1
-        rows: dict = {}
-        for (decor, key), c in total.items():
-            rows.setdefault(decor, {})[key] = c
-        return self._unpacked(den, rows)
+        return total
 
     def extract(self, **powers: int) -> TautClass:
-        target = self.ring.exponents(**powers)
+        """The class at the exponents ``powers`` (0 for a variable not
+        named); zero outside the ring's window."""
         out = TautClass(self.graph.genus, self.weights)
-        for (exps, decor), c in self.terms.items():
-            if exps == target:
-                out.add_term(self.graph, decor, c)
+        ring = self.ring
+        exps = ring.exponents(**powers)
+        if any(not 0 <= e < s.trunc_order for e, s in zip(exps, ring.specs)):
+            return out
+        left, right, _ = ring._product_layout()
+        _, [(key, _)] = ring._packed([(exps, 1)], left + right)
+        for decor, row in self.rows.items():
+            c = row.get(key)
+            if c:
+                out.add_term(self.graph, decor, Fraction(c, self.den))
         return out
 
 
@@ -352,17 +333,30 @@ class DecoratedSeries:
 # ---------------------------------------------------------------------------
 
 
-def _bracket_terms(series: Series, ring: Ring, var: str):
-    """Yield ``(k, exps, c)`` for each term of ``series``: ``k`` is the
-    exponent of ``var`` (0 if ``series`` lacks it) and ``exps`` the list of
-    exponents in ``ring``, whose variables are matched by name."""
+def _add_bracket(series: Series, ds: DecoratedSeries, vertex: int,
+                 var: str, factor) -> None:
+    """Add each term ``c m`` of ``series`` into ``ds`` as ``c`` times the
+    raw factor ``factor(k, exps)`` at ``vertex``, in one :meth:`add_terms`
+    call.  ``k`` is the exponent of ``var`` in ``m`` (0 if ``series``
+    lacks it) and ``exps`` the list of ``m``'s exponents in ``ds.ring``,
+    whose variables are matched by name; ``factor`` may raise, change
+    ``exps``, or return ``None`` to skip the term."""
+    ring = ds.ring
     slots = [ring.index[s.name] for s in series.ring.specs]
     at = series.ring.index.get(var)
+    genus = ds.graph.genera[vertex]
+    trivial = ds._trivial_decor()
+    terms = []
     for src, c in series.terms():
         exps = [0] * ring.nvars
         for i, e in zip(slots, src):
             exps[i] = e
-        yield (0 if at is None else src[at]), exps, c
+        raw = factor(0 if at is None else src[at], exps)
+        single = raw and _factor_decor(raw, genus, ds.weights)
+        if single:
+            terms.append((tuple(exps), trivial[:vertex] + (single[1],)
+                          + trivial[vertex + 1:], c * single[0]))
+    ds.add_terms(terms)
 
 
 def bracket_kappa(series: Series, ds: DecoratedSeries, vertex: int,
@@ -371,26 +365,33 @@ def bracket_kappa(series: Series, ds: DecoratedSeries, vertex: int,
 
     Scalar variables of ``series`` other than ``var`` are carried over by
     name; ``var``'s exponent becomes the kappa index and stays in the
-    scalar grading.
+    scalar grading.  A kappa with negative index vanishes.
     """
-    for k, exps, c in _bracket_terms(series, ds.ring, var):
-        if k < 0:
-            continue  # kappa with negative index vanishes
-        ds.add_factor_term(tuple(exps), vertex, ("kappa", k), c)
+    _add_bracket(series, ds, vertex, var,
+                 lambda k, exps: ("kappa", k) if k >= 0 else None)
+
+
+def _add_diagonal(series: Series, ds: DecoratedSeries, vertex: int,
+                  name: str, block: tuple, shift: dict) -> None:
+    """Add ``{series}_{D_block}`` at ``vertex`` into ``ds``, each term
+    first multiplied by ``prod_i p_i^shift[i]``."""
+    size = len(block)
+
+    def factor(k, exps):
+        if k < size - 1:
+            raise ValueError(
+                f"{name} bracket needs t-order >= {size - 1}, got t^{k}")
+        for i, e in shift.items():
+            exps[ds.ring.index[f"p{i}"]] += e
+        return "Dsa", block, k
+
+    _add_bracket(series, ds, vertex, "t", factor)
 
 
 def bracket_D(series: Series, ds: DecoratedSeries, vertex: int,
               block: tuple) -> None:
     """Add ``{series}_{D_block}`` at ``vertex`` into ``ds``."""
-    size = len(block)
-    for k, exps, c in _bracket_terms(series, ds.ring, "t"):
-        if k < size - 1:
-            if c:
-                raise ValueError(
-                    f"D bracket needs t-order >= {size - 1}, got t^{k}"
-                )
-            continue
-        ds.add_factor_term(tuple(exps), vertex, ("Dsa", tuple(block), k), c)
+    _add_diagonal(series, ds, vertex, "D", tuple(block), {})
 
 
 def bracket_Delta(series: Series, ds: DecoratedSeries, vertex: int,
@@ -406,22 +407,9 @@ def bracket_Delta(series: Series, ds: DecoratedSeries, vertex: int,
     alpha = {i: e for i, e in p_exponents.items() if e}
     if not alpha:
         bracket_kappa(series * -coeff, ds, vertex)
-        return
-    support = tuple(sorted(alpha))
-    size = len(support)
-    for k, exps, c in _bracket_terms(series, ds.ring, "t"):
-        if k < size - 1:
-            raise ValueError(
-                f"Delta bracket needs t-order >= {size - 1}, got t^{k}"
-            )
-        for i, e in alpha.items():
-            exps[ds.ring.index[f"p{i}"]] += e
-        if any(
-            e >= s.trunc_order for e, s in zip(exps, ds.ring.specs)
-        ):
-            continue
-        ds.add_factor_term(tuple(exps), vertex, ("Dsa", support, k),
-                           coeff * c)
+    else:
+        _add_diagonal(series * coeff, ds, vertex, "Delta",
+                      tuple(sorted(alpha)), alpha)
 
 
 def _kappa_exp(series: Series, ring: Ring, graph: StableGraph,
@@ -511,8 +499,8 @@ def open_sq_relation(g: int, weights: WeightData, r: int, d: int,
     {exp(pd_sign * p D) gamma(zeta t, x)}_Delta)`` and extracts
     ``[t^r x^d p^a]``: the smooth-graph term of the boundary construction,
     on the weights as given.  The default signs follow the proposition
-    display; the global sign ambiguity is reported by the smooth-graph
-    comparison in the boundary construction.
+    display, not the defaults of :func:`boundary_sq_relation`; with the
+    same signs, this is that relation's part without edges.
     """
     _check_sq_input(g, weights, r, d, a)
     if enforce:
@@ -529,26 +517,18 @@ def _partition_sum(ring: Ring, graph: StableGraph, weights: WeightData,
                    vertex: int, S: tuple, order: int,
                    zeta: int) -> DecoratedSeries:
     """``sum_P prod_(b in P) {C_|b|(zeta t)}_(D_b)`` at ``vertex``, over
-    the set partitions ``P`` of a nonempty ``S``.  In a partition of
-    several blocks, a block whose bracket is a scalar (at t-order 0, a
-    singleton's is -1) scales the product instead of entering it."""
+    the set partitions ``P`` of a nonempty ``S``.  A block whose bracket is
+    a scalar (at t-order 0, a singleton's is -1) scales the product
+    instead of entering it (:func:`_product`)."""
     part_sum = DecoratedSeries(ring, graph, weights)
-    unit = (tuple(0 for _ in ring.specs), part_sum._trivial_decor())
     for partition in set_partitions(S):
-        scalar, blocks = 1, []
+        blocks = []
         for block in partition:
             bds = DecoratedSeries(ring, graph, weights)
             bracket_D(series_C(len(block), order).substitute({"t": zeta}),
                       bds, vertex, tuple(sorted(block)))
-            if len(partition) > 1 and bds.terms.keys() == {unit}:
-                scalar *= bds.terms[unit]
-            else:
-                blocks.append(bds)
-        if not blocks:
-            part_sum.add_term(*unit, scalar)
-            continue
-        prod = reduce(mul, blocks)
-        part_sum = part_sum + (prod if scalar == 1 else prod.scale(scalar))
+            blocks.append(bds)
+        part_sum = part_sum + reduce(_product, blocks)
     return part_sum
 
 
@@ -567,9 +547,8 @@ def _fz_vertex_factor(ring: Ring, graph: StableGraph, weights: WeightData,
     ds = _kappa_exp(log_hyper_A(order).substitute({"t": zeta}), ring, graph,
                     weights, vertex)
     if s_v:
-        parts = _partition_sum(ring, graph, weights, vertex, s_v, order, zeta)
-        # at t-order 0 the kappa exponential is one
-        ds = ds * parts if order else parts
+        ds = _product(ds, _partition_sum(ring, graph, weights, vertex, s_v,
+                                         order, zeta))
     return ds.scale(zeta ** (graph.genera[vertex] + 1 + len(s_v)))
 
 
@@ -602,6 +581,7 @@ def _edge_to_ds(series: Series, ds: DecoratedSeries, edge: int) -> None:
     powers of p1 and p2 become psi powers at the edge's sides 0 and 1."""
     names = [s.name for s in series.ring.specs]
     sides = {"p1": 0, "p2": 1}
+    terms = []
     for src, c in series.terms():
         exps = [0] * ds.ring.nvars
         powers = {}
@@ -610,8 +590,8 @@ def _edge_to_ds(series: Series, ds: DecoratedSeries, edge: int) -> None:
                 powers[edge, sides[name]] = e
             else:
                 exps[ds.ring.index[name]] = e
-        if all(e < s.trunc_order for e, s in zip(exps, ds.ring.specs)):
-            ds.add_term(tuple(exps), _hpsi_decor(ds.graph, powers), c)
+        terms.append((tuple(exps), _hpsi_decor(ds.graph, powers), c))
+    ds.add_terms(terms)
 
 
 def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
@@ -626,15 +606,15 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
     at vertex ``v``, and ``edge_series(z1, z2, order)`` the kernel of an
     edge whose ends have colours ``z1`` and ``z2``, in (t[, x], p1, p2).
 
-    Each factor is built and packed (:func:`_packed`, right bias) once per
-    graph: a vertex factor per ``(v, zeta)`` and an edge kernel per ``(e,
-    z1, z2)``.  The factors are taken level by level: level ``v`` holds
-    vertex ``v``'s factor and the edges whose later endpoint is ``v``, so
-    it depends only on the colours of vertices ``0..v``.  A stack keeps the
-    packed prefix products; walking the colourings in the order of
+    Each factor is built once per graph: a vertex factor per ``(v, zeta)``
+    and an edge kernel per ``(e, z1, z2)``.  The factors are taken level by
+    level: level ``v`` holds vertex ``v``'s factor and the edges whose
+    later endpoint is ``v``, so it depends only on the colours of vertices
+    ``0..v``.  A stack keeps the prefix products, each a
+    :class:`DecoratedSeries`; walking the colourings in the order of
     ``enumerate_colorings``, a colouring recomputes the stack only from the
     level of the first vertex whose colour changed.  The last factor is
-    multiplied into the target degree only (:func:`_target_product`).  Every
+    multiplied into the top corner only (:func:`_target_product`).  Every
     ring here has floor 0, as :class:`DecoratedSeries` enforces, so
     truncated products are associative and commutative, and a vanishing
     decoration product stays vanishing; the order of the factors does not
@@ -643,12 +623,18 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
     ``Fraction`` and is relabelled to its canonical form once.
     """
     total = TautClass(g, weights)
+    rings: dict = {}  # order: (ring, key of its top corner)
     for graph in graphs:
         order = r - graph.n_edges
-        ring = ring_of(order)
-        left, right, high = ring._product_layout()
-        top = tuple(spec.trunc_order - 1 for spec in ring.specs)
-        _, [(target, _)] = ring._packed([(top, 1)], left + right)
+        if order not in rings:
+            # the corner's key, packed as add_terms packs every key
+            ring = ring_of(order)
+            corner = DecoratedSeries(ring, graph, weights)
+            corner.add_term(tuple(s.trunc_order - 1 for s in ring.specs),
+                            corner._trivial_decor(), 1)
+            [[target]] = corner.rows.values()
+            rings[order] = ring, target
+        ring, target = rings[order]
         slots = []  # (vertex, edge or None) in level order
         starts = []  # starts[v]: the first slot of level v
         for v in range(graph.n_vertices):
@@ -656,7 +642,7 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
             slots.append((v, None))
             slots.extend((v, e) for e, ends in enumerate(graph.edges)
                          if max(ends) == v)
-        packed: dict = {}
+        factors: dict = {}
 
         def factor(slot, coloring):
             v, e = slot
@@ -665,17 +651,16 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
             else:
                 va, vb = graph.edges[e]
                 key = (v, e, coloring[va], coloring[vb])
-            if key not in packed:
+            if key not in factors:
                 if e is None:
                     ds = vertex_factor(ring, graph, v, key[1])
                 else:
                     ds = DecoratedSeries(ring, graph, weights)
                     _edge_to_ds(edge_series(key[2], key[3], order), ds, e)
-                packed[key] = _packed(ring, ds.terms, right)
-            return packed[key]
+                factors[key] = ds
+            return factors[key]
 
-        one = DecoratedSeries.one(ring, graph, weights)
-        stack = [_packed(ring, one.terms, left)]
+        stack = [DecoratedSeries.one(ring, graph, weights)]
         last = len(slots) - 1
         sums: dict = {}
         den = 1
@@ -687,10 +672,9 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
             previous = coloring
             del stack[starts[changed] + 1:]
             for slot in slots[starts[changed]:last]:
-                stack.append(_rebiased(_packed_product(
-                    weights, stack[-1], factor(slot, coloring), high), right))
+                stack.append(_product(stack[-1], factor(slot, coloring)))
             part_den, part = _target_product(
-                weights, stack[-1], factor(slots[last], coloring), target)
+                stack[-1], factor(slots[last], coloring), target)
             den = _accumulate(sums, den, part, part_den)
         den *= graph.automorphism_order()
         for decor, c in sums.items():
@@ -704,8 +688,8 @@ def _ensure_generic(weights: WeightData) -> WeightData:
     return weights.perturbed()
 
 
-def fz_relation(g: int, weights: WeightData, r: int, S: tuple = (),
-                max_edges: int | None = None) -> TautClass:
+def fz_relation(g: int, weights: WeightData, r: int,
+                S: tuple = ()) -> TautClass:
     """FZ-type relation on the weighted space: graph-and-coloring sum.
 
     Vertex factor :func:`_fz_vertex_factor`, per-edge factor the edge
@@ -718,9 +702,8 @@ def fz_relation(g: int, weights: WeightData, r: int, S: tuple = (),
     _check_fz_range(g, r, S)
     check_stable(g, weights)
     weights = _ensure_generic(weights)
-    cap = r if max_edges is None else min(max_edges, r)
     return _graph_sum(
-        g, weights, enumerate_graphs(g, weights, cap), r,
+        g, weights, enumerate_graphs(g, weights, r), r,
         lambda order: Ring([VarSpec("t", 0, order + 1)]),
         lambda ring, graph, v, zeta: _fz_vertex_factor(
             ring, graph, weights, v, zeta, S),
@@ -745,8 +728,8 @@ def _sq_graph_sum(g: int, weights: WeightData, graphs, r: int, d: int,
 
 
 def boundary_sq_relation(g: int, weights: WeightData, r: int, d: int,
-                         a: tuple = (), half_sign: int = 1, pd_sign: int = 1,
-                         max_edges: int | None = None) -> TautClass:
+                         a: tuple = (), half_sign: int = 1,
+                         pd_sign: int = 1) -> TautClass:
     """Stable-quotient relation as a sum over stable graphs and colorings.
 
     Vertex factor ``zeta^(g(v)+1) exp(half_sign zeta p_(v)/2 +
@@ -762,8 +745,6 @@ def boundary_sq_relation(g: int, weights: WeightData, r: int, d: int,
     check_stable(g, weights)
     weights = _ensure_generic(weights)
     cap = min(r, r - (g - 2 * d - 1 + a_total) - 1)
-    if max_edges is not None:
-        cap = min(cap, max_edges)
     return _sq_graph_sum(g, weights, enumerate_graphs(g, weights, cap), r, d,
                          a, half_sign, pd_sign)
 
@@ -817,9 +798,7 @@ def verify_chain(g: int, r: int) -> list:
     change ``u = t/sqrt(1+4x), y = -x/(1+4x)`` turns the relation series
     into ``(1+4y)^e exp(-{c}_kappa)`` with ``e = (r+2d-1-g)/2``; (ii) the
     transformed exponent is triangular (y-degree <= u-degree); (iii) the
-    extremal (diagonal) part is the FZ-form relation; (iv) the sign
-    pairings for which the boundary stable-quotient form without edges is
-    the open form.
+    extremal (diagonal) part is the FZ-form relation.
     """
     if g < 0:
         raise PreconditionError("genus >= 0", f"genus={g}")
@@ -879,29 +858,6 @@ def verify_chain(g: int, r: int) -> list:
         "extremal part equals the FZ form",
         rhs.extract(u=r, y=r) == fz,
         f"{len(fz.terms)} generators",
-    ))
-
-    # informational: the two printed sign conventions for the vertex
-    # factor; report which pairings make the 0-edge boundary form match
-    # the open form on a marked nonzero case
-    probe_w = WeightData((Fraction(1, 10),))
-    probe = dict(g=2, r=2, d=1, a=(1,))
-    o = open_sq_relation(
-        probe["g"], probe_w, probe["r"], probe["d"], probe["a"],
-    )
-    closing = []
-    for hs in (1, -1):
-        for ps in (1, -1):
-            b = boundary_sq_relation(
-                probe["g"], probe_w, probe["r"], probe["d"], probe["a"],
-                half_sign=hs, pd_sign=ps, max_edges=0,
-            )
-            if b == o:
-                closing.append(f"({hs:+d},{ps:+d})")
-    report.append((
-        "sign pairings closing the smooth-graph comparison",
-        bool(closing),
-        " ".join(closing),
     ))
     return report
 

@@ -239,7 +239,7 @@ def test_08_boundary_consistency():
                     continue
                 n = len(S)
                 w = WeightData(tuple(Fraction(1, 8) for _ in range(n)))
-                zero_edge = fz_relation(g, w, r, S, max_edges=0)
+                zero_edge = fz_relation(g, w, r, S).max_edges_part(0)
                 open_form = open_fz_relation(g, n, r, S, weights=w)
                 assert zero_edge == open_form.scale(2), (g, r, S)
 

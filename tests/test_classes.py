@@ -753,12 +753,38 @@ class TestMultiplication:
         assert key[3] == (((), (((("m", 1), ("m", 2)), 3),)),)
 
     def test_diagonal_needs_single_vertex(self):
+        # markings on different components never collide: the product is
+        # zero, not an error
         w = eps_weights(2)
         c = TautClass(2, w)
         graph = StableGraph((1, 1), (0, 1), ((0, 1),))
         oracle_add_words(c, graph, [[], []], 1)
-        with pytest.raises(ValueError):
-            multiply_generator(c, ("Dsa", (1, 2), 1))
+        assert multiply_generator(c, ("Dsa", (1, 2), 1)).is_zero
+
+    def test_diagonal_on_one_edge_strata(self):
+        # D_{34,1} on the one-edge strata of M_{0,(1,1,1/8,1/8,1/8)}: zero
+        # where markings 3 and 4 lie on different vertices, the stratum
+        # with the block added where they share one
+        w = WeightData((Fraction(1), Fraction(1)) + (Fraction(1, 8),) * 3)
+        strata = [graph for graph in enumerate_graphs(0, w, 1)
+                  if graph.n_edges == 1]
+        assert len(strata) == 6
+        split = 0
+        for graph in strata:
+            c = TautClass(0, w)
+            oracle_add_words(c, graph, [[], []], 1)
+            got = multiply_generator(c, ("Dsa", (3, 4), 1))
+            if graph.legs[2] != graph.legs[3]:
+                split += 1
+                assert got.is_zero, graph
+            else:
+                words = [[], []]
+                words[graph.legs[2]].append(("Dsa", (3, 4), 1))
+                expected = TautClass(0, w)
+                oracle_add_words(expected, graph, words, 1)
+                assert not expected.is_zero
+                assert got == expected, graph
+        assert split == 4
 
 
 # ---------------------------------------------------------------------------
@@ -844,9 +870,7 @@ def oracle_multiply_generator(c, gen):
             _, s, a = gen
             homes = {graph.legs[i - 1] for i in s}
             if len(homes) != 1:
-                raise ValueError(
-                    "diagonal generator with markings on several vertices"
-                )
+                continue  # points on different components never collide
             v = homes.pop()
             words = [list(w) for w in base_words]
             words[v].append(("Dsa", tuple(s), a))

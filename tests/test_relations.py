@@ -181,6 +181,121 @@ def test_decorated_series_rejects_a_negative_floor():
         DecoratedSeries(ring, smooth(2, 0), W0)
 
 
+def oracle_exp(f):
+    """``sum_k f^k / k!`` as a ``{(exps, decor): Fraction}`` dict, each
+    power by ``oracle_mul``."""
+    total = dict(DecoratedSeries.one(f.ring, f.graph, f.weights).terms)
+    power, k = f, 1
+    while power.terms:
+        for key, c in power.terms.items():
+            total[key] = total.get(key, 0) + c / factorial(k)
+        power = oracle_mul(power, f)
+        k += 1
+    return {key: c for key, c in total.items() if c}
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_operands())
+def test_exp_matches_power_sum(operands):
+    a, _ = operands
+    f = DecoratedSeries(a.ring, a.graph, a.weights)
+    f.add_terms((exps, decor, c) for (exps, decor), c in a.terms.items()
+                if any(exps))
+    assert f.exp().terms == oracle_exp(f)
+    if f.terms != a.terms:
+        # a term at t^0 x^0, of degree 0 or not, would never die out
+        with pytest.raises(ValueError, match="scalar degree zero"):
+            a.exp()
+
+
+def test_exp_rejects_scalar_degree_zero():
+    ring = Ring([VarSpec("t", 0, 3)])
+    graph = smooth(2, 0)
+    for decor in ((((), ()),), (((1,), ()),)):  # 1 and kappa_1 at t^0
+        ds = DecoratedSeries(ring, graph, W0)
+        ds.add_term((1,), (((), ()),), 1)
+        ds.add_term((0,), decor, 1)
+        with pytest.raises(ValueError, match="scalar degree zero"):
+            ds.exp()
+
+
+def oracle_add_terms(ds, triples):
+    """``ds.terms`` after adding ``triples`` on Fraction dicts, or the
+    ValueError of an exponent below the floor."""
+    if any(e < 0 for exps, _, _ in triples for e in exps):
+        return ValueError
+    out = dict(ds.terms)
+    for exps, decor, c in triples:
+        if all(e < s.trunc_order for e, s in zip(exps, ds.ring.specs)):
+            out[exps, decor] = out.get((exps, decor), 0) + Fraction(c)
+    return {key: c for key, c in out.items() if c}
+
+
+@st.composite
+def added_terms(draw):
+    """A series and triples to add into it: repeated keys, triples that
+    cancel, exponents at their truncation order and below the floor."""
+    a, b = draw(product_operands())
+    pool = list({**a.terms, **b.terms}) or [
+        (tuple(0 for _ in a.ring.specs), a._trivial_decor())]
+    low = draw(st.sampled_from([0, 0, 0, -1]))
+    triples = []
+    for _ in range(draw(st.integers(0, 8))):
+        exps, decor = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            exps = tuple(draw(st.integers(low, s.trunc_order))
+                         for s in a.ring.specs)
+        c = draw(st.builds(Fraction, st.integers(-4, 4),
+                           st.sampled_from([1, 2, 3, 6])))
+        triples.append((exps, decor, c))
+        if draw(st.booleans()):
+            triples.append((exps, decor, -c))
+    return a, triples
+
+
+@settings(max_examples=300, deadline=None)
+@given(added_terms())
+def test_add_terms_matches_fraction_oracle(case):
+    ds, triples = case
+    expected = oracle_add_terms(ds, triples)
+    if expected is ValueError:
+        with pytest.raises(ValueError, match="below ring floor"):
+            ds.add_terms(triples)
+        return
+    ds.add_terms(triples)
+    assert ds.terms == expected
+    assert all(row and all(row.values()) for row in ds.rows.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_operands())
+def test_terms_round_trip(operands):
+    for ds in operands:
+        again = DecoratedSeries(ds.ring, ds.graph, ds.weights)
+        again.add_terms((exps, decor, c)
+                        for (exps, decor), c in ds.terms.items())
+        assert again.terms == ds.terms
+        assert ds.rows.keys() == again.rows.keys()
+        for decor, row in ds.rows.items():
+            assert row.keys() == again.rows[decor].keys()
+
+
+def test_extract_outside_the_window_is_zero():
+    # t < 5, x < 3: the packed t field overflows at t = 16 and would read
+    # as t^0 x^1 if the target were packed before the window check
+    ring = Ring([VarSpec("t", 0, 5), VarSpec("x", 0, 3)])
+    ds = DecoratedSeries(ring, smooth(2, 0), W0)
+    for t in range(5):
+        for x in range(3):
+            ds.add_term((t, x), (((1,), ()),), 1 + t + 5 * x)
+    for t in range(5):
+        for x in range(3):
+            assert ds.extract(t=t, x=x) == kappa_class(2, W0, 1).scale(
+                1 + t + 5 * x)
+    for t, x in [(5, 0), (16, 0), (0, 3), (4, 3), (-1, 1), (1, -1)]:
+        assert ds.extract(t=t, x=x).is_zero, (t, x)
+
+
 def test_graph_sum_builds_each_factor_once(monkeypatch):
     """On fz g=3 r=2 each vertex factor is built once per (graph, v, zeta)
     and each edge kernel once per (graph, e, zeta_a, zeta_b)."""
@@ -301,10 +416,15 @@ def test_graph_sum_matches_per_colouring_oracle(case):
     """The prefix-product graph sum equals the sum that multiplies every
     colouring's factors from scratch: fz with and without S on unit, 1/8
     and non-generic weights, and boundary-sq, whose ring has t, x and p."""
-    build, args = case
-    with mock.patch.object(relations, "_graph_sum", oracle_graph_sum):
-        expected = build(*args)
-    assert build(*args).terms == expected.terms
+    build, (*args, max_edges) = case
+
+    def capped(g, weights, cap):
+        return enumerate_graphs(g, weights, min(cap, max_edges))
+
+    with mock.patch.object(relations, "enumerate_graphs", capped):
+        with mock.patch.object(relations, "_graph_sum", oracle_graph_sum):
+            expected = build(*args)
+        assert build(*args).terms == expected.terms
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +519,7 @@ class TestFZ:
         for g, n, r, S in [(3, 0, 2, ()), (4, 0, 3, ()), (2, 2, 2, (2,)),
                            (3, 2, 2, (1, 2))]:
             w = WeightData(tuple(Fraction(1, 8) for _ in range(n)))
-            part = fz_relation(g, w, r, S, max_edges=0)
+            part = fz_relation(g, w, r, S).max_edges_part(0)
             open_part = open_fz_relation(g, n, r, S, weights=w)
             assert part == open_part.scale(2), (g, n, r, S)
 
@@ -490,8 +610,8 @@ class TestBoundarySQ:
         for hs in (1, -1):
             for ps in (1, -1):
                 b = boundary_sq_relation(
-                    3, W0, 2, 1, (), half_sign=hs, pd_sign=ps, max_edges=0
-                )
+                    3, W0, 2, 1, (), half_sign=hs, pd_sign=ps
+                ).max_edges_part(0)
                 o = open_sq_relation(3, W0, 2, 1, (), half_sign=hs, pd_sign=ps)
                 assert not b.is_zero
                 assert b == o, (hs, ps)
