@@ -138,7 +138,9 @@ def _product(a: "DecoratedSeries", b: "DecoratedSeries") -> "DecoratedSeries":
         if len(y.rows) == 1:
             row = y.rows.get(y._trivial_decor())
             if row and row.keys() == {left + right}:
-                return x.scale(Fraction(row[left + right], y.den))
+                out = x.scale(row[left + right])
+                out.den *= y.den
+                return out
     return a * b
 
 
@@ -201,7 +203,7 @@ class DecoratedSeries:
         self.rows = rows if rows is not None else {}
 
     def _trivial_decor(self) -> tuple:
-        return tuple(((), ()) for _ in range(self.graph.n_vertices))
+        return (((), ()),) * self.graph.n_vertices
 
     @classmethod
     def one(cls, ring, graph, weights) -> "DecoratedSeries":
@@ -259,7 +261,7 @@ class DecoratedSeries:
                                _nonzero(rows))
 
     def scale(self, factor) -> "DecoratedSeries":
-        factor = Fraction(factor)
+        """``factor`` (an int or a ``Fraction``) times the series."""
         up = factor.numerator
         return DecoratedSeries(
             self.ring, self.graph, self.weights, self.den * factor.denominator,
@@ -301,12 +303,10 @@ class DecoratedSeries:
         left, right, _ = self.ring._product_layout()
         if any(left + right in row for row in self.rows.values()):
             raise ValueError("exponential of a term of scalar degree zero")
-        ring, graph, weights = self.ring, self.graph, self.weights
-        total = DecoratedSeries.one(ring, graph, weights)
+        total = DecoratedSeries.one(self.ring, self.graph, self.weights)
         power, k = self, 1
         while power.rows:
-            total = total + DecoratedSeries(
-                ring, graph, weights, power.den * factorial(k), power.rows)
+            total = total + power.scale(Fraction(1, factorial(k)))
             power = power * self
             k += 1
         return total
@@ -610,17 +610,17 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
     and an edge kernel per ``(e, z1, z2)``.  The factors are taken level by
     level: level ``v`` holds vertex ``v``'s factor and the edges whose
     later endpoint is ``v``, so it depends only on the colours of vertices
-    ``0..v``.  A stack keeps the prefix products, each a
-    :class:`DecoratedSeries`; walking the colourings in the order of
-    ``enumerate_colorings``, a colouring recomputes the stack only from the
-    level of the first vertex whose colour changed.  The last factor is
-    multiplied into the top corner only (:func:`_target_product`).  Every
-    ring here has floor 0, as :class:`DecoratedSeries` enforces, so
-    truncated products are associative and commutative, and a vanishing
-    decoration product stays vanishing; the order of the factors does not
-    change the result.  The target coefficients of all colourings are
-    summed on integer numerators, so each distinct decoration gets one
-    ``Fraction`` and is relabelled to its canonical form once.
+    ``0..v``.  A stack keeps the prefix products (:func:`_product`);
+    walking the colourings in the order of ``enumerate_colorings``, a
+    colouring recomputes the stack only from the level of the first vertex
+    whose colour changed.  The last factor is multiplied into the top
+    corner only (:func:`_target_product`).  Every ring here has floor 0,
+    as :class:`DecoratedSeries` enforces, so truncated products are
+    associative and commutative, and a vanishing decoration product stays
+    vanishing; the order of the factors does not change the result.  The
+    target coefficients of all colourings are summed on integer numerators,
+    so each distinct decoration gets one ``Fraction`` and is relabelled to
+    its canonical form once.
     """
     total = TautClass(g, weights)
     rings: dict = {}  # order: (ring, key of its top corner)
