@@ -468,19 +468,6 @@ def edge_series_xy(z1: int, z2: int, t_order: int, x_order: int, kind: int) -> S
                           (VarSpec("x", 0, x_order + 1),), build)
 
 
-@lru_cache(maxsize=None)
-def edge_series_uy(z1: int, z2: int, u_order: int, y_order: int) -> Series:
-    """The (u, y)-chart edge series (kind 5), from the triangular c-table
-    and delta_1."""
-
-    def build(work: int) -> tuple:
-        exp_data = uy_expansion(1, work, y_order)
-        return exp_data["c_series"], _exp_of_minus_sum, exp_data["delta"][1]
-
-    return _edge_quotient(z1, z2, "u", u_order,
-                          (VarSpec("y", 0, y_order + 1),), build)
-
-
 # ---------------------------------------------------------------------------
 # Identity suite
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ One rule merges blocks: :func:`_vertex_product` multiplies two stored
 vertex decorations, with coefficient 1 and no product kept between calls.
 :func:`_factor_decor` maps one raw factor to a stored decoration and a
 scalar.  The brackets, ``multiply_generator``, ``chern_neg_Bd`` and
-``pushforward_forget_weight1`` place single factors, edge kernels and
-divisor products write half-edge psi powers (:func:`_hpsi_decor`), and
+``pushforward_forget_weight1`` place single factors, edge kernels write
+half-edge psi powers (:func:`_hpsi_decor`), and
 ``pushforward_forget_small`` rewrites the block that holds the forgotten
 point in place.  :func:`normal_form`, the public word API, is the only code
 that reads a raw word; class files are checked against the stored rules
@@ -43,7 +43,6 @@ from math import lcm
 
 from .graphs import (PreconditionError, StableGraph, WeightData, json_int,
                      json_int_text, smooth_graph)
-from .series import Ring, Series, VarSpec, embed
 
 __all__ = [
     "TautClass",
@@ -55,8 +54,6 @@ __all__ = [
     "pushforward_forget_weight1",
     "weight_reduce",
     "chern_neg_Bd",
-    "divisor_product",
-    "divisor_exp_check",
     "to_vector",
     "matrix_rank",
 ]
@@ -379,18 +376,6 @@ class TautClass:
     def codims(self) -> set:
         return {_decor_codim(edges, decor) for _, _, edges, decor in self.terms}
 
-    def restrict_codim(self, max_codim: int) -> "TautClass":
-        out = {}
-        for key, c in self.terms.items():
-            _, _, edges, decor = key
-            if _decor_codim(edges, decor) <= max_codim:
-                out[key] = c
-        return TautClass(self.genus, self.weights, out)
-
-    def max_edges_part(self, max_edges: int) -> "TautClass":
-        out = {k: c for k, c in self.terms.items() if len(k[2]) <= max_edges}
-        return TautClass(self.genus, self.weights, out)
-
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -619,6 +604,45 @@ def pushforward_forget_small(c: TautClass, count: int = 1) -> TautClass:
     return current
 
 
+def _contract_edge(graph: StableGraph, e: int):
+    """Contract edge ``e``; return (graph, vertex map, half-edge map)."""
+    a, b = graph.edges[e]
+    nv = graph.n_vertices
+    if a == b:
+        vmap = list(range(nv))
+        genera = list(graph.genera)
+        genera[a] += 1
+    else:
+        vmap = []
+        genera = []
+        for v in range(nv):
+            if v == b:
+                vmap.append(None)
+            else:
+                vmap.append(len(genera))
+                genera.append(graph.genera[v])
+        genera[vmap[a]] += graph.genera[b]
+        vmap[b] = vmap[a]
+    legs = tuple(vmap[v] for v in graph.legs)
+    raw = []
+    for idx, (va, vb) in enumerate(graph.edges):
+        if idx == e:
+            continue
+        na, nb = vmap[va], vmap[vb]
+        if na <= nb:
+            raw.append(((na, nb), idx, (0, 1)))
+        else:
+            raw.append(((nb, na), idx, (1, 0)))
+    raw.sort(key=lambda r: (r[0], r[1]))
+    hemap = {}
+    edges = []
+    for new_idx, (pair, idx, sides) in enumerate(raw):
+        edges.append(pair)
+        hemap[(idx, 0)] = (new_idx, sides[0])
+        hemap[(idx, 1)] = (new_idx, sides[1])
+    return StableGraph(tuple(genera), legs, tuple(edges)), vmap, hemap
+
+
 def _forget_contract(out: TautClass, genera: tuple, legs: tuple,
                      edges: tuple, decor: tuple, v: int, marking: int,
                      coeff: Fraction) -> bool:
@@ -793,234 +817,6 @@ def chern_neg_Bd(
             if not total[j - 1].is_zero:
                 total[j] = total[j] + multiply_smooth(base, total[j - 1])
     return dict(enumerate(total))
-
-
-# ---------------------------------------------------------------------------
-# Boundary divisor products (one-edge graphs, excess intersection)
-# ---------------------------------------------------------------------------
-
-
-def _contract_edge(graph: StableGraph, e: int):
-    """Contract edge ``e``; return (graph, vertex map, half-edge map)."""
-    a, b = graph.edges[e]
-    nv = graph.n_vertices
-    if a == b:
-        vmap = list(range(nv))
-        genera = list(graph.genera)
-        genera[a] += 1
-    else:
-        vmap = []
-        genera = []
-        for v in range(nv):
-            if v == b:
-                vmap.append(None)
-            else:
-                vmap.append(len(genera))
-                genera.append(graph.genera[v])
-        genera[vmap[a]] += graph.genera[b]
-        vmap[b] = vmap[a]
-    legs = tuple(vmap[v] for v in graph.legs)
-    raw = []
-    for idx, (va, vb) in enumerate(graph.edges):
-        if idx == e:
-            continue
-        na, nb = vmap[va], vmap[vb]
-        if na <= nb:
-            raw.append(((na, nb), idx, (0, 1)))
-        else:
-            raw.append(((nb, na), idx, (1, 0)))
-    raw.sort(key=lambda r: (r[0], r[1]))
-    hemap = {}
-    edges = []
-    for new_idx, (pair, idx, sides) in enumerate(raw):
-        edges.append(pair)
-        hemap[(idx, 0)] = (new_idx, sides[0])
-        hemap[(idx, 1)] = (new_idx, sides[1])
-    return StableGraph(tuple(genera), legs, tuple(edges)), vmap, hemap
-
-
-def graph_isos(g1: StableGraph, g2: StableGraph) -> list:
-    """All isomorphisms g1 -> g2 as (vertex map, half-edge map) pairs."""
-    return [
-        (perm, hemap)
-        for perm in g1.vertex_maps(g2.genera)
-        if tuple(perm[v] for v in g1.legs) == g2.legs
-        for edges, hemap in g1.half_edge_maps(perm)
-        if edges == g2.edges
-    ]
-
-
-def _edge_decor(term_key: tuple) -> dict:
-    """psi powers at the two half-edges of a one-edge term."""
-    genera, legs, edges, decor = term_key
-    powers = {}
-    for v, (kappa, blocks) in enumerate(decor):
-        if kappa:
-            raise ValueError("divisor-shaped input cannot carry kappa classes")
-        for pts, a in blocks:
-            if len(pts) != 1 or pts[0][0] != "h":
-                raise ValueError(
-                    "divisor-shaped input may only carry half-edge psi powers"
-                )
-            powers[(pts[0][1], pts[0][2])] = a
-    return powers
-
-
-def divisor_product(ca: TautClass, cb: TautClass, graph_pool=None) -> TautClass:
-    """Product of two boundary-divisor classes decorated by half-edge psi's.
-
-    Implements the excess-intersection rule: for each two-edge graph and
-    each ordered pair of its edges whose one-edge contractions match the
-    factors, a transversal term weighted by ``1/|Aut|`` summed over all
-    matching isomorphisms; and for coinciding one-edge supports an excess
-    term with the extra factor ``-(psi_1 + psi_2)``, likewise summed over
-    isomorphisms with weight ``1/|Aut|``.
-    """
-    ca._check_compatible(cb)
-    from .graphs import enumerate_graphs
-
-    if graph_pool is None:
-        graph_pool = enumerate_graphs(ca.genus, ca.weights, 2)
-    two_edge = [g for g in graph_pool if g.n_edges == 2]
-    contractions = []
-    for graph in two_edge:
-        aut = graph.automorphism_order()
-        for e_keep, e_con in ((0, 1), (1, 0)):
-            contracted, vmap, hemap = _contract_edge(graph, e_con)
-            contractions.append((graph, aut, e_keep, contracted, hemap))
-    out = TautClass(ca.genus, ca.weights)
-    for key_a, coeff_a in ca.terms.items():
-        graph_a = StableGraph(key_a[0], key_a[1], key_a[2])
-        if graph_a.n_edges != 1:
-            raise ValueError("divisor_product needs one-edge inputs")
-        pow_a = _edge_decor(key_a)
-        for key_b, coeff_b in cb.terms.items():
-            graph_b = StableGraph(key_b[0], key_b[1], key_b[2])
-            if graph_b.n_edges != 1:
-                raise ValueError("divisor_product needs one-edge inputs")
-            pow_b = _edge_decor(key_b)
-            coeff = coeff_a * coeff_b
-            # transversal structures
-            for graph, aut, e_keep, con_a, hemap_a in contractions:
-                isos_a = graph_isos(graph_a, con_a)
-                if not isos_a:
-                    continue
-                e_other = 1 - e_keep
-                con_b, _, hemap_b = _contract_edge(graph, e_keep)
-                isos_b = graph_isos(graph_b, con_b)
-                if not isos_b:
-                    continue
-                inv_a = {v: k for k, v in hemap_a.items()}
-                inv_b = {v: k for k, v in hemap_b.items()}
-                for _, hm_a in isos_a:
-                    for _, hm_b in isos_b:
-                        word = {}
-                        for (e, s), a_pow in pow_a.items():
-                            he = inv_a[hm_a[(e, s)]]
-                            word[he] = word.get(he, 0) + a_pow
-                        for (e, s), b_pow in pow_b.items():
-                            he = inv_b[hm_b[(e, s)]]
-                            word[he] = word.get(he, 0) + b_pow
-                        out.add_term(
-                            graph, _hpsi_decor(graph, word), coeff / aut
-                        )
-            # excess structures
-            isos = graph_isos(graph_a, graph_b)
-            if isos:
-                aut_b = graph_b.automorphism_order()
-                isos_bb = graph_isos(graph_b, graph_b)
-                for _, hm_ab in isos:
-                    for _, hm_bb in isos_bb:
-                        powers = {}
-                        for (e, s), a_pow in pow_a.items():
-                            t = hm_ab[(e, s)]
-                            powers[t] = powers.get(t, 0) + a_pow
-                        for (e, s), b_pow in pow_b.items():
-                            t = hm_bb[(e, s)]
-                            powers[t] = powers.get(t, 0) + b_pow
-                        for excess_side in (0, 1):
-                            ep = dict(powers)
-                            ep[(0, excess_side)] = ep.get((0, excess_side), 0) + 1
-                            out.add_term(
-                                graph_b, _hpsi_decor(graph_b, ep),
-                                -coeff / aut_b
-                            )
-    return out
-
-
-def _edge_factor(f_poly: dict, max_codim: int) -> Series:
-    """The per-edge factor ``(exp(-f s) - 1) / (-s)`` of
-    :func:`divisor_exp_check`, with ``s = p1 + p2``, in ``p1`` and ``p2`` up
-    to ``max_codim``; ``p1`` and ``p2`` stand for the psi classes at the two
-    sides of an edge.
-
-    Dividing the truncated exponential by ``-s`` is exact below total degree
-    ``T - 1`` for the truncation order ``T``, so the division runs in a ring
-    padded by ``max_codim + 1`` layers in each variable and the quotient is
-    cut back to exponents up to ``max_codim``.
-    """
-    padded = Ring([VarSpec("p1", 0, 2 * max_codim + 2),
-                   VarSpec("p2", 0, 2 * max_codim + 2)])
-    ring = Ring([VarSpec("p1", 0, max_codim + 1),
-                 VarSpec("p2", 0, max_codim + 1)])
-    f = padded.series(f_poly)
-    minus_s = -(padded.var("p1") + padded.var("p2"))
-    return embed(((f * minus_s).exp() - 1).divide_exact(minus_s), ring)
-
-
-def divisor_exp_check(
-    genus: int,
-    weights: WeightData,
-    f_poly: dict,
-    max_codim: int = 2,
-) -> tuple:
-    """Compare the two sides of the boundary-exponential identity.
-
-    ``f_poly`` maps ``(i, j)`` to the rational coefficient of
-    ``psi_1^i psi_2^j`` in a symmetric polynomial ``f``.  The left side is
-    ``exp(sum_D 1/|Aut D| xi_D*(f))`` expanded with ``divisor_product``,
-    the right side the graph sum with per-edge factor
-    ``(exp(-f (psi_1+psi_2)) - 1)/(-(psi_1+psi_2))``, both truncated to
-    codimension ``max_codim`` (which keeps at most two edges).
-
-    Returns ``(lhs, rhs)`` as TautClass values.
-    """
-    from .graphs import enumerate_graphs
-
-    if max_codim > 2:
-        raise ValueError("truncation beyond codimension 2 is not supported")
-    # a term of psi-degree above max_codim has codimension above it
-    f_poly = {k: c for k, c in f_poly.items() if sum(k) <= max_codim}
-    pool = enumerate_graphs(genus, weights, 2)
-
-    big = TautClass(genus, weights)
-    for graph in pool:
-        if graph.n_edges == 1:
-            weight = Fraction(1, graph.automorphism_order())
-            for (i, j), coeff in f_poly.items():
-                big.add_term(graph, _hpsi_decor(
-                    graph, {(0, 0): i, (0, 1): j}), coeff * weight)
-    big = big.restrict_codim(max_codim)
-    lhs = TautClass.one(genus, weights) + big
-    square = divisor_product(big, big, graph_pool=pool)
-    lhs = lhs + square.restrict_codim(max_codim).scale(Fraction(1, 2))
-
-    edge_factor = list(_edge_factor(f_poly, max_codim).terms())
-    rhs = TautClass.one(genus, weights)
-    for graph in pool:
-        if graph.n_edges == 0:
-            continue
-        weight = Fraction(1, graph.automorphism_order())
-        for combo in itertools.product(edge_factor, repeat=graph.n_edges):
-            if graph.n_edges + sum(i + j for (i, j), _ in combo) > max_codim:
-                continue
-            coeff = weight
-            powers = {}
-            for e, ((i, j), c) in enumerate(combo):
-                coeff *= c
-                powers[e, 0], powers[e, 1] = i, j
-            rhs.add_term(graph, _hpsi_decor(graph, powers), coeff)
-    return lhs, rhs.restrict_codim(max_codim)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ over vertex relabellings; it has sorted genera, so the genus-block maps
 onto the sorted genera reach it, and the same pass counts the vertex
 automorphisms.  ``automorphism_order`` multiplies them by the half-edge
 symmetries: a factor m! for every group of m parallel edges and a factor
-2 for every loop.  ``classes.canonical_term`` and ``classes.graph_isos``
-use the same two generators for decorated terms and graph isomorphisms.
+2 for every loop.  ``classes.canonical_term`` uses the same two generators
+for decorated terms.
 
 ``enumerate_graphs`` generates graphs by degeneration, one edge at a time,
 starting from the smooth graph: add a loop at a vertex of positive genus,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from math import factorial, lcm, prod
 
 from .catalog import (
@@ -519,16 +520,19 @@ def _partition_sum(ring: Ring, graph: StableGraph, weights: WeightData,
     """``sum_P prod_(b in P) {C_|b|(zeta t)}_(D_b)`` at ``vertex``, over
     the set partitions ``P`` of a nonempty ``S``.  A block whose bracket is
     a scalar (at t-order 0, a singleton's is -1) scales the product
-    instead of entering it (:func:`_product`)."""
+    instead of entering it (:func:`_product`).  Every nonempty subset of
+    ``S`` is a block of some partition, so each one's bracket is built once
+    up front, from one series per block size; ``S`` is sorted."""
+    brackets = {}
+    for size in range(1, len(S) + 1):
+        series = series_C(size, order).substitute({"t": zeta})
+        for block in combinations(S, size):
+            bds = brackets[block] = DecoratedSeries(ring, graph, weights)
+            bracket_D(series, bds, vertex, block)
     part_sum = DecoratedSeries(ring, graph, weights)
     for partition in set_partitions(S):
-        blocks = []
-        for block in partition:
-            bds = DecoratedSeries(ring, graph, weights)
-            bracket_D(series_C(len(block), order).substitute({"t": zeta}),
-                      bds, vertex, tuple(sorted(block)))
-            blocks.append(bds)
-        part_sum = part_sum + reduce(_product, blocks)
+        part_sum = part_sum + reduce(
+            _product, [brackets[tuple(sorted(block))] for block in partition])
     return part_sum
 
 
@@ -563,6 +567,9 @@ def open_fz_relation(g: int, n: int, r: int, S: tuple = (),
     _check_subset(S, n)
     if weights is None:
         weights = WeightData(tuple(Fraction(1, 2 * n + 2) for _ in range(n)))
+    elif weights.n != n:
+        raise PreconditionError("len(weights) == n",
+                                f"len(weights)={weights.n}, n={n}")
     if enforce:
         _check_fz_range(g, r, S)
         check_stable(g, weights)

@@ -15,12 +15,30 @@
   source term and image power, each power by binary powering.  The library
   groups the terms and sums the powers of the last image on packed integers
   (``Series.substitute``); this older route is its reference.
+* ``restrict_codim`` and ``max_edges_part`` keep the terms of a class up to
+  a codimension and up to a number of edges.
+* ``graph_isos`` lists every isomorphism between two stable graphs, from
+  the relabellings that ``StableGraph.vertex_maps`` and
+  ``StableGraph.half_edge_maps`` yield.
+* ``divisor_product`` multiplies two boundary divisors decorated by
+  half-edge psi powers by excess intersection, and ``divisor_exp_check``
+  compares the boundary exponential expanded with it against the graph sum
+  with the per-edge factor ``_edge_factor``.  The library reaches the
+  boundary through graph sums with edge kernels only; this second route is
+  their reference.
+* ``edge_series_uy`` is the edge kernel in the ``(u, y)`` chart, built from
+  ``catalog.uy_expansion``; its coefficients are a golden digest.
 """
 
+import itertools
 from fractions import Fraction
+from functools import lru_cache
 
-from tautrels.graphs import StableGraph
-from tautrels.series import Series
+from tautrels.catalog import _edge_quotient, _exp_of_minus_sum, uy_expansion
+from tautrels.classes import (TautClass, _contract_edge, _decor_codim,
+                              _hpsi_decor)
+from tautrels.graphs import StableGraph, WeightData, enumerate_graphs
+from tautrels.series import Ring, Series, VarSpec, embed
 
 
 def _merge_block(blocks: list, points: tuple, a: int) -> None:
@@ -180,3 +198,212 @@ def oracle_substitute(f, assignment: dict):
                 piece = piece * image ** e[i]
         total = total + piece
     return total
+
+
+def restrict_codim(c, max_codim: int):
+    """The terms of ``c`` of codimension at most ``max_codim``."""
+    out = {}
+    for key, coeff in c.terms.items():
+        _, _, edges, decor = key
+        if _decor_codim(edges, decor) <= max_codim:
+            out[key] = coeff
+    return TautClass(c.genus, c.weights, out)
+
+
+def max_edges_part(c, max_edges: int):
+    """The terms of ``c`` whose graphs have at most ``max_edges`` edges."""
+    out = {k: coeff for k, coeff in c.terms.items() if len(k[2]) <= max_edges}
+    return TautClass(c.genus, c.weights, out)
+
+
+def graph_isos(g1: StableGraph, g2: StableGraph) -> list:
+    """All isomorphisms g1 -> g2 as (vertex map, half-edge map) pairs."""
+    return [
+        (perm, hemap)
+        for perm in g1.vertex_maps(g2.genera)
+        if tuple(perm[v] for v in g1.legs) == g2.legs
+        for edges, hemap in g1.half_edge_maps(perm)
+        if edges == g2.edges
+    ]
+
+
+def _edge_decor(term_key: tuple) -> dict:
+    """psi powers at the two half-edges of a one-edge term."""
+    genera, legs, edges, decor = term_key
+    powers = {}
+    for v, (kappa, blocks) in enumerate(decor):
+        if kappa:
+            raise ValueError("divisor-shaped input cannot carry kappa classes")
+        for pts, a in blocks:
+            if len(pts) != 1 or pts[0][0] != "h":
+                raise ValueError(
+                    "divisor-shaped input may only carry half-edge psi powers"
+                )
+            powers[(pts[0][1], pts[0][2])] = a
+    return powers
+
+
+def divisor_product(ca: TautClass, cb: TautClass, graph_pool=None) -> TautClass:
+    """Product of two boundary-divisor classes decorated by half-edge psi's.
+
+    Implements the excess-intersection rule: for each two-edge graph and
+    each ordered pair of its edges whose one-edge contractions match the
+    factors, a transversal term weighted by ``1/|Aut|`` summed over all
+    matching isomorphisms; and for coinciding one-edge supports an excess
+    term with the extra factor ``-(psi_1 + psi_2)``, likewise summed over
+    isomorphisms with weight ``1/|Aut|``.
+    """
+    ca._check_compatible(cb)
+    if graph_pool is None:
+        graph_pool = enumerate_graphs(ca.genus, ca.weights, 2)
+    two_edge = [g for g in graph_pool if g.n_edges == 2]
+    contractions = []
+    for graph in two_edge:
+        aut = graph.automorphism_order()
+        for e_keep, e_con in ((0, 1), (1, 0)):
+            contracted, vmap, hemap = _contract_edge(graph, e_con)
+            contractions.append((graph, aut, e_keep, contracted, hemap))
+    out = TautClass(ca.genus, ca.weights)
+    for key_a, coeff_a in ca.terms.items():
+        graph_a = StableGraph(key_a[0], key_a[1], key_a[2])
+        if graph_a.n_edges != 1:
+            raise ValueError("divisor_product needs one-edge inputs")
+        pow_a = _edge_decor(key_a)
+        for key_b, coeff_b in cb.terms.items():
+            graph_b = StableGraph(key_b[0], key_b[1], key_b[2])
+            if graph_b.n_edges != 1:
+                raise ValueError("divisor_product needs one-edge inputs")
+            pow_b = _edge_decor(key_b)
+            coeff = coeff_a * coeff_b
+            # transversal structures
+            for graph, aut, e_keep, con_a, hemap_a in contractions:
+                isos_a = graph_isos(graph_a, con_a)
+                if not isos_a:
+                    continue
+                e_other = 1 - e_keep
+                con_b, _, hemap_b = _contract_edge(graph, e_keep)
+                isos_b = graph_isos(graph_b, con_b)
+                if not isos_b:
+                    continue
+                inv_a = {v: k for k, v in hemap_a.items()}
+                inv_b = {v: k for k, v in hemap_b.items()}
+                for _, hm_a in isos_a:
+                    for _, hm_b in isos_b:
+                        word = {}
+                        for (e, s), a_pow in pow_a.items():
+                            he = inv_a[hm_a[(e, s)]]
+                            word[he] = word.get(he, 0) + a_pow
+                        for (e, s), b_pow in pow_b.items():
+                            he = inv_b[hm_b[(e, s)]]
+                            word[he] = word.get(he, 0) + b_pow
+                        out.add_term(
+                            graph, _hpsi_decor(graph, word), coeff / aut
+                        )
+            # excess structures
+            isos = graph_isos(graph_a, graph_b)
+            if isos:
+                aut_b = graph_b.automorphism_order()
+                isos_bb = graph_isos(graph_b, graph_b)
+                for _, hm_ab in isos:
+                    for _, hm_bb in isos_bb:
+                        powers = {}
+                        for (e, s), a_pow in pow_a.items():
+                            t = hm_ab[(e, s)]
+                            powers[t] = powers.get(t, 0) + a_pow
+                        for (e, s), b_pow in pow_b.items():
+                            t = hm_bb[(e, s)]
+                            powers[t] = powers.get(t, 0) + b_pow
+                        for excess_side in (0, 1):
+                            ep = dict(powers)
+                            ep[(0, excess_side)] = ep.get((0, excess_side), 0) + 1
+                            out.add_term(
+                                graph_b, _hpsi_decor(graph_b, ep),
+                                -coeff / aut_b
+                            )
+    return out
+
+
+def _edge_factor(f_poly: dict, max_codim: int) -> Series:
+    """The per-edge factor ``(exp(-f s) - 1) / (-s)`` of
+    :func:`divisor_exp_check`, with ``s = p1 + p2``, in ``p1`` and ``p2`` up
+    to ``max_codim``; ``p1`` and ``p2`` stand for the psi classes at the two
+    sides of an edge.
+
+    Dividing the truncated exponential by ``-s`` is exact below total degree
+    ``T - 1`` for the truncation order ``T``, so the division runs in a ring
+    padded by ``max_codim + 1`` layers in each variable and the quotient is
+    cut back to exponents up to ``max_codim``.
+    """
+    padded = Ring([VarSpec("p1", 0, 2 * max_codim + 2),
+                   VarSpec("p2", 0, 2 * max_codim + 2)])
+    ring = Ring([VarSpec("p1", 0, max_codim + 1),
+                 VarSpec("p2", 0, max_codim + 1)])
+    f = padded.series(f_poly)
+    minus_s = -(padded.var("p1") + padded.var("p2"))
+    return embed(((f * minus_s).exp() - 1).divide_exact(minus_s), ring)
+
+
+def divisor_exp_check(
+    genus: int,
+    weights: WeightData,
+    f_poly: dict,
+    max_codim: int = 2,
+) -> tuple:
+    """Compare the two sides of the boundary-exponential identity.
+
+    ``f_poly`` maps ``(i, j)`` to the rational coefficient of
+    ``psi_1^i psi_2^j`` in a symmetric polynomial ``f``.  The left side is
+    ``exp(sum_D 1/|Aut D| xi_D*(f))`` expanded with ``divisor_product``,
+    the right side the graph sum with per-edge factor
+    ``(exp(-f (psi_1+psi_2)) - 1)/(-(psi_1+psi_2))``, both truncated to
+    codimension ``max_codim`` (which keeps at most two edges).
+
+    Returns ``(lhs, rhs)`` as TautClass values.
+    """
+    if max_codim > 2:
+        raise ValueError("truncation beyond codimension 2 is not supported")
+    # a term of psi-degree above max_codim has codimension above it
+    f_poly = {k: c for k, c in f_poly.items() if sum(k) <= max_codim}
+    pool = enumerate_graphs(genus, weights, 2)
+
+    big = TautClass(genus, weights)
+    for graph in pool:
+        if graph.n_edges == 1:
+            weight = Fraction(1, graph.automorphism_order())
+            for (i, j), coeff in f_poly.items():
+                big.add_term(graph, _hpsi_decor(
+                    graph, {(0, 0): i, (0, 1): j}), coeff * weight)
+    big = restrict_codim(big, max_codim)
+    lhs = TautClass.one(genus, weights) + big
+    square = divisor_product(big, big, graph_pool=pool)
+    lhs = lhs + restrict_codim(square, max_codim).scale(Fraction(1, 2))
+
+    edge_factor = list(_edge_factor(f_poly, max_codim).terms())
+    rhs = TautClass.one(genus, weights)
+    for graph in pool:
+        if graph.n_edges == 0:
+            continue
+        weight = Fraction(1, graph.automorphism_order())
+        for combo in itertools.product(edge_factor, repeat=graph.n_edges):
+            if graph.n_edges + sum(i + j for (i, j), _ in combo) > max_codim:
+                continue
+            coeff = weight
+            powers = {}
+            for e, ((i, j), c) in enumerate(combo):
+                coeff *= c
+                powers[e, 0], powers[e, 1] = i, j
+            rhs.add_term(graph, _hpsi_decor(graph, powers), coeff)
+    return lhs, restrict_codim(rhs, max_codim)
+
+
+@lru_cache(maxsize=None)
+def edge_series_uy(z1: int, z2: int, u_order: int, y_order: int) -> Series:
+    """The (u, y)-chart edge series (kind 5), from the triangular c-table
+    and delta_1."""
+
+    def build(work: int) -> tuple:
+        exp_data = uy_expansion(1, work, y_order)
+        return exp_data["c_series"], _exp_of_minus_sum, exp_data["delta"][1]
+
+    return _edge_quotient(z1, z2, "u", u_order,
+                          (VarSpec("y", 0, y_order + 1),), build)

@@ -13,7 +13,6 @@ from tautrels.catalog import (
     bernoulli_kernel_coefficients,
     catalog_ring,
     delta_edge,
-    edge_series_uy,
     edge_series_xy,
     hyper_A,
     hyper_B,
@@ -31,6 +30,8 @@ from tautrels.catalog import (
     uy_ring,
 )
 from tautrels.series import Ring, Series, VarSpec
+
+from oracles import edge_series_uy
 
 
 # ---------------------------------------------------------------------------

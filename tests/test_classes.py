@@ -14,9 +14,6 @@ from tautrels.classes import (
     _check_stored,
     canonical_term,
     chern_neg_Bd,
-    divisor_exp_check,
-    divisor_product,
-    graph_isos,
     matrix_rank,
     multiply_generator,
     multiply_smooth,
@@ -38,6 +35,10 @@ from tautrels.graphs import (
 
 from oracles import (
     decor_words,
+    divisor_exp_check,
+    divisor_product,
+    graph_isos,
+    max_edges_part,
     oracle_add_words,
     oracle_check_stored,
     oracle_normal_form,
@@ -1513,12 +1514,12 @@ class TestDivisorProduct:
         c = TautClass(2, w)
         oracle_add_words(c, loop, [[]], 1)
         prod = divisor_product(c, c)
-        excess = prod.max_edges_part(1)
+        excess = max_edges_part(prod, 1)
         expected = TautClass(2, w)
         oracle_add_words(expected, loop, [[("hpsi", (0, 0), 1)]], -2)
         oracle_add_words(expected, loop, [[("hpsi", (0, 1), 1)]], -2)
         assert excess == expected
-        assert prod.max_edges_part(2) == prod  # two divisors meet in <= 2 edges
+        assert max_edges_part(prod, 2) == prod  # two divisors meet in <= 2 edges
         two_edge = {
             k: v for k, v in prod.terms.items() if len(k[2]) == 2
         }

@@ -5,7 +5,6 @@ import math
 import os
 import re
 import shlex
-from fractions import Fraction
 from pathlib import Path
 
 import pytest

@@ -1,5 +1,6 @@
-"""Source hygiene: every module of the package uses what it imports, and
-every optional parameter of the package is passed by some call."""
+"""Source hygiene: every module of the package and of its tests uses what
+it imports, every function of the package is read by the package itself,
+and every optional parameter of the package is passed by some call."""
 
 import ast
 from pathlib import Path
@@ -28,8 +29,9 @@ def unused_imports(path: Path) -> list:
     return sorted(imported - used - exported)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
@@ -40,6 +42,53 @@ def test_check_sees_an_unused_import(tmp_path):
                       "import os, json\nfrom math import comb as c\n"
                       "__all__ = ['json']\nprint(os.sep)\n")
     assert unused_imports(module) == ["c"]
+
+
+def unreferenced_functions(paths: list) -> list:
+    """``"module:function"`` for each function defined in the modules at
+    ``paths`` whose name no module at ``paths`` reads, as a name or as an
+    attribute.  Dunder methods are called by the language, not by name, and
+    are left out."""
+    defined, read = [], set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                if not (node.name.startswith("__")
+                        and node.name.endswith("__")):
+                    defined.append((path.stem, node.name))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    return sorted(f"{module}:{name}" for module, name in defined
+                  if name not in read)
+
+
+def test_every_package_function_is_read_by_the_package():
+    assert unreferenced_functions(sorted(SRC.glob("*.py"))) == [
+        # the public word API, which the benchmark's tracer binds
+        "classes:normal_form",
+        # the Hassett reduction to lower weights, which test_08 reads
+        "classes:weight_reduce",
+    ]
+
+
+def test_check_sees_an_unreferenced_function(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def used():\n    return 1\n"
+        "def unused():\n    return used()\n"
+        "def read_as_attribute():\n    pass\n"
+        "def only_stored():\n    pass\n"
+        "class K:\n"
+        "    def __init__(self):\n        self.only_stored = 1\n"
+        "    def method(self):\n        return self.read_as_attribute\n"
+        "    def orphan(self):\n        pass\n"
+        "K().method()\n"
+    )
+    assert unreferenced_functions([module]) == [
+        "m:only_stored", "m:orphan", "m:unused"]
 
 
 def _is_method(fn: ast.FunctionDef, cls: ast.ClassDef | None) -> bool:

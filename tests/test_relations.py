@@ -45,7 +45,8 @@ from tautrels.relations import (
 )
 from tautrels.series import Ring, VarSpec
 
-from oracles import decor_words, oracle_add_words, oracle_words_normal_form
+from oracles import (decor_words, max_edges_part, oracle_add_words,
+                     oracle_words_normal_form)
 
 
 def smooth(genus, n):
@@ -459,6 +460,29 @@ class TestOpenFZ:
         rel = open_fz_relation(3, 0, 3, enforce=False)
         assert rel.codims() <= {3}
 
+    @pytest.mark.parametrize("enforce", [True, False])
+    def test_weights_of_another_length_rejected(self, enforce):
+        w = WeightData((Fraction(1, 2),))
+        with pytest.raises(PreconditionError, match=r"len\(weights\) == n"):
+            open_fz_relation(2, 3, 3, (), weights=w, enforce=enforce)
+
+    @pytest.mark.parametrize("g, n, r", [(4, 3, 4), (2, 4, 3)])
+    def test_each_block_bracket_built_once(self, g, n, r):
+        # the set partitions of S hold every nonempty subset of S as a
+        # block; each one's bracket is built once, from one C series per
+        # block size
+        S = tuple(range(1, n + 1))
+        with mock.patch.object(relations, "bracket_D",
+                               wraps=relations.bracket_D) as spy, \
+                mock.patch.object(relations, "series_C",
+                                  wraps=relations.series_C) as sizes:
+            rel = open_fz_relation(g, n, r, S)
+        assert not rel.is_zero
+        assert spy.call_count == 2 ** len(S) - 1
+        assert len({call.args[3] for call in spy.call_args_list}) == (
+            spy.call_count)
+        assert sizes.call_count == len(S)
+
 
 class TestOpenSQ:
     def test_even_parity_vanishes(self):
@@ -519,7 +543,7 @@ class TestFZ:
         for g, n, r, S in [(3, 0, 2, ()), (4, 0, 3, ()), (2, 2, 2, (2,)),
                            (3, 2, 2, (1, 2))]:
             w = WeightData(tuple(Fraction(1, 8) for _ in range(n)))
-            part = fz_relation(g, w, r, S).max_edges_part(0)
+            part = max_edges_part(fz_relation(g, w, r, S), 0)
             open_part = open_fz_relation(g, n, r, S, weights=w)
             assert part == open_part.scale(2), (g, n, r, S)
 
@@ -609,9 +633,9 @@ class TestBoundarySQ:
         # for every sign pairing
         for hs in (1, -1):
             for ps in (1, -1):
-                b = boundary_sq_relation(
+                b = max_edges_part(boundary_sq_relation(
                     3, W0, 2, 1, (), half_sign=hs, pd_sign=ps
-                ).max_edges_part(0)
+                ), 0)
                 o = open_sq_relation(3, W0, 2, 1, (), half_sign=hs, pd_sign=ps)
                 assert not b.is_zero
                 assert b == o, (hs, ps)
@@ -619,7 +643,7 @@ class TestBoundarySQ:
     def test_full_relation_is_homogeneous(self):
         rel = boundary_sq_relation(3, W0, 2, 1, ())
         assert rel.codims() == {2}
-        assert rel.max_edges_part(0) == open_sq_relation(3, W0, 2, 1, ())
+        assert max_edges_part(rel, 0) == open_sq_relation(3, W0, 2, 1, ())
 
     def test_size_condition_enforced(self):
         with pytest.raises(PreconditionError, match=r"r-\|E\| > g-2d-1\+\|a\|"):

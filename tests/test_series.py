@@ -20,10 +20,9 @@ from tautrels.series import (
     WindowError,
     embed,
 )
-from tautrels.classes import _edge_factor
 from tautrels.serialize import series_from_dict, series_to_dict
 
-from oracles import oracle_substitute
+from oracles import _edge_factor, oracle_substitute
 
 
 def ring_t(order=10, floor=0):
