@@ -131,6 +131,30 @@ def _nonzero(rows: dict) -> dict:
             if (row := {key: c for key, c in acc.items() if c})}
 
 
+def _packed_rows(ring: Ring, terms) -> tuple:
+    """``(den, rows)``: ``coeff`` (an int or a ``Fraction``) at ``(exps,
+    decor)`` for each triple of ``terms``, as the rows of a
+    :class:`DecoratedSeries` in ``ring`` keyed by ``decor``.
+
+    An exponent below the floor 0 raises ``ValueError``; one at or above
+    its truncation order drops the term.  The kept terms are packed in one
+    call of ``Ring._packed``."""
+    specs = ring.specs
+    kept = []
+    for exps, decor, coeff in terms:
+        if any(e < 0 for e in exps):
+            raise ValueError("exponent below ring floor")
+        if coeff and all(e < s.trunc_order for e, s in zip(exps, specs)):
+            kept.append((exps, decor, coeff))
+    left, right, _ = ring._product_layout()
+    den, keyed = ring._packed([(e, c) for e, _, c in kept], left + right)
+    rows: dict = {}
+    for (_, decor, _), (key, c) in zip(kept, keyed):
+        row = rows.setdefault(decor, {})
+        row[key] = row.get(key, 0) + c
+    return den, _nonzero(rows)
+
+
 def _product(a: "DecoratedSeries", b: "DecoratedSeries") -> "DecoratedSeries":
     """``a * b``, where a factor that is a multiple of one scales the other
     instead of entering a product."""
@@ -223,27 +247,9 @@ class DecoratedSeries:
 
     def add_terms(self, terms) -> None:
         """Add ``coeff`` (an int or a ``Fraction``) at ``(exps, decor)`` for
-        each triple of ``terms``.
-
-        An exponent below the floor 0 raises ``ValueError``; one at or
-        above its truncation order drops the term.  The kept terms are
-        packed in one call of ``Ring._packed``."""
-        specs = self.ring.specs
-        kept = []
-        for exps, decor, coeff in terms:
-            if any(e < 0 for e in exps):
-                raise ValueError("exponent below ring floor")
-            if coeff and all(e < s.trunc_order for e, s in zip(exps, specs)):
-                kept.append((exps, decor, coeff))
-        left, right, _ = self.ring._product_layout()
-        den, keyed = self.ring._packed([(e, c) for e, _, c in kept],
-                                       left + right)
-        rows: dict = {}
-        for (_, decor, _), (key, c) in zip(kept, keyed):
-            row = rows.setdefault(decor, {})
-            row[key] = row.get(key, 0) + c
+        each triple of ``terms``, packed by :func:`_packed_rows`."""
         total = self + DecoratedSeries(self.ring, self.graph, self.weights,
-                                       den, rows)
+                                       *_packed_rows(self.ring, terms))
         self.den, self.rows = total.den, total.rows
 
     def add_term(self, exps: tuple, decor: tuple, coeff) -> None:
@@ -583,22 +589,22 @@ def open_fz_relation(g: int, n: int, r: int, S: tuple = (),
 # ---------------------------------------------------------------------------
 
 
-def _edge_to_ds(series: Series, ds: DecoratedSeries, edge: int) -> None:
-    """Add an edge series in (t[, x], p1, p2) at ``edge`` into ``ds``: the
-    powers of p1 and p2 become psi powers at the edge's sides 0 and 1."""
+def _edge_kernel(ring: Ring, series: Series) -> tuple:
+    """``(den, rows)``: an edge series in (t[, x], p1, p2) packed in
+    ``ring``, its rows keyed by ``(p1 power, p2 power)``, the psi powers at
+    the edge's sides 0 and 1."""
     names = [s.name for s in series.ring.specs]
-    sides = {"p1": 0, "p2": 1}
     terms = []
     for src, c in series.terms():
-        exps = [0] * ds.ring.nvars
-        powers = {}
+        exps = [0] * ring.nvars
+        powers = {"p1": 0, "p2": 0}
         for name, e in zip(names, src):
-            if name in sides:
-                powers[edge, sides[name]] = e
+            if name in powers:
+                powers[name] = e
             else:
-                exps[ds.ring.index[name]] = e
-        terms.append((tuple(exps), _hpsi_decor(ds.graph, powers), c))
-    ds.add_terms(terms)
+                exps[ring.index[name]] = e
+        terms.append((tuple(exps), (powers["p1"], powers["p2"]), c))
+    return _packed_rows(ring, terms)
 
 
 def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
@@ -613,24 +619,36 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
     at vertex ``v``, and ``edge_series(z1, z2, order)`` the kernel of an
     edge whose ends have colours ``z1`` and ``z2``, in (t[, x], p1, p2).
 
-    Each factor is built once per graph: a vertex factor per ``(v, zeta)``
-    and an edge kernel per ``(e, z1, z2)``.  The factors are taken level by
-    level: level ``v`` holds vertex ``v``'s factor and the edges whose
-    later endpoint is ``v``, so it depends only on the colours of vertices
-    ``0..v``.  A stack keeps the prefix products (:func:`_product`);
-    walking the colourings in the order of ``enumerate_colorings``, a
-    colouring recomputes the stack only from the level of the first vertex
-    whose colour changed.  The last factor is multiplied into the top
-    corner only (:func:`_target_product`).  Every ring here has floor 0,
-    as :class:`DecoratedSeries` enforces, so truncated products are
-    associative and commutative, and a vanishing decoration product stays
-    vanishing; the order of the factors does not change the result.  The
-    target coefficients of all colourings are summed on integer numerators,
-    so each distinct decoration gets one ``Fraction`` and is relabelled to
-    its canonical form once.
+    Each factor is built once per local type per relation.  A vertex
+    factor depends only on ``(order, g(v), legs at v, zeta)``: it is built
+    the first time through ``vertex_factor`` and kept with its rows keyed
+    by the decoration at ``v`` alone.  An edge kernel depends only on
+    ``(order, z1, z2)``: it is packed once by :func:`_edge_kernel`, its
+    rows keyed by the psi powers at its two sides.  Each graph places these
+    rows into its own decorations, once per ``(v, zeta)`` and per ``(e,
+    z1, z2)``: a vertex row at ``v`` with the trivial decoration elsewhere,
+    a kernel row through :func:`_hpsi_decor`.
+
+    The factors are taken level by level: level ``v`` holds vertex ``v``'s
+    factor and the edges whose later endpoint is ``v``, so it depends only
+    on the colours of vertices ``0..v``.  A stack keeps the prefix products
+    (:func:`_product`); walking the colourings in the order of
+    ``enumerate_colorings``, a colouring recomputes the stack only from the
+    level of the first vertex whose colour changed.  The last factor is
+    multiplied into the top corner only (:func:`_target_product`).  Every
+    ring here has floor 0, as :class:`DecoratedSeries` enforces, so
+    truncated products are associative and commutative, and a vanishing
+    decoration product stays vanishing; the order of the factors does not
+    change the result.  The target coefficients of all colourings are
+    summed on integer numerators, so each distinct decoration gets one
+    ``Fraction`` and is relabelled to its canonical form once.
     """
     total = TautClass(g, weights)
     rings: dict = {}  # order: (ring, key of its top corner)
+    # local type: (den, rows); a vertex type has four fields and an edge
+    # type three.  Placed factors share these row dicts, so factors are
+    # read-only: sums and products build new rows.
+    local: dict = {}
     for graph in graphs:
         order = r - graph.n_edges
         if order not in rings:
@@ -642,6 +660,7 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
             [[target]] = corner.rows.values()
             rings[order] = ring, target
         ring, target = rings[order]
+        trivial = (((), ()),) * graph.n_vertices
         slots = []  # (vertex, edge or None) in level order
         starts = []  # starts[v]: the first slot of level v
         for v in range(graph.n_vertices):
@@ -660,11 +679,25 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
                 key = (v, e, coloring[va], coloring[vb])
             if key not in factors:
                 if e is None:
-                    ds = vertex_factor(ring, graph, v, key[1])
+                    kind = (order, graph.genera[v], tuple(graph.legs_at(v)),
+                            key[1])
+                    if kind not in local:
+                        ds = vertex_factor(ring, graph, v, key[1])
+                        local[kind] = ds.den, {decor[v]: row for decor, row
+                                               in ds.rows.items()}
+                    local_den, rows = local[kind]
+                    rows = {trivial[:v] + (vd,) + trivial[v + 1:]: row
+                            for vd, row in rows.items()}
                 else:
-                    ds = DecoratedSeries(ring, graph, weights)
-                    _edge_to_ds(edge_series(key[2], key[3], order), ds, e)
-                factors[key] = ds
+                    kind = (order,) + key[2:]
+                    if kind not in local:
+                        local[kind] = _edge_kernel(
+                            ring, edge_series(key[2], key[3], order))
+                    local_den, rows = local[kind]
+                    rows = {_hpsi_decor(graph, {(e, 0): p1, (e, 1): p2}): row
+                            for (p1, p2), row in rows.items()}
+                factors[key] = DecoratedSeries(ring, graph, weights,
+                                               local_den, rows)
             return factors[key]
 
         stack = [DecoratedSeries.one(ring, graph, weights)]

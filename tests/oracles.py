@@ -28,6 +28,11 @@
   their reference.
 * ``edge_series_uy`` is the edge kernel in the ``(u, y)`` chart, built from
   ``catalog.uy_expansion``; its coefficients are a golden digest.
+* ``_edge_to_ds`` adds an edge kernel into a decorated series on a whole
+  graph, term by term.  The library packs each kernel once per local type,
+  keyed by its two psi powers, and places it into each graph
+  (``relations._edge_kernel``); the reference graph sum builds every
+  kernel this way instead.
 """
 
 import itertools
@@ -407,3 +412,22 @@ def edge_series_uy(z1: int, z2: int, u_order: int, y_order: int) -> Series:
 
     return _edge_quotient(z1, z2, "u", u_order,
                           (VarSpec("y", 0, y_order + 1),), build)
+
+
+def _edge_to_ds(series: Series, ds, edge: int) -> None:
+    """Add an edge series in (t[, x], p1, p2) at ``edge`` into the decorated
+    series ``ds``: the powers of p1 and p2 become psi powers at the edge's
+    sides 0 and 1."""
+    names = [s.name for s in series.ring.specs]
+    sides = {"p1": 0, "p2": 1}
+    terms = []
+    for src, c in series.terms():
+        exps = [0] * ds.ring.nvars
+        powers = {}
+        for name, e in zip(names, src):
+            if name in sides:
+                powers[edge, sides[name]] = e
+            else:
+                exps[ds.ring.index[name]] = e
+        terms.append((tuple(exps), _hpsi_decor(ds.graph, powers), c))
+    ds.add_terms(terms)

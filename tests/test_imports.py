@@ -1,8 +1,11 @@
 """Source hygiene: every module of the package and of its tests uses what
-it imports, every function of the package is read by the package itself,
-and every optional parameter of the package is passed by some call."""
+it imports and binds every global name it reads, every function of the
+package is read by the package itself, and every optional parameter of the
+package is passed by some call."""
 
 import ast
+import builtins
+import symtable
 from pathlib import Path
 
 import pytest
@@ -42,6 +45,52 @@ def test_check_sees_an_unused_import(tmp_path):
                       "import os, json\nfrom math import comb as c\n"
                       "__all__ = ['json']\nprint(os.sep)\n")
     assert unused_imports(module) == ["c"]
+
+
+# names a module's namespace holds without binding them; the others, such
+# as ``__name__``, are builtins too
+MODULE_DUNDERS = {"__builtins__", "__cached__", "__file__"}
+
+
+def undefined_names(path: Path) -> list:
+    """Global names that some scope of the module at ``path`` reads but that
+    the module never binds at module level and that are no builtins or
+    module dunders: a dropped import, for one, which would raise
+    ``NameError`` only when the code that reads it runs."""
+    top = symtable.symtable(path.read_text(), str(path), "exec")
+    known = {s.get_name() for s in top.get_symbols()
+             if s.is_assigned() or s.is_imported() or s.is_namespace()}
+    known |= set(dir(builtins)) | MODULE_DUNDERS
+    found, tables = set(), [top]
+    while tables:
+        table = tables.pop()
+        tables.extend(table.get_children())
+        found |= {s.get_name() for s in table.get_symbols()
+                  if s.is_referenced() and s.is_global()
+                  and s.get_name() not in known}
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
+def test_no_undefined_names(path):
+    assert undefined_names(path) == []
+
+
+def test_check_sees_an_undefined_name(tmp_path):
+    # sys, json and Path are read and never imported; __fle__ is a typo
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import os\nfrom math import comb\n"
+        "print(sys.argv, __file__, __name__, __fle__)\n"
+        "def f(a):\n    return [json.dumps(x) for x in a] + [os.sep]\n"
+        "class K:\n    y = Path\n"
+        "    def m(self):\n        return lambda: comb(1, 1) + self.y\n"
+        "try:\n    pass\nexcept OSError as err:\n    pass\n"
+        "for i in range(2):\n    pass\nprint(i, err, f, K)\n"
+    )
+    assert undefined_names(module) == ["Path", "__fle__", "json", "sys"]
 
 
 def unreferenced_functions(paths: list) -> list:

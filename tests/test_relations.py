@@ -45,8 +45,8 @@ from tautrels.relations import (
 )
 from tautrels.series import Ring, VarSpec
 
-from oracles import (decor_words, max_edges_part, oracle_add_words,
-                     oracle_words_normal_form)
+from oracles import (_edge_to_ds, decor_words, max_edges_part,
+                     oracle_add_words, oracle_words_normal_form)
 
 
 def smooth(genus, n):
@@ -298,37 +298,38 @@ def test_extract_outside_the_window_is_zero():
 
 
 def test_graph_sum_builds_each_factor_once(monkeypatch):
-    """On fz g=3 r=2 each vertex factor is built once per (graph, v, zeta)
-    and each edge kernel once per (graph, e, zeta_a, zeta_b)."""
-    expected = fz_relation(3, W0, 2)
-    vertex_calls, kernel_calls, colours = [], [], []
+    """On fz g=2 r=3 with two 1/8 markings, both in S, each vertex factor
+    is built once per local type (order, genus, legs, zeta) and each edge
+    kernel once per (order, zeta_a, zeta_b), across the whole sum."""
+    weights = WeightData((Fraction(1, 8),) * 2)
+    expected = fz_relation(2, weights, 3, (1, 2))
+    vertex_calls, kernel_calls = [], []
     build_vertex = relations._fz_vertex_factor
-    build_kernel = relations._edge_to_ds
     edge_series = relations.delta_edge
 
     def vertex_factor(ring, graph, weights, v, zeta, S):
-        vertex_calls.append((graph, v, zeta))
+        vertex_calls.append((ring.spec("t").trunc_order - 1,
+                             graph.genera[v], tuple(graph.legs_at(v)), zeta))
         return build_vertex(ring, graph, weights, v, zeta, S)
 
     def kernel_series(z1, z2, order):
-        colours.append((z1, z2))
+        kernel_calls.append((order, z1, z2))
         return edge_series(z1, z2, order)
-
-    def edge_to_ds(series, ds, e):
-        kernel_calls.append((ds.graph, e) + colours[-1])
-        build_kernel(series, ds, e)
 
     monkeypatch.setattr(relations, "_fz_vertex_factor", vertex_factor)
     monkeypatch.setattr(relations, "delta_edge", kernel_series)
-    monkeypatch.setattr(relations, "_edge_to_ds", edge_to_ds)
-    assert fz_relation(3, W0, 2) == expected
+    assert fz_relation(2, weights, 3, (1, 2)) == expected
 
     vertices, kernels = set(), set()
-    for graph in enumerate_graphs(3, W0, 2):
+    for graph in enumerate_graphs(2, weights, 3):
+        order = 3 - graph.n_edges
         for coloring in enumerate_colorings(graph):
-            vertices |= {(graph, v, z) for v, z in enumerate(coloring)}
-            kernels |= {(graph, e, coloring[va], coloring[vb])
-                        for e, (va, vb) in enumerate(graph.edges)}
+            vertices |= {(order, graph.genera[v], tuple(graph.legs_at(v)), z)
+                         for v, z in enumerate(coloring)}
+            kernels |= {(order, coloring[va], coloring[vb])
+                        for va, vb in graph.edges}
+    # legs tell apart vertices of one genus, order and colour
+    assert len(vertices) > len({(o, g, z) for o, g, _, z in vertices})
     assert kernels
     assert len(vertex_calls) == len(vertices)
     assert set(vertex_calls) == vertices
@@ -352,8 +353,8 @@ def oracle_graph_sum(g, weights, graphs, r, ring_of, vertex_factor,
                        for v, zeta in enumerate(coloring)]
             for e, (va, vb) in enumerate(graph.edges):
                 eds = DecoratedSeries(ring, graph, weights)
-                relations._edge_to_ds(
-                    edge_series(coloring[va], coloring[vb], order), eds, e)
+                _edge_to_ds(edge_series(coloring[va], coloring[vb], order),
+                            eds, e)
                 factors.append(eds)
             for (exps, decor), c in reduce(mul, factors).terms.items():
                 if exps == target:
@@ -413,10 +414,17 @@ def test_graph_sum_cases_have_loops_and_multi_edges():
 @example((fz_relation, (2, WeightData((F(1, 8),) * 2), 3, (1, 2), 2)))
 @example((boundary_sq_relation,
           (2, WeightData((F(1, 10),) * 2), 3, 1, (1, 1), 1, 1, 2)))
+# a factor is shared between vertices of one local type, whose key holds
+# the vertex's legs: S a proper subset of markings on different vertices,
+# and p exponents on one marking only
+@example((fz_relation, (1, WeightData((F(1, 8),) * 3), 3, (1,), 2)))
+@example((boundary_sq_relation,
+          (1, WeightData((F(1, 10),) * 2), 3, 1, (1, 0), 1, 1, 2)))
 def test_graph_sum_matches_per_colouring_oracle(case):
     """The prefix-product graph sum equals the sum that multiplies every
     colouring's factors from scratch: fz with and without S on unit, 1/8
-    and non-generic weights, and boundary-sq, whose ring has t, x and p."""
+    and non-generic weights, and boundary-sq, whose ring has t, x and p.
+    The oracle builds every factor anew for each graph and colouring."""
     build, (*args, max_edges) = case
 
     def capped(g, weights, cap):
