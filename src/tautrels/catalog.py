@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import tempfile
 from fractions import Fraction
 from functools import lru_cache
@@ -475,8 +476,6 @@ def edge_series_xy(z1: int, z2: int, t_order: int, x_order: int, kind: int) -> S
 
 def identity_suite(quick: bool = False, seed: int = 20260826) -> list:
     """Run the formal-series identity checks; returns (name, ok, detail) rows."""
-    import random
-
     rng = random.Random(seed)
     results = []
 

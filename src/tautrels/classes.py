@@ -264,30 +264,27 @@ def _map_points(points: tuple, hemap: dict) -> tuple:
 def canonical_term(graph: StableGraph, decor: tuple) -> tuple:
     """Minimal representative of (graph, decoration) under relabelling.
 
-    The minimum is taken over ``graph.vertex_maps()`` and, for each, over
-    ``graph.half_edge_maps(perm)``, so vertex permutations, re-numberings
-    of parallel edges and side flips of loops are all taken into account
-    and equal terms always compare equal.  The minimum over all vertex
-    permutations has sorted genera, so the genus-block maps reach it.
-    A one-vertex, edge-free term has no relabelling and is returned as it
-    is.  Returns ``(genera, legs, edges, decor)``.
+    Returns the canonical graph's ``(genera, legs, edges)`` and the
+    smallest image of ``decor`` under ``graph.relabellings``, the maps onto
+    the canonical graph.  Only those maps minimise (legs, edges), so this
+    is the minimum of the whole tuple over every relabelling, and equal
+    terms compare equal.  Terms that share a graph object share its
+    relabellings.  A one-vertex, edge-free term is returned as it is.
     """
     if not graph.edges and graph.n_vertices == 1:
         return graph.genera, graph.legs, graph.edges, decor
-    genera = tuple(sorted(graph.genera))
-    best = None
-    for perm in graph.vertex_maps():
-        legs = tuple(perm[v] for v in graph.legs)
-        for edges, hemap in graph.half_edge_maps(perm):
-            new_decor = [None] * graph.n_vertices
-            for v, (kappa, blocks) in enumerate(decor):
-                new_decor[perm[v]] = (kappa, tuple(
-                    sorted((_map_points(pts, hemap), a) for pts, a in blocks)
-                ))
-            cand = (genera, legs, edges, tuple(new_decor))
-            if best is None or cand < best:
-                best = cand
-    return best
+
+    def image(perm, hemap):
+        out = [None] * graph.n_vertices
+        for v, (kappa, blocks) in enumerate(decor):
+            out[perm[v]] = (kappa, tuple(
+                sorted((_map_points(pts, hemap), a) for pts, a in blocks)
+            ))
+        return tuple(out)
+
+    canonical = graph.canonical()
+    return (canonical.genera, canonical.legs, canonical.edges,
+            min(image(perm, hemap) for perm, hemap in graph.relabellings))
 
 
 # ---------------------------------------------------------------------------
@@ -488,18 +485,19 @@ def multiply_generator(c: TautClass, gen: tuple) -> TautClass:
     multiplied into every stored decoration by :func:`_vertex_product`.
     """
     out = TautClass(c.genus, c.weights)
-    factors: dict = {}
+    factors: dict = {}  # (genera, legs, edges): (its graph, its sites)
     for key, coeff in c.terms.items():
-        genera, legs, edges, decor = key
-        graph = StableGraph(genera, legs, edges)
-        if graph not in factors:
-            factors[graph] = [
+        shape, decor = key[:3], key[3]
+        if shape not in factors:
+            graph = StableGraph(*shape)
+            factors[shape] = graph, [
                 (v, single)
                 for v, factor in _generator_sites(graph, gen)
-                if (single := _factor_decor(factor, genera[v], c.weights))
+                if (single := _factor_decor(factor, shape[0][v], c.weights))
                 is not None
             ]
-        for v, (scalar, factor_vd) in factors[graph]:
+        graph, sites = factors[shape]
+        for v, (scalar, factor_vd) in sites:
             vd = _vertex_product(decor[v], factor_vd, c.weights)
             if vd is not None:
                 out.add_term(graph, decor[:v] + (vd,) + decor[v + 1:],
@@ -572,13 +570,14 @@ def pushforward_forget_small(c: TautClass, count: int = 1) -> TautClass:
         point = ("m", n)
         den, nums = _numerators(current.terms)
         acc: dict = {}
-        valid = set()
+        valid: dict = {}  # (genera, legs, edges): its validated graph
         for (genera, legs, edges, decor), num in nums:
             v = legs[n - 1]
-            graph = StableGraph(genera, legs[:-1], edges)
-            if graph not in valid:
-                graph.validate(weights, current.genus)
-                valid.add(graph)
+            shape = (genera, legs[:-1], edges)
+            if shape not in valid:
+                valid[shape] = StableGraph(*shape)
+                valid[shape].validate(weights, current.genus)
+            graph = valid[shape]
             kappa, blocks = decor[v]
             i = next((i for i, (pts, _) in enumerate(blocks) if point in pts),
                      None)

@@ -14,11 +14,10 @@ with every half-edge map onto them: parallel edges are renumbered among
 themselves and loops may flip sides.  The canonical representative of an
 isomorphism class is the lexicographic minimum of (genera, legs, edges)
 over vertex relabellings; it has sorted genera, so the genus-block maps
-onto the sorted genera reach it, and the same pass counts the vertex
-automorphisms.  ``automorphism_order`` multiplies them by the half-edge
-symmetries: a factor m! for every group of m parallel edges and a factor
-2 for every loop.  ``classes.canonical_term`` uses the same two generators
-for decorated terms.
+onto the sorted genera reach it.  ``StableGraph.relabellings`` lists,
+once per graph object, every vertex and half-edge map onto it: a coset of
+the automorphism group, so ``automorphism_order`` is their number, and
+``classes.canonical_term`` takes a decorated term's minimum over them.
 
 ``enumerate_graphs`` generates graphs by degeneration, one edge at a time,
 starting from the smooth graph: add a loop at a vertex of positive genus,
@@ -29,12 +28,11 @@ because contracting an edge keeps a graph stable.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, permutations, product
-from math import factorial, lcm
+from itertools import chain, combinations, permutations, product
+from math import lcm
 from typing import Iterable
 
 
@@ -110,8 +108,6 @@ class WeightData:
 
     def is_generic(self) -> bool:
         """No subset of two or more markings has weight exactly one."""
-        from itertools import combinations
-
         idx = range(1, self.n + 1)
         for size in range(2, self.n + 1):
             for s in combinations(idx, size):
@@ -124,8 +120,6 @@ class WeightData:
         weight exactly one become strictly smaller, without any subset sum
         crossing one from below or above."""
         sums = set()
-        from itertools import combinations
-
         idx = [i for i in range(1, self.n + 1)]
         for size in range(1, self.n + 1):
             for s in combinations(idx, size):
@@ -282,15 +276,13 @@ class StableGraph:
         for combo in product(*per_group):
             yield edges, dict(chain.from_iterable(combo))
 
-    def _genus_block_minimum(self) -> tuple:
-        """Lexicographic minimum of (genera, legs, edges) over vertex
-        relabellings, and the number of relabellings that reach it.
-
-        The minimum has sorted genera, so only ``vertex_maps`` onto the
-        sorted genera are tried.  Vertex automorphisms preserve genera, so
-        the count is the number of vertex automorphisms.
-        """
-        best, count = None, 0
+    @cached_property
+    def _minimum(self) -> tuple:
+        """``(canonical graph, vertex maps)``: the lexicographic minimum of
+        (genera, legs, edges) over vertex relabellings and the list of
+        vertex maps that reach it.  The minimum has sorted genera, so only
+        ``vertex_maps`` onto the sorted genera are tried."""
+        best, perms = None, []
         for perm in self.vertex_maps():
             key = (
                 tuple(perm[v] for v in self.legs),
@@ -301,22 +293,24 @@ class StableGraph:
                 )),
             )
             if best is None or key < best:
-                best, count = key, 1
+                best, perms = key, [perm]
             elif key == best:
-                count += 1
-        return StableGraph(tuple(sorted(self.genera)), *best), count
+                perms.append(perm)
+        return StableGraph(tuple(sorted(self.genera)), *best), perms
+
+    @cached_property
+    def relabellings(self) -> list:
+        """Every ``(vertex map, half-edge map)`` onto the canonical form,
+        built only when asked for: a coset of Aut, so |Aut| of them."""
+        return [(perm, hemap) for perm in self._minimum[1]
+                for _, hemap in self.half_edge_maps(perm)]
 
     def canonical(self) -> "StableGraph":
-        return self._genus_block_minimum()[0]
+        return self._minimum[0]
 
     def automorphism_order(self) -> int:
-        """|Aut|: vertex symmetries times half-edge symmetries."""
-        half_edge = 1
-        for (a, b), m in Counter(self.edges).items():
-            half_edge *= factorial(m)
-            if a == b:
-                half_edge *= 2 ** m
-        return self._genus_block_minimum()[1] * half_edge
+        """|Aut|: the number of relabellings onto the canonical form."""
+        return len(self.relabellings)
 
     def to_dict(self) -> dict:
         return {

@@ -654,10 +654,10 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
         if order not in rings:
             # the corner's key, packed as add_terms packs every key
             ring = ring_of(order)
-            corner = DecoratedSeries(ring, graph, weights)
-            corner.add_term(tuple(s.trunc_order - 1 for s in ring.specs),
-                            corner._trivial_decor(), 1)
-            [[target]] = corner.rows.values()
+            left, right, _ = ring._product_layout()
+            _, [(target, _)] = ring._packed(
+                [(tuple(s.trunc_order - 1 for s in ring.specs), 1)],
+                left + right)
             rings[order] = ring, target
         ring, target = rings[order]
         trivial = (((), ()),) * graph.n_vertices

@@ -19,7 +19,8 @@
   a codimension and up to a number of edges.
 * ``graph_isos`` lists every isomorphism between two stable graphs, from
   the relabellings that ``StableGraph.vertex_maps`` and
-  ``StableGraph.half_edge_maps`` yield.
+  ``StableGraph.half_edge_maps`` yield, and ``iso_set`` puts a list of
+  isomorphisms in a comparable order.
 * ``divisor_product`` multiplies two boundary divisors decorated by
   half-edge psi powers by excess intersection, and ``divisor_exp_check``
   compares the boundary exponential expanded with it against the graph sum
@@ -230,6 +231,12 @@ def graph_isos(g1: StableGraph, g2: StableGraph) -> list:
         for edges, hemap in g1.half_edge_maps(perm)
         if edges == g2.edges
     ]
+
+
+def iso_set(isos) -> list:
+    """``(vertex map, half-edge map)`` pairs as a sorted list, so that two
+    lists of isomorphisms compare equal when they hold the same maps."""
+    return sorted((perm, sorted(hemap.items())) for perm, hemap in isos)
 
 
 def _edge_decor(term_key: tuple) -> dict:

@@ -327,9 +327,11 @@ def test_11_determinism(tmp_path, monkeypatch):
 
 # sha256 of each payload: the other edge-kernel tests check properties, these
 # pin the values.  The sigma relation forgets points whose vertices then
-# destabilize, so it passes through the contraction in _forget_contract.  The
-# fz, open-fz, open-sq and boundary-sq payloads pin each relation
-# construction by value, on marked points with and without a diagonal.
+# destabilize, so it passes through the contraction in _forget_contract; the
+# genus 4 one runs on graphs with loops and multi-edges, whose automorphism
+# groups have order up to 48.  The fz, open-fz, open-sq and boundary-sq
+# payloads pin each relation construction by value, on marked points with
+# and without a diagonal.
 GOLDEN_DIGESTS = {
     "DeltaE t=8":
         "c128a1dbc83b0376585658c624ebe553fc15009cf674e317338edcb60b5ca421",
@@ -341,6 +343,8 @@ GOLDEN_DIGESTS = {
         "803c07521ffa462fbad4bd4e0c4922b962eee94602a0c15acdf5405ea57e9880",
     "sigma 1,3 on weights 1/3":
         "a0646517fb0863920e02bff349b1dc3b4159005f2ac8c5a8cc477a79b56b4eca",
+    "sigma 1,1 g4 r3":
+        "55cab0fa23aff6e3552552b4370637e8d71d021b6c13810b0eac104c877e84fe",
     "open-fz g4 r3 1/5,1/5 S=1,2":
         "6df3f351438d7bfce4a973a1d30affd36a9df0eca05f94f01542aa63f3186dc7",
     "open-sq g2 r3 d1 1/10,1/10 a=1,1 signs +1,+1":
@@ -378,6 +382,8 @@ def test_12_golden_digests():
         "sigma 1,3 on weights 1/3": gen(
             "--genus", "2", "--codim", "3", "--weights", "1/3",
             "--sigma", "1,3"),
+        "sigma 1,1 g4 r3": gen(
+            "--genus", "4", "--codim", "3", "--sigma", "1,1"),
         "open-fz g4 r3 1/5,1/5 S=1,2": gen(
             "--genus", "4", "--codim", "3", "--construction", "open-fz",
             "--weights", "1/5,1/5", "--subset", "1,2"),

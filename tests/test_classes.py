@@ -3,12 +3,14 @@
 import itertools
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from tautrels import classes
 from tautrels.classes import (
     TautClass,
     _check_stored,
@@ -24,6 +26,7 @@ from tautrels.classes import (
     weight_reduce,
 )
 from tautrels.catalog import bernoulli
+from tautrels.relations import fz_relation
 from tautrels.series import Ring, VarSpec
 from tautrels.graphs import (
     PreconditionError,
@@ -38,6 +41,7 @@ from oracles import (
     divisor_exp_check,
     divisor_product,
     graph_isos,
+    iso_set,
     max_edges_part,
     oracle_add_words,
     oracle_check_stored,
@@ -547,10 +551,6 @@ def oracle_graph_isos(g1, g2):
     return out
 
 
-def _iso_set(isos):
-    return sorted((perm, sorted(hemap.items())) for perm, hemap in isos)
-
-
 def _test_decorations(graph, weights):
     """Decorations that tell half-edges, edges and vertices apart: psi
     powers at half-edges (loops and parallel edges included), kappa
@@ -630,13 +630,68 @@ def test_canonical_term_matches_oracle(genus):
             )
 
 
+def _labellings(monkeypatch, run) -> list:
+    """Run ``run()`` and list ``(graph, vertex_maps calls on it)`` for each
+    graph object with edges that reaches ``canonical_term``."""
+    calls: dict = {}  # id: [graph, calls]; holding the graph keeps ids apart
+    reached: dict = {}
+    vertex_maps, term = StableGraph.vertex_maps, classes.canonical_term
+
+    def counted(self, *args):
+        calls.setdefault(id(self), [self, 0])[1] += 1
+        return vertex_maps(self, *args)
+
+    def seen(graph, decor):
+        if graph.edges:
+            reached[id(graph)] = graph
+        return term(graph, decor)
+
+    with monkeypatch.context() as m:
+        m.setattr(StableGraph, "vertex_maps", counted)
+        m.setattr(classes, "canonical_term", seen)
+        run()
+    return [(graph, calls.get(key, [graph, 0])[1])
+            for key, graph in reached.items()]
+
+
+def _several_terms_per_graph(genus, weights, graphs):
+    c = TautClass(genus, weights)
+    for graph in graphs:
+        for decor in _test_decorations(graph, weights):
+            c.add_term(graph, decor, 1)
+    counts = Counter(key[:3] for key in c.terms if key[2])
+    assert max(counts.values()) > 1
+    return c
+
+
+def test_each_graph_object_is_labelled_once(monkeypatch):
+    unit = WeightData((Fraction(1),))
+    marked = _several_terms_per_graph(2, unit, enumerate_graphs(2, unit, 2))
+    # marking 2 (weight 1/4) added to every vertex of the graphs of
+    # marking 1 (weight 1/3) alone, so forgetting it keeps them stable
+    first = WeightData((Fraction(1, 3),))
+    forgettable = multiply_generator(_several_terms_per_graph(
+        2, DECORATION_WEIGHTS[2],
+        [StableGraph(g.genera, g.legs + (v,), g.edges)
+         for g in enumerate_graphs(2, first, 2) for v in range(g.n_vertices)]
+    ), ("psi", 2, 1))
+    for run in (lambda: fz_relation(3, WeightData(()), 2),
+                lambda: multiply_generator(marked, ("psi", 1, 1)),
+                lambda: pushforward_forget_small(forgettable)):
+        labelled = _labellings(monkeypatch, run)
+        assert labelled
+        # one object per distinct graph, and one search per object
+        assert len({graph for graph, _ in labelled}) == len(labelled)
+        assert {count for _, count in labelled} == {1}
+
+
 def test_graph_isos_match_oracle_and_automorphism_order():
     for _, _, graph in _oracle_graphs():
         flipped = relabelled(graph, tuple(reversed(range(graph.n_vertices))))
         autos = graph_isos(graph, graph)
         assert len(autos) == graph.automorphism_order()
-        assert _iso_set(autos) == _iso_set(oracle_graph_isos(graph, graph))
-        assert _iso_set(graph_isos(graph, flipped)) == _iso_set(
+        assert iso_set(autos) == iso_set(oracle_graph_isos(graph, graph))
+        assert iso_set(graph_isos(graph, flipped)) == iso_set(
             oracle_graph_isos(graph, flipped)
         )
 

@@ -18,7 +18,7 @@ from tautrels.graphs import (
     smooth_graph,
 )
 
-from oracles import relabelled
+from oracles import graph_isos, iso_set, relabelled
 
 
 def W(*vals):
@@ -108,6 +108,32 @@ def test_enumeration_matches_brute_force(genus, name, max_edges):
     assert graphs == brute_enumerate_graphs(genus, weights, max_edges)
     for g in graphs:
         assert g.automorphism_order() == brute_automorphism_order(g)
+
+
+@pytest.mark.parametrize("genus", range(4))
+def test_relabellings_are_every_map_onto_the_canonical_form(genus):
+    loops = multi_edges = 0
+    for name in ("none", "unit-pair", "light-pair"):
+        for graph in enumerate_graphs(genus, ORACLE_WEIGHTS[name], 3):
+            loops += any(a == b for a, b in graph.edges)
+            multi_edges += len(set(graph.edges)) < graph.n_edges
+            n = graph.n_vertices
+            shifted = tuple((v + 1) % n for v in range(n))
+            for g in (graph, relabelled(graph, tuple(reversed(range(n)))),
+                      relabelled(graph, shifted)):
+                canonical = g.canonical()
+                assert iso_set(g.relabellings) == iso_set(
+                    graph_isos(g, canonical))
+                assert len(g.relabellings) == brute_automorphism_order(g)
+                assert g.automorphism_order() == len(g.relabellings)
+                # the cached labelling changes neither equality, hash nor
+                # the serialised graph
+                fresh = StableGraph(g.genera, g.legs, g.edges)
+                assert g == fresh and hash(g) == hash(fresh)
+                assert g.to_dict() == fresh.to_dict()
+                assert canonical == brute_canonical(fresh)
+    if genus:
+        assert loops and multi_edges
 
 
 def test_enumeration_rejects_negative_genus_and_edge_cap():

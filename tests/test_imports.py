@@ -1,7 +1,8 @@
 """Source hygiene: every module of the package and of its tests uses what
-it imports and binds every global name it reads, every function of the
-package is read by the package itself, and every optional parameter of the
-package is passed by some call."""
+it imports and binds every global name it reads, the package imports at
+module level only, every function of the package is read by the package
+itself, and every optional parameter of the package is passed by some
+call."""
 
 import ast
 import builtins
@@ -45,6 +46,42 @@ def test_check_sees_an_unused_import(tmp_path):
                       "import os, json\nfrom math import comb as c\n"
                       "__all__ = ['json']\nprint(os.sep)\n")
     assert unused_imports(module) == ["c"]
+
+
+def function_imports(path: Path) -> list:
+    """Lines of the ``import`` statements inside function bodies of the
+    module at ``path``.  Such an import hides a dependency from the top of
+    the module and runs again on every call."""
+    return sorted({
+        node.lineno
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_imports_at_module_level(path):
+    assert function_imports(path) == []
+
+
+def test_check_sees_a_function_import(tmp_path):
+    # imports in a function, a nested function and a coroutine; the ones in
+    # a class body and under a module-level ``if`` run once and pass
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import os\n"
+        "def f():\n    import json\n    return json\n"
+        "class K:\n    from math import comb\n"
+        "    def m(self):\n"
+        "        def inner():\n            from random import Random\n"
+        "        return inner\n"
+        "async def g():\n    import sys\n"
+        "if os:\n    import re\n"
+    )
+    assert function_imports(module) == [3, 9, 12]
 
 
 # names a module's namespace holds without binding them; the others, such
