@@ -153,6 +153,8 @@ def _vertex_product(vd1: tuple, vd2: tuple, weights: WeightData) -> tuple | None
     always 1; a merged block of two or more markings vanishes when its
     weight exceeds one.  Stored blocks hold no half-edge next to another
     point, so every merged block of two or more points is a marking block.
+    The weight test runs once per merged tuple of two or more points of
+    ``weights`` (``weights._heavy``).
     """
     kappa1, blocks1 = vd1
     kappa2, blocks2 = vd2
@@ -161,7 +163,7 @@ def _vertex_product(vd1: tuple, vd2: tuple, weights: WeightData) -> tuple | None
         kappa = tuple(sorted(kappa))
     if not (blocks1 and blocks2):
         return kappa, blocks1 or blocks2
-    den, nums = weights._scaled
+    heavy = weights._heavy
     blocks = list(blocks1)
     for pts, a in blocks2:
         union = set(pts)
@@ -174,8 +176,14 @@ def _vertex_product(vd1: tuple, vd2: tuple, weights: WeightData) -> tuple | None
                 a += other[1]
         if len(keep) < len(blocks):
             pts = tuple(sorted(union))
-            if len(pts) > 1 and sum(nums[p[1] - 1] for p in pts) > den:
-                return None
+            if len(pts) > 1:
+                too_heavy = heavy.get(pts)
+                if too_heavy is None:
+                    den, nums = weights._scaled
+                    too_heavy = heavy[pts] = (
+                        sum(nums[p[1] - 1] for p in pts) > den)
+                if too_heavy:
+                    return None
         keep.append((pts, a))
         blocks = keep
     return kappa, tuple(sorted(blocks))
@@ -556,19 +564,22 @@ def pushforward_forget_small(c: TautClass, count: int = 1) -> TautClass:
     a pure psi power at the marking becomes ``kappa_{a-1}`` at its vertex
     (``kappa_0`` is the scalar ``2 g(v) - 2``); a larger block loses the
     marking, drops its exponent by one and changes sign.  The block is
-    rewritten in place on integer numerators.  The table holds only for
-    light markings (:func:`_check_light`); heavy ones raise.
+    rewritten in place.  Every round only negates a numerator or
+    multiplies it by ``2 g(v) - 2``, so the ``count`` rounds run on the
+    integer numerators of ``c`` over its one denominator, dropping zeros
+    between rounds.  The table holds only for light markings
+    (:func:`_check_light`); heavy ones raise.
     """
     if not 0 <= count <= c.weights.n:
         raise PreconditionError("0 <= count <= n",
                                 f"count={count}, n={c.weights.n}")
     _check_light(c.weights, count)
-    current = c
+    weights = c.weights
+    den, nums = _numerators(c.terms)
     for _ in range(count):
-        n = current.weights.n
-        weights = WeightData(current.weights.weights[:-1])
+        n = weights.n
+        weights = WeightData(weights.weights[:-1])
         point = ("m", n)
-        den, nums = _numerators(current.terms)
         acc: dict = {}
         valid: dict = {}  # (genera, legs, edges): its validated graph
         for (genera, legs, edges, decor), num in nums:
@@ -576,7 +587,7 @@ def pushforward_forget_small(c: TautClass, count: int = 1) -> TautClass:
             shape = (genera, legs[:-1], edges)
             if shape not in valid:
                 valid[shape] = StableGraph(*shape)
-                valid[shape].validate(weights, current.genus)
+                valid[shape].validate(weights, c.genus)
             graph = valid[shape]
             kappa, blocks = decor[v]
             i = next((i for i, (pts, _) in enumerate(blocks) if point in pts),
@@ -599,8 +610,8 @@ def pushforward_forget_small(c: TautClass, count: int = 1) -> TautClass:
             decor = decor[:v] + ((kappa, rest),) + decor[v + 1:]
             key = canonical_term(graph, decor)
             acc[key] = acc.get(key, 0) + num
-        current = _from_numerators(current.genus, weights, acc, den)
-    return current
+        nums = [(key, num) for key, num in acc.items() if num]
+    return _from_numerators(c.genus, weights, dict(nums), den)
 
 
 def _contract_edge(graph: StableGraph, e: int):
@@ -711,19 +722,26 @@ def pushforward_forget_weight1(c: TautClass, marking: int) -> TautClass:
     weights = WeightData(c.weights.weights[:-1])
     out = TautClass(c.genus, weights)
     point = ("m", marking)
+    graphs: dict = {}  # (genera, legs, edges): (graph, its ValueError)
     for key, coeff in c.terms.items():
         genera, legs, edges, decor = key
         v_home = legs[marking - 1]
-        graph = StableGraph(genera, legs[:-1], edges)
-        try:
-            graph.validate(weights, c.genus)
-        except ValueError as exc:
+        shape = (genera, legs[:-1], edges)
+        if shape not in graphs:
+            graph, error = StableGraph(*shape), None
+            try:
+                graph.validate(weights, c.genus)
+            except ValueError as exc:
+                error = exc
+            graphs[shape] = graph, error
+        graph, error = graphs[shape]
+        if error is not None:
             if _forget_contract(out, genera, legs, edges, decor, v_home,
                                 marking, coeff):
                 continue
             raise NotImplementedError(
-                "forgetting this point contracts a component: " + str(exc)
-            ) from exc
+                "forgetting this point contracts a component: " + str(error)
+            ) from error
         kappa, blocks = decor[v_home]
         b_exp = None
         rest_blocks = []
@@ -799,23 +817,34 @@ def chern_neg_Bd(
     Each factor ``1/(1 - base)`` is applied by the recurrence
     ``c_j += base * c_{j-1}`` for ``j = 1..t_order`` in increasing ``j``,
     so ``c_{j-1}`` already includes the factor when ``c_j`` is updated;
-    no powers of ``base`` are formed.
+    no powers of ``base`` are formed.  Every class lives on the smooth
+    graph and every coefficient is an integer, so each ``c_j`` is a dict
+    ``{vertex decoration: int}`` until the end, and ``base`` is the
+    ``(scalar, vertex decoration)`` pairs of its single factors.
     """
     n = weights.n - d
-    total = [TautClass.one(genus, weights)]
-    total += [TautClass.zero(genus, weights) for _ in range(t_order)]
     graph = smooth_graph(genus, weights.n)
+    shape = (graph.genera, graph.legs, graph.edges)
+    total = [{((), ()): 1}] + [{} for _ in range(t_order)]
     for i in range(1, d + 1):
-        base = TautClass(genus, weights)
         factors = [("psi", n + i, 1)]
         factors += [("Dsa", (n + j, n + i), 1) for j in range(1, i)]
-        for factor in factors:
-            if (single := _factor_decor(factor, genus, weights)) is not None:
-                base.add_term(graph, (single[1],), single[0])
+        base = [single for factor in factors
+                if (single := _factor_decor(factor, genus, weights))
+                is not None]
+        # the factor goes second: _vertex_product loops over the blocks of
+        # its second argument
         for j in range(1, t_order + 1):
-            if not total[j - 1].is_zero:
-                total[j] = total[j] + multiply_smooth(base, total[j - 1])
-    return dict(enumerate(total))
+            acc, get = total[j], total[j].get
+            for scalar, factor_vd in base:
+                for vd1, a in total[j - 1].items():
+                    vd = _vertex_product(vd1, factor_vd, weights)
+                    if vd is not None:
+                        acc[vd] = get(vd, 0) + a * scalar
+    return {j: _from_numerators(genus, weights,
+                                {shape + ((vd,),): a for vd, a in c.items()},
+                                1)
+            for j, c in enumerate(total)}
 
 
 # ---------------------------------------------------------------------------

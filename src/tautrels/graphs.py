@@ -102,6 +102,13 @@ class WeightData:
         nums = tuple(w.numerator * (den // w.denominator) for w in self.weights)
         return den, nums
 
+    @cached_property
+    def _heavy(self) -> dict:
+        """``{points: heavy}`` for the merged blocks of two or more markings
+        met so far: whether the block weighs more than one.  Filled by
+        ``classes._vertex_product``, once per distinct point tuple."""
+        return {}
+
     def subset_weight(self, markings: Iterable[int]) -> Fraction:
         den, nums = self._scaled
         return Fraction(sum(nums[i - 1] for i in markings), den)

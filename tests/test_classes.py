@@ -1362,11 +1362,13 @@ def _bundle_weights(kind, d):
     return WeightData((Fraction(1, 2),) + bundle[:d])
 
 
-@pytest.mark.parametrize("kind", ["eps", "dead-pairs", "mixed"])
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_chern_neg_Bd_matches_convolution_oracle(kind, d):
+# d = 5 on eps weights up to t_order 9 is the size the pushforward suite runs
+@pytest.mark.parametrize("d, kind", [
+    (d, kind) for d in (1, 2, 3, 4) for kind in ("dead-pairs", "eps", "mixed")
+] + [(5, "eps")])
+def test_chern_neg_Bd_matches_convolution_oracle(d, kind):
     w = _bundle_weights(kind, d)
-    for t_order in range(7):
+    for t_order in range(10 if d == 5 else 7):
         got = chern_neg_Bd(d, t_order, 2, w)
         want = oracle_chern_neg_Bd(d, t_order, 2, w)
         assert sorted(got) == list(range(t_order + 1))
@@ -1386,6 +1388,58 @@ def test_pushforward_forget_small_is_linear(d):
         assert pushforward_forget_small(c.scale(third), d) == (
             pushforward_forget_small(c, d).scale(third)
         )
+
+
+def test_pushforward_forget_small_equals_single_rounds():
+    # light markings 2, 3, 4 of mixed weights; coefficients with
+    # denominators; a block through marking 4 and a psi at it cancel after
+    # the first round: D_{{3,4},2} -> -psi_3 and psi_3 psi_4 -> 2 psi_3
+    w = WeightData((Fraction(1, 2), Fraction(1, 4), Fraction(1, 10),
+                    Fraction(1, 12)))
+    c = _smooth_class(
+        2, w,
+        (Fraction(2, 3), [("Dsa", (3, 4), 2)]),
+        (Fraction(1, 3), [("psi", 3, 1), ("psi", 4, 1)]),
+        (Fraction(-5, 7), [("Dsa", (2, 3, 4), 3), ("psi", 1, 1)]),
+        (Fraction(3, 10), [("kappa", 1), ("psi", 2, 1), ("psi", 4, 3)]),
+        (Fraction(1, 6), [("Dsa", (1, 4), 2), ("psi", 3, 2)]),
+    )
+    graph = StableGraph((1, 1), (0, 1, 0, 1), ((0, 1),))
+    oracle_add_words(c, graph, [[("psi", i, 2) for i in graph.legs_at(v)]
+                                for v in range(graph.n_vertices)],
+                     Fraction(-1, 4))
+    psi3 = (((), (((("m", 3),), 1),)),)
+    assert psi3 not in [key[3] for key in pushforward_forget_small(c).terms]
+    current = c
+    for count in range(1, 4):
+        current = pushforward_forget_small(current)
+        assert pushforward_forget_small(c, count) == current
+        assert (pushforward_forget_small(c, count).dumps()
+                == oracle_pushforward_forget_small(c, count).dumps())
+    assert not current.is_zero
+
+
+@pytest.mark.parametrize("first", ["heavy", "light"])
+def test_heavy_block_test_is_kept_per_weight_vector(first):
+    # the pair {1, 2} weighs 4/3 under (2/3, 2/3) and 2/3 under (1/3, 1/3);
+    # the kernel reads only the weight of the merged point tuple
+    spaces = {"heavy": WeightData((Fraction(2, 3), Fraction(2, 3))),
+              "light": WeightData((Fraction(1, 3), Fraction(1, 3)))}
+    order = [first] + [k for k in spaces if k != first]
+    for kind in order:
+        w = spaces[kind]
+        vd = classes._vertex_product(((), (((("m", 1),), 1),)),
+                                     ((), (((("m", 1), ("m", 2)), 1),)), w)
+        if kind == "heavy":
+            assert vd is None
+        else:
+            assert vd == ((), (((("m", 1), ("m", 2)), 2),))
+        assert w._heavy == {(("m", 1), ("m", 2)): kind == "heavy"}
+    # equal weight vectors give equal answers, whichever object asks
+    again = WeightData((Fraction(2, 3), Fraction(2, 3)))
+    assert classes._vertex_product(((), (((("m", 1),), 1),)),
+                                   ((), (((("m", 1), ("m", 2)), 1),)),
+                                   again) is None
 
 
 def _fact(n):
@@ -1499,6 +1553,33 @@ class TestForgetWeightOne:
             [[("hpsi", (0, 0), 1)], [("hpsi", (0, 1), 2)]], 3,
         )
         assert pushed == expected
+
+    def test_terms_sharing_a_graph_are_each_pushed(self):
+        # each graph is validated once per call, a failed validation
+        # included, and every term is still pushed: the push-forward of the
+        # sum is the sum of the push-forwards of its terms
+        w = WeightData((Fraction(1),))
+        joins = StableGraph((1, 0, 1), (1,), ((0, 1), (1, 2)))
+        split = StableGraph((1, 1), (0,), ((0, 1),))
+        terms = [
+            (joins, [[("hpsi", (0, 0), 1)], [], [("hpsi", (1, 1), 2)]], 3),
+            (joins, [[("kappa", 1)], [], []], Fraction(-1, 2)),
+            (joins, [[], [("hpsi", (0, 1), 1)], []], 5),
+            (split, [[("psi", 1, 2)], []], Fraction(2, 3)),
+            (split, [[("psi", 1, 1), ("kappa", 1)], [("hpsi", (0, 1), 1)]],
+             7),
+        ]
+        c = TautClass(2, w)
+        expected = TautClass(2, WeightData(()))
+        for graph, words, coeff in terms:
+            single = TautClass(2, w)
+            oracle_add_words(single, graph, words, coeff)
+            oracle_add_words(c, graph, words, coeff)
+            expected = expected + pushforward_forget_weight1(single, 1)
+        assert len(c.terms) == len(terms)
+        pushed = pushforward_forget_weight1(c, 1)
+        assert pushed == expected
+        assert len(pushed.terms) == 4
 
     def test_lone_three_pointed_component_flagged(self):
         # forgetting a point of M_{0,3} leaves no component to contract
