@@ -323,6 +323,9 @@ def s_matrix_ode_residuals(sm: dict) -> list:
     S = sm["S"]
     ew = (ring.var("y0") - ring.var("y1")).exp()
     xew = ring.var("x") * ew
+    # sum_k z_k x e^w S_i^k depends on i alone
+    flow = [sum((zk * xew * S[(i, k)] for k, zk in enumerate(ZETA)), ring.zero())
+            for i in range(2)]
     res = []
     for a in (0, 1):
         dwa = 1 if a == 0 else -1
@@ -331,9 +334,7 @@ def s_matrix_ode_residuals(sm: dict) -> list:
         for i in range(2):
             for j in range(2):
                 lhs = S[(i, j)].derivative(f"y{a}").mul_var("t")
-                rhs = (1 if a == j else 0) * S[(i, j)]
-                for k, zk in enumerate(ZETA):
-                    rhs = rhs + dwa * zk * xew * S[(i, k)]
+                rhs = (1 if a == j else 0) * S[(i, j)] + dwa * flow[i]
                 diff = lhs - rhs
                 # the derivative's top y-layer needs data beyond the window
                 diff = Series(
@@ -350,6 +351,20 @@ def locality_series(t_order: int, x_order: int) -> dict:
     is the exact quotient by ``t1 + t2`` of
     ``(z_i + z_j)/2 + Phi'(z_i t1) Phi'(z_j t2) (z_i delta(z_i t1) + z_j delta(z_j t2))``.
     Returns ``P``, ``E`` and ``E_numerator`` keyed by (i, j).
+
+    Two products serve all four sign pairs.  Let ``G1 = 1/2 + Phi'(t1)
+    Phi'(t2) delta(t1)`` and ``G2`` be ``G1`` with ``t1`` and ``t2``
+    swapped.  With ``u1 = z_i t1`` and ``u2 = z_j t2`` the numerator is
+    ``z_i G1(u1, u2) + z_j G2(u1, u2)``, and ``t1 + t2 = z_i (u1 + u2)``
+    when ``z_i = z_j``, ``z_i (u1 - u2)`` otherwise.  So the numerator is
+    ``z_i (G1 + G2)`` or ``z_i (G1 - G2)`` at ``(u1, u2)``, and ``E^{ij}``
+    is ``K+ = (G1 + G2) / (t1 + t2)`` or ``K- = (G1 - G2) / (t1 - t2)``
+    there.  These are exact, not only up to truncation: truncated products
+    commute with the swap (the ring is symmetric in ``t1`` and ``t2``) and
+    with sign twists, and :meth:`Series.divide_exact` commutes with sign
+    twists, which scale each monomial and the divisor by a sign and keep
+    the lex order of the monomials.  Likewise ``P^{ij}`` needs only the two
+    products ``(1/2 - s delta) Phi'`` for ``s = z_i z_j``.
     """
     work = t_order + 1
     fam = phi_family(work, x_order)
@@ -371,25 +386,25 @@ def locality_series(t_order: int, x_order: int) -> dict:
     )
     t1, t2 = ring2.var("t1"), ring2.var("t2")
 
-    # Phi' and delta at t = z t1 and at t = z t2, for each sign z
-    twisted = {
-        (z, name): tuple(f.substitute({"t": z * ring2.var(name)})
-                         for f in (phi_p, delta))
-        for z in ZETA for name in ("t1", "t2")
-    }
+    g1 = Fraction(1, 2) + (phi_p.substitute({"t": t1}) * phi_p.substitute({"t": t2})
+                           * delta.substitute({"t": t1}))
+    g2 = Series(ring2, {(b, a, x): c for (a, b, x), c in g1.coeffs.items()})
+    # the numerator and the quotient for z_i = z_j (key 1) and z_i != z_j (-1)
+    num = {1: g1 + g2, -1: g1 - g2}
+    quot = {s: embed(num[s].divide_exact(t1 + s * t2), out2) for s in ZETA}
+    num = {s: embed(f, out2) for s, f in num.items()}
     out_p = Ring([VarSpec("t", 0, t_order + 1), VarSpec("x", 0, x_order + 1)])
+    prod_p = {s: embed((Fraction(1, 2) - s * delta) * phi_p, out_p) for s in ZETA}
     P = {}
     E = {}
     EN = {}
     for i, zi in enumerate(ZETA):
         for j, zj in enumerate(ZETA):
-            p_ij = ((Fraction(1, 2) - zi * zj * delta) * phi_p).substitute({"t": zi})
-            P[(i, j)] = embed(p_ij, out_p)
-            (phi1, delta1), (phi2, delta2) = twisted[zi, "t1"], twisted[zj, "t2"]
-            num = (ring2.const(Fraction(zi + zj, 2))
-                   + phi1 * phi2 * (zi * delta1 + zj * delta2))
-            EN[(i, j)] = embed(num, out2)
-            E[(i, j)] = embed(num.divide_exact(t1 + t2), out2)
+            s = zi * zj
+            P[(i, j)] = prod_p[s].substitute({"t": zi})
+            signs = {"t1": zi, "t2": zj}
+            EN[(i, j)] = zi * num[s].substitute(signs)
+            E[(i, j)] = quot[s].substitute(signs)
     return {"P": P, "E": E, "E_numerator": EN, "ring2": out2}
 
 

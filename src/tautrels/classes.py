@@ -52,7 +52,6 @@ __all__ = [
     "multiply_smooth",
     "pushforward_forget_small",
     "pushforward_forget_weight1",
-    "weight_reduce",
     "chern_neg_Bd",
     "to_vector",
     "matrix_rank",
@@ -770,30 +769,6 @@ def pushforward_forget_weight1(c: TautClass, marking: int) -> TautClass:
                 vd = _vertex_product(base, single[1], weights)
                 out.add_term(graph, decor[:v_home] + (vd,)
                              + decor[v_home + 1:], coeff * single[0])
-    return out
-
-
-def weight_reduce(c: TautClass, w_new: WeightData) -> TautClass:
-    """Restrict a class to reduced weights.
-
-    Kills the terms whose graphs lose vertex stability.  Every stored block
-    of two or more markings weighs at most 1, and lowering weights keeps it
-    so, hence no decoration becomes forbidden.
-    """
-    if w_new.n != c.weights.n:
-        raise ValueError("weight data has wrong length")
-    if any(
-        w_new.weights[i] > c.weights.weights[i] for i in range(w_new.n)
-    ):
-        raise ValueError("weights may only decrease")
-    out = TautClass(c.genus, w_new)
-    for key, coeff in c.terms.items():
-        genera, legs, edges, _ = key
-        try:
-            StableGraph(genera, legs, edges).validate(w_new, c.genus)
-        except ValueError:
-            continue
-        out.terms[key] = coeff
     return out
 
 

@@ -50,6 +50,11 @@ grouping is exact.  Image powers come from the ladder ``P^k = P^(k-1) P``,
 equal to binary powering whenever each image has one Laurent exponent: each
 term of ``P^j`` then has ``j`` times it, so no route drops a term ``P^k`` keeps.
 
+``divide_exact`` runs its long division on integers too: the divisor and
+the remainder are each scaled once to integer numerators over one common
+denominator, and the remainder's denominator grows only when the lead
+numerator does not divide the numerator being reduced.
+
 >>> R = Ring([VarSpec("t", 0, 6)])
 >>> t = R.var("t")
 >>> ((1 + t).log().exp() - (1 + t)).is_zero()
@@ -64,8 +69,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import lcm
-from operator import lshift, mul
+from math import gcd, lcm
+from operator import add, ge, lshift, mul, sub
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -692,47 +697,73 @@ class Series:
         Uses the lexicographically minimal term of the denominator as the lead
         term; lex order is compatible with exponent addition, so the remainder
         strictly increases and the loop terminates inside the finite window.
+        Each remainder term is reduced once, so each quotient exponent is
+        written once.
+
+        The loop runs on integers: the divisor is scaled to integer
+        numerators ``dnum`` (over ``dden``), the remainder to integer
+        numerators over one common denominator ``rden``, and the quotient
+        term ``rem[r0] / dnum[d0]`` is kept over ``rden`` too, in units of
+        ``dden``.  When the lead numerator does not divide a remainder
+        numerator, ``rden`` and every remainder and quotient numerator are
+        scaled up by the missing factor.  Each quotient coefficient becomes
+        a :class:`fractions.Fraction` once, after the loop.
         """
         den = self._coerce(den)
         if den.is_zero():
             raise NotDivisible("division by zero series")
         ring = self.ring
+        tops = [s.trunc_order for s in ring.specs]
+        floors = [s.min_exponent for s in ring.specs]
         d0 = min(den.coeffs)
-        dc = den.coeffs[d0]
-        rem = dict(self.coeffs)
+        dden = lcm(*(c.denominator for c in den.coeffs.values()))
+        dnum = {e: c.numerator * (dden // c.denominator)
+                for e, c in den.coeffs.items()}
+        dc = dnum[d0]
+        rden = lcm(*(c.denominator for c in self.coeffs.values()))
+        rem = {e: c.numerator * (rden // c.denominator)
+               for e, c in self.coeffs.items()}
         heap = sorted(rem)  # rem's keys as a heap; keys that left rem are stale
         quot: dict = {}
         while rem:
             r0 = heappop(heap)
             if r0 not in rem:
                 continue
-            q = tuple(a - b for a, b in zip(r0, d0))
-            for x, s in zip(q, ring.specs):
-                if x < s.min_exponent or x >= s.trunc_order:
+            q = tuple(map(sub, r0, d0))
+            for x, lo, hi in zip(q, floors, tops):
+                if x < lo or x >= hi:
                     raise NotDivisible(
                         f"remainder term {r0} not reducible by lead term {d0}"
                     )
-            qc = rem[r0] / dc
-            quot[q] = quot.get(q, Fraction(0)) + qc
-            for e, c in den.coeffs.items():
-                exps = tuple(a + b for a, b in zip(q, e))
-                if any(x >= s.trunc_order for x, s in zip(exps, ring.specs)):
+            qc, miss = divmod(rem[r0], dc)
+            if miss:
+                f = abs(dc) // gcd(rem[r0], dc)
+                rden *= f
+                for e in rem:
+                    rem[e] *= f
+                for e in quot:
+                    quot[e] *= f
+                qc = rem[r0] // dc
+            quot[q] = qc
+            for e, c in dnum.items():
+                exps = tuple(map(add, q, e))
+                if any(map(ge, exps, tops)):
                     continue
-                if exps not in rem:
+                v = rem.pop(exps, 0)
+                if not v:
                     heappush(heap, exps)
-                v = rem.get(exps, Fraction(0)) - qc * c
+                v -= qc * c
                 if v:
                     rem[exps] = v
-                else:
-                    rem.pop(exps, None)
-        return Series(ring, {e: c for e, c in quot.items() if c})
+        return Series(ring, {e: Fraction(c * dden, rden) for e, c in quot.items()})
 
 
 def embed(series: Series, target: Ring) -> Series:
     """Copy a series into a larger ring, matching variables by name.
 
     Exponents at or above the target truncation are dropped (exact
-    truncation); exponents below the target floor raise.
+    truncation); exponents below the target floor raise.  Variable names
+    are distinct, so no two terms land on one key.
     """
     cols = [target.index[s.name] for s in series.ring.specs]
     out: dict = {}
@@ -749,12 +780,6 @@ def embed(series: Series, target: Ring) -> Series:
                 raise FloorUnderflow(
                     f"embed: exponent {x} of {s.name!r} below floor"
                 )
-        if drop:
-            continue
-        key = tuple(exps)
-        v = out.get(key, Fraction(0)) + c
-        if v:
-            out[key] = v
-        else:
-            del out[key]
+        if not drop:
+            out[tuple(exps)] = c
     return Series(target, out)

@@ -34,17 +34,30 @@
   keyed by its two psi powers, and places it into each graph
   (``relations._edge_kernel``); the reference graph sum builds every
   kernel this way instead.
+* ``oracle_divide_exact`` is exact long division with ``Fraction``
+  arithmetic, one multiply and subtract per divisor term.  The library
+  divides on integer numerators over one common denominator
+  (``Series.divide_exact``).
+* ``oracle_locality_series`` builds ``P^{ij}``, ``E^{ij}`` and their
+  numerators with one numerator, two products and one division per sign
+  pair.  The library builds them from two products and two divisions by
+  the sign and swap symmetry (``catalog.locality_series``).
+* ``weight_reduce`` restricts a class to lower weights by dropping the
+  terms whose graphs become unstable.  No command of the library reduces
+  weights.
 """
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 
-from tautrels.catalog import _edge_quotient, _exp_of_minus_sum, uy_expansion
+from tautrels.catalog import (ZETA, _edge_quotient, _exp_of_minus_sum,
+                              phi_family, uy_expansion)
 from tautrels.classes import (TautClass, _contract_edge, _decor_codim,
                               _hpsi_decor)
 from tautrels.graphs import StableGraph, WeightData, enumerate_graphs
-from tautrels.series import Ring, Series, VarSpec, embed
+from tautrels.series import NotDivisible, Ring, Series, VarSpec, embed
 
 
 def _merge_block(blocks: list, points: tuple, a: int) -> None:
@@ -438,3 +451,99 @@ def _edge_to_ds(series: Series, ds, edge: int) -> None:
                 exps[ds.ring.index[name]] = e
         terms.append((tuple(exps), _hpsi_decor(ds.graph, powers), c))
     ds.add_terms(terms)
+
+
+def oracle_divide_exact(num: Series, den: Series) -> Series:
+    """``num.divide_exact(den)`` by long division with one ``Fraction``
+    multiply and subtract per divisor term, from the lex-minimal remainder
+    term up."""
+    den = num._coerce(den)
+    if den.is_zero():
+        raise NotDivisible("division by zero series")
+    ring = num.ring
+    d0 = min(den.coeffs)
+    dc = den.coeffs[d0]
+    rem = dict(num.coeffs)
+    heap = sorted(rem)  # rem's keys as a heap; keys that left rem are stale
+    quot: dict = {}
+    while rem:
+        r0 = heappop(heap)
+        if r0 not in rem:
+            continue
+        q = tuple(a - b for a, b in zip(r0, d0))
+        for x, s in zip(q, ring.specs):
+            if x < s.min_exponent or x >= s.trunc_order:
+                raise NotDivisible(
+                    f"remainder term {r0} not reducible by lead term {d0}"
+                )
+        qc = rem[r0] / dc
+        quot[q] = quot.get(q, Fraction(0)) + qc
+        for e, c in den.coeffs.items():
+            exps = tuple(a + b for a, b in zip(q, e))
+            if any(x >= s.trunc_order for x, s in zip(exps, ring.specs)):
+                continue
+            if exps not in rem:
+                heappush(heap, exps)
+            v = rem.get(exps, Fraction(0)) - qc * c
+            if v:
+                rem[exps] = v
+            else:
+                rem.pop(exps, None)
+    return Series(ring, {e: c for e, c in quot.items() if c})
+
+
+def oracle_locality_series(t_order: int, x_order: int) -> dict:
+    """``catalog.locality_series`` with one numerator per sign pair: each
+    twisted ``Phi'`` and ``delta`` is substituted on its own, each
+    numerator takes two products and is divided by ``t1 + t2`` with
+    :func:`oracle_divide_exact`, and each ``P^{ij}`` takes one product."""
+    work = t_order + 1
+    fam = phi_family(work, x_order)
+    phi_p = fam["PhiPrime"]
+    delta = fam["delta"]
+    ring2 = Ring([VarSpec("t1", 0, work + 1), VarSpec("t2", 0, work + 1),
+                  VarSpec("x", 0, x_order + 1)])
+    out2 = Ring([VarSpec("t1", 0, t_order + 1), VarSpec("t2", 0, t_order + 1),
+                 VarSpec("x", 0, x_order + 1)])
+    t1, t2 = ring2.var("t1"), ring2.var("t2")
+    twisted = {
+        (z, name): tuple(f.substitute({"t": z * ring2.var(name)})
+                         for f in (phi_p, delta))
+        for z in ZETA for name in ("t1", "t2")
+    }
+    out_p = Ring([VarSpec("t", 0, t_order + 1), VarSpec("x", 0, x_order + 1)])
+    P, E, EN = {}, {}, {}
+    for i, zi in enumerate(ZETA):
+        for j, zj in enumerate(ZETA):
+            p_ij = ((Fraction(1, 2) - zi * zj * delta) * phi_p).substitute({"t": zi})
+            P[(i, j)] = embed(p_ij, out_p)
+            (phi1, delta1), (phi2, delta2) = twisted[zi, "t1"], twisted[zj, "t2"]
+            num = (ring2.const(Fraction(zi + zj, 2))
+                   + phi1 * phi2 * (zi * delta1 + zj * delta2))
+            EN[(i, j)] = embed(num, out2)
+            E[(i, j)] = embed(oracle_divide_exact(num, t1 + t2), out2)
+    return {"P": P, "E": E, "E_numerator": EN, "ring2": out2}
+
+
+def weight_reduce(c: TautClass, w_new: WeightData) -> TautClass:
+    """Restrict a class to reduced weights.
+
+    Kills the terms whose graphs lose vertex stability.  Every stored block
+    of two or more markings weighs at most 1, and lowering weights keeps it
+    so, hence no decoration becomes forbidden.
+    """
+    if w_new.n != c.weights.n:
+        raise ValueError("weight data has wrong length")
+    if any(
+        w_new.weights[i] > c.weights.weights[i] for i in range(w_new.n)
+    ):
+        raise ValueError("weights may only decrease")
+    out = TautClass(c.genus, w_new)
+    for key, coeff in c.terms.items():
+        genera, legs, edges, _ = key
+        try:
+            StableGraph(genera, legs, edges).validate(w_new, c.genus)
+        except ValueError:
+            continue
+        out.terms[key] = coeff
+    return out

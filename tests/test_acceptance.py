@@ -36,10 +36,7 @@ from tautrels.catalog import (
     series_C,
     uy_expansion,
 )
-from tautrels.classes import (
-    TautClass,
-    weight_reduce,
-)
+from tautrels.classes import TautClass
 from tautrels.cli import main as cli_main
 from tautrels.graphs import StableGraph, WeightData
 from tautrels.relations import (
@@ -58,6 +55,7 @@ from oracles import (
     edge_series_uy,
     max_edges_part,
     oracle_add_words,
+    weight_reduce,
 )
 
 W0 = WeightData(())

@@ -31,7 +31,7 @@ from tautrels.catalog import (
 )
 from tautrels.series import Ring, Series, VarSpec
 
-from oracles import edge_series_uy
+from oracles import edge_series_uy, oracle_divide_exact, oracle_locality_series
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +346,33 @@ def test_locality_series_divisibility_and_origin():
             ring2 = loc["ring2"]
             back = loc["E"][(i, j)] * (ring2.var("t1") + ring2.var("t2"))
             assert (back - loc["E_numerator"][(i, j)]).is_zero()
+
+
+@pytest.mark.parametrize("orders", [(6, 3), (12, 5)])
+def test_locality_series_equals_the_per_sign_pair_oracle(orders):
+    # two products and the sign and swap symmetry give every sign pair's
+    # P, E and numerator exactly, with the quotient's terms in the same order
+    got, want = locality_series(*orders), oracle_locality_series(*orders)
+    assert got["ring2"] == want["ring2"]
+    for name in ("P", "E", "E_numerator"):
+        assert got[name].keys() == want[name].keys()
+        for ij, s in got[name].items():
+            assert s.ring == want[name][ij].ring
+            assert s == want[name][ij], (name, ij)
+    for ij, s in got["E"].items():
+        assert list(s.coeffs) == list(want["E"][ij].coeffs)
+
+
+def test_edge_kernels_equal_the_fraction_division(monkeypatch):
+    # the edge kernels divide on integer numerators; the Fraction long
+    # division gives the same quotients
+    builders = [(delta_edge, (z1, z2, 15)) for z1 in ZETA for z2 in ZETA]
+    builders += [(edge_series_xy, (z1, z2, 8, 4, kind))
+                 for z1 in ZETA for z2 in ZETA for kind in (3, 4)]
+    got = [f.__wrapped__(*args) for f, args in builders]
+    monkeypatch.setattr(Series, "divide_exact", oracle_divide_exact)
+    want = [f.__wrapped__(*args) for f, args in builders]
+    assert got == want
 
 
 def test_delta_edge_divisible_for_all_sign_pairs():

@@ -23,7 +23,6 @@ from tautrels.classes import (
     pushforward_forget_small,
     pushforward_forget_weight1,
     to_vector,
-    weight_reduce,
 )
 from tautrels.catalog import bernoulli
 from tautrels.relations import fz_relation
@@ -48,6 +47,7 @@ from oracles import (
     oracle_normal_form,
     oracle_words_normal_form,
     relabelled,
+    weight_reduce,
 )
 
 

@@ -158,8 +158,6 @@ def test_every_package_function_is_read_by_the_package():
         "classes:multiply_smooth",
         # the public word API, which the benchmark's tracer binds
         "classes:normal_form",
-        # the Hassett reduction to lower weights, which test_08 reads
-        "classes:weight_reduce",
     ]
 
 

@@ -23,7 +23,6 @@ from tautrels.classes import (
     matrix_rank,
     pushforward_forget_small,
     to_vector,
-    weight_reduce,
 )
 from tautrels.graphs import (
     StableGraph,
@@ -46,7 +45,8 @@ from tautrels.relations import (
 from tautrels.series import Ring, VarSpec
 
 from oracles import (_edge_to_ds, decor_words, max_edges_part,
-                     oracle_add_words, oracle_words_normal_form)
+                     oracle_add_words, oracle_words_normal_form,
+                     weight_reduce)
 
 
 def smooth(genus, n):

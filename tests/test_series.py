@@ -22,7 +22,7 @@ from tautrels.series import (
 )
 from tautrels.serialize import series_from_dict, series_to_dict
 
-from oracles import _edge_factor, oracle_substitute
+from oracles import _edge_factor, oracle_divide_exact, oracle_substitute
 
 
 def ring_t(order=10, floor=0):
@@ -595,15 +595,31 @@ def test_exp_log_equal_the_power_sums_in_a_padded_laurent_window(data):
             assert embed(got, R) == embed(want, R)
 
 
+@st.composite
+def pure_pole_series(draw):
+    """``(ring, g)``: a ring of one to three variables, one of them with a
+    negative floor and every window holding the exponent 0, and a series
+    without constant term whose pure pole at a drawn power has a nonzero
+    coefficient."""
+    n = draw(st.integers(1, 3))
+    pole = draw(st.integers(0, n - 1))
+    specs = []
+    for i in range(n):
+        lo = -draw(st.integers(1, 3)) if i == pole else 0
+        specs.append(VarSpec(f"v{i}", lo, draw(st.integers(1, lo + 4))))
+    R = Ring(specs)
+    power = draw(st.integers(specs[pole].min_exponent, -1))
+    terms = dict(without_constant(draw(series_in(R))).coeffs)
+    terms[R.exponents(**{specs[pole].name: power})] = draw(st.builds(
+        F, st.integers(1, 40) | st.integers(-40, -1), st.integers(1, 12)))
+    return R, R.series(terms)
+
+
 @settings(max_examples=150, deadline=None)
-@given(ring_and_series(1, min_vars=1, max_vars=3, max_width=4), st.data())
-def test_a_pure_pole_raises_in_both_kernels(data, draw):
-    R, a = data
-    pole = next((s for s in R.specs if s.min_exponent < 0), None)
-    assume(pole is not None and has_constants(R))
-    power = draw.draw(st.integers(pole.min_exponent, -1))
-    g = without_constant(a) + R.monomial(1, **{pole.name: power})
-    assume(g.coefficient(**{pole.name: power}))
+@given(pure_pole_series())
+def test_a_pure_pole_raises_in_both_kernels(data):
+    R, g = data
+    assert has_constants(R)
     for kernel, oracle, x in ((Series.exp, oracle_exp, g),
                               (Series.log, oracle_log, 1 + g)):
         with pytest.raises(FloorUnderflow):
@@ -711,3 +727,52 @@ def test_substitute_rejects_boolean_signs(flag):
     t = ring_t(4).var("t")
     with pytest.raises(SeriesError, match="Series or the int"):
         (1 + t).substitute({"t": flag})
+
+
+# ---------------------------------------------------------------------------
+# The integer division kernel against the Fraction long division it replaced
+# ---------------------------------------------------------------------------
+
+
+def divide_or_error(num, den, divide):
+    try:
+        return divide(num, den)
+    except NotDivisible as exc:
+        return ("NotDivisible", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_and_series(2, max_vars=3),
+       st.builds(F, st.integers(2, 40) | st.integers(-40, -1), st.integers(1, 12)),
+       st.booleans())
+def test_divide_exact_matches_the_fraction_long_division(data, lead, multiply):
+    # the divisor's lex-minimal term gets a coefficient that is negative,
+    # fractional or not +-1, so the remainder's denominator must grow; half
+    # of the numerators are multiples of the divisor
+    R, a, b = data
+    if not b.is_zero():
+        b = b + R.monomial(lead - b.coeffs[min(b.coeffs)], **dict(
+            zip((s.name for s in R.specs), min(b.coeffs))))
+    num = a
+    if multiply:
+        try:
+            num = a * b
+        except FloorUnderflow:
+            pass
+    got = divide_or_error(num, b, Series.divide_exact)
+    want = divide_or_error(num, b, oracle_divide_exact)
+    assert got == want
+    if isinstance(got, Series):
+        assert list(got.coeffs) == list(want.coeffs)
+        assert all(isinstance(c, F) and c for c in got.coeffs.values())
+
+
+def test_divide_exact_by_a_unit_with_lead_coefficient_three():
+    # 3 does not divide the numerators 1, so the remainder's denominator is
+    # scaled up inside the loop; the quotient is the truncated series
+    R = ring_t(6)
+    t = R.var("t")
+    q = (1 + t).divide_exact(3 - 2 * t)
+    assert q == oracle_divide_exact(1 + t, 3 - 2 * t)
+    assert q * (3 - 2 * t) == 1 + t
+    assert q.coefficient(t=0) == F(1, 3)
