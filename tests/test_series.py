@@ -746,9 +746,10 @@ def divide_or_error(num, den, divide):
        st.builds(F, st.integers(2, 40) | st.integers(-40, -1), st.integers(1, 12)),
        st.booleans())
 def test_divide_exact_matches_the_fraction_long_division(data, lead, multiply):
-    # the divisor's lex-minimal term gets a coefficient that is negative,
-    # fractional or not +-1, so the remainder's denominator must grow; half
-    # of the numerators are multiples of the divisor
+    # the divisor's lex-minimal term gets a coefficient that is mostly
+    # negative, fractional or not +-1, so that the remainder's denominator
+    # grows inside the loop; half of the numerators are multiples of the
+    # divisor
     R, a, b = data
     if not b.is_zero():
         b = b + R.monomial(lead - b.coeffs[min(b.coeffs)], **dict(
