@@ -150,8 +150,8 @@ def phi_family(t_order: int, x_order: int) -> dict:
     delta = gamma.x_d_dx("x").mul_var("t") - Fraction(1, 2)
 
     # strip the t^{-1} layer of log Phi to form Phi' (log Phi has t-exponent >= -1)
-    log_phi_prime = Series(
-        ring, {e: c for e, c in log_phi.coeffs.items() if e[0] >= 0}
+    log_phi_prime = Series.from_nums(
+        ring, log_phi.den, {e: c for e, c in log_phi.nums.items() if e[0] >= 0}
     )
 
     def restrict(f: Series) -> Series:
@@ -209,8 +209,9 @@ def uy_expansion(i_max: int, u_order: int, y_order: int) -> dict:
     y = target.var("y")
     one4y = 1 + 4 * y
 
-    gamma_red = Series(
-        ring, {e: c for e, c in fam["gamma"].coeffs.items() if e[0] != -1}
+    gamma = fam["gamma"]
+    gamma_red = Series.from_nums(
+        ring, gamma.den, {e: c for e, c in gamma.nums.items() if e[0] != -1}
     )
     c_series = substitute_uy(gamma_red, target) - Fraction(1, 4) * one4y.log()
     c_table: dict = {}
@@ -337,8 +338,9 @@ def s_matrix_ode_residuals(sm: dict) -> list:
                 rhs = (1 if a == j else 0) * S[(i, j)] + dwa * flow[i]
                 diff = lhs - rhs
                 # the derivative's top y-layer needs data beyond the window
-                diff = Series(
-                    ring, {e: c for e, c in diff.coeffs.items() if e[ia] < top}
+                diff = Series.from_nums(
+                    ring, diff.den,
+                    {e: c for e, c in diff.nums.items() if e[ia] < top}
                 )
                 res.append(diff)
     return res
@@ -388,7 +390,8 @@ def locality_series(t_order: int, x_order: int) -> dict:
 
     g1 = Fraction(1, 2) + (phi_p.substitute({"t": t1}) * phi_p.substitute({"t": t2})
                            * delta.substitute({"t": t1}))
-    g2 = Series(ring2, {(b, a, x): c for (a, b, x), c in g1.coeffs.items()})
+    g2 = Series.from_nums(ring2, g1.den,
+                          {(b, a, x): c for (a, b, x), c in g1.nums.items()})
     # the numerator and the quotient for z_i = z_j (key 1) and z_i != z_j (-1)
     num = {1: g1 + g2, -1: g1 - g2}
     quot = {s: embed(num[s].divide_exact(t1 + s * t2), out2) for s in ZETA}
@@ -587,7 +590,7 @@ def identity_suite(quick: bool = False, seed: int = 20260826) -> list:
         graded = all(
             a == b + c
             for z1 in ZETA for z2 in ZETA
-            for a, b, c in delta_edge(z1, z2, 8 if quick else 15).coeffs
+            for a, b, c in delta_edge(z1, z2, 8 if quick else 15).nums
         )
         loc = locality_series(6 if quick else 12, 3 if quick else 5)
         t12 = loc["ring2"].var("t1") + loc["ring2"].var("t2")

@@ -492,23 +492,22 @@ def multiply_generator(c: TautClass, gen: tuple) -> TautClass:
     multiplied into every stored decoration by :func:`_vertex_product`.
     """
     out = TautClass(c.genus, c.weights)
-    factors: dict = {}  # (genera, legs, edges): (its graph, its sites)
+    groups: dict = {}  # (genera, legs, edges): [(decoration, coefficient)]
     for key, coeff in c.terms.items():
-        shape, decor = key[:3], key[3]
-        if shape not in factors:
-            graph = StableGraph(*shape)
-            factors[shape] = graph, [
-                (v, single)
-                for v, factor in _generator_sites(graph, gen)
-                if (single := _factor_decor(factor, shape[0][v], c.weights))
-                is not None
-            ]
-        graph, sites = factors[shape]
-        for v, (scalar, factor_vd) in sites:
-            vd = _vertex_product(decor[v], factor_vd, c.weights)
-            if vd is not None:
-                out.add_term(graph, decor[:v] + (vd,) + decor[v + 1:],
-                             coeff * scalar)
+        groups.setdefault(key[:3], []).append((key[3], coeff))
+    # one graph at a time: each graph, with the relabellings that
+    # add_term caches on it, is dropped after its last term
+    for shape, terms in groups.items():
+        graph = StableGraph(*shape)
+        sites = [(v, single) for v, factor in _generator_sites(graph, gen)
+                 if (single := _factor_decor(factor, shape[0][v], c.weights))
+                 is not None]
+        for decor, coeff in terms:
+            for v, (scalar, factor_vd) in sites:
+                vd = _vertex_product(decor[v], factor_vd, c.weights)
+                if vd is not None:
+                    out.add_term(graph, decor[:v] + (vd,) + decor[v + 1:],
+                                 coeff * scalar)
     return out
 
 

@@ -131,9 +131,9 @@ def _nonzero(rows: dict) -> dict:
             if (row := {key: c for key, c in acc.items() if c})}
 
 
-def _packed_rows(ring: Ring, terms) -> tuple:
-    """``(den, rows)``: ``coeff`` (an int or a ``Fraction``) at ``(exps,
-    decor)`` for each triple of ``terms``, as the rows of a
+def _packed_rows(ring: Ring, den: int, terms) -> tuple:
+    """``(den, rows)``: the int numerator ``coeff`` over ``den`` at
+    ``(exps, decor)`` for each triple of ``terms``, as the rows of a
     :class:`DecoratedSeries` in ``ring`` keyed by ``decor``.
 
     An exponent below the floor 0 raises ``ValueError``; one at or above
@@ -147,7 +147,7 @@ def _packed_rows(ring: Ring, terms) -> tuple:
         if coeff and all(e < s.trunc_order for e, s in zip(exps, specs)):
             kept.append((exps, decor, coeff))
     left, right, _ = ring._product_layout()
-    den, keyed = ring._packed([(e, c) for e, _, c in kept], left + right)
+    keyed = ring._packed([(e, c) for e, _, c in kept], left + right)
     rows: dict = {}
     for (_, decor, _), (key, c) in zip(kept, keyed):
         row = rows.setdefault(decor, {})
@@ -241,15 +241,25 @@ class DecoratedSeries:
     @property
     def terms(self) -> dict:
         """``{(exponents, decoration): Fraction}``, unpacked on each read."""
-        unpacked = self.ring._unpacked
-        return {(exps, decor): c for decor, row in self.rows.items()
-                for exps, c in unpacked(row, self.den, "terms").items()}
+        unpacked, den = self.ring._unpacked, self.den
+        return {(exps, decor): Fraction(c, den)
+                for decor, row in self.rows.items()
+                for exps, c in unpacked(row, "terms").items()}
 
     def add_terms(self, terms) -> None:
         """Add ``coeff`` (an int or a ``Fraction``) at ``(exps, decor)`` for
-        each triple of ``terms``, packed by :func:`_packed_rows`."""
+        each triple of ``terms``, as numerators over the lcm of the
+        denominators."""
+        terms = [(exps, decor, Fraction(c)) for exps, decor, c in terms]
+        den = lcm(*(c.denominator for _, _, c in terms))
+        self._add_rows(*_packed_rows(self.ring, den, [
+            (exps, decor, c.numerator * (den // c.denominator))
+            for exps, decor, c in terms]))
+
+    def _add_rows(self, den: int, rows: dict) -> None:
+        """Add the rows ``rows`` over ``den`` (:func:`_packed_rows`)."""
         total = self + DecoratedSeries(self.ring, self.graph, self.weights,
-                                       *_packed_rows(self.ring, terms))
+                                       den, rows)
         self.den, self.rows = total.den, total.rows
 
     def add_term(self, exps: tuple, decor: tuple, coeff) -> None:
@@ -327,7 +337,7 @@ class DecoratedSeries:
         if any(not 0 <= e < s.trunc_order for e, s in zip(exps, ring.specs)):
             return out
         left, right, _ = ring._product_layout()
-        _, [(key, _)] = ring._packed([(exps, 1)], left + right)
+        [(key, _)] = ring._packed([(exps, 1)], left + right)
         for decor, row in self.rows.items():
             c = row.get(key)
             if c:
@@ -343,18 +353,19 @@ class DecoratedSeries:
 def _add_bracket(series: Series, ds: DecoratedSeries, vertex: int,
                  var: str, factor) -> None:
     """Add each term ``c m`` of ``series`` into ``ds`` as ``c`` times the
-    raw factor ``factor(k, exps)`` at ``vertex``, in one :meth:`add_terms`
-    call.  ``k`` is the exponent of ``var`` in ``m`` (0 if ``series``
-    lacks it) and ``exps`` the list of ``m``'s exponents in ``ds.ring``,
-    whose variables are matched by name; ``factor`` may raise, change
-    ``exps``, or return ``None`` to skip the term."""
+    raw factor ``factor(k, exps)`` at ``vertex``: the series' numerators
+    over its ``den``, packed in one call of :func:`_packed_rows`.  ``k`` is
+    the exponent of ``var`` in ``m`` (0 if ``series`` lacks it) and
+    ``exps`` the list of ``m``'s exponents in ``ds.ring``, whose variables
+    are matched by name; ``factor`` may raise, change ``exps``, or return
+    ``None`` to skip the term."""
     ring = ds.ring
     slots = [ring.index[s.name] for s in series.ring.specs]
     at = series.ring.index.get(var)
     genus = ds.graph.genera[vertex]
     trivial = ds._trivial_decor()
     terms = []
-    for src, c in series.terms():
+    for src, c in series.nums.items():
         exps = [0] * ring.nvars
         for i, e in zip(slots, src):
             exps[i] = e
@@ -363,7 +374,7 @@ def _add_bracket(series: Series, ds: DecoratedSeries, vertex: int,
         if single:
             terms.append((tuple(exps), trivial[:vertex] + (single[1],)
                           + trivial[vertex + 1:], c * single[0]))
-    ds.add_terms(terms)
+    ds._add_rows(*_packed_rows(ring, series.den, terms))
 
 
 def bracket_kappa(series: Series, ds: DecoratedSeries, vertex: int,
@@ -595,7 +606,7 @@ def _edge_kernel(ring: Ring, series: Series) -> tuple:
     the edge's sides 0 and 1."""
     names = [s.name for s in series.ring.specs]
     terms = []
-    for src, c in series.terms():
+    for src, c in series.nums.items():
         exps = [0] * ring.nvars
         powers = {"p1": 0, "p2": 0}
         for name, e in zip(names, src):
@@ -604,7 +615,7 @@ def _edge_kernel(ring: Ring, series: Series) -> tuple:
             else:
                 exps[ring.index[name]] = e
         terms.append((tuple(exps), (powers["p1"], powers["p2"]), c))
-    return _packed_rows(ring, terms)
+    return _packed_rows(ring, series.den, terms)
 
 
 def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
@@ -655,7 +666,7 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
             # the corner's key, packed as add_terms packs every key
             ring = ring_of(order)
             left, right, _ = ring._product_layout()
-            _, [(target, _)] = ring._packed(
+            [(target, _)] = ring._packed(
                 [(tuple(s.trunc_order - 1 for s in ring.specs), 1)],
                 left + right)
             rings[order] = ring, target

@@ -5,24 +5,32 @@ together with a per-variable exponent window ``[min_exponent, trunc_order)``.
 At most one variable may have a negative ``min_exponent`` (a Laurent
 variable); all other variables are ordinary power-series variables.
 
-A :class:`Series` is a sparse dictionary mapping exponent tuples to nonzero
-:class:`fractions.Fraction` coefficients.  All arithmetic is exact: products
-drop exponents at or above a variable's truncation order (which is sound,
-because exponents only ever increase under multiplication by ordinary terms),
-while any operation that would push an exponent *below* a variable's floor
-raises :class:`FloorUnderflow` rather than silently losing information.
+A :class:`Series` is ``nums / den``: a positive int ``den`` and a sparse
+dictionary ``nums`` mapping exponent tuples to nonzero int numerators, both
+divided by ``gcd(den, *nums)``.  This stored form is canonical, so ``==``
+and ``hash`` compare it directly, and ``den`` is the least common multiple
+of the reduced coefficients' denominators.  The :class:`fractions.Fraction`
+coefficients are read-only views (``coeffs``, ``terms()``,
+``coefficient()``, ``constant_term()``), built on each read; fractions
+enter only as scalars, through ``Series(ring, coeffs)``, :meth:`Ring.series`
+and the scalar operands of the arithmetic.  All arithmetic is exact:
+products drop exponents at or above a variable's truncation order (which is
+sound, because exponents only ever increase under multiplication by
+ordinary terms), while any operation that would push an exponent *below* a
+variable's floor raises :class:`FloorUnderflow` rather than silently losing
+information.
 
-Products run on integers.  Each operand is scaled once to integer numerators
-over the least common multiple of its denominators, and each exponent tuple
-is packed into one int of biased bit fields laid out per ring (see
-:meth:`Ring._product_layout`), so that adding two packed keys adds the
-exponents and sets a field's top bit exactly when that exponent reaches its
-truncation order.  The pair loop is then one int addition, one mask test and
-one int multiply-add; only the output keys are unpacked, and each output
-coefficient becomes a :class:`fractions.Fraction` once.  The ring alone
-packs (:meth:`Ring._packed`) and unpacks (:meth:`Ring._unpacked`, with the
-floor check); the decorated products of :mod:`tautrels.relations` run their
-pair loops on the same keys and read only the two biases and the top bits.
+Every operation runs on the numerators.  A sum brings both operands over
+the lcm of their denominators; a product multiplies the denominators.  For
+products each exponent tuple is packed into one int of biased bit fields
+laid out per ring (see :meth:`Ring._product_layout`), so that adding two
+packed keys adds the exponents and sets a field's top bit exactly when that
+exponent reaches its truncation order.  The pair loop is then one int
+addition, one mask test and one int multiply-add; only the output keys are
+unpacked.  The ring alone packs (:meth:`Ring._packed`) and unpacks
+(:meth:`Ring._unpacked`, with the floor check); the decorated products of
+:mod:`tautrels.relations` pack a series' numerators through the same pair
+and run their pair loops on the same keys.
 
 ``exp``, ``log`` and the geometric series inside ``inverse`` share one graded
 online recurrence on the same packed keys (Brent and Kung, "Fast algorithms
@@ -35,13 +43,14 @@ the Laurent variable alone), whose powers fall below the floor and raise
 :class:`FloorUnderflow`.  Each degree of the output is then a sum of products
 of lower-degree output terms with input terms, accumulated on integer
 numerators over one denominator per degree, instead of one full product per
-power of the input.  On a ring with a negative floor, truncated products are
-not associative: near the top of the Laurent window the recurrence and a sum
-of truncated powers can both differ from the exact series.  With the
-Laurent top raised by ``|floor|`` times the sum of the other tops minus one,
-both are exact in the original window, since no run of non-pure-pole terms
-lowers the Laurent exponent by more than that; the catalog builds its
-Laurent series in padded rings.
+power of the input; each degree stays packed for the degrees above it.  On
+a ring with a negative floor, truncated products are not associative: near
+the top of the Laurent window the recurrence and a sum of truncated powers
+can both differ from the exact series.  With the Laurent top raised by
+``|floor|`` times the sum of the other tops minus one, both are exact in
+the original window, since no run of non-pure-pole terms lowers the
+Laurent exponent by more than that; the catalog builds its Laurent series
+in padded rings.
 
 ``substitute`` sums each group of terms that differ only in the last
 assigned variable on packed integers, then multiplies the sum once by the
@@ -50,10 +59,9 @@ grouping is exact.  Image powers come from the ladder ``P^k = P^(k-1) P``,
 equal to binary powering whenever each image has one Laurent exponent: each
 term of ``P^j`` then has ``j`` times it, so no route drops a term ``P^k`` keeps.
 
-``divide_exact`` runs its long division on integers too: the divisor and
-the remainder are each scaled once to integer numerators over one common
-denominator, and the remainder's denominator grows only when the lead
-numerator does not divide the numerator being reduced.
+``divide_exact`` runs its long division on the numerators too, and the
+remainder's denominator grows only when the lead numerator does not divide
+the numerator being reduced.
 
 >>> R = Ring([VarSpec("t", 0, 6)])
 >>> t = R.var("t")
@@ -62,6 +70,9 @@ True
 >>> x = Ring([VarSpec("x", 0, 4)]).var("x")
 >>> (t + t ** 2).substitute({"t": x + x ** 2})
 1*x + 2*x^2 + 2*x^3
+>>> h = (t + t ** 2) * Fraction(2, 3)
+>>> h.den, h.nums
+(3, {(1,): 2, (2,): 2})
 """
 
 from __future__ import annotations
@@ -164,15 +175,11 @@ class Ring:
         return self.specs[self.index[name]]
 
     def zero(self) -> "Series":
-        return Series(self, {})
+        return Series.from_nums(self, 1, {})
 
     def const(self, c: Scalar) -> "Series":
         c = Fraction(c)
-        if not c:
-            return self.zero()
-        exps = tuple(0 for _ in self.specs)
-        self._check_window(exps)
-        return Series(self, {exps: c})
+        return self.monomial(c) if c else self.zero()
 
     def one(self) -> "Series":
         return self.const(1)
@@ -186,15 +193,15 @@ class Ring:
         return tuple(exps)
 
     def var(self, name: str, power: int = 1) -> "Series":
-        exps = self.exponents(**{name: power})
-        self._check_window(exps)
-        return Series(self, {exps: Fraction(1)})
+        return self.monomial(1, **{name: power})
 
     def monomial(self, coeff: Scalar, **powers: int) -> "Series":
         exps = self.exponents(**powers)
         self._check_window(exps)
         c = Fraction(coeff)
-        return Series(self, {exps: c}) if c else self.zero()
+        if not c:
+            return self.zero()
+        return Series.from_nums(self, c.denominator, {exps: c.numerator})
 
     def _product_layout(self) -> tuple:
         """Bit fields of the packed exponent keys of products and of the
@@ -213,21 +220,16 @@ class Ring:
         """
         return self._layout
 
-    def _packed(self, terms, bias: int) -> tuple:
-        """``(den, [(key, numerator), ...])`` for the ``(exponents,
-        Fraction)`` pairs of ``terms``, which is read twice: ``den`` is the
-        lcm of the denominators, and each key packs the exponents with
+    def _packed(self, nums, bias: int) -> list:
+        """``[(key, numerator), ...]`` for the ``(exponents, numerator)``
+        pairs of ``nums``, in their order: each key packs the exponents with
         ``bias`` (a bias of :meth:`_product_layout`, or the sum of both)."""
         shifts = self._shifts
-        den = lcm(*(c.denominator for _, c in terms))
-        return den, [
-            (bias + sum(map(lshift, e, shifts)), c.numerator * (den // c.denominator))
-            for e, c in terms
-        ]
+        return [(bias + sum(map(lshift, e, shifts)), c) for e, c in nums]
 
-    def _unpacked(self, acc: dict, den: int, where: str) -> dict:
-        """``{exponents: Fraction}`` for packed keys that carry both biases,
-        mapped to numerators over ``den``; zero numerators are dropped.  The
+    def _unpacked(self, acc: dict, where: str) -> dict:
+        """``{exponents: numerator}`` for packed keys that carry both
+        biases, mapped to int numerators; zero numerators are dropped.  The
         first key, in the order of ``acc``, with an exponent below its floor
         raises :class:`FloorUnderflow` naming ``where``."""
         fields, laurent, specs = self._fields, self.laurent, self.specs
@@ -242,10 +244,15 @@ class Ring:
                             f"{s.min_exponent} in {where}"
                         )
             if v:
-                out[exps] = Fraction(v, den)
+                out[exps] = v
         return out
 
     def _check_window(self, exps: tuple) -> None:
+        if len(exps) != len(self.specs):
+            raise WindowError(
+                f"exponent tuple {exps} has {len(exps)} entries, "
+                f"the ring has {len(self.specs)} variables"
+            )
         for e, s in zip(exps, self.specs):
             if not (s.min_exponent <= e < s.trunc_order):
                 raise WindowError(
@@ -254,6 +261,9 @@ class Ring:
                 )
 
     def series(self, terms: Mapping[tuple, Scalar]) -> "Series":
+        """The series with coefficient ``c`` (an int or a ``Fraction``) at
+        each exponent tuple of ``terms``; a tuple outside the window, or of
+        another length than :attr:`nvars`, raises :class:`WindowError`."""
         out = {}
         for exps, c in terms.items():
             c = Fraction(c)
@@ -261,32 +271,65 @@ class Ring:
                 continue
             exps = tuple(exps)
             self._check_window(exps)
-            out[exps] = out.get(exps, Fraction(0)) + c
-        return Series(self, {e: c for e, c in out.items() if c})
+            out[exps] = out.get(exps, 0) + c
+        return Series(self, out)
 
 
 class Series:
-    """A sparse truncated Laurent series; treat instances as immutable."""
+    """A sparse truncated Laurent series ``nums / den``; treat instances as
+    immutable."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "den", "nums")
 
-    def __init__(self, ring: Ring, coeffs: dict):
+    def __init__(self, ring: Ring, coeffs: Mapping[tuple, Scalar]):
+        """The series with coefficient ``c`` (an int or a ``Fraction``) at
+        each exponent tuple of ``coeffs``; zero coefficients are dropped and
+        the tuples are not checked (see :meth:`Ring.series`)."""
+        coeffs = {e: Fraction(c) for e, c in coeffs.items() if c}
+        den = lcm(*(c.denominator for c in coeffs.values()))
         self.ring = ring
-        self.coeffs = coeffs
+        self.den = den
+        self.nums = {e: c.numerator * (den // c.denominator)
+                     for e, c in coeffs.items()}
+
+    @classmethod
+    def from_nums(cls, ring: Ring, den: int, nums: dict) -> "Series":
+        """The series ``nums / den`` for a nonzero int ``den`` and nonzero
+        int numerators, stored canonically: ``den`` and every numerator are
+        divided by ``gcd(den, *nums)``, with the sign that makes ``den``
+        positive.  ``nums`` is kept when nothing divides; the tuples are
+        not checked."""
+        g = gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            den //= g
+            nums = {e: c // g for e, c in nums.items()}
+        s = cls.__new__(cls)
+        s.ring = ring
+        s.den = den
+        s.nums = nums
+        return s
 
     # -- basic queries ----------------------------------------------------
 
+    @property
+    def coeffs(self) -> dict:
+        """``{exponents: Fraction}``, built on each read."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.nums.items()}
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def constant_term(self) -> Fraction:
-        return self.coeffs.get(tuple(0 for _ in self.ring.specs), Fraction(0))
+        return Fraction(self.nums.get((0,) * self.ring.nvars, 0), self.den)
 
     def coefficient(self, **powers: int) -> Fraction:
         """Coefficient of a single fully specified monomial."""
         exps = self.ring.exponents(**powers)
         self.ring._check_window(exps)
-        return self.coeffs.get(exps, Fraction(0))
+        return Fraction(self.nums.get(exps, 0), self.den)
 
     def extract(self, **powers: int) -> "Series":
         """Fix the exponents of some variables; return a series in the rest.
@@ -308,12 +351,12 @@ class Series:
             fixed[i] = p
         keep = [i for i in range(ring.nvars) if i not in fixed]
         sub = Ring([ring.specs[i] for i in keep])
-        out: dict = {}
-        for exps, c in self.coeffs.items():
-            if all(exps[i] == p for i, p in fixed.items()):
-                key = tuple(exps[i] for i in keep)
-                out[key] = out.get(key, Fraction(0)) + c
-        return Series(sub, {e: c for e, c in out.items() if c})
+        # distinct kept terms agree on the fixed exponents, so they differ
+        # in the others: no two land on one key
+        out = {tuple(exps[i] for i in keep): c
+               for exps, c in self.nums.items()
+               if all(exps[i] == p for i, p in fixed.items())}
+        return Series.from_nums(sub, self.den, out)
 
     def terms(self):
         return self.coeffs.items()
@@ -323,22 +366,23 @@ class Series:
             other = self.ring.const(other)
         if not isinstance(other, Series):
             return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
+        return (self.ring == other.ring and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash((self.ring, frozenset(self.coeffs.items())))
+        return hash((self.ring, self.den, frozenset(self.nums.items())))
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         names = [s.name for s in self.ring.specs]
+        coeffs = self.coeffs
         bits = []
-        for exps in sorted(self.coeffs):
+        for exps in sorted(coeffs):
             mono = "*".join(
                 f"{n}^{e}" if e != 1 else n for n, e in zip(names, exps) if e
             )
-            c = self.coeffs[exps]
-            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
+            bits.append(f"{coeffs[exps]}" + (f"*{mono}" if mono else ""))
         text = " + ".join(bits)
         return text if len(text) < 400 else text[:400] + " ..."
 
@@ -353,41 +397,52 @@ class Series:
             return other
         raise TypeError(f"cannot combine Series with {type(other).__name__}")
 
-    def __add__(self, other) -> "Series":
-        other = self._coerce(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            v = out.get(e, Fraction(0)) + c
+    def _sum(self, other: "Series", sign: int) -> "Series":
+        """``self + sign * other`` over the lcm of the two denominators:
+        ``self``'s keys in order, then ``other``'s new ones."""
+        den = lcm(self.den, other.den)
+        up = den // self.den
+        out = {e: c * up for e, c in self.nums.items()} if up > 1 else dict(self.nums)
+        up = sign * (den // other.den)
+        get = out.get
+        for e, c in other.nums.items():
+            v = get(e, 0) + c * up
             if v:
                 out[e] = v
             else:
-                out.pop(e, None)
-        return Series(self.ring, out)
+                del out[e]
+        return Series.from_nums(self.ring, den, out)
+
+    def __add__(self, other) -> "Series":
+        return self._sum(self._coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Series":
-        return Series(self.ring, {e: -c for e, c in self.coeffs.items()})
+        return Series.from_nums(self.ring, self.den,
+                                {e: -c for e, c in self.nums.items()})
 
     def __sub__(self, other) -> "Series":
-        return self + (-self._coerce(other))
+        return self._sum(self._coerce(other), -1)
 
     def __rsub__(self, other) -> "Series":
-        return self._coerce(other) - self
+        return self._coerce(other)._sum(self, -1)
 
     def __mul__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if not c:
                 return self.ring.zero()
-            return Series(self.ring, {e: v * c for e, v in self.coeffs.items()})
+            up = c.numerator
+            return Series.from_nums(self.ring, self.den * c.denominator,
+                                    {e: v * up for e, v in self.nums.items()})
         other = self._coerce(other)
-        if not self.coeffs or not other.coeffs:
+        if not self.nums or not other.nums:
             return self.ring.zero()
         ring = self.ring
         left, right, high = ring._product_layout()
-        da, pa = ring._packed(self.coeffs.items(), left)
-        db, pb = ring._packed(other.coeffs.items(), right)
+        pa = ring._packed(self.nums.items(), left)
+        pb = ring._packed(other.nums.items(), right)
         acc: dict = {}
         get = acc.get
         for k1, c1 in pa:
@@ -398,7 +453,8 @@ class Series:
                 acc[k] = get(k, 0) + c1 * c2
         # keys keep the order in which their first pair arrived, so the first
         # key below a floor is the one the first offending pair produced
-        return Series(ring, ring._unpacked(acc, da * db, "product"))
+        return Series.from_nums(ring, self.den * other.den,
+                                ring._unpacked(acc, "product"))
 
     __rmul__ = __mul__
 
@@ -432,32 +488,33 @@ class Series:
 
         The output is built one degree at a time: each degree's pairs of
         earlier output terms and terms of ``f`` are summed on packed keys
-        as integer numerators over one common denominator, and each output
-        term becomes a :class:`fractions.Fraction` once.  A pure pole in
-        ``f`` (a term of degree <= 0) raises :class:`FloorUnderflow`, as its
-        powers fall below the floor; so does any output key below a floor.
+        as integer numerators over one common denominator, which is then
+        divided by the gcd of it and the degree's numerators.  The packed
+        sums enter the later degrees as they are, with the right bias taken
+        off; only the output is unpacked.  A pure pole in ``f`` (a term of
+        degree <= 0) raises :class:`FloorUnderflow`, as its powers fall
+        below the floor; so does any output key below a floor.
         """
         ring = self.ring
         specs = ring.specs
         left, right, high = ring._product_layout()
         lowest = min([0] + [s.min_exponent for s in specs])
         weights = [1 if s.min_exponent < 0 else 1 - lowest for s in specs]
-        den_f, packed_f = ring._packed(self.coeffs.items(), right)
-        # terms of f by degree, as (right-biased key, numerator over den_f)
+        # terms of f by degree, as (right-biased key, numerator over self.den)
         f_parts: dict = {}
-        for e, term in zip(self.coeffs, packed_f):
+        for e, term in zip(self.nums, ring._packed(self.nums.items(), right)):
             d = sum(map(mul, weights, e))
             if d <= 0:
                 raise FloorUnderflow(
                     f"{kind} of the pure pole term {e} falls below the floor"
                 )
             f_parts.setdefault(d, []).append(term)
-        # output terms by degree, as (common denominator, [(left-biased key,
-        # numerator)])
-        out: dict = {}
+        # output terms by degree, as (den, {exponents: numerator}) in parts
+        # and (den, [(left-biased key, numerator)]) in g_parts
+        parts: list = []
         g_parts: dict = {}
         if kind != "log":
-            out = dict(ring.one().coeffs)
+            parts.append((1, ring.one().nums))
             g_parts[0] = (1, [(left, 1)])
         # the factor of a pair of an output term of degree j and a term of f,
         # for an output term of degree d
@@ -490,12 +547,22 @@ class Series:
             for k2, c2 in own:
                 k = left + k2
                 acc[k] = get(k, 0) + c2 * m * d
-            den = den_f * m * (1 if kind == "inverse" else d)
-            new = ring._unpacked(acc, den, kind)
+            new = ring._unpacked(acc, kind)
             if new:
-                out.update(new)
-                g_parts[d] = ring._packed(new.items(), left)
-        return Series(ring, out)
+                den = self.den * m * (1 if kind == "inverse" else d)
+                g = gcd(den, *new.values())
+                if g > 1:
+                    den //= g
+                    new = {e: c // g for e, c in new.items()}
+                parts.append((den, new))
+                g_parts[d] = (den, [(k - right, c // g if g > 1 else c)
+                                    for k, c in acc.items() if c])
+        den = lcm(*(part_den for part_den, _ in parts))
+        out: dict = {}
+        for part_den, new in parts:
+            up = den // part_den
+            out.update({e: c * up for e, c in new.items()} if up > 1 else new)
+        return Series.from_nums(ring, den, out)
 
     def exp(self) -> "Series":
         """exp of a series with zero constant term."""
@@ -532,11 +599,11 @@ class Series:
         if self.is_zero():
             raise SeriesError("inverse of zero")
         ring = self.ring
-        mins = [min(e[i] for e in self.coeffs) for i in range(ring.nvars)]
+        mins = [min(e[i] for e in self.nums) for i in range(ring.nvars)]
         shifted = {
-            tuple(a - m for a, m in zip(e, mins)): c for e, c in self.coeffs.items()
+            tuple(a - m for a, m in zip(e, mins)): c for e, c in self.nums.items()
         }
-        c0 = shifted.get(tuple(0 for _ in ring.specs), Fraction(0))
+        c0 = shifted.get((0,) * ring.nvars, 0)
         if not c0:
             raise SeriesError("series is not invertible (no unit monomial factor)")
         # geometric series for (1 + n)^-1 where n = shifted/c0 - 1; the
@@ -550,17 +617,19 @@ class Series:
         )
         # terms at or above big's truncation can only produce dropped
         # products, and products require exponents inside the window
-        n = Series(
+        n = Series.from_nums(
             big,
+            c0,
             {
-                e: c / c0
+                e: c
                 for e, c in shifted.items()
                 if any(e) and all(x < s.trunc_order for x, s in zip(e, big.specs))
             },
         )
         inv = n._graded("inverse")
+        # the inverse is inv / (c0 / self.den)
         out: dict = {}
-        for e, c in inv.coeffs.items():
+        for e, c in inv.nums.items():
             exps = tuple(a - m for a, m in zip(e, mins))
             if any(x >= s.trunc_order for x, s in zip(exps, ring.specs)):
                 continue
@@ -569,8 +638,8 @@ class Series:
                     raise FloorUnderflow(
                         f"inverse exponent {x} of {s.name!r} below floor"
                     )
-            out[exps] = c / c0
-        return Series(ring, out)
+            out[exps] = c * self.den
+        return Series.from_nums(ring, inv.den * c0, out)
 
     # -- calculus ----------------------------------------------------------
 
@@ -578,31 +647,31 @@ class Series:
         i = self.ring.index[name]
         floor = self.ring.specs[i].min_exponent
         out: dict = {}
-        for e, c in self.coeffs.items():
+        for e, c in self.nums.items():
             if e[i] == 0:
                 continue
             exps = e[:i] + (e[i] - 1,) + e[i + 1 :]
             if exps[i] < floor:
                 raise FloorUnderflow(f"derivative pushed {name!r} below floor")
             out[exps] = c * e[i]
-        return Series(self.ring, out)
+        return Series.from_nums(self.ring, self.den, out)
 
     def x_d_dx(self, name: str) -> "Series":
         """The Euler operator x d/dx in the named variable."""
         i = self.ring.index[name]
-        out = {e: c * e[i] for e, c in self.coeffs.items() if e[i]}
-        return Series(self.ring, out)
+        out = {e: c * e[i] for e, c in self.nums.items() if e[i]}
+        return Series.from_nums(self.ring, self.den, out)
 
     def mul_var(self, name: str) -> "Series":
         """Multiply by the named variable, dropping what leaves the window."""
         i = self.ring.index[name]
         top = self.ring.specs[i].trunc_order
         out: dict = {}
-        for e, c in self.coeffs.items():
+        for e, c in self.nums.items():
             x = e[i] + 1
             if x < top:
                 out[e[:i] + (x,) + e[i + 1 :]] = c
-        return Series(self.ring, out)
+        return Series.from_nums(self.ring, self.den, out)
 
     # -- substitution -------------------------------------------------------
 
@@ -628,12 +697,12 @@ class Series:
                     flips.append(i)
             else:
                 raise SeriesError("assignments must be a Series or the int +1 or -1")
-        cur = self.coeffs
+        cur = self.nums
         if flips:
             cur = {e: -c if sum(map(e.__getitem__, flips)) % 2 else c
                    for e, c in cur.items()}
         if not subs:
-            return Series(ring, cur) if flips else self
+            return Series.from_nums(ring, self.den, cur) if flips else self
         target = next(iter(subs.values())).ring
         if any(v.ring != target for v in subs.values()):
             raise RingMismatch("assigned series live in different rings")
@@ -659,23 +728,25 @@ class Series:
             groups.setdefault(tuple(e[i] for i in keep + head), []).append((e[last], c))
         powers = {i: ladder(p, [e[i] for e in cur]) for i, p in subs.items()}
         left, right, high = target._product_layout()
-        packed = {b: target._packed(p.coeffs.items(), right)
+        packed = {b: (p.den, target._packed(p.nums.items(), right))
                   for b, p in powers[last].items()}
         packed[0] = (1, [(right, 1)])
+        # each group's sum and prefix, over den * self.den
         sums = []
         for key, terms in groups.items():
             prefix = target.monomial(1, **dict(zip(names, key)))
             for i, a in zip(head, key[len(keep):]):
                 if a:
                     prefix = prefix * powers[i][a]
-            den = lcm(*(c.denominator * packed[b][0] for b, c in terms))
+            den = lcm(*(packed[b][0] for b, _ in terms))
             acc: dict = {}
             for b, c in terms:
-                scale = c.numerator * (den // (c.denominator * packed[b][0]))
-                for k, v in packed[b][1]:
+                den_b, pb = packed[b]
+                scale = c * (den // den_b)
+                for k, v in pb:
                     acc[k] = acc.get(k, 0) + scale * v
-            dp, pp = target._packed(prefix.coeffs.items(), left)
-            sums.append((dp * den, pp, [kv for kv in acc.items() if kv[1]]))
+            sums.append((prefix.den * den, target._packed(prefix.nums.items(), left),
+                         [kv for kv in acc.items() if kv[1]]))
         # one common denominator for the products of all groups
         den = lcm(*(d for d, _, _ in sums))
         acc = {}
@@ -687,7 +758,8 @@ class Series:
                     k = k1 + k2
                     if not k & high:
                         acc[k] = get(k, 0) + c1 * c2
-        return Series(target, target._unpacked(acc, den, "substitution"))
+        return Series.from_nums(target, den * self.den,
+                                target._unpacked(acc, "substitution"))
 
     # -- exact division -----------------------------------------------------
 
@@ -700,14 +772,12 @@ class Series:
         Each remainder term is reduced once, so each quotient exponent is
         written once.
 
-        The loop runs on integers: the divisor is scaled to integer
-        numerators ``dnum`` (over ``dden``), the remainder to integer
-        numerators over one common denominator ``rden``, and the quotient
-        term ``rem[r0] / dnum[d0]`` is kept over ``rden`` too, in units of
-        ``dden``.  When the lead numerator does not divide a remainder
-        numerator, ``rden`` and every remainder and quotient numerator are
-        scaled up by the missing factor.  Each quotient coefficient becomes
-        a :class:`fractions.Fraction` once, after the loop.
+        The loop runs on the numerators: the divisor's ``dnum`` over
+        ``dden``, the remainder's over one common denominator ``rden``, and
+        the quotient term ``rem[r0] / dnum[d0]`` is kept over ``rden`` too,
+        in units of ``dden``.  When the lead numerator does not divide a
+        remainder numerator, ``rden`` and every remainder and quotient
+        numerator are scaled up by the missing factor.
         """
         den = self._coerce(den)
         if den.is_zero():
@@ -715,14 +785,11 @@ class Series:
         ring = self.ring
         tops = [s.trunc_order for s in ring.specs]
         floors = [s.min_exponent for s in ring.specs]
-        d0 = min(den.coeffs)
-        dden = lcm(*(c.denominator for c in den.coeffs.values()))
-        dnum = {e: c.numerator * (dden // c.denominator)
-                for e, c in den.coeffs.items()}
+        dnum, dden = den.nums, den.den
+        d0 = min(dnum)
         dc = dnum[d0]
-        rden = lcm(*(c.denominator for c in self.coeffs.values()))
-        rem = {e: c.numerator * (rden // c.denominator)
-               for e, c in self.coeffs.items()}
+        rden = self.den
+        rem = dict(self.nums)
         heap = sorted(rem)  # rem's keys as a heap; keys that left rem are stale
         quot: dict = {}
         while rem:
@@ -755,7 +822,7 @@ class Series:
                 v -= qc * c
                 if v:
                     rem[exps] = v
-        return Series(ring, {e: Fraction(c * dden, rden) for e, c in quot.items()})
+        return Series.from_nums(ring, rden, {e: c * dden for e, c in quot.items()})
 
 
 def embed(series: Series, target: Ring) -> Series:
@@ -767,7 +834,7 @@ def embed(series: Series, target: Ring) -> Series:
     """
     cols = [target.index[s.name] for s in series.ring.specs]
     out: dict = {}
-    for e, c in series.coeffs.items():
+    for e, c in series.nums.items():
         exps = [0] * target.nvars
         for i, x in zip(cols, e):
             exps[i] += x
@@ -782,4 +849,4 @@ def embed(series: Series, target: Ring) -> Series:
                 )
         if not drop:
             out[tuple(exps)] = c
-    return Series(target, out)
+    return Series.from_nums(target, series.den, out)

@@ -34,6 +34,11 @@
   keyed by its two psi powers, and places it into each graph
   (``relations._edge_kernel``); the reference graph sum builds every
   kernel this way instead.
+* ``oracle_packed`` and ``oracle_unpacked`` pack exponent tuples into
+  keys one field at a time, and read the fields of the keys back with the
+  floor check, as ``Series.__mul__`` and ``Series._graded`` once did
+  inline.  The library packs and unpacks through ``Ring._packed`` and
+  ``Ring._unpacked``.
 * ``oracle_divide_exact`` is exact long division with ``Fraction``
   arithmetic, one multiply and subtract per divisor term.  The library
   divides on integer numerators over one common denominator
@@ -57,7 +62,8 @@ from tautrels.catalog import (ZETA, _edge_quotient, _exp_of_minus_sum,
 from tautrels.classes import (TautClass, _contract_edge, _decor_codim,
                               _hpsi_decor)
 from tautrels.graphs import StableGraph, WeightData, enumerate_graphs
-from tautrels.series import NotDivisible, Ring, Series, VarSpec, embed
+from tautrels.series import (FloorUnderflow, NotDivisible, Ring, Series,
+                             VarSpec, embed)
 
 
 def _merge_block(blocks: list, points: tuple, a: int) -> None:
@@ -451,6 +457,44 @@ def _edge_to_ds(series: Series, ds, edge: int) -> None:
                 exps[ds.ring.index[name]] = e
         terms.append((tuple(exps), _hpsi_decor(ds.graph, powers), c))
     ds.add_terms(terms)
+
+
+def oracle_packed(ring, nums, bias: int) -> list:
+    """``ring._packed(nums, bias)``: each exponent shifted into its field,
+    one field at a time, with the numerators as they are."""
+    out = []
+    for exps, c in nums:
+        key = bias
+        for e, (shift, _, _) in zip(exps, ring._fields):
+            key += e << shift
+        out.append((key, c))
+    return out
+
+
+def oracle_unpacked(ring, acc: dict, where: str) -> dict:
+    """The unpack-and-floor-check loop that ``Series.__mul__`` and
+    ``Series._graded`` each ran inline: fields read by shift, mask and
+    bias, every key checked against the floors before a zero numerator is
+    dropped."""
+    shifts, fields = ring._shifts, ring._fields
+    laurent = any(s.min_exponent < 0 for s in ring.specs)
+    masks = [m for _, m, _ in fields]
+    biases = [x for _, _, x in fields]
+    out = {}
+    for k, v in acc.items():
+        exps = tuple(
+            ((k >> sh) & m) - x for sh, m, x in zip(shifts, masks, biases)
+        )
+        if laurent:
+            for e, s in zip(exps, ring.specs):
+                if e < s.min_exponent:
+                    raise FloorUnderflow(
+                        f"exponent {e} of {s.name!r} below floor "
+                        f"{s.min_exponent} in {where}"
+                    )
+        if v:
+            out[exps] = v
+    return out
 
 
 def oracle_divide_exact(num: Series, den: Series) -> Series:

@@ -511,7 +511,8 @@ def test_catalog_rejects_an_unread_order_and_writes_nothing(tmp_path):
 
 @pytest.mark.parametrize("damage", ["truncated", "other ring", "not a series",
                                     "float numerator", "boolean exponent",
-                                    "zero denominator"])
+                                    "zero denominator", "long exponent list",
+                                    "empty exponent list"])
 @pytest.mark.parametrize("audit", [False, True])
 def test_catalog_recomputes_a_bad_entry(tmp_path, damage, audit):
     import json
@@ -533,6 +534,10 @@ def test_catalog_recomputes_a_bad_entry(tmp_path, damage, audit):
             blob["terms"][1]["num"] = 7.9
         elif damage == "boolean exponent":
             blob["terms"][1]["exp"] = [True]
+        elif damage == "long exponent list":
+            blob["terms"][1]["exp"] = [1, 0]
+        elif damage == "empty exponent list":
+            blob["terms"][1]["exp"] = []
         else:
             blob["terms"][1]["den"] = "0"
         path.write_text(json.dumps(blob))

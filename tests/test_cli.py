@@ -206,6 +206,23 @@ class TestSeriesDump:
         assert payload(second) == payload(first)
         assert json.loads(entry.read_text())["terms"]
 
+    def test_wrong_length_cache_entry_is_recomputed(self, capsys, tmp_path,
+                                                     monkeypatch):
+        # an exponent list of two entries in the one-variable ring of A
+        monkeypatch.setenv("TAUTRELS_CACHE", str(tmp_path))
+        argv = ("series", "dump", "--name", "A", "--orders", "t=4")
+        code, first, _ = run(capsys, *argv)
+        assert code == 0
+        entry = tmp_path / "A_t4.json"
+        good = entry.read_text()
+        blob = json.loads(good)
+        blob["terms"][1]["exp"] = [1, 0]
+        entry.write_text(json.dumps(blob))
+        code, second, err = run(capsys, *argv)
+        assert code == 0, err
+        assert second == first
+        assert entry.read_text() == good
+
     def test_cache_dir_precedence_holds_per_call(self, capsys, tmp_path,
                                                  monkeypatch):
         # TAUTRELS_CACHE is the one cache source: --cache-dir and --config

@@ -22,7 +22,8 @@ from tautrels.series import (
 )
 from tautrels.serialize import series_from_dict, series_to_dict
 
-from oracles import _edge_factor, oracle_divide_exact, oracle_substitute
+from oracles import (_edge_factor, oracle_divide_exact, oracle_packed,
+                     oracle_substitute, oracle_unpacked)
 
 
 def ring_t(order=10, floor=0):
@@ -222,6 +223,14 @@ def test_extract_fixes_variables():
         s.extract(x=7)
 
 
+def test_series_rejects_an_exponent_tuple_of_another_length():
+    R = Ring([VarSpec("t", -1, 4), VarSpec("x", 0, 3)])
+    for exps in [(1,), (1, 0, 5), ()]:
+        with pytest.raises(WindowError, match=f"has {len(exps)} entries"):
+            R.series({exps: 1})
+    assert R.series({(1, 0): 1}) == R.var("t")
+
+
 def test_embed_into_larger_ring():
     small = ring_t(5)
     big = Ring([VarSpec("t", -1, 5), VarSpec("x", 0, 3)])
@@ -383,34 +392,8 @@ def test_product_with_zero_operand_is_zero():
 
 
 # ---------------------------------------------------------------------------
-# The packed-key codec against the unpack loops it replaced
+# The packed-key codec against the pack and unpack loops it replaced
 # ---------------------------------------------------------------------------
-
-
-def oracle_unpacked(ring, acc, den, where):
-    """The unpack-and-floor-check loop that ``Series.__mul__`` and
-    ``Series._graded`` each ran inline: fields read by shift, mask and
-    bias, every key checked against the floors before a zero numerator is
-    dropped."""
-    shifts, fields = ring._shifts, ring._fields
-    laurent = any(s.min_exponent < 0 for s in ring.specs)
-    masks = [m for _, m, _ in fields]
-    biases = [x for _, _, x in fields]
-    out = {}
-    for k, v in acc.items():
-        exps = tuple(
-            ((k >> sh) & m) - x for sh, m, x in zip(shifts, masks, biases)
-        )
-        if laurent:
-            for e, s in zip(exps, ring.specs):
-                if e < s.min_exponent:
-                    raise FloorUnderflow(
-                        f"exponent {e} of {s.name!r} below floor "
-                        f"{s.min_exponent} in {where}"
-                    )
-        if v:
-            out[exps] = F(v, den)
-    return out
 
 
 @st.composite
@@ -424,8 +407,10 @@ def packed_sums(draw):
         *(st.integers(s.min_exponent, s.trunc_order - 1) for s in ring.specs))
     pairs = draw(st.lists(st.tuples(inside, inside, st.integers(-5, 5)),
                           max_size=8))
-    _, ka = ring._packed([(a, 1) for a, _, _ in pairs], left)
-    _, kb = ring._packed([(b, 1) for _, b, _ in pairs], right)
+    ka = ring._packed([(a, 1) for a, _, _ in pairs], left)
+    kb = ring._packed([(b, 1) for _, b, _ in pairs], right)
+    assert ka == oracle_packed(ring, [(a, 1) for a, _, _ in pairs], left)
+    assert kb == oracle_packed(ring, [(b, 1) for _, b, _ in pairs], right)
     sums, acc = [], {}
     for (a, b, v), (k1, _), (k2, _) in zip(pairs, ka, kb):
         k = k1 + k2
@@ -439,14 +424,13 @@ def packed_sums(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(packed_sums(), st.integers(1, 30),
-       st.sampled_from(["product", "exp", "log", "inverse"]))
-def test_unpacked_matches_the_inline_loop(data, den, where):
+@given(packed_sums(), st.sampled_from(["product", "exp", "log", "inverse"]))
+def test_unpacked_matches_the_inline_loop(data, where):
     ring, sums, acc = data
 
     def outcome(unpack):
         try:
-            return unpack(ring, acc, den, where)
+            return unpack(ring, acc, where)
         except FloorUnderflow as exc:
             return ("FloorUnderflow", str(exc))
 
@@ -463,7 +447,8 @@ def test_unpacked_matches_the_inline_loop(data, den, where):
                            f"below floor {s.min_exponent} in {where}")
             return
         want[exps] = want.get(exps, 0) + v
-    assert got == {e: F(v, den) for e, v in want.items() if v}
+    assert got == {e: v for e, v in want.items() if v}
+    assert all(type(v) is int for v in got.values())
 
 
 @settings(max_examples=200, deadline=None)
@@ -471,10 +456,13 @@ def test_unpacked_matches_the_inline_loop(data, den, where):
 def test_packed_round_trip(data):
     ring, a = data
     left, right, _ = ring._product_layout()
-    den, keyed = ring._packed(a.coeffs.items(), left + right)
-    assert den == math.lcm(*(c.denominator for c in a.coeffs.values()))
-    assert [c for _, c in keyed] == [c * den for c in a.coeffs.values()]
-    assert ring._unpacked(dict(keyed), den, "product") == a.coeffs
+    keyed = ring._packed(a.nums.items(), left + right)
+    assert keyed == oracle_packed(ring, a.nums.items(), left + right)
+    assert a.den == math.lcm(*(c.denominator for c in a.coeffs.values()))
+    assert [c for _, c in keyed] == [c * a.den for c in a.coeffs.values()]
+    assert ring._unpacked(dict(keyed), "product") == a.nums
+    assert {e: F(c, a.den) for e, c in ring._unpacked(
+        dict(keyed), "product").items()} == a.coeffs
 
 
 def test_floor_underflow_names_the_operation():
@@ -777,3 +765,54 @@ def test_divide_exact_by_a_unit_with_lead_coefficient_three():
     assert q == oracle_divide_exact(1 + t, 3 - 2 * t)
     assert q * (3 - 2 * t) == 1 + t
     assert q.coefficient(t=0) == F(1, 3)
+
+
+# ---------------------------------------------------------------------------
+# The stored form: integer numerators over one denominator, divided by gcd
+# ---------------------------------------------------------------------------
+
+
+def assert_canonical(s):
+    assert type(s.den) is int and s.den >= 1
+    assert all(type(c) is int and c for c in s.nums.values())
+    assert math.gcd(s.den, *s.nums.values()) == 1
+    again = s.ring.series(s.coeffs)
+    assert again == s and hash(again) == hash(s)
+    assert (again.den, again.nums) == (s.den, s.nums)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_and_series(2), fractions, st.data())
+def test_every_operation_stores_the_canonical_form(data, c, draw):
+    ring, a, b = data
+    names = [s.name for s in ring.specs]
+    results = []
+
+    def attempt(op):
+        try:
+            results.append(op())
+        except SeriesError:
+            pass
+
+    for op in (lambda: a + b, lambda: a - b, lambda: -a, lambda: a + c,
+               lambda: c - a, lambda: a * c, lambda: a * 6, lambda: a * b,
+               lambda: without_constant(a).exp(),
+               lambda: (1 + without_constant(a)).log(),
+               lambda: a.inverse(), lambda: a.divide_exact(b),
+               lambda: (a * b).divide_exact(b)):
+        attempt(op)
+    if names:
+        i = draw.draw(st.integers(0, len(names) - 1))
+        spec = ring.specs[i]
+        e = draw.draw(st.integers(spec.min_exponent, spec.trunc_order - 1))
+        attempt(lambda: a.extract(**{names[i]: e}))
+        attempt(lambda: a.substitute({names[i]: -1}))
+        attempt(lambda: a.substitute({names[i]: b}))
+        attempt(lambda: a.derivative(names[i]))
+        attempt(lambda: a.x_d_dx(names[i]))
+        attempt(lambda: a.mul_var(names[i]))
+    big = Ring([VarSpec(s.name, s.min_exponent, s.trunc_order + 1)
+                for s in ring.specs] + [VarSpec("w", 0, 2)])
+    attempt(lambda: embed(a, big))
+    for s in [a, b] + results:
+        assert_canonical(s)
