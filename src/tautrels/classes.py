@@ -25,13 +25,14 @@ coefficient).
 One rule merges blocks: :func:`_vertex_product` multiplies two stored
 vertex decorations, with coefficient 1 and no product kept between calls.
 :func:`_factor_decor` maps one raw factor to a stored decoration and a
-scalar.  The brackets, ``multiply_generator``, ``chern_neg_Bd`` and
+scalar.  The brackets, ``multiply_generator`` and
 ``pushforward_forget_weight1`` place single factors, edge kernels write
-half-edge psi powers (:func:`_hpsi_decor`), and
-``pushforward_forget_small`` rewrites the block that holds the forgotten
-point in place.  :func:`normal_form`, the public word API, is the only code
-that reads a raw word; class files are checked against the stored rules
-themselves (:func:`_check_stored`).
+half-edge psi powers (:func:`_hpsi_decor`), ``pushforward_forget_small``
+rewrites the block that holds the forgotten point in place, and
+``chern_neg_Bd`` places its output blocks directly, each with its count
+of pick configurations (:func:`_pick_counts`).  :func:`normal_form`, the
+public word API, is the only code that reads a raw word; class files are
+checked against the stored rules themselves (:func:`_check_stored`).
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
-from .graphs import (PreconditionError, StableGraph, WeightData, json_int,
-                     json_int_text, smooth_graph)
+from .graphs import (PreconditionError, StableGraph, WeightData, check_stable,
+                     json_int, json_int_text, smooth_graph)
 
 __all__ = [
     "TautClass",
@@ -776,49 +777,87 @@ def pushforward_forget_weight1(c: TautClass, marking: int) -> TautClass:
 # ---------------------------------------------------------------------------
 
 
+def _pick_counts(s_max: int, a_max: int) -> tuple:
+    """``(T, N)`` of :func:`chern_neg_Bd` for ``s <= s_max`` and
+    ``a <= a_max``, with ``N[1][0] = 1`` for a lone point."""
+    T = [[1] + [0] * a_max]
+    for s in range(1, s_max + 1):
+        row = [1]
+        for a in range(1, a_max + 1):
+            row.append(T[s - 1][a] + s * row[a - 1])
+        T.append(row)
+    N = [[0] * (a_max + 1)]
+    for s in range(1, s_max + 1):
+        N.append([T[s][a] - sum(comb(s - 1, k - 1) * N[k][b] * T[s - k][a - b]
+                                for k in range(1, s) for b in range(a + 1))
+                  for a in range(a_max + 1)])
+    return T, N
+
+
 def chern_neg_Bd(
     d: int, t_order: int, genus: int, weights: WeightData
 ) -> dict:
     """Graded pieces ``c_j`` of ``prod_i 1/(1 - psi_{n+i} - sum_{j<i} D_{ji})``.
 
-    Here ``D_{ji}`` is the normal-form generator ``D_{{j,i},1}``, i.e.
-    minus the class of the diagonal; with this convention the connected
-    part of the expansion reproduces the coefficients of the logarithm of
-    the untwisted vertex series.  The last ``d`` markings of ``weights``
-    are the small-weight points the bundle lives on.  Returns
-    ``{j: TautClass}`` for ``j <= t_order``.
+    Here ``D_{ji}`` is the normal-form generator ``D_{{j,i},1}``, minus
+    the class of the diagonal.  The last ``d`` markings of ``weights`` carry
+    the bundle.  Returns ``{j: TautClass}`` for ``j <= t_order``, on the
+    smooth graph with integer coefficients.
 
-    Each factor ``1/(1 - base)`` is applied by the recurrence
-    ``c_j += base * c_{j-1}`` for ``j = 1..t_order`` in increasing ``j``,
-    so ``c_{j-1}`` already includes the factor when ``c_j`` is updated;
-    no powers of ``base`` are formed.  Every class lives on the smooth
-    graph and every coefficient is an integer, so each ``c_j`` is a dict
-    ``{vertex decoration: int}`` until the end, and ``base`` is the
-    ``(scalar, vertex decoration)`` pairs of its single factors.
+    A monomial of the expansion picks for each point ``i`` a sequence of
+    partners ``j <= i`` (``psi_i`` for ``j = i``, ``D_{ji}`` for
+    ``j < i``).  Each connected component ``S`` of the picks, with ``a``
+    picks, is the block ``D_{S,a}``.  So ``c_j`` sums ``prod N(|S_k|, a_k)``
+    over sets of disjoint blocks with ``sum a_k = j``, where ``N(s, a)``
+    counts the connected configurations of ``a`` picks on ``s`` ordered
+    points.  All configurations number ``T(s, a) = h_a(1..s) = S(s+a, s)``
+    (Stirling, second kind), ``T(s, a) = T(s-1, a) + s T(s, a-1)``, and
+    splitting off the first point's component gives ``N(s, a) = T(s, a) -
+    sum_{k<s} C(s-1, k-1) sum_b N(k, b) T(s-k, a-b)``.  A block of two or
+    more markings that weighs more than one is zero, and a product only
+    grows blocks, so a configuration survives exactly when no block is
+    that heavy: heavy blocks are skipped.  Each output term is placed once.
     """
+    if not 0 <= d <= weights.n:
+        raise PreconditionError("0 <= d <= n", f"d={d}, n={weights.n}")
+    if t_order < 0:
+        raise PreconditionError("t_order >= 0", f"t_order={t_order}")
+    check_stable(genus, weights)
     n = weights.n - d
+    den, nums = weights._scaled
+    _, count = _pick_counts(d, t_order)
+    # every light block once, as (bit mask, [((points, a), N), ...]) under
+    # the index of its first point, so its terms share its tuples
+    starts = [[] for _ in range(d)]
+    for mask in range(1, 1 << d):
+        pts = tuple(("m", n + k + 1) for k in range(d) if mask >> k & 1)
+        if len(pts) == 1 or sum(nums[p[1] - 1] for p in pts) <= den:
+            starts[(mask & -mask).bit_length() - 1].append((mask, [
+                ((pts, a), count[len(pts)][a])
+                for a in range(max(len(pts) - 1, 1), t_order + 1)]))
     graph = smooth_graph(genus, weights.n)
     shape = (graph.genera, graph.legs, graph.edges)
-    total = [{((), ()): 1}] + [{} for _ in range(t_order)]
-    for i in range(1, d + 1):
-        factors = [("psi", n + i, 1)]
-        factors += [("Dsa", (n + j, n + i), 1) for j in range(1, i)]
-        base = [single for factor in factors
-                if (single := _factor_decor(factor, genus, weights))
-                is not None]
-        # the factor goes second: _vertex_product loops over the blocks of
-        # its second argument
-        for j in range(1, t_order + 1):
-            acc, get = total[j], total[j].get
-            for scalar, factor_vd in base:
-                for vd1, a in total[j - 1].items():
-                    vd = _vertex_product(vd1, factor_vd, weights)
-                    if vd is not None:
-                        acc[vd] = get(vd, 0) + a * scalar
-    return {j: _from_numerators(genus, weights,
-                                {shape + ((vd,),): a for vd, a in c.items()},
-                                1)
-            for j, c in enumerate(total)}
+    total = [{} for _ in range(t_order + 1)]
+    # (free points, first start allowed, blocks, degree, count): the next
+    # block starts at a free point after every earlier start, so blocks
+    # come sorted and each set of blocks comes once.  A stack, not a
+    # recursive closure: that would be a reference cycle holding ``total``
+    # until the cyclic collector runs, which raised the peak RSS of
+    # repeated calls.
+    stack = [((1 << d) - 1, 0, (), 0, 1)]
+    while stack:
+        free, start, blocks, degree, coeff = stack.pop()
+        total[degree][shape + ((((), blocks),),)] = Fraction(coeff)
+        for k in range(start, d):
+            for mask, choices in starts[k]:
+                if mask & free == mask:
+                    for block, c in choices:
+                        if degree + block[1] > t_order:
+                            break
+                        stack.append((free & ~mask, k + 1, blocks + (block,),
+                                      degree + block[1], coeff * c))
+    return {j: TautClass(genus, weights, terms)
+            for j, terms in enumerate(total)}
 
 
 # ---------------------------------------------------------------------------

@@ -924,9 +924,10 @@ def pushforward_oracle(d_max: int = 3, t_order: int = 4,
                                            at t^r x^d
 
     for all r up to ``t_order``.  The push-forward is linear and does not
-    depend on ``zeta``, so ``eps_*(c_{r+d}(-B_d)) / d!`` is computed once
-    per ``(d, r)`` and only its sign ``zeta^r`` is applied per ``zeta``;
-    the closed form is built for each ``zeta``.  Returns
+    depend on ``zeta``, so ``eps_*(c_{r+d}(-B_d))`` is computed once per
+    ``(d, r)`` and then scaled by ``1/d!``, on its few kappa terms rather
+    than on the decorations upstairs; only its sign ``zeta^r`` is applied
+    per ``zeta``, and the closed form is built for each ``zeta``.  Returns
     ``[(name, ok, detail), ...]``, all rows for ``zeta = +1`` first.
     """
     if d_max < 1:
@@ -938,11 +939,8 @@ def pushforward_oracle(d_max: int = 3, t_order: int = 4,
         w = WeightData(tuple(Fraction(1, 1000) for _ in range(d)))
         cs = chern_neg_Bd(d, t_order + d, g, w)
         for r in range(t_order + 1):
-            c = cs[r + d]
-            # scale only by a factor other than one
-            pushed[d, r] = pushforward_forget_small(
-                c.scale(Fraction(1, factorial(d))) if d > 1 else c, d
-            )
+            pushed[d, r] = pushforward_forget_small(cs[r + d], d).scale(
+                Fraction(1, factorial(d)))
     rows = []
     ring = Ring([VarSpec("t", 0, t_order + 1), VarSpec("x", 0, d_max + 1)])
     for zeta in (1, -1):

@@ -47,6 +47,10 @@
   numerators with one numerator, two products and one division per sign
   pair.  The library builds them from two products and two divisions by
   the sign and swap symmetry (``catalog.locality_series``).
+* ``oracle_chern_recurrence`` builds the point-bundle Chern classes one
+  factor at a time by the recurrence ``c_j += base * c_{j-1}``, one
+  stored vertex product per term and single factor.  The library places
+  the output blocks directly with their counts (``classes.chern_neg_Bd``).
 * ``weight_reduce`` restricts a class to lower weights by dropping the
   terms whose graphs become unstable.  No command of the library reduces
   weights.
@@ -60,8 +64,10 @@ from heapq import heappop, heappush
 from tautrels.catalog import (ZETA, _edge_quotient, _exp_of_minus_sum,
                               phi_family, uy_expansion)
 from tautrels.classes import (TautClass, _contract_edge, _decor_codim,
-                              _hpsi_decor)
-from tautrels.graphs import StableGraph, WeightData, enumerate_graphs
+                              _factor_decor, _from_numerators, _hpsi_decor,
+                              _vertex_product)
+from tautrels.graphs import (StableGraph, WeightData, enumerate_graphs,
+                             smooth_graph)
 from tautrels.series import (FloorUnderflow, NotDivisible, Ring, Series,
                              VarSpec, embed)
 
@@ -591,3 +597,36 @@ def weight_reduce(c: TautClass, w_new: WeightData) -> TautClass:
             continue
         out.terms[key] = coeff
     return out
+
+
+def oracle_chern_recurrence(d: int, t_order: int, genus: int,
+                            weights: WeightData) -> dict:
+    """``{j: c_j}`` of ``prod_i 1/(1 - psi_{n+i} - sum_{j<i} D_{ji})`` for
+    ``j <= t_order``, as ``classes.chern_neg_Bd`` once built them.
+
+    Each factor ``1/(1 - base)`` is applied by ``c_j += base * c_{j-1}``
+    for ``j = 1..t_order`` in increasing ``j``, so ``c_{j-1}`` already
+    includes the factor when ``c_j`` is updated.  Each ``c_j`` is a dict
+    ``{vertex decoration: int}`` until the end.
+    """
+    n = weights.n - d
+    graph = smooth_graph(genus, weights.n)
+    shape = (graph.genera, graph.legs, graph.edges)
+    total = [{((), ()): 1}] + [{} for _ in range(t_order)]
+    for i in range(1, d + 1):
+        factors = [("psi", n + i, 1)]
+        factors += [("Dsa", (n + j, n + i), 1) for j in range(1, i)]
+        base = [single for factor in factors
+                if (single := _factor_decor(factor, genus, weights))
+                is not None]
+        for j in range(1, t_order + 1):
+            acc = total[j]
+            for scalar, factor_vd in base:
+                for vd1, a in total[j - 1].items():
+                    vd = _vertex_product(vd1, factor_vd, weights)
+                    if vd is not None:
+                        acc[vd] = acc.get(vd, 0) + a * scalar
+    return {j: _from_numerators(genus, weights,
+                                {shape + ((vd,),): a for vd, a in c.items()},
+                                1)
+            for j, c in enumerate(total)}

@@ -44,6 +44,7 @@ from oracles import (
     max_edges_part,
     oracle_add_words,
     oracle_check_stored,
+    oracle_chern_recurrence,
     oracle_normal_form,
     oracle_words_normal_form,
     relabelled,
@@ -1374,6 +1375,92 @@ def test_chern_neg_Bd_matches_convolution_oracle(d, kind):
         assert sorted(got) == list(range(t_order + 1))
         for j in range(t_order + 1):
             assert got[j].dumps() == want[j].dumps(), (t_order, j)
+
+
+def _brute_pick_counts(s, a):
+    """``(all, connected)`` pick configurations on ``s`` ordered points with
+    ``a`` picks in all: point ``i`` picks a sequence of partners ``j <= i``,
+    counted by listing every sequence."""
+    total = connected = 0
+    for lengths in itertools.product(range(a + 1), repeat=s):
+        if sum(lengths) != a:
+            continue
+        for picks in itertools.product(*(
+                itertools.product(range(i + 1), repeat=k)
+                for i, k in enumerate(lengths))):
+            total += 1
+            component = list(range(s))
+            for i, seq in enumerate(picks):
+                for j in seq:
+                    old, new = component[i], component[j]
+                    component = [new if c == old else c for c in component]
+            connected += len(set(component)) == 1
+    return total, connected
+
+
+def _stirling2(m, k):
+    table = [[1]]
+    for row in range(1, m + 1):
+        prev = table[-1] + [0]
+        table.append([0] + [j * prev[j] + prev[j - 1]
+                            for j in range(1, row + 1)])
+    return table[m][k] if k <= m else 0
+
+
+def test_pick_counts_match_brute_force_and_stirling_numbers():
+    T, N = classes._pick_counts(4, 6)
+    assert N[2][2] == 4
+    for s in range(1, 5):
+        for a in range(7):
+            assert (T[s][a], N[s][a]) == _brute_pick_counts(s, a), (s, a)
+            assert T[s][a] == _stirling2(s + a, s)
+            assert (N[s][a] > 0) == (a >= s - 1)
+
+
+_BUNDLE_WEIGHTS = [Fraction(1, 1000), Fraction(1, 3), Fraction(1, 2),
+                   Fraction(2, 3)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(_BUNDLE_WEIGHTS), max_size=4),
+       st.none() | st.sampled_from(_BUNDLE_WEIGHTS + [Fraction(1)]),
+       st.integers(0, 5))
+def test_chern_neg_Bd_matches_convolution_oracle_property(bundle, lead,
+                                                          t_order):
+    w = WeightData(tuple(bundle) if lead is None else (lead, *bundle))
+    got = chern_neg_Bd(len(bundle), t_order, 2, w)
+    want = oracle_chern_neg_Bd(len(bundle), t_order, 2, w)
+    assert sorted(got) == list(range(t_order + 1))
+    for j in range(t_order + 1):
+        assert got[j].dumps() == want[j].dumps(), j
+
+
+def test_chern_neg_Bd_matches_the_recurrence_at_six_points():
+    # equal term dicts serialize to equal dumps(); writing 34k terms out
+    # twice would take longer than building them
+    w = eps_weights(6)
+    assert chern_neg_Bd(6, 8, 2, w) == oracle_chern_recurrence(6, 8, 2, w)
+
+
+def test_chern_neg_Bd_makes_no_vertex_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("chern_neg_Bd called _vertex_product")
+
+    monkeypatch.setattr(classes, "_vertex_product", refuse)
+    assert not chern_neg_Bd(3, 5, 2, eps_weights(3))[5].is_zero
+
+
+@pytest.mark.parametrize("d, t_order, genus, condition", [
+    # two points cannot carry a bundle on three
+    (3, 2, 2, r"0 <= d <= n violated: d=3, n=2"),
+    (-1, 2, 2, r"0 <= d <= n violated: d=-1, n=2"),
+    (2, -1, 2, r"t_order >= 0 violated: t_order=-1"),
+    # genus 0 with two light points: no stable space
+    (2, 2, 0, r"2g-2\+sum\(w\) > 0 violated: g=0"),
+])
+def test_chern_neg_Bd_rejects_bad_input(d, t_order, genus, condition):
+    with pytest.raises(PreconditionError, match=condition):
+        chern_neg_Bd(d, t_order, genus, eps_weights(2))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
