@@ -28,7 +28,8 @@ vertex decorations, with coefficient 1 and no product kept between calls.
 scalar.  The brackets, ``multiply_generator`` and
 ``pushforward_forget_weight1`` place single factors, edge kernels write
 half-edge psi powers (:func:`_hpsi_decor`), ``pushforward_forget_small``
-rewrites the block that holds the forgotten point in place, and
+rewrites each block that loses forgotten points once, by a closed rule
+(:func:`_forget_block`), however many points it forgets, and
 ``chern_neg_Bd`` places its output blocks directly, each with its count
 of pick configurations (:func:`_pick_counts`).  :func:`normal_form`, the
 public word API, is the only code that reads a raw word; class files are
@@ -556,61 +557,77 @@ def _check_light(weights: WeightData, count: int) -> None:
                                         f"n={n}, S={set(S)}")
 
 
-def pushforward_forget_small(c: TautClass, count: int = 1) -> TautClass:
-    """Forget the last ``count`` markings, all of small weight.
+def _forget_block(block: tuple, n: int, genus: int) -> tuple:
+    """``(factor, lost, blocks, kappa)``: the rule of
+    :func:`pushforward_forget_small` for a block at a vertex of genus
+    ``genus`` once the markings above ``n`` are forgotten, ``lost`` of them
+    in the block; a zero ``factor`` kills the term."""
+    pts, a = block
+    rest = tuple(p for p in pts if p[0] != "m" or p[1] <= n)
+    lost = len(pts) - len(rest)
+    if not lost:
+        return 1, 0, (block,), ()
+    a -= lost
+    sign = (-1) ** lost
+    if rest:  # (-1)^|F| D_{S\F, a-|F|}; a lone point with a = 0 is 1
+        return sign, lost, ((rest, a),) if a else (), ()
+    if a > 0:  # (-1)^(|F|-1) kappa_{a-|F|}
+        return -sign, lost, (), (a,)
+    return -sign * (2 * genus - 2) if a == 0 else 0, lost, (), ()
 
-    Uses the table: a term dies if the forgotten marking is in no block;
-    a pure psi power at the marking becomes ``kappa_{a-1}`` at its vertex
-    (``kappa_0`` is the scalar ``2 g(v) - 2``); a larger block loses the
-    marking, drops its exponent by one and changes sign.  The block is
-    rewritten in place.  Every round only negates a numerator or
-    multiplies it by ``2 g(v) - 2``, so the ``count`` rounds run on the
-    integer numerators of ``c`` over its one denominator, dropping zeros
-    between rounds.  The table holds only for light markings
-    (:func:`_check_light`); heavy ones raise.
+
+def pushforward_forget_small(c: TautClass, count: int = 1) -> TautClass:
+    """Forget the last ``count`` markings, all light, in one pass.
+
+    A block ``(S, a)`` that loses its forgotten markings ``F`` becomes
+    ``(-1)^{|F|} D_{S\\F, a-|F|}`` when ``S\\F`` is nonempty (nothing
+    when one point with exponent 0 is left), and ``(-1)^{|F|-1}
+    kappa_{a-|F|}`` when ``S`` lies in ``F`` (``kappa_0 = 2 g(v) - 2``,
+    ``kappa_{-1} = 0``); a term dies if a forgotten marking is in no block.
+    This composes the one-marking rules, last marking first.  Each block's
+    rule is computed once per call, each term is rewritten once on integer
+    numerators over one denominator and relabelled once, and every input
+    graph without the forgotten legs is validated against the final
+    weights, even if its terms die.  Heavy markings raise
+    (:func:`_check_light`).
     """
     if not 0 <= count <= c.weights.n:
         raise PreconditionError("0 <= count <= n",
                                 f"count={count}, n={c.weights.n}")
     _check_light(c.weights, count)
-    weights = c.weights
+    n = c.weights.n - count
+    weights = WeightData(c.weights.weights[:n])
     den, nums = _numerators(c.terms)
-    for _ in range(count):
-        n = weights.n
-        weights = WeightData(weights.weights[:-1])
-        point = ("m", n)
-        acc: dict = {}
-        valid: dict = {}  # (genera, legs, edges): its validated graph
-        for (genera, legs, edges, decor), num in nums:
-            v = legs[n - 1]
-            shape = (genera, legs[:-1], edges)
-            if shape not in valid:
-                valid[shape] = StableGraph(*shape)
-                valid[shape].validate(weights, c.genus)
-            graph = valid[shape]
+    acc: dict = {}
+    valid: dict = {}  # (genera, legs, edges): its validated graph
+    rules: dict = {}  # (block, g(v)): _forget_block(block, n, g(v))
+    for (genera, legs, edges, decor), num in nums:
+        shape = (genera, legs[:n], edges)
+        if (graph := valid.get(shape)) is None:
+            graph = valid[shape] = StableGraph(*shape)
+            graph.validate(weights, c.genus)
+        out = list(decor)
+        lost = 0
+        touched = set(legs[n:])
+        for v in touched:
             kappa, blocks = decor[v]
-            i = next((i for i, (pts, _) in enumerate(blocks) if point in pts),
-                     None)
-            if i is None:
-                continue  # the forgotten marking is in no block
-            pts, a = blocks[i]
-            rest = blocks[:i] + blocks[i + 1:]
-            if len(pts) > 1:
-                num = -num
-                pts = tuple(p for p in pts if p != point)
-                if len(pts) > 1 or a > 1:
-                    rest = tuple(sorted(rest + ((pts, a - 1),)))
-            elif a > 1:
-                kappa = tuple(sorted(kappa + (a - 1,)))
-            else:
-                num *= 2 * genera[v] - 2
-                if not num:
-                    continue
-            decor = decor[:v] + ((kappa, rest),) + decor[v + 1:]
-            key = canonical_term(graph, decor)
-            acc[key] = acc.get(key, 0) + num
-        nums = [(key, num) for key, num in acc.items() if num]
-    return _from_numerators(c.genus, weights, dict(nums), den)
+            kept = ()
+            for block in blocks:
+                if (rule := rules.get((block, genera[v]))) is None:
+                    rule = rules[block, genera[v]] = _forget_block(
+                        block, n, genera[v])
+                num *= rule[0]
+                lost += rule[1]
+                kept += rule[2]
+                kappa += rule[3]
+            out[v] = kappa, kept
+        if not num or lost < count:  # kappa_{-1}, or a marking in no block
+            continue
+        for v in touched:
+            out[v] = tuple(sorted(out[v][0])), tuple(sorted(out[v][1]))
+        key = canonical_term(graph, tuple(out))
+        acc[key] = acc.get(key, 0) + num
+    return _from_numerators(c.genus, weights, acc, den)
 
 
 def _contract_edge(graph: StableGraph, e: int):

@@ -953,6 +953,11 @@ def oracle_multiply_smooth(c1, c2):
 
 
 def oracle_pushforward_forget_small(c, count=1):
+    # every input graph must stay stable once all count legs are gone, even
+    # if its terms die in an earlier pass
+    final = WeightData(c.weights.weights[:c.weights.n - count])
+    for genera, legs, edges, _ in c.terms:
+        StableGraph(genera, legs[:final.n], edges).validate(final, c.genus)
     current = c
     for _ in range(count):
         n = current.weights.n
@@ -1113,12 +1118,8 @@ def test_pushforward_forget_small_matches_word_oracle(data):
         with pytest.raises(PreconditionError, match="w_n <= 1"):
             pushforward_forget_small(c, count)
         return
-    # after a cancellation the two term orders may differ, and with them
-    # the first graph found unstable in a later pass
-    message = count == 1
-    assert (_outcome(pushforward_forget_small, c, count, message=message)
-            == _outcome(oracle_pushforward_forget_small, c, count,
-                        message=message))
+    assert (_outcome(pushforward_forget_small, c, count)
+            == _outcome(oracle_pushforward_forget_small, c, count))
 
 
 def _smooth_class(genus, weights, *terms):
@@ -1171,6 +1172,23 @@ def test_pushforward_forget_small_rejects_unstable_even_if_zero():
     one = TautClass.one(0, w)  # no block holds the point: every term dies
     with pytest.raises(ValueError, match="unstable"):
         pushforward_forget_small(one)
+
+
+@pytest.mark.parametrize("words", [
+    [[], [("psi", 2, 1)], []],  # marking 3 is in no block: every term dies
+    [[], [("psi", 2, 1), ("psi", 3, 1)], []],
+])
+def test_pushforward_forget_small_rejects_unstable_at_any_count(words):
+    # forgetting markings 2 and 3 leaves the genus-0 vertex with only its
+    # two half-edges, whether or not a term survives the first marking
+    w = WeightData((Fraction(1, 2), Fraction(1, 10), Fraction(1, 10)))
+    c = TautClass(2, w)
+    oracle_add_words(c, StableGraph((1, 0, 1), (0, 1, 1), ((0, 1), (1, 2))),
+                     words, 1)
+    assert pushforward_forget_small(c) == oracle_pushforward_forget_small(c)
+    for push in (pushforward_forget_small, oracle_pushforward_forget_small):
+        with pytest.raises(ValueError, match="unstable"):
+            push(c, 2)
 
 
 def test_pushforward_forget_small_rejects_a_heavy_point():
@@ -1504,6 +1522,21 @@ def test_pushforward_forget_small_equals_single_rounds():
         assert (pushforward_forget_small(c, count).dumps()
                 == oracle_pushforward_forget_small(c, count).dumps())
     assert not current.is_zero
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 1000), Fraction(1, 3),
+                                 Fraction(1, 2)])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_pushforward_forget_small_matches_oracle_on_chern_classes(d, eps):
+    weights = eps_weights(d, eps)
+    cs = chern_neg_Bd(d, 8, 2, weights)
+    for c in cs.values():
+        if _forgets_a_heavy_point(weights, d):
+            with pytest.raises(PreconditionError, match="w_n <= 1"):
+                pushforward_forget_small(c, d)
+        else:
+            assert (pushforward_forget_small(c, d).dumps()
+                    == oracle_pushforward_forget_small(c, d).dumps())
 
 
 @pytest.mark.parametrize("first", ["heavy", "light"])

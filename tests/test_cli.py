@@ -393,6 +393,23 @@ class TestGraphsAndClasses:
         assert code == 0
         assert payload(text)["terms"] == rel["terms"]
 
+    @pytest.mark.parametrize("flags,weights,decor", [
+        ((), [["1", "2"], ["1", "10"]],
+         {"kappa": [], "blocks": [{"points": [["m", 2]], "a": 2}]}),
+        (("--forget", "2"), [["1", "2"]], {"kappa": [1], "blocks": []}),
+    ])
+    def test_classes_pushforward_forgets_light_points(
+            self, capsys, tmp_path, flags, weights, decor):
+        # D_{{2,3},3} -> -D_{{2},2} = -psi_2^2 -> -kappa_1
+        infile = tmp_path / "pair_block.json"
+        infile.write_text(json.dumps(CLASS_FILES["pair_block.json"]))
+        code, text, _ = run(capsys, "classes", "pushforward", "--in",
+                            str(infile), *flags)
+        assert code == 0
+        expected = _smooth_file(weights, decor)
+        expected["terms"][0]["num"] = "-1"
+        assert payload(text) == expected
+
 
 CLASS_FILES = {
     "weight2.json": {"genus": 1, "weights": [["2", "1"]], "terms": []},
@@ -433,6 +450,13 @@ CLASS_FILES["repeated_point.json"] = _smooth_file(
     {"kappa": [], "blocks": [{"points": [["m", 1], ["m", 1]], "a": 1}]})
 CLASS_FILES["light_last.json"] = _smooth_file(
     [["1", "1"], ["1", "10"]], {"kappa": [], "blocks": []})
+CLASS_FILES["weight1_last.json"] = _smooth_file(
+    [["1", "10"], ["1", "10"], ["1", "1"]],
+    {"kappa": [], "blocks": [{"points": [["m", 3]], "a": 2}]})
+# D_{{2,3},3}: forgetting both light points leaves -kappa_1
+CLASS_FILES["pair_block.json"] = _smooth_file(
+    [["1", "2"], ["1", "10"], ["1", "10"]],
+    {"kappa": [], "blocks": [{"points": [["m", 2], ["m", 3]], "a": 3}]})
 CLASS_FILES["batch_bad_legs.json"] = [CLASS_FILES["bad_legs.json"]]
 CLASS_FILES["batch_no_weights.json"] = [{"genus": 1, "terms": []}]
 CLASS_FILES["batch_ints.json"] = [1, 2]
@@ -691,6 +715,12 @@ class TestInvalidInput:
          "blocks nonempty with sorted distinct points violated at vertex 0"),
         (("classes", "normal-form", "--in", "empty_point.json"),
          "a block at vertex 0 names a point elsewhere"),
+        (("classes", "pushforward", "--in", "weight1_last.json",
+          "--forget", "2", "--forget-weight1", "3"),
+         "--forget and --forget-weight1 are mutually exclusive"),
+        (("classes", "pushforward", "--in", "weight1_last.json",
+          "--forget", "1", "--forget-weight1", "3"),
+         "--forget and --forget-weight1 are mutually exclusive"),
     ])
     def test_exit_2_names_condition(self, capsys, tmp_path, monkeypatch,
                                     argv, condition):
