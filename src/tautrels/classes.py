@@ -26,12 +26,14 @@ One rule merges blocks: :func:`_vertex_product` multiplies two stored
 vertex decorations, with coefficient 1 and no product kept between calls.
 :func:`_factor_decor` maps one raw factor to a stored decoration and a
 scalar.  The brackets, ``multiply_generator`` and
-``pushforward_forget_weight1`` place single factors, edge kernels write
-half-edge psi powers (:func:`_hpsi_decor`), ``pushforward_forget_small``
-rewrites each block that loses forgotten points once, by a closed rule
-(:func:`_forget_block`), however many points it forgets, and
-``chern_neg_Bd`` places its output blocks directly, each with its count
-of pick configurations (:func:`_pick_counts`).  :func:`normal_form`, the
+``pushforward_forget_weight1`` place single factors.  The graph sum of
+``relations`` does not multiply the decorations of its factors: they
+never share a point, so it writes each term's blocks side by side.
+``pushforward_forget_small`` rewrites each block that loses forgotten
+points once, by a closed rule (:func:`_forget_block`), however many
+points it forgets, and ``chern_neg_Bd`` places its output blocks
+directly, each with its count of pick configurations
+(:func:`_pick_counts`).  :func:`normal_form`, the
 public word API, is the only code that reads a raw word; class files are
 checked against the stored rules themselves (:func:`_check_stored`).
 """
@@ -448,16 +450,6 @@ class TautClass:
 # ---------------------------------------------------------------------------
 # Generator multiplication
 # ---------------------------------------------------------------------------
-
-
-def _hpsi_decor(graph: StableGraph, powers: dict) -> tuple:
-    """The stored decoration of the half-edge psi powers ``{(e, s): p}``,
-    each at the vertex that half-edge ``(e, s)`` lies on."""
-    blocks = [[] for _ in range(graph.n_vertices)]
-    for (e, s), p in sorted(powers.items()):
-        if p:
-            blocks[graph.edges[e][s]].append(((("h", e, s),), p))
-    return tuple(((), tuple(b)) for b in blocks)
 
 
 def _generator_sites(graph: StableGraph, gen: tuple) -> list:

@@ -18,9 +18,10 @@ Relations are extracted as ``TautClass`` values at a fixed multi-degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations
 from math import factorial, lcm, prod
+from operator import add
 
 from .catalog import (
     delta_edge,
@@ -35,7 +36,6 @@ from .classes import (
     TautClass,
     _decor_product,
     _factor_decor,
-    _hpsi_decor,
     chern_neg_Bd,
     multiply_generator,
     normal_form,
@@ -126,9 +126,11 @@ def _accumulate(total: dict, den: int, part: dict, part_den: int) -> int:
 
 
 def _nonzero(rows: dict) -> dict:
-    """``rows`` without zero numerators and empty rows."""
-    return {decor: row for decor, acc in rows.items()
-            if (row := {key: c for key, c in acc.items() if c})}
+    """``rows`` without zero numerators and empty rows; only a row that
+    holds a zero is copied."""
+    return {key: row for key, acc in rows.items()
+            if (row := acc if acc and 0 not in acc.values()
+                else {k: c for k, c in acc.items() if c})}
 
 
 def _packed_rows(ring: Ring, den: int, terms) -> tuple:
@@ -169,31 +171,39 @@ def _product(a: "DecoratedSeries", b: "DecoratedSeries") -> "DecoratedSeries":
     return a * b
 
 
-def _target_product(a: "DecoratedSeries", b: "DecoratedSeries",
-                    target: int) -> tuple:
-    """``(d, {decoration: numerator})``: the coefficients of ``a * b`` at
-    ``target``, the key of the ring's top corner, over ``d``.  Each term of
-    ``a`` looks up its one partner in ``b``: the key ``target`` plus both
-    biases minus its own.  This is exact because on a floor-0 ring every
-    exponent lies at or below the top corner, so no field of the partner
-    key borrows from the next."""
-    left, right, _ = a.ring._product_layout()
-    corner = target + left + right
-    out: dict = {}
-    for d2, row2 in b.rows.items():
-        get = row2.get
-        for d1, row1 in a.rows.items():
-            decor = _decor_product(a.weights, d1, d2)
-            if decor is None:
-                continue
-            s = 0
-            for k1, c1 in row1.items():
-                c2 = get(corner - k1)
-                if c2:
-                    s += c1 * c2
-            if s:
-                out[decor] = out.get(decor, 0) + s
-    return a.den * b.den, out
+def _row_pairs(rows1: dict, rows2: dict, combine):
+    """``(key, row1, row2)`` for each pair of a row of ``rows1`` and a row
+    of ``rows2``, where ``key`` is ``combine`` of their two keys; a pair
+    whose keys combine to ``None`` vanishes and is left out."""
+    for k1, row1 in rows1.items():
+        for k2, row2 in rows2.items():
+            key = combine(k1, k2)
+            if key is not None:
+                yield key, row1, row2
+
+
+def _rows_product(ring: Ring, rows1: dict, rows2: dict, combine) -> dict:
+    """The rows of the truncated product of ``rows1`` and ``rows2``, maps of
+    packed keys of ``ring`` to numerators, the product of each pair of rows
+    keyed by ``combine`` of their keys (:func:`_row_pairs`).
+
+    A key of ``rows1`` minus both biases plus a key of ``rows2`` holds
+    both biases again, and a top bit set there marks an exponent that
+    reached its truncation order (``Ring._product_layout``)."""
+    left, right, high = ring._product_layout()
+    both = left + right
+    rows: dict = {}
+    for key, row1, row2 in _row_pairs(rows1, rows2, combine):
+        acc = rows.get(key)
+        for k1, c1 in row1.items():
+            k1 -= both
+            for k2, c2 in row2.items():
+                k = k1 + k2
+                if not k & high:
+                    if acc is None:
+                        acc = rows[key] = {}
+                    acc[k] = acc.get(k, 0) + c1 * c2
+    return _nonzero(rows)
 
 
 class DecoratedSeries:
@@ -286,31 +296,12 @@ class DecoratedSeries:
              for decor, row in self.rows.items()} if up else {})
 
     def __mul__(self, other: "DecoratedSeries") -> "DecoratedSeries":
-        """The truncated product, each pair of decorations multiplied once.
-
-        A key of ``self`` minus both biases plus a key of ``other`` holds
-        both biases again, and a top bit set there marks an exponent that
-        reached its truncation order (``Ring._product_layout``)."""
-        left, right, high = self.ring._product_layout()
-        both = left + right
-        rows: dict = {}
-        for d1, row1 in self.rows.items():
-            for d2, row2 in other.rows.items():
-                decor = _decor_product(self.weights, d1, d2)
-                if decor is None:
-                    continue
-                acc = rows.get(decor)
-                if acc is None:
-                    acc = rows[decor] = {}
-                get = acc.get
-                for k1, c1 in row1.items():
-                    k1 -= both
-                    for k2, c2 in row2.items():
-                        k = k1 + k2
-                        if not k & high:
-                            acc[k] = get(k, 0) + c1 * c2
-        return DecoratedSeries(self.ring, self.graph, self.weights,
-                               self.den * other.den, _nonzero(rows))
+        """The truncated product, each pair of decorations multiplied once
+        (:func:`_rows_product`)."""
+        return DecoratedSeries(
+            self.ring, self.graph, self.weights, self.den * other.den,
+            _rows_product(self.ring, self.rows, other.rows,
+                          partial(_decor_product, self.weights)))
 
     def exp(self) -> "DecoratedSeries":
         """Exponential, the sum of ``self^k / k!``.  Every term needs a
@@ -618,6 +609,27 @@ def _edge_kernel(ring: Ring, series: Series) -> tuple:
     return _packed_rows(ring, series.den, terms)
 
 
+def _label_decor(graph: StableGraph, slots: list, labels: tuple) -> tuple:
+    """The stored decoration of ``labels``, one per slot ``(v, e)`` of
+    ``slots``: a vertex slot's (``e`` is ``None``) is a decoration at
+    ``v``, an edge slot's the psi powers at the sides of edge ``e``.  Each
+    vertex gets the kappa of its own decoration, and its blocks sorted
+    together with the block ``((("h", e, s),), p)`` of each nonzero power
+    ``p`` at a side ``s`` on it."""
+    kappas = [()] * graph.n_vertices
+    blocks = [[] for _ in range(graph.n_vertices)]
+    for (v, e), label in zip(slots, labels):
+        if e is None:
+            kappas[v], vd_blocks = label
+            blocks[v].extend(vd_blocks)
+        else:
+            for side, p in enumerate(label):
+                if p:
+                    blocks[graph.edges[e][side]].append(
+                        ((("h", e, side),), p))
+    return tuple((kappa, tuple(sorted(b))) for kappa, b in zip(kappas, blocks))
+
+
 def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
                vertex_factor, edge_series) -> TautClass:
     """``sum_G sum_zeta prod_v (vertex factor) prod_e (edge kernel) / |Aut G|``.
@@ -630,35 +642,40 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
     at vertex ``v``, and ``edge_series(z1, z2, order)`` the kernel of an
     edge whose ends have colours ``z1`` and ``z2``, in (t[, x], p1, p2).
 
-    Each factor is built once per local type per relation.  A vertex
-    factor depends only on ``(order, g(v), legs at v, zeta)``: it is built
-    the first time through ``vertex_factor`` and kept with its rows keyed
-    by the decoration at ``v`` alone.  An edge kernel depends only on
-    ``(order, z1, z2)``: it is packed once by :func:`_edge_kernel`, its
-    rows keyed by the psi powers at its two sides.  Each graph places these
-    rows into its own decorations, once per ``(v, zeta)`` and per ``(e,
-    z1, z2)``: a vertex row at ``v`` with the trivial decoration elsewhere,
-    a kernel row through :func:`_hpsi_decor`.
+    Each factor is built once per local type per relation, its rows keyed
+    by labels that name no graph.  A vertex factor depends only on
+    ``(order, g(v), legs at v, zeta)``: it is built the first time through
+    ``vertex_factor``, each row labelled by its decoration at ``v`` alone.
+    An edge kernel depends only on ``(order, z1, z2)``: it is packed once
+    by :func:`_edge_kernel`, each row labelled by its psi powers at the
+    edge's two sides.
 
     The factors are taken level by level: level ``v`` holds vertex ``v``'s
     factor and the edges whose later endpoint is ``v``, so it depends only
-    on the colours of vertices ``0..v``.  A stack keeps the prefix products
-    (:func:`_product`); walking the colourings in the order of
-    ``enumerate_colorings``, a colouring recomputes the stack only from the
-    level of the first vertex whose colour changed.  The last factor is
-    multiplied into the top corner only (:func:`_target_product`).  Every
-    ring here has floor 0, as :class:`DecoratedSeries` enforces, so
-    truncated products are associative and commutative, and a vanishing
-    decoration product stays vanishing; the order of the factors does not
-    change the result.  The target coefficients of all colourings are
-    summed on integer numerators, so each distinct decoration gets one
-    ``Fraction`` and is relabelled to its canonical form once.
+    on the colours of vertices ``0..v``.  A stack keeps the prefix
+    products, each row keyed by the tuple of its factors' labels in slot
+    order, so a product only concatenates tuples (:func:`_rows_product`);
+    walking the colourings in the order of ``enumerate_colorings``, a
+    colouring recomputes the stack only from the level of the first vertex
+    whose colour changed.  The last factor is multiplied into the top
+    corner only.  Every ring here has floor 0, as :class:`DecoratedSeries`
+    enforces, so truncated products are associative and commutative; the
+    order of the factors does not change the result.
+
+    No two factors of a graph decorate the same point: a vertex factor
+    holds kappas and blocks of the markings at its vertex, an edge kernel
+    single blocks of its own half-edges.  So no blocks merge, no product
+    of decorations vanishes, and distinct label tuples stand for distinct
+    decorations.  The target numerators of all colourings are summed by
+    label tuple, and each nonzero sum becomes its decoration once
+    (:func:`_label_decor`), gets one ``Fraction`` and is relabelled to its
+    canonical form once.
     """
     total = TautClass(g, weights)
-    rings: dict = {}  # order: (ring, key of its top corner)
-    # local type: (den, rows); a vertex type has four fields and an edge
-    # type three.  Placed factors share these row dicts, so factors are
-    # read-only: sums and products build new rows.
+    rings: dict = {}  # order: (ring, both biases, their sum with the corner)
+    # local type: (den, rows), rows keyed by the 1-tuple of their label; a
+    # vertex type has four fields and an edge type three.  Every graph
+    # shares these rows, so they are read-only: products build new rows.
     local: dict = {}
     for graph in graphs:
         order = r - graph.n_edges
@@ -669,9 +686,8 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
             [(target, _)] = ring._packed(
                 [(tuple(s.trunc_order - 1 for s in ring.specs), 1)],
                 left + right)
-            rings[order] = ring, target
-        ring, target = rings[order]
-        trivial = (((), ()),) * graph.n_vertices
+            rings[order] = ring, left + right, target + left + right
+        ring, both, corner = rings[order]
         slots = []  # (vertex, edge or None) in level order
         starts = []  # starts[v]: the first slot of level v
         for v in range(graph.n_vertices):
@@ -679,39 +695,26 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
             slots.append((v, None))
             slots.extend((v, e) for e, ends in enumerate(graph.edges)
                          if max(ends) == v)
-        factors: dict = {}
 
         def factor(slot, coloring):
             v, e = slot
             if e is None:
-                key = (v, coloring[v])
+                kind = (order, graph.genera[v], tuple(graph.legs_at(v)),
+                        coloring[v])
+                if kind not in local:
+                    ds = vertex_factor(ring, graph, v, kind[3])
+                    local[kind] = ds.den, {(decor[v],): row for decor, row
+                                           in ds.rows.items()}
             else:
                 va, vb = graph.edges[e]
-                key = (v, e, coloring[va], coloring[vb])
-            if key not in factors:
-                if e is None:
-                    kind = (order, graph.genera[v], tuple(graph.legs_at(v)),
-                            key[1])
-                    if kind not in local:
-                        ds = vertex_factor(ring, graph, v, key[1])
-                        local[kind] = ds.den, {decor[v]: row for decor, row
-                                               in ds.rows.items()}
-                    local_den, rows = local[kind]
-                    rows = {trivial[:v] + (vd,) + trivial[v + 1:]: row
-                            for vd, row in rows.items()}
-                else:
-                    kind = (order,) + key[2:]
-                    if kind not in local:
-                        local[kind] = _edge_kernel(
-                            ring, edge_series(key[2], key[3], order))
-                    local_den, rows = local[kind]
-                    rows = {_hpsi_decor(graph, {(e, 0): p1, (e, 1): p2}): row
-                            for (p1, p2), row in rows.items()}
-                factors[key] = DecoratedSeries(ring, graph, weights,
-                                               local_den, rows)
-            return factors[key]
+                kind = (order, coloring[va], coloring[vb])
+                if kind not in local:
+                    den, rows = _edge_kernel(
+                        ring, edge_series(kind[1], kind[2], order))
+                    local[kind] = den, {(p,): row for p, row in rows.items()}
+            return local[kind]
 
-        stack = [DecoratedSeries.one(ring, graph, weights)]
+        stack = [(1, {(): {both: 1}})]
         last = len(slots) - 1
         sums: dict = {}
         den = 1
@@ -723,13 +726,31 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
             previous = coloring
             del stack[starts[changed] + 1:]
             for slot in slots[starts[changed]:last]:
-                stack.append(_product(stack[-1], factor(slot, coloring)))
-            part_den, part = _target_product(
-                stack[-1], factor(slots[last], coloring), target)
-            den = _accumulate(sums, den, part, part_den)
+                (den1, rows1), (den2, rows2) = stack[-1], factor(slot,
+                                                                 coloring)
+                stack.append((den1 * den2,
+                              _rows_product(ring, rows1, rows2, add)))
+            # each term of the prefix looks up its one partner in the last
+            # factor, ``corner`` minus its own key; on a floor-0 ring no
+            # field of that key borrows from the next
+            (den1, rows1), (den2, rows2) = stack[-1], factor(slots[last],
+                                                             coloring)
+            part = {}
+            for labels, row1, row2 in _row_pairs(rows1, rows2, add):
+                get = row2.get
+                s = 0
+                for k1, c1 in row1.items():
+                    c2 = get(corner - k1)
+                    if c2:
+                        s += c1 * c2
+                if s:
+                    part[labels] = s
+            den = _accumulate(sums, den, part, den1 * den2)
         den *= graph.automorphism_order()
-        for decor, c in sums.items():
-            total.add_term(graph, decor, Fraction(c, den))
+        for labels, c in sums.items():
+            if c:
+                total.add_term(graph, _label_decor(graph, slots, labels),
+                               Fraction(c, den))
     return total
 
 

@@ -29,11 +29,14 @@
   their reference.
 * ``edge_series_uy`` is the edge kernel in the ``(u, y)`` chart, built from
   ``catalog.uy_expansion``; its coefficients are a golden digest.
-* ``_edge_to_ds`` adds an edge kernel into a decorated series on a whole
-  graph, term by term.  The library packs each kernel once per local type,
-  keyed by its two psi powers, and places it into each graph
-  (``relations._edge_kernel``); the reference graph sum builds every
-  kernel this way instead.
+* ``_hpsi_decor`` places half-edge psi powers into the stored decoration
+  of a whole graph, and ``_edge_to_ds`` adds an edge kernel into a
+  decorated series on a whole graph, term by term, through it.  The
+  library packs each kernel once per local type, its rows labelled by
+  their two psi powers (``relations._edge_kernel``), and writes a term's
+  half-edge blocks only when the graph sum is done
+  (``relations._label_decor``); the reference graph sum builds every
+  kernel term by term instead.
 * ``oracle_packed`` and ``oracle_unpacked`` pack exponent tuples into
   keys one field at a time, and read the fields of the keys back with the
   floor check, as ``Series.__mul__`` and ``Series._graded`` once did
@@ -64,7 +67,7 @@ from heapq import heappop, heappush
 from tautrels.catalog import (ZETA, _edge_quotient, _exp_of_minus_sum,
                               phi_family, uy_expansion)
 from tautrels.classes import (TautClass, _contract_edge, _decor_codim,
-                              _factor_decor, _from_numerators, _hpsi_decor,
+                              _factor_decor, _from_numerators,
                               _vertex_product)
 from tautrels.graphs import (StableGraph, WeightData, enumerate_graphs,
                              smooth_graph)
@@ -278,6 +281,16 @@ def _edge_decor(term_key: tuple) -> dict:
                 )
             powers[(pts[0][1], pts[0][2])] = a
     return powers
+
+
+def _hpsi_decor(graph: StableGraph, powers: dict) -> tuple:
+    """The stored decoration of the half-edge psi powers ``{(e, s): p}``,
+    each at the vertex that half-edge ``(e, s)`` lies on."""
+    blocks = [[] for _ in range(graph.n_vertices)]
+    for (e, s), p in sorted(powers.items()):
+        if p:
+            blocks[graph.edges[e][s]].append(((("h", e, s),), p))
+    return tuple(((), tuple(b)) for b in blocks)
 
 
 def divisor_product(ca: TautClass, cb: TautClass, graph_pool=None) -> TautClass:

@@ -44,7 +44,7 @@ from tautrels.relations import (
 )
 from tautrels.series import Ring, VarSpec
 
-from oracles import (_edge_to_ds, decor_words, max_edges_part,
+from oracles import (_edge_to_ds, _hpsi_decor, decor_words, max_edges_part,
                      oracle_add_words, oracle_words_normal_form,
                      weight_reduce)
 
@@ -408,6 +408,42 @@ def test_graph_sum_cases_have_loops_and_multi_edges():
     assert any(len(set(es)) < len(es) for es in edges)
 
 
+def capped_relation(case):
+    """The relation of ``case``, ``(build, (*args, max_edges))``, summed
+    over the graphs of at most ``max_edges`` edges."""
+    build, (*args, max_edges) = case
+
+    def capped(g, weights, cap):
+        return enumerate_graphs(g, weights, min(cap, max_edges))
+
+    with mock.patch.object(relations, "enumerate_graphs", capped):
+        return build(*args)
+
+
+# fz with S on the markings of the genus-0 vertex of a loop, at genus 1 with
+# 1/8 weights; fz on the non-generic weights (1, 1/2, 1/2) over graphs with
+# a double edge; boundary-sq with a = (1, 1) over graphs with a loop
+MEETING_CASES = [
+    (fz_relation, (1, WeightData((F(1, 8),) * 2), 4, (1, 2), 1)),
+    (fz_relation, (1, WeightData((1, F(1, 2), F(1, 2))), 4, (2, 3), 2)),
+    (boundary_sq_relation,
+     (1, WeightData((F(1, 10),) * 2), 4, 1, (1, 1), 1, -1, 2)),
+]
+
+
+@pytest.mark.parametrize("case", MEETING_CASES,
+                         ids=["fz-loop", "fz-double-edge", "sq-loop"])
+def test_meeting_cases_put_both_kinds_of_block_at_one_vertex(case):
+    # a marking block and a half-edge block at a vertex on a loop or on a
+    # double edge, in some term of the relation
+    assert any(
+        {p[0] for pts, _ in blocks for p in pts} == {"m", "h"}
+        and any(edges.count(ends) > 1 or ends[0] == ends[1]
+                for ends in edges if v in ends)
+        for _, _, edges, decor in capped_relation(case).terms
+        for v, (_, blocks) in enumerate(decor))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(fz_cases(), sq_cases()))
 @example((fz_relation, (2, W0, 3, (), 3)))
@@ -420,20 +456,64 @@ def test_graph_sum_cases_have_loops_and_multi_edges():
 @example((fz_relation, (1, WeightData((F(1, 8),) * 3), 3, (1,), 2)))
 @example((boundary_sq_relation,
           (1, WeightData((F(1, 10),) * 2), 3, 1, (1, 0), 1, 1, 2)))
+# marking blocks and half-edge psi blocks at one vertex
+@example(MEETING_CASES[0])
+@example(MEETING_CASES[1])
+@example(MEETING_CASES[2])
 def test_graph_sum_matches_per_colouring_oracle(case):
     """The prefix-product graph sum equals the sum that multiplies every
     colouring's factors from scratch: fz with and without S on unit, 1/8
     and non-generic weights, and boundary-sq, whose ring has t, x and p.
     The oracle builds every factor anew for each graph and colouring."""
-    build, (*args, max_edges) = case
+    with mock.patch.object(relations, "_graph_sum", oracle_graph_sum):
+        expected = capped_relation(case)
+    assert capped_relation(case).terms == expected.terms
 
-    def capped(g, weights, cap):
-        return enumerate_graphs(g, weights, min(cap, max_edges))
 
-    with mock.patch.object(relations, "enumerate_graphs", capped):
-        with mock.patch.object(relations, "_graph_sum", oracle_graph_sum):
-            expected = build(*args)
-        assert build(*args).terms == expected.terms
+def vertex_labels(graph, v):
+    """Stored decorations at ``v``: kappa monomials times sets of blocks of
+    the markings at ``v``, singletons and, for two markings, their pair."""
+    legs = graph.legs_at(v)
+    sets = [()] + [(((("m", i),), a),) for i in legs for a in (1, 2)]
+    if len(legs) > 1:
+        i, j = legs[:2]
+        sets += [(((("m", i),), 1), ((("m", j),), 2)),
+                 (((("m", i), ("m", j)), 2),)]
+    return [(kappa, blocks) for kappa in ((), (1,), (1, 2)) for blocks in sets]
+
+
+def test_label_decor_is_the_folded_decor_product():
+    """The graph sum builds each term's decoration from its label tuple
+    (``relations._label_decor``) without multiplying decorations.  That
+    equals ``_decor_product`` folded over the factors placed in the graph,
+    a vertex label at its vertex and an edge label through ``_hpsi_decor``,
+    and distinct label tuples give distinct decorations: on every graph of
+    genus 2 with two 1/8 markings and at most three edges, and on a graph
+    whose marked vertex has a loop and a double edge."""
+    weights = WeightData((F(1, 8),) * 2)
+    graphs = enumerate_graphs(2, weights, 3) + [
+        StableGraph((0, 1), (0, 0), ((0, 0), (0, 1), (0, 1)))]
+    rng = random.Random(1)
+    for graph in graphs:
+        n = graph.n_vertices
+        trivial = (((), ()),) * n
+        slots = [(v, None) for v in range(n)] + [
+            (max(ends), e) for e, ends in enumerate(graph.edges)]
+        choices = [vertex_labels(graph, v) for v in range(n)] + [
+            [(p1, p2) for p1 in range(3) for p2 in range(3)]] * graph.n_edges
+        seen = {}
+        for _ in range(60):
+            labels = tuple(rng.choice(c) for c in choices)
+            folded = trivial
+            for (v, e), label in zip(slots, labels):
+                placed = (trivial[:v] + (label,) + trivial[v + 1:]
+                          if e is None else
+                          _hpsi_decor(graph, {(e, 0): label[0],
+                                              (e, 1): label[1]}))
+                folded = classes._decor_product(weights, folded, placed)
+            assert relations._label_decor(graph, slots, labels) == folded
+            classes._check_stored(graph, weights, folded)
+            assert seen.setdefault(folded, labels) == labels
 
 
 # ---------------------------------------------------------------------------
