@@ -26,8 +26,10 @@ One rule merges blocks: :func:`_vertex_product` multiplies two stored
 vertex decorations, with coefficient 1 and no product kept between calls.
 :func:`_factor_decor` maps one raw factor to a stored decoration and a
 scalar.  The brackets, ``multiply_generator`` and
-``pushforward_forget_weight1`` place single factors.  The graph sum of
-``relations`` does not multiply the decorations of its factors: they
+``pushforward_forget_weight1`` place single factors.  The decorated
+series of ``relations`` live on one vertex: their products multiply
+vertex decorations with :func:`_vertex_product` directly.  The graph sum
+of ``relations`` does not multiply the decorations of its factors: they
 never share a point, so it writes each term's blocks side by side.
 ``pushforward_forget_small`` rewrites each block that loses forgotten
 points once, by a closed rule (:func:`_forget_block`), however many
@@ -105,7 +107,7 @@ def _factor_decor(factor, genus: int, weights: WeightData) -> tuple | None:
         raise ValueError("block exponent below |S| - 1")
     if a == 0:
         return scalar, ((), ())
-    if len(pts) > 1 and weights.subset_weight(p[1] for p in pts) > 1:
+    if len(pts) > 1 and weights.heavy(pts):
         return None
     return scalar, ((), ((pts, a),))
 
@@ -157,7 +159,7 @@ def _vertex_product(vd1: tuple, vd2: tuple, weights: WeightData) -> tuple | None
     weight exceeds one.  Stored blocks hold no half-edge next to another
     point, so every merged block of two or more points is a marking block.
     The weight test runs once per merged tuple of two or more points of
-    ``weights`` (``weights._heavy``).
+    ``weights`` (``WeightData.heavy``).
     """
     kappa1, blocks1 = vd1
     kappa2, blocks2 = vd2
@@ -166,7 +168,6 @@ def _vertex_product(vd1: tuple, vd2: tuple, weights: WeightData) -> tuple | None
         kappa = tuple(sorted(kappa))
     if not (blocks1 and blocks2):
         return kappa, blocks1 or blocks2
-    heavy = weights._heavy
     blocks = list(blocks1)
     for pts, a in blocks2:
         union = set(pts)
@@ -179,28 +180,11 @@ def _vertex_product(vd1: tuple, vd2: tuple, weights: WeightData) -> tuple | None
                 a += other[1]
         if len(keep) < len(blocks):
             pts = tuple(sorted(union))
-            if len(pts) > 1:
-                too_heavy = heavy.get(pts)
-                if too_heavy is None:
-                    den, nums = weights._scaled
-                    too_heavy = heavy[pts] = (
-                        sum(nums[p[1] - 1] for p in pts) > den)
-                if too_heavy:
-                    return None
+            if len(pts) > 1 and weights.heavy(pts):
+                return None
         keep.append((pts, a))
         blocks = keep
     return kappa, tuple(sorted(blocks))
-
-
-def _decor_product(weights: WeightData, d1: tuple, d2: tuple) -> tuple | None:
-    """The product of two stored decorations, or ``None`` if it vanishes:
-    :func:`_vertex_product` vertex by vertex."""
-    out = []
-    for vd1, vd2 in zip(d1, d2):
-        if (vd := _vertex_product(vd1, vd2, weights)) is None:
-            return None
-        out.append(vd)
-    return tuple(out)
 
 
 def _numerators(terms: dict) -> tuple:
@@ -225,7 +209,6 @@ def _check_stored(graph: StableGraph, weights: WeightData, decor: tuple) -> None
     the kappa indices are sorted and >= 1, the blocks are nonempty, sorted
     and disjoint with sorted distinct points and ``a >= max(|S| - 1, 1)``,
     and a block of two or more points holds markings of weight <= 1."""
-    den, nums = weights._scaled
     for v, (kappa, blocks) in enumerate(decor):
         here = {("m", i) for i in graph.legs_at(v)}
         here.update(("h",) + he for he in graph.half_edges_at(v))
@@ -241,7 +224,7 @@ def _check_stored(graph: StableGraph, weights: WeightData, decor: tuple) -> None
         elif any(a < max(len(pts) - 1, 1) for pts, a in blocks):
             rule = "a >= max(|S| - 1, 1)"
         elif any(len(pts) > 1 and (any(p[0] != "m" for p in pts)
-                                   or sum(nums[p[1] - 1] for p in pts) > den)
+                                   or weights.heavy(pts))
                  for pts, _ in blocks):
             rule = "blocks of two or more points hold markings of weight <= 1"
         else:
@@ -833,14 +816,13 @@ def chern_neg_Bd(
         raise PreconditionError("t_order >= 0", f"t_order={t_order}")
     check_stable(genus, weights)
     n = weights.n - d
-    den, nums = weights._scaled
     _, count = _pick_counts(d, t_order)
     # every light block once, as (bit mask, [((points, a), N), ...]) under
     # the index of its first point, so its terms share its tuples
     starts = [[] for _ in range(d)]
     for mask in range(1, 1 << d):
         pts = tuple(("m", n + k + 1) for k in range(d) if mask >> k & 1)
-        if len(pts) == 1 or sum(nums[p[1] - 1] for p in pts) <= den:
+        if len(pts) == 1 or not weights.heavy(pts):
             starts[(mask & -mask).bit_length() - 1].append((mask, [
                 ((pts, a), count[len(pts)][a])
                 for a in range(max(len(pts) - 1, 1), t_order + 1)]))

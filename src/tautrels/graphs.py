@@ -104,10 +104,20 @@ class WeightData:
 
     @cached_property
     def _heavy(self) -> dict:
-        """``{points: heavy}`` for the merged blocks of two or more markings
-        met so far: whether the block weighs more than one.  Filled by
-        ``classes._vertex_product``, once per distinct point tuple."""
+        """``{points: heavy}`` for the blocks of two or more markings met
+        so far (:meth:`heavy`)."""
         return {}
+
+    def heavy(self, points: tuple) -> bool:
+        """Whether the block of ``points``, a sorted tuple of two or more
+        markings ``("m", i)``, weighs more than one; worked out once per
+        tuple (``_heavy``)."""
+        heavy = self._heavy.get(points)
+        if heavy is None:
+            den, nums = self._scaled
+            heavy = self._heavy[points] = (
+                sum(nums[p[1] - 1] for p in points) > den)
+        return heavy
 
     def subset_weight(self, markings: Iterable[int]) -> Fraction:
         den, nums = self._scaled

@@ -1,11 +1,12 @@
 """Relation families built from the series catalog and the strata algebra.
 
 The constructions here expand formal exponentials whose coefficients are
-classes on a stable graph.  A bracket operator turns a scalar series into
-such a decorated series:
+classes on one vertex: decorations of a vertex of a given genus, which the
+graph sum places at the vertices of each stable graph.  A bracket operator
+turns a scalar series into such a decorated series:
 
-* the kappa bracket sends ``t^k`` to ``kappa_k t^k`` at a chosen vertex
-  (``k = 0`` gives the scalar ``2 g(v) - 2``, ``k < 0`` gives zero);
+* the kappa bracket sends ``t^k`` to ``kappa_k t^k`` (``k = 0`` gives the
+  scalar ``2 g - 2`` of the vertex's genus, ``k < 0`` gives zero);
 * the D bracket sends ``t^k`` to the diagonal generator ``D_{S, k} t^k``;
 * the Delta bracket acts on series in ``t``, ``x`` and marking variables
   ``p_i``: a monomial without ``p``'s goes to minus its kappa bracket,
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, lcm, prod
 from operator import add
 
@@ -34,8 +35,8 @@ from .catalog import (
 )
 from .classes import (
     TautClass,
-    _decor_product,
     _factor_decor,
+    _vertex_product,
     chern_neg_Bd,
     multiply_generator,
     normal_form,
@@ -78,15 +79,27 @@ def _check_subset(S: tuple, n: int) -> None:
         )
 
 
-def _check_fz_range(g: int, r: int, S: tuple) -> None:
-    """The size and parity conditions of the FZ-form relations."""
-    if not 3 * r >= g + 1 + len(S):
+def _check_fz_range(g: int, r: int, S: tuple, sigma: tuple = ()) -> None:
+    """The size and parity conditions of the FZ-form relations.  With a
+    nonempty ``sigma`` they are those of the relation that
+    :func:`extended_fz_relation` builds first, of codimension ``r - k``
+    with ``m`` more points in its subset, named in ``r``, ``S`` and
+    ``sigma``: ``k`` sums ``floor(sigma_i/3)`` and ``m`` counts the parts
+    congruent to 1 mod 3."""
+    k = sum(part // 3 for part in sigma)
+    m = sum(part % 3 == 1 for part in sigma)
+    codim, size, extra = "r", "|S|", ""
+    if sigma:
+        codim, size = "(r-k)", "|S|+m"
+        extra = (f", sigma={','.join(map(str, sigma))}, "
+                 f"k=sum floor(sigma_i/3)={k}, m=#(sigma_i = 1 mod 3)={m}")
+    if not 3 * (r - k) >= g + 1 + len(S) + m:
         raise PreconditionError(
-            "3r >= g+1+|S|", f"r={r}, g={g}, |S|={len(S)}"
+            f"3{codim} >= g+1+{size}", f"r={r}, g={g}, |S|={len(S)}{extra}"
         )
-    if (g - 1 + r + len(S)) % 2 != 0:
+    if (g - 1 + r - k + len(S) + m) % 2 != 0:
         raise PreconditionError(
-            "g-1+r+|S| even", f"g={g}, r={r}, |S|={len(S)}"
+            f"g-1+{codim}+{size} even", f"g={g}, r={r}, |S|={len(S)}{extra}"
         )
 
 
@@ -148,8 +161,7 @@ def _packed_rows(ring: Ring, den: int, terms) -> tuple:
             raise ValueError("exponent below ring floor")
         if coeff and all(e < s.trunc_order for e, s in zip(exps, specs)):
             kept.append((exps, decor, coeff))
-    left, right, _ = ring._product_layout()
-    keyed = ring._packed([(e, c) for e, _, c in kept], left + right)
+    keyed = ring._packed([(e, c) for e, _, c in kept], ring._unit_key)
     rows: dict = {}
     for (_, decor, _), (key, c) in zip(kept, keyed):
         row = rows.setdefault(decor, {})
@@ -160,12 +172,12 @@ def _packed_rows(ring: Ring, den: int, terms) -> tuple:
 def _product(a: "DecoratedSeries", b: "DecoratedSeries") -> "DecoratedSeries":
     """``a * b``, where a factor that is a multiple of one scales the other
     instead of entering a product."""
-    left, right, _ = a.ring._product_layout()
+    unit = a.ring._unit_key
     for x, y in ((a, b), (b, a)):
         if len(y.rows) == 1:
-            row = y.rows.get(y._trivial_decor())
-            if row and row.keys() == {left + right}:
-                out = x.scale(row[left + right])
+            row = y.rows.get(_ONE)
+            if row and row.keys() == {unit}:
+                out = x.scale(row[unit])
                 out.den *= y.den
                 return out
     return a * b
@@ -190,8 +202,7 @@ def _rows_product(ring: Ring, rows1: dict, rows2: dict, combine) -> dict:
     A key of ``rows1`` minus both biases plus a key of ``rows2`` holds
     both biases again, and a top bit set there marks an exponent that
     reached its truncation order (``Ring._product_layout``)."""
-    left, right, high = ring._product_layout()
-    both = left + right
+    both, high = ring._unit_key, ring._product_layout()[2]
     rows: dict = {}
     for key, row1, row2 in _row_pairs(rows1, rows2, combine):
         acc = rows.get(key)
@@ -206,47 +217,47 @@ def _rows_product(ring: Ring, rows1: dict, rows2: dict, combine) -> dict:
     return _nonzero(rows)
 
 
-class DecoratedSeries:
-    """Scalar power series whose coefficients are vertex decorations.
+# the stored decoration of one at a vertex: no kappa, no blocks
+_ONE = ((), ())
 
-    A decoration is the per-vertex normal form used by :class:`TautClass`.
-    The series is ``rows / den``: ``rows`` maps each decoration to
-    ``{key: numerator}``, an integer numerator per packed key, over the one
-    integer ``den``.  A key packs the exponents, in the scalar ring's
-    variable order, with both biases of ``Ring._product_layout``, the form
-    ``Ring._packed`` writes and ``Ring._unpacked`` reads.  Rows hold no zero
-    numerator and no empty row.  Terms enter packed, through
-    :meth:`add_terms`; sums, scalings, products and exponentials stay
-    packed, and only :meth:`extract` and the test view :attr:`terms` turn
-    numerators into ``Fraction`` values.
+
+class DecoratedSeries:
+    """Scalar power series whose coefficients are decorations of one vertex.
+
+    A decoration is the stored form ``(kappa, blocks)`` of a class at one
+    vertex of genus ``genus``, the per-vertex normal form used by
+    :class:`TautClass`; the graph sum places it at a vertex of a graph, and
+    :meth:`extract` on the smooth graph.  The series is ``rows / den``:
+    ``rows`` maps each decoration to ``{key: numerator}``, an integer
+    numerator per packed key, over the one integer ``den``.  A key packs
+    the exponents, in the scalar ring's variable order, with both biases of
+    ``Ring._product_layout``, the form ``Ring._packed`` writes and
+    ``Ring._unpacked`` reads.  Rows hold no zero numerator and no empty
+    row.  Terms enter packed, through :meth:`add_terms`; sums, scalings,
+    products and exponentials stay packed, and only :meth:`extract` and the
+    test view :attr:`terms` turn numerators into ``Fraction`` values.
 
     The ring must have floor 0 in every variable (``ValueError``
     otherwise): truncated products are then associative, and no product
     falls below a floor, so products and exponentials check no floors.
     """
 
-    __slots__ = ("ring", "graph", "weights", "den", "rows")
+    __slots__ = ("ring", "genus", "weights", "den", "rows")
 
-    def __init__(self, ring: Ring, graph: StableGraph, weights: WeightData,
+    def __init__(self, ring: Ring, genus: int, weights: WeightData,
                  den: int = 1, rows: dict | None = None):
         if ring.laurent:
             raise ValueError(f"decorated series need floor 0: {ring}")
         self.ring = ring
-        self.graph = graph
+        self.genus = genus
         self.weights = weights
         self.den = den
         self.rows = rows if rows is not None else {}
 
-    def _trivial_decor(self) -> tuple:
-        return (((), ()),) * self.graph.n_vertices
-
     @classmethod
-    def one(cls, ring, graph, weights) -> "DecoratedSeries":
-        """One: numerator 1 at the key of exponents 0, both biases."""
-        left, right, _ = ring._product_layout()
-        ds = cls(ring, graph, weights)
-        ds.rows[ds._trivial_decor()] = {left + right: 1}
-        return ds
+    def one(cls, ring, genus, weights) -> "DecoratedSeries":
+        """One: numerator 1 at the key of exponents 0."""
+        return cls(ring, genus, weights, 1, {_ONE: {ring._unit_key: 1}})
 
     @property
     def terms(self) -> dict:
@@ -268,7 +279,7 @@ class DecoratedSeries:
 
     def _add_rows(self, den: int, rows: dict) -> None:
         """Add the rows ``rows`` over ``den`` (:func:`_packed_rows`)."""
-        total = self + DecoratedSeries(self.ring, self.graph, self.weights,
+        total = self + DecoratedSeries(self.ring, self.genus, self.weights,
                                        den, rows)
         self.den, self.rows = total.den, total.rows
 
@@ -284,34 +295,34 @@ class DecoratedSeries:
                 acc = rows.setdefault(decor, {})
                 for key, c in row.items():
                     acc[key] = acc.get(key, 0) + c * up
-        return DecoratedSeries(self.ring, self.graph, self.weights, den,
+        return DecoratedSeries(self.ring, self.genus, self.weights, den,
                                _nonzero(rows))
 
     def scale(self, factor) -> "DecoratedSeries":
         """``factor`` (an int or a ``Fraction``) times the series."""
         up = factor.numerator
         return DecoratedSeries(
-            self.ring, self.graph, self.weights, self.den * factor.denominator,
+            self.ring, self.genus, self.weights, self.den * factor.denominator,
             {decor: {key: c * up for key, c in row.items()}
              for decor, row in self.rows.items()} if up else {})
 
     def __mul__(self, other: "DecoratedSeries") -> "DecoratedSeries":
         """The truncated product, each pair of decorations multiplied once
-        (:func:`_rows_product`)."""
+        by ``classes._vertex_product`` (:func:`_rows_product`)."""
         return DecoratedSeries(
-            self.ring, self.graph, self.weights, self.den * other.den,
+            self.ring, self.genus, self.weights, self.den * other.den,
             _rows_product(self.ring, self.rows, other.rows,
-                          partial(_decor_product, self.weights)))
+                          partial(_vertex_product, weights=self.weights)))
 
     def exp(self) -> "DecoratedSeries":
         """Exponential, the sum of ``self^k / k!``.  Every term needs a
         positive scalar exponent (``ValueError`` otherwise, at the key of
         exponents 0): each factor then raises the scalar degree, so the
         powers reach the truncation orders and the sum is finite."""
-        left, right, _ = self.ring._product_layout()
-        if any(left + right in row for row in self.rows.values()):
+        unit = self.ring._unit_key
+        if any(unit in row for row in self.rows.values()):
             raise ValueError("exponential of a term of scalar degree zero")
-        total = DecoratedSeries.one(self.ring, self.graph, self.weights)
+        total = DecoratedSeries.one(self.ring, self.genus, self.weights)
         power, k = self, 1
         while power.rows:
             total = total + power.scale(Fraction(1, factorial(k)))
@@ -320,19 +331,19 @@ class DecoratedSeries:
         return total
 
     def extract(self, **powers: int) -> TautClass:
-        """The class at the exponents ``powers`` (0 for a variable not
-        named); zero outside the ring's window."""
-        out = TautClass(self.graph.genus, self.weights)
+        """The class on the smooth graph at the exponents ``powers`` (0
+        for a variable not named); zero outside the ring's window."""
+        out = TautClass(self.genus, self.weights)
         ring = self.ring
         exps = ring.exponents(**powers)
         if any(not 0 <= e < s.trunc_order for e, s in zip(exps, ring.specs)):
             return out
-        left, right, _ = ring._product_layout()
-        [(key, _)] = ring._packed([(exps, 1)], left + right)
-        for decor, row in self.rows.items():
+        [(key, _)] = ring._packed([(exps, 1)], ring._unit_key)
+        graph = smooth_graph(self.genus, self.weights.n)
+        for vd, row in self.rows.items():
             c = row.get(key)
             if c:
-                out.add_term(self.graph, decor, Fraction(c, self.den))
+                out.add_term(graph, (vd,), Fraction(c, self.den))
         return out
 
 
@@ -341,49 +352,46 @@ class DecoratedSeries:
 # ---------------------------------------------------------------------------
 
 
-def _add_bracket(series: Series, ds: DecoratedSeries, vertex: int,
-                 var: str, factor) -> None:
+def _add_bracket(series: Series, ds: DecoratedSeries, var: str,
+                 factor) -> None:
     """Add each term ``c m`` of ``series`` into ``ds`` as ``c`` times the
-    raw factor ``factor(k, exps)`` at ``vertex``: the series' numerators
-    over its ``den``, packed in one call of :func:`_packed_rows`.  ``k`` is
-    the exponent of ``var`` in ``m`` (0 if ``series`` lacks it) and
+    raw factor ``factor(k, exps)``: the series' numerators over its
+    ``den``, packed in one call of :func:`_packed_rows`.  ``k`` is the
+    exponent of ``var`` in ``m`` (0 if ``series`` lacks it) and
     ``exps`` the list of ``m``'s exponents in ``ds.ring``, whose variables
     are matched by name; ``factor`` may raise, change ``exps``, or return
     ``None`` to skip the term."""
     ring = ds.ring
     slots = [ring.index[s.name] for s in series.ring.specs]
     at = series.ring.index.get(var)
-    genus = ds.graph.genera[vertex]
-    trivial = ds._trivial_decor()
     terms = []
     for src, c in series.nums.items():
         exps = [0] * ring.nvars
         for i, e in zip(slots, src):
             exps[i] = e
         raw = factor(0 if at is None else src[at], exps)
-        single = raw and _factor_decor(raw, genus, ds.weights)
+        single = raw and _factor_decor(raw, ds.genus, ds.weights)
         if single:
-            terms.append((tuple(exps), trivial[:vertex] + (single[1],)
-                          + trivial[vertex + 1:], c * single[0]))
+            terms.append((tuple(exps), single[1], c * single[0]))
     ds._add_rows(*_packed_rows(ring, series.den, terms))
 
 
-def bracket_kappa(series: Series, ds: DecoratedSeries, vertex: int,
+def bracket_kappa(series: Series, ds: DecoratedSeries,
                   var: str = "t") -> None:
-    """Add ``{series}_kappa`` at ``vertex`` into ``ds``.
+    """Add ``{series}_kappa`` into ``ds``.
 
     Scalar variables of ``series`` other than ``var`` are carried over by
     name; ``var``'s exponent becomes the kappa index and stays in the
     scalar grading.  A kappa with negative index vanishes.
     """
-    _add_bracket(series, ds, vertex, var,
+    _add_bracket(series, ds, var,
                  lambda k, exps: ("kappa", k) if k >= 0 else None)
 
 
-def _add_diagonal(series: Series, ds: DecoratedSeries, vertex: int,
-                  name: str, block: tuple, shift: dict) -> None:
-    """Add ``{series}_{D_block}`` at ``vertex`` into ``ds``, each term
-    first multiplied by ``prod_i p_i^shift[i]``."""
+def _add_diagonal(series: Series, ds: DecoratedSeries, name: str,
+                  block: tuple, shift: dict) -> None:
+    """Add ``{series}_{D_block}`` into ``ds``, each term first multiplied
+    by ``prod_i p_i^shift[i]``."""
     size = len(block)
 
     def factor(k, exps):
@@ -394,18 +402,17 @@ def _add_diagonal(series: Series, ds: DecoratedSeries, vertex: int,
             exps[ds.ring.index[f"p{i}"]] += e
         return "Dsa", block, k
 
-    _add_bracket(series, ds, vertex, "t", factor)
+    _add_bracket(series, ds, "t", factor)
 
 
-def bracket_D(series: Series, ds: DecoratedSeries, vertex: int,
-              block: tuple) -> None:
-    """Add ``{series}_{D_block}`` at ``vertex`` into ``ds``."""
-    _add_diagonal(series, ds, vertex, "D", tuple(block), {})
+def bracket_D(series: Series, ds: DecoratedSeries, block: tuple) -> None:
+    """Add ``{series}_{D_block}`` into ``ds``."""
+    _add_diagonal(series, ds, "D", tuple(block), {})
 
 
-def bracket_Delta(series: Series, ds: DecoratedSeries, vertex: int,
-                  p_exponents: dict, coeff=1) -> None:
-    """Add ``coeff * {series * p^alpha}_Delta`` at ``vertex`` into ``ds``.
+def bracket_Delta(series: Series, ds: DecoratedSeries, p_exponents: dict,
+                  coeff=1) -> None:
+    """Add ``coeff * {series * p^alpha}_Delta`` into ``ds``.
 
     ``p_exponents`` maps marking numbers to their exponent ``alpha_i``.
     With ``alpha = 0`` this is minus the kappa bracket; otherwise the
@@ -415,18 +422,17 @@ def bracket_Delta(series: Series, ds: DecoratedSeries, vertex: int,
     coeff = Fraction(coeff)
     alpha = {i: e for i, e in p_exponents.items() if e}
     if not alpha:
-        bracket_kappa(series * -coeff, ds, vertex)
+        bracket_kappa(series * -coeff, ds)
     else:
-        _add_diagonal(series * coeff, ds, vertex, "Delta",
-                      tuple(sorted(alpha)), alpha)
+        _add_diagonal(series * coeff, ds, "Delta", tuple(sorted(alpha)),
+                      alpha)
 
 
-def _kappa_exp(series: Series, ring: Ring, graph: StableGraph,
-               weights: WeightData, vertex: int = 0,
+def _kappa_exp(series: Series, ring: Ring, genus: int, weights: WeightData,
                var: str = "t") -> DecoratedSeries:
-    """``exp(-{series}_kappa)`` at ``vertex``."""
-    ds = DecoratedSeries(ring, graph, weights)
-    bracket_kappa(-series, ds, vertex, var)
+    """``exp(-{series}_kappa)`` at a vertex of genus ``genus``."""
+    ds = DecoratedSeries(ring, genus, weights)
+    bracket_kappa(-series, ds, var)
     return ds.exp()
 
 
@@ -442,46 +448,34 @@ def _sq_ring(r: int, d: int, a: tuple) -> Ring:
     return Ring(specs)
 
 
-def _boundary_vertex_factor(ring: Ring, graph: StableGraph,
-                            weights: WeightData, vertex: int, zeta: int,
-                            gamma: Series, a: dict, half_sign: int,
+def _boundary_vertex_factor(ring: Ring, genus: int, weights: WeightData,
+                            markings: tuple, zeta: int, gamma: Series,
+                            a: dict, half_sign: int,
                             pd_sign: int) -> DecoratedSeries:
-    """The stable-quotient vertex factor ``zeta^(g(v)+1) exp(E_v)``.
+    """The stable-quotient vertex factor ``zeta^(g+1) exp(E_v)`` at a
+    vertex of genus ``g`` with the sorted ``markings``.
 
     The exponent is ``E_v = half_sign * (zeta/2) p_(v) + sum_i
     (pd_sign)^i / i! * {p_(v)^i D^i gamma(zeta t, x)}_Delta``, where
     ``p_(v)`` runs over the vertex's markings and ``D = t x d/dx``.
     """
-    ds = DecoratedSeries(ring, graph, weights)
-    markings = sorted(graph.legs_at(vertex))
+    ds = DecoratedSeries(ring, genus, weights)
     for i in markings:
-        ds.add_term(ring.exponents(**{f"p{i}": 1}), ds._trivial_decor(),
+        ds.add_term(ring.exponents(**{f"p{i}": 1}), _ONE,
                     Fraction(half_sign * zeta, 2))
     f = gamma.substitute({"t": zeta})
-    bracket_Delta(f, ds, vertex, {})
+    bracket_Delta(f, ds, {})
     for i_order in range(1, sum(a[i] for i in markings) + 1):
         f = f.x_d_dx("x").mul_var("t")
-        for alpha in _compositions(i_order, markings, a):
-            # (pd_sign p D)^i / i! expanded by the multinomial theorem
-            coeff = Fraction(pd_sign ** i_order,
-                             prod(factorial(e) for e in alpha.values()))
-            bracket_Delta(f, ds, vertex, alpha, coeff=coeff)
-    return ds.exp().scale(zeta ** (graph.genera[vertex] + 1))
-
-
-def _compositions(total: int, markings: list, cap: dict):
-    """Exponent assignments ``alpha`` with ``sum = total``, ``alpha_i <= cap``."""
-    if not markings:
-        if total == 0:
-            yield {}
-        return
-    first, rest = markings[0], markings[1:]
-    for e in range(0, min(total, cap[first]) + 1):
-        for tail in _compositions(total - e, rest, cap):
-            out = dict(tail)
-            if e:
-                out[first] = e
-            yield out
+        # the exponent vectors alpha <= a of sum i_order, in lexicographic
+        # order; (pd_sign p D)^i / i! expanded by the multinomial theorem
+        for es in product(*(range(a[i] + 1) for i in markings)):
+            if sum(es) == i_order:
+                alpha = {i: e for i, e in zip(markings, es) if e}
+                coeff = Fraction(pd_sign ** i_order,
+                                 prod(factorial(e) for e in alpha.values()))
+                bracket_Delta(f, ds, alpha, coeff=coeff)
+    return ds.exp().scale(zeta ** (genus + 1))
 
 
 def _check_sq_input(g: int, weights: WeightData, r: int, d: int,
@@ -522,11 +516,10 @@ def open_sq_relation(g: int, weights: WeightData, r: int, d: int,
                          half_sign, pd_sign)
 
 
-def _partition_sum(ring: Ring, graph: StableGraph, weights: WeightData,
-                   vertex: int, S: tuple, order: int,
-                   zeta: int) -> DecoratedSeries:
-    """``sum_P prod_(b in P) {C_|b|(zeta t)}_(D_b)`` at ``vertex``, over
-    the set partitions ``P`` of a nonempty ``S``.  A block whose bracket is
+def _partition_sum(ring: Ring, genus: int, weights: WeightData, S: tuple,
+                   order: int, zeta: int) -> DecoratedSeries:
+    """``sum_P prod_(b in P) {C_|b|(zeta t)}_(D_b)`` at a vertex of genus
+    ``genus``, over the set partitions ``P`` of a nonempty ``S``.  A block whose bracket is
     a scalar (at t-order 0, a singleton's is -1) scales the product
     instead of entering it (:func:`_product`).  Every nonempty subset of
     ``S`` is a block of some partition, so each one's bracket is built once
@@ -535,33 +528,35 @@ def _partition_sum(ring: Ring, graph: StableGraph, weights: WeightData,
     for size in range(1, len(S) + 1):
         series = series_C(size, order).substitute({"t": zeta})
         for block in combinations(S, size):
-            bds = brackets[block] = DecoratedSeries(ring, graph, weights)
-            bracket_D(series, bds, vertex, block)
-    part_sum = DecoratedSeries(ring, graph, weights)
+            bds = brackets[block] = DecoratedSeries(ring, genus, weights)
+            bracket_D(series, bds, block)
+    part_sum = DecoratedSeries(ring, genus, weights)
     for partition in set_partitions(S):
         part_sum = part_sum + reduce(
             _product, [brackets[tuple(sorted(block))] for block in partition])
     return part_sum
 
 
-def _fz_vertex_factor(ring: Ring, graph: StableGraph, weights: WeightData,
-                      vertex: int, zeta: int, S: tuple) -> DecoratedSeries:
-    """The FZ-form vertex factor ``zeta^(g(v)+1+|S_v|) exp(-{log A(zeta
-    t)}_kappa) sum_P prod {C_|b|(zeta t)}_(D_b)``, with ``P`` running over
-    the set partitions of the markings ``S_v`` of ``S`` at ``vertex``,
-    expanded up to the top t-degree of ``ring``.
+def _fz_vertex_factor(ring: Ring, genus: int, weights: WeightData,
+                      markings: tuple, zeta: int,
+                      S: tuple) -> DecoratedSeries:
+    """The FZ-form vertex factor ``zeta^(g+1+|S_v|) exp(-{log A(zeta
+    t)}_kappa) sum_P prod {C_|b|(zeta t)}_(D_b)`` at a vertex of genus
+    ``g`` with the ``markings``, with ``P`` running over the set partitions
+    of the markings ``S_v`` of ``S`` at the vertex, expanded up to the top
+    t-degree of ``ring``.
 
     Each p-degree-i diagonal term carries ``zeta^i``, so a block of size b
     contributes ``zeta^b`` beyond its t-degree: hence ``zeta^|S_v|``.
     """
     order = ring.spec("t").trunc_order - 1
-    s_v = tuple(sorted(set(graph.legs_at(vertex)) & set(S)))
-    ds = _kappa_exp(log_hyper_A(order).substitute({"t": zeta}), ring, graph,
-                    weights, vertex)
+    s_v = tuple(sorted(set(markings) & set(S)))
+    ds = _kappa_exp(log_hyper_A(order).substitute({"t": zeta}), ring, genus,
+                    weights)
     if s_v:
-        ds = _product(ds, _partition_sum(ring, graph, weights, vertex, s_v,
-                                         order, zeta))
-    return ds.scale(zeta ** (graph.genera[vertex] + 1 + len(s_v)))
+        ds = _product(ds, _partition_sum(ring, genus, weights, s_v, order,
+                                         zeta))
+    return ds.scale(zeta ** (genus + 1 + len(s_v)))
 
 
 def open_fz_relation(g: int, n: int, r: int, S: tuple = (),
@@ -582,7 +577,7 @@ def open_fz_relation(g: int, n: int, r: int, S: tuple = (),
         _check_fz_range(g, r, S)
         check_stable(g, weights)
     ring = Ring([VarSpec("t", 0, r + 1)])
-    return _fz_vertex_factor(ring, smooth_graph(g, n), weights, 0, 1,
+    return _fz_vertex_factor(ring, g, weights, tuple(range(1, n + 1)), 1,
                              S).extract(t=r)
 
 
@@ -638,14 +633,16 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
     vertices.  With ``order = r - #edges`` the product is expanded in
     ``ring_of(order)`` and read off at the ring's top corner, the highest
     retained exponent of every variable.
-    ``vertex_factor(ring, graph, v, zeta)`` is the decorated factor
-    at vertex ``v``, and ``edge_series(z1, z2, order)`` the kernel of an
-    edge whose ends have colours ``z1`` and ``z2``, in (t[, x], p1, p2).
+    ``vertex_factor(ring, genus, markings, zeta)`` is the one-vertex
+    decorated factor (:class:`DecoratedSeries`) of a vertex of that genus,
+    sorted markings and colour, and ``edge_series(z1, z2, order)`` the
+    kernel of an edge whose ends have colours ``z1`` and ``z2``, in
+    (t[, x], p1, p2).
 
     Each factor is built once per local type per relation, its rows keyed
     by labels that name no graph.  A vertex factor depends only on
-    ``(order, g(v), legs at v, zeta)``: it is built the first time through
-    ``vertex_factor``, each row labelled by its decoration at ``v`` alone.
+    ``(order, g(v), legs at v, zeta)``, exactly the arguments it is built
+    from the first time, each row labelled by its decoration.
     An edge kernel depends only on ``(order, z1, z2)``: it is packed once
     by :func:`_edge_kernel`, each row labelled by its psi powers at the
     edge's two sides.
@@ -682,11 +679,10 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
         if order not in rings:
             # the corner's key, packed as add_terms packs every key
             ring = ring_of(order)
-            left, right, _ = ring._product_layout()
+            unit = ring._unit_key
             [(target, _)] = ring._packed(
-                [(tuple(s.trunc_order - 1 for s in ring.specs), 1)],
-                left + right)
-            rings[order] = ring, left + right, target + left + right
+                [(tuple(s.trunc_order - 1 for s in ring.specs), 1)], unit)
+            rings[order] = ring, unit, target + unit
         ring, both, corner = rings[order]
         slots = []  # (vertex, edge or None) in level order
         starts = []  # starts[v]: the first slot of level v
@@ -702,8 +698,8 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
                 kind = (order, graph.genera[v], tuple(graph.legs_at(v)),
                         coloring[v])
                 if kind not in local:
-                    ds = vertex_factor(ring, graph, v, kind[3])
-                    local[kind] = ds.den, {(decor[v],): row for decor, row
+                    ds = vertex_factor(ring, *kind[1:])
+                    local[kind] = ds.den, {(vd,): row for vd, row
                                            in ds.rows.items()}
             else:
                 va, vb = graph.edges[e]
@@ -777,8 +773,8 @@ def fz_relation(g: int, weights: WeightData, r: int,
     return _graph_sum(
         g, weights, enumerate_graphs(g, weights, r), r,
         lambda order: Ring([VarSpec("t", 0, order + 1)]),
-        lambda ring, graph, v, zeta: _fz_vertex_factor(
-            ring, graph, weights, v, zeta, S),
+        lambda ring, genus, markings, zeta: _fz_vertex_factor(
+            ring, genus, weights, markings, zeta, S),
         delta_edge,
     )
 
@@ -793,8 +789,9 @@ def _sq_graph_sum(g: int, weights: WeightData, graphs, r: int, d: int,
     return _graph_sum(
         g, weights, graphs, r,
         lambda order: _sq_ring(order, d, a),
-        lambda ring, graph, v, zeta: _boundary_vertex_factor(
-            ring, graph, weights, v, zeta, gamma, a_map, half_sign, pd_sign),
+        lambda ring, genus, markings, zeta: _boundary_vertex_factor(
+            ring, genus, weights, markings, zeta, gamma, a_map, half_sign,
+            pd_sign),
         lambda z1, z2, order: edge_series_xy(z1, z2, order, d, kind=4),
     )
 
@@ -830,7 +827,9 @@ def extended_fz_relation(g: int, weights: WeightData, r: int,
     the relation of codimension ``r - sum(floor(sigma_i/3))`` on the space
     with ``len(sigma)`` extra weight-one points, multiplies by
     ``prod psi_{n+i}^(floor(sigma_i/3)+1)`` and forgets the new points.
-    The result is homogeneous of codimension ``r``.
+    The result is homogeneous of codimension ``r``.  The range of that
+    first relation is checked up front, in terms of ``r``, ``S`` and
+    ``sigma`` (:func:`_check_fz_range`).
     """
     parts = ",".join(map(str, sigma))
     if any(part < 1 for part in sigma):
@@ -844,6 +843,7 @@ def extended_fz_relation(g: int, weights: WeightData, r: int,
     if ell == 0:
         return fz_relation(g, weights, r, S)
     check_stable(g, weights)
+    _check_fz_range(g, r, S, sigma)
     inner_w = WeightData(weights.weights + tuple([Fraction(1)] * ell))
     inner_r = r - sum(part // 3 for part in sigma)
     inner_s = tuple(sorted(
@@ -879,16 +879,15 @@ def verify_chain(g: int, r: int) -> list:
     w0 = WeightData(())
     check_stable(g, w0)
     report = []
-    smooth = smooth_graph(g, 0)
 
     # side 1: exp(-{gamma}_kappa) in the (t, x) chart
     fam = phi_family(r, r)
     ring_tx = Ring([VarSpec("t", 0, r + 1), VarSpec("x", 0, r + 1)])
-    lhs = _kappa_exp(fam["gamma"], ring_tx, smooth, w0)
+    lhs = _kappa_exp(fam["gamma"], ring_tx, g, w0)
 
     # side 2: exp(-{c}_kappa) in the (u, y) chart with the (1+4y)^e factor
     uy = uy_expansion(1, r, r)
-    rhs = _kappa_exp(uy["c_series"], uy_ring(r, r), smooth, w0, var="u")
+    rhs = _kappa_exp(uy["c_series"], uy_ring(r, r), g, w0, var="u")
 
     y_ring = Ring([VarSpec("y", 0, r + 1)])
 
@@ -965,8 +964,8 @@ def pushforward_oracle(d_max: int = 3, t_order: int = 4,
     rows = []
     ring = Ring([VarSpec("t", 0, t_order + 1), VarSpec("x", 0, d_max + 1)])
     for zeta in (1, -1):
-        closed = _kappa_exp(fam["logPhi"].substitute({"t": zeta}), ring,
-                            smooth_graph(g, 0), w0)
+        closed = _kappa_exp(fam["logPhi"].substitute({"t": zeta}), ring, g,
+                            w0)
         for d in range(1, d_max + 1):
             ok = True
             detail = ""

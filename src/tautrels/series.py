@@ -126,7 +126,8 @@ class VarSpec:
 class Ring:
     """An ordered collection of :class:`VarSpec` defining a truncated series ring."""
 
-    __slots__ = ("specs", "index", "laurent", "_layout", "_shifts", "_fields")
+    __slots__ = ("specs", "index", "laurent", "_layout", "_unit_key",
+                 "_shifts", "_fields")
 
     def __init__(self, specs: Iterable[VarSpec]):
         specs = tuple(specs)
@@ -153,6 +154,7 @@ class Ring:
             high += 1 << (width + w - 1)
             width += w
         self._layout = (left, right, high)
+        self._unit_key = left + right  # exponents 0, both biases
         self._shifts, self._fields = tuple(shifts), tuple(fields)
 
     def __eq__(self, other: object) -> bool:
@@ -214,9 +216,10 @@ class Ring:
         in ``[0, 2T)`` (no borrow or carry between fields) and its top bit is
         set exactly when ``e1 + e2 >= hi``.  This needs operand exponents
         inside the window.  Returns ``(left bias, right bias, top-bit
-        mask)``, built with the ring.  The fields themselves (``_shifts``
-        and ``(shift, mask, X)`` per variable in ``_fields``) are read only
-        by :meth:`_packed` and :meth:`_unpacked`.
+        mask)``, built with the ring.  The sum of both biases is the key of
+        exponents 0 in keys that carry both, ``_unit_key``.  The fields
+        themselves (``_shifts`` and ``(shift, mask, X)`` per variable in
+        ``_fields``) are read only by :meth:`_packed` and :meth:`_unpacked`.
         """
         return self._layout
 

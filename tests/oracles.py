@@ -30,13 +30,17 @@
 * ``edge_series_uy`` is the edge kernel in the ``(u, y)`` chart, built from
   ``catalog.uy_expansion``; its coefficients are a golden digest.
 * ``_hpsi_decor`` places half-edge psi powers into the stored decoration
-  of a whole graph, and ``_edge_to_ds`` adds an edge kernel into a
-  decorated series on a whole graph, term by term, through it.  The
-  library packs each kernel once per local type, its rows labelled by
-  their two psi powers (``relations._edge_kernel``), and writes a term's
-  half-edge blocks only when the graph sum is done
-  (``relations._label_decor``); the reference graph sum builds every
-  kernel term by term instead.
+  of a whole graph, and ``edge_terms`` turns an edge kernel into terms on
+  a whole graph, term by term, through it.  The library packs each kernel
+  once per local type, its rows labelled by their two psi powers
+  (``relations._edge_kernel``), and writes a term's half-edge blocks only
+  when the graph sum is done (``relations._label_decor``); the reference
+  graph sum builds every kernel term by term instead.
+* ``oracle_decor_product`` multiplies two stored decorations of a whole
+  graph, ``classes._vertex_product`` vertex by vertex.  The library's
+  decorated series live on one vertex and multiply with
+  ``_vertex_product`` directly; the reference graph sum places every
+  factor in the whole graph and multiplies with this product.
 * ``oracle_packed`` and ``oracle_unpacked`` pack exponent tuples into
   keys one field at a time, and read the fields of the keys back with the
   floor check, as ``Series.__mul__`` and ``Series._graded`` once did
@@ -459,23 +463,36 @@ def edge_series_uy(z1: int, z2: int, u_order: int, y_order: int) -> Series:
                           (VarSpec("y", 0, y_order + 1),), build)
 
 
-def _edge_to_ds(series: Series, ds, edge: int) -> None:
-    """Add an edge series in (t[, x], p1, p2) at ``edge`` into the decorated
-    series ``ds``: the powers of p1 and p2 become psi powers at the edge's
-    sides 0 and 1."""
+def edge_terms(series: Series, ring: Ring, graph: StableGraph,
+               edge: int) -> dict:
+    """``{(exponents, decoration): Fraction}``: an edge series in (t[, x],
+    p1, p2) at ``edge`` of ``graph``, its exponents in ``ring``, the powers
+    of p1 and p2 psi powers at the edge's sides 0 and 1."""
     names = [s.name for s in series.ring.specs]
     sides = {"p1": 0, "p2": 1}
-    terms = []
+    terms = {}
     for src, c in series.terms():
-        exps = [0] * ds.ring.nvars
+        exps = [0] * ring.nvars
         powers = {}
         for name, e in zip(names, src):
             if name in sides:
                 powers[edge, sides[name]] = e
             else:
-                exps[ds.ring.index[name]] = e
-        terms.append((tuple(exps), _hpsi_decor(ds.graph, powers), c))
-    ds.add_terms(terms)
+                exps[ring.index[name]] = e
+        terms[tuple(exps), _hpsi_decor(graph, powers)] = c
+    return terms
+
+
+def oracle_decor_product(weights: WeightData, d1: tuple,
+                         d2: tuple) -> tuple | None:
+    """The product of two stored decorations of a whole graph, or ``None``
+    if it vanishes: ``classes._vertex_product`` vertex by vertex."""
+    out = []
+    for vd1, vd2 in zip(d1, d2):
+        if (vd := _vertex_product(vd1, vd2, weights)) is None:
+            return None
+        out.append(vd)
+    return tuple(out)
 
 
 def oracle_packed(ring, nums, bias: int) -> list:

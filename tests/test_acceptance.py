@@ -329,7 +329,8 @@ def test_11_determinism(tmp_path, monkeypatch):
 # genus 4 one runs on graphs with loops and multi-edges, whose automorphism
 # groups have order up to 48.  The fz, open-fz, open-sq and boundary-sq
 # payloads pin each relation construction by value, on marked points with
-# and without a diagonal.
+# and without a diagonal.  The first two boundary-sq classes are empty; the
+# one at weight 1/3 and a = 0 has 45 terms on graphs with up to 3 edges.
 GOLDEN_DIGESTS = {
     "DeltaE t=8":
         "c128a1dbc83b0376585658c624ebe553fc15009cf674e317338edcb60b5ca421",
@@ -351,6 +352,8 @@ GOLDEN_DIGESTS = {
         "34b527e28b51f1a475a8b28750e993eea9f69c74ff681ce447fda456893abfc1",
     "boundary-sq g1 r2 1/2,1/2 a=1,0":
         "e8961a51b7862949a3acccf3cf0cea7e78daa377cdbbf925e2bbfa8cdbcce15d",
+    "boundary-sq g2 r3 d1 1/3":
+        "b8cc196ad6c94e1b0c336a72399e70d2a236ff334e78237d342e215205ae017c",
     "fz g2 r3 1,1 S=1,2":
         "1965dee51e5034181e404e07c42c198c5ca284246375d367ec0f0cbba2371b8a",
 }
@@ -395,6 +398,9 @@ def test_12_golden_digests():
         "boundary-sq g1 r2 1/2,1/2 a=1,0": gen(
             "--genus", "1", "--codim", "2", "--construction", "boundary-sq",
             "--weights", "1/2,1/2", "--a", "1,0"),
+        "boundary-sq g2 r3 d1 1/3": gen(
+            "--genus", "2", "--codim", "3", "--construction", "boundary-sq",
+            "--d", "1", "--weights", "1/3"),
         "fz g2 r3 1,1 S=1,2": gen(
             "--genus", "2", "--codim", "3", "--weights", "1,1",
             "--subset", "1,2"),

@@ -721,6 +721,15 @@ class TestInvalidInput:
         (("classes", "pushforward", "--in", "weight1_last.json",
           "--forget", "1", "--forget-weight1", "3"),
          "--forget and --forget-weight1 are mutually exclusive"),
+        # the range of an extended relation names the given r, S and sigma
+        (("relations", "gen", "--genus", "3", "--codim", "2",
+          "--sigma", "1"),
+         "g-1+(r-k)+|S|+m even violated: g=3, r=2, |S|=0, sigma=1, "
+         "k=sum floor(sigma_i/3)=0, m=#(sigma_i = 1 mod 3)=1"),
+        (("relations", "gen", "--genus", "2", "--codim", "1",
+          "--sigma", "4"),
+         "3(r-k) >= g+1+|S|+m violated: r=1, g=2, |S|=0, sigma=4, "
+         "k=sum floor(sigma_i/3)=1, m=#(sigma_i = 1 mod 3)=1"),
     ])
     def test_exit_2_names_condition(self, capsys, tmp_path, monkeypatch,
                                     argv, condition):

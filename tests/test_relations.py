@@ -5,9 +5,8 @@ import pkgutil
 import random
 import sys
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from math import comb, factorial
-from operator import mul
 from unittest import mock
 
 import pytest
@@ -44,9 +43,9 @@ from tautrels.relations import (
 )
 from tautrels.series import Ring, VarSpec
 
-from oracles import (_edge_to_ds, _hpsi_decor, decor_words, max_edges_part,
-                     oracle_add_words, oracle_words_normal_form,
-                     weight_reduce)
+from oracles import (_hpsi_decor, decor_words, edge_terms, max_edges_part,
+                     oracle_add_words, oracle_decor_product,
+                     oracle_normal_form, weight_reduce)
 
 
 def smooth(genus, n):
@@ -68,28 +67,30 @@ W0 = WeightData(())
 # ---------------------------------------------------------------------------
 
 
-def add_words(ds, exps, words, coeff):
-    """Add ``coeff`` times one raw word per vertex at ``exps`` into ``ds``,
-    reduced with ``oracle_words_normal_form``."""
-    reduced = oracle_words_normal_form(ds.graph, ds.weights, words, coeff)
+def add_word(ds, exps, word, coeff):
+    """Add ``coeff`` times the raw word ``word`` at ``exps`` into the
+    one-vertex series ``ds``, reduced with ``oracle_normal_form`` at a
+    vertex of genus ``ds.genus``."""
+    reduced = oracle_normal_form(smooth(ds.genus, 0), ds.weights, 0, word)
     if reduced is not None:
-        ds.add_term(exps, *reduced)
+        c, kappa, blocks = reduced
+        ds.add_term(exps, (kappa, blocks), c * coeff)
 
 
 def oracle_mul(a, b):
     """Reference product: every pair of terms rebuilt as raw words and
     reduced with ``oracle_normal_form``."""
-    out = DecoratedSeries(a.ring, a.graph, a.weights)
+    out = DecoratedSeries(a.ring, a.genus, a.weights)
     specs = a.ring.specs
-    right = [(e2, decor_words(d2), c2) for (e2, d2), c2 in b.terms.items()]
-    for (e1, d1), c1 in a.terms.items():
-        left = decor_words(d1)
-        for e2, words2, c2 in right:
+    right = [(e2, decor_words((vd2,))[0], c2)
+             for (e2, vd2), c2 in b.terms.items()]
+    for (e1, vd1), c1 in a.terms.items():
+        left = decor_words((vd1,))[0]
+        for e2, word2, c2 in right:
             exps = tuple(x + y for x, y in zip(e1, e2))
             if any(e >= s.trunc_order for e, s in zip(exps, specs)):
                 continue
-            words = [w1 + w2 for w1, w2 in zip(left, words2)]
-            add_words(out, exps, words, c1 * c2)
+            add_word(out, exps, left + word2, c1 * c2)
     return out
 
 
@@ -130,20 +131,22 @@ def vertex_words(draw, graph, v):
 
 @st.composite
 def product_operands(draw):
-    g, weights, graph = draw(st.sampled_from(PRODUCT_GRAPHS))
+    """Two series at one vertex of a graph of ``PRODUCT_GRAPHS``, of its
+    genus, with words in its markings and half-edges."""
+    _, weights, graph = draw(st.sampled_from(PRODUCT_GRAPHS))
+    v = draw(st.integers(0, graph.n_vertices - 1))
     ring = Ring([VarSpec("t", 0, draw(st.integers(1, 4))),
                  VarSpec("x", 0, draw(st.integers(1, 3)))])
     coefficients = st.builds(Fraction, st.integers(-6, 6).filter(bool),
                              st.sampled_from([1, 2, 3, 4, 9]))
 
     def series():
-        ds = DecoratedSeries(ring, graph, weights)
+        ds = DecoratedSeries(ring, graph.genera[v], weights)
         for _ in range(draw(st.integers(0, 5))):
             exps = tuple(draw(st.integers(0, s.trunc_order - 1))
                          for s in ring.specs)
-            words = [draw(vertex_words(graph, v))
-                     for v in range(graph.n_vertices)]
-            add_words(ds, exps, words, draw(coefficients))
+            add_word(ds, exps, draw(vertex_words(graph, v)),
+                     draw(coefficients))
         return ds
 
     a, b = series(), series()
@@ -163,14 +166,13 @@ def test_product_matches_word_oracle(operands):
 
 def test_product_memo_tells_weights_apart():
     # D_{13,1} D_{23,1} = D_{123,2}, which the weights (1/2, 2/3, 1/4) kill
-    graph = smooth(1, 3)
     ring = Ring([VarSpec("t", 0, 2)])
     for weights in (PRODUCT_WEIGHTS[3], PRODUCT_WEIGHTS[2],
                     PRODUCT_WEIGHTS[3]):
-        a = DecoratedSeries(ring, graph, weights)
-        b = DecoratedSeries(ring, graph, weights)
-        add_words(a, (0,), [[("Dsa", (1, 3), 1)]], Fraction(1, 3))
-        add_words(b, (1,), [[("Dsa", (2, 3), 1)]], Fraction(3, 2))
+        a = DecoratedSeries(ring, 1, weights)
+        b = DecoratedSeries(ring, 1, weights)
+        add_word(a, (0,), [("Dsa", (1, 3), 1)], Fraction(1, 3))
+        add_word(b, (1,), [("Dsa", (2, 3), 1)], Fraction(3, 2))
         product = a * b
         assert product.terms == oracle_mul(a, b).terms
         assert bool(product.terms) == (weights == PRODUCT_WEIGHTS[3])
@@ -179,13 +181,13 @@ def test_product_memo_tells_weights_apart():
 def test_decorated_series_rejects_a_negative_floor():
     ring = Ring([VarSpec("t", 0, 3), VarSpec("x", -1, 2)])
     with pytest.raises(ValueError, match="decorated series need floor 0"):
-        DecoratedSeries(ring, smooth(2, 0), W0)
+        DecoratedSeries(ring, 2, W0)
 
 
 def oracle_exp(f):
     """``sum_k f^k / k!`` as a ``{(exps, decor): Fraction}`` dict, each
     power by ``oracle_mul``."""
-    total = dict(DecoratedSeries.one(f.ring, f.graph, f.weights).terms)
+    total = dict(DecoratedSeries.one(f.ring, f.genus, f.weights).terms)
     power, k = f, 1
     while power.terms:
         for key, c in power.terms.items():
@@ -199,7 +201,7 @@ def oracle_exp(f):
 @given(product_operands())
 def test_exp_matches_power_sum(operands):
     a, _ = operands
-    f = DecoratedSeries(a.ring, a.graph, a.weights)
+    f = DecoratedSeries(a.ring, a.genus, a.weights)
     f.add_terms((exps, decor, c) for (exps, decor), c in a.terms.items()
                 if any(exps))
     assert f.exp().terms == oracle_exp(f)
@@ -211,11 +213,10 @@ def test_exp_matches_power_sum(operands):
 
 def test_exp_rejects_scalar_degree_zero():
     ring = Ring([VarSpec("t", 0, 3)])
-    graph = smooth(2, 0)
-    for decor in ((((), ()),), (((1,), ()),)):  # 1 and kappa_1 at t^0
-        ds = DecoratedSeries(ring, graph, W0)
-        ds.add_term((1,), (((), ()),), 1)
-        ds.add_term((0,), decor, 1)
+    for vd in (((), ()), ((1,), ())):  # 1 and kappa_1 at t^0
+        ds = DecoratedSeries(ring, 2, W0)
+        ds.add_term((1,), ((), ()), 1)
+        ds.add_term((0,), vd, 1)
         with pytest.raises(ValueError, match="scalar degree zero"):
             ds.exp()
 
@@ -238,7 +239,7 @@ def added_terms(draw):
     cancel, exponents at their truncation order and below the floor."""
     a, b = draw(product_operands())
     pool = list({**a.terms, **b.terms}) or [
-        (tuple(0 for _ in a.ring.specs), a._trivial_decor())]
+        (tuple(0 for _ in a.ring.specs), ((), ()))]
     low = draw(st.sampled_from([0, 0, 0, -1]))
     triples = []
     for _ in range(draw(st.integers(0, 8))):
@@ -272,7 +273,7 @@ def test_add_terms_matches_fraction_oracle(case):
 @given(product_operands())
 def test_terms_round_trip(operands):
     for ds in operands:
-        again = DecoratedSeries(ds.ring, ds.graph, ds.weights)
+        again = DecoratedSeries(ds.ring, ds.genus, ds.weights)
         again.add_terms((exps, decor, c)
                         for (exps, decor), c in ds.terms.items())
         assert again.terms == ds.terms
@@ -285,10 +286,10 @@ def test_extract_outside_the_window_is_zero():
     # t < 5, x < 3: the packed t field overflows at t = 16 and would read
     # as t^0 x^1 if the target were packed before the window check
     ring = Ring([VarSpec("t", 0, 5), VarSpec("x", 0, 3)])
-    ds = DecoratedSeries(ring, smooth(2, 0), W0)
+    ds = DecoratedSeries(ring, 2, W0)
     for t in range(5):
         for x in range(3):
-            ds.add_term((t, x), (((1,), ()),), 1 + t + 5 * x)
+            ds.add_term((t, x), ((1,), ()), 1 + t + 5 * x)
     for t in range(5):
         for x in range(3):
             assert ds.extract(t=t, x=x) == kappa_class(2, W0, 1).scale(
@@ -307,10 +308,10 @@ def test_graph_sum_builds_each_factor_once(monkeypatch):
     build_vertex = relations._fz_vertex_factor
     edge_series = relations.delta_edge
 
-    def vertex_factor(ring, graph, weights, v, zeta, S):
-        vertex_calls.append((ring.spec("t").trunc_order - 1,
-                             graph.genera[v], tuple(graph.legs_at(v)), zeta))
-        return build_vertex(ring, graph, weights, v, zeta, S)
+    def vertex_factor(ring, genus, weights, markings, zeta, S):
+        vertex_calls.append((ring.spec("t").trunc_order - 1, genus,
+                             markings, zeta))
+        return build_vertex(ring, genus, weights, markings, zeta, S)
 
     def kernel_series(z1, z2, order):
         kernel_calls.append((order, z1, z2))
@@ -337,26 +338,48 @@ def test_graph_sum_builds_each_factor_once(monkeypatch):
     assert set(kernel_calls) == kernels
 
 
+def oracle_terms_product(ring, weights, a, b):
+    """The truncated product of two ``{(exponents, decoration): Fraction}``
+    dicts on a whole graph, each pair of decorations multiplied by
+    ``oracle_decor_product``."""
+    out = {}
+    for (e1, d1), c1 in a.items():
+        for (e2, d2), c2 in b.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            decor = oracle_decor_product(weights, d1, d2)
+            if decor is not None and all(
+                    e < s.trunc_order for e, s in zip(exps, ring.specs)):
+                out[exps, decor] = out.get((exps, decor), 0) + c1 * c2
+    return out
+
+
 def oracle_graph_sum(g, weights, graphs, r, ring_of, vertex_factor,
                      edge_series):
-    """Reference graph sum: every colouring's product of all vertex factors
-    and edge kernels rebuilt from scratch with ``reduce(mul, ...)`` and read
-    off at the ring's top corner."""
+    """Reference graph sum: every colouring's vertex factors placed at
+    their vertices and edge kernels at their edges, all multiplied from
+    scratch on whole-graph decorations with ``oracle_terms_product`` and
+    read off at the ring's top corner."""
     total = TautClass(g, weights)
     for graph in graphs:
         order = r - graph.n_edges
         ring = ring_of(order)
         target = tuple(spec.trunc_order - 1 for spec in ring.specs)
+        one = (((), ()),) * graph.n_vertices
         sums = {}
         for coloring in enumerate_colorings(graph):
-            factors = [vertex_factor(ring, graph, v, zeta)
-                       for v, zeta in enumerate(coloring)]
+            factors = []
+            for v, zeta in enumerate(coloring):
+                ds = vertex_factor(ring, graph.genera[v],
+                                   tuple(graph.legs_at(v)), zeta)
+                factors.append({(exps, one[:v] + (vd,) + one[v + 1:]): c
+                                for (exps, vd), c in ds.terms.items()})
             for e, (va, vb) in enumerate(graph.edges):
-                eds = DecoratedSeries(ring, graph, weights)
-                _edge_to_ds(edge_series(coloring[va], coloring[vb], order),
-                            eds, e)
-                factors.append(eds)
-            for (exps, decor), c in reduce(mul, factors).terms.items():
+                factors.append(edge_terms(
+                    edge_series(coloring[va], coloring[vb], order), ring,
+                    graph, e))
+            product = reduce(partial(oracle_terms_product, ring, weights),
+                             factors)
+            for (exps, decor), c in product.items():
                 if exps == target:
                     sums[decor] = sums.get(decor, 0) + c
         scale = Fraction(1, graph.automorphism_order())
@@ -485,11 +508,12 @@ def vertex_labels(graph, v):
 def test_label_decor_is_the_folded_decor_product():
     """The graph sum builds each term's decoration from its label tuple
     (``relations._label_decor``) without multiplying decorations.  That
-    equals ``_decor_product`` folded over the factors placed in the graph,
-    a vertex label at its vertex and an edge label through ``_hpsi_decor``,
-    and distinct label tuples give distinct decorations: on every graph of
-    genus 2 with two 1/8 markings and at most three edges, and on a graph
-    whose marked vertex has a loop and a double edge."""
+    equals ``oracle_decor_product`` folded over the factors placed in the
+    graph, a vertex label at its vertex and an edge label through
+    ``_hpsi_decor``, and distinct label tuples give distinct decorations:
+    on every graph of genus 2 with two 1/8 markings and at most three
+    edges, and on a graph whose marked vertex has a loop and a double
+    edge."""
     weights = WeightData((F(1, 8),) * 2)
     graphs = enumerate_graphs(2, weights, 3) + [
         StableGraph((0, 1), (0, 0), ((0, 0), (0, 1), (0, 1)))]
@@ -510,7 +534,7 @@ def test_label_decor_is_the_folded_decor_product():
                           if e is None else
                           _hpsi_decor(graph, {(e, 0): label[0],
                                               (e, 1): label[1]}))
-                folded = classes._decor_product(weights, folded, placed)
+                folded = oracle_decor_product(weights, folded, placed)
             assert relations._label_decor(graph, slots, labels) == folded
             classes._check_stored(graph, weights, folded)
             assert seen.setdefault(folded, labels) == labels
@@ -567,7 +591,7 @@ class TestOpenFZ:
             rel = open_fz_relation(g, n, r, S)
         assert not rel.is_zero
         assert spy.call_count == 2 ** len(S) - 1
-        assert len({call.args[3] for call in spy.call_args_list}) == (
+        assert len({call.args[2] for call in spy.call_args_list}) == (
             spy.call_count)
         assert sizes.call_count == len(S)
 
@@ -656,7 +680,7 @@ class TestFZ:
             fz_relation(g, WeightData((Fraction(1, 8),) * len(S)), 3, S)
             assert products
             for a, b in products:
-                (unit,) = DecoratedSeries.one(a.ring, a.graph, a.weights).terms
+                (unit,) = DecoratedSeries.one(a.ring, a.genus, a.weights).terms
                 assert a.terms.keys() != {unit} and b.terms.keys() != {unit}
 
     def test_relation_spans_known_rank_drop(self):
@@ -842,8 +866,8 @@ def oracle_pushforward_rows(d_max, t_order, g):
     for zeta in (1, -1):
         ring = Ring([VarSpec("t", 0, t_order + 1),
                      VarSpec("x", 0, d_max + 1)])
-        ds = DecoratedSeries(ring, StableGraph((g,), (), ()), w0)
-        bracket_kappa(-fam["logPhi"].substitute({"t": zeta}), ds, 0)
+        ds = DecoratedSeries(ring, g, w0)
+        bracket_kappa(-fam["logPhi"].substitute({"t": zeta}), ds)
         closed = ds.exp()
         for d in range(1, d_max + 1):
             w = WeightData(tuple(Fraction(1, 1000) for _ in range(d)))
