@@ -161,7 +161,7 @@ def _packed_rows(ring: Ring, den: int, terms) -> tuple:
             raise ValueError("exponent below ring floor")
         if coeff and all(e < s.trunc_order for e, s in zip(exps, specs)):
             kept.append((exps, decor, coeff))
-    keyed = ring._packed([(e, c) for e, _, c in kept], ring._unit_key)
+    keyed = ring._packed([(e, c) for e, _, c in kept])
     rows: dict = {}
     for (_, decor, _), (key, c) in zip(kept, keyed):
         row = rows.setdefault(decor, {})
@@ -199,15 +199,17 @@ def _rows_product(ring: Ring, rows1: dict, rows2: dict, combine) -> dict:
     packed keys of ``ring`` to numerators, the product of each pair of rows
     keyed by ``combine`` of their keys (:func:`_row_pairs`).
 
-    A key of ``rows1`` minus both biases plus a key of ``rows2`` holds
-    both biases again, and a top bit set there marks an exponent that
-    reached its truncation order (``Ring._product_layout``)."""
-    both, high = ring._unit_key, ring._product_layout()[2]
+    A key of ``rows1`` minus the key of exponents 0 plus a key of
+    ``rows2`` is the packed key of the summed exponents, and a top bit set
+    there marks an exponent that reached its truncation order
+    (``Ring._packed``).  This is the loop of ``Ring._mul_into`` inline:
+    one call per pair of rows costs more than the pair loop saves."""
+    unit, high = ring._unit_key, ring._high
     rows: dict = {}
     for key, row1, row2 in _row_pairs(rows1, rows2, combine):
         acc = rows.get(key)
         for k1, c1 in row1.items():
-            k1 -= both
+            k1 -= unit
             for k2, c2 in row2.items():
                 k = k1 + k2
                 if not k & high:
@@ -230,12 +232,12 @@ class DecoratedSeries:
     :meth:`extract` on the smooth graph.  The series is ``rows / den``:
     ``rows`` maps each decoration to ``{key: numerator}``, an integer
     numerator per packed key, over the one integer ``den``.  A key packs
-    the exponents, in the scalar ring's variable order, with both biases of
-    ``Ring._product_layout``, the form ``Ring._packed`` writes and
-    ``Ring._unpacked`` reads.  Rows hold no zero numerator and no empty
-    row.  Terms enter packed, through :meth:`add_terms`; sums, scalings,
-    products and exponentials stay packed, and only :meth:`extract` and the
-    test view :attr:`terms` turn numerators into ``Fraction`` values.
+    the exponents, in the scalar ring's variable order, as
+    ``Ring._packed`` writes them and ``Ring._unpacked`` reads them.  Rows
+    hold no zero numerator and no empty row.  Terms enter packed, through
+    :meth:`add_terms`; sums, scalings, products and exponentials stay
+    packed, and only :meth:`extract` and the test view :attr:`terms` turn
+    numerators into ``Fraction`` values.
 
     The ring must have floor 0 in every variable (``ValueError``
     otherwise): truncated products are then associative, and no product
@@ -338,7 +340,7 @@ class DecoratedSeries:
         exps = ring.exponents(**powers)
         if any(not 0 <= e < s.trunc_order for e, s in zip(exps, ring.specs)):
             return out
-        [(key, _)] = ring._packed([(exps, 1)], ring._unit_key)
+        [(key, _)] = ring._packed([(exps, 1)])
         graph = smooth_graph(self.genus, self.weights.n)
         for vd, row in self.rows.items():
             c = row.get(key)
@@ -669,7 +671,7 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
     canonical form once.
     """
     total = TautClass(g, weights)
-    rings: dict = {}  # order: (ring, both biases, their sum with the corner)
+    rings: dict = {}  # order: (ring, corner)
     # local type: (den, rows), rows keyed by the 1-tuple of their label; a
     # vertex type has four fields and an edge type three.  Every graph
     # shares these rows, so they are read-only: products build new rows.
@@ -677,13 +679,14 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
     for graph in graphs:
         order = r - graph.n_edges
         if order not in rings:
-            # the corner's key, packed as add_terms packs every key
+            # the corner's key, packed as add_terms packs every key, plus
+            # the key of exponents 0: a prefix key k1 meets its partner
+            # corner - k1, as a product pairs k1 - unit with k2
             ring = ring_of(order)
-            unit = ring._unit_key
             [(target, _)] = ring._packed(
-                [(tuple(s.trunc_order - 1 for s in ring.specs), 1)], unit)
-            rings[order] = ring, unit, target + unit
-        ring, both, corner = rings[order]
+                [(tuple(s.trunc_order - 1 for s in ring.specs), 1)])
+            rings[order] = ring, target + ring._unit_key
+        ring, corner = rings[order]
         slots = []  # (vertex, edge or None) in level order
         starts = []  # starts[v]: the first slot of level v
         for v in range(graph.n_vertices):
@@ -710,7 +713,7 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
                     local[kind] = den, {(p,): row for p, row in rows.items()}
             return local[kind]
 
-        stack = [(1, {(): {both: 1}})]
+        stack = [(1, {(): {ring._unit_key: 1}})]
         last = len(slots) - 1
         sums: dict = {}
         den = 1

@@ -33,15 +33,17 @@ def series_to_dict(s: Series) -> dict:
 
 def series_from_dict(d: dict) -> Series:
     """The series of :func:`series_to_dict`; a float or a boolean where an
-    integer belongs raises ``ValueError``."""
+    integer belongs, or an exponent list given twice, raises
+    ``ValueError``."""
     ring = Ring([VarSpec(v["var"], json_int(v["min"], "min"),
                          json_int(v["max"], "max")) for v in d["ring"]])
-    terms = {
-        tuple(json_int(e, "exp") for e in t["exp"]):
-            Fraction(json_int_text(t["num"], "num"),
-                     json_int_text(t["den"], "den"))
-        for t in d["terms"]
-    }
+    terms = {}
+    for t in d["terms"]:
+        exps = tuple(json_int(e, "exp") for e in t["exp"])
+        if exps in terms:
+            raise ValueError(f"repeated exponent {list(exps)}")
+        terms[exps] = Fraction(json_int_text(t["num"], "num"),
+                               json_int_text(t["den"], "den"))
     return ring.series(terms)
 
 

@@ -12,7 +12,8 @@ and ``hash`` compare it directly, and ``den`` is the least common multiple
 of the reduced coefficients' denominators.  The :class:`fractions.Fraction`
 coefficients are read-only views (``coeffs``, ``terms()``,
 ``coefficient()``, ``constant_term()``), built on each read; fractions
-enter only as scalars, through ``Series(ring, coeffs)``, :meth:`Ring.series`
+enter only as scalars, through ``Series(ring, coeffs)`` (or its alias
+:meth:`Ring.series`), which checks every exponent tuple against the window,
 and the scalar operands of the arithmetic.  All arithmetic is exact:
 products drop exponents at or above a variable's truncation order (which is
 sound, because exponents only ever increase under multiplication by
@@ -23,14 +24,16 @@ information.
 Every operation runs on the numerators.  A sum brings both operands over
 the lcm of their denominators; a product multiplies the denominators.  For
 products each exponent tuple is packed into one int of biased bit fields
-laid out per ring (see :meth:`Ring._product_layout`), so that adding two
-packed keys adds the exponents and sets a field's top bit exactly when that
-exponent reaches its truncation order.  The pair loop is then one int
-addition, one mask test and one int multiply-add; only the output keys are
-unpacked.  The ring alone packs (:meth:`Ring._packed`) and unpacks
-(:meth:`Ring._unpacked`, with the floor check); the decorated products of
-:mod:`tautrels.relations` pack a series' numerators through the same pair
-and run their pair loops on the same keys.
+laid out per ring (:meth:`Ring._packed`), all keys with one bias, so that
+``k1 - unit + k2`` for the key ``unit`` of exponents 0 adds the exponents
+and sets a field's top bit exactly when that exponent reaches its
+truncation order.  One kernel, :meth:`Ring._mul_into`, runs the truncated
+pair loop of every product, the graded recurrence and ``substitute``: per
+pair one int addition, one mask test and one int multiply-add; only the
+output keys are unpacked (:meth:`Ring._unpacked`, with the floor check).
+The decorated products of :mod:`tautrels.relations` pack a series'
+numerators through the same ring and run their own pair loop on the same
+keys.
 
 ``exp``, ``log`` and the geometric series inside ``inverse`` share one graded
 online recurrence on the same packed keys (Brent and Kung, "Fast algorithms
@@ -126,7 +129,7 @@ class VarSpec:
 class Ring:
     """An ordered collection of :class:`VarSpec` defining a truncated series ring."""
 
-    __slots__ = ("specs", "index", "laurent", "_layout", "_unit_key",
+    __slots__ = ("specs", "index", "laurent", "_unit_key", "_high",
                  "_shifts", "_fields")
 
     def __init__(self, specs: Iterable[VarSpec]):
@@ -140,21 +143,19 @@ class Ring:
         self.specs = specs
         self.index = {s.name: i for i, s in enumerate(specs)}
         self.laurent = poles == 1  # a variable has a negative floor
-        # the packed-key fields: see _product_layout
+        # the packed-key fields: see _packed
         shifts, fields = [], []
-        left = right = high = width = 0
+        unit = high = width = 0
         for s in specs:
             hi, lo = s.trunc_order, s.min_exponent
             w = max(hi - 2 * lo, hi).bit_length() + 1
             x = (1 << (w - 1)) - hi
             shifts.append(width)
             fields.append((width, (1 << w) - 1, x))
-            left += (x // 2) << width
-            right += (x - x // 2) << width
+            unit += x << width
             high += 1 << (width + w - 1)
             width += w
-        self._layout = (left, right, high)
-        self._unit_key = left + right  # exponents 0, both biases
+        self._unit_key, self._high = unit, high
         self._shifts, self._fields = tuple(shifts), tuple(fields)
 
     def __eq__(self, other: object) -> bool:
@@ -205,34 +206,47 @@ class Ring:
             return self.zero()
         return Series.from_nums(self, c.denominator, {exps: c.numerator})
 
-    def _product_layout(self) -> tuple:
-        """Bit fields of the packed exponent keys of products and of the
-        graded recurrence.
-
-        Variable i with window ``[lo, hi)`` gets a field of ``w`` bits whose
-        top bit ``T = 2**(w-1)`` exceeds ``hi - 2*lo`` and ``hi - 2``.  The
-        left operand stores ``e + X//2`` and the right one ``e + X - X//2``,
-        with ``X = T - hi``, so a summed field holds ``e1 + e2 + X``: it lies
-        in ``[0, 2T)`` (no borrow or carry between fields) and its top bit is
-        set exactly when ``e1 + e2 >= hi``.  This needs operand exponents
-        inside the window.  Returns ``(left bias, right bias, top-bit
-        mask)``, built with the ring.  The sum of both biases is the key of
-        exponents 0 in keys that carry both, ``_unit_key``.  The fields
-        themselves (``_shifts`` and ``(shift, mask, X)`` per variable in
-        ``_fields``) are read only by :meth:`_packed` and :meth:`_unpacked`.
-        """
-        return self._layout
-
-    def _packed(self, nums, bias: int) -> list:
+    def _packed(self, nums) -> list:
         """``[(key, numerator), ...]`` for the ``(exponents, numerator)``
-        pairs of ``nums``, in their order: each key packs the exponents with
-        ``bias`` (a bias of :meth:`_product_layout`, or the sum of both)."""
-        shifts = self._shifts
-        return [(bias + sum(map(lshift, e, shifts)), c) for e, c in nums]
+        pairs of ``nums``, in their order, each tuple packed into one int.
+
+        Variable i with window ``[lo, hi)`` gets a field of ``w`` bits at
+        shift ``_shifts[i]``, whose top bit ``T = 2**(w-1)`` exceeds
+        ``hi - 2*lo`` and ``hi``.  A key holds ``e + X`` in the field, with
+        ``X = T - hi``, so ``_unit_key`` (``X`` in every field) is the key
+        of exponents 0.  For two keys of exponents inside the window,
+        ``k1 - _unit_key + k2`` holds ``e1 + e2 + X`` in each field: it lies
+        in ``[0, 2T)``, so no field borrows from or carries into the next,
+        and its top bit (``_high`` masks them all) is set exactly when
+        ``e1 + e2 >= hi``.  The fields themselves (``(shift, mask, X)`` per
+        variable in ``_fields``) are read only here and by
+        :meth:`_unpacked`.
+        """
+        shifts, unit = self._shifts, self._unit_key
+        return [(unit + sum(map(lshift, e, shifts)), c) for e, c in nums]
+
+    def _mul_into(self, acc: dict, terms1, terms2, scale: int = 1) -> None:
+        """Add ``scale`` times the truncated product of two iterables of
+        ``(packed key, numerator)`` into ``acc``, a map of packed keys to
+        numerators (:meth:`_packed`): per pair one int addition, one mask
+        test and one multiply-add, and a pair whose exponent reaches its
+        truncation order is dropped.  ``terms2`` is read once per term of
+        ``terms1``.  A key enters ``acc`` at its first pair, so the first
+        key below a floor that :meth:`_unpacked` meets is the one the first
+        offending pair produced."""
+        unit, high = self._unit_key, self._high
+        get = acc.get
+        for k1, c1 in terms1:
+            k1 -= unit
+            c1 *= scale
+            for k2, c2 in terms2:
+                k = k1 + k2
+                if not k & high:
+                    acc[k] = get(k, 0) + c1 * c2
 
     def _unpacked(self, acc: dict, where: str) -> dict:
-        """``{exponents: numerator}`` for packed keys that carry both
-        biases, mapped to int numerators; zero numerators are dropped.  The
+        """``{exponents: numerator}`` for packed keys (:meth:`_packed`)
+        mapped to int numerators; zero numerators are dropped.  The
         first key, in the order of ``acc``, with an exponent below its floor
         raises :class:`FloorUnderflow` naming ``where``."""
         fields, laurent, specs = self._fields, self.laurent, self.specs
@@ -264,18 +278,8 @@ class Ring:
                 )
 
     def series(self, terms: Mapping[tuple, Scalar]) -> "Series":
-        """The series with coefficient ``c`` (an int or a ``Fraction``) at
-        each exponent tuple of ``terms``; a tuple outside the window, or of
-        another length than :attr:`nvars`, raises :class:`WindowError`."""
-        out = {}
-        for exps, c in terms.items():
-            c = Fraction(c)
-            if not c:
-                continue
-            exps = tuple(exps)
-            self._check_window(exps)
-            out[exps] = out.get(exps, 0) + c
-        return Series(self, out)
+        """``Series(self, terms)``."""
+        return Series(self, terms)
 
 
 class Series:
@@ -286,9 +290,12 @@ class Series:
 
     def __init__(self, ring: Ring, coeffs: Mapping[tuple, Scalar]):
         """The series with coefficient ``c`` (an int or a ``Fraction``) at
-        each exponent tuple of ``coeffs``; zero coefficients are dropped and
-        the tuples are not checked (see :meth:`Ring.series`)."""
+        each exponent tuple of ``coeffs``; zero coefficients are dropped.  A
+        nonzero one at a tuple outside the ring's window, or of another
+        length than :attr:`Ring.nvars`, raises :class:`WindowError`."""
         coeffs = {e: Fraction(c) for e, c in coeffs.items() if c}
+        for e in coeffs:
+            ring._check_window(e)
         den = lcm(*(c.denominator for c in coeffs.values()))
         self.ring = ring
         self.den = den
@@ -443,19 +450,9 @@ class Series:
         if not self.nums or not other.nums:
             return self.ring.zero()
         ring = self.ring
-        left, right, high = ring._product_layout()
-        pa = ring._packed(self.nums.items(), left)
-        pb = ring._packed(other.nums.items(), right)
         acc: dict = {}
-        get = acc.get
-        for k1, c1 in pa:
-            for k2, c2 in pb:
-                k = k1 + k2
-                if k & high:
-                    continue
-                acc[k] = get(k, 0) + c1 * c2
-        # keys keep the order in which their first pair arrived, so the first
-        # key below a floor is the one the first offending pair produced
+        ring._mul_into(acc, ring._packed(self.nums.items()),
+                       ring._packed(other.nums.items()))
         return Series.from_nums(ring, self.den * other.den,
                                 ring._unpacked(acc, "product"))
 
@@ -493,19 +490,18 @@ class Series:
         earlier output terms and terms of ``f`` are summed on packed keys
         as integer numerators over one common denominator, which is then
         divided by the gcd of it and the degree's numerators.  The packed
-        sums enter the later degrees as they are, with the right bias taken
-        off; only the output is unpacked.  A pure pole in ``f`` (a term of
-        degree <= 0) raises :class:`FloorUnderflow`, as its powers fall
-        below the floor; so does any output key below a floor.
+        sums enter the later degrees as they are; only the output is
+        unpacked.  A pure pole in ``f`` (a term of degree <= 0) raises
+        :class:`FloorUnderflow`, as its powers fall below the floor; so does
+        any output key below a floor.
         """
         ring = self.ring
         specs = ring.specs
-        left, right, high = ring._product_layout()
         lowest = min([0] + [s.min_exponent for s in specs])
         weights = [1 if s.min_exponent < 0 else 1 - lowest for s in specs]
-        # terms of f by degree, as (right-biased key, numerator over self.den)
+        # terms of f by degree, as (packed key, numerator over self.den)
         f_parts: dict = {}
-        for e, term in zip(self.nums, ring._packed(self.nums.items(), right)):
+        for e, term in zip(self.nums, ring._packed(self.nums.items())):
             d = sum(map(mul, weights, e))
             if d <= 0:
                 raise FloorUnderflow(
@@ -513,12 +509,12 @@ class Series:
                 )
             f_parts.setdefault(d, []).append(term)
         # output terms by degree, as (den, {exponents: numerator}) in parts
-        # and (den, [(left-biased key, numerator)]) in g_parts
+        # and (den, [(packed key, numerator)]) in g_parts
         parts: list = []
         g_parts: dict = {}
         if kind != "log":
             parts.append((1, ring.one().nums))
-            g_parts[0] = (1, [(left, 1)])
+            g_parts[0] = (1, [(ring._unit_key, 1)])
         # the factor of a pair of an output term of degree j and a term of f,
         # for an output term of degree d
         weight = {
@@ -536,20 +532,12 @@ class Series:
                 continue
             m = lcm(*(g_parts[j][0] for j, _ in pairs))
             acc: dict = {}
-            get = acc.get
             for j, f_terms in pairs:
                 den_g, g_terms = g_parts[j]
-                scale = (m // den_g) * weight(j, d)
-                for k1, c1 in g_terms:
-                    c1 *= scale
-                    for k2, c2 in f_terms:
-                        k = k1 + k2
-                        if k & high:
-                            continue
-                        acc[k] = get(k, 0) + c1 * c2
-            for k2, c2 in own:
-                k = left + k2
-                acc[k] = get(k, 0) + c2 * m * d
+                ring._mul_into(acc, g_terms, f_terms,
+                               (m // den_g) * weight(j, d))
+            for k, c in own:
+                acc[k] = acc.get(k, 0) + c * m * d
             new = ring._unpacked(acc, kind)
             if new:
                 den = self.den * m * (1 if kind == "inverse" else d)
@@ -558,7 +546,7 @@ class Series:
                     den //= g
                     new = {e: c // g for e, c in new.items()}
                 parts.append((den, new))
-                g_parts[d] = (den, [(k - right, c // g if g > 1 else c)
+                g_parts[d] = (den, [(k, c // g if g > 1 else c)
                                     for k, c in acc.items() if c])
         den = lcm(*(part_den for part_den, _ in parts))
         out: dict = {}
@@ -730,10 +718,9 @@ class Series:
         for e, c in cur.items():
             groups.setdefault(tuple(e[i] for i in keep + head), []).append((e[last], c))
         powers = {i: ladder(p, [e[i] for e in cur]) for i, p in subs.items()}
-        left, right, high = target._product_layout()
-        packed = {b: (p.den, target._packed(p.nums.items(), right))
+        packed = {b: (p.den, target._packed(p.nums.items()))
                   for b, p in powers[last].items()}
-        packed[0] = (1, [(right, 1)])
+        packed[0] = (1, [(target._unit_key, 1)])
         # each group's sum and prefix, over den * self.den
         sums = []
         for key, terms in groups.items():
@@ -748,19 +735,13 @@ class Series:
                 scale = c * (den // den_b)
                 for k, v in pb:
                     acc[k] = acc.get(k, 0) + scale * v
-            sums.append((prefix.den * den, target._packed(prefix.nums.items(), left),
+            sums.append((prefix.den * den, target._packed(prefix.nums.items()),
                          [kv for kv in acc.items() if kv[1]]))
         # one common denominator for the products of all groups
         den = lcm(*(d for d, _, _ in sums))
         acc = {}
-        get = acc.get
         for d, pp, terms in sums:
-            for k1, c1 in pp:
-                c1 *= den // d
-                for k2, c2 in terms:
-                    k = k1 + k2
-                    if not k & high:
-                        acc[k] = get(k, 0) + c1 * c2
+            target._mul_into(acc, pp, terms, den // d)
         return Series.from_nums(target, den * self.den,
                                 target._unpacked(acc, "substitution"))
 

@@ -495,9 +495,10 @@ def oracle_decor_product(weights: WeightData, d1: tuple,
     return tuple(out)
 
 
-def oracle_packed(ring, nums, bias: int) -> list:
-    """``ring._packed(nums, bias)``: each exponent shifted into its field,
-    one field at a time, with the numerators as they are."""
+def oracle_packed(ring, nums) -> list:
+    """``ring._packed(nums)``: each exponent plus its field's bias shifted
+    into its field, one field at a time, with the numerators as they are."""
+    bias = sum(x << shift for shift, _, x in ring._fields)
     out = []
     for exps, c in nums:
         key = bias

@@ -512,7 +512,8 @@ def test_catalog_rejects_an_unread_order_and_writes_nothing(tmp_path):
 @pytest.mark.parametrize("damage", ["truncated", "other ring", "not a series",
                                     "float numerator", "boolean exponent",
                                     "zero denominator", "long exponent list",
-                                    "empty exponent list"])
+                                    "empty exponent list",
+                                    "repeated exponent"])
 @pytest.mark.parametrize("audit", [False, True])
 def test_catalog_recomputes_a_bad_entry(tmp_path, damage, audit):
     import json
@@ -538,6 +539,9 @@ def test_catalog_recomputes_a_bad_entry(tmp_path, damage, audit):
             blob["terms"][1]["exp"] = [1, 0]
         elif damage == "empty exponent list":
             blob["terms"][1]["exp"] = []
+        elif damage == "repeated exponent":
+            # read last-wins, t would get 999/6 instead of 5/6
+            blob["terms"].append({"exp": [1], "num": "999", "den": "6"})
         else:
             blob["terms"][1]["den"] = "0"
         path.write_text(json.dumps(blob))

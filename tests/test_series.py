@@ -225,10 +225,18 @@ def test_extract_fixes_variables():
 
 def test_series_rejects_an_exponent_tuple_of_another_length():
     R = Ring([VarSpec("t", -1, 4), VarSpec("x", 0, 3)])
-    for exps in [(1,), (1, 0, 5), ()]:
-        with pytest.raises(WindowError, match=f"has {len(exps)} entries"):
-            R.series({exps: 1})
+    # unchecked, (7,) on S carried into the field of x, so that times x it
+    # read t^-1 x^2, and (5, 0) times one gave 0
+    S = Ring([VarSpec("t", 0, 3), VarSpec("x", 0, 3)])
+    for ring, exps, match in [
+            (R, (1,), "has 1 entries"), (R, (1, 0, 5), "has 3 entries"),
+            (R, (), "has 0 entries"), (S, (7,), "has 1 entries"),
+            (S, (5, 0), "exponent 5 of 't' outside window")]:
+        for build in (ring.series, lambda terms: Series(ring, terms)):
+            with pytest.raises(WindowError, match=match):
+                build({exps: 1})
     assert R.series({(1, 0): 1}) == R.var("t")
+    assert Series(S, {(5, 0): 0}) == S.zero()
 
 
 def test_embed_into_larger_ring():
@@ -399,22 +407,31 @@ def test_product_with_zero_operand_is_zero():
 @st.composite
 def packed_sums(draw):
     """A ring, the sums of pairs of exponent tuples inside its window that
-    no variable truncates, in order of arrival, and the packed keys of
-    those sums mapped to integer numerators (zeros and repeats included)."""
+    no variable truncates, in order of arrival, and the keys
+    ``k1 - unit + k2`` of those sums mapped to integer numerators (zeros
+    and repeats included)."""
     ring = draw(rings(laurent=draw(st.booleans())))
-    left, right, high = ring._product_layout()
+    unit, high = ring._unit_key, ring._high
     inside = st.tuples(
         *(st.integers(s.min_exponent, s.trunc_order - 1) for s in ring.specs))
     pairs = draw(st.lists(st.tuples(inside, inside, st.integers(-5, 5)),
                           max_size=8))
-    ka = ring._packed([(a, 1) for a, _, _ in pairs], left)
-    kb = ring._packed([(b, 1) for _, b, _ in pairs], right)
-    assert ka == oracle_packed(ring, [(a, 1) for a, _, _ in pairs], left)
-    assert kb == oracle_packed(ring, [(b, 1) for _, b, _ in pairs], right)
+    ka = ring._packed([(a, 1) for a, _, _ in pairs])
+    kb = ring._packed([(b, 1) for _, b, _ in pairs])
+    assert ka == oracle_packed(ring, [(a, 1) for a, _, _ in pairs])
+    assert kb == oracle_packed(ring, [(b, 1) for _, b, _ in pairs])
+    assert high == sum(((m + 1) >> 1) << sh for sh, m, _ in ring._fields)
     sums, acc = [], {}
     for (a, b, v), (k1, _), (k2, _) in zip(pairs, ka, kb):
-        k = k1 + k2
+        k = k1 - unit + k2
         exps = tuple(x + y for x, y in zip(a, b))
+        # each field holds e1 + e2 + X inside its own bits: nothing borrows
+        # or carries, and its top bit is set exactly at the truncation order
+        fields = [e + x for e, (_, _, x) in zip(exps, ring._fields)]
+        assert all(0 <= f <= m for f, (_, m, _) in zip(fields, ring._fields))
+        assert k == sum(f << sh for f, (sh, _, _) in zip(fields, ring._fields))
+        for f, (_, m, _), e, s in zip(fields, ring._fields, exps, ring.specs):
+            assert bool(f & ((m + 1) >> 1)) == (e >= s.trunc_order)
         assert bool(k & high) == any(
             e >= s.trunc_order for e, s in zip(exps, ring.specs))
         if not k & high:
@@ -455,14 +472,54 @@ def test_unpacked_matches_the_inline_loop(data, where):
 @given(ring_and_series(1))
 def test_packed_round_trip(data):
     ring, a = data
-    left, right, _ = ring._product_layout()
-    keyed = ring._packed(a.nums.items(), left + right)
-    assert keyed == oracle_packed(ring, a.nums.items(), left + right)
+    keyed = ring._packed(a.nums.items())
+    assert keyed == oracle_packed(ring, a.nums.items())
+    assert ring._packed([((0,) * ring.nvars, 1)]) == [(ring._unit_key, 1)]
     assert a.den == math.lcm(*(c.denominator for c in a.coeffs.values()))
     assert [c for _, c in keyed] == [c * a.den for c in a.coeffs.values()]
     assert ring._unpacked(dict(keyed), "product") == a.nums
     assert {e: F(c, a.den) for e, c in ring._unpacked(
         dict(keyed), "product").items()} == a.coeffs
+
+
+def decoded(ring, acc):
+    """The exponent tuples of the packed keys of ``acc``, in its order."""
+    return [tuple(((k >> sh) & m) - x for sh, m, x in ring._fields)
+            for k in acc]
+
+
+@pytest.mark.parametrize("laurent", [False, True])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(),
+       scale=st.integers(-6, 6).filter(lambda c: c not in (0, 1)))
+def test_mul_into_adds_a_scaled_product(laurent, data, scale):
+    # acc starts with the numerators of c; the kernel adds scale times the
+    # product of the numerators of a and b, against the tuple-keyed oracle
+    ring, a, b, c = data.draw(ring_and_series(3, laurent=laurent))
+    acc = dict(ring._packed(c.nums.items()))
+    ring._mul_into(acc, ring._packed(a.nums.items()),
+                   ring._packed(b.nums.items()), scale)
+    # c's keys first, then each new key at its first pair
+    order = list(c.nums)
+    for e1 in a.nums:
+        for e2 in b.nums:
+            exps = tuple(map(sum, zip(e1, e2)))
+            if (exps not in order and all(
+                    e < s.trunc_order for e, s in zip(exps, ring.specs))):
+                order.append(exps)
+    assert decoded(ring, acc) == order
+
+    def whole(x):
+        return Series(ring, x.nums)
+
+    try:
+        got = ring._unpacked(acc, "product")
+    except FloorUnderflow as exc:
+        got = ("FloorUnderflow", str(exc))
+    want = product_or_error(whole(a), whole(b), oracle_mul)
+    if isinstance(want, Series):
+        want = (whole(c) + want * scale).nums
+    assert got == want
 
 
 def test_floor_underflow_names_the_operation():
