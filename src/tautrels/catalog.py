@@ -194,53 +194,33 @@ def substitute_uy(f: Series, target: Ring) -> Series:
 
 @lru_cache(maxsize=None)
 def uy_expansion(i_max: int, u_order: int, y_order: int) -> dict:
-    """Coefficient tables of gamma and of D^{i-1} delta in the (u, y) chart.
+    """Gamma and D^{i-1} delta in the (u, y) chart, as series.
 
-    Returns ``ring``, the triangular series ``c`` with
-    ``gamma - t^{-1} gamma_{-1}(x) = (1/4) log(1+4y) + sum c_{k,j} u^k y^j``,
-    its table ``c[k][j]`` (zero for j > k), and for i = 1..i_max the series
-    ``delta_i = (1+4y)^{i/2} (D^{i-1} delta)(u, y)`` with the coefficient
-    tables ``b[i][j]`` (of u^{i-1} y^j) and ``cc[i][k][j]`` (minus the
-    coefficient of u^{k+i} y^j).
+    Returns ``ring``; the triangular ``c_series`` (no ``u^k y^j`` with
+    j > k), ``gamma - t^{-1} gamma_{-1}(x) - (1/4) log(1+4y)``; and
+    ``delta[i] = (1+4y)^{i/2} (D^{i-1} delta)(u, y)`` for i = 1..i_max, of
+    u-degree at least i - 1.  The paper's tables are their coefficients:
+    ``c_{k,j}`` at ``u^k y^j`` of c_series, ``b_{i,j}`` at ``u^{i-1} y^j``
+    of delta_i and ``c_{i,k,j}`` minus that at ``u^{k+i} y^j``.
     """
     fam = phi_family(u_order, y_order)
     ring = fam["ring"]
     target = uy_ring(u_order, y_order)
-    y = target.var("y")
-    one4y = 1 + 4 * y
+    one4y = 1 + 4 * target.var("y")
 
     gamma = fam["gamma"]
     gamma_red = Series.from_nums(
         ring, gamma.den, {e: c for e, c in gamma.nums.items() if e[0] != -1}
     )
     c_series = substitute_uy(gamma_red, target) - Fraction(1, 4) * one4y.log()
-    c_table: dict = {}
-    for (k, j), v in c_series.coeffs.items():
-        c_table.setdefault(k, {})[j] = v
 
     deltas = {}
-    b: dict = {}
-    cc: dict = {}
     cur = fam["delta"]
     for i in range(1, i_max + 1):
-        d_i = substitute_uy(cur, target) * one4y.pow_fraction(Fraction(i, 2))
-        deltas[i] = d_i
-        b[i] = {}
-        cc[i] = {}
-        for (k, j), v in d_i.coeffs.items():
-            if k == i - 1:
-                b[i][j] = v
-            if k >= i:
-                cc[i].setdefault(k - i, {})[j] = -v
+        deltas[i] = (substitute_uy(cur, target)
+                     * one4y.pow_fraction(Fraction(i, 2)))
         cur = cur.x_d_dx("x").mul_var("t")  # apply D = t x d/dx
-    return {
-        "ring": target,
-        "c_series": c_series,
-        "c": c_table,
-        "delta": deltas,
-        "b": b,
-        "cc": cc,
-    }
+    return {"ring": target, "c_series": c_series, "delta": deltas}
 
 
 def ionel_coefficient_pair(f: Series, r: int, d: int) -> tuple:
@@ -525,33 +505,22 @@ def identity_suite(quick: bool = False, seed: int = 20260826) -> list:
 
     check("phi-ode", (D(phi - D(phi)) + x * phi).is_zero(), f"orders t^{t_ord}, x^{x_ord}")
 
-    # 3. diagonal of the c-table is log A; the shifted diagonals of delta_i give 2^i C_i
+    # 3. the diagonal of c is log A; the diagonal of delta_i is 2^-i C_i
+    # (b_{i,i-1} at u^{i-1}, -c_{i,m-i,m} at u^m for m >= i)
     u_ord = 6 if quick else 12
     i_max = 3 if quick else 5
     exp_data = uy_expansion(i_max, u_ord, u_ord)
+    c = exp_data["c_series"]
     la = log_hyper_A(u_ord)
-    diag_ok = all(
-        exp_data["c"].get(k, {}).get(k, Fraction(0)) == la.coefficient(t=k)
-        for k in range(1, u_ord + 1)
-    )
-    tri_ok = all(
-        j <= k for k, row in exp_data["c"].items() for j in row
-    )
+    diag_ok = all(c.coefficient(u=k, y=k) == la.coefficient(t=k)
+                  for k in range(1, u_ord + 1))
+    tri_ok = all(j <= k for k, j in c.nums)
     check("c-diagonal-is-logA", diag_ok and tri_ok, f"order u^{u_ord}")
     ext_ok = True
     for i in range(1, i_max + 1):
-        ci = series_C(i, u_ord)
-        b = exp_data["b"][i]
-        cc = exp_data["cc"][i]
-        for m in range(u_ord + 1):
-            val = Fraction(0)
-            if m == i - 1:
-                val += b.get(i - 1, Fraction(0))
-            k = m - i
-            if k >= 0:
-                val -= cc.get(k, {}).get(k + i, Fraction(0))
-            if (2 ** i) * val != ci.coefficient(t=m):
-                ext_ok = False
+        ci, di = series_C(i, u_ord), exp_data["delta"][i]
+        ext_ok &= all(2 ** i * di.coefficient(u=m, y=m) == ci.coefficient(t=m)
+                      for m in range(u_ord + 1))
     check("delta-extremal-gives-C", ext_ok, f"i <= {i_max}, order t^{u_ord}")
 
     # 4. coefficient-comparison lemma on random Laurent polynomials

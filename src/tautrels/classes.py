@@ -35,9 +35,12 @@ never share a point, so it writes each term's blocks side by side.
 points once, by a closed rule (:func:`_forget_block`), however many
 points it forgets, and ``chern_neg_Bd`` places its output blocks
 directly, each with its count of pick configurations
-(:func:`_pick_counts`).  :func:`normal_form`, the
-public word API, is the only code that reads a raw word; class files are
-checked against the stored rules themselves (:func:`_check_stored`).
+(:func:`_pick_counts`).  ``multiply_smooth``, ``pushforward_forget_small``
+and the extraction of a decorated series sum integer numerators over one
+denominator (:func:`tautrels.series.numerators`) and build their class once,
+with :func:`_from_numerators`.  :func:`normal_form`, the public word API, is
+the only code that reads a raw word; class files are checked against the
+stored rules themselves (:func:`_check_stored`).
 """
 
 from __future__ import annotations
@@ -45,10 +48,11 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .graphs import (PreconditionError, StableGraph, WeightData, check_stable,
                      json_int, json_int_text, smooth_graph)
+from .series import numerators
 
 __all__ = [
     "TautClass",
@@ -187,17 +191,18 @@ def _vertex_product(vd1: tuple, vd2: tuple, weights: WeightData) -> tuple | None
     return kappa, tuple(sorted(blocks))
 
 
-def _numerators(terms: dict) -> tuple:
-    """``(den, [(key, numerator), ...])``: every coefficient of ``terms`` as
-    an integer over ``den``, the lcm of their denominators."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return den, [(key, c.numerator * (den // c.denominator))
-                 for key, c in terms.items()]
+def _add_into(terms: dict, key: tuple, coeff: Fraction) -> None:
+    """Add ``coeff`` at ``key`` of ``terms``, dropping the key at zero."""
+    new = terms.get(key, 0) + coeff
+    if new:
+        terms[key] = new
+    else:
+        terms.pop(key, None)
 
 
 def _from_numerators(genus: int, weights: WeightData, acc: dict,
                      den: int) -> TautClass:
-    """The class with coefficient ``acc[key] / den`` at each key."""
+    """The class with coefficient ``acc[key] / den`` at each canonical key."""
     return TautClass(genus, weights,
                      {key: Fraction(v, den) for key, v in acc.items() if v})
 
@@ -314,14 +319,8 @@ class TautClass:
 
     def add_term(self, graph: StableGraph, decor: tuple, coeff) -> None:
         coeff = Fraction(coeff)
-        if coeff == 0:
-            return
-        key = canonical_term(graph, decor)
-        new = self.terms.get(key, Fraction(0)) + coeff
-        if new == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
+        if coeff:
+            _add_into(self.terms, canonical_term(graph, decor), coeff)
 
     # -- ring-ish operations ------------------------------------------------
 
@@ -329,11 +328,7 @@ class TautClass:
         self._check_compatible(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            new = out.get(key, Fraction(0)) + c
-            if new == 0:
-                out.pop(key, None)
-            else:
-                out[key] = new
+            _add_into(out, key, c)
         return TautClass(self.genus, self.weights, out)
 
     def __sub__(self, other: "TautClass") -> "TautClass":
@@ -408,6 +403,7 @@ class TautClass:
             for a, b in data["weights"]
         )
         out = cls(json_int(data["genus"], "genus"), weights)
+        check_stable(out.genus, weights)
         for row in data["terms"]:
             graph = StableGraph.from_dict(row["graph"])
             graph.validate(weights, out.genus)
@@ -499,12 +495,12 @@ def multiply_smooth(c1: TautClass, c2: TautClass) -> TautClass:
     if any(key[2] for c in (c1, c2) for key in c.terms):
         raise ValueError("multiply_smooth needs edge-free terms")
     weights = c1.weights
-    den1, left = _numerators(c1.terms)
-    den2, right = _numerators(c2.terms)
-    right = [(decor2[0], b) for (_, _, _, decor2), b in right]
+    den1, left = numerators(c1.terms)
+    den2, right = numerators(c2.terms)
+    right = [(decor2[0], b) for (_, _, _, decor2), b in right.items()]
     acc: dict = {}
     get = acc.get
-    for (genera, legs, edges, (vd1,)), a in left:
+    for (genera, legs, edges, (vd1,)), a in left.items():
         for vd2, b in right:
             vd = _vertex_product(vd1, vd2, weights)
             if vd is not None:
@@ -564,7 +560,7 @@ def pushforward_forget_small(c: TautClass, count: int = 1) -> TautClass:
     numerators over one denominator and relabelled once, and every input
     graph without the forgotten legs is validated against the final
     weights, even if its terms die.  Heavy markings raise
-    (:func:`_check_light`).
+    (:func:`_check_light`), and so does a target space that does not exist.
     """
     if not 0 <= count <= c.weights.n:
         raise PreconditionError("0 <= count <= n",
@@ -572,11 +568,12 @@ def pushforward_forget_small(c: TautClass, count: int = 1) -> TautClass:
     _check_light(c.weights, count)
     n = c.weights.n - count
     weights = WeightData(c.weights.weights[:n])
-    den, nums = _numerators(c.terms)
+    check_stable(c.genus, weights)
+    den, nums = numerators(c.terms)
     acc: dict = {}
     valid: dict = {}  # (genera, legs, edges): its validated graph
     rules: dict = {}  # (block, g(v)): _forget_block(block, n, g(v))
-    for (genera, legs, edges, decor), num in nums:
+    for (genera, legs, edges, decor), num in nums.items():
         shape = (genera, legs[:n], edges)
         if (graph := valid.get(shape)) is None:
             graph = valid[shape] = StableGraph(*shape)
@@ -761,6 +758,7 @@ def pushforward_forget_weight1(c: TautClass, marking: int) -> TautClass:
                 vd = _vertex_product(base, single[1], weights)
                 out.add_term(graph, decor[:v_home] + (vd,)
                              + decor[v_home + 1:], coeff * single[0])
+    check_stable(c.genus, weights)  # after the terms' out-of-scope errors
     return out
 
 
@@ -885,9 +883,8 @@ def matrix_rank(rows: list) -> int:
         return 0
     mat = []
     for row in rows:
-        row = [Fraction(x) for x in row]
-        denom = lcm(*(x.denominator for x in row))
-        mat.append([x.numerator * (denom // x.denominator) for x in row])
+        nums = numerators(dict(enumerate(row)))[1]
+        mat.append([nums.get(j, 0) for j in range(len(row))])
     m, n = len(mat), len(mat[0]) if mat else 0
     rank = 0
     prev = 1

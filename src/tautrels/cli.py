@@ -46,6 +46,7 @@ from .relations import (
     verify_chain,
 )
 from .serialize import dumps, series_to_dict
+from .series import numerators
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -126,15 +127,11 @@ def _write_payload(payload: dict, out: str | None) -> None:
 def _primitive_scale(rel: TautClass) -> TautClass:
     """Clear denominators and divide by the content, keeping the sign of
     the lexicographically first stored coefficient."""
-    coeffs = [rel.terms[key] for key in sorted(rel.terms)]
-    if not coeffs:
+    if not rel.terms:
         return rel
-    mult = math.lcm(*(c.denominator for c in coeffs))
-    content = math.gcd(*(abs(c.numerator * mult // c.denominator) for c in coeffs))
-    scale = Fraction(mult, content)
-    if coeffs[0] < 0:
-        scale = -scale
-    return rel.scale(scale)
+    den, nums = numerators(rel.terms)
+    scale = Fraction(den, math.gcd(*nums.values()))
+    return rel.scale(scale if nums[min(nums)] > 0 else -scale)
 
 
 def _given(**values) -> dict:
@@ -168,8 +165,7 @@ _CONSTRUCTIONS = {
     "fz": (("--subset", "--sigma"), lambda args: fz_relation(
         args.genus, args.weights, args.codim, args.subset)),
     "open-fz": (("--subset",), lambda args: open_fz_relation(
-        args.genus, args.weights.n, args.codim, args.subset,
-        weights=args.weights)),
+        args.genus, args.weights, args.codim, args.subset)),
     "open-sq": (_SQ_FLAGS, lambda args: _sq(open_sq_relation, args)),
     "boundary-sq": (_SQ_FLAGS, lambda args: _sq(boundary_sq_relation, args)),
     "extended": (("--subset", "--sigma"), lambda args: extended_fz_relation(

@@ -36,6 +36,7 @@ from .catalog import (
 from .classes import (
     TautClass,
     _factor_decor,
+    _from_numerators,
     _vertex_product,
     chern_neg_Bd,
     multiply_generator,
@@ -335,18 +336,16 @@ class DecoratedSeries:
     def extract(self, **powers: int) -> TautClass:
         """The class on the smooth graph at the exponents ``powers`` (0
         for a variable not named); zero outside the ring's window."""
-        out = TautClass(self.genus, self.weights)
         ring = self.ring
         exps = ring.exponents(**powers)
-        if any(not 0 <= e < s.trunc_order for e, s in zip(exps, ring.specs)):
-            return out
-        [(key, _)] = ring._packed([(exps, 1)])
-        graph = smooth_graph(self.genus, self.weights.n)
-        for vd, row in self.rows.items():
-            c = row.get(key)
-            if c:
-                out.add_term(graph, (vd,), Fraction(c, self.den))
-        return out
+        acc = {}
+        if all(0 <= e < s.trunc_order for e, s in zip(exps, ring.specs)):
+            [(key, _)] = ring._packed([(exps, 1)])
+            graph = smooth_graph(self.genus, self.weights.n)
+            shape = graph.genera, graph.legs, graph.edges  # canonical as is
+            acc = {shape + ((vd,),): row.get(key, 0)
+                   for vd, row in self.rows.items()}
+        return _from_numerators(self.genus, self.weights, acc, self.den)
 
 
 # ---------------------------------------------------------------------------
@@ -561,26 +560,20 @@ def _fz_vertex_factor(ring: Ring, genus: int, weights: WeightData,
     return ds.scale(zeta ** (genus + 1 + len(s_v)))
 
 
-def open_fz_relation(g: int, n: int, r: int, S: tuple = (),
-                     weights: WeightData | None = None,
+def open_fz_relation(g: int, weights: WeightData, r: int, S: tuple = (),
                      enforce: bool = True) -> TautClass:
     """FZ-form relation ``[exp(-{log A}_kappa) sum_P prod {C_|b|}_{D_b}]_{t^r}``:
     the smooth-graph term of :func:`fz_relation` at colour ``zeta = 1``."""
     if g < 0:
         raise PreconditionError("genus >= 0", f"genus={g}")
     S = tuple(sorted(S))
-    _check_subset(S, n)
-    if weights is None:
-        weights = WeightData(tuple(Fraction(1, 2 * n + 2) for _ in range(n)))
-    elif weights.n != n:
-        raise PreconditionError("len(weights) == n",
-                                f"len(weights)={weights.n}, n={n}")
+    _check_subset(S, weights.n)
     if enforce:
         _check_fz_range(g, r, S)
         check_stable(g, weights)
     ring = Ring([VarSpec("t", 0, r + 1)])
-    return _fz_vertex_factor(ring, g, weights, tuple(range(1, n + 1)), 1,
-                             S).extract(t=r)
+    return _fz_vertex_factor(ring, g, weights, tuple(range(1, weights.n + 1)),
+                             1, S).extract(t=r)
 
 
 # ---------------------------------------------------------------------------
@@ -901,13 +894,10 @@ def verify_chain(g: int, r: int) -> list:
         e = Fraction(r + 2 * d - 1 - g, 2)
         pref = (y_ring.one() + y_ring.var("y") * 4).pow_fraction(e)
         right = TautClass(g, w0)
-        for (exps,), coeff in pref.terms():
-            m = exps
-            if m > d:
-                continue
-            right = right + rhs.extract(u=r, y=d - m).scale(
-                coeff * (-1) ** d
-            )
+        for (m,), coeff in pref.terms():
+            if m <= d:
+                right = right + rhs.extract(u=r, y=d - m).scale(
+                    coeff * (-1) ** d)
         ok = left == right
         all_i = all_i and ok
         if not ok:
@@ -919,15 +909,10 @@ def verify_chain(g: int, r: int) -> list:
         "; ".join(detail_i) if detail_i else f"d=0..{r} at t^{r}",
     ))
 
-    tri = all(
-        j <= k
-        for k, row in uy["c"].items()
-        for j, cval in row.items()
-        if cval
-    )
+    tri = all(j <= k for k, j in uy["c_series"].nums)
     report.append(("triangularity of the transformed exponent", tri, ""))
 
-    fz = open_fz_relation(g, 0, r, (), weights=w0, enforce=False)
+    fz = open_fz_relation(g, w0, r, enforce=False)
     report.append((
         "extremal part equals the FZ form",
         rhs.extract(u=r, y=r) == fz,

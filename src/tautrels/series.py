@@ -14,12 +14,13 @@ coefficients are read-only views (``coeffs``, ``terms()``,
 ``coefficient()``, ``constant_term()``), built on each read; fractions
 enter only as scalars, through ``Series(ring, coeffs)`` (or its alias
 :meth:`Ring.series`), which checks every exponent tuple against the window,
-and the scalar operands of the arithmetic.  All arithmetic is exact:
-products drop exponents at or above a variable's truncation order (which is
-sound, because exponents only ever increase under multiplication by
-ordinary terms), while any operation that would push an exponent *below* a
-variable's floor raises :class:`FloorUnderflow` rather than silently losing
-information.
+and the scalar operands of the arithmetic.  :func:`numerators` is the
+library's one converter from int and ``Fraction`` values to this form.
+All arithmetic is exact: products drop exponents at or above a variable's
+truncation order (which is sound, because exponents only ever increase
+under multiplication by ordinary terms), while any operation that would
+push an exponent *below* a variable's floor raises :class:`FloorUnderflow`
+rather than silently losing information.
 
 Every operation runs on the numerators.  A sum brings both operands over
 the lcm of their denominators; a product multiplies the denominators.  For
@@ -282,6 +283,20 @@ class Ring:
         return Series(self, terms)
 
 
+def numerators(coeffs: Mapping) -> tuple:
+    """``(den, nums)``: each nonzero value of ``coeffs``, an int or a
+    ``Fraction``, as the int ``nums[key]`` over ``den``, the lcm of their
+    denominators, so ``gcd(den, *nums.values()) == 1``; no ``Fraction``
+    is built.
+
+    >>> numerators({"a": Fraction(1, 6), "b": 0, "c": -1})
+    (6, {'a': 1, 'c': -6})
+    """
+    den = lcm(*(c.denominator for c in coeffs.values()))  # a zero's is 1
+    return den, {key: num for key, c in coeffs.items()
+                 if (num := c.numerator * (den // c.denominator))}
+
+
 class Series:
     """A sparse truncated Laurent series ``nums / den``; treat instances as
     immutable."""
@@ -293,14 +308,10 @@ class Series:
         each exponent tuple of ``coeffs``; zero coefficients are dropped.  A
         nonzero one at a tuple outside the ring's window, or of another
         length than :attr:`Ring.nvars`, raises :class:`WindowError`."""
-        coeffs = {e: Fraction(c) for e, c in coeffs.items() if c}
-        for e in coeffs:
+        den, nums = numerators(coeffs)
+        for e in nums:
             ring._check_window(e)
-        den = lcm(*(c.denominator for c in coeffs.values()))
-        self.ring = ring
-        self.den = den
-        self.nums = {e: c.numerator * (den // c.denominator)
-                     for e, c in coeffs.items()}
+        self.ring, self.den, self.nums = ring, den, nums
 
     @classmethod
     def from_nums(cls, ring: Ring, den: int, nums: dict) -> "Series":

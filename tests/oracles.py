@@ -452,7 +452,7 @@ def divisor_exp_check(
 
 @lru_cache(maxsize=None)
 def edge_series_uy(z1: int, z2: int, u_order: int, y_order: int) -> Series:
-    """The (u, y)-chart edge series (kind 5), from the triangular c-table
+    """The (u, y)-chart edge series (kind 5), from the triangular c_series
     and delta_1."""
 
     def build(work: int) -> tuple:

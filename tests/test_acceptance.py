@@ -100,22 +100,20 @@ def test_01_series_identity_suite():
 def test_02_extremal_coefficient_theorems():
     with Timer(30):
         data = uy_expansion(5, 12, 12)
+        assert set(data) == {"ring", "c_series", "delta"}
+        c = data["c_series"]
         log_a = hyper_A(12).log()
         for k in range(1, 13):
-            assert data["c"].get(k, {}).get(k, Fraction(0)) == \
-                log_a.coefficient(t=k)
+            assert c.coefficient(u=k, y=k) == log_a.coefficient(t=k)
+        # delta_i's diagonal is b_{i,i-1} at u^{i-1} and -c_{i,m-i,m} at
+        # u^m for m >= i; below u^{i-1} delta_i has no terms
         for i in range(1, 6):
             ci = series_C(i, 12)
-            b = data["b"][i]
-            cc = data["cc"][i]
+            d_i = data["delta"][i]
+            assert min(k for k, _ in d_i.nums) >= i - 1
             for m in range(13):
-                value = Fraction(0)
-                if m == i - 1:
-                    value += b.get(i - 1, Fraction(0))
-                k = m - i
-                if k >= 0:
-                    value -= cc.get(k, {}).get(k + i, Fraction(0))
-                assert (2 ** i) * value == ci.coefficient(t=m), (i, m)
+                assert 2 ** i * d_i.coefficient(u=m, y=m) == \
+                    ci.coefficient(t=m), (i, m)
 
 
 def test_03_coefficient_comparison_lemma():
@@ -215,7 +213,7 @@ def test_07_chain_closure():
         for name, ok, detail in verify_chain(g, r):
             assert ok, (g, r, name, detail)
     # the (3, 2) relation is the classical two-generator combination
-    rel = open_fz_relation(3, 0, 2)
+    rel = open_fz_relation(3, W0, 2)
     smooth = StableGraph((3,), (), ())
     expected = TautClass(3, W0)
     oracle_add_words(expected, smooth, [[("kappa", 1), ("kappa", 1)]],
@@ -240,7 +238,7 @@ def test_08_boundary_consistency():
                 n = len(S)
                 w = WeightData(tuple(Fraction(1, 8) for _ in range(n)))
                 zero_edge = max_edges_part(fz_relation(g, w, r, S), 0)
-                open_form = open_fz_relation(g, n, r, S, weights=w)
+                open_form = open_fz_relation(g, w, r, S)
                 assert zero_edge == open_form.scale(2), (g, r, S)
 
     # weight-reduction naturality on ten seeded weight pairs

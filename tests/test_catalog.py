@@ -223,15 +223,13 @@ def test_phi_prime_strips_only_pole_layer():
 
 
 def test_uy_triangularity_and_diagonal():
-    exp_data = uy_expansion(3, 8, 8)
-    c = exp_data["c"]
-    assert 0 not in c  # no k = 0 layer
-    for k, row in c.items():
-        for j in row:
-            assert j <= k
+    c = uy_expansion(3, 8, 8)["c_series"]
+    assert c.nums
+    for k, j in c.nums:
+        assert 1 <= k and j <= k  # no k = 0 layer
     la = hyper_A(8).log()
     for k in range(1, 9):
-        assert c.get(k, {}).get(k, F(0)) == la.coefficient(t=k)
+        assert c.coefficient(u=k, y=k) == la.coefficient(t=k)
 
 
 def test_delta_i_shifted_triangularity():
@@ -254,17 +252,14 @@ def test_delta_i_dual_route():
 
 
 def test_extremal_coefficients_give_C():
+    # the stripes b_{i,i-1} (u^{i-1}) and -c_{i,m-i,m} (u^m, m >= i) are
+    # the diagonal of delta_i, which has no u-degree below i - 1
     exp_data = uy_expansion(5, 12, 12)
     for i in range(1, 6):
         ci = series_C(i, 12)
-        b, cc = exp_data["b"][i], exp_data["cc"][i]
+        d_i = exp_data["delta"][i]
         for m in range(13):
-            stripe = F(0)
-            if m == i - 1:
-                stripe += b.get(i - 1, F(0))
-            if m - i >= 0:
-                stripe -= cc.get(m - i, {}).get(m, F(0))
-            assert (2 ** i) * stripe == ci.coefficient(t=m)
+            assert 2 ** i * d_i.coefficient(u=m, y=m) == ci.coefficient(t=m)
 
 
 def test_uy_coefficient_lemma_random():

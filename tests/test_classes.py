@@ -1118,6 +1118,11 @@ def test_pushforward_forget_small_matches_word_oracle(data):
         with pytest.raises(PreconditionError, match="w_n <= 1"):
             pushforward_forget_small(c, count)
         return
+    if 2 * genus - 2 + sum(weights.weights[:weights.n - count]) <= 0:
+        # the space the markings are forgotten down to does not exist
+        with pytest.raises(PreconditionError, match=r"2g-2\+sum\(w\) > 0"):
+            pushforward_forget_small(c, count)
+        return
     assert (_outcome(pushforward_forget_small, c, count)
             == _outcome(oracle_pushforward_forget_small, c, count))
 
@@ -1167,10 +1172,10 @@ def test_heavy_merged_diagonal_vanishes():
 
 
 def test_pushforward_forget_small_rejects_unstable_even_if_zero():
-    # forgetting the light point leaves a genus-0 vertex of weight 2
+    # forgetting the light point leaves genus 0 and weight 2: no space
     w = WeightData((Fraction(2, 3),) * 3 + (Fraction(1, 1000),))
     one = TautClass.one(0, w)  # no block holds the point: every term dies
-    with pytest.raises(ValueError, match="unstable"):
+    with pytest.raises(PreconditionError, match=r"2g-2\+sum\(w\) > 0"):
         pushforward_forget_small(one)
 
 

@@ -522,6 +522,21 @@ CLASS_FILES.update({
 CLASS_FILES["batch_zero_den.json"] = [CLASS_FILES["zero_den.json"]]
 CLASS_FILES["batch_zero_weight_den.json"] = [
     CLASS_FILES["zero_weight_den.json"]]
+# classes on spaces that do not exist, and push-forwards onto such a space:
+# psi_1 and nothing on M_{1,(1/10)}, nothing on M_{0,(1,1,1)}
+PSI_GENUS1 = _with(_with(ONE_POINT, ("genus",), 1),
+                   TERM + ("graph", "vertices"), [1])
+CLASS_FILES.update({
+    "negative_genus.json": {"genus": -1, "weights": [], "terms": []},
+    "half_point_genus0.json": {"genus": 0, "weights": [["1", "2"]],
+                               "terms": []},
+    "batch_genus0.json": {"relations": [
+        {"genus": 0, "weights": [], "terms": []}]},
+    "psi_genus1.json": PSI_GENUS1,
+    "empty_genus1.json": _with(PSI_GENUS1, ("terms",), []),
+    "empty_three_ones.json": {"genus": 0, "weights": [["1", "1"]] * 3,
+                              "terms": []},
+})
 
 
 class TestInvalidInput:
@@ -730,6 +745,19 @@ class TestInvalidInput:
           "--sigma", "4"),
          "3(r-k) >= g+1+|S|+m violated: r=1, g=2, |S|=0, sigma=4, "
          "k=sum floor(sigma_i/3)=1, m=#(sigma_i = 1 mod 3)=1"),
+        (("classes", "normal-form", "--in", "negative_genus.json"),
+         "genus >= 0 violated: genus=-1"),
+        (("classes", "normal-form", "--in", "half_point_genus0.json"),
+         "2g-2+sum(w) > 0 violated: g=0, weights=1/2"),
+        (("rank", "--batch", "batch_genus0.json"),
+         "2g-2+sum(w) > 0 violated: g=0, weights=()"),
+        (("classes", "pushforward", "--in", "psi_genus1.json"),
+         "2g-2+sum(w) > 0 violated: g=1, weights=()"),
+        (("classes", "pushforward", "--in", "empty_genus1.json"),
+         "2g-2+sum(w) > 0 violated: g=1, weights=()"),
+        (("classes", "pushforward", "--in", "empty_three_ones.json",
+          "--forget-weight1", "3"),
+         "2g-2+sum(w) > 0 violated: g=0, weights=1,1"),
     ])
     def test_exit_2_names_condition(self, capsys, tmp_path, monkeypatch,
                                     argv, condition):

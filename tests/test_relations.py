@@ -547,7 +547,7 @@ def test_label_decor_is_the_folded_decor_product():
 
 class TestOpenFZ:
     def test_genus3_codim2_value(self):
-        rel = open_fz_relation(3, 0, 2)
+        rel = open_fz_relation(3, W0, 2)
         expected = kappa_class(3, W0, 1, 1).scale(Fraction(25, 72)) + kappa_class(
             3, W0, 2
         ).scale(-5)
@@ -555,28 +555,22 @@ class TestOpenFZ:
 
     def test_inequality_enforced(self):
         with pytest.raises(PreconditionError, match=r"3r >= g\+1\+\|S\|"):
-            open_fz_relation(7, 0, 2)
+            open_fz_relation(7, W0, 2)
 
     def test_parity_enforced(self):
         with pytest.raises(PreconditionError, match=r"g-1\+r\+\|S\| even"):
-            open_fz_relation(3, 0, 3)
+            open_fz_relation(3, W0, 3)
 
     def test_marked_relation_is_homogeneous(self):
         w = WeightData((Fraction(1, 6), Fraction(1, 6)))
-        rel = open_fz_relation(3, 2, 2, (1, 2), weights=w)
+        rel = open_fz_relation(3, w, 2, (1, 2))
         assert not rel.is_zero
         assert rel.codims() == {2}
 
     def test_unenforced_call_allows_extremal_probe(self):
         # used by the evaluation chain; should not raise
-        rel = open_fz_relation(3, 0, 3, enforce=False)
+        rel = open_fz_relation(3, W0, 3, enforce=False)
         assert rel.codims() <= {3}
-
-    @pytest.mark.parametrize("enforce", [True, False])
-    def test_weights_of_another_length_rejected(self, enforce):
-        w = WeightData((Fraction(1, 2),))
-        with pytest.raises(PreconditionError, match=r"len\(weights\) == n"):
-            open_fz_relation(2, 3, 3, (), weights=w, enforce=enforce)
 
     @pytest.mark.parametrize("g, n, r", [(4, 3, 4), (2, 4, 3)])
     def test_each_block_bracket_built_once(self, g, n, r):
@@ -588,7 +582,8 @@ class TestOpenFZ:
                                wraps=relations.bracket_D) as spy, \
                 mock.patch.object(relations, "series_C",
                                   wraps=relations.series_C) as sizes:
-            rel = open_fz_relation(g, n, r, S)
+            rel = open_fz_relation(
+                g, WeightData((Fraction(1, 2 * n + 2),) * n), r, S)
         assert not rel.is_zero
         assert spy.call_count == 2 ** len(S) - 1
         assert len({call.args[2] for call in spy.call_args_list}) == (
@@ -656,7 +651,7 @@ class TestFZ:
                            (3, 2, 2, (1, 2))]:
             w = WeightData(tuple(Fraction(1, 8) for _ in range(n)))
             part = max_edges_part(fz_relation(g, w, r, S), 0)
-            open_part = open_fz_relation(g, n, r, S, weights=w)
+            open_part = open_fz_relation(g, w, r, S)
             assert part == open_part.scale(2), (g, n, r, S)
 
     def test_parity_enforced(self):
@@ -917,7 +912,7 @@ def test_constructions_leave_module_containers_unchanged():
     w = WeightData((Fraction(1, 7), Fraction(1, 9)))
     before = _module_container_sizes()
     assert not fz_relation(2, w, 2, (1,)).is_zero
-    rel = open_fz_relation(3, 2, 2, (1, 2), weights=w)
+    rel = open_fz_relation(3, w, 2, (1, 2))
     assert not rel.is_zero
     pushforward_forget_small(rel, 2)
     assert _module_container_sizes() == before

@@ -19,6 +19,7 @@ from tautrels.series import (
     VarSpec,
     WindowError,
     embed,
+    numerators,
 )
 from tautrels.serialize import series_from_dict, series_to_dict
 
@@ -836,6 +837,26 @@ def assert_canonical(s):
     again = s.ring.series(s.coeffs)
     assert again == s and hash(again) == hash(s)
     assert (again.den, again.nums) == (s.den, s.nums)
+
+
+def test_numerators_mixed_ints_and_fractions():
+    assert numerators({}) == (1, {})
+    assert numerators({"z": 0, "f": F(0)}) == (1, {})
+    coeffs = {"a": F(1, 6), "b": 0, "c": -1, "d": F(0), "e": F(3, 4)}
+    assert numerators(coeffs) == (12, {"a": 2, "c": -12, "e": 9})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 9),
+                       st.one_of(st.integers(-30, 30), fractions)))
+def test_numerators_over_the_lcm(coeffs):
+    den, nums = numerators(coeffs)
+    kept = {k: F(c) for k, c in coeffs.items() if c}
+    assert type(den) is int
+    assert den == math.lcm(*(c.denominator for c in kept.values()))
+    assert all(type(v) is int and v for v in nums.values())
+    assert {k: F(v, den) for k, v in nums.items()} == kept
+    assert math.gcd(den, *nums.values()) == 1
 
 
 @settings(max_examples=200, deadline=None)
