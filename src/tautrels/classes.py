@@ -31,9 +31,10 @@ series of ``relations`` live on one vertex: their products multiply
 vertex decorations with :func:`_vertex_product` directly.  The graph sum
 of ``relations`` does not multiply the decorations of its factors: they
 never share a point, so it writes each term's blocks side by side.
-``pushforward_forget_small`` rewrites each block that loses forgotten
-points once, by a closed rule (:func:`_forget_block`), however many
-points it forgets, and ``chern_neg_Bd`` places its output blocks
+``pushforward_forget`` sends each forgotten marking to the rule its
+weight fixes; ``pushforward_forget_small`` rewrites each block that loses
+forgotten points once, by a closed rule (:func:`_forget_block`), however
+many points it forgets, and ``chern_neg_Bd`` places its output blocks
 directly, each with its count of pick configurations
 (:func:`_pick_counts`).  ``multiply_smooth``, ``pushforward_forget_small``
 and the extraction of a decorated series sum integer numerators over one
@@ -46,12 +47,12 @@ stored rules themselves (:func:`_check_stored`).
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from math import comb
 
 from .graphs import (PreconditionError, StableGraph, WeightData, check_stable,
                      json_int, json_int_text, smooth_graph)
+from .serialize import dumps
 from .series import numerators
 
 __all__ = [
@@ -60,6 +61,7 @@ __all__ = [
     "canonical_term",
     "multiply_generator",
     "multiply_smooth",
+    "pushforward_forget",
     "pushforward_forget_small",
     "pushforward_forget_weight1",
     "chern_neg_Bd",
@@ -423,7 +425,7 @@ class TautClass:
         return out
 
     def dumps(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return dumps(self.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +652,10 @@ def _forget_contract(out: TautClass, genera: tuple, legs: tuple,
     and exactly two other special points: its moduli factor is a single
     point, the forgetful map restricts to an isomorphism of strata, and
     the vertex is contracted away (two half-edges: the incident edges
-    merge; one half-edge and a leg: the leg moves to the neighbour).
-    Returns False when the configuration is out of scope.
+    merge; one half-edge and a leg: the leg moves to the neighbour).  The
+    vertex has a neighbour: alone it would be the whole curve, and the
+    target space of two points in genus zero does not exist.  Returns
+    False when the configuration is out of scope.
     """
     g0 = StableGraph(genera, legs, edges)
     if genera[v] != 0:
@@ -663,8 +667,6 @@ def _forget_contract(out: TautClass, genera: tuple, legs: tuple,
     kappa_v, blocks_v = decor[v]
     if kappa_v or blocks_v:
         return True  # positive-degree classes vanish on the point factor
-    if not hes_v:
-        return False  # a lone three-pointed component has no neighbour
     if len(hes_v) == 2 and hes_v[0][0] == hes_v[1][0]:
         return False  # a loop component only occurs at genus one
     e, s = hes_v[0]
@@ -690,8 +692,8 @@ def _forget_contract(out: TautClass, genera: tuple, legs: tuple,
     return True
 
 
-def pushforward_forget_weight1(c: TautClass, marking: int) -> TautClass:
-    """Forget a weight-one marking (must be the last one).
+def pushforward_forget_weight1(c: TautClass) -> TautClass:
+    """Forget the last marking, of weight one.
 
     Diagonals involving a weight-one point vanish outright, so the
     comparison corrections between psi classes upstairs and downstairs are
@@ -699,15 +701,15 @@ def pushforward_forget_weight1(c: TautClass, marking: int) -> TautClass:
     expanded vertex-locally in the untwisted kappa classes:
     ``kappa~_j = kappa_j + sum_legs psi^j + sum_half-edges psi^j`` with the
     ``j = 0`` case the scalar ``2 g(v) - 2 + (number of other legs and
-    half-edges at the vertex)``.
+    half-edges at the vertex)``.  A target space that does not exist
+    raises before any term is read.
     """
-    if marking != c.weights.n or marking < 1:
-        raise PreconditionError("marking = n",
-                                f"marking={marking}, n={c.weights.n}")
-    if c.weights.weight(marking) != 1:
-        raise PreconditionError(
-            "w_n = 1", f"w_{marking}={c.weights.weight(marking)}")
+    marking = c.weights.n
+    if c.weights.weights[-1:] != (1,):
+        raise PreconditionError("w_n = 1", "weights=" + (
+            ",".join(map(str, c.weights.weights)) or "()"))
     weights = WeightData(c.weights.weights[:-1])
+    check_stable(c.genus, weights)
     out = TautClass(c.genus, weights)
     point = ("m", marking)
     graphs: dict = {}  # (genera, legs, edges): (graph, its ValueError)
@@ -758,8 +760,32 @@ def pushforward_forget_weight1(c: TautClass, marking: int) -> TautClass:
                 vd = _vertex_product(base, single[1], weights)
                 out.add_term(graph, decor[:v_home] + (vd,)
                              + decor[v_home + 1:], coeff * single[0])
-    check_stable(c.genus, weights)  # after the terms' out-of-scope errors
     return out
+
+
+def pushforward_forget(c: TautClass, count: int = 1) -> TautClass:
+    """Forget the last ``count`` markings, last one first, each by the rule
+    its weight fixes: a weight-one marking by
+    :func:`pushforward_forget_weight1`, a run of other markings, which
+    must be light, in one pass of :func:`pushforward_forget_small`.  The
+    count and the final target space, and with it every space on the way,
+    are checked before any term is read."""
+    weights = c.weights.weights
+    n = len(weights)
+    if not 0 <= count <= n:
+        raise PreconditionError("0 <= count <= n", f"count={count}, n={n}")
+    stop = n - count
+    check_stable(c.genus, WeightData(weights[:stop]))
+    while n > stop:
+        if weights[n - 1] == 1:
+            c = pushforward_forget_weight1(c)
+            n -= 1
+        else:
+            top = n
+            while n > stop and weights[n - 1] != 1:
+                n -= 1
+            c = pushforward_forget_small(c, top - n)
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,7 @@ from .catalog import (
 from .classes import (
     TautClass,
     matrix_rank,
-    pushforward_forget_small,
-    pushforward_forget_weight1,
+    pushforward_forget,
     to_vector,
 )
 from .graphs import (
@@ -350,14 +349,7 @@ def cmd_classes_normal_form(args, log: Logger) -> int:
 
 
 def cmd_classes_pushforward(args, log: Logger) -> int:
-    if args.forget is not None and args.forget_weight1 is not None:
-        raise UsageError("--forget and --forget-weight1 are mutually exclusive")
-    c = _read_class(args.infile)
-    if args.forget_weight1 is not None:
-        c = pushforward_forget_weight1(c, args.forget_weight1)
-    else:
-        c = pushforward_forget_small(
-            c, 1 if args.forget is None else args.forget)
+    c = pushforward_forget(_read_class(args.infile), args.forget)
     _write_payload(c.to_dict(), args.out)
     log.event(command="classes pushforward", terms=len(c.terms))
     return EXIT_OK
@@ -433,11 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     nform.set_defaults(func=cmd_classes_normal_form)
     push = cl_sub.add_parser("pushforward")
     push.add_argument("--in", dest="infile", required=True)
-    push.add_argument("--forget", type=int, default=None,
-                      help="number of trailing light points to forget "
-                           "(default 1)")
-    push.add_argument("--forget-weight1", type=int, default=None,
-                      help="forget this weight-one marking instead")
+    push.add_argument("--forget", type=int, default=1,
+                      help="number of trailing points to forget, each by "
+                           "the rule its weight fixes (default 1)")
     push.add_argument("--out")
     push.set_defaults(func=cmd_classes_pushforward)
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, permutations, product
+from itertools import chain, permutations, product
 from math import lcm
 from typing import Iterable
 
@@ -122,34 +122,6 @@ class WeightData:
     def subset_weight(self, markings: Iterable[int]) -> Fraction:
         den, nums = self._scaled
         return Fraction(sum(nums[i - 1] for i in markings), den)
-
-    def is_generic(self) -> bool:
-        """No subset of two or more markings has weight exactly one."""
-        idx = range(1, self.n + 1)
-        for size in range(2, self.n + 1):
-            for s in combinations(idx, size):
-                if self.subset_weight(s) == 1:
-                    return False
-        return True
-
-    def perturbed(self) -> "WeightData":
-        """Scale non-unit weights down so all non-singleton subset sums of
-        weight exactly one become strictly smaller, without any subset sum
-        crossing one from below or above."""
-        sums = set()
-        idx = [i for i in range(1, self.n + 1)]
-        for size in range(1, self.n + 1):
-            for s in combinations(idx, size):
-                sums.add(self.subset_weight(s))
-        gaps = [abs(v - 1) for v in sums if v != 1]
-        margin = min(gaps, default=Fraction(1))
-        eps = margin / (2 * max(sum(1 for w in self.weights if w != 1), 1) + 2)
-        new = tuple(
-            w if w == 1 else w * (1 - eps / max(w, Fraction(1, 2)) / self.n)
-            for w in self.weights
-        )
-        out = WeightData(new)
-        return out if out.is_generic() else out.perturbed()
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,8 @@ from .classes import (
     chern_neg_Bd,
     multiply_generator,
     normal_form,
+    pushforward_forget,
     pushforward_forget_small,
-    pushforward_forget_weight1,
 )
 from .graphs import (
     PreconditionError,
@@ -746,12 +746,6 @@ def _graph_sum(g: int, weights: WeightData, graphs, r: int, ring_of,
     return total
 
 
-def _ensure_generic(weights: WeightData) -> WeightData:
-    if weights.is_generic():
-        return weights
-    return weights.perturbed()
-
-
 def fz_relation(g: int, weights: WeightData, r: int,
                 S: tuple = ()) -> TautClass:
     """FZ-type relation on the weighted space: graph-and-coloring sum.
@@ -765,7 +759,6 @@ def fz_relation(g: int, weights: WeightData, r: int,
     _check_subset(S, weights.n)
     _check_fz_range(g, r, S)
     check_stable(g, weights)
-    weights = _ensure_generic(weights)
     return _graph_sum(
         g, weights, enumerate_graphs(g, weights, r), r,
         lambda order: Ring([VarSpec("t", 0, order + 1)]),
@@ -808,7 +801,6 @@ def boundary_sq_relation(g: int, weights: WeightData, r: int, d: int,
             "r-|E| > g-2d-1+|a|", f"r={r}, g={g}, d={d}, |a|={a_total}"
         )
     check_stable(g, weights)
-    weights = _ensure_generic(weights)
     cap = min(r, r - (g - 2 * d - 1 + a_total) - 1)
     return _sq_graph_sum(g, weights, enumerate_graphs(g, weights, cap), r, d,
                          a, half_sign, pd_sign)
@@ -849,9 +841,7 @@ def extended_fz_relation(g: int, weights: WeightData, r: int,
     rel = fz_relation(g, inner_w, inner_r, inner_s)
     for i, part in enumerate(sigma, start=1):
         rel = multiply_generator(rel, ("psi", n + i, part // 3 + 1))
-    for i in range(ell, 0, -1):
-        rel = pushforward_forget_weight1(rel, n + i)
-    return rel
+    return pushforward_forget(rel, ell)
 
 
 # ---------------------------------------------------------------------------

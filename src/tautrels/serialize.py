@@ -47,5 +47,5 @@ def series_from_dict(d: dict) -> Series:
     return ring.series(terms)
 
 
-def dumps(obj: Any, **kw) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), **kw)
+def dumps(obj: Any) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))

@@ -349,7 +349,7 @@ GOLDEN_DIGESTS = {
     "boundary-sq g2 r3 d1 1/10 a=1 half-sign -1":
         "34b527e28b51f1a475a8b28750e993eea9f69c74ff681ce447fda456893abfc1",
     "boundary-sq g1 r2 1/2,1/2 a=1,0":
-        "e8961a51b7862949a3acccf3cf0cea7e78daa377cdbbf925e2bbfa8cdbcce15d",
+        "ce6df8bbabeb6de3cdf3e12d2bec10a689c392dc20fea5345b7fa16ab259e275",
     "boundary-sq g2 r3 d1 1/3":
         "b8cc196ad6c94e1b0c336a72399e70d2a236ff334e78237d342e215205ae017c",
     "fz g2 r3 1,1 S=1,2":

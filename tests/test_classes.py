@@ -20,6 +20,7 @@ from tautrels.classes import (
     multiply_generator,
     multiply_smooth,
     normal_form,
+    pushforward_forget,
     pushforward_forget_small,
     pushforward_forget_weight1,
     to_vector,
@@ -1201,7 +1202,7 @@ def test_pushforward_forget_small_rejects_a_heavy_point():
     # (pushforward_forget_weight1), not to the light-point kappa_1
     w = WeightData((Fraction(1), Fraction(1)))
     c = _smooth_class(2, w, (1, [("psi", 2, 2)]))
-    assert pushforward_forget_weight1(c, 2) == _smooth_class(
+    assert pushforward_forget_weight1(c) == _smooth_class(
         2, WeightData(w.weights[:1]), (1, [("kappa", 1)]), (1, [("psi", 1, 1)]))
     with pytest.raises(PreconditionError,
                        match=r"w\(S\) \+ w_n <= 1 whenever w\(S\) <= 1 "
@@ -1585,19 +1586,19 @@ class TestForgetWeightOne:
 
     def test_pure_point_dies(self):
         c = TautClass.one(2, self.wts(1))
-        assert pushforward_forget_weight1(c, 1).is_zero
+        assert pushforward_forget_weight1(c).is_zero
 
     def test_psi_power_gives_modified_kappa(self):
         c = TautClass(2, self.wts(1))
         oracle_add_words(c, smooth(2, 1), [[("psi", 1, 2)]], 1)
-        down = pushforward_forget_weight1(c, 1)
+        down = pushforward_forget_weight1(c)
         assert down == kappa_class(2, WeightData(()), 1)
 
     def test_psi_one_counts_euler_characteristic(self):
         w = WeightData((Fraction(1), Fraction(1)))
         c = TautClass(2, w)
         oracle_add_words(c, smooth(2, 2), [[("psi", 2, 1)]], 1)
-        down = pushforward_forget_weight1(c, 2)
+        down = pushforward_forget_weight1(c)
         # 2g - 2 + (number of remaining legs) = 2 + 1
         expected = TautClass.one(2, WeightData((Fraction(1),))).scale(3)
         assert down == expected
@@ -1606,7 +1607,7 @@ class TestForgetWeightOne:
         w = WeightData((Fraction(1), Fraction(1)))
         c = TautClass(2, w)
         oracle_add_words(c, smooth(2, 2), [[("psi", 2, 3)]], 1)
-        down = pushforward_forget_weight1(c, 2)
+        down = pushforward_forget_weight1(c)
         w1 = WeightData((Fraction(1),))
         expected = kappa_class(2, w1, 2)
         extra = TautClass(2, w1)
@@ -1618,7 +1619,7 @@ class TestForgetWeightOne:
         graph = StableGraph((1, 1), (0,), ((0, 1),))
         c = TautClass(2, w)
         oracle_add_words(c, graph, [[("psi", 1, 1)], []], 1)
-        down = pushforward_forget_weight1(c, 1)
+        down = pushforward_forget_weight1(c)
         # at vertex 0: 2 - 2 + one half-edge = 1
         w0 = WeightData(())
         expected = TautClass(2, w0)
@@ -1633,7 +1634,7 @@ class TestForgetWeightOne:
         graph = StableGraph((0, 2), (0,), ((0, 1), (0, 1)))
         c = TautClass(3, w)
         oracle_add_words(c, graph, [[], []], 1)
-        pushed = pushforward_forget_weight1(c, 1)
+        pushed = pushforward_forget_weight1(c)
         assert len(pushed.terms) == 1
         ((genera, legs, edges, decor),) = pushed.terms
         assert genera == (2,) and legs == () and edges == ((0, 0),)
@@ -1646,7 +1647,7 @@ class TestForgetWeightOne:
         graph = StableGraph((0, 2), (0,), ((0, 1), (0, 1)))
         c = TautClass(3, w)
         oracle_add_words(c, graph, [[("psi", 1, 1)], []], 1)
-        assert pushforward_forget_weight1(c, 1).is_zero
+        assert pushforward_forget_weight1(c).is_zero
 
     def test_contraction_moves_leg_to_neighbour(self):
         # one half-edge and a light leg: the leg moves to the attachment
@@ -1655,7 +1656,7 @@ class TestForgetWeightOne:
         graph = StableGraph((0, 2), (0, 0), ((0, 1),))
         c = TautClass(2, w)
         oracle_add_words(c, graph, [[], [("hpsi", (0, 1), 2)]], 1)
-        pushed = pushforward_forget_weight1(c, 2)
+        pushed = pushforward_forget_weight1(c)
         expected = TautClass(2, WeightData((Fraction(1, 10),)))
         oracle_add_words(
             expected, StableGraph((2,), (0,), ()), [[("psi", 1, 2)]], 1
@@ -1671,7 +1672,7 @@ class TestForgetWeightOne:
         oracle_add_words(
             c, graph, [[("hpsi", (0, 0), 1)], [], [("hpsi", (1, 1), 2)]], 3
         )
-        pushed = pushforward_forget_weight1(c, 1)
+        pushed = pushforward_forget_weight1(c)
         expected = TautClass(3, WeightData(()))
         oracle_add_words(
             expected, StableGraph((1, 1), (), ((0, 1),)),
@@ -1700,18 +1701,28 @@ class TestForgetWeightOne:
             single = TautClass(2, w)
             oracle_add_words(single, graph, words, coeff)
             oracle_add_words(c, graph, words, coeff)
-            expected = expected + pushforward_forget_weight1(single, 1)
+            expected = expected + pushforward_forget_weight1(single)
         assert len(c.terms) == len(terms)
-        pushed = pushforward_forget_weight1(c, 1)
+        pushed = pushforward_forget_weight1(c)
         assert pushed == expected
         assert len(pushed.terms) == 4
 
     def test_lone_three_pointed_component_flagged(self):
-        # forgetting a point of M_{0,3} leaves no component to contract
-        # into; this is out of scope, not an internal error
+        # forgetting a point of M_{0,(1,1,1)} leaves M_{0,(1,1)}, which
+        # does not exist: the target is checked before any term is read
         c = TautClass.one(0, self.wts(3))
-        with pytest.raises(NotImplementedError):
-            pushforward_forget_weight1(c, 3)
+        with pytest.raises(PreconditionError,
+                           match=r"2g-2\+sum\(w\) > 0 violated: g=0, "
+                                 r"weights=1,1"):
+            pushforward_forget_weight1(c)
+
+    @pytest.mark.parametrize("weights,text", [
+        ((Fraction(1), Fraction(1, 10)), "1,1/10"), ((), "()")])
+    def test_last_point_must_weigh_one(self, weights, text):
+        c = TautClass.one(2, WeightData(weights))
+        with pytest.raises(PreconditionError,
+                           match=re.escape(f"w_n = 1 violated: weights={text}")):
+            pushforward_forget_weight1(c)
 
     def test_destabilization_flagged(self):
         # a contracted component with moduli (two light legs) is out of
@@ -1721,7 +1732,39 @@ class TestForgetWeightOne:
         c = TautClass(2, w)
         oracle_add_words(c, graph, [[], []], 1)
         with pytest.raises(NotImplementedError):
-            pushforward_forget_weight1(c, 3)
+            pushforward_forget_weight1(c)
+
+
+class TestForget:
+    """``pushforward_forget`` picks each point's rule from its weight."""
+
+    w = WeightData((Fraction(1, 10), Fraction(1, 10), Fraction(1)))
+
+    def test_weight_one_point_then_a_light_run(self):
+        c = _smooth_class(2, self.w, (1, [("psi", 3, 3)]),
+                          (Fraction(1, 2), [("psi", 1, 1), ("psi", 3, 2)]))
+        once = pushforward_forget(c)
+        assert once == pushforward_forget_weight1(c)
+        assert not once.is_zero
+        assert pushforward_forget(c, 3) == pushforward_forget_small(once, 2)
+        assert pushforward_forget(c, 0) == c
+
+    def test_target_checked_before_any_term(self):
+        # the weight-one pass would raise on the term, whose genus-0
+        # vertex keeps two light legs; the genus-one target of no points
+        # does not exist, and that is named first
+        graph = StableGraph((0, 1), (0, 0, 0), ((0, 1),))
+        c = TautClass(1, self.w)
+        oracle_add_words(c, graph, [[], []], 1)
+        with pytest.raises(NotImplementedError):
+            pushforward_forget(c)
+        with pytest.raises(PreconditionError,
+                           match=r"2g-2\+sum\(w\) > 0 violated: g=1, "
+                                 r"weights=\(\)"):
+            pushforward_forget(c, 3)
+        for count in (-1, 4):
+            with pytest.raises(PreconditionError, match="0 <= count <= n"):
+                pushforward_forget(c, count)
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,26 @@ class TestRank:
         assert code == 0
         assert payload(text)["rank"] == 1
 
+    def test_wall_fz_and_open_fz_share_their_space(self, capsys, tmp_path):
+        # on the wall 1/2 + 1/2 = 1 both constructions keep the weights
+        # they are given, so their relations make one batch
+        relations = []
+        for construction in ("fz", "open-fz"):
+            out = tmp_path / f"{construction}.json"
+            code, _, _ = run(capsys, "relations", "gen", "--genus", "2",
+                             "--codim", "2", "--weights", "1/2,1/2",
+                             "--subset", "1", "--construction", construction,
+                             "--out", str(out))
+            assert code == 0
+            [rel] = json.loads(out.read_text())["relations"]
+            assert rel["weights"] == [["1", "2"], ["1", "2"]]
+            relations.append(rel)
+        batch = tmp_path / "wall.json"
+        batch.write_text(json.dumps({"relations": relations}))
+        code, text, err = run(capsys, "rank", "--batch", str(batch))
+        assert code == 0, err
+        assert payload(text)["relations"] == 2
+
     def test_mixed_codimension_batch_rejected(self, capsys, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -410,6 +430,35 @@ class TestGraphsAndClasses:
         expected["terms"][0]["num"] = "-1"
         assert payload(text) == expected
 
+    # psi_n^2 of a weight-one point n pushes forward to kappa~_1 = kappa_1
+    # plus psi_i for every other marking i: the rule of a point is fixed by
+    # its weight, light or one
+    @pytest.mark.parametrize("name,expected", [
+        ("heavy_point.json",
+         '{"genus":2,"terms":[{"decor":[{"blocks":[{"a":1,"points":'
+         '[["m",1]]}],"kappa":[]}],"den":"1","graph":{"edges":[],"legs":'
+         '[[1,0]],"vertices":[2]},"num":"1"},{"decor":[{"blocks":[],'
+         '"kappa":[1]}],"den":"1","graph":{"edges":[],"legs":[[1,0]],'
+         '"vertices":[2]},"num":"1"}],"weights":[["1","1"]]}'),
+        ("weight1_last.json",
+         '{"genus":2,"terms":[{"decor":[{"blocks":[{"a":1,"points":'
+         '[["m",1]]}],"kappa":[]}],"den":"1","graph":{"edges":[],"legs":'
+         '[[1,0],[2,0]],"vertices":[2]},"num":"1"},{"decor":[{"blocks":'
+         '[{"a":1,"points":[["m",2]]}],"kappa":[]}],"den":"1","graph":'
+         '{"edges":[],"legs":[[1,0],[2,0]],"vertices":[2]},"num":"1"},'
+         '{"decor":[{"blocks":[],"kappa":[1]}],"den":"1","graph":{"edges":'
+         '[],"legs":[[1,0],[2,0]],"vertices":[2]},"num":"1"}],"weights":'
+         '[["1","10"],["1","10"]]}'),
+    ])
+    def test_classes_pushforward_forgets_a_weight_one_point(
+            self, capsys, tmp_path, name, expected):
+        infile = tmp_path / name
+        infile.write_text(json.dumps(CLASS_FILES[name]))
+        code, text, _ = run(capsys, "classes", "pushforward", "--in",
+                            str(infile), "--forget", "1")
+        assert code == 0
+        assert text.splitlines()[0] == expected
+
 
 CLASS_FILES = {
     "weight2.json": {"genus": 1, "weights": [["2", "1"]], "terms": []},
@@ -441,6 +490,11 @@ CLASS_FILES["heavy_block.json"] = _smooth_file(
 CLASS_FILES["heavy_point.json"] = _smooth_file(
     [["1", "1"], ["1", "1"]],
     {"kappa": [], "blocks": [{"points": [["m", 2]], "a": 2}]})
+# a last point of weight 1/2 after one of weight one: neither light nor of
+# weight one
+CLASS_FILES["half_after_one.json"] = _smooth_file(
+    [["1", "1"], ["1", "2"]],
+    {"kappa": [], "blocks": [{"points": [["m", 2]], "a": 2}]})
 CLASS_FILES["far_point.json"] = _smooth_file(
     [["1", "2"]], {"kappa": [], "blocks": [{"points": [["h", 0, 0]], "a": 1}]})
 CLASS_FILES["one_point.json"] = _smooth_file(
@@ -448,8 +502,6 @@ CLASS_FILES["one_point.json"] = _smooth_file(
 CLASS_FILES["repeated_point.json"] = _smooth_file(
     [["1", "8"], ["1", "8"]],
     {"kappa": [], "blocks": [{"points": [["m", 1], ["m", 1]], "a": 1}]})
-CLASS_FILES["light_last.json"] = _smooth_file(
-    [["1", "1"], ["1", "10"]], {"kappa": [], "blocks": []})
 CLASS_FILES["weight1_last.json"] = _smooth_file(
     [["1", "10"], ["1", "10"], ["1", "1"]],
     {"kappa": [], "blocks": [{"points": [["m", 3]], "a": 2}]})
@@ -536,6 +588,33 @@ CLASS_FILES.update({
     "empty_genus1.json": _with(PSI_GENUS1, ("terms",), []),
     "empty_three_ones.json": {"genus": 0, "weights": [["1", "1"]] * 3,
                               "terms": []},
+    # the class 1 of M_{0,(1,1,1)}
+    "one_three_ones.json": {
+        "genus": 0, "weights": [["1", "1"]] * 3,
+        "terms": [{"graph": {"vertices": [0], "legs": [[1, 0], [2, 0], [3, 0]],
+                             "edges": []},
+                   "decor": [{"kappa": [], "blocks": []}],
+                   "num": "1", "den": "1"}]},
+    # genus one: a genus-0 vertex with legs 1/10, 1/10 and 1 and an edge to
+    # a genus-1 vertex
+    "destabilizing.json": {
+        "genus": 1, "weights": [["1", "10"], ["1", "10"], ["1", "1"]],
+        "terms": [{"graph": {"vertices": [0, 1],
+                             "legs": [[1, 0], [2, 0], [3, 0]],
+                             "edges": [[0, 1]]},
+                   "decor": [{"kappa": [], "blocks": []}] * 2,
+                   "num": "1", "den": "1"}]},
+    "ones_around_wall.json": {
+        "genus": 0,
+        "weights": [["1", "1"], ["1", "2"], ["1", "2"], ["1", "1"]],
+        "terms": [{"graph": {"vertices": [0],
+                             "legs": [[1, 0], [2, 0], [3, 0], [4, 0]],
+                             "edges": []},
+                   "decor": [{"kappa": [], "blocks": []}],
+                   "num": "1", "den": "1"}]},
+    "light_after_wall.json": _smooth_file(
+        [["1", "2"], ["1", "2"], ["1", "10"], ["1", "1"]],
+        {"kappa": [], "blocks": [{"points": [["m", 4]], "a": 2}]}),
 })
 
 
@@ -654,18 +733,22 @@ class TestInvalidInput:
          "decor is not in normal form"),
         (("classes", "normal-form", "--in", "far_point.json"),
          "a block at vertex 0 names a point elsewhere"),
-        (("classes", "pushforward", "--in", "heavy_point.json"),
+        (("classes", "pushforward", "--in", "half_after_one.json"),
          "w(S) + w_n <= 1 whenever w(S) <= 1 violated: n=2, S={1}"),
         (("classes", "pushforward", "--in", "one_point.json", "--forget", "3"),
          "0 <= count <= n violated: count=3, n=1"),
         (("classes", "pushforward", "--in", "one_point.json",
           "--forget", "-1"), "0 <= count <= n violated: count=-1, n=1"),
-        (("classes", "pushforward", "--in", "light_last.json",
-          "--forget-weight1", "1"), "marking = n violated: marking=1, n=2"),
-        (("classes", "pushforward", "--in", "one_point.json",
-          "--forget-weight1", "0"), "marking = n violated: marking=0, n=1"),
-        (("classes", "pushforward", "--in", "light_last.json",
-          "--forget-weight1", "2"), "w_n = 1 violated: w_2=1/10"),
+        # every target is checked before any pass: M_{0,(1,1/2)} is named
+        # before the point 1/2 after 1 fails the light-point check
+        (("classes", "pushforward", "--in", "ones_around_wall.json",
+          "--forget", "2"), "2g-2+sum(w) > 0 violated: g=0, weights=1,1/2"),
+        # the pass after the weight-one point forgets 1/10 after 1/2, 1/2
+        (("classes", "pushforward", "--in", "light_after_wall.json",
+          "--forget", "2"),
+         "w(S) + w_n <= 1 whenever w(S) <= 1 violated: n=3, S={1, 2}"),
+        (("classes", "pushforward", "--in", "one_three_ones.json"),
+         "2g-2+sum(w) > 0 violated: g=0, weights=1,1"),
         (("relations", "gen", "--genus", "3", "--codim", "2",
           "--subset", "1,1", "--weights", "1/8"),
          "S has distinct markings violated: S=1,1"),
@@ -730,12 +813,13 @@ class TestInvalidInput:
          "blocks nonempty with sorted distinct points violated at vertex 0"),
         (("classes", "normal-form", "--in", "empty_point.json"),
          "a block at vertex 0 names a point elsewhere"),
-        (("classes", "pushforward", "--in", "weight1_last.json",
-          "--forget", "2", "--forget-weight1", "3"),
-         "--forget and --forget-weight1 are mutually exclusive"),
-        (("classes", "pushforward", "--in", "weight1_last.json",
-          "--forget", "1", "--forget-weight1", "3"),
-         "--forget and --forget-weight1 are mutually exclusive"),
+        # the target is checked before the weight-one pass meets the term
+        # it cannot push forward, a genus-0 vertex with two light legs
+        (("classes", "pushforward", "--in", "destabilizing.json",
+          "--forget", "3"), "2g-2+sum(w) > 0 violated: g=1, weights=()"),
+        # 2g-2+sum(w) = 0 on M_{0,(1,1/2,1/2)}: no space
+        (("classes", "pushforward", "--in", "ones_around_wall.json"),
+         "2g-2+sum(w) > 0 violated: g=0, weights=1,1/2,1/2"),
         # the range of an extended relation names the given r, S and sigma
         (("relations", "gen", "--genus", "3", "--codim", "2",
           "--sigma", "1"),
@@ -756,7 +840,7 @@ class TestInvalidInput:
         (("classes", "pushforward", "--in", "empty_genus1.json"),
          "2g-2+sum(w) > 0 violated: g=1, weights=()"),
         (("classes", "pushforward", "--in", "empty_three_ones.json",
-          "--forget-weight1", "3"),
+          "--forget", "1"),
          "2g-2+sum(w) > 0 violated: g=0, weights=1,1"),
     ])
     def test_exit_2_names_condition(self, capsys, tmp_path, monkeypatch,

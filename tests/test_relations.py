@@ -389,7 +389,7 @@ def oracle_graph_sum(g, weights, graphs, r, ring_of, vertex_factor,
 
 
 F = Fraction
-# unmarked, unit, 1/8 and non-generic weights (which fz_relation perturbs)
+# unmarked, unit, 1/8 and non-generic weights (a block weighs exactly one)
 FZ_WEIGHTS = [(), (1, 1), (F(1, 8),) * 2, (F(1, 8),) * 3, (F(1, 2),) * 2,
               (1, F(1, 2), F(1, 2)), (F(1, 3),) * 3]
 SQ_WEIGHTS = [(), (F(1, 10),), (F(1, 10),) * 2, (F(1, 2), F(1, 3)),
@@ -465,6 +465,31 @@ def test_meeting_cases_put_both_kinds_of_block_at_one_vertex(case):
                 for ends in edges if v in ends)
         for _, _, edges, decor in capped_relation(case).terms
         for v, (_, blocks) in enumerate(decor))
+
+
+# On a wall, where two markings weigh exactly one together, a relation
+# keeps the weights it is given.  Every weight test of the graph sum is a
+# strict comparison with an integer, so its terms are those of the chamber
+# just below, (11/24, 11/24).  The extended relation runs on the smooth
+# graph only, where its blocks hold both wall markings: on a graph with an
+# edge, forgetting the weight-one point contracts a genus-0 vertex that
+# keeps both, which is out of scope.
+WALL = WeightData((F(1, 2), F(1, 2)))
+BELOW_WALL = WeightData((F(11, 24), F(11, 24)))
+
+
+@pytest.mark.parametrize("build,args,size", [
+    (fz_relation, (2, WALL, 2, (1,), 2), 28),
+    (boundary_sq_relation, (2, WALL, 3, 1, (0, 0), -1, 1, 3), 103),
+    (extended_fz_relation, (2, WALL, 2, (1,), (1, 2), 0), 9),
+], ids=["fz", "boundary-sq", "sigma-1"])
+def test_wall_relations_keep_the_given_weights(build, args, size):
+    g, _, *rest = args
+    on_wall = capped_relation((build, args))
+    assert on_wall.weights == WALL
+    assert len(on_wall.terms) == size
+    assert on_wall.terms == capped_relation(
+        (build, (g, BELOW_WALL, *rest))).terms
 
 
 @settings(max_examples=40, deadline=None)
