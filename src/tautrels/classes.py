@@ -25,23 +25,23 @@ coefficient).
 One rule merges blocks: :func:`_vertex_product` multiplies two stored
 vertex decorations, with coefficient 1 and no product kept between calls.
 :func:`_factor_decor` maps one raw factor to a stored decoration and a
-scalar.  The brackets, ``multiply_generator`` and
-``pushforward_forget_weight1`` place single factors.  The decorated
-series of ``relations`` live on one vertex: their products multiply
-vertex decorations with :func:`_vertex_product` directly.  The graph sum
-of ``relations`` does not multiply the decorations of its factors: they
-never share a point, so it writes each term's blocks side by side.
-``pushforward_forget`` sends each forgotten marking to the rule its
-weight fixes; ``pushforward_forget_small`` rewrites each block that loses
-forgotten points once, by a closed rule (:func:`_forget_block`), however
-many points it forgets, and ``chern_neg_Bd`` places its output blocks
-directly, each with its count of pick configurations
-(:func:`_pick_counts`).  ``multiply_smooth``, ``pushforward_forget_small``
-and the extraction of a decorated series sum integer numerators over one
-denominator (:func:`tautrels.series.numerators`) and build their class once,
-with :func:`_from_numerators`.  :func:`normal_form`, the public word API, is
-the only code that reads a raw word; class files are checked against the
-stored rules themselves (:func:`_check_stored`).
+scalar.  The brackets and ``multiply_generator`` place single factors.
+The decorated series of ``relations`` live on one vertex: their products
+multiply vertex decorations with :func:`_vertex_product` directly.  The
+graph sum of ``relations`` does not multiply the decorations of its
+factors: they never share a point, so it writes each term's blocks side
+by side.  ``pushforward_forget`` forgets one weight-one marking, or a run
+of light markings, per pass over the terms (:func:`_forget_pass`), which
+rewrites each block that loses forgotten points once, by a closed rule
+(:func:`_forget_block`), however many points it forgets, and
+``chern_neg_Bd`` places its output blocks directly, each with its count
+of pick configurations (:func:`_pick_counts`).  ``multiply_smooth``, the
+forget pass and the extraction of a decorated series sum integer
+numerators over one denominator (:func:`tautrels.series.numerators`) and
+build their class once, with :func:`_from_numerators`.
+:func:`normal_form`, the public word API, is the only code that reads a
+raw word; class files are checked against the stored rules themselves
+(:func:`_check_stored`).
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ __all__ = [
     "multiply_smooth",
     "pushforward_forget",
     "pushforward_forget_small",
-    "pushforward_forget_weight1",
     "chern_neg_Bd",
     "to_vector",
     "matrix_rank",
@@ -217,8 +216,7 @@ def _check_stored(graph: StableGraph, weights: WeightData, decor: tuple) -> None
     and disjoint with sorted distinct points and ``a >= max(|S| - 1, 1)``,
     and a block of two or more points holds markings of weight <= 1."""
     for v, (kappa, blocks) in enumerate(decor):
-        here = {("m", i) for i in graph.legs_at(v)}
-        here.update(("h",) + he for he in graph.half_edges_at(v))
+        here = set(_points_at(graph, v))
         points = [p for pts, _ in blocks for p in pts]
         if any(p not in here for p in points):
             raise ValueError(f"a block at vertex {v} names a point elsewhere")
@@ -530,11 +528,11 @@ def _check_light(weights: WeightData, count: int) -> None:
                                         f"n={n}, S={set(S)}")
 
 
-def _forget_block(block: tuple, n: int, genus: int) -> tuple:
-    """``(factor, lost, blocks, kappa)``: the rule of
-    :func:`pushforward_forget_small` for a block at a vertex of genus
-    ``genus`` once the markings above ``n`` are forgotten, ``lost`` of them
-    in the block; a zero ``factor`` kills the term."""
+def _forget_block(block: tuple, n: int, kappa0: int) -> tuple:
+    """``(factor, lost, blocks, kappa)``: the rule of :func:`_forget_pass`
+    for a block at a vertex where ``kappa_0`` is the scalar ``kappa0``
+    once the markings above ``n`` are forgotten, ``lost`` of them in the
+    block; a zero ``factor`` kills the term."""
     pts, a = block
     rest = tuple(p for p in pts if p[0] != "m" or p[1] <= n)
     lost = len(pts) - len(rest)
@@ -546,54 +544,88 @@ def _forget_block(block: tuple, n: int, genus: int) -> tuple:
         return sign, lost, ((rest, a),) if a else (), ()
     if a > 0:  # (-1)^(|F|-1) kappa_{a-|F|}
         return -sign, lost, (), (a,)
-    return -sign * (2 * genus - 2) if a == 0 else 0, lost, (), ()
+    return -sign * kappa0 if a == 0 else 0, lost, (), ()
 
 
-def pushforward_forget_small(c: TautClass, count: int = 1) -> TautClass:
-    """Forget the last ``count`` markings, all light, in one pass.
+def _points_at(graph: StableGraph, v: int) -> list:
+    """The legs and the half-edges at vertex ``v``, as points."""
+    return ([("m", i) for i in graph.legs_at(v)]
+            + [("h",) + he for he in graph.half_edges_at(v)])
+
+
+def _forget_pass(c: TautClass, count: int) -> TautClass:
+    """Forget the last ``count`` markings, a run of light markings or one
+    marking of weight one, in one pass over the terms.
 
     A block ``(S, a)`` that loses its forgotten markings ``F`` becomes
     ``(-1)^{|F|} D_{S\\F, a-|F|}`` when ``S\\F`` is nonempty (nothing
     when one point with exponent 0 is left), and ``(-1)^{|F|-1}
-    kappa_{a-|F|}`` when ``S`` lies in ``F`` (``kappa_0 = 2 g(v) - 2``,
-    ``kappa_{-1} = 0``); a term dies if a forgotten marking is in no block.
-    This composes the one-marking rules, last marking first.  Each block's
-    rule is computed once per call, each term is rewritten once on integer
-    numerators over one denominator and relabelled once, and every input
-    graph without the forgotten legs is validated against the final
-    weights, even if its terms die.  Heavy markings raise
-    (:func:`_check_light`), and so does a target space that does not exist.
+    kappa_{a-|F|}`` when ``S`` lies in ``F``, plus ``sum_{p in B}
+    psi_p^{a-1}`` for the points ``B`` that the forgotten point bubbles
+    off at (``kappa_0 = 2 g(v) - 2 + |B|``, ``kappa_{-1} = 0``); a term
+    dies if a forgotten marking is in no block.  ``B`` is empty for light
+    markings.  A weight-one point bubbles off at the other legs and the
+    half-edges at its vertex, and it joins no diagonal, so no correction
+    between psi classes upstairs and downstairs arises; a block of it and
+    other points raises ``ValueError``.  For light markings this composes
+    the one-marking rules, last marking first.
+
+    Each block's rule is computed once per call, each term is rewritten
+    once on integer numerators over one denominator, and each output term
+    is relabelled once.  Every input graph without the forgotten legs is
+    validated against the final weights, even if its terms die.  A graph
+    that fails raises, unless a weight-one point is forgotten: then the
+    term is contracted (:func:`_contract_point`).  A target space that
+    does not exist raises before any term is read.
     """
-    if not 0 <= count <= c.weights.n:
-        raise PreconditionError("0 <= count <= n",
-                                f"count={count}, n={c.weights.n}")
-    _check_light(c.weights, count)
     n = c.weights.n - count
     weights = WeightData(c.weights.weights[:n])
     check_stable(c.genus, weights)
+    one = c.weights.weights[n:] == (1,)
     den, nums = numerators(c.terms)
     acc: dict = {}
-    valid: dict = {}  # (genera, legs, edges): its validated graph
-    rules: dict = {}  # (block, g(v)): _forget_block(block, n, g(v))
+    valid: dict = {}  # (genera, legs, edges): (its graph, its ValueError)
+    rules: dict = {}  # (block, kappa_0 at v): _forget_block(block, n, kappa_0)
     for (genera, legs, edges, decor), num in nums.items():
         shape = (genera, legs[:n], edges)
-        if (graph := valid.get(shape)) is None:
-            graph = valid[shape] = StableGraph(*shape)
-            graph.validate(weights, c.genus)
+        if (known := valid.get(shape)) is None:
+            graph, error = StableGraph(*shape), None
+            try:
+                graph.validate(weights, c.genus)
+            except ValueError as exc:
+                if not one:
+                    raise
+                error = exc
+            known = valid[shape] = graph, error
+        graph, error = known
+        if error is not None:
+            contracted = _contract_point(genera, legs, edges, decor, error)
+            if contracted:
+                key = canonical_term(*contracted)
+                acc[key] = acc.get(key, 0) + num
+            continue
         out = list(decor)
         lost = 0
+        psis = []  # (v, p, j): psi_p^j for each p in B in place of kappa_j
         touched = set(legs[n:])
         for v in touched:
             kappa, blocks = decor[v]
+            bubbles = _points_at(graph, v) if one else ()  # B
+            kappa0 = 2 * genera[v] - 2 + len(bubbles)
             kept = ()
             for block in blocks:
-                if (rule := rules.get((block, genera[v]))) is None:
-                    rule = rules[block, genera[v]] = _forget_block(
-                        block, n, genera[v])
+                if (rule := rules.get((block, kappa0))) is None:
+                    rule = rules[block, kappa0] = _forget_block(block, n,
+                                                                kappa0)
                 num *= rule[0]
                 lost += rule[1]
                 kept += rule[2]
                 kappa += rule[3]
+                if bubbles:  # only a weight-one point has B, and no diagonal
+                    if rule[1] and len(block[0]) > 1:
+                        raise ValueError(
+                            "weight-one point sits on a diagonal block")
+                    psis += [(v, p, j) for j in rule[3] for p in bubbles]
             out[v] = kappa, kept
         if not num or lost < count:  # kappa_{-1}, or a marking in no block
             continue
@@ -601,7 +633,24 @@ def pushforward_forget_small(c: TautClass, count: int = 1) -> TautClass:
             out[v] = tuple(sorted(out[v][0])), tuple(sorted(out[v][1]))
         key = canonical_term(graph, tuple(out))
         acc[key] = acc.get(key, 0) + num
+        for v, p, j in psis:  # only one block loses a weight-one point
+            vd = _vertex_product((decor[v][0], out[v][1]), ((), (((p,), j),)),
+                                 weights)
+            key = canonical_term(graph, tuple(out[:v]) + (vd,)
+                                 + tuple(out[v + 1:]))
+            acc[key] = acc.get(key, 0) + num
     return _from_numerators(c.genus, weights, acc, den)
+
+
+def pushforward_forget_small(c: TautClass, count: int = 1) -> TautClass:
+    """Forget the last ``count`` markings, all light, in one pass of
+    :func:`_forget_pass`.  Heavy markings raise (:func:`_check_light`),
+    and so does a target space that does not exist."""
+    if not 0 <= count <= c.weights.n:
+        raise PreconditionError("0 <= count <= n",
+                                f"count={count}, n={c.weights.n}")
+    _check_light(c.weights, count)
+    return _forget_pass(c, count)
 
 
 def _contract_edge(graph: StableGraph, e: int):
@@ -643,32 +692,32 @@ def _contract_edge(graph: StableGraph, e: int):
     return StableGraph(tuple(genera), legs, tuple(edges)), vmap, hemap
 
 
-def _forget_contract(out: TautClass, genera: tuple, legs: tuple,
-                     edges: tuple, decor: tuple, v: int, marking: int,
-                     coeff: Fraction) -> bool:
-    """Handle a term whose graph destabilizes when ``marking`` is dropped.
+def _contract_point(genera: tuple, legs: tuple, edges: tuple, decor: tuple,
+                    error: ValueError) -> tuple | None:
+    """``(graph, decor)`` of a term once its last marking, of weight one,
+    is forgotten from a vertex that it leaves unstable, or ``None`` if the
+    term dies.
 
     Covers the case of a genus-zero vertex carrying the forgotten point
     and exactly two other special points: its moduli factor is a single
     point, the forgetful map restricts to an isomorphism of strata, and
     the vertex is contracted away (two half-edges: the incident edges
     merge; one half-edge and a leg: the leg moves to the neighbour).  The
-    vertex has a neighbour: alone it would be the whole curve, and the
-    target space of two points in genus zero does not exist.  Returns
-    False when the configuration is out of scope.
+    vertex has a neighbour and no loop: alone it would be the whole curve,
+    and the target space does not exist.  Any other case raises
+    ``NotImplementedError`` naming ``error``, the failed validation.
     """
     g0 = StableGraph(genera, legs, edges)
-    if genera[v] != 0:
-        return False
+    marking, v = len(legs), legs[-1]
     legs_v = g0.legs_at(v)
     hes_v = g0.half_edges_at(v)
-    if len(legs_v) + len(hes_v) != 3:
-        return False
+    if genera[v] != 0 or len(legs_v) + len(hes_v) != 3:
+        raise NotImplementedError(
+            "forgetting this point contracts a component: " + str(error)
+        ) from error
     kappa_v, blocks_v = decor[v]
     if kappa_v or blocks_v:
-        return True  # positive-degree classes vanish on the point factor
-    if len(hes_v) == 2 and hes_v[0][0] == hes_v[1][0]:
-        return False  # a loop component only occurs at genus one
+        return None  # positive-degree classes vanish on the point factor
     e, s = hes_v[0]
     graph, vmap, hemap = _contract_edge(g0, e)
     point_map = {he: ("h",) + img for he, img in hemap.items()}
@@ -678,7 +727,7 @@ def _forget_contract(out: TautClass, genera: tuple, legs: tuple,
         point_map[(e, 1 - s)] = ("h",) + hemap[hes_v[1]]
     else:
         point_map[(e, 1 - s)] = ("m", next(m for m in legs_v if m != marking))
-    new_graph = StableGraph(graph.genera, graph.legs[:marking - 1], graph.edges)
+    new_graph = StableGraph(graph.genera, graph.legs[:-1], graph.edges)
     # v carries no class, so every other vertex keeps its decoration with
     # its points renamed; a renamed point is a singleton block and meets
     # no other block
@@ -688,88 +737,15 @@ def _forget_contract(out: TautClass, genera: tuple, legs: tuple,
             new_decor[vmap[w]] = (kappa, tuple(sorted(
                 (tuple(point_map[p[1:]] if p[0] == "h" else p for p in pts), a)
                 for pts, a in blocks)))
-    out.add_term(new_graph, tuple(new_decor), coeff)
-    return True
-
-
-def pushforward_forget_weight1(c: TautClass) -> TautClass:
-    """Forget the last marking, of weight one.
-
-    Diagonals involving a weight-one point vanish outright, so the
-    comparison corrections between psi classes upstairs and downstairs are
-    zero and the push-forward reduces to ``psi_pt^{b} -> kappa~_{b-1}``
-    expanded vertex-locally in the untwisted kappa classes:
-    ``kappa~_j = kappa_j + sum_legs psi^j + sum_half-edges psi^j`` with the
-    ``j = 0`` case the scalar ``2 g(v) - 2 + (number of other legs and
-    half-edges at the vertex)``.  A target space that does not exist
-    raises before any term is read.
-    """
-    marking = c.weights.n
-    if c.weights.weights[-1:] != (1,):
-        raise PreconditionError("w_n = 1", "weights=" + (
-            ",".join(map(str, c.weights.weights)) or "()"))
-    weights = WeightData(c.weights.weights[:-1])
-    check_stable(c.genus, weights)
-    out = TautClass(c.genus, weights)
-    point = ("m", marking)
-    graphs: dict = {}  # (genera, legs, edges): (graph, its ValueError)
-    for key, coeff in c.terms.items():
-        genera, legs, edges, decor = key
-        v_home = legs[marking - 1]
-        shape = (genera, legs[:-1], edges)
-        if shape not in graphs:
-            graph, error = StableGraph(*shape), None
-            try:
-                graph.validate(weights, c.genus)
-            except ValueError as exc:
-                error = exc
-            graphs[shape] = graph, error
-        graph, error = graphs[shape]
-        if error is not None:
-            if _forget_contract(out, genera, legs, edges, decor, v_home,
-                                marking, coeff):
-                continue
-            raise NotImplementedError(
-                "forgetting this point contracts a component: " + str(error)
-            ) from error
-        kappa, blocks = decor[v_home]
-        b_exp = None
-        rest_blocks = []
-        for pts, a in blocks:
-            if point in pts:
-                if len(pts) > 1:
-                    raise ValueError(
-                        "weight-one point sits on a diagonal block"
-                    )
-                b_exp = a
-            else:
-                rest_blocks.append((pts, a))
-        if b_exp is None:
-            continue  # no class to integrate along the forgotten point
-        # kappa~_j at v_home, factor by factor; at j = 0 the factors are
-        # the scalars 2 g(v) - 2 and 1.  psi_m^j joins a block that
-        # already holds m, so no product vanishes.
-        base = (kappa, tuple(rest_blocks))
-        j = b_exp - 1
-        factors = [("kappa", j)]
-        factors += [("psi", m, j) for m in graph.legs_at(v_home)]
-        factors += [("hpsi", he, j) for he in graph.half_edges_at(v_home)]
-        for factor in factors:
-            if (single := _factor_decor(factor, genera[v_home],
-                                        weights)) is not None:
-                vd = _vertex_product(base, single[1], weights)
-                out.add_term(graph, decor[:v_home] + (vd,)
-                             + decor[v_home + 1:], coeff * single[0])
-    return out
+    return new_graph, tuple(new_decor)
 
 
 def pushforward_forget(c: TautClass, count: int = 1) -> TautClass:
-    """Forget the last ``count`` markings, last one first, each by the rule
-    its weight fixes: a weight-one marking by
-    :func:`pushforward_forget_weight1`, a run of other markings, which
-    must be light, in one pass of :func:`pushforward_forget_small`.  The
-    count and the final target space, and with it every space on the way,
-    are checked before any term is read."""
+    """Forget the last ``count`` markings, last one first, in passes of
+    :func:`_forget_pass`: one pass for a weight-one marking, and one for
+    each run of other markings, which must be light (:func:`_check_light`).
+    The count and the final target space, and with it every space on the
+    way, are checked before any term is read."""
     weights = c.weights.weights
     n = len(weights)
     if not 0 <= count <= n:
@@ -777,14 +753,14 @@ def pushforward_forget(c: TautClass, count: int = 1) -> TautClass:
     stop = n - count
     check_stable(c.genus, WeightData(weights[:stop]))
     while n > stop:
+        top = n
         if weights[n - 1] == 1:
-            c = pushforward_forget_weight1(c)
             n -= 1
         else:
-            top = n
             while n > stop and weights[n - 1] != 1:
                 n -= 1
-            c = pushforward_forget_small(c, top - n)
+            _check_light(c.weights, top - n)
+        c = _forget_pass(c, top - n)
     return c
 
 

@@ -323,7 +323,7 @@ def test_11_determinism(tmp_path, monkeypatch):
 
 # sha256 of each payload: the other edge-kernel tests check properties, these
 # pin the values.  The sigma relation forgets points whose vertices then
-# destabilize, so it passes through the contraction in _forget_contract; the
+# destabilize, so it passes through the contraction in _contract_point; the
 # genus 4 one runs on graphs with loops and multi-edges, whose automorphism
 # groups have order up to 48.  The fz, open-fz, open-sq and boundary-sq
 # payloads pin each relation construction by value, on marked points with

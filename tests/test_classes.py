@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from tautrels import classes
@@ -22,7 +22,6 @@ from tautrels.classes import (
     normal_form,
     pushforward_forget,
     pushforward_forget_small,
-    pushforward_forget_weight1,
     to_vector,
 )
 from tautrels.catalog import bernoulli
@@ -32,6 +31,7 @@ from tautrels.graphs import (
     PreconditionError,
     StableGraph,
     WeightData,
+    check_stable,
     enumerate_graphs,
     smooth_graph,
 )
@@ -1198,11 +1198,11 @@ def test_pushforward_forget_small_rejects_unstable_at_any_count(words):
 
 
 def test_pushforward_forget_small_rejects_a_heavy_point():
-    # on weights (1, 1) psi_2^2 pushes forward to kappa_1 + psi_1
-    # (pushforward_forget_weight1), not to the light-point kappa_1
+    # on weights (1, 1) psi_2^2 pushes forward to kappa_1 + psi_1 (the
+    # weight-one rule of pushforward_forget), not to the light-point kappa_1
     w = WeightData((Fraction(1), Fraction(1)))
     c = _smooth_class(2, w, (1, [("psi", 2, 2)]))
-    assert pushforward_forget_weight1(c) == _smooth_class(
+    assert pushforward_forget(c) == _smooth_class(
         2, WeightData(w.weights[:1]), (1, [("kappa", 1)]), (1, [("psi", 1, 1)]))
     with pytest.raises(PreconditionError,
                        match=r"w\(S\) \+ w_n <= 1 whenever w\(S\) <= 1 "
@@ -1586,19 +1586,19 @@ class TestForgetWeightOne:
 
     def test_pure_point_dies(self):
         c = TautClass.one(2, self.wts(1))
-        assert pushforward_forget_weight1(c).is_zero
+        assert pushforward_forget(c).is_zero
 
     def test_psi_power_gives_modified_kappa(self):
         c = TautClass(2, self.wts(1))
         oracle_add_words(c, smooth(2, 1), [[("psi", 1, 2)]], 1)
-        down = pushforward_forget_weight1(c)
+        down = pushforward_forget(c)
         assert down == kappa_class(2, WeightData(()), 1)
 
     def test_psi_one_counts_euler_characteristic(self):
         w = WeightData((Fraction(1), Fraction(1)))
         c = TautClass(2, w)
         oracle_add_words(c, smooth(2, 2), [[("psi", 2, 1)]], 1)
-        down = pushforward_forget_weight1(c)
+        down = pushforward_forget(c)
         # 2g - 2 + (number of remaining legs) = 2 + 1
         expected = TautClass.one(2, WeightData((Fraction(1),))).scale(3)
         assert down == expected
@@ -1607,7 +1607,7 @@ class TestForgetWeightOne:
         w = WeightData((Fraction(1), Fraction(1)))
         c = TautClass(2, w)
         oracle_add_words(c, smooth(2, 2), [[("psi", 2, 3)]], 1)
-        down = pushforward_forget_weight1(c)
+        down = pushforward_forget(c)
         w1 = WeightData((Fraction(1),))
         expected = kappa_class(2, w1, 2)
         extra = TautClass(2, w1)
@@ -1619,13 +1619,15 @@ class TestForgetWeightOne:
         graph = StableGraph((1, 1), (0,), ((0, 1),))
         c = TautClass(2, w)
         oracle_add_words(c, graph, [[("psi", 1, 1)], []], 1)
-        down = pushforward_forget_weight1(c)
+        down = pushforward_forget(c)
         # at vertex 0: 2 - 2 + one half-edge = 1
         w0 = WeightData(())
         expected = TautClass(2, w0)
         oracle_add_words(expected, StableGraph((1, 1), (), ((0, 1),)),
                          [[], []], 1)
         assert down == expected
+        # a lone marking passes the light check, but its weight fixes the rule
+        assert pushforward_forget_small(c) == expected
 
     def test_contraction_merges_parallel_edges(self):
         # forgetting the only point of a genus-0 vertex between two
@@ -1634,7 +1636,7 @@ class TestForgetWeightOne:
         graph = StableGraph((0, 2), (0,), ((0, 1), (0, 1)))
         c = TautClass(3, w)
         oracle_add_words(c, graph, [[], []], 1)
-        pushed = pushforward_forget_weight1(c)
+        pushed = pushforward_forget(c)
         assert len(pushed.terms) == 1
         ((genera, legs, edges, decor),) = pushed.terms
         assert genera == (2,) and legs == () and edges == ((0, 0),)
@@ -1647,7 +1649,7 @@ class TestForgetWeightOne:
         graph = StableGraph((0, 2), (0,), ((0, 1), (0, 1)))
         c = TautClass(3, w)
         oracle_add_words(c, graph, [[("psi", 1, 1)], []], 1)
-        assert pushforward_forget_weight1(c).is_zero
+        assert pushforward_forget(c).is_zero
 
     def test_contraction_moves_leg_to_neighbour(self):
         # one half-edge and a light leg: the leg moves to the attachment
@@ -1656,7 +1658,7 @@ class TestForgetWeightOne:
         graph = StableGraph((0, 2), (0, 0), ((0, 1),))
         c = TautClass(2, w)
         oracle_add_words(c, graph, [[], [("hpsi", (0, 1), 2)]], 1)
-        pushed = pushforward_forget_weight1(c)
+        pushed = pushforward_forget(c)
         expected = TautClass(2, WeightData((Fraction(1, 10),)))
         oracle_add_words(
             expected, StableGraph((2,), (0,), ()), [[("psi", 1, 2)]], 1
@@ -1672,7 +1674,7 @@ class TestForgetWeightOne:
         oracle_add_words(
             c, graph, [[("hpsi", (0, 0), 1)], [], [("hpsi", (1, 1), 2)]], 3
         )
-        pushed = pushforward_forget_weight1(c)
+        pushed = pushforward_forget(c)
         expected = TautClass(3, WeightData(()))
         oracle_add_words(
             expected, StableGraph((1, 1), (), ((0, 1),)),
@@ -1701,9 +1703,9 @@ class TestForgetWeightOne:
             single = TautClass(2, w)
             oracle_add_words(single, graph, words, coeff)
             oracle_add_words(c, graph, words, coeff)
-            expected = expected + pushforward_forget_weight1(single)
+            expected = expected + pushforward_forget(single)
         assert len(c.terms) == len(terms)
-        pushed = pushforward_forget_weight1(c)
+        pushed = pushforward_forget(c)
         assert pushed == expected
         assert len(pushed.terms) == 4
 
@@ -1714,15 +1716,20 @@ class TestForgetWeightOne:
         with pytest.raises(PreconditionError,
                            match=r"2g-2\+sum\(w\) > 0 violated: g=0, "
                                  r"weights=1,1"):
-            pushforward_forget_weight1(c)
+            pushforward_forget(c)
 
     @pytest.mark.parametrize("weights,text", [
         ((Fraction(1), Fraction(1, 10)), "1,1/10"), ((), "()")])
     def test_last_point_must_weigh_one(self, weights, text):
+        # a last point of weight below one takes the light rule, which
+        # 1/10 after a point of weight one fails; with no point at all
+        # there is nothing to forget
+        message = {"1,1/10": "w(S) + w_n <= 1 whenever w(S) <= 1 violated: "
+                             "n=2, S={1}",
+                   "()": "0 <= count <= n violated: count=1, n=0"}[text]
         c = TautClass.one(2, WeightData(weights))
-        with pytest.raises(PreconditionError,
-                           match=re.escape(f"w_n = 1 violated: weights={text}")):
-            pushforward_forget_weight1(c)
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            pushforward_forget(c)
 
     def test_destabilization_flagged(self):
         # a contracted component with moduli (two light legs) is out of
@@ -1731,8 +1738,22 @@ class TestForgetWeightOne:
         graph = StableGraph((0, 2), (0, 0, 0), ((0, 1),))
         c = TautClass(2, w)
         oracle_add_words(c, graph, [[], []], 1)
-        with pytest.raises(NotImplementedError):
-            pushforward_forget_weight1(c)
+        with pytest.raises(NotImplementedError,
+                           match="forgetting this point contracts a "
+                                 "component: vertex 0 unstable"):
+            pushforward_forget(c)
+
+    def test_point_on_a_diagonal_block_raises(self):
+        # D_{{1,2},1} with w_2 = 1 weighs more than one, so no stored class
+        # holds it; built by hand, it is not read by the light-point rule
+        w = WeightData((Fraction(1, 10), Fraction(1)))
+        graph = smooth_graph(2, 2)
+        block = ((("m", 1), ("m", 2)), 1)
+        c = TautClass(2, w, {canonical_term(graph, (((), (block,)),)):
+                             Fraction(1)})
+        with pytest.raises(ValueError,
+                           match="weight-one point sits on a diagonal block"):
+            pushforward_forget(c)
 
 
 class TestForget:
@@ -1744,8 +1765,13 @@ class TestForget:
         c = _smooth_class(2, self.w, (1, [("psi", 3, 3)]),
                           (Fraction(1, 2), [("psi", 1, 1), ("psi", 3, 2)]))
         once = pushforward_forget(c)
-        assert once == pushforward_forget_weight1(c)
-        assert not once.is_zero
+        # psi_3^b -> kappa_{b-1} + psi_1^{b-1} + psi_2^{b-1}
+        assert once == _smooth_class(
+            2, WeightData(self.w.weights[:2]), (1, [("kappa", 2)]),
+            (1, [("psi", 1, 2)]), (1, [("psi", 2, 2)]),
+            (Fraction(1, 2), [("psi", 1, 1), ("kappa", 1)]),
+            (Fraction(1, 2), [("psi", 1, 2)]),
+            (Fraction(1, 2), [("psi", 1, 1), ("psi", 2, 1)]))
         assert pushforward_forget(c, 3) == pushforward_forget_small(once, 2)
         assert pushforward_forget(c, 0) == c
 
@@ -1765,6 +1791,124 @@ class TestForget:
         for count in (-1, 4):
             with pytest.raises(PreconditionError, match="0 <= count <= n"):
                 pushforward_forget(c, count)
+        # a class with no marking has none to forget
+        with pytest.raises(PreconditionError,
+                           match=re.escape("0 <= count <= n violated: "
+                                           "count=1, n=0")):
+            pushforward_forget(TautClass.one(2, WeightData(())))
+
+
+def oracle_forget_weight_one(c):
+    """Forget the last marking, of weight one, word by word: ``psi_n^b`` at
+    vertex ``v`` goes to ``kappa_{b-1} + sum_p psi_p^{b-1}`` over the other
+    legs and the half-edges at ``v`` (``kappa_0`` the scalar ``2 g(v) - 2``,
+    ``psi^0 = 1``), and a term dies if ``n`` is in no block.  A term whose
+    graph the point leaves unstable is pushed alone by
+    ``pushforward_forget``."""
+    point = ("m", c.weights.n)
+    weights = WeightData(c.weights.weights[:-1])
+    out = TautClass(c.genus, weights)
+    for key, coeff in c.terms.items():
+        genera, legs, edges, decor = key
+        graph = StableGraph(genera, legs[:-1], edges)
+        try:
+            graph.validate(weights, c.genus)
+        except ValueError:
+            out = out + pushforward_forget(
+                TautClass(c.genus, c.weights, {key: coeff}))
+            continue
+        v = legs[-1]
+        kappa, blocks = decor[v]
+        powers = [a for pts, a in blocks if pts == (point,)]
+        if not powers:
+            continue
+        words = decor_words(decor)
+        rest = decor_words(
+            ((kappa, [b for b in blocks if b[0] != (point,)]),))[0]
+        j = powers[0] - 1
+        for factor in ([("kappa", j)]
+                       + [("psi", m, j) for m in graph.legs_at(v)]
+                       + [("hpsi", he, j) for he in graph.half_edges_at(v)]):
+            words[v] = rest + [factor]
+            oracle_add_words(out, graph, words, coeff)
+    return out
+
+
+def _forget_outcome(push, c, count):
+    """The bytes of ``push(c, count)``, which stores no zero coefficient,
+    or the type and message of the exception it raises."""
+    try:
+        pushed = push(c, count)
+    except (ValueError, NotImplementedError) as exc:
+        return type(exc).__name__, str(exc)
+    assert all(pushed.terms.values())
+    return pushed.dumps()
+
+
+def _forget_in_rounds(c, count):
+    """``count`` rounds of ``pushforward_forget(., 1)``, each weight-one
+    round checked against :func:`oracle_forget_weight_one`.  As in one
+    call, the final target is checked first, and a run of light rounds
+    first checks every graph it starts from against the weights at the
+    run's end, even for terms that die on the way."""
+    stop = c.weights.n - count
+    check_stable(c.genus, WeightData(c.weights.weights[:stop]))
+    light = False
+    while c.weights.n > stop:
+        w = c.weights.weights
+        if w[-1] == 1:
+            assert (_forget_outcome(pushforward_forget, c, 1)
+                    == _forget_outcome(lambda d, _: oracle_forget_weight_one(d),
+                                       c, 1))
+        elif not light:
+            end = len(w)
+            while end > stop and w[end - 1] != 1:
+                end -= 1
+            for genera, legs, edges, _ in c.terms:
+                StableGraph(genera, legs[:end], edges).validate(
+                    WeightData(w[:end]), c.genus)
+        light = w[-1] != 1
+        c = pushforward_forget(c, 1)
+    return c
+
+
+# light points first, then weight-one points: a weight-one pass comes
+# before a light run
+FORGET_WEIGHTS = [WeightData(w) for w in (
+    (Fraction(1, 10), Fraction(1, 10), Fraction(1)),
+    (Fraction(1, 10), Fraction(1, 10), Fraction(1), Fraction(1)),
+    (Fraction(1, 10), Fraction(1), Fraction(1)),
+)]
+
+
+@st.composite
+def forget_cases(draw):
+    """A class on weights of ``FORGET_WEIGHTS``, of edge-free terms or of
+    terms with up to two edges, and a count of points to forget."""
+    weights = draw(st.sampled_from(FORGET_WEIGHTS))
+    genus = draw(st.integers(1, 2))
+    smooth_only = draw(st.booleans())
+    return (draw(stored_classes(genus, weights, smooth_only)),
+            draw(st.integers(1, weights.n)))
+
+
+def _bridge_case():
+    """psi_1^2 psi_2^2 on a genus-one vertex, with the weight-one point 3
+    on a genus-zero bridge to another genus-one vertex: forgetting point
+    3 contracts the bridge, and the light run then forgets 1 and 2."""
+    c = TautClass(2, FORGET_WEIGHTS[0])
+    oracle_add_words(c, StableGraph((1, 0, 1), (0, 0, 1), ((0, 1), (1, 2))),
+                     [[("psi", 1, 2), ("psi", 2, 2)], [], []], 1)
+    return c, 3
+
+
+@settings(max_examples=300, deadline=None)
+@example(_bridge_case())
+@given(forget_cases())
+def test_pushforward_forget_equals_single_rounds(case):
+    c, count = case
+    assert (_forget_outcome(pushforward_forget, c, count)
+            == _forget_outcome(_forget_in_rounds, c, count))
 
 
 # ---------------------------------------------------------------------------
